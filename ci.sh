@@ -267,4 +267,11 @@ cargo run -q --release -p buffalo-bench --bin figures -- serving-chaos --quick
 # the committed BENCH_failover.json is regenerated with --write-bench).
 cargo run -q --release -p buffalo-bench --bin figures -- failover --quick
 
+# The standing benchmark must still run: its smoke runs every workload
+# with reduced sizes, checks each workload's outputs (loss trail, answer
+# digest, admission accounting), that simulated and exact metrics repeat
+# bit for bit, and that BENCHMARK.json, benchmark/README.md and what a
+# run prints name the same workloads and metrics.
+benchmark/selftest.sh
+
 echo "ci: all checks passed"

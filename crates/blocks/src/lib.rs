@@ -27,5 +27,5 @@ pub use block::Block;
 pub use generate::{
     generate_blocks_checked, generate_blocks_fast, GenerateOptions, DEFAULT_PARALLEL_THRESHOLD,
 };
-pub use prepared::PreparedBlocks;
+pub use prepared::{PreparedBlocks, PreparedParts};
 pub use reverse::ReverseIndex;

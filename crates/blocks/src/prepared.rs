@@ -168,11 +168,32 @@ impl PreparedBlocks {
         self.gather_seconds
     }
 
-    /// Releases ownership of the payload without copying:
-    /// `(blocks, features, feat_dim, labels)`.
-    pub fn into_parts(self) -> (Vec<Block>, Vec<f32>, usize, Vec<u32>) {
-        (self.blocks, self.features, self.feat_dim, self.labels)
+    /// Releases ownership of the payload without copying.
+    pub fn into_parts(self) -> PreparedParts {
+        PreparedParts {
+            blocks: self.blocks,
+            features: self.features,
+            feat_dim: self.feat_dim,
+            labels: self.labels,
+            output_globals: self.output_globals,
+        }
     }
+}
+
+/// The owned payload of a [`PreparedBlocks`], as
+/// [`into_parts`](PreparedBlocks::into_parts) hands it to the consumer.
+#[derive(Debug)]
+pub struct PreparedParts {
+    /// The per-layer blocks, input layer first.
+    pub blocks: Vec<Block>,
+    /// Gathered features, row-major `input_srcs().len() × feat_dim`.
+    pub features: Vec<f32>,
+    /// Width of a feature row.
+    pub feat_dim: usize,
+    /// One label per output node.
+    pub labels: Vec<u32>,
+    /// Dataset-global ids of the output nodes (empty unless attached).
+    pub output_globals: Vec<NodeId>,
 }
 
 #[cfg(test)]
@@ -207,12 +228,16 @@ mod tests {
         let label_ptr = labels.as_ptr();
         p.set_labels(labels, 0.02);
         assert!((p.gather_seconds() - 0.03).abs() < 1e-12);
-        let (blocks, feats, dim, labels) = p.into_parts();
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(dim, 8);
+        let globals = vec![7 as NodeId; p.num_outputs()];
+        let globals_ptr = globals.as_ptr();
+        p.set_output_globals(globals);
+        let parts = p.into_parts();
+        assert_eq!(parts.blocks.len(), 2);
+        assert_eq!(parts.feat_dim, 8);
         // Same heap buffers end to end.
-        assert_eq!(feats.as_ptr(), feat_ptr);
-        assert_eq!(labels.as_ptr(), label_ptr);
+        assert_eq!(parts.features.as_ptr(), feat_ptr);
+        assert_eq!(parts.labels.as_ptr(), label_ptr);
+        assert_eq!(parts.output_globals.as_ptr(), globals_ptr);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Single-head graph attention (GAT) layers over blocks.
 
+use super::{activate, back_layers, run_layers, BlockLayer};
 use buffalo_blocks::Block;
 use buffalo_memsim::GnnShape;
 use buffalo_tensor::{Linear, Param, Tensor};
+use std::borrow::Cow;
 
 const LEAKY_SLOPE: f32 = 0.2;
 
@@ -19,10 +21,13 @@ pub struct GatLayer {
     out_dim: usize,
 }
 
-/// Cached forward state of one [`GatLayer`].
+/// Cached forward state of one [`GatLayer`]. The projection's weight
+/// gradient is taken against the whole layer input, so the cache holds it:
+/// borrowed from the features at layer 0, the previous activation moved in
+/// above.
 #[derive(Debug)]
-pub struct GatCache {
-    h_src: Tensor,
+pub struct GatCache<'a> {
+    h_src: Cow<'a, Tensor>,
     z: Tensor,
     /// Per destination: attention weights over `{self} ∪ neighbors`.
     alphas: Vec<Vec<f32>>,
@@ -53,16 +58,31 @@ impl GatLayer {
         c
     }
 
-    /// Forward over one block.
-    ///
+    /// Trainable parameters.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut ps = self.lin.params_mut();
+        ps.push(&mut self.a_l);
+        ps.push(&mut self.a_r);
+        ps
+    }
+}
+
+impl BlockLayer for GatLayer {
+    type Cache<'a> = GatCache<'a>;
+
     /// # Panics
     ///
     /// Panics if `h_src` rows mismatch `block.num_src()`.
-    pub fn forward(&self, block: &Block, h_src: &Tensor) -> (Tensor, GatCache) {
+    fn run<'a>(
+        &self,
+        block: &Block,
+        h_src: Cow<'a, Tensor>,
+        keep: bool,
+    ) -> (Tensor, Option<GatCache<'a>>) {
         assert_eq!(h_src.rows(), block.num_src(), "h_src row count mismatch");
         let n_dst = block.num_dst();
         let out_dim = self.out_dim;
-        let z = self.lin.forward(h_src);
+        let z = self.lin.forward(&h_src);
         // Score dots and the weighted sum dispatch to the configured SIMD
         // backend (the scalar backend reproduces the historical
         // `map(x*y).sum()` chain bitwise).
@@ -75,7 +95,8 @@ impl GatLayer {
         // Each destination owns its output row, attention weights, and
         // sign mask, so row chunks fill all three in parallel with the
         // per-destination arithmetic unchanged — bit-identical for any
-        // thread count.
+        // thread count. The weights and signs are only for backward: a
+        // pass that keeps no cache leaves their slots empty.
         let z_ref = &z;
         let fill = |i0: usize, y_chunk: &mut [f32], al: &mut [Vec<f32>], po: &mut [Vec<bool>]| {
             for (r, out) in y_chunk.chunks_exact_mut(out_dim).enumerate() {
@@ -86,7 +107,9 @@ impl GatLayer {
                     .iter()
                     .map(|&j| s_l + dot(&self.a_r.value, z_ref.row(j)))
                     .collect();
-                let pos: Vec<bool> = scores.iter().map(|&s| s > 0.0).collect();
+                if keep {
+                    po[r] = scores.iter().map(|&s| s > 0.0).collect();
+                }
                 for s in scores.iter_mut() {
                     if *s <= 0.0 {
                         *s *= LEAKY_SLOPE;
@@ -105,8 +128,9 @@ impl GatLayer {
                 for (&j, &a) in cands.iter().zip(&scores) {
                     simd.axpy(out, z_ref.row(j), a);
                 }
-                al[r] = scores;
-                po[r] = pos;
+                if keep {
+                    al[r] = scores;
+                }
             }
         };
         let threads = par.effective_threads(n_dst);
@@ -130,31 +154,33 @@ impl GatLayer {
                 .collect();
             buffalo_par::run_tasks(tasks, threads);
         }
-        let relu_mask = self.relu.then(|| y.relu_inplace());
-        (
-            y,
-            GatCache {
-                h_src: h_src.clone(),
-                z,
-                alphas,
-                positive,
-                relu_mask,
-            },
-        )
+        let relu_mask = activate(&mut y, self.relu, keep);
+        let cache = keep.then_some(GatCache {
+            h_src,
+            z,
+            alphas,
+            positive,
+            relu_mask,
+        });
+        (y, cache)
     }
 
-    /// Backward over one block: accumulates gradients, returns `dh_src`.
-    ///
     /// Runs in three deterministic parallel phases, each replicating the
     /// sequential arithmetic chains exactly (see the phase comments), so
     /// gradients are bit-identical for any thread count.
-    pub fn backward(&mut self, block: &Block, cache: &GatCache, dy: &Tensor) -> Tensor {
+    fn back(
+        &mut self,
+        block: &Block,
+        cache: &GatCache<'_>,
+        mut dy: Cow<'_, Tensor>,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let n_dst = block.num_dst();
         let out_dim = self.out_dim;
-        let mut dy = dy.clone();
         if let Some(mask) = &cache.relu_mask {
-            dy.relu_backward(mask);
+            dy.to_mut().relu_backward(mask);
         }
+        let dy: &Tensor = &dy;
         let par = buffalo_par::ambient();
         let simd = par.simd;
         let dot = |a: &[f32], b: &[f32]| -> f32 { simd.dot(a, b) };
@@ -164,7 +190,7 @@ impl GatLayer {
         let mut cands_all: Vec<Vec<usize>> = vec![Vec::new(); n_dst];
         let mut ds_all: Vec<Vec<f32>> = vec![Vec::new(); n_dst];
         {
-            let dy_ref = &dy;
+            let dy_ref = dy;
             let z_ref = &cache.z;
             let fill = |i0: usize, cc: &mut [Vec<usize>], dd: &mut [Vec<f32>]| {
                 for (r, (cands_out, ds_out)) in cc.iter_mut().zip(dd.iter_mut()).enumerate() {
@@ -253,7 +279,7 @@ impl GatLayer {
         let a_l_row = self.a_l.value.row(0);
         let a_r_row = self.a_r.value.row(0);
         {
-            let dy_ref = &dy;
+            let dy_ref = dy;
             let (events_ref, offsets_ref) = (&events, &offsets);
             let (alphas_ref, ds_ref) = (&cache.alphas, &ds_all);
             buffalo_par::parallel_rows(dz.data_mut(), out_dim, &par, |row0, chunk| {
@@ -314,22 +340,17 @@ impl GatLayer {
         }
         self.a_l.accumulate(&da_l);
         self.a_r.accumulate(&da_r);
-        self.lin.backward(&cache.h_src, &dz)
-    }
-
-    /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = self.lin.params_mut();
-        ps.push(&mut self.a_l);
-        ps.push(&mut self.a_r);
-        ps
+        self.lin.backward_params(&cache.h_src, &dz);
+        // The source-embedding term, the only one that is not a
+        // parameter gradient.
+        input_grad.then(|| dz.matmul_nt(&self.lin.w.value))
     }
 }
 
 /// A full GAT model: one [`GatLayer`] per block.
 #[derive(Debug, Clone)]
 pub struct GatModel {
-    layers: Vec<GatLayer>,
+    pub(super) layers: Vec<GatLayer>,
 }
 
 impl GatModel {
@@ -350,39 +371,32 @@ impl GatModel {
         self.layers.len()
     }
 
-    /// Forward over `blocks` (input layer first).
+    /// Forward over `blocks` (input layer first); the caches borrow
+    /// `features`.
     ///
     /// # Panics
     ///
     /// Panics if `blocks.len()` differs from model depth.
-    pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<GatCache>) {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "block/layer count mismatch"
-        );
-        let mut h = features.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (h_next, cache) = layer.forward(block, &h);
-            caches.push(cache);
-            h = h_next;
-        }
-        (h, caches)
+    pub fn forward<'a>(
+        &self,
+        blocks: &[Block],
+        features: &'a Tensor,
+    ) -> (Tensor, Vec<GatCache<'a>>) {
+        run_layers(&self.layers, blocks, features, true)
+    }
+
+    /// The logits of [`forward`](Self::forward) with no cache built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks.len()` differs from model depth.
+    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
+        run_layers(&self.layers, blocks, features, false).0
     }
 
     /// Backward over `blocks`; accumulates parameter gradients.
-    pub fn backward(&mut self, blocks: &[Block], caches: &[GatCache], dlogits: &Tensor) {
-        let mut dh = dlogits.clone();
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks)
-            .rev()
-            .zip(caches.iter().rev())
-        {
-            dh = layer.backward(block, cache, &dh);
-        }
+    pub fn backward(&mut self, blocks: &[Block], caches: &[GatCache<'_>], dlogits: &Tensor) {
+        back_layers(&mut self.layers, blocks, caches, dlogits);
     }
 
     /// All parameters.
@@ -422,8 +436,8 @@ mod tests {
     fn attention_weights_sum_to_one() {
         let layer = GatLayer::new(3, 4, false, 5);
         let h = Tensor::xavier(4, 3, 2);
-        let (_, cache) = layer.forward(&test_block(), &h);
-        for alpha in &cache.alphas {
+        let (_, cache) = layer.run(&test_block(), Cow::Borrowed(&h), true);
+        for alpha in &cache.unwrap().alphas {
             let sum: f32 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             assert!(alpha.iter().all(|&a| a >= 0.0));
@@ -435,8 +449,8 @@ mod tests {
         let layer = GatLayer::new(2, 2, false, 3);
         let block = Block::from_parts(vec![0], vec![0], vec![0, 0], vec![]);
         let h = Tensor::from_vec(1, 2, vec![1.0, -1.0]);
-        let (y, cache) = layer.forward(&block, &h);
-        assert_eq!(cache.alphas[0], vec![1.0]);
+        let (y, cache) = layer.run(&block, Cow::Borrowed(&h), true);
+        assert_eq!(cache.unwrap().alphas[0], vec![1.0]);
         // Output = 1.0 * z_self.
         let z = layer.lin.forward(&h);
         assert_eq!(y.row(0), z.row(0));

@@ -7,9 +7,11 @@
 //! module completes the trio of canonical models next to GraphSAGE and
 //! GAT.
 
+use super::{activate, back_layers, run_layers, BlockLayer};
 use buffalo_blocks::{Block, ReverseIndex};
 use buffalo_memsim::GnnShape;
 use buffalo_tensor::{Linear, Param, Tensor};
+use std::borrow::Cow;
 
 /// One GCN layer.
 #[derive(Debug, Clone)]
@@ -19,7 +21,9 @@ pub struct GcnLayer {
     in_dim: usize,
 }
 
-/// Cached forward state of one [`GcnLayer`].
+/// Cached forward state of one [`GcnLayer`]: the normalized sum the
+/// weight gradient is taken against — the layer input itself is not read
+/// again.
 #[derive(Debug)]
 pub struct GcnCache {
     agg: Tensor,
@@ -37,12 +41,24 @@ impl GcnLayer {
         }
     }
 
-    /// Forward over one block; `h_src` rows follow `block.src_nodes()`.
-    ///
+    /// Trainable parameters.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.lin.params_mut()
+    }
+}
+
+impl BlockLayer for GcnLayer {
+    type Cache<'a> = GcnCache;
+
     /// # Panics
     ///
     /// Panics if `h_src` shape mismatches the block or layer.
-    pub fn forward(&self, block: &Block, h_src: &Tensor) -> (Tensor, GcnCache) {
+    fn run<'a>(
+        &self,
+        block: &Block,
+        h_src: Cow<'a, Tensor>,
+        keep: bool,
+    ) -> (Tensor, Option<GcnCache>) {
         assert_eq!(h_src.rows(), block.num_src(), "h_src row count mismatch");
         assert_eq!(h_src.cols(), self.in_dim, "h_src width mismatch");
         let n_dst = block.num_dst();
@@ -65,17 +81,25 @@ impl GcnLayer {
             }
         });
         let mut y = self.lin.forward(&agg);
-        let relu_mask = self.relu.then(|| y.relu_inplace());
-        (y, GcnCache { agg, relu_mask })
+        let relu_mask = activate(&mut y, self.relu, keep);
+        (y, keep.then_some(GcnCache { agg, relu_mask }))
     }
 
-    /// Backward over one block: accumulates gradients, returns `dh_src`.
-    pub fn backward(&mut self, block: &Block, cache: &GcnCache, dy: &Tensor) -> Tensor {
-        let mut dy = dy.clone();
+    fn back(
+        &mut self,
+        block: &Block,
+        cache: &GcnCache,
+        mut dy: Cow<'_, Tensor>,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         if let Some(mask) = &cache.relu_mask {
-            dy.relu_backward(mask);
+            dy.to_mut().relu_backward(mask);
         }
-        let d_agg = self.lin.backward(&cache.agg, &dy);
+        self.lin.backward_params(&cache.agg, &dy);
+        if !input_grad {
+            return None;
+        }
+        let d_agg = dy.matmul_nt(&self.lin.w.value);
         let n_dst = block.num_dst();
         let dim = self.in_dim;
         let mut dh_src = Tensor::zeros(block.num_src(), dim);
@@ -116,19 +140,14 @@ impl GcnLayer {
                 }
             }
         });
-        dh_src
-    }
-
-    /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.lin.params_mut()
+        Some(dh_src)
     }
 }
 
 /// A full GCN model: one [`GcnLayer`] per block.
 #[derive(Debug, Clone)]
 pub struct GcnModel {
-    layers: Vec<GcnLayer>,
+    pub(super) layers: Vec<GcnLayer>,
 }
 
 impl GcnModel {
@@ -155,33 +174,21 @@ impl GcnModel {
     ///
     /// Panics if `blocks.len()` differs from the model depth.
     pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<GcnCache>) {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "block/layer count mismatch"
-        );
-        let mut h = features.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (h_next, cache) = layer.forward(block, &h);
-            caches.push(cache);
-            h = h_next;
-        }
-        (h, caches)
+        run_layers(&self.layers, blocks, features, true)
+    }
+
+    /// The logits of [`forward`](Self::forward) with no cache built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks.len()` differs from the model depth.
+    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
+        run_layers(&self.layers, blocks, features, false).0
     }
 
     /// Backward over `blocks`; accumulates parameter gradients.
     pub fn backward(&mut self, blocks: &[Block], caches: &[GcnCache], dlogits: &Tensor) {
-        let mut dh = dlogits.clone();
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks)
-            .rev()
-            .zip(caches.iter().rev())
-        {
-            dh = layer.backward(block, cache, &dh);
-        }
+        back_layers(&mut self.layers, blocks, caches, dlogits);
     }
 
     /// All parameters.
@@ -224,7 +231,7 @@ mod tests {
         layer.lin.w.value = Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let block = Block::from_parts(vec![0], vec![0, 1], vec![0, 1], vec![1]);
         let h = Tensor::from_vec(2, 2, vec![2.0, 4.0, 6.0, 8.0]);
-        let (y, _) = layer.forward(&block, &h);
+        let (y, _) = layer.run(&block, Cow::Borrowed(&h), false);
         // (self + neighbor) / (1 + 1) = ([2,4] + [6,8]) / 2
         assert_eq!(y.row(0), &[4.0, 6.0]);
     }
@@ -235,7 +242,7 @@ mod tests {
         layer.lin.w.value = Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let block = Block::from_parts(vec![0], vec![0], vec![0, 0], vec![]);
         let h = Tensor::from_vec(1, 2, vec![3.0, -1.0]);
-        let (y, _) = layer.forward(&block, &h);
+        let (y, _) = layer.run(&block, Cow::Borrowed(&h), false);
         assert_eq!(y.row(0), &[3.0, -1.0]);
     }
 

@@ -6,9 +6,11 @@
 //! runs the recurrent aggregator over equal-length neighbor sequences with
 //! no padding.
 
+use super::{activate, back_layers, run_layers, BlockLayer};
 use buffalo_blocks::{Block, ReverseIndex};
 use buffalo_memsim::{AggregatorKind, GnnShape};
 use buffalo_tensor::{Linear, LstmCell, LstmState, Param, Tensor};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One GraphSAGE layer: `h' = σ(W_self · h_dst + W_neigh · AGG(h_srcs))`.
@@ -28,20 +30,27 @@ enum AggregatorImpl {
     Lstm { cell: LstmCell },
 }
 
-/// Cached forward state of one [`SageLayer`].
+/// Cached forward state of one [`SageLayer`]: the operands of the two
+/// weight gradients plus what the aggregator's own backward reads. Only
+/// max-pool reads the whole layer input again.
 #[derive(Debug)]
-pub struct SageCache {
-    h_src: Tensor,
+pub struct SageCache<'a> {
+    /// Rows `0..n_dst` of the layer input (the prefix invariant: dst `i`
+    /// is src row `i`) — the self term's operand.
+    h_dst: Tensor,
     agg: Tensor,
     relu_mask: Option<Vec<bool>>,
-    agg_cache: AggCache,
+    agg_cache: AggCache<'a>,
 }
 
 #[derive(Debug)]
-enum AggCache {
+enum AggCache<'a> {
     Mean,
     MaxPool {
-        proj: Tensor,
+        /// The layer input, which `proj`'s weight gradient is taken
+        /// against: borrowed from the features at layer 0, the previous
+        /// activation moved in above.
+        h_src: Cow<'a, Tensor>,
         proj_mask: Vec<bool>,
         /// Per destination, per output dim: the h_src row index that won
         /// the max (`u32::MAX` for degree-0 destinations).
@@ -98,28 +107,20 @@ impl SageLayer {
     /// # Panics
     ///
     /// Panics if `h_src` row count differs from `block.num_src()`.
-    pub fn forward(&self, block: &Block, h_src: &Tensor) -> (Tensor, SageCache) {
-        assert_eq!(h_src.rows(), block.num_src(), "h_src row count mismatch");
-        assert_eq!(h_src.cols(), self.in_dim, "h_src width mismatch");
-        let n_dst = block.num_dst();
-        let dst_rows: Vec<usize> = (0..n_dst).collect();
-        let h_dst_prev = h_src.gather_rows(&dst_rows);
-        let (agg, agg_cache) = self.aggregate(block, h_src);
-        let mut y = self.w_self.forward(&h_dst_prev);
-        y.add_assign(&self.w_neigh.forward(&agg));
-        let relu_mask = self.relu.then(|| y.relu_inplace());
-        (
-            y,
-            SageCache {
-                h_src: h_src.clone(),
-                agg,
-                relu_mask,
-                agg_cache,
-            },
-        )
+    pub fn forward<'a>(&self, block: &Block, h_src: &'a Tensor) -> (Tensor, SageCache<'a>) {
+        let (y, cache) = self.run(block, Cow::Borrowed(h_src), true);
+        // lint:allow(panic-reachability): infallible — `run` returns the cache whenever `keep` is set; the models call `run` directly (suppresses chain: consume_one → SageLayer::forward → .expect())
+        (y, cache.expect("run keeps the cache when asked to"))
     }
 
-    fn aggregate(&self, block: &Block, h_src: &Tensor) -> (Tensor, AggCache) {
+    /// The aggregated neighbor embeddings per destination and, if `keep`,
+    /// what the aggregator's backward reads.
+    fn aggregate<'a>(
+        &self,
+        block: &Block,
+        h_src: Cow<'a, Tensor>,
+        keep: bool,
+    ) -> (Tensor, Option<AggCache<'a>>) {
         let n_dst = block.num_dst();
         let dim = self.in_dim;
         match &self.agg {
@@ -144,12 +145,12 @@ impl SageLayer {
                         }
                     }
                 });
-                (agg, AggCache::Mean)
+                (agg, keep.then_some(AggCache::Mean))
             }
             AggregatorImpl::MaxPool { proj } => {
                 let par = buffalo_par::ambient();
-                let mut p = proj.forward(h_src);
-                let proj_mask = p.relu_inplace();
+                let mut p = proj.forward(&h_src);
+                let proj_mask = activate(&mut p, true, keep);
                 let mut agg = Tensor::zeros(n_dst, dim);
                 let mut argmax = vec![vec![u32::MAX; dim]; n_dst];
                 // Each destination row owns its agg row and argmax row, so
@@ -197,14 +198,12 @@ impl SageLayer {
                         .collect();
                     buffalo_par::run_tasks(tasks, threads);
                 }
-                (
-                    agg,
-                    AggCache::MaxPool {
-                        proj: p,
-                        proj_mask,
-                        argmax,
-                    },
-                )
+                let cache = proj_mask.map(|proj_mask| AggCache::MaxPool {
+                    h_src,
+                    proj_mask,
+                    argmax,
+                });
+                (agg, cache)
             }
             AggregatorImpl::Lstm { cell } => {
                 // Degree bucketing (§II-C): group destinations by
@@ -228,34 +227,98 @@ impl SageLayer {
                             .collect();
                         seq.push(h_src.gather_rows(&rows));
                     }
-                    let (h_final, state) = cell.forward(&seq);
+                    let (h_final, state) = if keep {
+                        let (h_final, state) = cell.forward(&seq);
+                        (h_final, Some(state))
+                    } else {
+                        (cell.final_hidden(&seq), None)
+                    };
                     for (j, &i) in dst_rows.iter().enumerate() {
                         agg.row_mut(i).copy_from_slice(h_final.row(j));
                     }
-                    buckets.push(LstmBucketCache { dst_rows, state });
+                    buckets.extend(state.map(|state| LstmBucketCache { dst_rows, state }));
                 }
-                (agg, AggCache::Lstm { buckets })
+                (agg, keep.then_some(AggCache::Lstm { buckets }))
             }
         }
     }
 
-    /// Backward over one block: accumulates parameter gradients and
-    /// returns the source-embedding gradient (rows follow
-    /// `block.src_nodes()`).
-    pub fn backward(&mut self, block: &Block, cache: &SageCache, dy: &Tensor) -> Tensor {
-        let n_dst = block.num_dst();
-        let mut dy = dy.clone();
-        if let Some(mask) = &cache.relu_mask {
-            dy.relu_backward(mask);
+    /// Trainable parameters.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut ps = self.w_self.params_mut();
+        ps.extend(self.w_neigh.params_mut());
+        match &mut self.agg {
+            AggregatorImpl::Mean => {}
+            AggregatorImpl::MaxPool { proj } => ps.extend(proj.params_mut()),
+            AggregatorImpl::Lstm { cell } => ps.extend(cell.params_mut()),
         }
-        let dst_rows: Vec<usize> = (0..n_dst).collect();
-        let h_dst_prev = cache.h_src.gather_rows(&dst_rows);
-        let dh_dst = self.w_self.backward(&h_dst_prev, &dy);
-        let d_agg = self.w_neigh.backward(&cache.agg, &dy);
-        let mut dh_src = Tensor::zeros(block.num_src(), self.in_dim);
-        dh_src.scatter_add_rows(&dst_rows, &dh_dst);
+        ps
+    }
+}
+
+impl BlockLayer for SageLayer {
+    type Cache<'a> = SageCache<'a>;
+
+    /// # Panics
+    ///
+    /// Panics if `h_src` shape mismatches the block or layer.
+    fn run<'a>(
+        &self,
+        block: &Block,
+        h_src: Cow<'a, Tensor>,
+        keep: bool,
+    ) -> (Tensor, Option<SageCache<'a>>) {
+        assert_eq!(h_src.rows(), block.num_src(), "h_src row count mismatch");
+        assert_eq!(h_src.cols(), self.in_dim, "h_src width mismatch");
+        let h_dst = h_src.head_rows(block.num_dst());
+        let (agg, agg_cache) = self.aggregate(block, h_src, keep);
+        let mut y = self.w_self.forward(&h_dst);
+        y.add_assign(&self.w_neigh.forward(&agg));
+        let relu_mask = activate(&mut y, self.relu, keep);
+        let cache = agg_cache.map(|agg_cache| SageCache {
+            h_dst,
+            agg,
+            relu_mask,
+            agg_cache,
+        });
+        (y, cache)
+    }
+
+    /// With `input_grad` off, every aggregator skips exactly what only
+    /// feeds `dh_src`: mean all of its backward; max-pool the step from
+    /// `dproj` through `proj` to `h_src` (it still back-props into
+    /// `proj`'s parameters); LSTM the per-step `dz·W_xᵀ` and its scatter
+    /// (the cell still gets its parameter gradients).
+    fn back(
+        &mut self,
+        block: &Block,
+        cache: &SageCache<'_>,
+        mut dy: Cow<'_, Tensor>,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let n_dst = block.num_dst();
+        if let Some(mask) = &cache.relu_mask {
+            dy.to_mut().relu_backward(mask);
+        }
+        let dy: &Tensor = &dy;
+        self.w_self.backward_params(&cache.h_dst, dy);
+        self.w_neigh.backward_params(&cache.agg, dy);
+        let w_neigh = &self.w_neigh.w.value;
+        // The self term lands on the destination prefix of the source
+        // rows (added to zeros, as every later term is).
+        let mut dh_src = input_grad.then(|| {
+            let dh_dst = dy.matmul_nt(&self.w_self.w.value);
+            let mut dh_src = Tensor::zeros(block.num_src(), self.in_dim);
+            for (d, &s) in dh_src.data_mut().iter_mut().zip(dh_dst.data()) {
+                *d += s;
+            }
+            dh_src
+        });
         match (&mut self.agg, &cache.agg_cache) {
             (AggregatorImpl::Mean, AggCache::Mean) => {
+                // No parameters of its own: all of this feeds `dh_src`.
+                let dh_src = dh_src.as_mut()?;
+                let d_agg = dy.matmul_nt(w_neigh);
                 // Scatter through the reverse (src → dst) index: each
                 // source row is written by exactly one thread and
                 // accumulates its destinations in ascending order — the
@@ -287,16 +350,17 @@ impl SageLayer {
             (
                 AggregatorImpl::MaxPool { proj },
                 AggCache::MaxPool {
-                    proj: p_cached,
+                    h_src,
                     proj_mask,
                     argmax,
                 },
             ) => {
+                let d_agg = dy.matmul_nt(w_neigh);
                 // Reverse map from winning projected row q to its (i, d)
                 // credit events, in the order the sequential loop visits
                 // them (ascending i, then d), so each dproj row can be
                 // replayed independently with bit-identical accumulation.
-                let rows_p = p_cached.rows();
+                let rows_p = h_src.rows();
                 let mut counts = vec![0usize; rows_p];
                 for arg_row in argmax.iter().take(n_dst) {
                     for &q in arg_row {
@@ -337,14 +401,21 @@ impl SageLayer {
                     }
                 });
                 dproj.relu_backward(proj_mask);
-                let dh_from_proj = proj.backward(&cache.h_src, &dproj);
-                dh_src.add_assign(&dh_from_proj);
+                proj.backward_params(h_src, &dproj);
+                if let Some(dh_src) = &mut dh_src {
+                    dh_src.add_assign(&dproj.matmul_nt(&proj.w.value));
+                }
             }
             // The recurrent aggregator stays destination-major: its cost
             // lives in the LstmCell matmuls, which are parallel internally.
             (AggregatorImpl::Lstm { cell }, AggCache::Lstm { buckets }) => {
+                let d_agg = dy.matmul_nt(w_neigh);
                 for bucket in buckets {
                     let dh_final = d_agg.gather_rows(&bucket.dst_rows);
+                    let Some(dh_src) = &mut dh_src else {
+                        cell.backward_params(&bucket.state, &dh_final);
+                        continue;
+                    };
                     let dxs = cell.backward(&bucket.state, &dh_final);
                     for (t, dx) in dxs.iter().enumerate() {
                         let rows: Vec<usize> = bucket
@@ -361,24 +432,12 @@ impl SageLayer {
         }
         dh_src
     }
-
-    /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = self.w_self.params_mut();
-        ps.extend(self.w_neigh.params_mut());
-        match &mut self.agg {
-            AggregatorImpl::Mean => {}
-            AggregatorImpl::MaxPool { proj } => ps.extend(proj.params_mut()),
-            AggregatorImpl::Lstm { cell } => ps.extend(cell.params_mut()),
-        }
-        ps
-    }
 }
 
 /// A full GraphSAGE model: one [`SageLayer`] per block.
 #[derive(Debug, Clone)]
 pub struct SageModel {
-    layers: Vec<SageLayer>,
+    pub(super) layers: Vec<SageLayer>,
 }
 
 impl SageModel {
@@ -407,39 +466,32 @@ impl SageModel {
         self.layers.len()
     }
 
-    /// Forward over `blocks` (input layer first).
+    /// Forward over `blocks` (input layer first); the caches borrow
+    /// `features`.
     ///
     /// # Panics
     ///
     /// Panics if `blocks.len()` differs from the model depth.
-    pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<SageCache>) {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "block/layer count mismatch"
-        );
-        let mut h = features.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (h_next, cache) = layer.forward(block, &h);
-            caches.push(cache);
-            h = h_next;
-        }
-        (h, caches)
+    pub fn forward<'a>(
+        &self,
+        blocks: &[Block],
+        features: &'a Tensor,
+    ) -> (Tensor, Vec<SageCache<'a>>) {
+        run_layers(&self.layers, blocks, features, true)
+    }
+
+    /// The logits of [`forward`](Self::forward) with no cache built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks.len()` differs from the model depth.
+    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
+        run_layers(&self.layers, blocks, features, false).0
     }
 
     /// Backward over `blocks`; accumulates parameter gradients.
-    pub fn backward(&mut self, blocks: &[Block], caches: &[SageCache], dlogits: &Tensor) {
-        let mut dh = dlogits.clone();
-        for ((layer, block), cache) in self
-            .layers
-            .iter_mut()
-            .zip(blocks)
-            .rev()
-            .zip(caches.iter().rev())
-        {
-            dh = layer.backward(block, cache, &dh);
-        }
+    pub fn backward(&mut self, blocks: &[Block], caches: &[SageCache<'_>], dlogits: &Tensor) {
+        back_layers(&mut self.layers, blocks, caches, dlogits);
     }
 
     /// All parameters.
@@ -571,7 +623,8 @@ mod tests {
         let x = Tensor::xavier(5, 3, 3);
         // Layer over the output block: dst degrees are 2 and 3 — two
         // buckets expected.
-        let (_, cache) = layer.forward(&blocks[1], &layer.forward(&blocks[0], &x).0);
+        let (h, _) = layer.forward(&blocks[0], &x);
+        let (_, cache) = layer.forward(&blocks[1], &h);
         match cache.agg_cache {
             AggCache::Lstm { ref buckets } => assert_eq!(buckets.len(), 2),
             _ => panic!("expected LSTM cache"),

@@ -513,7 +513,7 @@ pub fn evaluate(
     let features = gather_features(ds, &batch, blocks[0].src_nodes());
     // lint:allow(panic-reachability): infallible — generate_blocks_fast returns exactly `depth` blocks, depth >= 1 (suppresses chain: evaluate → .unwrap())
     let labels = gather_labels(ds, &batch, blocks.last().unwrap().dst_nodes());
-    let (logits, _) = model.forward(&blocks, &features);
+    let logits = model.logits(&blocks, &features);
     let out = softmax_cross_entropy(&logits, &labels, None);
     out.correct as f32 / labels.len() as f32
 }

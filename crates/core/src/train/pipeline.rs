@@ -42,7 +42,7 @@
 use crate::models::GnnModel;
 use crate::train::recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 use crate::TrainError;
-use buffalo_blocks::{GenerateOptions, PreparedBlocks};
+use buffalo_blocks::{GenerateOptions, PreparedBlocks, PreparedParts};
 use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
@@ -381,7 +381,13 @@ fn consume_one(
     } = work;
     let block_gen = restrict_s + prepared.block_gen_seconds();
     let gather = prepared.gather_seconds();
-    let (blocks, features, feat_dim, labels) = prepared.into_parts();
+    let PreparedParts {
+        blocks,
+        features,
+        feat_dim,
+        labels,
+        ..
+    } = prepared.into_parts();
     let bytes = measure::training_memory(&blocks, ctx.shape).total();
     let mut attempt = 0usize;
     let mut observed_oom = false;
@@ -718,17 +724,22 @@ fn infer_one(
     out: &mut InferOutcome,
     prepared: PreparedBlocks,
 ) -> Result<(), TrainError> {
-    let globals = prepared.output_globals().to_vec();
-    let (blocks, features, feat_dim, _labels) = prepared.into_parts();
+    let PreparedParts {
+        blocks,
+        features,
+        feat_dim,
+        output_globals,
+        ..
+    } = prepared.into_parts();
     // Admission uses the same footprint the bucket scheduler's estimator
     // plans against, keeping serving consistent with training admission.
     let bytes = measure::training_memory(&blocks, req.shape).total();
     residency.acquire(bytes)?;
     let features = Tensor::from_vec(features.len() / feat_dim, feat_dim, features);
-    let (logits, _cache) = model.forward(&blocks, &features);
+    let logits = model.logits(&blocks, &features);
     let classes = logits.cols();
     let data = logits.data();
-    for (i, &node) in globals.iter().enumerate() {
+    for (i, node) in output_globals.into_iter().enumerate() {
         out.predictions
             .push((node, argmax_row(&data[i * classes..(i + 1) * classes])));
     }

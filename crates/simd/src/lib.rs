@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD inner kernels for Buffalo's dense math.
 //!
 //! Every hot loop in the training stack reduces to one of three shapes:
-//! `axpy` (`dst[i] += a * src[i]` — matmul inner tiles, neighbor
-//! aggregation, gradient scatter), `dot` (transposed matmul, attention
+//! `axpy` (`dst[i] += a * src[i]` — neighbor aggregation, gradient
+//! scatter; and `axpy_panel`, a run of axpys into one `dst` held in
+//! registers — matmul inner tiles), `dot` (transposed matmul, attention
 //! scores), and `widen_bf16` (bf16 feature rows → f32 at gather time).
 //! This crate provides explicit `std::arch` AVX2(+FMA) and SSE4.1
-//! implementations of those three primitives behind a [`SimdBackend`]
+//! implementations of those primitives behind a [`SimdBackend`]
 //! value dispatch, with a scalar fallback that is bitwise-identical to
 //! the pre-SIMD kernels.
 //!
@@ -182,6 +183,63 @@ impl SimdBackend {
         }
     }
 
+    /// Applies `terms` [`axpy`](Self::axpy) updates to one `dst`:
+    /// `dst[j] += coeffs[t * coeff_stride] * src[t * src_stride + j]` for
+    /// `t = 0, 1, …` in ascending order, skipping every term whose
+    /// coefficient is zero. Bit for bit what that many consecutive `axpy`
+    /// calls produce — each element sees the same operations in the same
+    /// order, and the lane body and scalar tail split where `axpy` splits
+    /// them — but `dst` is loaded once, carried in registers across the
+    /// panel and stored once (three of a lone axpy's four memory
+    /// operations per lane go to `dst`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `coeffs` is too short for `terms` strided reads.
+    #[inline]
+    pub fn axpy_panel(
+        self,
+        dst: &mut [f32],
+        src: &[f32],
+        src_stride: usize,
+        coeffs: &[f32],
+        coeff_stride: usize,
+        terms: usize,
+    ) {
+        if terms == 0 {
+            return;
+        }
+        assert!(
+            src.len() >= (terms - 1) * src_stride + dst.len(),
+            "axpy_panel source too short"
+        );
+        assert!(
+            coeffs.len() > (terms - 1) * coeff_stride,
+            "axpy_panel coefficients too short"
+        );
+        match self {
+            SimdBackend::Scalar => {
+                axpy_panel_scalar(dst, src, src_stride, coeffs, coeff_stride, terms)
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Sse` is only constructed after `detect`/`resolve`
+            // verified `is_x86_feature_detected!("sse4.1")`; the asserts
+            // above bound every strided read the kernel makes.
+            SimdBackend::Sse => unsafe {
+                x86::axpy_panel_sse(dst, src, src_stride, coeffs, coeff_stride, terms)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` is only constructed after `detect`/`resolve`
+            // verified `is_x86_feature_detected!` for avx2 and fma; the
+            // asserts above bound every strided read the kernel makes.
+            SimdBackend::Avx2 => unsafe {
+                x86::axpy_panel_avx2(dst, src, src_stride, coeffs, coeff_stride, terms)
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => axpy_panel_scalar(dst, src, src_stride, coeffs, coeff_stride, terms),
+        }
+    }
+
     /// Dot product with a fixed reduction order per backend. Panics if
     /// the slices differ in length.
     ///
@@ -302,6 +360,70 @@ fn axpy_scalar(dst: &mut [f32], src: &[f32], a: f32) {
     }
 }
 
+/// Lanes [`axpy_panel_scalar`] carries across a panel at a time.
+const PANEL_CHUNK: usize = 32;
+
+/// The scalar panel: `dst` is walked in [`PANEL_CHUNK`]-wide pieces, each
+/// copied to a local array that stays in registers over the `terms`
+/// updates; every element is still the chain `d += a * s`, ascending `t`.
+fn axpy_panel_scalar(
+    dst: &mut [f32],
+    src: &[f32],
+    src_stride: usize,
+    coeffs: &[f32],
+    coeff_stride: usize,
+    terms: usize,
+) {
+    let mut pieces = dst.chunks_exact_mut(PANEL_CHUNK);
+    let mut j0 = 0usize;
+    for piece in &mut pieces {
+        let mut acc = [0.0f32; PANEL_CHUNK];
+        acc.copy_from_slice(piece);
+        for t in 0..terms {
+            let a = coeffs[t * coeff_stride];
+            if a == 0.0 {
+                continue;
+            }
+            let row = &src[t * src_stride + j0..][..PANEL_CHUNK];
+            for (d, &s) in acc.iter_mut().zip(row) {
+                *d += a * s;
+            }
+        }
+        piece.copy_from_slice(&acc);
+        j0 += PANEL_CHUNK;
+    }
+    panel_tail(
+        pieces.into_remainder(),
+        &src[j0..],
+        src_stride,
+        coeffs,
+        coeff_stride,
+        terms,
+    );
+}
+
+/// The elements of a panel past the last full vector (or chunk): plain
+/// `d += a * s` per term, which is what every backend's `axpy` tail does.
+fn panel_tail(
+    dst: &mut [f32],
+    src: &[f32],
+    src_stride: usize,
+    coeffs: &[f32],
+    coeff_stride: usize,
+    terms: usize,
+) {
+    if dst.is_empty() {
+        return;
+    }
+    for t in 0..terms {
+        let a = coeffs[t * coeff_stride];
+        if a == 0.0 {
+            continue;
+        }
+        axpy_scalar(dst, &src[t * src_stride..][..dst.len()], a);
+    }
+}
+
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
     for (&x, &y) in a.iter().zip(b) {
@@ -350,6 +472,93 @@ mod x86 {
             }
             i += 1;
         }
+    }
+
+    /// One `8 * R`-lane block of an AVX2 panel: `R` accumulators loaded
+    /// from `dp`, every non-zero term folded in with the FMA `axpy_avx2`
+    /// uses in its body, then stored back. The caller guarantees that
+    /// `dp[..8 * R]`, `cp[t * coeff_stride]` and
+    /// `sp[t * src_stride..][..8 * R]` are in bounds for every `t < terms`.
+    // SAFETY: requires AVX2+FMA; reached only from `axpy_panel_avx2`,
+    // itself behind the `is_x86_feature_detected!`-gated dispatch.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn panel_block_avx2<const R: usize>(
+        dp: *mut f32,
+        sp: *const f32,
+        src_stride: usize,
+        cp: *const f32,
+        coeff_stride: usize,
+        terms: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (r, lane) in acc.iter_mut().enumerate() {
+            // SAFETY: 8 * r + 8 <= 8 * R lanes of `dp` are in bounds.
+            *lane = unsafe { _mm256_loadu_ps(dp.add(8 * r)) };
+        }
+        for t in 0..terms {
+            // SAFETY: the caller bounds `cp[t * coeff_stride]`.
+            let a = unsafe { *cp.add(t * coeff_stride) };
+            if a == 0.0 {
+                continue;
+            }
+            let va = _mm256_set1_ps(a);
+            for (r, lane) in acc.iter_mut().enumerate() {
+                // SAFETY: the caller bounds 8 * R lanes of source row `t`.
+                let s = unsafe { _mm256_loadu_ps(sp.add(t * src_stride + 8 * r)) };
+                *lane = _mm256_fmadd_ps(va, s, *lane);
+            }
+        }
+        for (r, lane) in acc.iter().enumerate() {
+            // SAFETY: 8 * r + 8 <= 8 * R lanes of `dp` are in bounds.
+            unsafe { _mm256_storeu_ps(dp.add(8 * r), *lane) };
+        }
+    }
+
+    // SAFETY: requires AVX2+FMA; callers reach this only through
+    // `SimdBackend::Avx2` dispatch (constructed after
+    // `is_x86_feature_detected!`), which has bounds-checked the panel.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn axpy_panel_avx2(
+        dst: &mut [f32],
+        src: &[f32],
+        src_stride: usize,
+        coeffs: &[f32],
+        coeff_stride: usize,
+        terms: usize,
+    ) {
+        let n = dst.len();
+        let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
+        // The 8-lane body of `axpy_avx2`, taken 8, 4, 2 or 1 vectors at a
+        // time; which block a lane falls in does not change its arithmetic.
+        let mut j = 0usize;
+        while j + 8 <= n {
+            let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
+            // SAFETY: the block picked spans at most `n - j` lanes, so it
+            // stays inside `dst` and (dispatch asserts) every source row.
+            j += unsafe {
+                match (n - j) / 8 {
+                    8.. => {
+                        panel_block_avx2::<8>(d, s, src_stride, cp, coeff_stride, terms);
+                        64
+                    }
+                    4.. => {
+                        panel_block_avx2::<4>(d, s, src_stride, cp, coeff_stride, terms);
+                        32
+                    }
+                    2.. => {
+                        panel_block_avx2::<2>(d, s, src_stride, cp, coeff_stride, terms);
+                        16
+                    }
+                    _ => {
+                        panel_block_avx2::<1>(d, s, src_stride, cp, coeff_stride, terms);
+                        8
+                    }
+                }
+            };
+        }
+        let (dst, src) = (&mut dst[j..], &src[j..]);
+        crate::panel_tail(dst, src, src_stride, coeffs, coeff_stride, terms);
     }
 
     // SAFETY: requires AVX2+FMA; callers reach this only through
@@ -445,6 +654,90 @@ mod x86 {
             }
             i += 1;
         }
+    }
+
+    /// One `4 * R`-lane block of an SSE panel; separate mul and add, as in
+    /// `axpy_sse`, so it rounds like the scalar chain. The caller
+    /// guarantees that `dp[..4 * R]`, `cp[t * coeff_stride]` and
+    /// `sp[t * src_stride..][..4 * R]` are in bounds for every `t < terms`.
+    // SAFETY: requires SSE4.1; reached only from `axpy_panel_sse`,
+    // itself behind the `is_x86_feature_detected!`-gated dispatch.
+    #[target_feature(enable = "sse4.1")]
+    #[inline]
+    unsafe fn panel_block_sse<const R: usize>(
+        dp: *mut f32,
+        sp: *const f32,
+        src_stride: usize,
+        cp: *const f32,
+        coeff_stride: usize,
+        terms: usize,
+    ) {
+        let mut acc = [_mm_setzero_ps(); R];
+        for (r, lane) in acc.iter_mut().enumerate() {
+            // SAFETY: 4 * r + 4 <= 4 * R lanes of `dp` are in bounds.
+            *lane = unsafe { _mm_loadu_ps(dp.add(4 * r)) };
+        }
+        for t in 0..terms {
+            // SAFETY: the caller bounds `cp[t * coeff_stride]`.
+            let a = unsafe { *cp.add(t * coeff_stride) };
+            if a == 0.0 {
+                continue;
+            }
+            let va = _mm_set1_ps(a);
+            for (r, lane) in acc.iter_mut().enumerate() {
+                // SAFETY: the caller bounds 4 * R lanes of source row `t`.
+                let s = unsafe { _mm_loadu_ps(sp.add(t * src_stride + 4 * r)) };
+                *lane = _mm_add_ps(*lane, _mm_mul_ps(va, s));
+            }
+        }
+        for (r, lane) in acc.iter().enumerate() {
+            // SAFETY: 4 * r + 4 <= 4 * R lanes of `dp` are in bounds.
+            unsafe { _mm_storeu_ps(dp.add(4 * r), *lane) };
+        }
+    }
+
+    // SAFETY: requires SSE4.1; callers reach this only through
+    // `SimdBackend::Sse` dispatch (constructed after
+    // `is_x86_feature_detected!`), which has bounds-checked the panel.
+    #[target_feature(enable = "sse4.1")]
+    pub unsafe fn axpy_panel_sse(
+        dst: &mut [f32],
+        src: &[f32],
+        src_stride: usize,
+        coeffs: &[f32],
+        coeff_stride: usize,
+        terms: usize,
+    ) {
+        let n = dst.len();
+        let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
+        let mut j = 0usize;
+        while j + 4 <= n {
+            let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
+            // SAFETY: the block picked spans at most `n - j` lanes, so it
+            // stays inside `dst` and (dispatch asserts) every source row.
+            j += unsafe {
+                match (n - j) / 4 {
+                    8.. => {
+                        panel_block_sse::<8>(d, s, src_stride, cp, coeff_stride, terms);
+                        32
+                    }
+                    4.. => {
+                        panel_block_sse::<4>(d, s, src_stride, cp, coeff_stride, terms);
+                        16
+                    }
+                    2.. => {
+                        panel_block_sse::<2>(d, s, src_stride, cp, coeff_stride, terms);
+                        8
+                    }
+                    _ => {
+                        panel_block_sse::<1>(d, s, src_stride, cp, coeff_stride, terms);
+                        4
+                    }
+                }
+            };
+        }
+        let (dst, src) = (&mut dst[j..], &src[j..]);
+        crate::panel_tail(dst, src, src_stride, coeffs, coeff_stride, terms);
     }
 
     // SAFETY: requires SSE4.1; callers reach this only through
@@ -575,6 +868,44 @@ mod tests {
                     );
                     if backend != SimdBackend::Avx2 {
                         assert_eq!(got.to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The panel is the same arithmetic as consecutive axpys, so every
+    /// backend must reproduce them bit for bit — at every width (each
+    /// block size, body/tail split), with strided rows and coefficients,
+    /// and with zero coefficients skipped.
+    #[test]
+    fn axpy_panel_is_consecutive_axpys_bitwise() {
+        for backend in SimdBackend::available() {
+            for n in (0..=70).chain([100, 128, 131]) {
+                for (terms, src_stride, coeff_stride) in
+                    [(0, n, 1), (1, n, 1), (7, n + 3, 1), (64, n, 5)]
+                {
+                    let src = data(terms * src_stride + n, 7 + n as u32);
+                    let mut coeffs = data(terms * coeff_stride + 1, 13);
+                    if terms > 2 {
+                        coeffs[2 * coeff_stride] = 0.0;
+                        coeffs[coeff_stride] = -0.0;
+                    }
+                    let mut want = data(n, 11);
+                    let mut got = want.clone();
+                    for t in 0..terms {
+                        let a = coeffs[t * coeff_stride];
+                        if a != 0.0 {
+                            backend.axpy(&mut want, &src[t * src_stride..][..n], a);
+                        }
+                    }
+                    backend.axpy_panel(&mut got, &src, src_stride, &coeffs, coeff_stride, terms);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{backend:?} n={n} terms={terms} lane {i}"
+                        );
                     }
                 }
             }

@@ -31,9 +31,16 @@ impl Linear {
     /// Backward pass: accumulates weight/bias gradients and returns the
     /// input gradient.
     pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        self.backward_params(x, dy);
+        dy.matmul_nt(&self.w.value)
+    }
+
+    /// The parameter half of [`backward`](Self::backward) — `w += xᵀ·dy`,
+    /// `b += Σ dy` — for a caller that has no use for the input gradient
+    /// `dy·Wᵀ` (an untrained input, or one it computes itself).
+    pub fn backward_params(&mut self, x: &Tensor, dy: &Tensor) {
         self.w.accumulate(&x.matmul_tn(dy));
         self.b.accumulate(&dy.sum_rows());
-        dy.matmul_nt(&self.w.value)
     }
 
     /// Zeroes both gradients.
@@ -112,15 +119,32 @@ impl LstmCell {
     ///
     /// Panics if `seq` is empty or any step has the wrong width.
     pub fn forward(&self, seq: &[Tensor]) -> (Tensor, LstmState) {
-        assert!(!seq.is_empty(), "LSTM sequence must be non-empty");
-        let n = seq[0].rows();
-        let h = self.hidden;
         let mut state = LstmState {
             xs: Vec::with_capacity(seq.len()),
             gates: Vec::with_capacity(seq.len()),
             cs: Vec::with_capacity(seq.len()),
             hs: Vec::with_capacity(seq.len()),
         };
+        let h_final = self.unroll(seq, Some(&mut state));
+        (h_final, state)
+    }
+
+    /// The final hidden state of [`forward`](Self::forward) alone — the
+    /// same unroll, keeping nothing for a backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is empty or any step has the wrong width.
+    pub fn final_hidden(&self, seq: &[Tensor]) -> Tensor {
+        self.unroll(seq, None)
+    }
+
+    /// The unroll behind both entry points; each step is recorded into
+    /// `state` when there is one.
+    fn unroll(&self, seq: &[Tensor], mut state: Option<&mut LstmState>) -> Tensor {
+        assert!(!seq.is_empty(), "LSTM sequence must be non-empty");
+        let n = seq[0].rows();
+        let h = self.hidden;
         let mut h_prev = Tensor::zeros(n, h);
         let mut c_prev = Tensor::zeros(n, h);
         for x in seq {
@@ -148,23 +172,44 @@ impl LstmCell {
                     h_new.set(r, j, o_g * c_val.tanh());
                 }
             }
-            state.xs.push(x.clone());
-            state.gates.push(gates);
-            state.cs.push(c.clone());
-            state.hs.push(h_new.clone());
+            if let Some(state) = state.as_deref_mut() {
+                state.xs.push(x.clone());
+                state.gates.push(gates);
+                state.cs.push(c.clone());
+                state.hs.push(h_new.clone());
+            }
             h_prev = h_new;
             c_prev = c;
         }
-        (h_prev, state)
+        h_prev
     }
 
     /// Backpropagates `dh_final` through the unroll, accumulating weight
     /// gradients and returning the per-step input gradients.
     pub fn backward(&mut self, state: &LstmState, dh_final: &Tensor) -> Vec<Tensor> {
+        self.unroll_back(state, dh_final, true)
+    }
+
+    /// [`backward`](Self::backward) for a caller that has no use for the
+    /// input gradients: the same weight gradients and `dh` recurrence,
+    /// without the per-step `dz·W_xᵀ`.
+    pub fn backward_params(&mut self, state: &LstmState, dh_final: &Tensor) {
+        self.unroll_back(state, dh_final, false);
+    }
+
+    /// The reverse unroll behind both entry points; returns the per-step
+    /// input gradients, or nothing when `input_grads` is off.
+    fn unroll_back(
+        &mut self,
+        state: &LstmState,
+        dh_final: &Tensor,
+        input_grads: bool,
+    ) -> Vec<Tensor> {
         let steps = state.xs.len();
         let n = dh_final.rows();
         let h = self.hidden;
-        let mut dxs = vec![Tensor::zeros(n, h); steps];
+        let mut dxs = vec![Tensor::zeros(n, h); if input_grads { steps } else { 0 }];
+        let h_zero = Tensor::zeros(n, h);
         let mut dh = dh_final.clone();
         let mut dc = Tensor::zeros(n, h);
         for t in (0..steps).rev() {
@@ -204,15 +249,14 @@ impl LstmCell {
             }
             // Parameter gradients.
             self.w_x.accumulate(&state.xs[t].matmul_tn(&dz));
-            let h_prev = if t == 0 {
-                Tensor::zeros(n, h)
-            } else {
-                state.hs[t - 1].clone()
-            };
+            let h_prev = if t == 0 { &h_zero } else { &state.hs[t - 1] };
             self.w_h.accumulate(&h_prev.matmul_tn(&dz));
             self.b.accumulate(&dz.sum_rows());
-            // Input and recurrent gradients.
-            dxs[t] = dz.matmul_nt(&self.w_x.value);
+            // Input (`dxs` is empty when none are wanted) and recurrent
+            // gradients.
+            if let Some(dx) = dxs.get_mut(t) {
+                *dx = dz.matmul_nt(&self.w_x.value);
+            }
             dh = dz.matmul_nt(&self.w_h.value);
             dc = dc_prev;
         }

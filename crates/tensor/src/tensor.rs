@@ -9,7 +9,7 @@
 //! results are bit-identical for every thread count and tile size (the
 //! default scalar backend reproduces the historical bits exactly).
 
-use buffalo_par::{parallel_rows, Parallelism};
+use buffalo_par::{parallel_rows, Parallelism, SimdBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -23,6 +23,42 @@ enum Gemm {
     Tn,
     /// `A · Bᵀ` — input gradients.
     Nt,
+}
+
+/// Output elements [`nt_row_scalar`] advances side by side.
+const NT_BLOCK: usize = 16;
+
+/// `b` (`n × k`) transposed to `k` rows of `n` rounded up to a multiple of
+/// [`NT_BLOCK`] (zero padded), so that the `NT_BLOCK` elements
+/// [`nt_row_scalar`] reads at each depth `p` are contiguous.
+fn nt_pack_scalar(b: &[f32], n: usize, k: usize) -> Vec<f32> {
+    let n_pad = n.next_multiple_of(NT_BLOCK);
+    let mut bt = vec![0.0f32; k * n_pad];
+    for (j, b_row) in b.chunks_exact(k).enumerate() {
+        for (p, &v) in b_row.iter().enumerate() {
+            bt[p * n_pad + j] = v;
+        }
+    }
+    bt
+}
+
+/// One row of a scalar `A · Bᵀ`: `out[j] = Σ_p a[p] · b[j][p]`, with `bt`
+/// from [`nt_pack_scalar`]. A lone scalar dot is one dependent add chain
+/// and stalls on its latency, so [`NT_BLOCK`] elements advance together
+/// (register blocking over `j`, never over `k`): each is still its own
+/// full-depth ascending-`p` chain from 0.0, bit for bit what
+/// `SimdBackend::Scalar.dot` returns for it.
+fn nt_row_scalar(a: &[f32], bt: &[f32], out: &mut [f32]) {
+    let n_pad = out.len().next_multiple_of(NT_BLOCK);
+    for (o, j0) in out.chunks_mut(NT_BLOCK).zip((0..).step_by(NT_BLOCK)) {
+        let mut acc = [0.0f32; NT_BLOCK];
+        for (&av, bt_row) in a.iter().zip(bt.chunks_exact(n_pad)) {
+            for (s, &bv) in acc.iter_mut().zip(&bt_row[j0..j0 + NT_BLOCK]) {
+                *s += av * bv;
+            }
+        }
+        o.copy_from_slice(&acc[..o.len()]);
+    }
 }
 
 /// A dense 2-D `f32` matrix, row-major.
@@ -187,12 +223,15 @@ impl Tensor {
     /// call site per inner-loop shape):
     ///
     /// * `Nn`/`Tn` accumulate rank-1 updates — the inner loop is an
-    ///   `axpy` over a `tile_n`-wide output tile, k-tiled so a
-    ///   `tile_k × tile_n` panel of B stays cache resident. Per element
-    ///   the `p` order is globally ascending (k-tiles ascend, `p`
-    ///   ascends within each) and zero `a` terms are skipped.
+    ///   `axpy_panel` (a k-tile's worth of axpys with the `tile_n`-wide
+    ///   output tile held in registers), k-tiled so a `tile_k × tile_n`
+    ///   panel of B stays cache resident. Per element the `p` order is
+    ///   globally ascending (k-tiles ascend, `p` ascends within each)
+    ///   and zero `a` terms are skipped.
     /// * `Nt` computes one full-depth dot product per element (k is
-    ///   never split — that would reassociate the chain).
+    ///   never split — that would reassociate the chain): `simd.dot`
+    ///   under a vector backend, `nt_row_scalar`'s side-by-side chains
+    ///   under scalar.
     ///
     /// Within a backend, results are bit-identical for every thread
     /// count (rows are disjoint and each row's work is independent of
@@ -217,9 +256,8 @@ impl Tensor {
             }
         };
         let mut out = Tensor::zeros(m, n);
-        // For Nt a zero depth still writes the (well-defined) empty dot
-        // products; the axpy layouts have nothing to add.
-        if m == 0 || n == 0 || (k == 0 && layout != Gemm::Nt) {
+        // A zero depth leaves every element at the empty sum, 0.0.
+        if m == 0 || n == 0 || k == 0 {
             return out;
         }
         let tile_k = par.tile_k.max(1);
@@ -227,6 +265,8 @@ impl Tensor {
         let simd = par.simd;
         let a = &self.data; // Tn reads it as k × m, down column i.
         let b = &rhs.data;
+        let bt_scalar =
+            (layout == Gemm::Nt && simd == SimdBackend::Scalar).then(|| nt_pack_scalar(b, n, k));
         parallel_rows(&mut out.data, n, par, |row0, chunk| match layout {
             Gemm::Nn | Gemm::Tn => {
                 for p0 in (0..k).step_by(tile_k) {
@@ -235,22 +275,24 @@ impl Tensor {
                         let j1 = (j0 + tile_n).min(n);
                         for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
                             let i = row0 + r;
-                            let o_tile = &mut o_row[j0..j1];
-                            for p in p0..p1 {
-                                let av = match layout {
-                                    Gemm::Nn => a[i * k + p],
-                                    _ => a[p * m + i],
-                                };
-                                if av == 0.0 {
-                                    continue;
-                                }
-                                simd.axpy(o_tile, &b[p * n + j0..p * n + j1], av);
-                            }
+                            // Row i's coefficients for this k-tile.
+                            let (coeffs, stride) = match layout {
+                                Gemm::Nn => (&a[i * k + p0..], 1),
+                                _ => (&a[p0 * m + i..], m),
+                            };
+                            let panel = &b[p0 * n + j0..];
+                            simd.axpy_panel(&mut o_row[j0..j1], panel, n, coeffs, stride, p1 - p0);
                         }
                     }
                 }
             }
             Gemm::Nt => {
+                if let Some(bt) = &bt_scalar {
+                    for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
+                        nt_row_scalar(&a[(row0 + r) * k..(row0 + r + 1) * k], bt, o_row);
+                    }
+                    return;
+                }
                 for j0 in (0..n).step_by(tile_n) {
                     let j1 = (j0 + tile_n).min(n);
                     for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
@@ -333,6 +375,14 @@ impl Tensor {
             .collect()
     }
 
+    /// In-place ReLU with no mask kept — the forward-only form of
+    /// [`relu_inplace`](Self::relu_inplace), same values.
+    pub fn relu(&mut self) {
+        for x in &mut self.data {
+            *x = if *x > 0.0 { *x } else { 0.0 };
+        }
+    }
+
     /// Masks a gradient by a ReLU activation mask.
     ///
     /// # Panics
@@ -366,6 +416,20 @@ impl Tensor {
             }
         }
         out
+    }
+
+    /// Copy of the first `n` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the row count.
+    pub fn head_rows(&self, n: usize) -> Tensor {
+        assert!(n <= self.rows, "row prefix out of range");
+        Tensor {
+            rows: n,
+            cols: self.cols,
+            data: self.data[..n * self.cols].to_vec(),
+        }
     }
 
     /// Gathers rows by index into a new tensor. Row copies are
@@ -616,6 +680,38 @@ mod tests {
             for cfg in configs() {
                 let got = a.matmul_nt_with(&b, &cfg);
                 assert_eq!(got.data(), want.data(), "config {cfg:?}");
+            }
+        }
+
+        /// The scalar `Nt` kernel advances several output elements at
+        /// once; each must still be the one-chain ascending-`p` sum.
+        #[test]
+        fn scalar_matmul_nt_is_the_one_chain_dot_bitwise() {
+            let scalar = Parallelism {
+                simd: buffalo_par::SimdBackend::Scalar,
+                ..baseline()
+            };
+            for k in [0, 1, 7, 64] {
+                for n in [1, 5, 8, 13, 27] {
+                    let a = Tensor::xavier(3, k, 40 + k as u64);
+                    let b = Tensor::xavier(n, k, 50 + n as u64);
+                    for tile_n in [3, 11, usize::MAX] {
+                        let got = a.matmul_nt_with(&b, &Parallelism { tile_n, ..scalar });
+                        for i in 0..3 {
+                            for j in 0..n {
+                                let mut acc = 0.0f32;
+                                for p in 0..k {
+                                    acc += a.get(i, p) * b.get(j, p);
+                                }
+                                assert_eq!(
+                                    got.get(i, j).to_bits(),
+                                    acc.to_bits(),
+                                    "k={k} n={n} tile_n={tile_n} ({i},{j})"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
 

@@ -67,39 +67,61 @@ pub fn generate_blocks_fast(
     );
     let threads = resolve_threads(&opts);
     let n = batch_graph.num_nodes();
-    let mut dst: Vec<NodeId> = (0..num_seeds as NodeId).collect();
-    let mut blocks_rev: Vec<Block> = Vec::with_capacity(depth);
-    // Scratch position table reused across layers: entries touched in a
-    // layer are exactly those of its src_nodes, so only they need reset.
+    // A layer's sources are the next layer's destinations, and a node
+    // keeps its position once it has one — so every layer's arrays are
+    // prefixes of the input layer's: `nodes` (the closure in discovery
+    // order) of its dst and src lists, `offsets`/`indices` of its rows.
+    // One walk builds them; each hop only adds the rows of the nodes the
+    // previous hop discovered, `nodes[expanded..]`.
+    let mut nodes: Vec<NodeId> = (0..num_seeds as NodeId).collect();
     let mut pos_of: Vec<u32> = vec![u32::MAX; n];
+    for (i, p) in pos_of[..num_seeds].iter_mut().enumerate() {
+        *p = i as u32;
+    }
+    let mut offsets = Vec::with_capacity(num_seeds + 1);
+    offsets.push(0usize);
+    let mut indices: Vec<u32> = Vec::new();
+    let mut expanded = 0usize;
+    let mut blocks_rev: Vec<Block> = Vec::with_capacity(depth);
     for _ in 0..depth {
-        // Phase 1 (parallel): gather each destination row from CSR.
-        let rows: Vec<&[NodeId]> = gather_rows(batch_graph, &dst, threads, opts.parallel_threshold);
-        // Phase 2 (sequential): assign source positions in discovery order.
-        let mut src_nodes: Vec<NodeId> = dst.clone();
-        for (i, &v) in dst.iter().enumerate() {
-            pos_of[v as usize] = i as u32;
-        }
-        let mut offsets = Vec::with_capacity(dst.len() + 1);
-        let mut indices = Vec::new();
-        offsets.push(0usize);
+        let num_dst = nodes.len();
+        // Phase 1 (parallel): gather each new destination row from CSR.
+        let rows: Vec<&[NodeId]> = gather_rows(
+            batch_graph,
+            &nodes[expanded..],
+            threads,
+            opts.parallel_threshold,
+        );
+        let edges: usize = rows.iter().map(|row| row.len()).sum();
+        // Phase 2 (sequential): assign source positions in discovery
+        // order. Whether a source is new is a coin flip, so discovery is
+        // branch-free: write it to the next slot regardless and let the
+        // flag decide whether the slot is kept. At most `n` nodes are ever
+        // kept, so one slot past that is always enough.
+        let mut num_src = num_dst;
+        nodes.resize(n.min(num_dst + edges) + 1, 0);
+        offsets.reserve(rows.len());
+        indices.reserve(edges);
         for row in &rows {
             for &u in *row {
-                let p = &mut pos_of[u as usize];
-                if *p == u32::MAX {
-                    *p = src_nodes.len() as u32;
-                    src_nodes.push(u);
-                }
-                indices.push(*p);
+                let seen = pos_of[u as usize];
+                let unseen = seen == u32::MAX;
+                let p = if unseen { num_src as u32 } else { seen };
+                pos_of[u as usize] = p;
+                nodes[num_src] = u;
+                num_src += unseen as usize;
+                indices.push(p);
             }
             offsets.push(indices.len());
         }
-        let block = Block::from_parts(dst, src_nodes, offsets, indices);
-        for &v in block.src_nodes() {
-            pos_of[v as usize] = u32::MAX;
-        }
-        dst = block.src_nodes().to_vec();
-        blocks_rev.push(block);
+        nodes.truncate(num_src);
+        expanded = num_dst;
+        blocks_rev.push(Block::from_parts(
+            nodes[..num_dst].to_vec(),
+            nodes.clone(),
+            offsets.clone(),
+            indices.clone(),
+        ));
     }
     blocks_rev.reverse();
     blocks_rev

@@ -16,8 +16,9 @@ use buffalo_memsim::estimate::{ClosureCounts, LayerCount};
 pub struct ClosureScratch {
     version: u32,
     mark: Vec<u32>,
+    /// The closure in discovery order (seeds first), plus spare slots:
+    /// only a prefix is meaningful during a call.
     frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
 }
 
 /// Computes per-layer closure counts for a micro-batch seeded at `seeds`
@@ -45,42 +46,45 @@ pub fn closure_counts(
         scratch.version = 1;
     }
     let v = scratch.version;
-    scratch.frontier.clear();
-    scratch.frontier.extend_from_slice(seeds);
+    // Every node joins the closure once, and discovery writes one slot past
+    // it (see below), so this many slots are always enough.
+    let frontier = &mut scratch.frontier;
+    if frontier.len() < seeds.len() + batch.num_nodes() {
+        frontier.resize(seeds.len() + batch.num_nodes(), 0);
+    }
+    frontier[..seeds.len()].copy_from_slice(seeds);
     for &s in seeds {
         scratch.mark[s as usize] = v;
     }
-    let mut num_nodes = seeds.len();
     let mut layers_rev: Vec<LayerCount> = Vec::with_capacity(depth);
-    let mut dst_count = seeds.len();
     // The destination set of layer `L - h` is the whole closure reached
-    // within `h` hops (blocks chain src -> dst), so track cumulative
-    // counts while expanding one hop at a time.
+    // within `h` hops (blocks chain src -> dst): `frontier[..num_nodes]`
+    // in discovery order, matching block dst ordering. Its edges are the
+    // rows of all of it, so `edges` accumulates over hops, and only the
+    // rows of `frontier[expanded..]` — the nodes the previous hop found —
+    // can still discover anything and need walking.
+    let (mut expanded, mut num_nodes, mut edges) = (0usize, seeds.len(), 0usize);
     for _ in 0..depth {
-        let mut edges = 0usize;
-        scratch.next.clear();
-        // Edges of this layer: all in-edges of every current destination.
-        // The frontier vector holds the ENTIRE current destination set in
-        // discovery order (seeds first), matching block dst ordering.
-        for idx in 0..dst_count {
-            let node = scratch.frontier[idx];
-            edges += batch.degree(node);
-            for &u in batch.neighbors(node) {
-                if scratch.mark[u as usize] != v {
-                    scratch.mark[u as usize] = v;
-                    scratch.next.push(u);
-                }
+        let dst_count = num_nodes;
+        for idx in expanded..dst_count {
+            let row = batch.neighbors(frontier[idx]);
+            edges += row.len();
+            // Branch-free discovery: whether `u` is new is a coin flip, so
+            // write it to the next slot regardless and let the flag decide
+            // whether the slot is kept.
+            for &u in row {
+                let unseen = scratch.mark[u as usize] != v;
+                scratch.mark[u as usize] = v;
+                frontier[num_nodes] = u;
+                num_nodes += unseen as usize;
             }
         }
-        let new_nodes = scratch.next.len();
-        scratch.frontier.extend_from_slice(&scratch.next);
-        num_nodes += new_nodes;
+        expanded = dst_count;
         layers_rev.push(LayerCount {
             num_dst: dst_count,
             num_src: num_nodes,
             num_edges: edges,
         });
-        dst_count = num_nodes;
     }
     layers_rev.reverse();
     ClosureCounts { layers: layers_rev }
@@ -128,6 +132,26 @@ mod tests {
         assert_eq!(a, a2, "scratch reuse must not change results");
         assert_eq!(b.layers[0].num_dst, 1);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn counts_survive_the_version_wrap() {
+        let g = generators::barabasi_albert(800, 5, 0.3, 4).unwrap();
+        let seeds: Vec<NodeId> = (0..40).collect();
+        let batch = BatchSampler::new(vec![6, 6]).sample(&g, &seeds, 8);
+        let fresh =
+            |s: &[NodeId]| closure_counts(&batch.graph, s, 2, &mut ClosureScratch::default());
+        let mut scratch = ClosureScratch::default();
+        // Version 1 marks the whole batch; after the wrap version 1 comes
+        // round again, and those stale marks must not read as visited.
+        closure_counts(&batch.graph, &seeds, 2, &mut scratch);
+        scratch.version = u32::MAX - 1;
+        let before = closure_counts(&batch.graph, &seeds[..10], 2, &mut scratch);
+        assert_eq!(scratch.version, u32::MAX);
+        let after = closure_counts(&batch.graph, &seeds[10..], 2, &mut scratch);
+        assert_eq!(scratch.version, 1, "wrapped and restarted");
+        assert_eq!(before, fresh(&seeds[..10]));
+        assert_eq!(after, fresh(&seeds[10..]));
     }
 
     #[test]

@@ -1076,4 +1076,38 @@ mod tests {
             Err(TrainError::InvalidConfig(_))
         ));
     }
+
+    /// `sample_isolated` asserts non-empty, in-range, duplicate-free
+    /// seeds. Serving checks every id against the dataset up front and
+    /// sorts + dedups each dispatch, so no request id reaches those
+    /// asserts: repeats share one query, and the first id past the end is
+    /// a structured error like any other.
+    #[test]
+    fn request_ids_cannot_reach_the_sampler_asserts() {
+        let (engine, ds) = engine_and_ds();
+        let device = DeviceMemory::with_gib(24.0);
+        let cost = CostModel::rtx6000();
+        let at = |node: NodeId| Request { arrival: 0.0, node };
+        let repeats = RequestTrace {
+            requests: vec![at(5), at(5), at(3), at(5)],
+            seed: 4,
+        };
+        let cfg = ServeConfig::default();
+        let r = serve_trace(&engine, &ds, &device, &cost, &repeats, &cfg).unwrap();
+        assert_eq!(r.requests.len(), 4);
+        assert_eq!(
+            r.num_batches, 1,
+            "one window, one dispatch of two unique nodes"
+        );
+        assert_eq!(r.requests[0].class, r.requests[1].class);
+        assert_eq!(r.requests[0].class, r.requests[3].class);
+        let past_the_end = RequestTrace {
+            requests: vec![at(5), at(ds.graph.num_nodes() as NodeId)],
+            seed: 4,
+        };
+        assert!(matches!(
+            serve_trace(&engine, &ds, &device, &cost, &past_the_end, &cfg),
+            Err(TrainError::InvalidConfig(_))
+        ));
+    }
 }

@@ -121,43 +121,6 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Extracts the subgraph induced by `nodes`, relabeling the selected
-    /// nodes `0..nodes.len()` in the given order. Returns the subgraph and
-    /// the mapping from new id to original id (which is just `nodes`
-    /// re-checked for validity).
-    ///
-    /// Duplicate entries in `nodes` are not allowed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` contains duplicates or out-of-range ids.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (CsrGraph, Vec<NodeId>) {
-        let n = self.num_nodes();
-        let mut remap: Vec<NodeId> = vec![NodeId::MAX; n];
-        for (new, &old) in nodes.iter().enumerate() {
-            assert!((old as usize) < n, "node id out of range");
-            assert_eq!(remap[old as usize], NodeId::MAX, "duplicate node id");
-            remap[old as usize] = new as NodeId;
-        }
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0);
-        for &old in nodes {
-            let start = neighbors.len();
-            for &nb in self.neighbors(old) {
-                let mapped = remap[nb as usize];
-                if mapped != NodeId::MAX {
-                    neighbors.push(mapped);
-                }
-            }
-            // Neighbor order changes under relabeling; restore sortedness
-            // within the row.
-            neighbors[start..].sort_unstable();
-            offsets.push(neighbors.len());
-        }
-        (CsrGraph { offsets, neighbors }, nodes.to_vec())
-    }
-
     /// Approximate in-memory footprint in bytes (offsets + neighbor array).
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
@@ -187,15 +150,6 @@ mod tests {
         b.add_edge(2, 0);
         b.add_edge(2, 3);
         b.build_undirected()
-    }
-
-    #[test]
-    fn induced_subgraph_of_empty_node_set_is_empty() {
-        let g = triangle_plus_tail();
-        let (sub, map) = g.induced_subgraph(&[]);
-        assert_eq!(sub.num_nodes(), 0);
-        assert_eq!(sub.num_edges(), 0);
-        assert!(map.is_empty());
     }
 
     #[test]
@@ -238,35 +192,6 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.average_degree(), 0.0);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = triangle_plus_tail();
-        let (sub, map) = g.induced_subgraph(&[0, 2, 3]);
-        assert_eq!(map, vec![0, 2, 3]);
-        assert_eq!(sub.num_nodes(), 3);
-        // Kept: 0-2 (now 0-1), 2-3 (now 1-2). Dropped: edges touching node 1.
-        assert_eq!(sub.num_edges(), 4);
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
-        assert!(!sub.has_edge(0, 2));
-    }
-
-    #[test]
-    fn induced_subgraph_relabels_in_order() {
-        let g = triangle_plus_tail();
-        let (sub, _) = g.induced_subgraph(&[3, 2]);
-        // 3 -> 0, 2 -> 1; edge 2-3 becomes 1-0.
-        assert!(sub.has_edge(0, 1));
-        assert_eq!(sub.degree(0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate")]
-    fn induced_subgraph_rejects_duplicates() {
-        let g = triangle_plus_tail();
-        let _ = g.induced_subgraph(&[0, 0]);
     }
 
     #[test]

@@ -426,9 +426,12 @@ impl Dataset {
                         .enumerate()
                         .map(|(ci, chunk)| -> buffalo_par::Task<'_> {
                             Box::new(move || {
+                                // One f32 row per task, not per node.
+                                let mut wide = vec![0.0f32; dim];
                                 for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
                                     let node = (ci * chunk_nodes + r) as NodeId;
-                                    for (h, v) in row.iter_mut().zip(this.feature_row(node)) {
+                                    this.feature_row_into(node, &mut wide);
+                                    for (h, &v) in row.iter_mut().zip(&wide) {
                                         *h = buffalo_simd::f32_to_bf16(v);
                                     }
                                 }

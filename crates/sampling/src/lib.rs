@@ -29,10 +29,10 @@
 
 #![warn(missing_docs)]
 
-use buffalo_graph::{CsrGraph, GraphBuilder, NodeId};
+use buffalo_graph::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A sampled training batch: the `L`-hop sampled subgraph around a seed set.
 ///
@@ -82,66 +82,104 @@ impl Batch {
     /// from them through sampled in-edges within `depth()` hops. This is the
     /// primitive micro-batch extraction used by output-layer partitioning.
     ///
-    /// The relabeling is **order-preserving**: kept seeds are sorted, then
-    /// kept non-seeds are sorted, so the parent→child id mapping is
-    /// monotonic and every adjacency row keeps its neighbor order. This
-    /// makes micro-batch training bitwise-deterministic even for
-    /// order-sensitive aggregators (the LSTM processes each node's
-    /// neighbors as a sequence — permuting it would silently change the
-    /// computation).
+    /// The result has the shape [`BatchSampler::sample`] itself produces:
+    /// nodes reached before the last hop keep their whole row (every
+    /// neighbor of such a node is in the closure, so nothing is filtered),
+    /// and **rows of nodes first reached at hop `depth()` are empty** — no
+    /// `depth()`-layer consumer (block generation, closure counting, a
+    /// nested restriction) ever reads them.
+    ///
+    /// The relabeling is **order-preserving within each part**: chosen
+    /// seeds ascending, then every other reached node ascending. It is not
+    /// monotone across the two parts — a seed that was not chosen but is
+    /// reached as a neighbor sorts after every chosen seed — so a row that
+    /// mixes the parts is re-sorted by child id. Every kept row is the
+    /// parent's row as a set, in ascending child order, which is what makes
+    /// micro-batch training bitwise-deterministic even for order-sensitive
+    /// aggregators (the LSTM processes each node's neighbors as a sequence
+    /// — an unspecified order would silently change the computation).
     ///
     /// # Panics
     ///
-    /// Panics if any entry of `seed_subset` is not a seed local id.
+    /// Panics if any entry of `seed_subset` is not a seed local id or
+    /// appears twice.
     pub fn restrict_to_seeds(&self, seed_subset: &[NodeId]) -> Batch {
+        // `remap` is the only per-node table: unseen, then how the node
+        // was reached, then (after the ascending scans) its child id.
+        const UNSEEN: NodeId = NodeId::MAX;
+        const CHOSEN: NodeId = NodeId::MAX - 1;
+        const INNER: NodeId = NodeId::MAX - 2; // reached before the last hop
+        const LAST: NodeId = NodeId::MAX - 3; // first reached at the last hop
+        let mut remap = vec![UNSEEN; self.num_nodes()];
         for &s in seed_subset {
             assert!(
                 (s as usize) < self.num_seeds,
                 "local id {s} is not a seed (num_seeds={})",
                 self.num_seeds
             );
+            assert!(remap[s as usize] == UNSEEN, "duplicate seed {s}");
+            remap[s as usize] = CHOSEN;
         }
-        // BFS through in-edges, depth-bounded.
-        let mut seen = vec![false; self.num_nodes()];
-        let mut frontier: Vec<NodeId> = seed_subset.to_vec();
-        for &s in seed_subset {
-            seen[s as usize] = true;
-        }
-        let mut tail: Vec<NodeId> = Vec::new();
-        let mut frontiers = vec![seed_subset.to_vec()];
-        for _ in 0..self.depth() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &u in self.graph.neighbors(v) {
-                    if !seen[u as usize] {
-                        seen[u as usize] = true;
-                        next.push(u);
-                        tail.push(u);
+        // Depth-bounded BFS through in-edges; `order[bounds[h]..bounds[h + 1]]`
+        // is the hop-`h` frontier in discovery order (parent ids).
+        let mut order: Vec<NodeId> = seed_subset.to_vec();
+        let mut bounds = vec![0, order.len()];
+        for hop in 1..=self.depth() {
+            let reached = if hop == self.depth() { LAST } else { INNER };
+            for i in bounds[hop - 1]..bounds[hop] {
+                for &u in self.graph.neighbors(order[i]) {
+                    if remap[u as usize] == UNSEEN {
+                        remap[u as usize] = reached;
+                        order.push(u);
                     }
                 }
             }
-            frontiers.push(next.clone());
-            frontier = next;
+            bounds.push(order.len());
         }
-        // Order-preserving relabeling: seeds (all < num_seeds) sorted,
-        // then discovered nodes sorted — a monotonic map from parent ids.
-        let mut keep: Vec<NodeId> = seed_subset.to_vec();
-        keep.sort_unstable();
-        tail.sort_unstable();
-        keep.extend_from_slice(&tail);
-        let (sub, _) = self.graph.induced_subgraph(&keep);
-        let mut remap = vec![NodeId::MAX; self.num_nodes()];
+        // Child order: chosen seeds ascending, then the rest ascending — two
+        // scans of the table instead of two sorts.
+        let mut keep: Vec<NodeId> = Vec::with_capacity(order.len());
+        keep.extend((0..self.num_seeds as NodeId).filter(|&v| remap[v as usize] == CHOSEN));
+        keep.extend(
+            (0..self.num_nodes() as NodeId).filter(|&v| matches!(remap[v as usize], INNER | LAST)),
+        );
+        // A kept row is the whole parent row, so the offsets are known
+        // before any neighbor is relabeled.
+        let mut offsets = Vec::with_capacity(keep.len() + 1);
+        offsets.push(0usize);
+        let mut edges = 0usize;
         for (new, &old) in keep.iter().enumerate() {
+            if remap[old as usize] != LAST {
+                edges += self.graph.degree(old);
+            }
+            offsets.push(edges);
             remap[old as usize] = new as NodeId;
         }
+        let mut neighbors: Vec<NodeId> = Vec::with_capacity(edges);
+        for (&old, row) in keep.iter().zip(offsets.windows(2)) {
+            if row[0] == row[1] {
+                continue;
+            }
+            let start = neighbors.len();
+            neighbors.extend(self.graph.neighbors(old).iter().map(|&u| remap[u as usize]));
+            let row = &mut neighbors[start..];
+            if !row.windows(2).all(|w| w[0] <= w[1]) {
+                row.sort_unstable();
+            }
+        }
         Batch {
-            graph: sub,
-            global_ids: keep.iter().map(|&l| self.global_ids[l as usize]).collect(),
+            graph: CsrGraph::from_parts(offsets, neighbors),
+            global_ids: keep.iter().map(|&v| self.global_ids[v as usize]).collect(),
             num_seeds: seed_subset.len(),
             fanouts: self.fanouts.clone(),
-            layer_frontiers: frontiers
-                .into_iter()
-                .map(|f| f.into_iter().map(|v| remap[v as usize]).collect())
+            layer_frontiers: bounds
+                .windows(2)
+                .map(|w| {
+                    order[w[0]..w[1]]
+                        .iter()
+                        .map(|&v| remap[v as usize])
+                        .collect()
+                })
                 .collect(),
         }
     }
@@ -180,48 +218,18 @@ impl BatchSampler {
     /// Panics if `seeds` is empty, contains duplicates, or references nodes
     /// outside `graph`.
     pub fn sample(&self, graph: &CsrGraph, seeds: &[NodeId], seed: u64) -> Batch {
-        assert!(!seeds.is_empty(), "seed set must be non-empty");
+        let mut nodes = Discovered::seeds(graph, seeds);
         let mut rng = StdRng::seed_from_u64(seed);
-        // Ordered map, not a hash map: `local_of` is only ever *probed*
-        // (never iterated), but the nondet-iteration lint bans hash
-        // containers from sampling wholesale so a future drain cannot
-        // silently order the batch by hasher state.
-        let mut local_of: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-        let mut global_ids: Vec<NodeId> = Vec::with_capacity(seeds.len() * 4);
-        for &s in seeds {
-            assert!((s as usize) < graph.num_nodes(), "seed {s} out of range");
-            let prev = local_of.insert(s, global_ids.len() as NodeId);
-            assert!(prev.is_none(), "duplicate seed {s}");
-            global_ids.push(s);
-        }
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new(); // (src=in-neighbor, dst)
-        let mut frontier: Vec<NodeId> = seeds.to_vec(); // original ids
-        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![(0..seeds.len() as NodeId).collect()];
+        let mut rows = Rows::default();
+        let mut frontier = 0..seeds.len() as NodeId;
+        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![frontier.clone().collect()];
         for &fanout in &self.fanouts {
-            let mut next_frontier: Vec<NodeId> = Vec::new();
-            let mut next_locals: Vec<NodeId> = Vec::new();
-            for &v in &frontier {
-                let dst_local = local_of[&v];
-                let nb = graph.neighbors(v);
-                for u in sample_distinct(nb, fanout, &mut rng) {
-                    let src_local = *local_of.entry(u).or_insert_with(|| {
-                        let l = global_ids.len() as NodeId;
-                        global_ids.push(u);
-                        next_frontier.push(u);
-                        next_locals.push(l);
-                        l
-                    });
-                    edges.push((src_local, dst_local));
-                }
-            }
-            layer_frontiers.push(next_locals);
-            frontier = next_frontier;
+            frontier = nodes.hop(frontier, fanout, &mut rng, &mut rows);
+            layer_frontiers.push(frontier.clone().collect());
         }
-        let mut b = GraphBuilder::with_capacity(global_ids.len(), edges.len());
-        b.extend_edges(edges);
         Batch {
-            graph: b.build_directed(),
-            global_ids,
+            graph: rows.into_graph(nodes.global_ids.len()),
+            global_ids: nodes.global_ids,
             num_seeds: seeds.len(),
             fanouts: self.fanouts.clone(),
             layer_frontiers,
@@ -256,65 +264,203 @@ impl BatchSampler {
     /// Panics if `seeds` is empty, contains duplicates, or references
     /// nodes outside `graph`.
     pub fn sample_isolated(&self, graph: &CsrGraph, seeds: &[NodeId], seed: u64) -> Batch {
-        assert!(!seeds.is_empty(), "seed set must be non-empty");
-        let parts: Vec<Batch> = seeds
-            .iter()
-            .map(|&s| self.sample(graph, &[s], per_seed_stream(seed, s)))
-            .collect();
-        for w in 0..seeds.len() {
-            for v in (w + 1)..seeds.len() {
-                assert!(seeds[w] != seeds[v], "duplicate seed {}", seeds[w]);
-            }
-        }
+        // One table for the whole dispatch: its first version checks the
+        // seeds, every later one holds a single seed's component.
+        let mut nodes = Discovered::seeds(graph, seeds);
         let k = seeds.len();
-        let total_nodes: usize = parts.iter().map(Batch::num_nodes).sum();
-        let total_edges: usize = parts.iter().map(Batch::num_edges).sum();
-        // Merged local ids: all seeds first (part i's seed becomes local
-        // i), then each part's non-seed nodes in part order. Within a
-        // part the relabeling is monotonic, so every adjacency row keeps
-        // its neighbor order — each component stays a bitwise-exact copy
-        // of the standalone single-seed batch.
-        let mut global_ids: Vec<NodeId> = Vec::with_capacity(total_nodes);
-        global_ids.extend_from_slice(seeds);
-        let mut bases: Vec<NodeId> = Vec::with_capacity(k);
-        let mut next = k as NodeId;
-        for p in &parts {
-            bases.push(next);
-            global_ids.extend_from_slice(&p.global_ids[1..]);
-            next += (p.num_nodes() - 1) as NodeId;
-        }
-        let relabel = |i: usize, l: NodeId| -> NodeId {
-            if l == 0 {
-                i as NodeId
-            } else {
-                bases[i] + l - 1
+        // Merged local ids: all seeds first (seed i is local i), then each
+        // component's other nodes in component order — so the seed rows
+        // and the other rows are each written in final order and joined
+        // at the end. Within a component ids ascend in discovery order,
+        // exactly as in a standalone single-seed `sample`, so every
+        // component is a relabeled bitwise copy of that batch.
+        let (mut seed_rows, mut tail_rows) = (Rows::default(), Rows::default());
+        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![Vec::new(); self.fanouts.len() + 1];
+        layer_frontiers[0] = (0..k as NodeId).collect();
+        for (i, &s) in seeds.iter().enumerate() {
+            nodes.forget();
+            nodes.set_local(s, i as NodeId);
+            let mut rng = StdRng::seed_from_u64(per_seed_stream(seed, s));
+            let mut frontier = i as NodeId..i as NodeId + 1;
+            for (layer, &fanout) in self.fanouts.iter().enumerate() {
+                let rows = if layer == 0 {
+                    &mut seed_rows
+                } else {
+                    &mut tail_rows
+                };
+                frontier = nodes.hop(frontier, fanout, &mut rng, rows);
+                layer_frontiers[layer + 1].extend(frontier.clone());
             }
-        };
-        let mut b = GraphBuilder::with_capacity(total_nodes, total_edges);
-        for (i, p) in parts.iter().enumerate() {
-            for dst in p.graph.node_ids() {
-                for &src in p.graph.neighbors(dst) {
-                    b.add_edge(relabel(i, src), relabel(i, dst));
-                }
-            }
+            tail_rows.pad_to(nodes.global_ids.len() - k);
         }
-        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![(0..k as NodeId).collect()];
-        for layer in 1..=self.fanouts.len() {
-            let mut front: Vec<NodeId> = Vec::new();
-            for (i, p) in parts.iter().enumerate() {
-                if let Some(f) = p.layer_frontiers.get(layer) {
-                    front.extend(f.iter().map(|&l| relabel(i, l)));
-                }
-            }
-            layer_frontiers.push(front);
-        }
+        seed_rows.append(tail_rows);
         Batch {
-            graph: b.build_directed(),
-            global_ids,
+            graph: seed_rows.into_graph(nodes.global_ids.len()),
+            global_ids: nodes.global_ids,
             num_seeds: k,
             fanouts: self.fanouts.clone(),
             layer_frontiers,
         }
+    }
+}
+
+/// The nodes of a batch under construction: `global_ids` (local → global)
+/// and its inverse as a versioned dense table (the `ClosureScratch`
+/// idiom): a slot counts only while its stamp equals the current version,
+/// so forgetting every entry costs nothing. Dense and probed, never
+/// iterated — the nondet-iteration lint bans hash containers from sampling
+/// wholesale so a future drain cannot order a batch by hasher state.
+struct Discovered<'g> {
+    graph: &'g CsrGraph,
+    global_ids: Vec<NodeId>,
+    version: u32,
+    /// Per graph node, `stamp << 32 | local id`; stamp 0 is never current.
+    slots: Vec<u64>,
+    /// Row indices drawn for the node being sampled.
+    picked: Vec<usize>,
+}
+
+impl<'g> Discovered<'g> {
+    /// Starts a batch whose first local ids are `seeds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` is empty, contains duplicates, or references nodes
+    /// outside `graph`.
+    fn seeds(graph: &'g CsrGraph, seeds: &[NodeId]) -> Self {
+        assert!(!seeds.is_empty(), "seed set must be non-empty");
+        let mut nodes = Discovered {
+            graph,
+            global_ids: Vec::with_capacity(seeds.len() * 4),
+            version: 1,
+            slots: vec![0; graph.num_nodes()],
+            picked: Vec::new(),
+        };
+        for (i, &s) in seeds.iter().enumerate() {
+            assert!((s as usize) < graph.num_nodes(), "seed {s} out of range");
+            assert!(nodes.local_of(s) == i as NodeId, "duplicate seed {s}");
+        }
+        nodes
+    }
+
+    /// Forgets every global → local entry; `global_ids` stays.
+    fn forget(&mut self) {
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            self.slots.fill(0);
+            self.version = 1;
+        }
+    }
+
+    fn set_local(&mut self, global: NodeId, local: NodeId) {
+        self.slots[global as usize] = (self.version as u64) << 32 | local as u64;
+    }
+
+    /// The local id of `global`; a node not seen since the last
+    /// [`forget`](Self::forget) is appended to `global_ids`.
+    #[inline]
+    fn local_of(&mut self, global: NodeId) -> NodeId {
+        let slot = self.slots[global as usize];
+        if (slot >> 32) as u32 == self.version {
+            return slot as NodeId;
+        }
+        let local = self.global_ids.len() as NodeId;
+        self.global_ids.push(global);
+        self.set_local(global, local);
+        local
+    }
+
+    /// One sampling layer: appends to `rows` the row of every `frontier`
+    /// node — up to `fanout` of its in-neighbors, as sorted local ids
+    /// without duplicates or self-loops — and returns the next frontier,
+    /// the nodes this layer discovered. A frontier is a contiguous
+    /// ascending range of local ids, so rows are appended in final order.
+    ///
+    /// A node with more than `fanout` neighbors draws `fanout` distinct
+    /// row indices by Floyd's algorithm; any other node keeps its whole
+    /// row and draws nothing.
+    fn hop(
+        &mut self,
+        frontier: Range<NodeId>,
+        fanout: usize,
+        rng: &mut StdRng,
+        rows: &mut Rows,
+    ) -> Range<NodeId> {
+        let graph = self.graph;
+        let discovered = self.global_ids.len() as NodeId;
+        for dst in frontier {
+            let pool = graph.neighbors(self.global_ids[dst as usize]);
+            let start = rows.neighbors.len();
+            let n = pool.len();
+            if n <= fanout {
+                for &u in pool {
+                    rows.neighbors.push(self.local_of(u));
+                }
+            } else {
+                self.picked.clear();
+                for j in (n - fanout)..n {
+                    let t = rng.gen_range(0..=j);
+                    let pick = if self.picked.contains(&t) { j } else { t };
+                    self.picked.push(pick);
+                    rows.neighbors.push(self.local_of(pool[pick]));
+                }
+            }
+            rows.finish_row(start, dst);
+        }
+        discovered..self.global_ids.len() as NodeId
+    }
+}
+
+/// CSR rows under construction, appended in row order.
+struct Rows {
+    offsets: Vec<usize>,
+    neighbors: Vec<NodeId>,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows {
+            offsets: vec![0],
+            neighbors: Vec::new(),
+        }
+    }
+}
+
+impl Rows {
+    /// Closes the row of `owner` written at `neighbors[start..]`: sorts it
+    /// and drops duplicates and the self-loop, in place.
+    fn finish_row(&mut self, start: usize, owner: NodeId) {
+        self.neighbors[start..].sort_unstable();
+        let mut write = start;
+        for read in start..self.neighbors.len() {
+            let v = self.neighbors[read];
+            if v != owner && (write == start || self.neighbors[write - 1] != v) {
+                self.neighbors[write] = v;
+                write += 1;
+            }
+        }
+        self.neighbors.truncate(write);
+        self.offsets.push(write);
+    }
+
+    /// Appends empty rows until there are `rows` of them.
+    fn pad_to(&mut self, rows: usize) {
+        self.offsets.resize(rows + 1, self.neighbors.len());
+    }
+
+    /// Appends `tail`'s rows after this one's.
+    fn append(&mut self, tail: Rows) {
+        let base = self.neighbors.len();
+        self.offsets
+            .extend(tail.offsets[1..].iter().map(|&o| base + o));
+        self.neighbors.extend_from_slice(&tail.neighbors);
+    }
+
+    /// The graph over `num_nodes` nodes; rows never written (the nodes
+    /// first reached at the last hop) are empty.
+    fn into_graph(mut self, num_nodes: usize) -> CsrGraph {
+        self.pad_to(num_nodes);
+        CsrGraph::from_parts(self.offsets, self.neighbors)
     }
 }
 
@@ -325,26 +471,6 @@ fn per_seed_stream(seed: u64, node: NodeId) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Samples up to `k` distinct elements from `pool` (all of them if
-/// `pool.len() <= k`), preserving no particular order. Uses Floyd's
-/// algorithm over indices to avoid copying large neighbor lists.
-fn sample_distinct(pool: &[NodeId], k: usize, rng: &mut StdRng) -> Vec<NodeId> {
-    let n = pool.len();
-    if n <= k {
-        return pool.to_vec();
-    }
-    let mut picked: Vec<usize> = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j);
-        if picked.contains(&t) {
-            picked.push(j);
-        } else {
-            picked.push(t);
-        }
-    }
-    picked.into_iter().map(|i| pool[i]).collect()
 }
 
 /// Iterates over a shuffled seed set in fixed-size chunks, yielding the
@@ -640,20 +766,6 @@ mod tests {
     }
 
     proptest! {
-        /// sample_distinct returns distinct in-pool elements, size = min(k, n).
-        #[test]
-        fn sample_distinct_properties(pool_size in 0usize..60, k in 0usize..30, seed in 0u64..500) {
-            let pool: Vec<NodeId> = (0..pool_size as NodeId).collect();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let got = sample_distinct(&pool, k, &mut rng);
-            prop_assert_eq!(got.len(), k.min(pool_size));
-            let mut s = got.clone();
-            s.sort_unstable();
-            s.dedup();
-            prop_assert_eq!(s.len(), got.len(), "duplicates in sample");
-            prop_assert!(got.iter().all(|v| pool.contains(v)));
-        }
-
         /// Batches never contain a node twice and all edges respect fanout caps per layer.
         #[test]
         fn batch_node_uniqueness(seed in 0u64..50) {

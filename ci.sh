@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI: formatting, lints, the full test suite, a smoke run of the
-# staged micro-batch pipeline in both modes, and the parallel-kernel
-# determinism + microbenchmark checks.
+# staged micro-batch pipeline in both modes, the parallel-kernel
+# determinism and golden checks, and the standing benchmark's selftest.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -124,6 +124,25 @@ if [ "$(grep '^trail' <<<"$pool_ref")" != "$(grep '^trail' <<<"$pool_lost")" ]; 
   exit 1
 fi
 echo "ci: 2-device failover completes with a bitwise-identical loss trail"
+
+# Lone-device loss smoke: a single device is a pool of one, so losing it
+# leaves no survivor and the run must end in a recovery-exhausted error
+# (it used to take the failover rung forever; `timeout` turns a relapse
+# into a failure instead of a hung CI).
+for lone in 'train cora --epochs 1 --budget 12M --faults lose:0,3' \
+            'serve cora --budget 12M --faults lose:0,2'; do
+  # shellcheck disable=SC2086  # $lone is a fixed word list
+  if out=$(timeout 30 cargo run -q --release --bin buffalo -- $lone 2>&1); then
+    echo "ci: FAIL — buffalo $lone survived losing its only device" >&2
+    exit 1
+  fi
+  if ! grep -q 'recovery exhausted' <<<"$out"; then
+    echo "ci: FAIL — buffalo $lone did not end in a recovery-exhausted error" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+  fi
+done
+echo "ci: losing a lone device ends train and serve with recovery exhausted"
 
 # Golden bit-identity: the lint-driven refactors (hash containers ->
 # ordered containers, unwrap -> Result on recovery paths) must not move a
@@ -250,10 +269,6 @@ if [ "$(grep '^answers:' <<<"$sc")" != "$(grep '^answers:' <<<"$sl")" ]; then
   exit 1
 fi
 echo "ci: chaos serve (device loss) fails over with identical answers"
-
-# Kernel microbenchmarks (without --write-bench this prints the table but
-# leaves the committed BENCH_kernels.json untouched).
-cargo run -q --release -p buffalo-bench --bin figures -- kernels --quick
 
 # The serving experiment must run end-to-end (table only; the committed
 # BENCH_serving.json is regenerated with --write-bench).

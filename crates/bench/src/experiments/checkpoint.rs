@@ -18,7 +18,7 @@
 
 use buffalo_core::checkpoint::CheckpointOptions;
 use buffalo_core::train::{
-    run_epochs_checkpointed, BuffaloTrainer, EpochConfig, RecoveryPolicy, TrainConfig, TrainRun,
+    run_epochs_checkpointed, Engine, EpochConfig, RecoveryPolicy, TrainConfig, TrainRun,
 };
 use buffalo_core::TrainError;
 use buffalo_graph::datasets::{self, Dataset, DatasetName};
@@ -71,7 +71,7 @@ fn run_once(
     resume: bool,
     policy: Option<RecoveryPolicy>,
 ) -> (Result<TrainRun, TrainError>, f64) {
-    let mut trainer = BuffaloTrainer::new(config(ds), CLUSTERING);
+    let mut trainer = Engine::buffalo(config(ds), CLUSTERING);
     if let Some(p) = policy {
         trainer = trainer.with_recovery(p);
     }
@@ -175,15 +175,7 @@ pub fn checkpoint(quick: bool, write_bench: bool) {
     };
     let plan = FaultPlan::parse("shrink:at=3,factor=0.6").expect("shrink spec");
     let seed_dev = FaultyDevice::new(DeviceMemory::new(peak), plan.clone());
-    let (seed_run, _) = run_once(
-        &ds,
-        &cfg,
-        &seed_dev,
-        &cost,
-        None,
-        false,
-        Some(policy.clone()),
-    );
+    let (seed_run, _) = run_once(&ds, &cfg, &seed_dev, &cost, None, false, Some(policy));
     let seed_aborted = matches!(seed_run, Err(TrainError::RecoveryExhausted { .. }));
     let rb_dir = tmpdir("rollback");
     let rb_opts = CheckpointOptions {

@@ -21,9 +21,7 @@
 
 use crate::context::load_workload;
 use crate::output::Table;
-use buffalo_core::train::{
-    BuffaloTrainer, DevicePool, RecoveryAction, RecoveryPolicy, TrainConfig,
-};
+use buffalo_core::train::{DevicePool, Engine, RecoveryAction, RecoveryPolicy, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{AggregatorKind, CostModel, Device, DeviceMemory, FaultPlan, GnnShape};
 use std::time::Instant;
@@ -119,11 +117,10 @@ fn run_scenario(
         FaultPlan::parse(spec).expect("scenario fault spec parses")
     };
     let pool = DevicePool::homogeneous(sc.gpus, budget, &plan).expect("non-empty pool");
-    let mut trainer =
-        BuffaloTrainer::new(config.clone(), w.clustering).with_recovery(RecoveryPolicy {
-            max_retries: 8,
-            ..RecoveryPolicy::default()
-        });
+    let mut trainer = Engine::buffalo(config.clone(), w.clustering).with_recovery(RecoveryPolicy {
+        max_retries: 8,
+        ..RecoveryPolicy::default()
+    });
     let mut out = Outcome {
         name: sc.name.to_string(),
         gpus: sc.gpus,
@@ -158,7 +155,7 @@ fn run_scenario(
         }
         out.iter_walls.push(t.elapsed().as_secs_f64());
     }
-    out.per_device_allocs = pool.per_device_alloc_calls();
+    out.per_device_allocs = pool.snapshot_position().0;
     out.dead = pool.dead();
     out
 }
@@ -185,7 +182,7 @@ pub fn failover(quick: bool, write_bench: bool) {
     // Probe the whole-batch footprint, then give every pool member a
     // budget that forces several micro-batches, so the round-robin has
     // real work to shard.
-    let mut probe = BuffaloTrainer::new(config.clone(), w.clustering);
+    let mut probe = Engine::buffalo(config.clone(), w.clustering);
     let big = DeviceMemory::new(u64::MAX);
     let whole = probe
         .train_iteration(&w.dataset, &w.batch, &big, &cost)

@@ -7,7 +7,6 @@ pub mod checkpoint;
 pub mod convergence;
 pub mod distributions;
 pub mod failover;
-pub mod kernels;
 pub mod memwall;
 pub mod multigpu;
 pub mod pareto;
@@ -42,7 +41,6 @@ pub const ALL_IDS: &[&str] = &[
     "ablate-tiered",
     "ablate-pipeline",
     "pipeline-train",
-    "kernels",
     "robustness",
     "checkpoint",
     "serving",
@@ -82,7 +80,6 @@ pub fn run(id: &str, quick: bool, write_bench: bool) -> Result<(), String> {
         "ablate-tiered" => tiered::tiered(quick),
         "ablate-pipeline" => ablation::pipeline(quick),
         "pipeline-train" => timing::pipeline_train(quick),
-        "kernels" => kernels::kernels(quick, write_bench),
         "robustness" => robustness::robustness(quick, write_bench),
         "checkpoint" => checkpoint::checkpoint(quick, write_bench),
         "serving" => serving::serving(quick, write_bench),

@@ -13,11 +13,9 @@
 
 use crate::context::load_workload;
 use crate::output::Table;
-use buffalo_core::train::{BuffaloTrainer, RecoveryPolicy, TrainConfig};
+use buffalo_core::train::{DevicePool, Engine, RecoveryPolicy, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
-use buffalo_memsim::{
-    AggregatorKind, CostModel, Device, DeviceMemory, FaultPlan, FaultyDevice, GnnShape,
-};
+use buffalo_memsim::{AggregatorKind, CostModel, DeviceMemory, FaultPlan, GnnShape};
 use std::time::Instant;
 
 const FANOUTS: [usize; 2] = [5, 10];
@@ -63,25 +61,14 @@ fn run_scenario(
     budget: u64,
     cost: &CostModel,
 ) -> Outcome {
-    let faulty = sc.spec.map(|spec| {
-        FaultyDevice::new(
-            DeviceMemory::new(budget),
-            FaultPlan::parse(spec).expect("scenario fault spec parses"),
-        )
+    let plan = sc.spec.map_or_else(FaultPlan::none, |spec| {
+        FaultPlan::parse(spec).expect("scenario fault spec parses")
     });
-    let plain;
-    let device: &dyn Device = match &faulty {
-        Some(f) => f,
-        None => {
-            plain = DeviceMemory::new(budget);
-            &plain
-        }
-    };
-    let mut trainer =
-        BuffaloTrainer::new(config.clone(), w.clustering).with_recovery(RecoveryPolicy {
-            max_retries: 8,
-            ..RecoveryPolicy::default()
-        });
+    let device = DevicePool::homogeneous(1, budget, &plan).expect("non-empty pool");
+    let mut trainer = Engine::buffalo(config.clone(), w.clustering).with_recovery(RecoveryPolicy {
+        max_retries: 8,
+        ..RecoveryPolicy::default()
+    });
     let mut out = Outcome {
         name: sc.name.to_string(),
         rate: sc.rate,
@@ -95,7 +82,7 @@ fn run_scenario(
     };
     let t = Instant::now();
     for _ in 0..iters {
-        match trainer.train_iteration(&w.dataset, &w.batch, device, cost) {
+        match trainer.train_iteration(&w.dataset, &w.batch, &device, cost) {
             Ok(stats) => {
                 out.completed += 1;
                 out.events += stats.recovery.len();
@@ -110,8 +97,8 @@ fn run_scenario(
     }
     out.wall_s = t.elapsed().as_secs_f64();
     out.headroom = trainer.headroom_multiplier();
-    if let Some(f) = &faulty {
-        out.injected = f.counters().injected;
+    if let Some(member) = device.device(0) {
+        out.injected = member.counters().injected;
     }
     out
 }
@@ -137,7 +124,7 @@ pub fn robustness(quick: bool, write_bench: bool) {
     };
     // Probe the whole-batch footprint, then size a budget that forces a
     // handful of micro-batches so recovery has real work to do.
-    let mut probe = BuffaloTrainer::new(config.clone(), w.clustering);
+    let mut probe = Engine::buffalo(config.clone(), w.clustering);
     let big = DeviceMemory::new(u64::MAX);
     let whole = probe
         .train_iteration(&w.dataset, &w.batch, &big, &cost)

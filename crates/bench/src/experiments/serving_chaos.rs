@@ -131,7 +131,7 @@ pub fn serving_chaos(quick: bool, write_bench: bool) {
         let pool = DevicePool::homogeneous(2, budget, &FaultPlan::none()).expect("fault-free pool");
         let report =
             serve_trace(&engine, &w.dataset, &pool, &cost, &trace, &cfg).expect("pool run");
-        let allocs = pool.per_device_alloc_calls();
+        let allocs = pool.snapshot_position().0;
         push("2gpu-fault-free", report);
         allocs
     };

@@ -1,7 +1,6 @@
 //! Error type for training runs.
 
 use crate::checkpoint::CheckpointError;
-use crate::serve::ServeRecoveryEvent;
 use crate::train::RecoveryEvent;
 use buffalo_bucketing::ScheduleError;
 use buffalo_memsim::OomError;
@@ -25,22 +24,13 @@ pub enum TrainError {
         /// Number of output nodes available.
         num_outputs: usize,
     },
-    /// Every rung of the recovery ladder failed for one micro-batch.
+    /// Every rung of the recovery ladder failed for one training
+    /// micro-batch or one serving dispatch.
     RecoveryExhausted {
-        /// Every recovery action taken this iteration, in order, ending
-        /// with [`RecoveryAction::Exhausted`](crate::train::RecoveryAction::Exhausted).
+        /// Every recovery action taken so far — this iteration when
+        /// training, this run when serving — in order, ending with
+        /// [`RecoveryAction::Exhausted`](crate::train::RecoveryAction::Exhausted).
         events: Vec<RecoveryEvent>,
-        /// The device refusal that ended recovery.
-        last: OomError,
-    },
-    /// Every rung of the *serving* recovery ladder failed for one
-    /// dispatch — the inference-side sibling of
-    /// [`RecoveryExhausted`](Self::RecoveryExhausted).
-    ServeRecoveryExhausted {
-        /// Every serving recovery action taken for the dispatch, in
-        /// order, ending with
-        /// [`ServeRecoveryAction::Exhausted`](crate::serve::ServeRecoveryAction::Exhausted).
-        events: Vec<ServeRecoveryEvent>,
         /// The device refusal that ended recovery.
         last: OomError,
     },
@@ -69,11 +59,6 @@ impl fmt::Display for TrainError {
                 "OOM recovery exhausted after {} actions: {last}",
                 events.len()
             ),
-            TrainError::ServeRecoveryExhausted { events, last } => write!(
-                f,
-                "serving recovery exhausted after {} actions: {last}",
-                events.len()
-            ),
             TrainError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             TrainError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
@@ -88,7 +73,6 @@ impl std::error::Error for TrainError {
             TrainError::Betty(e) => Some(e),
             TrainError::InvalidMicroBatches { .. } => None,
             TrainError::RecoveryExhausted { last, .. } => Some(last),
-            TrainError::ServeRecoveryExhausted { last, .. } => Some(last),
             TrainError::InvalidConfig(_) => None,
             TrainError::Checkpoint(e) => Some(e),
         }
@@ -134,11 +118,11 @@ mod tests {
             num_outputs: 3,
         };
         assert!(std::error::Error::source(&e).is_none());
-        let e = TrainError::ServeRecoveryExhausted {
+        let e = TrainError::RecoveryExhausted {
             events: Vec::new(),
             last: OomError::new(10, 5, 12),
         };
-        assert!(e.to_string().contains("serving recovery exhausted"));
+        assert!(e.to_string().contains("recovery exhausted after 0 actions"));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -1,14 +1,14 @@
-//! Buffalo's training system: GNN models, trainers, and the phase-timed
-//! pipeline.
+//! Buffalo's training system: GNN models, the training/serving engine,
+//! and the phase-timed pipeline.
 //!
 //! This crate assembles every substrate into the two training paths the
-//! paper compares:
+//! paper compares, both modes of one [`train::Engine`]:
 //!
-//! * [`train::FullBatchTrainer`] — Algorithm 1: classic degree-bucketed
+//! * [`train::Engine::full_batch`] — Algorithm 1: classic degree-bucketed
 //!   training of a whole sampled batch, the strategy DGL/PyG use on a
 //!   single GPU. It out-of-memories exactly when the batch footprint
 //!   exceeds the simulated device budget.
-//! * [`train::BuffaloTrainer`] — Algorithm 2: schedule the batch into
+//! * [`train::Engine::buffalo`] — Algorithm 2: schedule the batch into
 //!   bucket groups with `buffalo_bucketing::BuffaloScheduler`, train each
 //!   micro-batch, accumulate gradients, and step the optimizer once — a
 //!   mathematically identical computation with a bounded peak footprint.
@@ -19,10 +19,9 @@
 //! device-side phases through `buffalo_memsim::CostModel` — the machinery
 //! behind Figures 5, 10–16.
 //!
-//! Both trainers are thin drivers over the shared [`train::Engine`],
-//! which owns the model, optimizer, scheduler, and pipeline/recovery
-//! state; [`serve`] drives the same engine forward-only for deterministic
-//! online inference.
+//! The engine owns the model, optimizer, scheduler, and pipeline/recovery
+//! state; the epoch loop in [`train`] drives it to train and [`serve`]
+//! drives it forward-only for deterministic online inference.
 //!
 //! [`models`] implements GraphSAGE (mean/pool/LSTM aggregators) and GAT
 //! with explicit backward passes over blocks; per-bucket aggregation in

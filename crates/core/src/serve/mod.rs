@@ -13,9 +13,9 @@
 //!   per-request deadlines enforced at admission *and* again before
 //!   dispatch, so the device never executes work whose requester already
 //!   timed out;
-//! * [`recovery`] — an inference recovery ladder mirroring the training
-//!   rungs (failover → bounded retry → degrade batch width → re-split)
-//!   with a structured [`ServeRecoveryEvent`] trail;
+//! * [`recovery`] — the inference recovery ladder (failover → bounded
+//!   retry → degrade batch width → re-split), speaking training's
+//!   [`RecoveryPolicy`] / [`RecoveryEvent`] vocabulary;
 //! * [`trace`] — seeded Poisson request traces.
 //!
 //! Everything is deterministic by construction, the same discipline as
@@ -42,12 +42,10 @@ pub mod recovery;
 pub mod trace;
 
 pub use admission::{Admission, AdmissionQueue, QueueEntry, ShedPolicy};
-pub use recovery::{
-    ServeRecoveryAction, ServeRecoveryCounts, ServeRecoveryEvent, ServeRecoveryPolicy,
-};
+pub use recovery::ServeRecoveryCounts;
 pub use trace::{Request, RequestTrace};
 
-use crate::train::Engine;
+use crate::train::{Engine, RecoveryEvent, RecoveryPolicy};
 use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
@@ -77,8 +75,9 @@ pub struct ServeConfig {
     /// dropped immediately) and again before dispatch (a batch never
     /// executes work whose requesters already timed out).
     pub deadline: Option<f64>,
-    /// The serving recovery ladder's limits and simulated costs.
-    pub recovery: ServeRecoveryPolicy,
+    /// The serving recovery ladder's limits (`headroom` is training's and
+    /// unused here).
+    pub recovery: RecoveryPolicy,
 }
 
 impl Default for ServeConfig {
@@ -89,7 +88,7 @@ impl Default for ServeConfig {
             queue_depth: usize::MAX,
             shed_policy: ShedPolicy::RejectNewest,
             deadline: None,
-            recovery: ServeRecoveryPolicy::default(),
+            recovery: RecoveryPolicy::default(),
         }
     }
 }
@@ -229,7 +228,7 @@ pub struct ServeReport {
     /// Latency distribution over completed requests.
     pub latency: LatencySummary,
     /// Every recovery rung taken over the run, in order.
-    pub recovery: Vec<ServeRecoveryEvent>,
+    pub recovery: Vec<RecoveryEvent>,
     /// The coalescing width the run ended with (< the configured
     /// `max_batch` if the degrade rung fired).
     pub effective_max_batch: usize,
@@ -357,7 +356,7 @@ impl ServeReport {
 /// * [`TrainError::InvalidConfig`] for an empty trace, an invalid
 ///   [`ServeConfig`] (see [`ServeConfig::validate`]), or a query for a
 ///   node outside the dataset.
-/// * [`TrainError::ServeRecoveryExhausted`] when every ladder rung failed
+/// * [`TrainError::RecoveryExhausted`] when every ladder rung failed
 ///   for one dispatch (or any [`Engine::infer`] failure with recovery
 ///   disabled).
 pub fn serve_trace(
@@ -386,7 +385,7 @@ pub fn serve_trace(
     let sampler = BatchSampler::new(engine.config().fanouts.clone());
     let mut queue = AdmissionQueue::new(cfg.queue_depth, cfg.shed_policy);
     let mut served: Vec<ServedRequest> = Vec::with_capacity(trace.requests.len());
-    let mut events: Vec<ServeRecoveryEvent> = Vec::new();
+    let mut events: Vec<RecoveryEvent> = Vec::new();
     let mut effective_max_batch = cfg.max_batch;
     let mut device_free = 0.0f64;
     let mut peak_mem = 0u64;
@@ -578,7 +577,7 @@ pub fn serve_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{DevicePool, Engine, TrainConfig};
+    use crate::train::{DevicePool, Engine, RecoveryAction, TrainConfig};
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, FaultPlan, FaultyDevice, GnnShape};
     use buffalo_par::Parallelism;
@@ -912,18 +911,51 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            TrainError::ServeRecoveryExhausted { events, .. } => {
+            TrainError::RecoveryExhausted { events, .. } => {
                 assert!(matches!(
                     events.last().map(|e| &e.action),
-                    Some(ServeRecoveryAction::Exhausted)
+                    Some(RecoveryAction::Exhausted)
                 ));
                 let rc = ServeRecoveryCounts::from_events(&events);
                 assert!(rc.retries > 0, "retries must have been attempted");
                 assert!(rc.resplits > 0, "re-split must have been attempted");
                 assert!(rc.degrades > 0, "degrade must have fired");
             }
-            other => panic!("expected ServeRecoveryExhausted, got {other:?}"),
+            other => panic!("expected RecoveryExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_lone_lost_device_exhausts_like_a_pool_of_one() {
+        // Regression: a lone device that died used to report one live
+        // device forever, so the dispatch "failed over" onto it without
+        // end. A single device is a pool of one: same error, same
+        // one-event trail.
+        let (engine, ds) = engine_and_ds();
+        let cost = CostModel::rtx6000();
+        let trace = RequestTrace::poisson(16, 300.0, ds.graph.num_nodes(), 31).unwrap();
+        let budget = DeviceMemory::with_gib(24.0).budget();
+        let plan = FaultPlan::parse("lose:0,2").unwrap();
+        let lone = FaultyDevice::new(DeviceMemory::new(budget), plan.clone());
+        let pool = DevicePool::homogeneous(1, budget, &plan).unwrap();
+        // Narrow batches: one allocation per dispatch, several dispatches.
+        let cfg = ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        };
+        let trails = [&lone as &dyn Device, &pool].map(|device| {
+            match serve_trace(&engine, &ds, device, &cost, &trace, &cfg) {
+                Err(TrainError::RecoveryExhausted { events, last }) => {
+                    assert!(last.device_lost);
+                    events
+                }
+                other => panic!("expected RecoveryExhausted, got {other:?}"),
+            }
+        });
+        assert_eq!(trails[0], trails[1]);
+        assert_eq!(trails[0].len(), 1, "trail grew: {:?}", trails[0]);
+        assert_eq!(trails[0][0].action, RecoveryAction::Exhausted);
+        assert_eq!(trails[0][0].index, 1, "the second dispatch hit the loss");
     }
 
     #[test]
@@ -934,7 +966,7 @@ mod tests {
         let plan = FaultPlan::parse("transient:nth=1").unwrap();
         let faulty = FaultyDevice::new(DeviceMemory::with_gib(24.0), plan);
         let cfg = ServeConfig {
-            recovery: ServeRecoveryPolicy::disabled(),
+            recovery: RecoveryPolicy::disabled(),
             ..ServeConfig::default()
         };
         assert!(matches!(

@@ -1,23 +1,23 @@
-//! The serving recovery ladder: the inference-side mirror of the
-//! training ladder in [`crate::train`].
+//! The serving recovery ladder.
 //!
 //! A dispatch that hits a device refusal climbs, in order:
 //!
-//! 1. **failover** — a permanent device loss ([`OomError::device_lost`])
-//!    short-circuits everything else: mark the device dead, re-route onto
-//!    the survivors via [`DevicePool`](crate::train::DevicePool)
-//!    round-robin, reset the retry budget, charge a simulated failover
-//!    penalty;
+//! 1. **failover** — a permanent device loss (`OomError::device_lost`)
+//!    short-circuits everything else: the rung shared with training
+//!    (`train::recovery::fail_over`) marks the device dead and re-routes
+//!    onto the survivors via [`DevicePool`](crate::train::DevicePool)
+//!    round-robin; serving resets the retry budget and charges a
+//!    simulated failover penalty;
 //! 2. **bounded retry** — transient faults retry up to
-//!    [`ServeRecoveryPolicy::max_retries`] times with exponential
-//!    *simulated* backoff (never a wall-clock sleep — latency numbers
-//!    must replay bit-identically);
+//!    [`RecoveryPolicy::max_retries`] times with exponential *simulated*
+//!    backoff (never a wall-clock sleep — latency numbers must replay
+//!    bit-identically);
 //! 3. **degrade batch size** — the first non-transient refusal halves the
 //!    loop's effective coalescing width so *future* dispatches are
 //!    smaller (recorded once per dispatch);
 //! 4. **re-split** — the failing batch is cut in half by seed and each
-//!    half retried recursively, up to
-//!    [`ServeRecoveryPolicy::max_resplits`] levels deep.
+//!    half retried recursively, up to [`RecoveryPolicy::max_resplits`]
+//!    levels deep.
 //!
 //! Because serving samples each request's neighborhood in isolation
 //! (see [`BatchSampler::sample_isolated`](buffalo_sampling::BatchSampler::sample_isolated)),
@@ -25,158 +25,27 @@
 //! exact copies of its requests' sampled closures, and a failover replays
 //! them unchanged on the survivor. Only latencies shift.
 //!
-//! Every rung taken is recorded as a [`ServeRecoveryEvent`]; only when no
-//! rung remains does a structured
-//! [`TrainError::ServeRecoveryExhausted`] carrying the full trail reach
-//! the caller.
+//! The policy, the [`RecoveryEvent`] trail and the structured
+//! [`TrainError::RecoveryExhausted`] that ends a ladder are training's
+//! (see [`crate::train::RecoveryPolicy`]); the climb itself is serving's
+//! own, because its rungs come in a different order under different
+//! guards.
 
-use crate::train::Engine;
+use crate::train::recovery::{exhausted, fail_over};
+use crate::train::{Engine, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
-use buffalo_memsim::{CostModel, Device, OomError};
+use buffalo_memsim::{CostModel, Device};
 use buffalo_sampling::Batch;
 
-/// Limits and knobs for the serving recovery ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeRecoveryPolicy {
-    /// Master switch. When `false`, any inference failure propagates
-    /// immediately — the pre-resilience behavior.
-    pub enabled: bool,
-    /// Bounded retries of a transiently-failing dispatch before
-    /// escalating to degrade/re-split.
-    pub max_retries: usize,
-    /// Recursive re-split depth: how many times one dispatch may be cut
-    /// in half before giving up.
-    pub max_resplits: usize,
-    /// Base *simulated* backoff seconds for transient retries (doubling
-    /// per attempt). Simulated time — it is added to the dispatch's
-    /// service latency, never slept.
-    pub backoff_base: f64,
-    /// Simulated seconds one device-loss failover costs (detection +
-    /// re-route), added to the dispatch latency.
-    pub failover_penalty: f64,
-}
+/// Base *simulated* backoff for transient retries, seconds, doubling per
+/// attempt. Added to the dispatch's service latency, never slept.
+const BACKOFF_BASE_SECONDS: f64 = 1e-3;
 
-impl ServeRecoveryPolicy {
-    /// Recovery switched off: every inference failure is terminal.
-    pub fn disabled() -> Self {
-        ServeRecoveryPolicy {
-            enabled: false,
-            ..ServeRecoveryPolicy::default()
-        }
-    }
-}
-
-impl Default for ServeRecoveryPolicy {
-    fn default() -> Self {
-        ServeRecoveryPolicy {
-            enabled: true,
-            max_retries: 3,
-            max_resplits: 2,
-            backoff_base: 1e-3,
-            failover_penalty: 5e-3,
-        }
-    }
-}
-
-/// One rung of the serving recovery ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeRecoveryAction {
-    /// The dispatch was retried after a transient fault.
-    Retry {
-        /// 1-based retry attempt number.
-        attempt: usize,
-        /// Simulated backoff charged before this retry, seconds.
-        backoff_seconds: f64,
-    },
-    /// The loop's effective coalescing width was halved so future
-    /// dispatches are smaller.
-    DegradeBatch {
-        /// Width before degrading.
-        from: usize,
-        /// Width after degrading.
-        to: usize,
-    },
-    /// The failing dispatch was cut in half by seed and each half
-    /// retried recursively.
-    Resplit {
-        /// Request nodes in the failing dispatch.
-        nodes: usize,
-        /// Number of halves (always 2).
-        into: usize,
-    },
-    /// A device was permanently lost; the dispatch re-routed onto the
-    /// survivors.
-    DeviceLost {
-        /// Index of the lost device.
-        device: usize,
-        /// Live devices remaining after marking it dead.
-        survivors: usize,
-    },
-    /// No rung remained; the structured error was surfaced.
-    Exhausted,
-}
-
-impl std::fmt::Display for ServeRecoveryAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeRecoveryAction::Retry {
-                attempt,
-                backoff_seconds,
-            } => write!(
-                f,
-                "retry #{attempt} (simulated backoff {backoff_seconds:.6} s)"
-            ),
-            ServeRecoveryAction::DegradeBatch { from, to } => {
-                write!(f, "degrade batch width {from} -> {to}")
-            }
-            ServeRecoveryAction::Resplit { nodes, into } => {
-                write!(f, "re-split {nodes} requests into {into} halves")
-            }
-            ServeRecoveryAction::DeviceLost { device, survivors } => {
-                write!(
-                    f,
-                    "device {device} lost; re-routing onto {survivors} survivor(s)"
-                )
-            }
-            ServeRecoveryAction::Exhausted => write!(f, "serving recovery exhausted"),
-        }
-    }
-}
-
-/// One serving recovery action taken in response to one device refusal,
-/// with the refusal's context attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRecoveryEvent {
-    /// Index of the dispatch (coalesced batch) that hit the fault.
-    pub batch: usize,
-    /// The ladder rung taken.
-    pub action: ServeRecoveryAction,
-    /// Bytes the failed allocation requested.
-    pub requested: u64,
-    /// Bytes in use on the device at refusal time.
-    pub in_use: u64,
-    /// Device budget at refusal time.
-    pub budget: u64,
-    /// Whether the refusal was an injected transient fault.
-    pub transient: bool,
-}
-
-impl std::fmt::Display for ServeRecoveryEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dispatch {}: {} (requested {} B, {} B in use, budget {} B{})",
-            self.batch,
-            self.action,
-            self.requested,
-            self.in_use,
-            self.budget,
-            if self.transient { ", transient" } else { "" }
-        )
-    }
-}
+/// Simulated seconds one device-loss failover costs (detection +
+/// re-route), added to the dispatch latency.
+const FAILOVER_PENALTY_SECONDS: f64 = 5e-3;
 
 /// Counts of each ladder rung over a serve run, for reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -193,15 +62,17 @@ pub struct ServeRecoveryCounts {
 
 impl ServeRecoveryCounts {
     /// Tallies a recovery trail.
-    pub fn from_events(events: &[ServeRecoveryEvent]) -> Self {
+    pub fn from_events(events: &[RecoveryEvent]) -> Self {
         let mut c = ServeRecoveryCounts::default();
         for e in events {
             match e.action {
-                ServeRecoveryAction::Retry { .. } => c.retries += 1,
-                ServeRecoveryAction::DegradeBatch { .. } => c.degrades += 1,
-                ServeRecoveryAction::Resplit { .. } => c.resplits += 1,
-                ServeRecoveryAction::DeviceLost { .. } => c.failovers += 1,
-                ServeRecoveryAction::Exhausted => {}
+                RecoveryAction::Retry { .. } => c.retries += 1,
+                RecoveryAction::DegradeBatch { .. } => c.degrades += 1,
+                RecoveryAction::Resplit { .. } => c.resplits += 1,
+                RecoveryAction::DeviceLost { .. } => c.failovers += 1,
+                // Not rungs serving climbs: the first is training's, the
+                // second is the end of the ladder.
+                RecoveryAction::DegradeSerial | RecoveryAction::Exhausted => {}
             }
         }
         c
@@ -236,20 +107,7 @@ pub(crate) struct LadderState<'a> {
     /// it (floor 1) so future dispatches shrink.
     pub effective_max_batch: &'a mut usize,
     /// The run-wide recovery trail (appended in rung order).
-    pub events: &'a mut Vec<ServeRecoveryEvent>,
-}
-
-impl LadderState<'_> {
-    fn record(&mut self, batch: usize, action: ServeRecoveryAction, oom: &OomError) {
-        self.events.push(ServeRecoveryEvent {
-            batch,
-            action,
-            requested: oom.requested,
-            in_use: oom.in_use,
-            budget: oom.budget,
-            transient: oom.transient,
-        });
-    }
+    pub events: &'a mut Vec<RecoveryEvent>,
 }
 
 /// Everything about one top-level dispatch that the ladder does not
@@ -261,7 +119,7 @@ pub(crate) struct DispatchCtx<'a> {
     pub ds: &'a Dataset,
     pub device: &'a dyn Device,
     pub cost: &'a CostModel,
-    pub policy: &'a ServeRecoveryPolicy,
+    pub policy: &'a RecoveryPolicy,
     /// Index of the dispatch (coalesced batch), labels recovery events.
     pub batch_idx: usize,
 }
@@ -306,29 +164,10 @@ pub(crate) fn infer_with_recovery(
                     return Err(TrainError::Oom(oom));
                 }
                 // Rung: failover. A lost device cannot serve anything —
-                // mark it dead and replay the dispatch on the survivors
-                // (the pool re-routes via round-robin over live members).
+                // replay the dispatch on the survivors.
                 if oom.device_lost {
-                    let lost = device.active_device();
-                    device.mark_active_device_dead();
-                    let survivors = device.live_device_count();
-                    if survivors == 0 {
-                        st.record(batch_idx, ServeRecoveryAction::Exhausted, &oom);
-                        return Err(TrainError::ServeRecoveryExhausted {
-                            events: st.events.clone(),
-                            last: oom,
-                        });
-                    }
-                    st.record(
-                        batch_idx,
-                        ServeRecoveryAction::DeviceLost {
-                            device: lost,
-                            survivors,
-                        },
-                        &oom,
-                    );
-                    device.begin_micro_batch(micro_base);
-                    penalty += policy.failover_penalty;
+                    fail_over(device, st.events, batch_idx, micro_base, oom)?;
+                    penalty += FAILOVER_PENALTY_SECONDS;
                     // Fresh device, fresh retry budget.
                     attempt = 0;
                     continue;
@@ -338,16 +177,9 @@ pub(crate) fn infer_with_recovery(
                 // change; only transient faults are worth it.
                 if oom.transient && attempt < policy.max_retries {
                     attempt += 1;
-                    let backoff = policy.backoff_base * (1u64 << (attempt - 1).min(16)) as f64;
-                    st.record(
-                        batch_idx,
-                        ServeRecoveryAction::Retry {
-                            attempt,
-                            backoff_seconds: backoff,
-                        },
-                        &oom,
-                    );
-                    penalty += backoff;
+                    let action = RecoveryAction::Retry { attempt };
+                    st.events.push(RecoveryEvent::new(batch_idx, action, &oom));
+                    penalty += BACKOFF_BASE_SECONDS * (1u64 << (attempt - 1).min(16)) as f64;
                     continue;
                 }
                 break oom;
@@ -363,25 +195,19 @@ pub(crate) fn infer_with_recovery(
         let from = *st.effective_max_batch;
         let to = (from / 2).max(1);
         *st.effective_max_batch = to;
-        st.record(
-            batch_idx,
-            ServeRecoveryAction::DegradeBatch { from, to },
-            &oom,
-        );
+        let action = RecoveryAction::DegradeBatch { from, to };
+        st.events.push(RecoveryEvent::new(batch_idx, action, &oom));
     }
     // Rung: re-split. Cut the batch in half by seed and retry each half
     // recursively. Isolated sampling makes the halves exact sub-copies,
     // so answers cannot move.
     if depth < policy.max_resplits && batch.num_seeds > 1 {
         let mid = batch.num_seeds.div_ceil(2);
-        st.record(
-            batch_idx,
-            ServeRecoveryAction::Resplit {
-                nodes: batch.num_seeds,
-                into: 2,
-            },
-            &oom,
-        );
+        let action = RecoveryAction::Resplit {
+            seeds: batch.num_seeds,
+            into: 2,
+        };
+        st.events.push(RecoveryEvent::new(batch_idx, action, &oom));
         let locals: Vec<NodeId> = (0..batch.num_seeds as NodeId).collect();
         let mut merged = RecoveredInference {
             predictions: Vec::with_capacity(batch.num_seeds),
@@ -408,87 +234,28 @@ pub(crate) fn infer_with_recovery(
         }
         return Ok(merged);
     }
-    st.record(batch_idx, ServeRecoveryAction::Exhausted, &oom);
-    Err(TrainError::ServeRecoveryExhausted {
-        events: st.events.clone(),
-        last: oom,
-    })
+    Err(exhausted(st.events, batch_idx, oom))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_defaults_and_disable() {
-        let p = ServeRecoveryPolicy::default();
-        assert!(p.enabled);
-        assert_eq!(p.max_retries, 3);
-        assert_eq!(p.max_resplits, 2);
-        assert!(!ServeRecoveryPolicy::disabled().enabled);
-    }
-
-    #[test]
-    fn events_display_their_context() {
-        let ev = ServeRecoveryEvent {
-            batch: 4,
-            action: ServeRecoveryAction::Retry {
-                attempt: 2,
-                backoff_seconds: 0.002,
-            },
-            requested: 100,
-            in_use: 40,
-            budget: 120,
-            transient: true,
-        };
-        let s = ev.to_string();
-        assert!(s.contains("dispatch 4"));
-        assert!(s.contains("retry #2"));
-        assert!(s.contains("transient"));
-        let s = ServeRecoveryEvent {
-            action: ServeRecoveryAction::Resplit { nodes: 32, into: 2 },
-            transient: false,
-            ..ev.clone()
-        }
-        .to_string();
-        assert!(s.contains("re-split 32 requests into 2 halves"));
-        assert!(!s.contains("transient"));
-        let s = ServeRecoveryAction::DeviceLost {
-            device: 1,
-            survivors: 3,
-        }
-        .to_string();
-        assert!(s.contains("device 1 lost"), "{s}");
-        let s = ServeRecoveryAction::DegradeBatch { from: 64, to: 32 }.to_string();
-        assert!(s.contains("64 -> 32"), "{s}");
-    }
+    use buffalo_memsim::OomError;
 
     #[test]
     fn counts_tally_each_rung() {
-        let mk = |action| ServeRecoveryEvent {
-            batch: 0,
-            action,
-            requested: 0,
-            in_use: 0,
-            budget: 0,
-            transient: false,
-        };
+        let oom = OomError::new(0, 0, 0);
+        let mk = |action| RecoveryEvent::new(0, action, &oom);
         let events = vec![
-            mk(ServeRecoveryAction::Retry {
-                attempt: 1,
-                backoff_seconds: 0.0,
-            }),
-            mk(ServeRecoveryAction::Retry {
-                attempt: 2,
-                backoff_seconds: 0.0,
-            }),
-            mk(ServeRecoveryAction::DegradeBatch { from: 8, to: 4 }),
-            mk(ServeRecoveryAction::Resplit { nodes: 8, into: 2 }),
-            mk(ServeRecoveryAction::DeviceLost {
+            mk(RecoveryAction::Retry { attempt: 1 }),
+            mk(RecoveryAction::Retry { attempt: 2 }),
+            mk(RecoveryAction::DegradeBatch { from: 8, to: 4 }),
+            mk(RecoveryAction::Resplit { seeds: 8, into: 2 }),
+            mk(RecoveryAction::DeviceLost {
                 device: 0,
                 survivors: 1,
             }),
-            mk(ServeRecoveryAction::Exhausted),
+            mk(RecoveryAction::Exhausted),
         ];
         let c = ServeRecoveryCounts::from_events(&events);
         assert_eq!(c.retries, 2);

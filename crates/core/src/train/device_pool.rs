@@ -226,35 +226,17 @@ impl Device for DevicePool {
         }
     }
 
-    fn alloc_calls(&self) -> u64 {
-        self.devices.iter().map(Device::alloc_calls).sum()
-    }
-
-    fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    fn live_device_count(&self) -> usize {
-        self.devices.len() - self.lock().dead.len()
-    }
-
-    fn active_device(&self) -> usize {
-        self.lock().active
-    }
-
     fn begin_micro_batch(&self, index: usize) {
         let mut st = self.lock();
-        let live: Vec<usize> = (0..self.devices.len())
-            .filter(|i| !st.dead.contains(i))
-            .collect();
-        if !live.is_empty() {
-            st.active = live[index % live.len()];
+        let live = self.devices.len() - st.dead.len();
+        let pick = index.checked_rem(live).and_then(|k| {
+            (0..self.devices.len())
+                .filter(|i| !st.dead.contains(i))
+                .nth(k)
+        });
+        if let Some(i) = pick {
+            st.active = i;
         }
-    }
-
-    fn mark_active_device_dead(&self) {
-        let active = self.lock().active;
-        self.mark_dead(active);
     }
 
     fn schedule_budget(&self) -> u64 {
@@ -270,21 +252,23 @@ impl Device for DevicePool {
             .unwrap_or(0)
     }
 
-    fn per_device_alloc_calls(&self) -> Vec<u64> {
-        self.devices.iter().map(Device::alloc_calls).collect()
+    fn fail_active_device(&self) -> (usize, usize) {
+        let active = self.lock().active;
+        self.mark_dead(active);
+        (active, self.devices.len() - self.lock().dead.len())
     }
 
-    fn fast_forward_device(&self, index: usize, allocs: u64) {
-        if let Some(d) = self.devices.get(index) {
-            d.fast_forward(allocs);
+    fn snapshot_position(&self) -> (Vec<u64>, Vec<u64>) {
+        (
+            self.devices.iter().map(|d| d.counters().allocs).collect(),
+            self.lock().dead.iter().map(|&i| i as u64).collect(),
+        )
+    }
+
+    fn restore_position(&self, allocs: &[u64], dead: &[u64]) {
+        for (d, &n) in self.devices.iter().zip(allocs) {
+            d.fast_forward(n);
         }
-    }
-
-    fn dead_devices(&self) -> Vec<u64> {
-        self.lock().dead.iter().map(|&i| i as u64).collect()
-    }
-
-    fn restore_dead_devices(&self, dead: &[u64]) {
         for &i in dead {
             self.mark_dead(i as usize);
         }
@@ -308,27 +292,30 @@ mod tests {
         assert!(matches!(err, TrainError::InvalidConfig(_)));
     }
 
+    /// Routes micro-batch `index` and reports which member took its
+    /// allocation (the one whose counter moved).
+    fn routed(p: &DevicePool, index: usize) -> usize {
+        let before = p.snapshot_position().0;
+        p.begin_micro_batch(index);
+        if let Ok(id) = Device::alloc(p, 1) {
+            Device::free(p, id);
+        }
+        let after = p.snapshot_position().0;
+        (0..p.len()).find(|&i| after[i] != before[i]).unwrap()
+    }
+
     #[test]
     fn round_robin_routes_over_live_members() {
         let p = pool(3, 100, "");
         for i in 0..6 {
-            p.begin_micro_batch(i);
-            assert_eq!(p.active_device(), i % 3);
-            let id = Device::alloc(&p, 10).unwrap();
-            Device::free(&p, id);
+            assert_eq!(routed(&p, i), i % 3);
         }
-        assert_eq!(p.per_device_alloc_calls(), vec![2, 2, 2]);
+        assert_eq!(p.snapshot_position().0, vec![2, 2, 2]);
         // Kill member 1: the rotation skips it from now on.
         p.begin_micro_batch(1);
-        p.mark_active_device_dead();
+        assert_eq!(p.fail_active_device(), (1, 2));
         assert_eq!(p.dead(), vec![1]);
-        assert_eq!(p.live_device_count(), 2);
-        let route: Vec<usize> = (0..4)
-            .map(|i| {
-                p.begin_micro_batch(i);
-                p.active_device()
-            })
-            .collect();
+        let route: Vec<usize> = (0..4).map(|i| routed(&p, i)).collect();
         assert_eq!(route, vec![0, 2, 0, 2]);
     }
 
@@ -361,7 +348,7 @@ mod tests {
         assert_eq!(Device::budget(&p), 100);
         // Once member 0 dies, the tightest live budget is member 1's.
         p.begin_micro_batch(0);
-        p.mark_active_device_dead();
+        p.fail_active_device();
         assert_eq!(p.schedule_budget(), 100);
     }
 
@@ -370,7 +357,7 @@ mod tests {
         let p = pool(2, 100, "");
         p.begin_micro_batch(1);
         let held = Device::alloc(&p, 50).unwrap();
-        p.mark_active_device_dead();
+        p.fail_active_device();
         // Its memory is gone and in_use no longer counts it.
         assert_eq!(p.device(1).unwrap().in_use(), 0);
         assert_eq!(p.in_use(), 0);
@@ -394,26 +381,42 @@ mod tests {
     }
 
     #[test]
+    fn losing_the_last_member_leaves_zero_survivors() {
+        // What ends recovery instead of failing over forever: a pool of
+        // one answers exactly like the trait's lone-device default.
+        let p = pool(1, 100, "");
+        assert_eq!(p.fail_active_device(), (0, 0));
+        assert_eq!(p.schedule_budget(), 0);
+        let lone = FaultyDevice::new(DeviceMemory::new(100), FaultPlan::none());
+        assert_eq!(lone.fail_active_device(), (0, 0));
+        assert_eq!(DeviceMemory::new(100).fail_active_device(), (0, 0));
+    }
+
+    #[test]
     fn dead_set_round_trips_through_snapshot_form() {
         let p = pool(4, 100, "");
         p.begin_micro_batch(1);
-        p.mark_active_device_dead();
+        p.fail_active_device();
         p.begin_micro_batch(2); // live rotation: 0,2,3 → index 2 → member 3
-        p.mark_active_device_dead();
-        let dead = Device::dead_devices(&p);
+        p.fail_active_device();
+        let (allocs, dead) = p.snapshot_position();
         assert_eq!(dead, vec![1, 3]);
         let fresh = pool(4, 100, "");
-        fresh.restore_dead_devices(&dead);
+        fresh.restore_position(&allocs, &dead);
         assert_eq!(fresh.dead(), vec![1, 3]);
-        assert_eq!(fresh.live_device_count(), 2);
         // Out-of-range indices are ignored, not a panic.
-        fresh.restore_dead_devices(&[99]);
+        fresh.restore_position(&[], &[99]);
         assert_eq!(fresh.dead(), vec![1, 3]);
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Everything observable about one allocation attempt.
+        fn outcome(r: Result<AllocId, OomError>) -> Result<(), OomError> {
+            r.map(|_| ())
+        }
 
         proptest! {
             /// A `lose:` fault naming a device index at or beyond the
@@ -435,10 +438,73 @@ mod tests {
                     prop_assert!(id.is_ok(), "alloc {i} failed: {:?}", id.err());
                     Device::free(&p, id.unwrap());
                 }
-                prop_assert_eq!(p.live_device_count(), n);
+                prop_assert_eq!(p.dead(), Vec::<usize>::new());
                 for i in 0..n {
                     prop_assert!(!p.device(i).unwrap().is_lost());
                 }
+            }
+
+            /// A single device is a pool of one: under any fault plan and
+            /// any alloc/free sequence, `DevicePool::homogeneous(1, ..)`
+            /// and a lone `FaultyDevice` answer every call identically —
+            /// the same `Ok` or the same `OomError` field for field, the
+            /// same usage, peak and allocation counter — and still do
+            /// after both are fast-forwarded to an arbitrary position.
+            #[test]
+            fn pool_of_one_is_the_lone_faulty_device(
+                (p_pct, seed, nths) in (0u32..60, 0u64..1_000, collection::vec(1u64..60, 0..4)),
+                (shrink_at, factor_pct, restore_at) in (0u64..40, 10u32..100, 0u64..60),
+                lose_at in 0u64..50,
+                ops in collection::vec((0u8..3, 1u64..400), 1..60),
+                seek in 0u64..50,
+            ) {
+                let mut spec = format!("transient:p=0.{p_pct:02},seed={seed}");
+                for n in nths {
+                    spec += &format!(",nth={n}");
+                }
+                // `at = 0` stands for "clause absent".
+                if shrink_at > 0 {
+                    spec += &format!(";shrink:at={shrink_at},factor=0.{factor_pct:02}");
+                    if restore_at > shrink_at {
+                        spec += &format!(",restore={restore_at}");
+                    }
+                }
+                if lose_at > 0 {
+                    spec += &format!(";lose:0,{lose_at}");
+                }
+                let plan = FaultPlan::parse(&spec).unwrap();
+                let pool = DevicePool::homogeneous(1, 1_000, &plan).unwrap();
+                let lone = FaultyDevice::new(DeviceMemory::new(1_000), plan);
+                let replay = |round: usize| -> Result<(), TestCaseError> {
+                    let (mut held_p, mut held_l) = (Vec::new(), Vec::new());
+                    for (i, &(op, bytes)) in ops.iter().enumerate() {
+                        pool.begin_micro_batch(i);
+                        lone.begin_micro_batch(i);
+                        if op == 0 && !held_p.is_empty() {
+                            let k = bytes as usize % held_p.len();
+                            Device::free(&pool, held_p.swap_remove(k));
+                            Device::free(&lone, held_l.swap_remove(k));
+                        } else {
+                            let (a, b) = (Device::alloc(&pool, bytes), Device::alloc(&lone, bytes));
+                            held_p.extend(a.as_ref().ok());
+                            held_l.extend(b.as_ref().ok());
+                            prop_assert_eq!(outcome(a), outcome(b), "round {} op {}", round, i);
+                        }
+                        prop_assert_eq!(pool.in_use(), lone.in_use());
+                        prop_assert_eq!(pool.peak(), lone.peak());
+                        prop_assert_eq!(Device::budget(&pool), lone.budget());
+                        prop_assert_eq!(pool.schedule_budget(), lone.schedule_budget());
+                        prop_assert_eq!(pool.snapshot_position(), lone.snapshot_position());
+                    }
+                    Ok(())
+                };
+                replay(0)?;
+                for d in [&pool as &dyn Device, &lone] {
+                    d.free_all();
+                    d.reset_peak();
+                    d.restore_position(&[seek], &[]);
+                }
+                replay(1)?;
             }
         }
     }

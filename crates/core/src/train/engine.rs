@@ -17,12 +17,9 @@
 //!   [`restore_state`](Engine::restore_state) — the single bit-exact
 //!   snapshot implementation the checkpoint subsystem targets.
 //!
-//! `FullBatchTrainer` and `BuffaloTrainer` are thin drivers over an
-//! engine, as are the epoch loop in [`epoch`](crate::train::epoch) and the
-//! serving loop in [`serve`](crate::serve). Because the engine merely
-//! re-homes state without reordering any operation, training through it is
-//! bitwise identical to the pre-extraction trainers (the golden trail in
-//! `tests/golden/` gates this).
+//! The epoch loop in [`epoch`](crate::train::epoch) and the serving loop
+//! in [`serve`](crate::serve) are the engine's two drivers; the golden
+//! trail in `tests/golden/` pins its numerics bit for bit.
 
 use crate::checkpoint::{CheckpointError, ParamState, TrainerState};
 use crate::models::GnnModel;
@@ -183,8 +180,8 @@ impl Engine {
     /// rollback rung calls this with a compounding boost so each rollback
     /// schedules more conservatively than the last. A no-op in
     /// whole-batch mode: with no scheduler there is no plan to make more
-    /// conservative (the historical `FullBatchTrainer` behavior, kept
-    /// bit-compatible — see the drift regression test below).
+    /// conservative (kept bit-compatible with the goldens — see the
+    /// drift regression test below).
     pub fn force_headroom(&mut self, multiplier: f64) {
         if self.scheduler.is_some() && multiplier > self.calibrator.multiplier() {
             self.calibrator.set_multiplier(multiplier);
@@ -536,12 +533,11 @@ mod tests {
         h
     }
 
-    /// Drift audit (satellite): the two pre-extraction trainers disagreed
-    /// on headroom bookkeeping — `FullBatchTrainer` had no calibrator, so
-    /// it always captured a multiplier of 1.0, ignored the snapshot's
-    /// multiplier on restore, and ignored `force_headroom`; only
-    /// `BuffaloTrainer` re-seeded a calibrator in `set_recovery`. The
-    /// unified engine must preserve both behaviors per mode.
+    /// Drift audit: the two modes disagree on headroom bookkeeping, and
+    /// the goldens pin both. Whole-batch mode has no calibrated plan, so
+    /// it always captures a multiplier of 1.0, ignores the snapshot's
+    /// multiplier on restore, and ignores `force_headroom`; only
+    /// scheduled mode re-seeds a calibrator in `set_recovery`.
     #[test]
     fn headroom_drift_between_modes_is_preserved() {
         let (_, _, config) = small_setup();
@@ -574,31 +570,6 @@ mod tests {
         buf.force_headroom(4.0);
         buf.restore_state(&snap).unwrap();
         assert_eq!(buf.headroom_multiplier(), 2.5);
-    }
-
-    #[test]
-    fn engine_matches_trainer_losses_bitwise() {
-        // The extracted engine is the trainer: identical losses, bit for
-        // bit, against the thin drivers that wrap it.
-        use crate::train::{BuffaloTrainer, FullBatchTrainer};
-        let (ds, batch, config) = small_setup();
-        let cost = CostModel::rtx6000();
-        let dev_a = DeviceMemory::with_gib(24.0);
-        let dev_b = DeviceMemory::with_gib(24.0);
-        let mut engine = Engine::full_batch(config.clone());
-        let mut trainer = FullBatchTrainer::new(config.clone());
-        for i in 0..4 {
-            let a = engine.train_iteration(&ds, &batch, &dev_a, &cost).unwrap();
-            let b = trainer.train_iteration(&ds, &batch, &dev_b, &cost).unwrap();
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "full iter {i}");
-        }
-        let mut engine = Engine::buffalo(config.clone(), 0.24);
-        let mut trainer = BuffaloTrainer::new(config, 0.24);
-        for i in 0..4 {
-            let a = engine.train_iteration(&ds, &batch, &dev_a, &cost).unwrap();
-            let b = trainer.train_iteration(&ds, &batch, &dev_b, &cost).unwrap();
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "buffalo iter {i}");
-        }
     }
 
     #[test]

@@ -3,160 +3,16 @@
 
 use crate::checkpoint::{
     config_fingerprint, CheckpointError, CheckpointOptions, CheckpointRing, TrainSnapshot,
-    TrainerState,
 };
 use crate::models::GnnModel;
-use crate::train::{gather_features, gather_labels, IterationStats, RecoveryEvent, TrainConfig};
+use crate::train::{gather_features, gather_labels, Engine, RecoveryEvent};
 use crate::TrainError;
 use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device, StageTimings};
-use buffalo_sampling::{Batch, BatchSampler, SeedBatches};
+use buffalo_sampling::{BatchSampler, SeedBatches};
 use buffalo_tensor::softmax_cross_entropy;
-
-/// Anything that can train one iteration on a sampled batch — implemented
-/// by the shared [`Engine`](crate::train::Engine) and by the
-/// `FullBatchTrainer` (Algorithm 1) / `BuffaloTrainer` (Algorithm 2)
-/// drivers that wrap it, so epoch drivers and experiments can swap them
-/// freely.
-pub trait IterationTrainer {
-    /// Trains one iteration on `batch`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OOM/scheduling failures (see [`TrainError`]).
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError>;
-
-    /// The model under training.
-    fn model(&self) -> &GnnModel;
-
-    /// The training configuration.
-    fn train_config(&self) -> &TrainConfig;
-
-    /// Captures model/optimizer/calibrator state for a checkpoint.
-    fn capture_state(&mut self) -> TrainerState;
-
-    /// Restores captured state bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StateMismatch`] if the snapshot does not fit
-    /// this trainer's model.
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError>;
-
-    /// Ensures the scheduling headroom multiplier is at least
-    /// `multiplier`. Trainers without a calibrator (the whole-batch path
-    /// cannot re-schedule) ignore this.
-    fn force_headroom(&mut self, multiplier: f64) {
-        let _ = multiplier;
-    }
-}
-
-/// The canonical implementation: the engine itself trains iterations and
-/// snapshots its own state. The trainer impls below only delegate here
-/// through their wrapped engine.
-impl IterationTrainer for super::Engine {
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        super::Engine::train_iteration(self, ds, batch, device, cost)
-    }
-
-    fn model(&self) -> &GnnModel {
-        super::Engine::model(self)
-    }
-
-    fn train_config(&self) -> &TrainConfig {
-        self.config()
-    }
-
-    fn capture_state(&mut self) -> TrainerState {
-        super::Engine::capture_state(self)
-    }
-
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        super::Engine::restore_state(self, state)
-    }
-
-    fn force_headroom(&mut self, multiplier: f64) {
-        super::Engine::force_headroom(self, multiplier);
-    }
-}
-
-impl IterationTrainer for super::FullBatchTrainer {
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine_mut().train_iteration(ds, batch, device, cost)
-    }
-
-    fn model(&self) -> &GnnModel {
-        self.engine().model()
-    }
-
-    fn train_config(&self) -> &TrainConfig {
-        self.config()
-    }
-
-    fn capture_state(&mut self) -> TrainerState {
-        self.engine_mut().capture_state()
-    }
-
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine_mut().restore_state(state)
-    }
-
-    fn force_headroom(&mut self, multiplier: f64) {
-        self.engine_mut().force_headroom(multiplier);
-    }
-}
-
-impl IterationTrainer for super::BuffaloTrainer {
-    fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine_mut().train_iteration(ds, batch, device, cost)
-    }
-
-    fn model(&self) -> &GnnModel {
-        self.engine().model()
-    }
-
-    fn train_config(&self) -> &TrainConfig {
-        self.config()
-    }
-
-    fn capture_state(&mut self) -> TrainerState {
-        self.engine_mut().capture_state()
-    }
-
-    fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine_mut().restore_state(state)
-    }
-
-    fn force_headroom(&mut self, multiplier: f64) {
-        self.engine_mut().force_headroom(multiplier);
-    }
-}
 
 /// Epoch-driver configuration.
 #[derive(Debug, Clone)]
@@ -246,8 +102,8 @@ struct Cursor {
 ///
 /// Panics if `train_nodes + eval_nodes` exceeds the dataset size or
 /// `batch_size == 0`.
-pub fn run_epochs<T: IterationTrainer>(
-    trainer: &mut T,
+pub fn run_epochs(
+    trainer: &mut Engine,
     ds: &Dataset,
     device: &dyn Device,
     cost: &CostModel,
@@ -284,8 +140,8 @@ pub fn run_epochs<T: IterationTrainer>(
 ///
 /// Panics if `train_nodes + eval_nodes` exceeds the dataset size or
 /// `batch_size == 0`.
-pub fn run_epochs_checkpointed<T: IterationTrainer>(
-    trainer: &mut T,
+pub fn run_epochs_checkpointed(
+    trainer: &mut Engine,
     ds: &Dataset,
     device: &dyn Device,
     cost: &CostModel,
@@ -298,8 +154,8 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
         cfg.train_nodes + cfg.eval_nodes <= ds.graph.num_nodes(),
         "train + eval split exceeds dataset size"
     );
-    let fingerprint = config_fingerprint(trainer.train_config(), cfg);
-    let fanouts = trainer.train_config().fanouts.clone();
+    let fingerprint = config_fingerprint(trainer.config(), cfg);
+    let fanouts = trainer.config().fanouts.clone();
     let sampler = BatchSampler::new(fanouts.clone());
 
     let mut ring = match ckpt {
@@ -340,10 +196,7 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
         trainer
             .restore_state(&snap.trainer)
             .map_err(TrainError::Checkpoint)?;
-        for (i, &allocs) in snap.device_allocs.iter().enumerate() {
-            device.fast_forward_device(i, allocs);
-        }
-        device.restore_dead_devices(&snap.dead_devices);
+        device.restore_position(&snap.device_allocs, &snap.dead_devices);
         cur = Cursor {
             epoch: snap.epoch,
             epoch_iter: snap.epoch_iter,
@@ -464,21 +317,22 @@ pub fn run_epochs_checkpointed<T: IterationTrainer>(
     })
 }
 
-fn save_snapshot<T: IterationTrainer>(
+fn save_snapshot(
     ring: &mut CheckpointRing,
-    trainer: &mut T,
+    trainer: &mut Engine,
     device: &dyn Device,
     config_hash: u64,
     cur: &Cursor,
     loss_trail: &[f32],
 ) -> Result<(), TrainError> {
+    let (device_allocs, dead_devices) = device.snapshot_position();
     let snap = TrainSnapshot {
         config_hash,
         epoch: cur.epoch,
         epoch_iter: cur.epoch_iter,
         global_iter: cur.global_iter,
-        device_allocs: device.per_device_alloc_calls(),
-        dead_devices: device.dead_devices(),
+        device_allocs,
+        dead_devices,
         rollbacks: cur.rollbacks,
         epoch_loss_sum: cur.loss_sum,
         epoch_acc_sum: cur.acc_sum,
@@ -521,7 +375,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{BuffaloTrainer, FullBatchTrainer};
+    use crate::train::TrainConfig;
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, GnnShape};
 
@@ -546,7 +400,7 @@ mod tests {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(24.0);
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config(&ds));
+        let mut trainer = Engine::full_batch(config(&ds));
         let cfg = EpochConfig {
             batch_size: 128,
             epochs: 5,
@@ -569,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_dispatch_works_for_both_trainers() {
+    fn both_engine_modes_run_the_same_epochs() {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(24.0);
         let cost = CostModel::rtx6000();
@@ -580,8 +434,8 @@ mod tests {
             eval_nodes: 0,
             seed: 1,
         };
-        let mut full = FullBatchTrainer::new(config(&ds));
-        let mut buffalo = BuffaloTrainer::new(config(&ds), 0.24);
+        let mut full = Engine::full_batch(config(&ds));
+        let mut buffalo = Engine::buffalo(config(&ds), 0.24);
         let a = run_epochs(&mut full, &ds, &device, &cost, &cfg).unwrap();
         let b = run_epochs(&mut buffalo, &ds, &device, &cost, &cfg).unwrap();
         assert_eq!(a[0].iterations, b[0].iterations);
@@ -616,12 +470,12 @@ mod tests {
         let dir = tmpdir("noperturb");
         let reference = {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, None, false).unwrap()
         };
         let checkpointed = {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             let opts = crate::checkpoint::CheckpointOptions {
                 every: 2,
                 ..crate::checkpoint::CheckpointOptions::new(&dir)
@@ -660,7 +514,7 @@ mod tests {
             )
         };
         let fresh_trainer = || {
-            BuffaloTrainer::new(config(&ds), 0.24).with_recovery(crate::train::RecoveryPolicy {
+            Engine::buffalo(config(&ds), 0.24).with_recovery(crate::train::RecoveryPolicy {
                 max_retries: 8,
                 ..crate::train::RecoveryPolicy::default()
             })
@@ -742,13 +596,13 @@ mod tests {
         let opts = crate::checkpoint::CheckpointOptions::new(&dir);
         {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false).unwrap();
         }
         let device = DeviceMemory::with_gib(24.0);
         let mut other = config(&ds);
         other.lr = 0.123;
-        let mut t = BuffaloTrainer::new(other, 0.24);
+        let mut t = Engine::buffalo(other, 0.24);
         let err = run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), true)
             .unwrap_err();
         assert!(
@@ -770,7 +624,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let opts = crate::checkpoint::CheckpointOptions::new(&dir);
         let device = DeviceMemory::with_gib(24.0);
-        let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+        let mut t = Engine::buffalo(config(&ds), 0.24);
         let err = run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), true)
             .unwrap_err();
         assert!(
@@ -797,7 +651,7 @@ mod tests {
         // Probe the whole-batch peak so the shrink bites mid-iteration.
         let peak = {
             let device = DeviceMemory::with_gib(24.0);
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24);
+            let mut t = Engine::buffalo(config(&ds), 0.24);
             run_epochs(&mut t, &ds, &device, &cost, &cfg).unwrap();
             device.peak()
         };
@@ -810,7 +664,7 @@ mod tests {
         // Seed behavior: recovery exhausts and the run dies.
         {
             let device = FaultyDevice::new(DeviceMemory::new(peak), plan.clone());
-            let mut t = BuffaloTrainer::new(config(&ds), 0.24).with_recovery(policy.clone());
+            let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy);
             let err = run_epochs(&mut t, &ds, &device, &cost, &cfg).unwrap_err();
             assert!(
                 matches!(err, TrainError::RecoveryExhausted { .. }),
@@ -824,7 +678,7 @@ mod tests {
             ..crate::checkpoint::CheckpointOptions::new(&dir)
         };
         let device = FaultyDevice::new(DeviceMemory::new(peak), plan);
-        let mut t = BuffaloTrainer::new(config(&ds), 0.24).with_recovery(policy);
+        let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy);
         let run =
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false).unwrap();
         assert!(run.rollbacks >= 1, "rollback rung never fired");
@@ -844,7 +698,7 @@ mod tests {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(1.0);
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config(&ds));
+        let mut trainer = Engine::full_batch(config(&ds));
         let cfg = EpochConfig {
             batch_size: 64,
             epochs: 1,

@@ -3,10 +3,10 @@
 //! epoch-level driver with held-out evaluation ([`run_epochs`]).
 //!
 //! All long-lived state — the model with its Adam moments, the bucket
-//! scheduler, the pipeline/recovery configuration — lives in the shared
-//! [`Engine`]; `FullBatchTrainer` and `BuffaloTrainer` are thin *drivers*
-//! over it, kept as the stable public API. The serving loop in
-//! [`serve`](crate::serve) is another driver over the same engine.
+//! scheduler, the pipeline/recovery configuration — lives in the
+//! [`Engine`]: [`Engine::full_batch`] is Algorithm 1, [`Engine::buffalo`]
+//! Algorithm 2. The epoch loop here and the serving loop in
+//! [`serve`](crate::serve) are its two *drivers*.
 //!
 //! Every driver runs on the staged pipeline: a CPU **Prepare**
 //! stage (seed restriction, block generation, feature/label gather) and an
@@ -24,23 +24,17 @@ pub(crate) mod recovery;
 
 pub use device_pool::DevicePool;
 pub use engine::{Engine, InferenceStats};
-pub use epoch::{
-    evaluate, run_epochs, run_epochs_checkpointed, EpochConfig, EpochStats, IterationTrainer,
-    TrainRun,
-};
+pub use epoch::{evaluate, run_epochs, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 
-use crate::checkpoint::{CheckpointError, TrainerState};
-use crate::models::GnnModel;
-use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
-use buffalo_memsim::{CostModel, Device, GnnShape, StageTimings};
+use buffalo_memsim::{GnnShape, StageTimings};
 use buffalo_par::Parallelism;
 use buffalo_sampling::Batch;
 use buffalo_tensor::Tensor;
 
-/// Configuration shared by both trainers.
+/// Configuration of an [`Engine`], whole-batch or scheduled.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Model shape (depth must match `fanouts.len()`).
@@ -95,244 +89,14 @@ pub fn gather_labels(ds: &Dataset, batch: &Batch, dst_locals: &[u32]) -> Vec<u32
         .collect()
 }
 
-/// Algorithm 1: classic degree-bucketed training of the whole sampled
-/// batch — the single-GPU strategy of DGL/PyG. Fails with
-/// [`TrainError::Oom`] when the batch footprint exceeds the device budget,
-/// reproducing every "OOM" cell in the paper's tables.
-///
-/// A thin driver over a whole-batch [`Engine`]; see
-/// [`Engine::full_batch`].
-#[derive(Debug)]
-pub struct FullBatchTrainer {
-    engine: Engine,
-}
-
-impl FullBatchTrainer {
-    /// Creates a trainer with a fresh model (serial staging — a whole
-    /// batch is one micro-batch, so there is nothing to overlap). OOM
-    /// recovery is disabled by default: a whole batch that does not fit
-    /// fails with [`TrainError::Oom`], reproducing the paper's OOM cells.
-    pub fn new(config: TrainConfig) -> Self {
-        FullBatchTrainer {
-            engine: Engine::full_batch(config),
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The underlying engine, mutably.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Consumes the driver, returning its engine — e.g. to hand a trained
-    /// model to the serving loop.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// The model being trained.
-    pub fn model(&self) -> &GnnModel {
-        self.engine.model()
-    }
-
-    /// The training configuration.
-    pub fn config(&self) -> &TrainConfig {
-        self.engine.config()
-    }
-
-    /// Sets the pipeline configuration.
-    pub fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.engine.set_pipeline(pipeline);
-    }
-
-    /// Builder-style [`set_pipeline`](Self::set_pipeline).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.engine.set_pipeline(pipeline);
-        self
-    }
-
-    /// Sets the OOM recovery policy. The whole-batch path cannot
-    /// re-split, so only the retry rungs apply.
-    pub fn set_recovery(&mut self, recovery: RecoveryPolicy) {
-        self.engine.set_recovery(recovery);
-    }
-
-    /// Builder-style [`set_recovery`](Self::set_recovery).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.engine.set_recovery(recovery);
-        self
-    }
-
-    /// Captures model + optimizer state for a checkpoint.
-    pub fn capture_state(&mut self) -> TrainerState {
-        self.engine.capture_state()
-    }
-
-    /// Restores captured state bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StateMismatch`] if the snapshot's parameters do
-    /// not fit this model.
-    pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine.restore_state(state)
-    }
-
-    /// Trains one iteration on `batch`.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Oom`] if the batch does not fit the device.
-    pub fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine.train_iteration(ds, batch, device, cost)
-    }
-}
-
-/// Algorithm 2: Buffalo training. The scheduler splits the batch into
-/// memory-balanced bucket groups; each group trains as a micro-batch whose
-/// gradients accumulate; the optimizer steps once per iteration, so the
-/// computation is mathematically identical to whole-batch training
-/// (§IV-B).
-///
-/// A thin driver over a scheduled [`Engine`]; see [`Engine::buffalo`].
-#[derive(Debug)]
-pub struct BuffaloTrainer {
-    engine: Engine,
-}
-
-impl BuffaloTrainer {
-    /// Creates a trainer with serial staging. `clustering` is the
-    /// dataset's average clustering coefficient `C` (Table II), consumed
-    /// by the redundancy-aware memory estimator. Enable overlap with
-    /// [`with_pipeline`](Self::with_pipeline) and OOM recovery with
-    /// [`with_recovery`](Self::with_recovery) (disabled by default, so an
-    /// execution-time OOM is terminal exactly as before).
-    pub fn new(config: TrainConfig, clustering: f64) -> Self {
-        BuffaloTrainer {
-            engine: Engine::buffalo(config, clustering),
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The underlying engine, mutably.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Consumes the driver, returning its engine — e.g. to hand a trained
-    /// model to the serving loop.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// The model being trained.
-    pub fn model(&self) -> &GnnModel {
-        self.engine.model()
-    }
-
-    /// The training configuration.
-    pub fn config(&self) -> &TrainConfig {
-        self.engine.config()
-    }
-
-    /// The active pipeline configuration.
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.engine.pipeline()
-    }
-
-    /// Sets the pipeline configuration.
-    pub fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.engine.set_pipeline(pipeline);
-    }
-
-    /// Builder-style [`set_pipeline`](Self::set_pipeline).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.engine.set_pipeline(pipeline);
-        self
-    }
-
-    /// Sets the OOM recovery policy and re-seeds the headroom calibrator
-    /// from its `headroom` floor.
-    pub fn set_recovery(&mut self, recovery: RecoveryPolicy) {
-        self.engine.set_recovery(recovery);
-    }
-
-    /// Builder-style [`set_recovery`](Self::set_recovery).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.engine.set_recovery(recovery);
-        self
-    }
-
-    /// The calibrator's current headroom multiplier: scheduling
-    /// constraints are `budget / multiplier`.
-    pub fn headroom_multiplier(&self) -> f64 {
-        self.engine.headroom_multiplier()
-    }
-
-    /// Captures model, optimizer, and calibrator state for a checkpoint.
-    pub fn capture_state(&mut self) -> TrainerState {
-        self.engine.capture_state()
-    }
-
-    /// Restores captured state bit-exactly, including the calibrator's
-    /// multiplier.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StateMismatch`] if the snapshot's parameters do
-    /// not fit this model.
-    pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
-        self.engine.restore_state(state)
-    }
-
-    /// Ensures the headroom multiplier is at least `multiplier` — the
-    /// rollback rung calls this with a compounding boost so each rollback
-    /// schedules more conservatively than the last, instead of replaying
-    /// the same doomed plan.
-    pub fn force_headroom(&mut self, multiplier: f64) {
-        self.engine.force_headroom(multiplier);
-    }
-
-    /// Trains one iteration on `batch` under the device budget.
-    ///
-    /// # Errors
-    ///
-    /// * [`TrainError::Schedule`] if no feasible grouping exists.
-    /// * [`TrainError::Oom`] if a micro-batch still exceeds the budget
-    ///   (estimator under-prediction) and recovery is disabled.
-    /// * [`TrainError::RecoveryExhausted`] if recovery is enabled and
-    ///   every rung of the ladder failed.
-    pub fn train_iteration(
-        &mut self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<IterationStats, TrainError> {
-        self.engine.train_iteration(ds, batch, device, cost)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::GnnModel;
+    use crate::TrainError;
     use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
     use buffalo_graph::datasets::{self, DatasetName};
-    use buffalo_memsim::{measure, AggregatorKind, DeviceMemory};
+    use buffalo_memsim::{measure, AggregatorKind, CostModel, Device, DeviceMemory};
     use buffalo_sampling::BatchSampler;
 
     fn small_setup() -> (Dataset, Batch, TrainConfig) {
@@ -367,7 +131,7 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let device = DeviceMemory::with_gib(24.0);
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config);
+        let mut trainer = Engine::full_batch(config);
         let first = trainer
             .train_iteration(&ds, &batch, &device, &cost)
             .unwrap();
@@ -394,7 +158,7 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let device = DeviceMemory::new(1 << 16); // 64 KiB
         let cost = CostModel::rtx6000();
-        let mut trainer = FullBatchTrainer::new(config);
+        let mut trainer = Engine::full_batch(config);
         let err = trainer
             .train_iteration(&ds, &batch, &device, &cost)
             .unwrap_err();
@@ -406,8 +170,8 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let big = DeviceMemory::with_gib(24.0);
-        let mut full = FullBatchTrainer::new(config.clone());
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut full = Engine::full_batch(config.clone());
+        let mut buffalo = Engine::buffalo(config, 0.24);
         // Force Buffalo into multiple micro-batches with a small budget
         // that the full batch would not fit.
         let small = DeviceMemory::new(splitting_budget(&batch, &full.config().shape));
@@ -436,9 +200,9 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
-        let mut serial = BuffaloTrainer::new(config.clone(), 0.24);
+        let mut serial = Engine::buffalo(config.clone(), 0.24);
         let mut pipelined =
-            BuffaloTrainer::new(config, 0.24).with_pipeline(PipelineConfig::overlapped());
+            Engine::buffalo(config, 0.24).with_pipeline(PipelineConfig::overlapped());
         let dev_s = DeviceMemory::new(budget);
         let dev_p = DeviceMemory::new(budget);
         for i in 0..6 {
@@ -465,8 +229,7 @@ mod tests {
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         let device = DeviceMemory::new(budget);
-        let mut trainer =
-            BuffaloTrainer::new(config, 0.24).with_pipeline(PipelineConfig::overlapped());
+        let mut trainer = Engine::buffalo(config, 0.24).with_pipeline(PipelineConfig::overlapped());
         let stats = trainer
             .train_iteration(&ds, &batch, &device, &cost)
             .unwrap();
@@ -540,9 +303,9 @@ mod tests {
         let budget = splitting_budget(&batch, &config.shape);
         let dev_s = DeviceMemory::new(budget);
         let dev_p = DeviceMemory::new(budget);
-        let mut serial = BuffaloTrainer::new(config.clone(), 0.24);
+        let mut serial = Engine::buffalo(config.clone(), 0.24);
         let mut pipelined =
-            BuffaloTrainer::new(config, 0.24).with_pipeline(PipelineConfig::overlapped());
+            Engine::buffalo(config, 0.24).with_pipeline(PipelineConfig::overlapped());
         let a = serial.train_iteration(&ds, &batch, &dev_s, &cost).unwrap();
         let b = pipelined
             .train_iteration(&ds, &batch, &dev_p, &cost)
@@ -557,9 +320,9 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let big = DeviceMemory::with_gib(24.0);
-        let mut full = FullBatchTrainer::new(config.clone());
+        let mut full = Engine::full_batch(config.clone());
         let full_stats = full.train_iteration(&ds, &batch, &big, &cost).unwrap();
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut buffalo = Engine::buffalo(config, 0.24);
         let small = DeviceMemory::new(full_stats.peak_mem_bytes * 3 / 4);
         let b_stats = buffalo.train_iteration(&ds, &batch, &small, &cost).unwrap();
         assert!(b_stats.peak_mem_bytes <= small.budget());
@@ -581,8 +344,8 @@ mod tests {
             DeviceMemory::new(budget),
             FaultPlan::parse("transient:nth=1,nth=3,nth=7,nth=12").unwrap(),
         );
-        let mut a = BuffaloTrainer::new(config.clone(), 0.24);
-        let mut b = BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let mut a = Engine::buffalo(config.clone(), 0.24);
+        let mut b = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let mut recovered = 0usize;
         for i in 0..5 {
             let sa = a.train_iteration(&ds, &batch, &clean, &cost).unwrap();
@@ -618,13 +381,12 @@ mod tests {
         );
         let baseline_k = {
             let clean = DeviceMemory::new(budget);
-            let mut t = BuffaloTrainer::new(config.clone(), 0.24);
+            let mut t = Engine::buffalo(config.clone(), 0.24);
             t.train_iteration(&ds, &batch, &clean, &cost)
                 .unwrap()
                 .num_micro_batches
         };
-        let mut trainer =
-            BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let mut trainer = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let stats = trainer
             .train_iteration(&ds, &batch, &faulty, &cost)
             .unwrap();
@@ -667,7 +429,7 @@ mod tests {
             max_retries: 2,
             ..RecoveryPolicy::default()
         };
-        let mut trainer = BuffaloTrainer::new(config, 0.24).with_recovery(policy);
+        let mut trainer = Engine::buffalo(config, 0.24).with_recovery(policy);
         let err = trainer
             .train_iteration(&ds, &batch, &faulty, &cost)
             .unwrap_err();
@@ -706,11 +468,10 @@ mod tests {
                 DeviceMemory::new(budget),
                 FaultPlan::parse("transient:p=0.12,seed=11").unwrap(),
             );
-            let mut trainer =
-                BuffaloTrainer::new(config.clone(), 0.24).with_recovery(RecoveryPolicy {
-                    max_retries: 8,
-                    ..RecoveryPolicy::default()
-                });
+            let mut trainer = Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy {
+                max_retries: 8,
+                ..RecoveryPolicy::default()
+            });
             let mut events = Vec::new();
             let mut losses = Vec::new();
             for _ in 0..4 {
@@ -747,8 +508,8 @@ mod tests {
             DeviceMemory::new(budget),
             FaultPlan::parse("transient:nth=1").unwrap(),
         );
-        let mut serial = BuffaloTrainer::new(config.clone(), 0.24);
-        let mut pipelined = BuffaloTrainer::new(config, 0.24)
+        let mut serial = Engine::buffalo(config.clone(), 0.24);
+        let mut pipelined = Engine::buffalo(config, 0.24)
             .with_pipeline(PipelineConfig::overlapped())
             .with_recovery(RecoveryPolicy::default());
         let a = serial.train_iteration(&ds, &batch, &clean, &cost).unwrap();
@@ -780,9 +541,8 @@ mod tests {
         let clean = DevicePool::homogeneous(2, budget, &FaultPlan::none()).unwrap();
         let faulty =
             DevicePool::homogeneous(2, budget, &FaultPlan::parse("lose:1,3").unwrap()).unwrap();
-        let mut a =
-            BuffaloTrainer::new(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
-        let mut b = BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let mut a = Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
+        let mut b = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let mut events = Vec::new();
         for i in 0..5 {
             let sa = a.train_iteration(&ds, &batch, &clean, &cost).unwrap();
@@ -831,8 +591,7 @@ mod tests {
         let pool =
             DevicePool::homogeneous(2, budget, &FaultPlan::parse("lose:0,2;lose:1,2").unwrap())
                 .unwrap();
-        let mut trainer =
-            BuffaloTrainer::new(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let mut trainer = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let err = trainer
             .train_iteration(&ds, &batch, &pool, &cost)
             .unwrap_err();
@@ -853,6 +612,37 @@ mod tests {
             other => panic!("expected RecoveryExhausted, got {other:?}"),
         }
         assert_eq!(pool.dead(), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_lone_lost_device_exhausts_like_a_pool_of_one() {
+        // Regression: the `Device` defaults used to answer "one live
+        // device" after a lone device died, so this iteration took the
+        // failover rung forever, one `DeviceLost` event per spin. A
+        // single device is a pool of one: same error, same one-event
+        // trail.
+        use buffalo_memsim::{FaultPlan, FaultyDevice};
+        let (ds, batch, config) = small_setup();
+        let cost = CostModel::rtx6000();
+        let budget = splitting_budget(&batch, &config.shape);
+        let plan = FaultPlan::parse("lose:0,2").unwrap();
+        let lone = FaultyDevice::new(DeviceMemory::new(budget), plan.clone());
+        let pool = DevicePool::homogeneous(1, budget, &plan).unwrap();
+        let trails = [&lone as &dyn Device, &pool].map(|device| {
+            let mut engine =
+                Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
+            match engine.train_iteration(&ds, &batch, device, &cost) {
+                Err(TrainError::RecoveryExhausted { events, last }) => {
+                    assert!(last.device_lost);
+                    events
+                }
+                other => panic!("expected RecoveryExhausted, got {other:?}"),
+            }
+        });
+        assert_eq!(trails[0], trails[1]);
+        assert_eq!(trails[0].len(), 1, "trail grew: {:?}", trails[0]);
+        assert_eq!(trails[0][0].action, RecoveryAction::Exhausted);
+        assert_eq!(trails[0][0].index, 1, "the second micro-batch hit the loss");
     }
 
     #[test]
@@ -893,7 +683,7 @@ mod tests {
             DevicePool::homogeneous(2, budget, &FaultPlan::parse(spec).unwrap()).unwrap()
         };
         let fresh_trainer =
-            || BuffaloTrainer::new(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
+            || Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
         let reference = {
             let pool = fresh_pool("");
             let mut t = fresh_trainer();
@@ -940,7 +730,7 @@ mod tests {
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let device = DeviceMemory::new(16); // 16 bytes
-        let mut buffalo = BuffaloTrainer::new(config, 0.24);
+        let mut buffalo = Engine::buffalo(config, 0.24);
         let err = buffalo
             .train_iteration(&ds, &batch, &device, &cost)
             .unwrap_err();

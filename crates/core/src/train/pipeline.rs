@@ -40,7 +40,9 @@
 //! of which device an allocation landed on.
 
 use crate::models::GnnModel;
-use crate::train::recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
+use crate::train::recovery::{
+    exhausted, fail_over, HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy,
+};
 use crate::TrainError;
 use buffalo_blocks::{GenerateOptions, PreparedBlocks, PreparedParts};
 use buffalo_bucketing::BuffaloScheduler;
@@ -333,14 +335,8 @@ struct ExecState<'d, 'c> {
 
 impl ExecState<'_, '_> {
     fn record_event(&mut self, action: RecoveryAction, oom: &buffalo_memsim::OomError) {
-        self.events.push(RecoveryEvent {
-            micro_batch: self.micro_batches,
-            action,
-            requested: oom.requested,
-            in_use: oom.in_use,
-            budget: oom.budget,
-            transient: oom.transient,
-        });
+        self.events
+            .push(RecoveryEvent::new(self.micro_batches, action, oom));
     }
 }
 
@@ -398,26 +394,13 @@ fn consume_one(
                 if !ctx.policy.enabled {
                     return Err(TrainError::Oom(oom));
                 }
-                // Failover rung: a permanent whole-device loss. Retrying
-                // or degrading residency cannot help — the device is gone
-                // — so mark it dead, re-route this micro-batch (and, via
+                // Failover rung: re-route this micro-batch (and, via
                 // round-robin over the survivors, every unfinished group
                 // the dead device would have taken) and replay the
-                // allocation. The loss says nothing about the estimator,
-                // so the calibrator is *not* fed.
+                // allocation.
                 if oom.device_lost {
-                    let device = st.residency.device.active_device();
-                    st.residency.device.mark_active_device_dead();
-                    let survivors = st.residency.device.live_device_count();
-                    if survivors == 0 {
-                        st.record_event(RecoveryAction::Exhausted, &oom);
-                        return Err(TrainError::RecoveryExhausted {
-                            events: st.events.clone(),
-                            last: oom,
-                        });
-                    }
-                    st.record_event(RecoveryAction::DeviceLost { device, survivors }, &oom);
-                    st.residency.device.begin_micro_batch(assign_idx);
+                    let device = st.residency.device;
+                    fail_over(device, &mut st.events, st.micro_batches, assign_idx, oom)?;
                     // Fresh device, fresh retry budget.
                     attempt = 0;
                     continue;
@@ -440,18 +423,10 @@ fn consume_one(
                 }
                 // Rung 2: bounded pure retries. Allocation precedes all
                 // compute, so a retry repeats no work and perturbs no
-                // gradient. Transient faults back off exponentially.
+                // gradient.
                 if attempt < ctx.policy.max_retries {
                     attempt += 1;
-                    let backoff = if oom.transient {
-                        ctx.policy.backoff_base * (1u32 << (attempt - 1).min(16))
-                    } else {
-                        std::time::Duration::ZERO
-                    };
-                    st.record_event(RecoveryAction::Retry { attempt, backoff }, &oom);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+                    st.record_event(RecoveryAction::Retry { attempt }, &oom);
                     continue;
                 }
                 // Rung 3: re-split this micro-batch into smaller groups.
@@ -508,11 +483,7 @@ fn consume_one(
                 }
             }
         }
-        st.record_event(RecoveryAction::Exhausted, &oom);
-        return Err(TrainError::RecoveryExhausted {
-            events: st.events.clone(),
-            last: oom,
-        });
+        return Err(exhausted(&mut st.events, st.micro_batches, oom));
     }
     // Allocation landed: forward, loss, backward.
     let features = Tensor::from_vec(features.len() / feat_dim, feat_dim, features);
@@ -597,7 +568,7 @@ pub(crate) fn run_pipeline(
             for (idx, &spec) in specs.iter().enumerate() {
                 let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
                 // Route this micro-batch's allocations: a device pool
-                // round-robins over its live members; plain devices no-op.
+                // round-robins over its live members.
                 device.begin_micro_batch(idx);
                 consume_one(
                     model,
@@ -685,7 +656,7 @@ pub(crate) struct InferRequest<'a> {
     /// pool members ([`Device::begin_micro_batch`]). Serving passes its
     /// run-cumulative micro-batch count so successive dispatches
     /// round-robin across a [`DevicePool`](super::DevicePool) instead of
-    /// all landing on member 0; identity (no-op) on single devices.
+    /// all landing on member 0.
     pub micro_base: usize,
 }
 

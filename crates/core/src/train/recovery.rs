@@ -1,44 +1,52 @@
-//! OOM recovery policy, event trail, and estimator headroom calibration.
+//! The recovery vocabulary — policy, actions, event trail — shared by the
+//! training and serving ladders, plus estimator headroom calibration.
 //!
 //! The scheduler's Algorithm 3 guards against OOM at *plan* time; this
 //! module guards *execution* time, where an estimator under-prediction, an
 //! injected fault, or a mid-epoch budget shrink can still make the device
-//! refuse an allocation. On such a failure the pipeline climbs a recovery
-//! ladder (degrade double-buffering → bounded retries → re-split the
-//! micro-batch → fail over a lost device to the survivors) and records
-//! every rung as a [`RecoveryEvent`]; only when
-//! the ladder is exhausted does a structured
-//! [`TrainError::RecoveryExhausted`](crate::TrainError::RecoveryExhausted)
-//! carrying the full trail reach the caller.
+//! refuse an allocation. On such a failure the caller climbs a recovery
+//! ladder and records every rung as a [`RecoveryEvent`]; only when the
+//! ladder is exhausted does a structured
+//! [`TrainError::RecoveryExhausted`] carrying the full trail reach the
+//! caller.
+//!
+//! There are two climb loops, on purpose: training
+//! ([`pipeline`](super::pipeline)) degrades residency *before* retrying,
+//! retries genuine refusals too, feeds the [`HeadroomCalibrator`] and
+//! re-splits through the bucket scheduler; serving
+//! ([`serve::recovery`](crate::serve::recovery)) retries *only* transient
+//! faults, degrades its batch width *after*, and halves by seed. They
+//! differ in rung order and guard, so one loop would branch on its
+//! caller. What they share lives here: the types, the failover rung
+//! (`fail_over`) and the way a ladder ends (`exhausted`).
 
-use std::time::Duration;
+use crate::TrainError;
+use buffalo_memsim::{Device, OomError};
 
-/// Limits and knobs for execution-time OOM recovery.
-#[derive(Debug, Clone, PartialEq)]
+/// Limits for execution-time OOM recovery, for training and serving
+/// alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Master switch. When `false`, any execution-time OOM propagates
-    /// immediately — the pre-recovery behavior and the trainers' default.
+    /// immediately — the pre-recovery behavior and the engine's default.
     pub enabled: bool,
     /// Pure retries of the same allocation before escalating. Retries are
     /// safe because allocation happens *before* any forward/backward work:
     /// a failed micro-batch has contributed nothing to the gradients.
     pub max_retries: usize,
-    /// Recursive re-split depth: how many times one micro-batch may be
-    /// re-scheduled into smaller groups before giving up.
+    /// Recursive re-split depth: how many times one micro-batch (or one
+    /// serving dispatch) may be cut into smaller pieces before giving up.
     pub max_resplits: usize,
-    /// Base sleep for exponential backoff on *transient* faults (doubling
-    /// per retry). Keep at zero in tests and simulation; real transient
-    /// faults (fragmentation, co-tenant spikes) benefit from waiting.
-    pub backoff_base: Duration,
     /// Initial headroom multiplier for the [`HeadroomCalibrator`]. `1.0`
-    /// means scheduling starts out trusting the estimator exactly.
+    /// means scheduling starts out trusting the estimator exactly. Only
+    /// training calibrates; serving leaves it alone.
     pub headroom: f64,
 }
 
 impl RecoveryPolicy {
     /// Recovery switched off: every OOM is terminal. This is the default
-    /// for trainers so that existing OOM semantics (the paper's "OOM"
-    /// table cells) are unchanged unless a caller opts in.
+    /// for a training engine so that existing OOM semantics (the paper's
+    /// "OOM" table cells) are unchanged unless a caller opts in.
     pub fn disabled() -> Self {
         RecoveryPolicy {
             enabled: false,
@@ -53,36 +61,41 @@ impl Default for RecoveryPolicy {
             enabled: true,
             max_retries: 3,
             max_resplits: 2,
-            backoff_base: Duration::ZERO,
             headroom: 1.0,
         }
     }
 }
 
-/// One rung of the recovery ladder.
+/// One rung of a recovery ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// Double-buffered residency was dropped to serial so only one
-    /// micro-batch stays resident.
+    /// Training: double-buffered residency was dropped to serial so only
+    /// one micro-batch stays resident.
     DegradeSerial,
+    /// Serving: the loop's effective coalescing width was halved so
+    /// future dispatches are smaller.
+    DegradeBatch {
+        /// Width before degrading.
+        from: usize,
+        /// Width after degrading.
+        to: usize,
+    },
     /// The same allocation was retried.
     Retry {
         /// 1-based retry attempt number.
         attempt: usize,
-        /// Backoff slept before this retry.
-        backoff: Duration,
     },
-    /// The failing micro-batch was re-scheduled into smaller groups.
+    /// The failing micro-batch or dispatch was cut into smaller groups,
+    /// each retried in turn.
     Resplit {
         /// Seeds in the offending group.
         seeds: usize,
         /// Number of sub-groups it was split into.
         into: usize,
     },
-    /// A whole device was permanently lost: it is marked dead, its
-    /// in-flight micro-batch replays on a survivor, and its unfinished
-    /// bucket groups re-shard across the surviving devices (re-splitting
-    /// under the survivors' budgets when they no longer fit).
+    /// A whole device was permanently lost: it is marked dead, the
+    /// in-flight work replays on a survivor, and everything the dead
+    /// device would have taken re-routes across the surviving devices.
     DeviceLost {
         /// Index of the lost device.
         device: usize,
@@ -97,16 +110,17 @@ impl std::fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryAction::DegradeSerial => write!(f, "degrade double-buffer to serial"),
-            RecoveryAction::Retry { attempt, backoff } => {
-                write!(f, "retry #{attempt} (backoff {backoff:?})")
+            RecoveryAction::DegradeBatch { from, to } => {
+                write!(f, "degrade batch width {from} -> {to}")
             }
+            RecoveryAction::Retry { attempt } => write!(f, "retry #{attempt}"),
             RecoveryAction::Resplit { seeds, into } => {
                 write!(f, "re-split {seeds} seeds into {into} groups")
             }
             RecoveryAction::DeviceLost { device, survivors } => {
                 write!(
                     f,
-                    "device {device} lost; re-sharding onto {survivors} survivor(s)"
+                    "device {device} lost; re-routing onto {survivors} survivor(s)"
                 )
             }
             RecoveryAction::Exhausted => write!(f, "recovery exhausted"),
@@ -118,8 +132,10 @@ impl std::fmt::Display for RecoveryAction {
 /// refusal's context attached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvent {
-    /// Index of the micro-batch (in execution order) that hit the fault.
-    pub micro_batch: usize,
+    /// Which unit of work hit the fault: the micro-batch, in execution
+    /// order within its iteration, when training; the dispatch (coalesced
+    /// batch), in run order, when serving.
+    pub index: usize,
     /// The ladder rung taken.
     pub action: RecoveryAction,
     /// Bytes the failed allocation requested.
@@ -133,12 +149,28 @@ pub struct RecoveryEvent {
     pub transient: bool,
 }
 
+impl RecoveryEvent {
+    /// The event for taking `action` on work unit `index` after `oom`.
+    pub(crate) fn new(index: usize, action: RecoveryAction, oom: &OomError) -> Self {
+        RecoveryEvent {
+            index,
+            action,
+            requested: oom.requested,
+            in_use: oom.in_use,
+            budget: oom.budget,
+            transient: oom.transient,
+        }
+    }
+}
+
+/// Renders as `<index>: <action> (<refusal>)`; the caller names the unit
+/// in front (`micro-batch`, `dispatch`).
 impl std::fmt::Display for RecoveryEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "micro-batch {}: {} (requested {} B, {} B in use, budget {} B{})",
-            self.micro_batch,
+            "{}: {} (requested {} B, {} B in use, budget {} B{})",
+            self.index,
             self.action,
             self.requested,
             self.in_use,
@@ -146,6 +178,51 @@ impl std::fmt::Display for RecoveryEvent {
             if self.transient { ", transient" } else { "" }
         )
     }
+}
+
+/// How every ladder ends: records [`RecoveryAction::Exhausted`] for work
+/// unit `index` and builds the error that carries the whole trail.
+pub(crate) fn exhausted(
+    events: &mut Vec<RecoveryEvent>,
+    index: usize,
+    last: OomError,
+) -> TrainError {
+    events.push(RecoveryEvent::new(index, RecoveryAction::Exhausted, &last));
+    TrainError::RecoveryExhausted {
+        events: events.clone(),
+        last,
+    }
+}
+
+/// The failover rung, shared by both ladders. `oom` is a permanent
+/// whole-device loss ([`OomError::device_lost`]): no retry, degrade or
+/// re-split can help, so the device that refused is marked dead and
+/// `route` — the round-robin key of the interrupted work — is routed
+/// again, now over the survivors, for the caller to replay. The loss says
+/// nothing about the estimator, so no calibrator is fed.
+///
+/// # Errors
+///
+/// [`TrainError::RecoveryExhausted`] when no device survives — always the
+/// case for a lone device, which is a pool of one.
+pub(crate) fn fail_over(
+    device: &dyn Device,
+    events: &mut Vec<RecoveryEvent>,
+    index: usize,
+    route: usize,
+    oom: OomError,
+) -> Result<(), TrainError> {
+    let (lost, survivors) = device.fail_active_device();
+    if survivors == 0 {
+        return Err(exhausted(events, index, oom));
+    }
+    let action = RecoveryAction::DeviceLost {
+        device: lost,
+        survivors,
+    };
+    events.push(RecoveryEvent::new(index, action, &oom));
+    device.begin_micro_batch(route);
+    Ok(())
 }
 
 /// Online calibration of the memory estimator's safety margin.
@@ -239,10 +316,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_policy_is_default_off() {
-        let p = RecoveryPolicy::disabled();
-        assert!(!p.enabled);
-        assert!(RecoveryPolicy::default().enabled);
+    fn policy_defaults_and_disable() {
+        let p = RecoveryPolicy::default();
+        assert!(p.enabled);
+        assert_eq!(p.max_retries, 3);
+        assert_eq!(p.max_resplits, 2);
+        assert_eq!(p.headroom, 1.0);
+        assert!(!RecoveryPolicy::disabled().enabled);
     }
 
     #[test]
@@ -365,19 +445,15 @@ mod tests {
     #[test]
     fn events_display_their_context() {
         let ev = RecoveryEvent {
-            micro_batch: 3,
-            action: RecoveryAction::Retry {
-                attempt: 2,
-                backoff: Duration::ZERO,
-            },
+            index: 3,
+            action: RecoveryAction::Retry { attempt: 2 },
             requested: 100,
             in_use: 40,
             budget: 120,
             transient: true,
         };
         let s = ev.to_string();
-        assert!(s.contains("micro-batch 3"));
-        assert!(s.contains("retry #2"));
+        assert!(s.starts_with("3: retry #2 (requested 100 B"), "{s}");
         assert!(s.contains("transient"));
         let s = RecoveryEvent {
             action: RecoveryAction::Resplit { seeds: 64, into: 2 },
@@ -394,5 +470,7 @@ mod tests {
         .to_string();
         assert!(s.contains("device 1 lost"), "{s}");
         assert!(s.contains("3 survivor"), "{s}");
+        let s = RecoveryAction::DegradeBatch { from: 64, to: 32 }.to_string();
+        assert!(s.contains("64 -> 32"), "{s}");
     }
 }

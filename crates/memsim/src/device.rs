@@ -108,86 +108,56 @@ pub trait Device: Sync {
     fn reset_peak(&self);
     /// Frees everything.
     fn free_all(&self);
-    /// Total `alloc` calls observed, for devices that track a
-    /// deterministic fault stream keyed off the allocation counter.
-    /// Plain devices report 0 — their behaviour never depends on it.
-    fn alloc_calls(&self) -> u64 {
-        0
-    }
-    /// Resets fault streams to the state after exactly `allocs` calls
-    /// (see [`FaultyDevice::fast_forward`](crate::FaultyDevice::fast_forward)).
-    /// A no-op on devices without fault state: replaying a plain device
-    /// from any position is already deterministic.
-    fn fast_forward_allocs(&self, allocs: u64) {
-        let _ = allocs;
-    }
 
-    // --- Multi-device pool surface -------------------------------------
+    // --- Pool surface ---------------------------------------------------
     //
     // A `Device` may front a *pool* of simulated devices (an elastic
-    // multi-device runner). The methods below let the executor shard
-    // micro-batches across pool members and survive losing one, while
-    // every plain single-device implementation keeps the trivial
-    // defaults: one device, index 0, never dead.
-
-    /// Number of devices behind this handle (1 for plain devices).
-    fn device_count(&self) -> usize {
-        1
-    }
-
-    /// Number of devices still alive (not marked lost).
-    fn live_device_count(&self) -> usize {
-        1
-    }
-
-    /// The device that will receive the next allocation.
-    fn active_device(&self) -> usize {
-        0
-    }
+    // multi-device runner). Every default below is the truth for a lone
+    // device — a pool of one with nowhere to fail over to.
 
     /// Routes the upcoming micro-batch's allocations: a pool picks the
-    /// live device for `index` (round-robin over survivors); plain
-    /// devices ignore it.
+    /// live device for `index` (round-robin over survivors); a lone
+    /// device has nowhere else to route.
     fn begin_micro_batch(&self, index: usize) {
         let _ = index;
     }
 
-    /// Marks the active device as permanently lost, so it is skipped by
-    /// every subsequent [`begin_micro_batch`](Device::begin_micro_batch).
-    /// A no-op on plain devices (there is nothing to fail over to).
-    fn mark_active_device_dead(&self) {}
-
     /// The budget the *scheduler* should plan against: the tightest
     /// per-device budget across live pool members (a bucket group must
-    /// fit whichever survivor it lands on). Plain devices report their
+    /// fit whichever survivor it lands on). A lone device reports its
     /// own budget.
     fn schedule_budget(&self) -> u64 {
         self.budget()
     }
 
-    /// Per-device allocation counters, indexed by device, for snapshots
-    /// that must fast-forward every fault stream on resume.
-    fn per_device_alloc_calls(&self) -> Vec<u64> {
-        vec![self.alloc_calls()]
+    /// The failover rung's one question, asked after an allocation came
+    /// back [`OomError::device_lost`]: marks the device that refused it
+    /// dead — skipped by every later
+    /// [`begin_micro_batch`](Device::begin_micro_batch) — and returns
+    /// `(lost device index, live devices remaining)`. A lone device is
+    /// device 0 and leaves **zero** survivors, so recovery over it ends
+    /// instead of failing over onto the device that just died.
+    fn fail_active_device(&self) -> (usize, usize) {
+        (0, 0)
     }
 
-    /// Resets device `index`'s fault streams to the state after exactly
-    /// `allocs` calls (the per-device form of
-    /// [`fast_forward_allocs`](Device::fast_forward_allocs)).
-    fn fast_forward_device(&self, index: usize, allocs: u64) {
-        if index == 0 {
-            self.fast_forward_allocs(allocs);
-        }
+    /// Where the deterministic fault streams stand, for snapshots:
+    /// `(allocation calls seen per device, indices of devices marked
+    /// dead, ascending)`. A device without fault state stays at position
+    /// 0 — replaying it from anywhere is already deterministic.
+    fn snapshot_position(&self) -> (Vec<u64>, Vec<u64>) {
+        (vec![0], Vec::new())
     }
 
-    /// Indices of devices marked dead, ascending (snapshot round-trip).
-    fn dead_devices(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Re-marks devices dead on resume. Out-of-range indices are ignored.
-    fn restore_dead_devices(&self, dead: &[u64]) {
-        let _ = dead;
+    /// Puts the fault streams back where
+    /// [`snapshot_position`](Device::snapshot_position) found them:
+    /// device `i` is reset to the state after exactly `allocs[i]` calls
+    /// (see [`FaultyDevice::fast_forward`](crate::FaultyDevice::fast_forward))
+    /// and the devices in `dead` are marked dead again. Indices past the
+    /// device count are ignored; a device without fault state has
+    /// nothing to move.
+    fn restore_position(&self, allocs: &[u64], dead: &[u64]) {
+        let _ = (allocs, dead);
     }
 }
 

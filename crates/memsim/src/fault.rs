@@ -499,11 +499,13 @@ impl Device for FaultyDevice {
     fn free_all(&self) {
         self.inner.free_all();
     }
-    fn alloc_calls(&self) -> u64 {
-        self.lock().counters.allocs
+    fn snapshot_position(&self) -> (Vec<u64>, Vec<u64>) {
+        (vec![self.lock().counters.allocs], Vec::new())
     }
-    fn fast_forward_allocs(&self, allocs: u64) {
-        self.fast_forward(allocs);
+    fn restore_position(&self, allocs: &[u64], _dead: &[u64]) {
+        if let Some(&n) = allocs.first() {
+            self.fast_forward(n);
+        }
     }
 }
 
@@ -658,7 +660,7 @@ mod tests {
         // identically, with identical counters at every point.
         let ff = FaultyDevice::new(DeviceMemory::new(100), FaultPlan::parse(spec).unwrap());
         ff.fast_forward(8);
-        assert_eq!(Device::alloc_calls(&ff), 8);
+        assert_eq!(ff.snapshot_position(), (vec![8], Vec::new()));
         let tail = drain(&ff, 12, 10);
         assert_eq!(tail, full[8..], "fast-forwarded stream must match live");
         assert_eq!(ff.counters(), live.counters());

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example convergence`
 
-use buffalo::core::train::{BuffaloTrainer, FullBatchTrainer, TrainConfig};
+use buffalo::core::train::{Engine, TrainConfig};
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::memsim::{AggregatorKind, CostModel, DeviceMemory, GnnShape};
 use buffalo::sampling::BatchSampler;
@@ -25,14 +25,14 @@ fn main() {
         };
         // Probe the whole-batch footprint, then squeeze Buffalo.
         let unlimited = DeviceMemory::new(u64::MAX);
-        let mut probe = FullBatchTrainer::new(config.clone());
+        let mut probe = Engine::full_batch(config.clone());
         let whole = probe
             .train_iteration(&ds, &batch, &unlimited, &cost)
             .unwrap();
         let budget = DeviceMemory::new(whole.peak_mem_bytes * 3 / 5);
 
-        let mut full = FullBatchTrainer::new(config.clone());
-        let mut buffalo = BuffaloTrainer::new(config, 0.06);
+        let mut full = Engine::full_batch(config.clone());
+        let mut buffalo = Engine::buffalo(config, 0.06);
         println!("aggregator {aggregator}:");
         println!(
             "{:>5} {:>12} {:>12} {:>8}",

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use buffalo::core::train::{BuffaloTrainer, FullBatchTrainer, TrainConfig};
+use buffalo::core::train::{Engine, TrainConfig};
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::memsim::{AggregatorKind, CostModel, DeviceMemory, GnnShape};
 use buffalo::sampling::BatchSampler;
@@ -47,7 +47,7 @@ fn main() {
 
     // 4. Find the whole-batch footprint, then give Buffalo half of it.
     let unlimited = DeviceMemory::new(u64::MAX);
-    let mut probe = FullBatchTrainer::new(config.clone());
+    let mut probe = Engine::full_batch(config.clone());
     let whole = probe
         .train_iteration(&ds, &batch, &unlimited, &cost)
         .expect("unlimited device cannot OOM");
@@ -60,7 +60,7 @@ fn main() {
     // 5. Train with Buffalo: the scheduler splits the batch into bucket
     //    groups that fit the budget; gradients accumulate across
     //    micro-batches, so convergence matches whole-batch training.
-    let mut trainer = BuffaloTrainer::new(config, 0.2);
+    let mut trainer = Engine::buffalo(config, 0.2);
     for epoch in 0..10 {
         let stats = trainer
             .train_iteration(&ds, &batch, &device, &cost)

@@ -15,19 +15,15 @@
 
 use buffalo::bucketing::BuffaloScheduler;
 use buffalo::core::checkpoint::CheckpointOptions;
-use buffalo::core::serve::{
-    serve_trace, RequestTrace, ServeConfig, ServeRecoveryAction, ServeRecoveryPolicy, ShedPolicy,
-};
+use buffalo::core::serve::{serve_trace, RequestTrace, ServeConfig, ShedPolicy};
 use buffalo::core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo::core::train::{
     run_epochs_checkpointed, DevicePool, Engine, EpochConfig, PipelineConfig, RecoveryAction,
-    RecoveryPolicy,
+    RecoveryPolicy, TrainConfig,
 };
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::graph::{io, stats, CsrGraph, NodeId};
-use buffalo::memsim::{
-    AggregatorKind, CostModel, Device, DeviceMemory, FaultPlan, FaultyDevice, GnnShape,
-};
+use buffalo::memsim::{AggregatorKind, CostModel, FaultPlan, GnnShape};
 use buffalo::sampling::{BatchSampler, SeedBatches};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -64,8 +60,10 @@ const USAGE: &str = "usage:
                      transient:p=0.1,seed=7   transient:nth=5
                      shrink:at=10,factor=0.5,restore=20
                      crash:at=3,bytes=64,torn=1   (needs --checkpoint-dir)
-                     lose:1,40   (device 1 dies at its 40th alloc; needs
-                                  --gpus >= 2 to survive)
+                     lose:1,40   (device 1 dies at its 40th alloc; with
+                                  --gpus >= 2 the survivors take over, and
+                                  once none is left — at once on a single
+                                  device — the run ends `recovery exhausted`)
   buffalo serve    <dataset> [--budget 24G] [--trace poisson:n=256,rate=64,seed=7]
                    [--max-batch N] [--max-wait-ms F] [--warmup-iters N]
                    [--queue-depth N] [--shed-policy reject-newest|shed-oldest]
@@ -301,42 +299,37 @@ fn cmd_schedule(target: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
+/// Everything `train` and `serve` read off the command line the same
+/// way: the dataset and batch, the engine configuration, the staging
+/// mode, and which devices to run on under which faults.
+struct EngineSetup {
+    s: Setup,
+    config: TrainConfig,
+    precision: datasets::FeaturePrecision,
+    pipeline: PipelineConfig,
+    faults: Option<FaultPlan>,
+    gpus: Option<usize>,
+}
+
+fn engine_setup(target: &str, opts: &Options) -> Result<EngineSetup, String> {
     let mut o = Options {
         positional: opts.positional.clone(),
         flags: opts.flags.clone(),
     };
-    // Training runs real dense math on the CPU: default to a light shape.
+    // Training and serving run real dense math on the CPU: default to a
+    // light shape.
     o.flags
         .entry("hidden".into())
         .or_insert_with(|| "32".into());
     o.flags.entry("agg".into()).or_insert_with(|| "mean".into());
     let mut s = setup(target, &o, "5,10")?;
-    let epochs: usize = o.get("epochs", 3)?;
-    let batch_size: usize = o.get("batch-size", 256)?;
-    let eval_nodes: usize = o.get("eval", 512)?;
-    let train_nodes: usize = o.get(
-        "train-nodes",
-        (s.ds.graph.num_nodes() / 4).min(2_048).max(batch_size),
-    )?;
-    let mut parallelism = match o.flags.get("threads") {
-        Some(v) => {
-            let n: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-            buffalo::par::Parallelism::with_threads(n)
-        }
-        None => buffalo::par::Parallelism::auto(),
-    };
+    let mut parallelism = buffalo::par::Parallelism::auto();
     parallelism.simd =
         buffalo::par::SimdPolicy::parse(&o.get::<String>("simd", "scalar".into())?)?.resolve()?;
     let precision =
         datasets::FeaturePrecision::parse(&o.get::<String>("precision", "f32".into())?)?;
     s.ds.set_precision(precision);
-    println!(
-        "kernels: simd={} precision={}",
-        parallelism.simd.as_str(),
-        precision.as_str()
-    );
-    let config = buffalo::core::train::TrainConfig {
+    let config = TrainConfig {
         shape: s.shape.clone(),
         fanouts: s.fanouts.clone(),
         lr: o.get("lr", 0.01)?,
@@ -344,19 +337,98 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         parallelism,
     };
     let pipeline = parse_pipeline(&o.get::<String>("pipeline", "off".into())?)?;
-    // Fault injection and recovery. Recovery is enabled whenever any of
-    // its flags (or a fault spec) is given; a plain run keeps the classic
-    // fail-fast OOM semantics.
-    let mut fault_plan = match o.flags.get("faults") {
+    let faults = match o.flags.get("faults") {
         Some(spec) => Some(FaultPlan::parse(spec)?),
         None => None,
     };
+    let gpus = match o.flags.get("gpus") {
+        Some(v) => Some(v.parse().map_err(|_| format!("bad --gpus `{v}`"))?),
+        None => None,
+    };
+    Ok(EngineSetup {
+        s,
+        config,
+        precision,
+        pipeline,
+        faults,
+        gpus,
+    })
+}
+
+/// The one place the CLI builds a device. A single device is a pool of
+/// one: `--gpus N` only changes the member count (`budget` bytes EACH),
+/// and every member replays `faults` (a `lose:` clause fires on the
+/// member it names).
+fn device_pool(
+    gpus: Option<usize>,
+    budget: u64,
+    faults: Option<&FaultPlan>,
+) -> Result<DevicePool, String> {
+    let none = FaultPlan::none();
+    DevicePool::homogeneous(gpus.unwrap_or(1), budget, faults.unwrap_or(&none))
+        .map_err(|e| e.to_string())
+}
+
+/// What the devices went through: the `faults:` line for a single device
+/// under a fault plan, the `devices:` table when `--gpus` asked for a pool.
+fn print_device_summary(pool: &DevicePool, faults: bool, gpus: bool) {
+    let members = (0..pool.len()).filter_map(|i| Some((i, pool.device(i)?.counters())));
+    if gpus {
+        println!(
+            "devices: {} in pool, {} live",
+            pool.len(),
+            pool.len() - pool.dead().len()
+        );
+        for (i, c) in members {
+            println!(
+                "  device {i}: {} allocs, {} injected{}",
+                c.allocs,
+                c.injected,
+                if pool.is_dead(i) { ", LOST" } else { "" }
+            );
+        }
+    } else if faults {
+        // No `--gpus`: the pool's one member is the device.
+        for (_, c) in members {
+            println!(
+                "faults: {} injected over {} allocs, {} budget changes",
+                c.injected, c.allocs, c.budget_changes
+            );
+        }
+    }
+}
+
+fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
+    let EngineSetup {
+        s,
+        mut config,
+        precision,
+        pipeline,
+        faults: mut fault_plan,
+        gpus,
+    } = engine_setup(target, opts)?;
+    let epochs: usize = opts.get("epochs", 3)?;
+    let batch_size: usize = opts.get("batch-size", 256)?;
+    let eval_nodes: usize = opts.get("eval", 512)?;
+    let train_nodes: usize = opts.get(
+        "train-nodes",
+        (s.ds.graph.num_nodes() / 4).min(2_048).max(batch_size),
+    )?;
+    if let Some(v) = opts.flags.get("threads") {
+        let n: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
+        config.parallelism.threads = n.max(1);
+    }
+    println!(
+        "kernels: simd={} precision={}",
+        config.parallelism.simd.as_str(),
+        precision.as_str()
+    );
     // Checkpointing. `--resume <dir>` doubles as the checkpoint dir when
     // `--checkpoint-dir` is absent, so a resumed run keeps snapshotting
     // into the same ring. A `crash:` fault clause targets snapshot
     // writes, so it moves from the device plan to the checkpoint writer.
-    let resume_dir = o.flags.get("resume").cloned();
-    let ckpt_dir = o
+    let resume_dir = opts.flags.get("resume").cloned();
+    let ckpt_dir = opts
         .flags
         .get("checkpoint-dir")
         .cloned()
@@ -370,56 +442,28 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     let ckpt = match &ckpt_dir {
         Some(dir) => {
             let mut c = CheckpointOptions::new(dir);
-            c.every = o.get("checkpoint-every", c.every)?;
-            c.keep = o.get("checkpoint-keep", c.keep)?;
-            c.max_rollbacks = o.get("max-rollbacks", c.max_rollbacks)?;
+            c.every = opts.get("checkpoint-every", c.every)?;
+            c.keep = opts.get("checkpoint-keep", c.keep)?;
+            c.max_rollbacks = opts.get("max-rollbacks", c.max_rollbacks)?;
             c.crash = crash;
             Some(c)
         }
         None => None,
     };
+    // Recovery is enabled whenever any of its flags (or a fault spec) is
+    // given; a plain run keeps the classic fail-fast OOM semantics.
     let recovery_on = fault_plan.is_some()
-        || o.flags.contains_key("max-retries")
-        || o.flags.contains_key("headroom");
-    // `--gpus N` swaps the single device for an elastic pool of N members
-    // with `--budget` bytes each. The flag's absence keeps the exact
-    // single-device code path (and its golden outputs) untouched.
-    let gpus = match o.flags.get("gpus") {
-        Some(v) => {
-            let n: usize = v.parse().map_err(|_| format!("bad --gpus `{v}`"))?;
-            Some(n)
-        }
-        None => None,
-    };
-    let pool = match gpus {
-        Some(n) => {
-            let plan = fault_plan.take().unwrap_or_else(FaultPlan::none);
-            Some(DevicePool::homogeneous(n, s.budget, &plan).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-    let faulty = fault_plan.map(|plan| FaultyDevice::new(DeviceMemory::new(s.budget), plan));
-    let plain;
-    let device: &dyn Device = if let Some(p) = &pool {
-        p
-    } else {
-        match &faulty {
-            Some(f) => f,
-            None => {
-                plain = DeviceMemory::new(s.budget);
-                &plain
-            }
-        }
-    };
+        || opts.flags.contains_key("max-retries")
+        || opts.flags.contains_key("headroom");
+    let pool = device_pool(gpus, s.budget, fault_plan.as_ref())?;
     let cost = CostModel::rtx6000();
     // The CLI drives the engine directly: the same object type the serve
     // command uses, so a future `train --then-serve` is one borrow away.
     let mut trainer = Engine::buffalo(config, s.clustering).with_pipeline(pipeline);
     if recovery_on {
         trainer.set_recovery(RecoveryPolicy {
-            enabled: true,
-            max_retries: o.get("max-retries", 3)?,
-            headroom: o.get("headroom", 1.0)?,
+            max_retries: opts.get("max-retries", 3)?,
+            headroom: opts.get("headroom", 1.0)?,
             ..RecoveryPolicy::default()
         });
     }
@@ -433,7 +477,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     let run = run_epochs_checkpointed(
         &mut trainer,
         &s.ds,
-        device,
+        &pool,
         &cost,
         &cfg,
         ckpt.as_ref(),
@@ -476,34 +520,10 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         timings.overlapped_makespan,
         timings.speedup(),
     );
-    if let Some(f) = &faulty {
-        let c = f.counters();
-        println!(
-            "faults: {} injected over {} allocs, {} budget changes",
-            c.injected, c.allocs, c.budget_changes
-        );
+    for line in &failovers {
+        println!("{line}");
     }
-    if let Some(p) = &pool {
-        for line in &failovers {
-            println!("{line}");
-        }
-        println!(
-            "devices: {} in pool, {} live",
-            p.len(),
-            p.live_device_count()
-        );
-        for i in 0..p.len() {
-            if let Some(d) = p.device(i) {
-                let c = d.counters();
-                println!(
-                    "  device {i}: {} allocs, {} injected{}",
-                    c.allocs,
-                    c.injected,
-                    if p.is_dead(i) { ", LOST" } else { "" }
-                );
-            }
-        }
-    }
+    print_device_summary(&pool, fault_plan.is_some(), gpus.is_some());
     if recovery_on {
         println!(
             "recovery: {} events, headroom multiplier {:.3}",
@@ -511,7 +531,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
             trainer.headroom_multiplier()
         );
     }
-    if ckpt.is_some() || pool.is_some() {
+    if ckpt.is_some() || gpus.is_some() {
         // Per-iteration loss bit patterns: ci.sh diffs these lines between
         // an uninterrupted run and a crash+resume run (and between a
         // device-loss run and its fault-free twin) to prove bitwise
@@ -531,103 +551,53 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
-    let mut o = Options {
-        positional: opts.positional.clone(),
-        flags: opts.flags.clone(),
-    };
-    // Like `train`, serving runs real dense math on the CPU: default to a
-    // light shape.
-    o.flags
-        .entry("hidden".into())
-        .or_insert_with(|| "32".into());
-    o.flags.entry("agg".into()).or_insert_with(|| "mean".into());
-    let mut s = setup(target, &o, "5,10")?;
-    let mut parallelism = buffalo::par::Parallelism::auto();
-    parallelism.simd =
-        buffalo::par::SimdPolicy::parse(&o.get::<String>("simd", "scalar".into())?)?.resolve()?;
-    let precision =
-        datasets::FeaturePrecision::parse(&o.get::<String>("precision", "f32".into())?)?;
-    s.ds.set_precision(precision);
-    let pipeline = parse_pipeline(&o.get::<String>("pipeline", "off".into())?)?;
-    let warmup_iters: usize = o.get("warmup-iters", 3)?;
-    let max_batch: usize = o.get("max-batch", 64)?;
-    let max_wait_ms: f64 = o.get("max-wait-ms", 50.0)?;
-    let quiet: u32 = o.get("quiet-requests", 0)?;
-    let trace_spec = o.get::<String>("trace", "poisson:n=256,rate=64,seed=7".into())?;
+    let EngineSetup {
+        s,
+        config,
+        pipeline,
+        faults: fault_plan,
+        gpus,
+        ..
+    } = engine_setup(target, opts)?;
+    let warmup_iters: usize = opts.get("warmup-iters", 3)?;
+    let max_batch: usize = opts.get("max-batch", 64)?;
+    let max_wait_ms: f64 = opts.get("max-wait-ms", 50.0)?;
+    let quiet: u32 = opts.get("quiet-requests", 0)?;
+    let trace_spec = opts.get::<String>("trace", "poisson:n=256,rate=64,seed=7".into())?;
     let trace =
         RequestTrace::parse(&trace_spec, s.ds.graph.num_nodes()).map_err(|e| e.to_string())?;
     // Overload protection: bounded admission queue, shed policy, deadline.
-    let queue_depth: usize = o.get("queue-depth", usize::MAX)?;
-    let shed_policy = ShedPolicy::parse(&o.get::<String>("shed-policy", "reject-newest".into())?)
-        .map_err(|e| e.to_string())?;
-    let deadline = match o.flags.get("deadline-ms") {
+    let queue_depth: usize = opts.get("queue-depth", usize::MAX)?;
+    let shed_policy =
+        ShedPolicy::parse(&opts.get::<String>("shed-policy", "reject-newest".into())?)
+            .map_err(|e| e.to_string())?;
+    let deadline = match opts.flags.get("deadline-ms") {
         Some(v) => {
             let ms: f64 = v.parse().map_err(|_| format!("bad --deadline-ms `{v}`"))?;
             Some(ms / 1e3)
         }
         None => None,
     };
-    // Fault injection: `--faults` on a single device, or `--gpus N` for a
-    // pool of N members (with `--budget` bytes each) the `lose:` clauses
-    // can address.
-    let fault_plan = match o.flags.get("faults") {
-        Some(spec) => Some(FaultPlan::parse(spec)?),
-        None => None,
-    };
-    let gpus = match o.flags.get("gpus") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("bad --gpus `{v}`"))?,
-        ),
-        None => None,
-    };
-    let recovery = ServeRecoveryPolicy {
-        max_retries: o.get("max-retries", 3)?,
-        ..ServeRecoveryPolicy::default()
-    };
-    let config = buffalo::core::train::TrainConfig {
-        shape: s.shape.clone(),
-        fanouts: s.fanouts.clone(),
-        lr: o.get("lr", 0.01)?,
-        seed: 17,
-        parallelism,
+    let recovery = RecoveryPolicy {
+        max_retries: opts.get("max-retries", 3)?,
+        ..RecoveryPolicy::default()
     };
     let cost = CostModel::rtx6000();
     let mut engine = Engine::buffalo(config, s.clustering).with_pipeline(pipeline);
     // Warm the model up on the engine's training path — the whole point of
     // the shared engine is that the serving borrow starts where training
-    // left off. Warmup always runs on a plain fault-free device so the
-    // served parameters are bit-exact regardless of `--faults`/`--gpus`:
-    // chaos may move latencies, never answers.
-    let warm = DeviceMemory::new(s.budget);
+    // left off. Warmup always runs on a fault-free device so the served
+    // parameters are bit-exact regardless of `--faults`/`--gpus`: chaos
+    // may move latencies, never answers.
+    let warm = device_pool(None, s.budget, None)?;
     for _ in 0..warmup_iters {
         engine
             .train_iteration(&s.ds, &s.batch, &warm, &cost)
             .map_err(|e| e.to_string())?;
     }
-    let pool = match gpus {
-        Some(n) => {
-            let plan = fault_plan.clone().unwrap_or_else(FaultPlan::none);
-            Some(DevicePool::homogeneous(n, s.budget, &plan).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-    let faulty = match (&pool, fault_plan) {
-        (None, Some(plan)) => Some(FaultyDevice::new(DeviceMemory::new(s.budget), plan)),
-        _ => None,
-    };
-    let plain;
-    let device: &dyn Device = if let Some(p) = &pool {
-        p
-    } else {
-        match &faulty {
-            Some(f) => f,
-            None => {
-                plain = DeviceMemory::new(s.budget);
-                &plain
-            }
-        }
-    };
+    // `--faults` on a single device, or on the `--gpus N` pool members
+    // its `lose:` clauses address.
+    let pool = device_pool(gpus, s.budget, fault_plan.as_ref())?;
     let cfg = ServeConfig {
         max_batch,
         max_wait: max_wait_ms / 1e3,
@@ -637,7 +607,7 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
         recovery,
     };
     let report =
-        serve_trace(&engine, &s.ds, device, &cost, &trace, &cfg).map_err(|e| e.to_string())?;
+        serve_trace(&engine, &s.ds, &pool, &cost, &trace, &cfg).map_err(|e| e.to_string())?;
     println!(
         "served {} requests in {} batches ({} micro-batches) under {:.2} GB budget",
         report.requests.len(),
@@ -676,42 +646,18 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
         l.max * 1e3
     );
     let rc = report.recovery_counts();
-    if rc.total() > 0 || faulty.is_some() || pool.is_some() {
+    if rc.total() > 0 || fault_plan.is_some() || gpus.is_some() {
         println!(
             "recovery: {} retries, {} degrades, {} re-splits, {} failovers (effective batch width {})",
             rc.retries, rc.degrades, rc.resplits, rc.failovers, report.effective_max_batch
         );
         for ev in &report.recovery {
-            if matches!(ev.action, ServeRecoveryAction::DeviceLost { .. }) {
-                println!("failover: {ev}");
+            if matches!(ev.action, RecoveryAction::DeviceLost { .. }) {
+                println!("failover: dispatch {ev}");
             }
         }
     }
-    if let Some(f) = &faulty {
-        let c = f.counters();
-        println!(
-            "faults: {} injected over {} allocs, {} budget changes",
-            c.injected, c.allocs, c.budget_changes
-        );
-    }
-    if let Some(p) = &pool {
-        println!(
-            "devices: {} in pool, {} live",
-            p.len(),
-            p.live_device_count()
-        );
-        for i in 0..p.len() {
-            if let Some(d) = p.device(i) {
-                let c = d.counters();
-                println!(
-                    "  device {i}: {} allocs, {} injected{}",
-                    c.allocs,
-                    c.injected,
-                    if p.is_dead(i) { ", LOST" } else { "" }
-                );
-            }
-        }
-    }
+    print_device_summary(&pool, fault_plan.is_some(), gpus.is_some());
     // `answers:` folds only (index, node, class) — the fault-invariant
     // digest ci.sh compares between a chaos run and its fault-free twin.
     // `digest:` adds latency bits and the shed/missed ledgers: the full
@@ -731,7 +677,7 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
             );
         }
     }
-    if let Some(path) = o.flags.get("json") {
+    if let Some(path) = opts.flags.get("json") {
         std::fs::write(path, report.to_json("rtx6000")).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
@@ -742,8 +688,8 @@ fn cmd_compare(target: &str, opts: &Options) -> Result<(), String> {
     let s = setup(target, opts, "10,25")?;
     let k: usize = opts.get("k", 8)?;
     let cost = CostModel::rtx6000();
-    let device = DeviceMemory::new(s.budget);
-    let unlimited = DeviceMemory::new(u64::MAX);
+    let device = device_pool(None, s.budget, None)?;
+    let unlimited = device_pool(None, u64::MAX, None)?;
     let ctx = SimContext {
         shape: &s.shape,
         fanouts: &s.fanouts,

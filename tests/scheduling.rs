@@ -242,7 +242,7 @@ fn train_error_variants_display_and_chain_sources() {
     assert!(e.source().is_none(), "InvalidMicroBatches has no cause");
 
     let events = vec![RecoveryEvent {
-        micro_batch: 0,
+        index: 0,
         action: RecoveryAction::Exhausted,
         requested: 100,
         in_use: 40,

@@ -47,9 +47,19 @@ else
   echo "ci: skip — cargo +nightly miri unavailable"
 fi
 
-# The pipeline toggle must train end-to-end both ways.
-cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M --pipeline off
-cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M --pipeline on
+# The pipeline toggle must train end-to-end both ways, to the same
+# numbers: with the pipeline on, blocks are built on the Prepare thread
+# from a scratch that thread keeps between micro-batches, and nothing it
+# holds may reach the numerics. The epoch table (loss, accuracies) has to
+# be byte-identical.
+off=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --pipeline off | grep -E '^\s+[0-9]')
+on=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --pipeline on | grep -E '^\s+[0-9]')
+if [ "$off" != "$on" ]; then
+  echo "ci: FAIL — training diverged between --pipeline off and --pipeline on" >&2
+  printf 'pipeline off:\n%s\npipeline on:\n%s\n' "$off" "$on" >&2
+  exit 1
+fi
+echo "ci: --pipeline off and --pipeline on epoch tables identical"
 
 # Parallel kernels must not change the numerics: the epoch table (loss,
 # accuracies) has to be byte-identical between 1 and 4 threads.

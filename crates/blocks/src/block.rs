@@ -1,6 +1,8 @@
 //! The block data structure.
 
 use buffalo_graph::NodeId;
+use std::fmt;
+use std::sync::Arc;
 
 /// Connectivity for one GNN layer: a bipartite message-flow graph from
 /// source nodes to destination nodes.
@@ -12,10 +14,22 @@ use buffalo_graph::NodeId;
 ///
 /// Edges are stored CSR-style per destination; the values in
 /// [`src_positions`](Self::src_positions) index into `src_nodes`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A layer's sources are the next layer's destinations and a node keeps
+/// its position once it has one, so the blocks of one micro-batch are
+/// nested prefixes of the input layer's arrays. They share that one set
+/// of arrays; a block is the pair of prefix lengths that selects its view.
+#[derive(Clone)]
 pub struct Block {
-    dst_nodes: Vec<NodeId>,
-    src_nodes: Vec<NodeId>,
+    arrays: Arc<Arrays>,
+    num_dst: usize,
+    num_src: usize,
+}
+
+/// The arrays of a micro-batch's input layer: the closure in discovery
+/// order, and the CSR rows of every node that is a destination somewhere.
+struct Arrays {
+    nodes: Vec<NodeId>,
     offsets: Vec<usize>,
     indices: Vec<u32>,
 }
@@ -37,49 +51,103 @@ impl Block {
         assert_eq!(offsets.len(), dst_nodes.len() + 1, "offsets length");
         assert_eq!(*offsets.last().unwrap_or(&0), indices.len(), "last offset");
         assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be non-decreasing"
-        );
-        assert!(
             src_nodes.len() >= dst_nodes.len() && src_nodes[..dst_nodes.len()] == dst_nodes[..],
             "src_nodes must begin with dst_nodes"
         );
+        let layer = (dst_nodes.len(), src_nodes.len());
+        Block::nested(src_nodes, offsets, indices, &[layer]).remove(0)
+    }
+
+    /// The blocks of one micro-batch over one shared set of arrays:
+    /// `layers[i]` is block `i`'s `(num_dst, num_src)`, input (largest)
+    /// layer first, and block `i` reads `nodes[..num_src]`,
+    /// `offsets[..=num_dst]` and the `indices` those offsets span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer does not fit the arrays, if the layers do not
+    /// shrink, if `offsets` decreases, or if a row of a layer names a
+    /// position outside that layer's sources.
+    pub(crate) fn nested(
+        nodes: Vec<NodeId>,
+        offsets: Vec<usize>,
+        indices: Vec<u32>,
+        layers: &[(usize, usize)],
+    ) -> Vec<Block> {
         assert!(
-            indices.iter().all(|&i| (i as usize) < src_nodes.len()),
-            "edge index out of range"
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must be non-decreasing"
         );
-        Block {
-            dst_nodes,
-            src_nodes,
+        // From the output layer inward the layers grow, so a row checked
+        // against the first layer holding it is in range for every later
+        // one: each index is checked once.
+        let (mut rows, mut srcs, mut edges) = (0usize, 0usize, 0usize);
+        for &(num_dst, num_src) in layers.iter().rev() {
+            assert!(
+                rows <= num_dst && srcs <= num_src && num_dst <= num_src,
+                "layers must nest"
+            );
+            assert!(num_src <= nodes.len(), "layer exceeds the node list");
+            assert!(num_dst < offsets.len(), "offsets length");
+            let end = offsets[num_dst];
+            assert!(end <= indices.len(), "last offset");
+            // The largest index of the rows this layer adds, as a
+            // reduction the compiler vectorizes (`all` stops early and
+            // does not).
+            let largest = indices[edges..end].iter().fold(0, |m, &i| m.max(i));
+            assert!(
+                edges == end || (largest as usize) < num_src,
+                "edge index out of range"
+            );
+            (rows, srcs, edges) = (num_dst, num_src, end);
+        }
+        let arrays = Arc::new(Arrays {
+            nodes,
             offsets,
             indices,
-        }
+        });
+        layers
+            .iter()
+            .map(|&(num_dst, num_src)| Block {
+                arrays: Arc::clone(&arrays),
+                num_dst,
+                num_src,
+            })
+            .collect()
+    }
+
+    fn offsets(&self) -> &[usize] {
+        &self.arrays.offsets[..=self.num_dst]
+    }
+
+    fn indices(&self) -> &[u32] {
+        &self.arrays.indices[..self.arrays.offsets[self.num_dst]]
     }
 
     /// Destination (output) nodes of this layer, batch-local ids.
     pub fn dst_nodes(&self) -> &[NodeId] {
-        &self.dst_nodes
+        &self.arrays.nodes[..self.num_dst]
     }
 
     /// Source (input) nodes of this layer, batch-local ids; begins with the
     /// destination nodes.
     pub fn src_nodes(&self) -> &[NodeId] {
-        &self.src_nodes
+        &self.arrays.nodes[..self.num_src]
     }
 
     /// Number of destinations.
     pub fn num_dst(&self) -> usize {
-        self.dst_nodes.len()
+        self.num_dst
     }
 
     /// Number of sources (including the embedded destinations).
     pub fn num_src(&self) -> usize {
-        self.src_nodes.len()
+        self.num_src
     }
 
     /// Total number of message edges.
     pub fn num_edges(&self) -> usize {
-        self.indices.len()
+        self.arrays.offsets[self.num_dst]
     }
 
     /// In-degree of the `i`-th destination.
@@ -88,7 +156,8 @@ impl Block {
     ///
     /// Panics if `i >= num_dst()`.
     pub fn in_degree(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
+        let offsets = self.offsets();
+        offsets[i + 1] - offsets[i]
     }
 
     /// Positions (into [`src_nodes`](Self::src_nodes)) of the sources
@@ -98,14 +167,15 @@ impl Block {
     ///
     /// Panics if `i >= num_dst()`.
     pub fn src_positions(&self, i: usize) -> &[u32] {
-        &self.indices[self.offsets[i]..self.offsets[i + 1]]
+        let offsets = self.offsets();
+        &self.arrays.indices[offsets[i]..offsets[i + 1]]
     }
 
     /// Batch-local ids of the sources feeding the `i`-th destination.
     pub fn srcs_of(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
         self.src_positions(i)
             .iter()
-            .map(move |&p| self.src_nodes[p as usize])
+            .map(move |&p| self.arrays.nodes[p as usize])
     }
 
     /// Maximum in-degree over all destinations (0 if there are none).
@@ -116,12 +186,35 @@ impl Block {
             .unwrap_or(0)
     }
 
-    /// Approximate in-memory footprint of the block structure in bytes.
+    /// Approximate in-memory footprint of the block structure in bytes,
+    /// counted as if the block owned its views.
     pub fn memory_bytes(&self) -> usize {
-        self.dst_nodes.len() * std::mem::size_of::<NodeId>()
-            + self.src_nodes.len() * std::mem::size_of::<NodeId>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.indices.len() * std::mem::size_of::<u32>()
+        (self.num_dst + self.num_src) * std::mem::size_of::<NodeId>()
+            + (self.num_dst + 1) * std::mem::size_of::<usize>()
+            + self.num_edges() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Blocks are equal when their views are, whatever else the arrays hold.
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_dst == other.num_dst
+            && self.src_nodes() == other.src_nodes()
+            && self.offsets() == other.offsets()
+            && self.indices() == other.indices()
+    }
+}
+
+impl Eq for Block {}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block")
+            .field("dst_nodes", &self.dst_nodes())
+            .field("src_nodes", &self.src_nodes())
+            .field("offsets", &self.offsets())
+            .field("indices", &self.indices())
+            .finish()
     }
 }
 

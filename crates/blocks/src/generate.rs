@@ -4,36 +4,11 @@ use crate::block::Block;
 use buffalo_graph::{CsrGraph, NodeId};
 use std::collections::BTreeMap;
 
-/// Default [`GenerateOptions::parallel_threshold`]: below this many
-/// destination rows, gathering goes serial.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1024;
-
-/// Options for [`generate_blocks_fast`].
-#[derive(Debug, Clone, Copy)]
-pub struct GenerateOptions {
-    /// Worker threads for node-level parallelism. `None` follows the
-    /// process-wide [`buffalo_par::ambient`] configuration (the global
-    /// `--threads` setting).
-    pub threads: Option<usize>,
-    /// Minimum destination count before row gathering dispatches to the
-    /// shared worker pool; defaults to [`DEFAULT_PARALLEL_THRESHOLD`].
-    pub parallel_threshold: usize,
-}
-
-impl Default for GenerateOptions {
-    fn default() -> Self {
-        GenerateOptions {
-            threads: None,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-        }
-    }
-}
-
-fn resolve_threads(opts: &GenerateOptions) -> usize {
-    opts.threads
-        .unwrap_or_else(|| buffalo_par::ambient().threads)
-        .max(1)
-}
+/// Options for [`generate_blocks_fast`]. There are none left to set; the
+/// type stays so that call sites keep reading `GenerateOptions::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct GenerateOptions {}
 
 /// Buffalo's fast block generation (§IV-E).
 ///
@@ -43,13 +18,10 @@ fn resolve_threads(opts: &GenerateOptions) -> usize {
 /// `0` is the innermost layer, index `depth - 1` the output layer), so a
 /// trainer can iterate forward.
 ///
-/// Two properties make this fast relative to the checked baseline:
-///
-/// 1. Each destination's sources are read *directly from its CSR row* of
-///    the sampled subgraph — there is no re-validation against the
-///    original graph ("avoiding repeated connection checks").
-/// 2. Row gathering is parallel at the node level (std scoped threads
-///    over row chunks).
+/// Each destination's sources are read *directly from its CSR row* of the
+/// sampled subgraph — there is no re-validation against the original graph
+/// ("avoiding repeated connection checks"). This is
+/// [`BlockWalker::whole_batch`] on a fresh walker.
 ///
 /// # Panics
 ///
@@ -58,103 +30,196 @@ pub fn generate_blocks_fast(
     batch_graph: &CsrGraph,
     num_seeds: usize,
     depth: usize,
-    opts: GenerateOptions,
+    _opts: GenerateOptions,
 ) -> Vec<Block> {
-    assert!(depth > 0, "depth must be at least 1");
-    assert!(
-        num_seeds <= batch_graph.num_nodes(),
-        "num_seeds exceeds batch size"
-    );
-    let threads = resolve_threads(&opts);
-    let n = batch_graph.num_nodes();
-    // A layer's sources are the next layer's destinations, and a node
-    // keeps its position once it has one — so every layer's arrays are
-    // prefixes of the input layer's: `nodes` (the closure in discovery
-    // order) of its dst and src lists, `offsets`/`indices` of its rows.
-    // One walk builds them; each hop only adds the rows of the nodes the
-    // previous hop discovered, `nodes[expanded..]`.
-    let mut nodes: Vec<NodeId> = (0..num_seeds as NodeId).collect();
-    let mut pos_of: Vec<u32> = vec![u32::MAX; n];
-    for (i, p) in pos_of[..num_seeds].iter_mut().enumerate() {
-        *p = i as u32;
-    }
-    let mut offsets = Vec::with_capacity(num_seeds + 1);
-    offsets.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut expanded = 0usize;
-    let mut blocks_rev: Vec<Block> = Vec::with_capacity(depth);
-    for _ in 0..depth {
-        let num_dst = nodes.len();
-        // Phase 1 (parallel): gather each new destination row from CSR.
-        let rows: Vec<&[NodeId]> = gather_rows(
-            batch_graph,
-            &nodes[expanded..],
-            threads,
-            opts.parallel_threshold,
-        );
-        let edges: usize = rows.iter().map(|row| row.len()).sum();
-        // Phase 2 (sequential): assign source positions in discovery
-        // order. Whether a source is new is a coin flip, so discovery is
-        // branch-free: write it to the next slot regardless and let the
-        // flag decide whether the slot is kept. At most `n` nodes are ever
-        // kept, so one slot past that is always enough.
-        let mut num_src = num_dst;
-        nodes.resize(n.min(num_dst + edges) + 1, 0);
-        offsets.reserve(rows.len());
-        indices.reserve(edges);
-        for row in &rows {
-            for &u in *row {
-                let seen = pos_of[u as usize];
-                let unseen = seen == u32::MAX;
-                let p = if unseen { num_src as u32 } else { seen };
-                pos_of[u as usize] = p;
-                nodes[num_src] = u;
-                num_src += unseen as usize;
-                indices.push(p);
-            }
-            offsets.push(indices.len());
-        }
-        nodes.truncate(num_src);
-        expanded = num_dst;
-        blocks_rev.push(Block::from_parts(
-            nodes[..num_dst].to_vec(),
-            nodes.clone(),
-            offsets.clone(),
-            indices.clone(),
-        ));
-    }
-    blocks_rev.reverse();
-    blocks_rev
+    BlockWalker::default().whole_batch(batch_graph, num_seeds, depth)
 }
 
-/// Gathers the CSR row of every destination, chunked over `threads`
-/// workers of the shared [`buffalo_par`] pool. Row slices borrow from `g`,
-/// so this is pure pointer work — the parallelism pays off when rows must
-/// be touched (prefetched) for large batches.
-fn gather_rows<'g>(
-    g: &'g CsrGraph,
-    dst: &[NodeId],
-    threads: usize,
-    parallel_threshold: usize,
-) -> Vec<&'g [NodeId]> {
-    if threads <= 1 || dst.len() < parallel_threshold {
-        return dst.iter().map(|&v| g.neighbors(v)).collect();
+/// Builds the blocks of a (micro-)batch in one walk of the sampled batch
+/// graph, and keeps between walks the tables a walk needs, so a loop over
+/// the micro-batches of an iteration allocates them once.
+///
+/// A layer's sources are the next layer's destinations, and a node keeps
+/// its position once it has one — so every layer's arrays are prefixes of
+/// the input layer's: `nodes` (the closure in discovery order) of its dst
+/// and src lists, `offsets`/`indices` of its rows. One walk builds them;
+/// each hop only adds the rows of the nodes the previous hop discovered.
+#[derive(Debug, Default)]
+pub struct BlockWalker {
+    /// Per batch node, its position in `nodes`; `u32::MAX` outside a walk.
+    pos_of: Vec<u32>,
+    /// The closure in discovery order, plus spare slots: only a prefix is
+    /// meaningful, and only during a walk.
+    nodes: Vec<NodeId>,
+    /// The positions a row partition moves behind the chosen seeds.
+    spill: Vec<u32>,
+}
+
+/// How many rows ahead of the one being read the walk starts fetching: a
+/// hop's rows are in discovery order, scattered over the batch graph.
+const AHEAD: usize = 4;
+
+impl BlockWalker {
+    /// The blocks of the whole batch: local ids `0..num_seeds` are the
+    /// output nodes and keep their ids as positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_seeds` exceeds the node count or `depth == 0`.
+    pub fn whole_batch(
+        &mut self,
+        batch_graph: &CsrGraph,
+        num_seeds: usize,
+        depth: usize,
+    ) -> Vec<Block> {
+        self.start(batch_graph, num_seeds);
+        for (v, slot) in self.nodes[..num_seeds].iter_mut().enumerate() {
+            *slot = v as NodeId;
+        }
+        self.walk::<false>(batch_graph, num_seeds, depth)
     }
-    let chunk = dst.len().div_ceil(threads);
-    let mut rows: Vec<&[NodeId]> = vec![&[]; dst.len()];
-    let tasks: Vec<buffalo_par::Task<'_>> = dst
-        .chunks(chunk)
-        .zip(rows.chunks_mut(chunk))
-        .map(|(dst_chunk, out_chunk)| -> buffalo_par::Task<'_> {
-            Box::new(move || {
-                for (o, &v) in out_chunk.iter_mut().zip(dst_chunk) {
-                    *o = g.neighbors(v);
+
+    /// The blocks of the micro-batch whose output nodes are `group`, a
+    /// subset of the batch's seeds `0..num_seeds` in any order — equal,
+    /// array for array, to [`generate_blocks_fast`] on the graph of
+    /// `Batch::restrict_to_seeds(group)`, except that node ids stay those
+    /// of `batch_graph`: block node `v` is the batch's `global_ids[v]`.
+    ///
+    /// The restriction orders its nodes "chosen seeds ascending, then every
+    /// other reached node ascending" and sorts each row by that order. A
+    /// chosen seed has its position before the walk starts and is never
+    /// discovered, so walking the batch's own rows discovers the same
+    /// nodes in the same order; what differs is that a row holding chosen
+    /// seeds must list their positions first, which is a stable partition
+    /// of the positions just written for that row. Rows of `batch_graph`
+    /// must ascend, as every row the sampler writes does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth == 0`, or if an entry of `group` is not a seed
+    /// local id or appears twice.
+    pub fn micro_batch(
+        &mut self,
+        batch_graph: &CsrGraph,
+        num_seeds: usize,
+        group: &[NodeId],
+        depth: usize,
+    ) -> Vec<Block> {
+        self.start(batch_graph, num_seeds);
+        assert!(
+            group.len() <= num_seeds,
+            "a group of {} repeats a seed or names a non-seed (num_seeds={num_seeds})",
+            group.len()
+        );
+        let chosen = &mut self.nodes[..group.len()];
+        chosen.copy_from_slice(group);
+        chosen.sort_unstable();
+        for (i, &s) in chosen.iter().enumerate() {
+            assert!(
+                (s as usize) < num_seeds,
+                "local id {s} is not a seed (num_seeds={num_seeds})"
+            );
+            assert!(i == 0 || chosen[i - 1] != s, "duplicate seed {s}");
+        }
+        self.walk::<true>(batch_graph, group.len(), depth)
+    }
+
+    /// Sizes the tables for `batch_graph`. Discovery writes one slot past
+    /// the nodes kept, and at most all of the batch's are ever kept.
+    fn start(&mut self, batch_graph: &CsrGraph, num_seeds: usize) {
+        let n = batch_graph.num_nodes();
+        assert!(num_seeds <= n, "num_seeds exceeds batch size");
+        self.pos_of.resize(n, u32::MAX);
+        if self.nodes.len() < n + 1 {
+            self.nodes.resize(n + 1, 0);
+        }
+    }
+
+    /// Walks `depth` hops from the `num_out` output nodes already in
+    /// `nodes`; `PARTITION` moves each row's output-node positions first.
+    fn walk<const PARTITION: bool>(
+        &mut self,
+        g: &CsrGraph,
+        num_out: usize,
+        depth: usize,
+    ) -> Vec<Block> {
+        assert!(depth > 0, "depth must be at least 1");
+        // Slices, so the walk indexes through registers, not the fields.
+        let (pos_of, nodes) = (&mut self.pos_of[..], &mut self.nodes[..]);
+        for (i, &v) in nodes[..num_out].iter().enumerate() {
+            pos_of[v as usize] = i as u32;
+        }
+        let mut offsets = vec![0usize];
+        let mut indices: Vec<u32> = Vec::new();
+        let (mut expanded, mut num_src) = (0usize, num_out);
+        let mut layers: Vec<(usize, usize)> = Vec::with_capacity(depth);
+        for _ in 0..depth {
+            let num_dst = num_src;
+            // The rows this hop adds are known before it reads them.
+            let edges: usize = nodes[expanded..num_dst].iter().map(|&v| g.degree(v)).sum();
+            offsets.reserve_exact(num_dst - expanded);
+            indices.reserve_exact(edges);
+            for at in expanded..num_dst {
+                if at + AHEAD < num_dst {
+                    std::hint::black_box(g.neighbors(nodes[at + AHEAD]).first().copied());
                 }
-            })
-        })
-        .collect();
-    buffalo_par::run_tasks(tasks, threads);
-    rows
+                let start = indices.len();
+                // Whether a source is new is a coin flip, so discovery is
+                // branch-free: an unseen node's `u32::MAX` loses the `min`
+                // to the next position, and the node is written to the
+                // next slot regardless — the flag decides whether the slot
+                // is kept.
+                let mut outputs = 0usize;
+                indices.extend(g.neighbors(nodes[at]).iter().map(|&u| {
+                    let seen = pos_of[u as usize];
+                    let p = seen.min(num_src as u32);
+                    pos_of[u as usize] = p;
+                    nodes[num_src] = u;
+                    num_src += (seen == u32::MAX) as usize;
+                    if PARTITION {
+                        outputs += ((p as usize) < num_out) as usize;
+                    }
+                    p
+                }));
+                if outputs > 0 {
+                    outputs_first(
+                        &mut indices[start..],
+                        num_out as u32,
+                        outputs,
+                        &mut self.spill,
+                    );
+                }
+                offsets.push(indices.len());
+            }
+            expanded = num_dst;
+            layers.push((num_dst, num_src));
+        }
+        for &v in &nodes[..num_src] {
+            pos_of[v as usize] = u32::MAX;
+        }
+        layers.reverse();
+        Block::nested(nodes[..num_src].to_vec(), offsets, indices, &layers)
+    }
+}
+
+/// Stable partition of `row`: its `outputs` positions below `num_out`
+/// move to the front, the positions they pass keep their order behind
+/// them. Stops at the last such position — in an ascending row the output
+/// nodes are the low ids, so that is a short prefix.
+fn outputs_first(row: &mut [u32], num_out: u32, outputs: usize, spill: &mut Vec<u32>) {
+    spill.clear();
+    let (mut read, mut write) = (0usize, 0usize);
+    while write < outputs {
+        let p = row[read];
+        if p < num_out {
+            row[write] = p;
+            write += 1;
+        } else {
+            spill.push(p);
+        }
+        read += 1;
+    }
+    row[write..read].copy_from_slice(spill);
 }
 
 /// Betty-style baseline block generation with repeated connection checks.
@@ -321,8 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_equals_multi_thread() {
-        // Use a larger random-ish batch to exercise the parallel path.
+    fn a_reused_walker_equals_fresh_walks() {
         let mut b = GraphBuilder::new(3_000);
         for i in 0..3_000u32 {
             for j in 1..=3 {
@@ -330,36 +394,51 @@ mod tests {
             }
         }
         let g = b.build_directed();
-        let one = generate_blocks_fast(
-            &g,
-            2_000,
-            2,
-            GenerateOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
+        let mut walker = BlockWalker::default();
+        let group: Vec<NodeId> = (0..2_000).rev().step_by(3).collect();
+        for _ in 0..2 {
+            assert_eq!(
+                walker.whole_batch(&g, 2_000, 2),
+                generate_blocks_fast(&g, 2_000, 2, GenerateOptions::default())
+            );
+            assert_eq!(
+                walker.micro_batch(&g, 2_000, &group, 3),
+                BlockWalker::default().micro_batch(&g, 2_000, &group, 3)
+            );
+        }
+        // A smaller batch after a larger one.
+        let small = tiny_batch();
+        assert_eq!(
+            walker.whole_batch(&small, 2, 2),
+            generate_blocks_fast(&small, 2, 2, GenerateOptions::default())
         );
-        let four = generate_blocks_fast(
-            &g,
-            2_000,
-            2,
-            GenerateOptions {
-                threads: Some(4),
-                ..Default::default()
-            },
-        );
-        assert_eq!(one, four);
-        // A tiny threshold forces the pool path even at this size.
-        let pooled = generate_blocks_fast(
-            &g,
-            2_000,
-            2,
-            GenerateOptions {
-                threads: Some(4),
-                parallel_threshold: 1,
-            },
-        );
-        assert_eq!(one, pooled);
+    }
+
+    #[test]
+    fn micro_batch_lists_chosen_seeds_first() {
+        // Seeds {0,1,2}; row of 0 is {1, 2, 3}, row of 2 is {0, 4}. The
+        // group {2, 0} takes positions 0 -> 0, 2 -> 1; node 1, a seed that
+        // was not chosen, is discovered like any other node.
+        let mut b = GraphBuilder::new(5);
+        b.extend_edges([(1, 0), (2, 0), (3, 0), (0, 2), (4, 2)]);
+        let g = b.build_directed();
+        let blocks = BlockWalker::default().micro_batch(&g, 3, &[2, 0], 1);
+        assert_eq!(blocks[0].dst_nodes(), &[0, 2]);
+        assert_eq!(blocks[0].src_nodes(), &[0, 2, 1, 3, 4]);
+        assert_eq!(blocks[0].src_positions(0), &[1, 2, 3]); // {2} first, then {1, 3}
+        assert_eq!(blocks[0].src_positions(1), &[0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate seed")]
+    fn micro_batch_rejects_a_repeated_seed() {
+        let _ = BlockWalker::default().micro_batch(&tiny_batch(), 2, &[1, 1], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a seed")]
+    fn micro_batch_rejects_a_non_seed() {
+        let _ = BlockWalker::default().micro_batch(&tiny_batch(), 2, &[3], 1);
     }
 
     #[test]

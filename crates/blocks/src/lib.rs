@@ -9,9 +9,10 @@
 //! Figure 5: 54.3 % of iteration time) and contributes a fast method
 //! (§IV-E): represent the sampled subgraph as CSR, take *all* neighbors of
 //! each center node directly from its CSR row (no repeated connection
-//! checks against the original graph), and process rows in parallel at the
-//! node level. This crate implements both that fast path
-//! ([`generate_blocks_fast`]) and the baseline slow path
+//! checks against the original graph). This crate implements both that
+//! fast path — [`BlockWalker`], one walk of the sampled batch per
+//! (micro-)batch, of which [`generate_blocks_fast`] is the whole-batch
+//! case — and the baseline slow path
 //! ([`generate_blocks_checked`]) that re-derives connectivity from the
 //! original graph with per-edge membership checks, as Betty-style systems
 //! do — the comparison behind Figure 12.
@@ -24,8 +25,6 @@ mod prepared;
 mod reverse;
 
 pub use block::Block;
-pub use generate::{
-    generate_blocks_checked, generate_blocks_fast, GenerateOptions, DEFAULT_PARALLEL_THRESHOLD,
-};
+pub use generate::{generate_blocks_checked, generate_blocks_fast, BlockWalker, GenerateOptions};
 pub use prepared::{PreparedBlocks, PreparedParts};
 pub use reverse::ReverseIndex;

@@ -9,9 +9,7 @@
 //! consumer the same way.
 
 use crate::block::Block;
-use crate::generate::{generate_blocks_fast, GenerateOptions};
-use buffalo_graph::{CsrGraph, NodeId};
-use std::time::Instant;
+use buffalo_graph::NodeId;
 
 /// One micro-batch, fully prepared for device execution: its per-layer
 /// blocks plus gathered input features and output labels.
@@ -27,43 +25,17 @@ pub struct PreparedBlocks {
 }
 
 impl PreparedBlocks {
-    /// Runs fast block generation for a (micro-)batch subgraph, timing it.
-    /// Features and labels start empty; attach them with
+    /// Wraps generated blocks and the wall-clock seconds generating them
+    /// took. Features and labels start empty; attach them with
     /// [`set_features`](Self::set_features) / [`set_labels`](Self::set_labels).
-    ///
-    /// # Panics
-    ///
-    /// Propagates [`generate_blocks_fast`]'s panics (`depth == 0` or
-    /// `num_seeds` out of range).
-    pub fn generate(
-        batch_graph: &CsrGraph,
-        num_seeds: usize,
-        depth: usize,
-        opts: GenerateOptions,
-    ) -> Self {
-        // lint:allow(wallclock-taint): stage-timing telemetry; block content never reads the clock (suppresses chain: PreparedBlocks::generate → Instant::now)
-        let t0 = Instant::now();
-        let blocks = generate_blocks_fast(batch_graph, num_seeds, depth, opts);
+    pub fn from_blocks(blocks: Vec<Block>, block_gen_seconds: f64) -> Self {
         PreparedBlocks {
             blocks,
             features: Vec::new(),
             feat_dim: 0,
             labels: Vec::new(),
             output_globals: Vec::new(),
-            block_gen_seconds: t0.elapsed().as_secs_f64(),
-            gather_seconds: 0.0,
-        }
-    }
-
-    /// Wraps already-generated blocks (e.g. from the checked baseline).
-    pub fn from_blocks(blocks: Vec<Block>) -> Self {
-        PreparedBlocks {
-            blocks,
-            features: Vec::new(),
-            feat_dim: 0,
-            labels: Vec::new(),
-            output_globals: Vec::new(),
-            block_gen_seconds: 0.0,
+            block_gen_seconds,
             gather_seconds: 0.0,
         }
     }
@@ -80,7 +52,7 @@ impl PreparedBlocks {
     ///
     /// Panics if the handle holds no blocks.
     pub fn input_srcs(&self) -> &[NodeId] {
-        // lint:allow(panic-reachability): infallible in the pipeline — handles are built from generate_blocks_fast, which returns exactly `depth` >= 1 blocks (suppresses chain: prepare_one → PreparedBlocks::input_srcs → .expect())
+        // lint:allow(panic-reachability): infallible in the pipeline — handles are built from a BlockWalker walk, which returns exactly `depth` >= 1 blocks (suppresses chain: prepare_one → PreparedBlocks::input_srcs → .expect())
         self.blocks.first().expect("empty block list").src_nodes()
     }
 
@@ -91,7 +63,7 @@ impl PreparedBlocks {
     ///
     /// Panics if the handle holds no blocks.
     pub fn output_dsts(&self) -> &[NodeId] {
-        // lint:allow(panic-reachability): infallible in the pipeline — handles are built from generate_blocks_fast, which returns exactly `depth` >= 1 blocks (suppresses chain: prepare_one → PreparedBlocks::output_dsts → .expect())
+        // lint:allow(panic-reachability): infallible in the pipeline — handles are built from a BlockWalker walk, which returns exactly `depth` >= 1 blocks (suppresses chain: prepare_one → PreparedBlocks::output_dsts → .expect())
         self.blocks.last().expect("empty block list").dst_nodes()
     }
 
@@ -199,19 +171,23 @@ pub struct PreparedParts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::{generate_blocks_fast, GenerateOptions};
     use buffalo_graph::generators;
 
     fn prepared() -> PreparedBlocks {
         let g = generators::barabasi_albert(200, 4, 0.3, 1).unwrap();
-        PreparedBlocks::generate(&g, 32, 2, GenerateOptions::default())
+        PreparedBlocks::from_blocks(
+            generate_blocks_fast(&g, 32, 2, GenerateOptions::default()),
+            0.25,
+        )
     }
 
     #[test]
-    fn generate_records_timing_and_shape() {
+    fn from_blocks_records_timing_and_shape() {
         let p = prepared();
         assert_eq!(p.blocks().len(), 2);
         assert_eq!(p.num_outputs(), 32);
-        assert!(p.block_gen_seconds() >= 0.0);
+        assert_eq!(p.block_gen_seconds(), 0.25);
         assert_eq!(p.gather_seconds(), 0.0);
         assert_eq!(p.output_dsts().len(), 32);
         assert!(p.input_srcs().len() >= p.output_dsts().len());

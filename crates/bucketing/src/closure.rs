@@ -16,8 +16,8 @@ use buffalo_memsim::estimate::{ClosureCounts, LayerCount};
 pub struct ClosureScratch {
     version: u32,
     mark: Vec<u32>,
-    /// The closure in discovery order (seeds first), plus spare slots:
-    /// only a prefix is meaningful during a call.
+    /// The closure hop by hop (seeds first), plus spare slots: only a
+    /// prefix is meaningful during a call.
     frontier: Vec<NodeId>,
 }
 
@@ -58,14 +58,16 @@ pub fn closure_counts(
     }
     let mut layers_rev: Vec<LayerCount> = Vec::with_capacity(depth);
     // The destination set of layer `L - h` is the whole closure reached
-    // within `h` hops (blocks chain src -> dst): `frontier[..num_nodes]`
-    // in discovery order, matching block dst ordering. Its edges are the
-    // rows of all of it, so `edges` accumulates over hops, and only the
-    // rows of `frontier[expanded..]` — the nodes the previous hop found —
-    // can still discover anything and need walking.
+    // within `h` hops (blocks chain src -> dst): `frontier[..num_nodes]`.
+    // Its edges are the rows of all of it, so `edges` accumulates over
+    // hops, and only the rows of `frontier[expanded..]` — the nodes the
+    // previous hop found — can still discover anything and need walking.
     let (mut expanded, mut num_nodes, mut edges) = (0usize, seeds.len(), 0usize);
     for _ in 0..depth {
         let dst_count = num_nodes;
+        // Counts do not depend on the order a hop's rows are read in, and
+        // the walk is bound by fetching them: read them in memory order.
+        frontier[expanded..dst_count].sort_unstable();
         for idx in expanded..dst_count {
             let row = batch.neighbors(frontier[idx]);
             edges += row.len();

@@ -2,10 +2,10 @@
 //!
 //! One training iteration is split into two stages:
 //!
-//! * **Prepare** (CPU): seed restriction → fast block generation →
-//!   feature/label gather, producing a [`PreparedBlocks`] handle per
-//!   micro-batch. When the pipeline is enabled this stage runs on a worker
-//!   thread feeding a bounded channel.
+//! * **Prepare** (CPU): block generation straight from the sampled batch
+//!   (one walk per micro-batch) → feature/label gather, producing a
+//!   [`PreparedBlocks`] handle per micro-batch. When the pipeline is
+//!   enabled this stage runs on a worker thread feeding a bounded channel.
 //! * **Execute** (simulated device): allocate → forward/backward → free,
 //!   consuming prepared micro-batches strictly in submission order on the
 //!   caller's thread.
@@ -44,7 +44,7 @@ use crate::train::recovery::{
     exhausted, fail_over, HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy,
 };
 use crate::TrainError;
-use buffalo_blocks::{GenerateOptions, PreparedBlocks, PreparedParts};
+use buffalo_blocks::{BlockWalker, PreparedBlocks, PreparedParts};
 use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
@@ -122,43 +122,36 @@ pub(crate) struct PipelineOutcome {
 pub(crate) enum MicroSpec<'a> {
     /// Train on the whole sampled batch (Algorithm 1).
     Whole,
-    /// Restrict the batch to these seed ids first (Algorithm 2).
+    /// Train on the micro-batch these seed ids span (Algorithm 2).
     Seeds(&'a [NodeId]),
 }
 
-/// Runs the full Prepare stage for one micro-batch. Returns the handle
-/// plus the seconds spent on seed restriction (reported as part of block
-/// generation — both are graph-structure work).
+/// Runs the full Prepare stage for one micro-batch: its blocks in one walk
+/// of the batch graph (node ids in them stay the batch's), then the
+/// feature/label gather.
 fn prepare_one(
     ds: &Dataset,
     batch: &Batch,
     spec: MicroSpec<'_>,
     num_layers: usize,
-) -> (f64, PreparedBlocks) {
+    walker: &mut BlockWalker,
+) -> PreparedBlocks {
     // lint:allow(wallclock-taint): StageTimings telemetry; overlap accounting never alters numerics (suppresses chain: prepare_one → Instant::now)
     let t0 = Instant::now();
-    let restricted;
-    let micro: &Batch = match spec {
-        MicroSpec::Whole => batch,
+    let blocks = match spec {
+        MicroSpec::Whole => walker.whole_batch(&batch.graph, batch.num_seeds, num_layers),
         MicroSpec::Seeds(group) => {
-            restricted = batch.restrict_to_seeds(group);
-            &restricted
+            walker.micro_batch(&batch.graph, batch.num_seeds, group, num_layers)
         }
     };
-    let restrict_seconds = t0.elapsed().as_secs_f64();
-    let mut prepared = PreparedBlocks::generate(
-        &micro.graph,
-        micro.num_seeds,
-        num_layers,
-        GenerateOptions::default(),
-    );
+    let mut prepared = PreparedBlocks::from_blocks(blocks, t0.elapsed().as_secs_f64());
     let dim = ds.spec.feat_dim;
     // lint:allow(wallclock-taint): StageTimings telemetry; gathered features are clock-independent (suppresses chain: prepare_one → Instant::now)
     let t1 = Instant::now();
     let globals: Vec<u32> = prepared
         .input_srcs()
         .iter()
-        .map(|&l| micro.global_ids[l as usize])
+        .map(|&l| batch.global_ids[l as usize])
         .collect();
     let mut features = vec![0.0f32; globals.len() * dim];
     ds.gather_features(&globals, &mut features);
@@ -168,19 +161,18 @@ fn prepare_one(
     let labels: Vec<u32> = prepared
         .output_dsts()
         .iter()
-        .map(|&l| ds.label(micro.global_ids[l as usize]))
+        .map(|&l| ds.label(batch.global_ids[l as usize]))
         .collect();
     prepared.set_labels(labels, t2.elapsed().as_secs_f64());
     // Dataset-global output ids: training ignores them, but inference
-    // needs them to key predictions (the restricted micro-batch and its
-    // id map are dropped when this function returns).
+    // needs them to key predictions.
     let out_globals: Vec<NodeId> = prepared
         .output_dsts()
         .iter()
-        .map(|&l| micro.global_ids[l as usize])
+        .map(|&l| batch.global_ids[l as usize])
         .collect();
     prepared.set_output_globals(out_globals);
-    (restrict_seconds, prepared)
+    prepared
 }
 
 /// Device residency policy for the Execute stage.
@@ -331,6 +323,9 @@ struct ExecState<'d, 'c> {
     micro_batches: usize,
     events: Vec<RecoveryEvent>,
     calibrator: Option<&'c mut HeadroomCalibrator>,
+    /// Block-generation scratch of whatever prepares on the Execute
+    /// thread: every micro-batch when serial, re-split groups otherwise.
+    walker: BlockWalker,
 }
 
 impl ExecState<'_, '_> {
@@ -342,8 +337,6 @@ impl ExecState<'_, '_> {
 
 /// One prepared micro-batch queued for execution.
 struct MicroWork<'s> {
-    /// Seconds spent restricting the batch to this micro-batch's seeds.
-    restrict_s: f64,
     /// The generated blocks, gathered features, and labels.
     prepared: PreparedBlocks,
     /// The micro-batch's seed group when known (required for the
@@ -368,14 +361,13 @@ fn consume_one(
     work: MicroWork<'_>,
 ) -> Result<(), TrainError> {
     let MicroWork {
-        restrict_s,
         prepared,
         seeds,
         estimate,
         depth,
         assign_idx,
     } = work;
-    let block_gen = restrict_s + prepared.block_gen_seconds();
+    let block_gen = prepared.block_gen_seconds();
     let gather = prepared.gather_seconds();
     let PreparedParts {
         blocks,
@@ -457,11 +449,12 @@ fn consume_one(
                         st.timings.block_gen_seconds += block_gen;
                         st.timings.gather_seconds += gather;
                         for (i, group) in plan.groups.iter().filter(|g| !g.is_empty()).enumerate() {
-                            let (r_s, prep) = prepare_one(
+                            let prep = prepare_one(
                                 ctx.ds,
                                 ctx.batch,
                                 MicroSpec::Seeds(group),
                                 ctx.shape.num_layers,
+                                &mut st.walker,
                             );
                             let est = plan.group_estimates.get(i).copied().unwrap_or(0);
                             consume_one(
@@ -469,7 +462,6 @@ fn consume_one(
                                 ctx,
                                 st,
                                 MicroWork {
-                                    restrict_s: r_s,
                                     prepared: prep,
                                     seeds: Some(group),
                                     estimate: est,
@@ -555,6 +547,7 @@ pub(crate) fn run_pipeline(
         micro_batches: 0,
         events: Vec::new(),
         calibrator,
+        walker: BlockWalker::default(),
     };
     let spec_seeds = |idx: usize| -> Option<&[NodeId]> {
         match specs[idx] {
@@ -566,7 +559,7 @@ pub(crate) fn run_pipeline(
     let result: Result<(), TrainError> = if depth <= 1 {
         (|| {
             for (idx, &spec) in specs.iter().enumerate() {
-                let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
+                let prepared = prepare_one(ds, batch, spec, num_layers, &mut st.walker);
                 // Route this micro-batch's allocations: a device pool
                 // round-robins over its live members.
                 device.begin_micro_batch(idx);
@@ -575,7 +568,6 @@ pub(crate) fn run_pipeline(
                     &ctx,
                     &mut st,
                     MicroWork {
-                        restrict_s,
                         prepared,
                         seeds: spec_seeds(idx),
                         estimate: spec_estimate(idx),
@@ -592,24 +584,26 @@ pub(crate) fn run_pipeline(
             // prepared-but-unconsumed micro-batches ahead (host-side
             // staging); device residency is capped separately at two
             // allocations by `Residency`.
-            let (tx, rx) = mpsc::sync_channel::<(usize, f64, PreparedBlocks)>(depth - 1);
+            let (tx, rx) = mpsc::sync_channel::<(usize, PreparedBlocks)>(depth - 1);
             s.spawn(move || {
+                // The Prepare thread's own scratch: nothing it holds
+                // between micro-batches reaches the numerics.
+                let mut walker = BlockWalker::default();
                 for (idx, &spec) in specs.iter().enumerate() {
-                    let (restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
+                    let prepared = prepare_one(ds, batch, spec, num_layers, &mut walker);
                     // The consumer hit an error and hung up: stop preparing.
-                    if tx.send((idx, restrict_s, prepared)).is_err() {
+                    if tx.send((idx, prepared)).is_err() {
                         break;
                     }
                 }
             });
-            for (idx, restrict_s, prepared) in rx {
+            for (idx, prepared) in rx {
                 device.begin_micro_batch(idx);
                 consume_one(
                     model,
                     &ctx,
                     &mut st,
                     MicroWork {
-                        restrict_s,
                         prepared,
                         seeds: spec_seeds(idx),
                         estimate: spec_estimate(idx),
@@ -743,9 +737,10 @@ pub(crate) fn run_inference(
     };
     let result: Result<(), TrainError> = if depth <= 1 {
         (|| {
+            let mut walker = BlockWalker::default();
             for (idx, &spec) in req.specs.iter().enumerate() {
                 req.device.begin_micro_batch(req.micro_base + idx);
-                let (_restrict_s, prepared) = prepare_one(req.ds, req.batch, spec, num_layers);
+                let prepared = prepare_one(req.ds, req.batch, spec, num_layers, &mut walker);
                 infer_one(model, &req, &mut residency, &mut out, prepared)?;
             }
             Ok(())
@@ -755,8 +750,9 @@ pub(crate) fn run_inference(
             let (tx, rx) = mpsc::sync_channel::<(usize, PreparedBlocks)>(depth - 1);
             let (ds, batch, specs) = (req.ds, req.batch, req.specs);
             s.spawn(move || {
+                let mut walker = BlockWalker::default();
                 for (idx, &spec) in specs.iter().enumerate() {
-                    let (_restrict_s, prepared) = prepare_one(ds, batch, spec, num_layers);
+                    let prepared = prepare_one(ds, batch, spec, num_layers, &mut walker);
                     if tx.send((idx, prepared)).is_err() {
                         break;
                     }

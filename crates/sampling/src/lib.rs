@@ -80,7 +80,10 @@ impl Batch {
     /// Restricts the batch to a subset of its seeds, re-sampling nothing:
     /// the result contains the chosen seeds plus every batch node reachable
     /// from them through sampled in-edges within `depth()` hops. This is the
-    /// primitive micro-batch extraction used by output-layer partitioning.
+    /// primitive micro-batch extraction of output-layer partitioning; the
+    /// trainers build a micro-batch's blocks straight from the batch
+    /// (`buffalo_blocks::BlockWalker::micro_batch`) and are tested against
+    /// block generation over this method's result.
     ///
     /// The result has the shape [`BatchSampler::sample`] itself produces:
     /// nodes reached before the last hop keep their whole row (every
@@ -316,7 +319,8 @@ struct Discovered<'g> {
     version: u32,
     /// Per graph node, `stamp << 32 | local id`; stamp 0 is never current.
     slots: Vec<u64>,
-    /// Row indices drawn for the node being sampled.
+    /// Row indices drawn for the node being sampled, when it has too many
+    /// neighbors for a bit mask to hold them.
     picked: Vec<usize>,
 }
 
@@ -389,12 +393,27 @@ impl<'g> Discovered<'g> {
         let graph = self.graph;
         let discovered = self.global_ids.len() as NodeId;
         for dst in frontier {
+            // Frontier nodes are scattered over the dataset graph: start
+            // fetching the row two nodes ahead while this one is sampled.
+            if let Some(&ahead) = self.global_ids.get(dst as usize + 2) {
+                std::hint::black_box(graph.neighbors(ahead).first().copied());
+            }
             let pool = graph.neighbors(self.global_ids[dst as usize]);
             let start = rows.neighbors.len();
             let n = pool.len();
             if n <= fanout {
                 for &u in pool {
                     rows.neighbors.push(self.local_of(u));
+                }
+            } else if n <= u128::BITS as usize {
+                // Floyd's draw; the row indices picked so far are a bit
+                // mask, so "already picked" is one test, not a scan.
+                let mut picked = 0u128;
+                for j in (n - fanout)..n {
+                    let t = rng.gen_range(0..=j);
+                    let pick = if picked >> t & 1 == 1 { j } else { t };
+                    picked |= 1 << pick;
+                    rows.neighbors.push(self.local_of(pool[pick]));
                 }
             } else {
                 self.picked.clear();

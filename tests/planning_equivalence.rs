@@ -3,8 +3,13 @@
 //! the tree at PR 12). Everything training reads must be bit-equal:
 //! `global_ids`, `layer_frontiers`, the sampled graph, the rows a
 //! `depth()`-layer consumer can reach, and every `Block`.
+//!
+//! The hot loop no longer restricts and then generates: `BlockWalker`
+//! builds a micro-batch's blocks in one walk of the batch graph. Its
+//! oracle is the public composition it replaced there,
+//! `generate_blocks_fast(restrict_to_seeds(group))`.
 
-use buffalo::blocks::{generate_blocks_fast, Block, GenerateOptions};
+use buffalo::blocks::{generate_blocks_fast, Block, BlockWalker, GenerateOptions};
 use buffalo::bucketing::{closure_counts, ClosureScratch};
 use buffalo::graph::{generators, CsrGraph, GraphBuilder, NodeId};
 use buffalo::sampling::{Batch, BatchSampler};
@@ -283,6 +288,47 @@ fn assert_same_restriction(new: &Batch, old: &Batch) {
     );
 }
 
+/// One walk against restrict → generate: the same layer sizes, the same
+/// positions in every row, and the same dataset nodes in every block —
+/// the walker names them by batch-local id, the restriction by its own.
+/// Returns the walked blocks.
+fn assert_walk_equals_composition(
+    walker: &mut BlockWalker,
+    batch: &Batch,
+    group: &[NodeId],
+) -> Vec<Block> {
+    let walked = walker.micro_batch(&batch.graph, batch.num_seeds, group, batch.depth());
+    let micro = batch.restrict_to_seeds(group);
+    let composed = blocks_of(&micro.graph, micro.num_seeds, micro.depth());
+    assert_eq!(walked.len(), composed.len());
+    for (w, c) in walked.iter().zip(&composed) {
+        assert_eq!(
+            (w.num_dst(), w.num_src(), w.num_edges()),
+            (c.num_dst(), c.num_src(), c.num_edges()),
+            "group {group:?}"
+        );
+        for i in 0..c.num_dst() {
+            assert_eq!(
+                w.src_positions(i),
+                c.src_positions(i),
+                "row {i} of {group:?}"
+            );
+        }
+        let globals = |ids: &[NodeId], of: &Batch| -> Vec<NodeId> {
+            ids.iter().map(|&l| of.global_ids[l as usize]).collect()
+        };
+        assert_eq!(
+            globals(w.src_nodes(), batch),
+            globals(c.src_nodes(), &micro)
+        );
+        assert_eq!(
+            globals(w.dst_nodes(), batch),
+            globals(c.dst_nodes(), &micro)
+        );
+    }
+    walked
+}
+
 /// `take` distinct entries of `0..n`, in an order `picks` decides.
 fn unsorted_subset(n: usize, take: usize, picks: &[usize]) -> Vec<NodeId> {
     let mut pool: Vec<NodeId> = (0..n as NodeId).collect();
@@ -398,5 +444,104 @@ proptest! {
             blocks_of(&g, num_seeds, depth),
             parent::generate_blocks_fast(&g, num_seeds, depth)
         );
+    }
+
+    /// (d) the one-walk block builder equals restrict → generate — groups
+    /// in arbitrary order, a single seed whose seed neighbors were not
+    /// chosen, a seed chosen together with the seeds in its row, every
+    /// seed at once — on one reused walker; and closure counting from the
+    /// same unsorted groups, on one reused scratch, still counts exactly
+    /// what those blocks hold.
+    #[test]
+    fn walker_equals_restrict_then_generate(
+        n in 40usize..400,
+        m in 1usize..9,
+        graph_seed in 0u64..1_000,
+        num_seeds in 1usize..60,
+        fanouts in vec(1usize..12, 1..4),
+        sample_seed in 0u64..1_000,
+        picks in vec(0usize..1_000, 2..40),
+        take in 1usize..40,
+    ) {
+        let g = generators::barabasi_albert(n, m, 0.3, graph_seed).unwrap();
+        let seeds = unsorted_subset(n, num_seeds, &picks);
+        let sampler = BatchSampler::new(fanouts.clone());
+        let mut walker = BlockWalker::default();
+        let mut scratch = ClosureScratch::default();
+        for batch in [
+            sampler.sample(&g, &seeds, sample_seed),
+            sampler.sample_isolated(&g, &seeds, sample_seed),
+        ] {
+            let one = (picks[0] % batch.num_seeds) as NodeId;
+            let mut with_its_row = vec![one];
+            with_its_row.extend(
+                batch.graph.neighbors(one).iter().filter(|&&u| (u as usize) < batch.num_seeds),
+            );
+            let everyone = unsorted_subset(batch.num_seeds, batch.num_seeds, &picks);
+            let groups = [
+                unsorted_subset(batch.num_seeds, take, &picks),
+                unsorted_subset(batch.num_seeds, take / 2 + 1, &picks[1..]),
+                vec![one],
+                with_its_row,
+                everyone.clone(),
+            ];
+            for group in &groups {
+                let blocks = assert_walk_equals_composition(&mut walker, &batch, group);
+                let counts = closure_counts(&batch.graph, group, batch.depth(), &mut scratch);
+                prop_assert_eq!(counts.layers.len(), blocks.len());
+                for (c, b) in counts.layers.iter().zip(&blocks) {
+                    prop_assert_eq!(
+                        (c.num_dst, c.num_src, c.num_edges),
+                        (b.num_dst(), b.num_src(), b.num_edges())
+                    );
+                }
+            }
+            // Every seed chosen is the batch itself, node ids included.
+            let whole = blocks_of(&batch.graph, batch.num_seeds, batch.depth());
+            prop_assert_eq!(
+                &walker.micro_batch(&batch.graph, batch.num_seeds, &everyone, batch.depth()),
+                &whole
+            );
+            prop_assert_eq!(
+                &walker.whole_batch(&batch.graph, batch.num_seeds, batch.depth()),
+                &whole
+            );
+        }
+    }
+
+    /// (a) once more where the sampler changes how it remembers the row
+    /// indices Floyd's algorithm drew: a bit mask up to 128 neighbors, a
+    /// list above. Nodes of degree 127, 128 and 129 sit on both sides.
+    #[test]
+    fn sampling_equals_parent_at_the_mask_boundary(
+        fanout in 1usize..140,
+        inner in 1usize..12,
+        sample_seed in 0u64..1_000,
+    ) {
+        let n = 400u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..3u32 {
+            for j in 0..127 + v {
+                b.add_edge(3 + (v * 31 + j) % (n - 3), v);
+            }
+        }
+        for v in 3..n {
+            b.add_edge((v * 7 + 1) % n, v);
+            b.add_edge((v * 13 + 5) % n, v);
+        }
+        let g = b.build_directed();
+        prop_assert_eq!([g.degree(0), g.degree(1), g.degree(2)], [127, 128, 129]);
+        let fanouts = vec![fanout, inner];
+        let sampler = BatchSampler::new(fanouts.clone());
+        for seeds in [vec![0, 1, 2], vec![2, 7, 1, 0]] {
+            assert_same_batch(
+                &sampler.sample(&g, &seeds, sample_seed),
+                &parent::sample(&fanouts, &g, &seeds, sample_seed),
+            );
+            assert_same_batch(
+                &sampler.sample_isolated(&g, &seeds, sample_seed),
+                &parent::sample_isolated(&fanouts, &g, &seeds, sample_seed),
+            );
+        }
     }
 }

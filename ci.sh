@@ -9,7 +9,6 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 cargo build --examples --release
-cargo bench --workspace --no-run
 
 # The API docs must build clean: broken intra-doc links or malformed
 # rustdoc are errors, not warnings.
@@ -22,6 +21,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 # human-readable run prints the call-graph stats (functions, edges,
 # ambiguous call sites) on stderr.
 cargo run -q -p buffalo-lint -- check
+# The waivers those invariants are granted, as a trend line: every
+# `lint:allow` in the workspace's Rust sources (the linter's own rule
+# texts and fixtures included, so the count only moves with a waiver).
+echo "ci: lint:allow sites: $(grep -rn 'lint:allow' --include='*.rs' crates src | wc -l)"
 
 # Machine-readable gate, as its own step: the --json rendering over a
 # clean workspace must be exactly the empty array (any diagnostic, or
@@ -255,6 +258,28 @@ if [ "$(grep '^answers:' <<<"$sc")" != "$(grep '^answers:' <<<"$sf")" ]; then
   exit 1
 fi
 echo "ci: chaos serve (transient faults) completes all requests, answers identical"
+
+# The pipeline toggle must not move a served answer either — the serving
+# counterpart of the training gate above: inference goes through the same
+# staged driver, so with the pipeline on its blocks are built on the
+# Prepare thread. The `answers:` digest and the `admission:` line must be
+# identical to the serial run's (peak memory may differ: double-buffered
+# residency). At 12M every dispatch is one micro-batch; 2M splits them
+# (24 micro-batches over 8 dispatches), so the Prepare thread really runs.
+for budget in 12M 2M; do
+  so=$(cargo run -q --release --bin buffalo -- serve cora --budget "$budget" \
+    --trace 'poisson:n=64,rate=128,seed=7' --quiet-requests 1 --pipeline off \
+    | grep -E '^(answers|admission):')
+  sp=$(cargo run -q --release --bin buffalo -- serve cora --budget "$budget" \
+    --trace 'poisson:n=64,rate=128,seed=7' --quiet-requests 1 --pipeline on \
+    | grep -E '^(answers|admission):')
+  if [ "$so" != "$sp" ] || [ "$(wc -l <<<"$sp")" -ne 2 ]; then
+    echo "ci: FAIL — serving at --budget $budget diverged between --pipeline off and --pipeline on" >&2
+    printf 'pipeline off:\n%s\npipeline on:\n%s\n' "$so" "$sp" >&2
+    exit 1
+  fi
+done
+echo "ci: serve --pipeline off and --pipeline on answers and admission identical"
 
 # Device-loss serve smoke: a 2-device pool losing device 1 mid-run must
 # fail over, mark the member LOST, and still answer identically to the

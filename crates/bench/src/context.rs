@@ -1,5 +1,4 @@
-//! Workload preparation shared by the `figures` binary and the Criterion
-//! benches.
+//! Workload preparation shared by the `figures` binary's experiments.
 
 use buffalo_graph::datasets::{self, Dataset, DatasetName};
 use buffalo_graph::{stats, NodeId};

@@ -215,7 +215,7 @@ pub fn estimator(quick: bool) {
     println!("(linear summing always over-predicts, wasting budget; the Eq. 1 discount");
     println!("engages under clustered seed orders and can overshoot into under-prediction —");
     println!("which is why BuffaloScheduler re-validates every group with exact closure");
-    println!("counts before accepting a plan: see SchedulerOptions::validate_exact)");
+    println!("counts before accepting a plan: see BuffaloScheduler::schedule)");
 }
 
 /// Partition-layer ablation (§IV-B, Figure 8): partitioning at a

@@ -5,11 +5,11 @@
 //! killing 0, 1, 2, or all members mid-run with `lose:` faults. For each
 //! scenario we record the completion rate (iterations that produced a
 //! gradient step), the failover activity (`DeviceLost` events, the
-//! iteration the loss landed in), the re-shard latency (extra wall time
-//! of the failover iteration over the pre-loss mean), the pre- and
-//! post-loss throughput, the per-member allocation counts, and — the
-//! headline determinism claim — whether the per-iteration loss trail is
-//! bitwise identical to the fault-free run on the same pool size.
+//! iteration the loss landed in), the per-member allocation counts, the
+//! dead set, and — the headline determinism claim — whether the
+//! per-iteration loss trail is bitwise identical to the fault-free run on
+//! the same pool size. Every column is exact: what a re-shard costs in
+//! wall time is the standing benchmark's to measure, with repetitions.
 //! Failover is pure re-routing of an in-order Execute stage, so every
 //! survivable scenario must reproduce the baseline losses exactly; the
 //! lose-all scenario is the honest failure floor (recovery exhausts, the
@@ -24,7 +24,6 @@ use crate::output::Table;
 use buffalo_core::train::{DevicePool, Engine, RecoveryAction, RecoveryPolicy, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{AggregatorKind, CostModel, Device, DeviceMemory, FaultPlan, GnnShape};
-use std::time::Instant;
 
 const FANOUTS: [usize; 2] = [5, 10];
 const MAX_GPUS: usize = 4;
@@ -46,7 +45,6 @@ struct Outcome {
     device_lost_events: usize,
     /// Iteration index (0-based) of the first `DeviceLost` event.
     failover_iter: Option<usize>,
-    iter_walls: Vec<f64>,
     losses: Vec<f32>,
     per_device_allocs: Vec<u64>,
     dead: Vec<usize>,
@@ -55,50 +53,6 @@ struct Outcome {
 impl Outcome {
     fn completion_rate(&self) -> f64 {
         self.completed as f64 / self.iterations.max(1) as f64
-    }
-
-    /// Extra wall seconds the failover iteration took over the mean of
-    /// the iterations before it — the observable cost of marking the
-    /// device dead, re-routing, and replaying the in-flight micro-batch.
-    /// Wall-clock telemetry: noisy on a loaded machine, zero when the
-    /// loss landed in iteration 0 (no pre-loss mean to compare against).
-    fn reshard_latency_s(&self) -> f64 {
-        let Some(at) = self.failover_iter else {
-            return 0.0;
-        };
-        if at == 0 || at >= self.iter_walls.len() {
-            return 0.0;
-        }
-        let pre_mean = self.iter_walls[..at].iter().sum::<f64>() / at as f64;
-        (self.iter_walls[at] - pre_mean).max(0.0)
-    }
-
-    /// Iterations per second over `range` of the wall list.
-    fn throughput(&self, walls: &[f64]) -> f64 {
-        let total: f64 = walls.iter().sum();
-        if total > 0.0 {
-            walls.len() as f64 / total
-        } else {
-            0.0
-        }
-    }
-
-    fn pre_loss_throughput(&self) -> f64 {
-        match self.failover_iter {
-            Some(at) if at > 0 => self.throughput(&self.iter_walls[..at]),
-            _ => self.throughput(&self.iter_walls),
-        }
-    }
-
-    fn post_loss_throughput(&self) -> f64 {
-        match self.failover_iter {
-            // Skip the failover iteration itself: it pays the re-shard
-            // cost, which reshard_latency_s reports separately.
-            Some(at) if at + 1 < self.iter_walls.len() => {
-                self.throughput(&self.iter_walls[at + 1..])
-            }
-            _ => 0.0,
-        }
     }
 }
 
@@ -129,13 +83,11 @@ fn run_scenario(
         completed: 0,
         device_lost_events: 0,
         failover_iter: None,
-        iter_walls: Vec::with_capacity(iters),
         losses: Vec::with_capacity(iters),
         per_device_allocs: Vec::new(),
         dead: Vec::new(),
     };
     for i in 0..iters {
-        let t = Instant::now();
         match trainer.train_iteration(&w.dataset, &w.batch, &pool, cost) {
             Ok(stats) => {
                 out.completed += 1;
@@ -153,7 +105,6 @@ fn run_scenario(
                 eprintln!("  [{}] iteration failed: {e}", sc.name);
             }
         }
-        out.iter_walls.push(t.elapsed().as_secs_f64());
     }
     out.per_device_allocs = pool.snapshot_position().0;
     out.dead = pool.dead();
@@ -222,18 +173,19 @@ pub fn failover(quick: bool, write_bench: bool) {
         },
     ];
 
-    // Fault-free baselines per pool size: the bitwise reference trail and
-    // the per-member allocation counts the `lose:` fire points scale off.
-    let mut baselines: Vec<Option<Outcome>> = (0..=MAX_GPUS).map(|_| None).collect();
+    // Fault-free baselines per pool size, `(loss trail, per-member
+    // allocation counts)`: the bitwise reference and what the `lose:` fire
+    // points scale off.
+    let mut baselines: Vec<Option<(Vec<f32>, Vec<u64>)>> = vec![None; MAX_GPUS + 1];
     let mut outcomes: Vec<Outcome> = Vec::with_capacity(scenarios.len());
     for sc in &scenarios {
-        let spec = match baselines[sc.gpus].as_ref() {
+        let spec = match &baselines[sc.gpus] {
             None => String::new(),
-            Some(base) => sc
+            Some((_, allocs)) => sc
                 .losses
                 .iter()
                 .map(|&(victim, frac)| {
-                    let total = base.per_device_allocs.get(victim).copied().unwrap_or(0);
+                    let total = allocs.get(victim).copied().unwrap_or(0);
                     let at = ((total as f64 * frac) as u64).max(1);
                     format!("lose:{victim},{at}")
                 })
@@ -242,17 +194,15 @@ pub fn failover(quick: bool, write_bench: bool) {
         };
         let out = run_scenario(sc, &spec, iters, &config, &w, budget, &cost);
         if sc.losses.is_empty() {
-            baselines[sc.gpus] = Some(Outcome {
-                name: out.name.clone(),
-                iter_walls: out.iter_walls.clone(),
-                losses: out.losses.clone(),
-                per_device_allocs: out.per_device_allocs.clone(),
-                dead: out.dead.clone(),
-                ..out
-            });
+            baselines[sc.gpus] = Some((out.losses.clone(), out.per_device_allocs.clone()));
         }
         outcomes.push(out);
     }
+    let base_losses = |o: &Outcome| -> &[f32] {
+        baselines[o.gpus]
+            .as_ref()
+            .map_or(&[], |(losses, _)| losses.as_slice())
+    };
 
     let mut t = Table::new([
         "scenario",
@@ -260,29 +210,17 @@ pub fn failover(quick: bool, write_bench: bool) {
         "lost",
         "completed",
         "loss identical",
-        "reshard s",
-        "pre it/s",
-        "post it/s",
+        "failover iter",
         "allocs/device",
     ]);
     for o in &outcomes {
-        let base_losses = baselines[o.gpus]
-            .as_ref()
-            .map(|b| b.losses.as_slice())
-            .unwrap_or(&[]);
         t.row([
             o.name.clone(),
             o.gpus.to_string(),
             o.lost.to_string(),
             format!("{}/{}", o.completed, o.iterations),
-            (o.losses == base_losses).to_string(),
-            format!("{:.4}", o.reshard_latency_s()),
-            format!("{:.2}", o.pre_loss_throughput()),
-            if o.failover_iter.is_some() {
-                format!("{:.2}", o.post_loss_throughput())
-            } else {
-                "-".into()
-            },
+            (o.losses == base_losses(o)).to_string(),
+            o.failover_iter.map_or("-".into(), |i| i.to_string()),
             format!("{:?}", o.per_device_allocs),
         ]);
     }
@@ -296,18 +234,13 @@ pub fn failover(quick: bool, write_bench: bool) {
     let rows: Vec<String> = outcomes
         .iter()
         .map(|o| {
-            let base_losses = baselines[o.gpus]
-                .as_ref()
-                .map(|b| b.losses.as_slice())
-                .unwrap_or(&[]);
             let allocs: Vec<String> = o.per_device_allocs.iter().map(u64::to_string).collect();
             let dead: Vec<String> = o.dead.iter().map(usize::to_string).collect();
             format!(
                 "    {{\"scenario\": \"{}\", \"pool_size\": {}, \"devices_lost\": {}, \
                  \"device_loss_rate\": {:.4}, \"iterations\": {}, \"completed\": {}, \
                  \"completion_rate\": {:.4}, \"device_lost_events\": {}, \
-                 \"failover_iteration\": {}, \"reshard_latency_s\": {:.6}, \
-                 \"pre_loss_iters_per_s\": {:.4}, \"post_loss_iters_per_s\": {:.4}, \
+                 \"failover_iteration\": {}, \
                  \"loss_bitwise_identical_to_fault_free\": {}, \
                  \"per_device_allocs\": [{}], \"dead_devices\": [{}]}}",
                 o.name,
@@ -320,10 +253,7 @@ pub fn failover(quick: bool, write_bench: bool) {
                 o.device_lost_events,
                 o.failover_iter
                     .map_or("null".to_string(), |i| i.to_string()),
-                o.reshard_latency_s(),
-                o.pre_loss_throughput(),
-                o.post_loss_throughput(),
-                o.losses == base_losses,
+                o.losses == base_losses(o),
                 allocs.join(", "),
                 dead.join(", ")
             )

@@ -5,7 +5,7 @@
 //! graph statistics) with per-dataset defaults matching the paper's
 //! experimental regime; [`experiments`] holds one module per figure/table;
 //! [`output`] provides the plain-text table printer the `figures` binary
-//! uses. Criterion benches under `benches/` reuse the same context.
+//! uses.
 
 #![warn(missing_docs)]
 

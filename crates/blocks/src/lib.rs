@@ -21,10 +21,8 @@
 
 mod block;
 mod generate;
-mod prepared;
 mod reverse;
 
 pub use block::Block;
 pub use generate::{generate_blocks_checked, generate_blocks_fast, BlockWalker, GenerateOptions};
-pub use prepared::{PreparedBlocks, PreparedParts};
 pub use reverse::ReverseIndex;

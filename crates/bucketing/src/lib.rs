@@ -32,4 +32,4 @@ pub use bucket::{
 };
 pub use closure::{closure_counts, ClosureScratch};
 pub use grouping::{mem_balanced_grouping, BucketEntry, GroupingOutcome};
-pub use scheduler::{BuffaloScheduler, ScheduleError, SchedulePlan, SchedulerOptions};
+pub use scheduler::{BuffaloScheduler, ScheduleError, SchedulePlan};

@@ -9,31 +9,13 @@ use buffalo_memsim::GnnShape;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Tunables for [`BuffaloScheduler`].
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerOptions {
-    /// Maximum number of bucket groups to try before giving up
-    /// (Algorithm 3's `K_max`).
-    pub k_max: usize,
-    /// Explosion detection threshold: a bucket explodes when its volume
-    /// exceeds `explosion_factor ×` the mean volume of the other buckets.
-    pub explosion_factor: f64,
-    /// After the Eq.-2 grouping succeeds, re-validate every group with an
-    /// exact union-closure memory computation and retry with `K + 1` on
-    /// violation. One extra batch traversal per `K`; guarantees the plan
-    /// never OOMs from estimator under-prediction.
-    pub validate_exact: bool,
-}
+/// Maximum number of bucket groups to try before giving up (Algorithm
+/// 3's `K_max`).
+const K_MAX: usize = 256;
 
-impl Default for SchedulerOptions {
-    fn default() -> Self {
-        SchedulerOptions {
-            k_max: 256,
-            explosion_factor: 2.0,
-            validate_exact: true,
-        }
-    }
-}
+/// Explosion detection threshold: a bucket explodes when its volume
+/// exceeds this many times the mean volume of the other buckets.
+const EXPLOSION_FACTOR: f64 = 2.0;
 
 /// A scheduling result: `K` bucket groups, each a list of output-node
 /// (seed) local ids forming one micro-batch.
@@ -121,7 +103,6 @@ pub struct BuffaloScheduler {
     shape: GnnShape,
     fanouts: Vec<usize>,
     clustering: f64,
-    options: SchedulerOptions,
 }
 
 impl BuffaloScheduler {
@@ -143,14 +124,7 @@ impl BuffaloScheduler {
             shape,
             fanouts,
             clustering,
-            options: SchedulerOptions::default(),
         }
-    }
-
-    /// Replaces the default [`SchedulerOptions`].
-    pub fn with_options(mut self, options: SchedulerOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// The cut-off degree `F` (= the output-layer fanout).
@@ -250,7 +224,7 @@ impl BuffaloScheduler {
         // lint:allow(wallclock-taint): plan-timing telemetry; the plan itself is clock-free (suppresses chain: BuffaloScheduler::schedule_impl → Instant::now)
         let start = Instant::now();
         let base = degree_bucketing_of(batch, all_seeds, self.cutoff());
-        let explosion = detect_explosion(&base, self.options.explosion_factor);
+        let explosion = detect_explosion(&base, EXPLOSION_FACTOR);
         let mut scratch = ClosureScratch::default();
         let mut best_max_group = u64::MAX;
         // Fast path and lower bound: one whole-batch closure tells us both
@@ -280,7 +254,7 @@ impl BuffaloScheduler {
             // next rung.
             return Err(ScheduleError {
                 mem_constraint,
-                k_max: self.options.k_max,
+                k_max: K_MAX,
                 best_max_group: whole_mem,
             });
         }
@@ -290,20 +264,20 @@ impl BuffaloScheduler {
         if mem_constraint <= param_bytes {
             return Err(ScheduleError {
                 mem_constraint,
-                k_max: self.options.k_max,
+                k_max: K_MAX,
                 best_max_group: param_bytes,
             });
         }
         let activation_budget = mem_constraint - param_bytes;
         let k_min =
             (((whole_mem - param_bytes.min(whole_mem)) / activation_budget.max(1)) as usize).max(2);
-        if k_min > self.options.k_max {
+        if k_min > K_MAX {
             // Even a perfect packing cannot satisfy the constraint within
             // K_max groups.
             return Err(ScheduleError {
                 mem_constraint,
-                k_max: self.options.k_max,
-                best_max_group: whole_mem / self.options.k_max as u64,
+                k_max: K_MAX,
+                best_max_group: whole_mem / K_MAX as u64,
             });
         }
         // Build the bucket/micro-bucket entry list once — it depends only
@@ -338,7 +312,7 @@ impl BuffaloScheduler {
             }
         }
         let mut k = k_min;
-        while k <= self.options.k_max {
+        while k <= K_MAX {
             let outcome =
                 mem_balanced_grouping(&entries, k, mem_constraint, self.clustering, param_bytes);
             let max_group = outcome.group_estimates.iter().copied().max().unwrap_or(0);
@@ -350,85 +324,81 @@ impl BuffaloScheduler {
                 k = next_k(k, max_group, mem_constraint);
                 continue;
             }
-            {
-                let mut member_groups = outcome.groups.clone();
-                if self.options.validate_exact {
-                    let mut exact: Vec<u64> = member_groups
-                        .iter()
-                        .map(|g| self.exact_group_mem(batch, &entries, g, &mut scratch))
-                        .collect();
-                    // Exact-balance refinement: Eq. 2 balances *estimates*;
-                    // actual union closures can still diverge because
-                    // overlap varies per group. Move the lightest bucket
-                    // out of the heaviest group while it lowers the max.
-                    // This runs on the re-split recovery path, so extremum
-                    // selection is panic-free: `argmax_last`/`argmin_first`
-                    // mirror `max_by_key`/`min_by_key` tie-breaking (last
-                    // max, first min — plan bit-identity depends on it)
-                    // and return `None` only for empty slices, which the
-                    // grouping never produces (`k >= 1` groups).
-                    for _ in 0..12 {
-                        let (Some(hi), Some(lo)) = (argmax_last(&exact), argmin_first(&exact))
-                        else {
-                            break;
-                        };
-                        if hi == lo
-                            || member_groups[hi].len() < 2
-                            || exact[hi].saturating_sub(exact[lo]) < exact[hi] / 20
-                        {
-                            break;
-                        }
-                        let lightest: Vec<u64> = member_groups[hi]
-                            .iter()
-                            .map(|&e| entries[e].mem_estimate)
-                            .collect();
-                        let Some(pos) = argmin_first(&lightest) else {
-                            break;
-                        };
-                        let candidate = member_groups[hi][pos];
-                        let mut new_hi_members = member_groups[hi].clone();
-                        new_hi_members.remove(pos);
-                        let mut new_lo_members = member_groups[lo].clone();
-                        new_lo_members.push(candidate);
-                        let new_hi =
-                            self.exact_group_mem(batch, &entries, &new_hi_members, &mut scratch);
-                        let new_lo =
-                            self.exact_group_mem(batch, &entries, &new_lo_members, &mut scratch);
-                        if new_hi.max(new_lo) >= exact[hi] {
-                            break;
-                        }
-                        member_groups[hi] = new_hi_members;
-                        member_groups[lo] = new_lo_members;
-                        exact[hi] = new_hi;
-                        exact[lo] = new_lo;
-                    }
-                    let worst = exact.iter().copied().max().unwrap_or(0);
-                    if worst > mem_constraint {
-                        best_max_group = best_max_group.min(worst);
-                        k = next_k(k, worst, mem_constraint);
-                        continue;
-                    }
+            // The Eq.-2 grouping fits: re-validate every group with an exact
+            // union-closure memory computation and retry with a larger K on
+            // violation, so a plan never OOMs from estimator
+            // under-prediction.
+            let mut member_groups = outcome.groups;
+            let mut exact: Vec<u64> = member_groups
+                .iter()
+                .map(|g| self.exact_group_mem(batch, &entries, g, &mut scratch))
+                .collect();
+            // Exact-balance refinement: Eq. 2 balances *estimates*; actual
+            // union closures can still diverge because overlap varies per
+            // group. Move the lightest bucket out of the heaviest group
+            // while it lowers the max. This runs on the re-split recovery
+            // path, so extremum selection is panic-free: `argmax_last` /
+            // `argmin_first` mirror `max_by_key`/`min_by_key` tie-breaking
+            // (last max, first min — plan bit-identity depends on it) and
+            // return `None` only for empty slices, which the grouping never
+            // produces (`k >= 1` groups).
+            for _ in 0..12 {
+                let (Some(hi), Some(lo)) = (argmax_last(&exact), argmin_first(&exact)) else {
+                    break;
+                };
+                if hi == lo
+                    || member_groups[hi].len() < 2
+                    || exact[hi].saturating_sub(exact[lo]) < exact[hi] / 20
+                {
+                    break;
                 }
-                let groups: Vec<Vec<NodeId>> = member_groups
+                let lightest: Vec<u64> = member_groups[hi]
                     .iter()
-                    .map(|g| {
-                        g.iter()
-                            .flat_map(|&i| entries[i].bucket.nodes.iter().copied())
-                            .collect()
-                    })
+                    .map(|&e| entries[e].mem_estimate)
                     .collect();
-                return Ok(SchedulePlan {
-                    groups,
-                    group_estimates: outcome.group_estimates,
-                    k,
-                    split_explosion: split,
-                    scheduling_time: start.elapsed(),
-                });
+                let Some(pos) = argmin_first(&lightest) else {
+                    break;
+                };
+                let candidate = member_groups[hi][pos];
+                let mut new_hi_members = member_groups[hi].clone();
+                new_hi_members.remove(pos);
+                let mut new_lo_members = member_groups[lo].clone();
+                new_lo_members.push(candidate);
+                let new_hi = self.exact_group_mem(batch, &entries, &new_hi_members, &mut scratch);
+                let new_lo = self.exact_group_mem(batch, &entries, &new_lo_members, &mut scratch);
+                if new_hi.max(new_lo) >= exact[hi] {
+                    break;
+                }
+                member_groups[hi] = new_hi_members;
+                member_groups[lo] = new_lo_members;
+                exact[hi] = new_hi;
+                exact[lo] = new_lo;
             }
+            let worst = exact.iter().copied().max().unwrap_or(0);
+            if worst > mem_constraint {
+                best_max_group = best_max_group.min(worst);
+                k = next_k(k, worst, mem_constraint);
+                continue;
+            }
+            let groups: Vec<Vec<NodeId>> = member_groups
+                .iter()
+                .map(|g| {
+                    g.iter()
+                        .flat_map(|&i| entries[i].bucket.nodes.iter().copied())
+                        .collect()
+                })
+                .collect();
+            return Ok(SchedulePlan {
+                groups,
+                group_estimates: outcome.group_estimates,
+                k,
+                split_explosion: split,
+                scheduling_time: start.elapsed(),
+            });
         }
         Err(ScheduleError {
             mem_constraint,
-            k_max: self.options.k_max,
+            k_max: K_MAX,
             best_max_group,
         })
     }
@@ -554,17 +524,12 @@ mod tests {
     #[test]
     fn impossible_budget_errors() {
         let (batch, c) = sample_batch();
-        let sched = scheduler(c).with_options(SchedulerOptions {
-            k_max: 8,
-            explosion_factor: 2.0,
-            validate_exact: true,
-        });
-        let err = sched
+        let err = scheduler(c)
             .schedule(&batch.graph, batch.num_seeds, 1)
             .unwrap_err();
-        assert_eq!(err.k_max, 8);
+        assert_eq!(err.k_max, K_MAX);
         assert!(err.best_max_group > 1);
-        assert!(err.to_string().contains("K=8"));
+        assert!(err.to_string().contains("K=256"));
     }
 
     #[test]

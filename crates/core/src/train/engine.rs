@@ -23,18 +23,17 @@
 
 use crate::checkpoint::{CheckpointError, ParamState, TrainerState};
 use crate::models::GnnModel;
-use crate::train::pipeline::{
-    run_inference, run_pipeline, InferOutcome, InferRequest, MicroSpec, PipelineRequest,
-};
+use crate::train::pipeline::{run_inference, run_pipeline, Staged};
 use crate::train::recovery::{HeadroomCalibrator, RecoveryPolicy};
 use crate::train::{IterationStats, PipelineConfig, TrainConfig};
 use crate::TrainError;
-use buffalo_bucketing::BuffaloScheduler;
+use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device};
 use buffalo_sampling::Batch;
 use buffalo_tensor::{Adam, Optimizer};
+use std::time::Duration;
 
 /// Result of a forward-only inference pass (see [`Engine::infer`]).
 #[derive(Debug, Clone)]
@@ -63,6 +62,10 @@ pub struct InferenceStats {
 ///   into memory-balanced bucket groups under the device budget
 ///   (Algorithm 2).
 ///
+/// The modes differ in one step only — where the iteration's plan comes
+/// from: Algorithm 1 is Algorithm 2 on a plan of one group holding every
+/// seed.
+///
 /// State-ownership rule: the engine owns everything that must survive
 /// across iterations and requests; drivers own only per-call inputs (the
 /// dataset, the sampled batch, the device handle, the cost model) and
@@ -72,29 +75,33 @@ pub struct Engine {
     config: TrainConfig,
     model: GnnModel,
     opt: Adam,
-    /// `Some` in scheduled (Buffalo) mode, `None` in whole-batch mode.
-    scheduler: Option<BuffaloScheduler>,
+    /// The scheduler and the headroom calibration of its constraints:
+    /// `Some` in scheduled (Buffalo) mode, `None` in whole-batch mode,
+    /// where nothing is planned and so nothing is calibrated.
+    scheduler: Option<(BuffaloScheduler, HeadroomCalibrator)>,
     pipeline: PipelineConfig,
     recovery: RecoveryPolicy,
-    calibrator: HeadroomCalibrator,
 }
 
 impl Engine {
-    /// Creates a whole-batch engine (Algorithm 1): no scheduler, a batch
-    /// is one micro-batch, and an over-budget batch fails with
-    /// [`TrainError::Oom`] — the paper's OOM cells.
-    pub fn full_batch(config: TrainConfig) -> Self {
+    fn new(config: TrainConfig, scheduler: Option<BuffaloScheduler>) -> Self {
         let model = GnnModel::for_shape(&config.shape, config.seed);
         let opt = Adam::new(config.lr);
         Engine {
             config,
             model,
             opt,
-            scheduler: None,
+            scheduler: scheduler.map(|s| (s, HeadroomCalibrator::default())),
             pipeline: PipelineConfig::serial(),
             recovery: RecoveryPolicy::disabled(),
-            calibrator: HeadroomCalibrator::default(),
         }
+    }
+
+    /// Creates a whole-batch engine (Algorithm 1): no scheduler, a batch
+    /// is one micro-batch, and an over-budget batch fails with
+    /// [`TrainError::Oom`] — the paper's OOM cells.
+    pub fn full_batch(config: TrainConfig) -> Self {
+        Engine::new(config, None)
     }
 
     /// Creates a bucket-scheduled engine (Algorithm 2). `clustering` is
@@ -103,17 +110,7 @@ impl Engine {
     pub fn buffalo(config: TrainConfig, clustering: f64) -> Self {
         let scheduler =
             BuffaloScheduler::new(config.shape.clone(), config.fanouts.clone(), clustering);
-        let model = GnnModel::for_shape(&config.shape, config.seed);
-        let opt = Adam::new(config.lr);
-        Engine {
-            config,
-            model,
-            opt,
-            scheduler: Some(scheduler),
-            pipeline: PipelineConfig::serial(),
-            recovery: RecoveryPolicy::disabled(),
-            calibrator: HeadroomCalibrator::default(),
-        }
+        Engine::new(config, Some(scheduler))
     }
 
     /// The training configuration.
@@ -126,23 +123,7 @@ impl Engine {
         &self.model
     }
 
-    /// Whether this engine schedules batches into bucket groups
-    /// (Algorithm 2) rather than training them whole (Algorithm 1).
-    pub fn is_scheduled(&self) -> bool {
-        self.scheduler.is_some()
-    }
-
-    /// The active pipeline configuration.
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.pipeline
-    }
-
     /// Sets the pipeline configuration.
-    pub fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.pipeline = pipeline;
-    }
-
-    /// Builder-style [`set_pipeline`](Self::set_pipeline).
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -153,8 +134,8 @@ impl Engine {
     /// whole-batch mode there is no calibrator to seed (the whole-batch
     /// path cannot re-schedule, so only the retry rungs apply).
     pub fn set_recovery(&mut self, recovery: RecoveryPolicy) {
-        if self.scheduler.is_some() {
-            self.calibrator = HeadroomCalibrator::new(recovery.headroom);
+        if let Some((_, calibrator)) = &mut self.scheduler {
+            *calibrator = HeadroomCalibrator::new(recovery.headroom);
         }
         self.recovery = recovery;
     }
@@ -169,11 +150,9 @@ impl Engine {
     /// constraints are `budget / multiplier`. Always `1.0` in whole-batch
     /// mode (nothing is scheduled, so nothing is calibrated).
     pub fn headroom_multiplier(&self) -> f64 {
-        if self.scheduler.is_some() {
-            self.calibrator.multiplier()
-        } else {
-            1.0
-        }
+        self.scheduler
+            .as_ref()
+            .map_or(1.0, |(_, calibrator)| calibrator.multiplier())
     }
 
     /// Ensures the headroom multiplier is at least `multiplier` — the
@@ -183,8 +162,10 @@ impl Engine {
     /// conservative (kept bit-compatible with the goldens — see the
     /// drift regression test below).
     pub fn force_headroom(&mut self, multiplier: f64) {
-        if self.scheduler.is_some() && multiplier > self.calibrator.multiplier() {
-            self.calibrator.set_multiplier(multiplier);
+        if let Some((_, calibrator)) = &mut self.scheduler {
+            if multiplier > calibrator.multiplier() {
+                calibrator.set_multiplier(multiplier);
+            }
         }
     }
 
@@ -194,11 +175,7 @@ impl Engine {
     pub fn capture_state(&mut self) -> TrainerState {
         TrainerState {
             adam_t: self.opt.t(),
-            headroom_multiplier: if self.scheduler.is_some() {
-                self.calibrator.multiplier()
-            } else {
-                1.0
-            },
+            headroom_multiplier: self.headroom_multiplier(),
             params: capture_params(&mut self.model),
         }
     }
@@ -214,16 +191,38 @@ impl Engine {
     pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
         restore_params(&mut self.model, &state.params)?;
         self.opt.set_t(state.adam_t);
-        if self.scheduler.is_some() {
-            self.calibrator.set_multiplier(state.headroom_multiplier);
+        if let Some((_, calibrator)) = &mut self.scheduler {
+            calibrator.set_multiplier(state.headroom_multiplier);
         }
         Ok(())
     }
 
-    /// Trains one iteration on `batch` under the device budget: schedule
-    /// (in scheduled mode), run every micro-batch through the
-    /// Prepare/Execute pipeline accumulating gradients, then step the
-    /// optimizer once.
+    /// The one plan step of an iteration or inference pass. Scheduled
+    /// mode runs Algorithm 3 against the calibrated constraint —
+    /// `budget / multiplier`, the plain budget until the calibrator has
+    /// seen an under-prediction — of the *schedule* budget, the tightest
+    /// live member of a device pool, so every group fits whichever device
+    /// it is routed to. Whole-batch mode is that algorithm's `K = 1` exit
+    /// taken unconditionally ("treat the original subgraph as the
+    /// micro-batch"): one group holding every seed, with no estimate and
+    /// no planning time.
+    fn plan(&self, batch: &Batch, device: &dyn Device) -> Result<SchedulePlan, TrainError> {
+        let Some((scheduler, calibrator)) = &self.scheduler else {
+            return Ok(SchedulePlan {
+                groups: vec![(0..batch.num_seeds as NodeId).collect()],
+                group_estimates: Vec::new(),
+                k: 1,
+                split_explosion: false,
+                scheduling_time: Duration::ZERO,
+            });
+        };
+        let constraint = calibrator.constrain(device.schedule_budget());
+        Ok(scheduler.schedule(&batch.graph, batch.num_seeds, constraint)?)
+    }
+
+    /// Trains one iteration on `batch` under the device budget: plan,
+    /// run every micro-batch through the Prepare/Execute pipeline
+    /// accumulating gradients, then step the optimizer once.
     ///
     /// # Errors
     ///
@@ -240,82 +239,32 @@ impl Engine {
         device: &dyn Device,
         cost: &CostModel,
     ) -> Result<IterationStats, TrainError> {
-        let Engine {
-            config,
-            model,
-            opt,
-            scheduler,
-            pipeline,
-            recovery,
-            calibrator,
-        } = self;
-        config.parallelism.install();
+        self.config.parallelism.install();
         device.free_all();
         device.reset_peak();
-        let outcome = match scheduler {
-            None => {
-                model.zero_grad();
-                run_pipeline(
-                    model,
-                    PipelineRequest {
-                        ds,
-                        batch,
-                        specs: &[MicroSpec::Whole],
-                        estimates: &[],
-                        shape: &config.shape,
-                        grad_divisor: batch.num_seeds,
-                        device,
-                        cost,
-                        pipeline: *pipeline,
-                        policy: recovery,
-                        scheduler: None,
-                        calibrator: None,
-                        schedule_seconds: 0.0,
-                    },
-                )?
-            }
-            Some(scheduler) => {
-                // The calibrated constraint: `budget / multiplier`, the
-                // plain budget until the calibrator has seen an
-                // under-prediction. Planned against the *schedule* budget
-                // — the tightest live member of a device pool — so every
-                // group fits whichever device it is routed to.
-                let constraint = calibrator.constrain(device.schedule_budget());
-                let plan = scheduler.schedule(&batch.graph, batch.num_seeds, constraint)?;
-                model.zero_grad();
-                let mut specs: Vec<MicroSpec<'_>> = Vec::with_capacity(plan.groups.len());
-                let mut estimates: Vec<u64> = Vec::with_capacity(plan.groups.len());
-                for (i, g) in plan.groups.iter().enumerate() {
-                    if g.is_empty() {
-                        continue;
-                    }
-                    specs.push(MicroSpec::Seeds(g));
-                    estimates.push(plan.group_estimates.get(i).copied().unwrap_or(0));
-                }
-                run_pipeline(
-                    model,
-                    PipelineRequest {
-                        ds,
-                        batch,
-                        specs: &specs,
-                        estimates: &estimates,
-                        shape: &config.shape,
-                        grad_divisor: batch.num_seeds,
-                        device,
-                        cost,
-                        pipeline: *pipeline,
-                        policy: recovery,
-                        scheduler: recovery.enabled.then_some(&*scheduler),
-                        calibrator: recovery.enabled.then_some(calibrator),
-                        schedule_seconds: plan.scheduling_time.as_secs_f64(),
-                    },
-                )?
-            }
+        let plan = self.plan(batch, device)?;
+        let staged = Staged {
+            ds,
+            batch,
+            plan: &plan,
+            shape: &self.config.shape,
+            device,
+            cost,
+            pipeline: self.pipeline,
         };
+        // Re-splitting and calibration are rungs of the recovery ladder.
+        let replan = match &mut self.scheduler {
+            Some((scheduler, calibrator)) if self.recovery.enabled => {
+                Some((&*scheduler, calibrator))
+            }
+            _ => None,
+        };
+        self.model.zero_grad();
+        let outcome = run_pipeline(&mut self.model, &staged, &self.recovery, replan)?;
         // One optimizer step after all partial gradients accumulated
         // (Algorithm 2 line 13; trivially one micro-batch in whole-batch
         // mode).
-        opt.step(&mut model.params_mut());
+        self.opt.step(&mut self.model.params_mut());
         let total = batch.num_seeds;
         Ok(IterationStats {
             loss: (outcome.loss_sum / total as f64) as f32,
@@ -374,44 +323,17 @@ impl Engine {
         self.config.parallelism.install();
         device.free_all();
         device.reset_peak();
-        let outcome: InferOutcome = match &self.scheduler {
-            None => run_inference(
-                &self.model,
-                InferRequest {
-                    ds,
-                    batch,
-                    specs: &[MicroSpec::Whole],
-                    shape: &self.config.shape,
-                    device,
-                    cost,
-                    pipeline: self.pipeline,
-                    micro_base,
-                },
-            )?,
-            Some(scheduler) => {
-                let constraint = self.calibrator.constrain(device.schedule_budget());
-                let plan = scheduler.schedule(&batch.graph, batch.num_seeds, constraint)?;
-                let specs: Vec<MicroSpec<'_>> = plan
-                    .groups
-                    .iter()
-                    .filter(|g| !g.is_empty())
-                    .map(|g| MicroSpec::Seeds(g))
-                    .collect();
-                run_inference(
-                    &self.model,
-                    InferRequest {
-                        ds,
-                        batch,
-                        specs: &specs,
-                        shape: &self.config.shape,
-                        device,
-                        cost,
-                        pipeline: self.pipeline,
-                        micro_base,
-                    },
-                )?
-            }
+        let plan = self.plan(batch, device)?;
+        let staged = Staged {
+            ds,
+            batch,
+            plan: &plan,
+            shape: &self.config.shape,
+            device,
+            cost,
+            pipeline: self.pipeline,
         };
+        let outcome = run_inference(&self.model, &staged, micro_base)?;
         Ok(InferenceStats {
             predictions: outcome.predictions,
             num_micro_batches: outcome.micro_batches,
@@ -514,6 +436,14 @@ mod tests {
         (ds, batch, config)
     }
 
+    /// A budget that forces the scheduler to split `batch`.
+    fn splitting_budget(batch: &Batch, shape: &GnnShape) -> u64 {
+        use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+        let blocks =
+            generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
+        buffalo_memsim::measure::training_memory(&blocks, shape).total() * 3 / 4
+    }
+
     /// FNV-1a over every parameter byte plus the Adam moments — the
     /// "nothing moved" witness for read-only paths.
     fn param_fingerprint(state: &TrainerState) -> u64 {
@@ -604,13 +534,9 @@ mod tests {
 
     #[test]
     fn infer_splits_under_tight_budget_and_respects_it() {
-        use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
-        use buffalo_memsim::measure;
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
-        let blocks =
-            generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
-        let budget = measure::training_memory(&blocks, &config.shape).total() * 3 / 4;
+        let budget = splitting_budget(&batch, &config.shape);
         let device = DeviceMemory::new(budget);
         let engine = Engine::buffalo(config, 0.24);
         let stats = engine.infer(&ds, &batch, &device, &cost).unwrap();
@@ -618,5 +544,62 @@ mod tests {
         assert!(stats.peak_mem_bytes <= budget);
         assert_eq!(stats.predictions.len(), batch.num_seeds);
         assert!(stats.service_seconds > 0.0);
+    }
+
+    #[test]
+    fn overlapped_inference_equals_serial() {
+        // The threaded arm of the staged driver under its inference
+        // Execute: same answers in the same order, same micro-batches,
+        // same simulated service time as the serial arm.
+        let (ds, batch, config) = small_setup();
+        let cost = CostModel::rtx6000();
+        let budget = splitting_budget(&batch, &config.shape);
+        let run = |pipeline: PipelineConfig| {
+            let device = DeviceMemory::new(budget);
+            let mut engine = Engine::buffalo(config.clone(), 0.24).with_pipeline(pipeline);
+            engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
+            engine.infer(&ds, &batch, &device, &cost).unwrap()
+        };
+        let serial = run(PipelineConfig::serial());
+        let overlapped = run(PipelineConfig::overlapped());
+        assert!(serial.num_micro_batches > 1, "budget did not force split");
+        assert_eq!(serial.num_micro_batches, overlapped.num_micro_batches);
+        assert_eq!(serial.predictions.len(), batch.num_seeds);
+        assert_eq!(serial.predictions, overlapped.predictions);
+        assert_eq!(
+            serial.service_seconds.to_bits(),
+            overlapped.service_seconds.to_bits()
+        );
+        assert!(overlapped.peak_mem_bytes <= budget);
+    }
+
+    #[test]
+    fn whole_batch_is_the_scheduled_engine_at_k_1() {
+        // Algorithm 1 is Algorithm 2 on a plan of one group holding every
+        // seed: on a roomy device the two engines are the same computation,
+        // bit for bit.
+        let (ds, batch, config) = small_setup();
+        let cost = CostModel::rtx6000();
+        let device = DeviceMemory::with_gib(24.0);
+        let mut full = Engine::full_batch(config.clone());
+        let mut buffalo = Engine::buffalo(config, 0.24);
+        for i in 0..4 {
+            let a = full.train_iteration(&ds, &batch, &device, &cost).unwrap();
+            let b = buffalo
+                .train_iteration(&ds, &batch, &device, &cost)
+                .unwrap();
+            assert_eq!((a.num_micro_batches, b.num_micro_batches), (1, 1));
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "iter {i}");
+            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits(), "iter {i}");
+            assert_eq!(a.peak_mem_bytes, b.peak_mem_bytes, "iter {i}");
+        }
+        let a = full.infer(&ds, &batch, &device, &cost).unwrap();
+        let b = buffalo.infer(&ds, &batch, &device, &cost).unwrap();
+        assert_eq!(a.predictions, b.predictions);
+        assert_eq!(a.service_seconds.to_bits(), b.service_seconds.to_bits());
+        assert_eq!(
+            param_fingerprint(&full.capture_state()),
+            param_fingerprint(&buffalo.capture_state())
+        );
     }
 }

@@ -5,7 +5,7 @@ use crate::checkpoint::{
     config_fingerprint, CheckpointError, CheckpointOptions, CheckpointRing, TrainSnapshot,
 };
 use crate::models::GnnModel;
-use crate::train::{gather_features, gather_labels, Engine, RecoveryEvent};
+use crate::train::{gather, Engine, RecoveryEvent};
 use crate::TrainError;
 use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
 use buffalo_graph::datasets::Dataset;
@@ -364,12 +364,10 @@ pub fn evaluate(
         fanouts.len(),
         GenerateOptions::default(),
     );
-    let features = gather_features(ds, &batch, blocks[0].src_nodes());
-    // lint:allow(panic-reachability): infallible — generate_blocks_fast returns exactly `depth` blocks, depth >= 1 (suppresses chain: evaluate → .unwrap())
-    let labels = gather_labels(ds, &batch, blocks.last().unwrap().dst_nodes());
-    let logits = model.logits(&blocks, &features);
-    let out = softmax_cross_entropy(&logits, &labels, None);
-    out.correct as f32 / labels.len() as f32
+    let data = gather(ds, &batch, &blocks);
+    let logits = model.logits(&blocks, &data.features);
+    let out = softmax_cross_entropy(&logits, &data.labels, None);
+    out.correct as f32 / data.labels.len() as f32
 }
 
 #[cfg(test)]

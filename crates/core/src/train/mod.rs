@@ -9,7 +9,7 @@
 //! [`serve`](crate::serve) are its two *drivers*.
 //!
 //! Every driver runs on the staged pipeline: a CPU **Prepare**
-//! stage (seed restriction, block generation, feature/label gather) and an
+//! stage (block generation, feature/label gather) and an
 //! in-order **Execute** stage (allocate, forward/backward, free) against
 //! the simulated device. With [`PipelineConfig::overlapped`], preparation
 //! of micro-batch *i + 1* runs on a worker thread while micro-batch *i*
@@ -28,7 +28,9 @@ pub use epoch::{evaluate, run_epochs, run_epochs_checkpointed, EpochConfig, Epoc
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 
+use buffalo_blocks::Block;
 use buffalo_graph::datasets::Dataset;
+use buffalo_graph::NodeId;
 use buffalo_memsim::{GnnShape, StageTimings};
 use buffalo_par::Parallelism;
 use buffalo_sampling::Batch;
@@ -69,24 +71,56 @@ pub struct IterationStats {
     pub recovery: Vec<RecoveryEvent>,
 }
 
-/// Gathers the feature tensor for a (micro-)batch's innermost sources.
-pub fn gather_features(ds: &Dataset, batch: &Batch, src_locals: &[u32]) -> Tensor {
-    let dim = ds.spec.feat_dim;
-    let globals: Vec<u32> = src_locals
-        .iter()
-        .map(|&l| batch.global_ids[l as usize])
-        .collect();
-    let mut data = vec![0.0f32; globals.len() * dim];
-    ds.gather_features(&globals, &mut data);
-    Tensor::from_vec(globals.len(), dim, data)
+/// What the blocks of one (micro-)batch read from the dataset.
+pub(crate) struct Gathered {
+    /// Feature rows of the input layer's sources.
+    pub features: Tensor,
+    /// One label per output node.
+    pub labels: Vec<u32>,
+    /// Dataset id per output node, in the same order: training ignores
+    /// them, inference keys its predictions by them.
+    pub output_globals: Vec<NodeId>,
 }
 
-/// Labels for a (micro-)batch's output nodes.
-pub fn gather_labels(ds: &Dataset, batch: &Batch, dst_locals: &[u32]) -> Vec<u32> {
-    dst_locals
-        .iter()
-        .map(|&l| ds.label(batch.global_ids[l as usize]))
-        .collect()
+/// Capacity for a buffer of `len` elements that is allocated and dropped
+/// once per micro-batch: `len` rounded up to one of eight size classes per
+/// power of two (at most 12.5 % over, never touched, so never resident).
+///
+/// Successive batches differ by a fraction of a percent in row count. Asked
+/// for the exact sizes, the allocator sees a slightly different ~30 MB
+/// request every iteration, and a request larger than any it has mapped and
+/// unmapped before is mapped afresh *beside* a heap that already holds the
+/// previous iteration's freed buffer whenever that heap ends a few KB short
+/// — peak RSS 70 or 99 MB for the same commit, decided by the order of the
+/// seed's batch sizes and by heap layout. One size per workload is recycled
+/// in place.
+fn size_class(len: usize) -> usize {
+    match len.checked_ilog2() {
+        Some(log) if log > 3 => len.next_multiple_of(1 << (log - 3)),
+        _ => len,
+    }
+}
+
+/// The one feature/label gather: `blocks` are a (micro-)batch's layers,
+/// input layer first, with node ids local to `batch`.
+pub(crate) fn gather(ds: &Dataset, batch: &Batch, blocks: &[Block]) -> Gathered {
+    let global = |&l: &NodeId| batch.global_ids[l as usize];
+    // A block walk returns exactly `depth >= 1` layers.
+    let sources: Vec<NodeId> = blocks[0].src_nodes().iter().map(global).collect();
+    let dim = ds.spec.feat_dim;
+    let len = sources.len() * dim;
+    // Zeroed at the class size, not grown to it: freshly mapped memory
+    // comes zeroed for free, a `resize` would write it all.
+    let mut rows = vec![0.0f32; size_class(len)];
+    rows.truncate(len);
+    ds.gather_features(&sources, &mut rows);
+    let outputs = blocks[blocks.len() - 1].dst_nodes();
+    let output_globals: Vec<NodeId> = outputs.iter().map(global).collect();
+    Gathered {
+        features: Tensor::from_vec(sources.len(), dim, rows),
+        labels: output_globals.iter().map(|&g| ds.label(g)).collect(),
+        output_globals,
+    }
 }
 
 #[cfg(test)]
@@ -124,6 +158,20 @@ mod tests {
         let blocks =
             generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
         measure::training_memory(&blocks, shape).total() * 3 / 4
+    }
+
+    #[test]
+    fn size_classes_cover_nearby_lengths_with_one_capacity() {
+        // The arxiv benchmark's feature buffers: 59 014 … 59 984 rows of
+        // 128 floats across seeds and batches, one 30 MiB class.
+        for rows in [59_014usize, 59_451, 59_763, 59_984] {
+            assert_eq!(size_class(rows * 128) * 4, 30 << 20);
+        }
+        for len in (0..4096).chain([1 << 20, (1 << 20) + 1, usize::MAX >> 4]) {
+            let class = size_class(len);
+            assert!(class >= len && class - len <= len / 8, "{len} -> {class}");
+            assert_eq!(size_class(class), class, "classes are fixed points");
+        }
     }
 
     #[test]
@@ -246,7 +294,7 @@ mod tests {
 
     #[test]
     fn double_buffering_keeps_two_micro_batches_resident() {
-        // Drive run_pipeline with hand-made seed groups on a roomy device:
+        // Drive run_pipeline with a hand-made plan on a roomy device:
         // the overlapped executor holds the previous micro-batch until the
         // next one lands, so its peak must show two resident micro-batches
         // where serial residency shows one.
@@ -255,33 +303,27 @@ mod tests {
         let groups: Vec<Vec<u32>> = (0u32..4)
             .map(|g| (g * 16..(g + 1) * 16).collect())
             .collect();
-        let specs: Vec<pipeline::MicroSpec<'_>> = groups
-            .iter()
-            .map(|g| pipeline::MicroSpec::Seeds(g))
-            .collect();
+        let plan = buffalo_bucketing::SchedulePlan {
+            k: groups.len(),
+            groups,
+            group_estimates: Vec::new(),
+            split_explosion: false,
+            scheduling_time: std::time::Duration::ZERO,
+        };
         let run = |cfg: PipelineConfig| {
             let device = DeviceMemory::with_gib(24.0);
             let mut model = GnnModel::for_shape(&config.shape, config.seed);
             model.zero_grad();
-            pipeline::run_pipeline(
-                &mut model,
-                pipeline::PipelineRequest {
-                    ds: &ds,
-                    batch: &batch,
-                    specs: &specs,
-                    estimates: &[],
-                    shape: &config.shape,
-                    grad_divisor: batch.num_seeds,
-                    device: &device,
-                    cost: &cost,
-                    pipeline: cfg,
-                    policy: &RecoveryPolicy::disabled(),
-                    scheduler: None,
-                    calibrator: None,
-                    schedule_seconds: 0.0,
-                },
-            )
-            .unwrap();
+            let staged = pipeline::Staged {
+                ds: &ds,
+                batch: &batch,
+                plan: &plan,
+                shape: &config.shape,
+                device: &device,
+                cost: &cost,
+                pipeline: cfg,
+            };
+            pipeline::run_pipeline(&mut model, &staged, &RecoveryPolicy::disabled(), None).unwrap();
             device.peak()
         };
         let serial_peak = run(PipelineConfig::serial());

@@ -3,9 +3,9 @@
 //! One training iteration is split into two stages:
 //!
 //! * **Prepare** (CPU): block generation straight from the sampled batch
-//!   (one walk per micro-batch) → feature/label gather, producing a
-//!   [`PreparedBlocks`] handle per micro-batch. When the pipeline is
-//!   enabled this stage runs on a worker thread feeding a bounded channel.
+//!   (one walk per micro-batch) → feature/label gather, one `Prepared`
+//!   per micro-batch. When the pipeline is enabled this stage runs on a
+//!   worker thread feeding a bounded channel.
 //! * **Execute** (simulated device): allocate → forward/backward → free,
 //!   consuming prepared micro-batches strictly in submission order on the
 //!   caller's thread.
@@ -38,19 +38,23 @@
 //! a survivor, and the math is unchanged because execution stays in-order
 //! on the caller's thread, so gradient accumulation order is independent
 //! of which device an allocation landed on.
+//!
+//! The staging itself is written once, in `run_staged`: training and
+//! inference differ only in the Execute closure they hand it.
 
 use crate::models::GnnModel;
 use crate::train::recovery::{
     exhausted, fail_over, HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy,
 };
+use crate::train::{gather, Gathered};
 use crate::TrainError;
-use buffalo_blocks::{BlockWalker, PreparedBlocks, PreparedParts};
-use buffalo_bucketing::BuffaloScheduler;
+use buffalo_blocks::{Block, BlockWalker};
+use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{measure, AllocId, CostModel, Device, DeviceTimeline, GnnShape, StageTimings};
 use buffalo_sampling::Batch;
-use buffalo_tensor::{softmax_cross_entropy, Tensor};
+use buffalo_tensor::softmax_cross_entropy;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -60,38 +64,22 @@ pub struct PipelineConfig {
     /// Whether preparation of micro-batch *i + 1* overlaps device
     /// execution of micro-batch *i*.
     pub enabled: bool,
-    /// Maximum micro-batches in flight between prepare-start and device
-    /// completion when enabled (2 = double buffering). Values below 2 are
-    /// treated as 2; serial execution is expressed via `enabled: false`.
-    pub depth: usize,
 }
+
+/// Micro-batches in flight between prepare-start and device completion
+/// when the stages overlap: double buffering.
+const OVERLAP_DEPTH: usize = 2;
 
 impl PipelineConfig {
     /// Strictly serial staging — the classic one-micro-batch-at-a-time
     /// loop. This is the default.
     pub fn serial() -> Self {
-        PipelineConfig {
-            enabled: false,
-            depth: 1,
-        }
+        PipelineConfig { enabled: false }
     }
 
     /// Double-buffered overlap of Prepare and Execute.
     pub fn overlapped() -> Self {
-        PipelineConfig {
-            enabled: true,
-            depth: 2,
-        }
-    }
-
-    /// The pipeline depth actually used: 1 when disabled, at least 2 when
-    /// enabled.
-    pub fn effective_depth(&self) -> usize {
-        if self.enabled {
-            self.depth.max(2)
-        } else {
-            1
-        }
+        PipelineConfig { enabled: true }
     }
 }
 
@@ -101,78 +89,142 @@ impl Default for PipelineConfig {
     }
 }
 
-/// What one iteration's Execute stage accumulated.
-#[derive(Debug, Clone)]
-pub(crate) struct PipelineOutcome {
-    /// Summed (un-normalized) loss over all output nodes.
-    pub loss_sum: f64,
-    /// Correctly classified output nodes.
-    pub correct: usize,
-    /// Micro-batches executed.
-    pub micro_batches: usize,
-    /// Full timing breakdown, including the overlapped makespan.
-    pub timings: StageTimings,
-    /// Recovery actions taken this iteration, in order. Empty in an
-    /// undisturbed run.
-    pub recovery: Vec<RecoveryEvent>,
+/// One pass over a sampled batch, as both stages and both Execute
+/// closures see it: the data source, the plan, the execution environment.
+pub(crate) struct Staged<'a> {
+    /// The dataset supplying features and labels.
+    pub ds: &'a Dataset,
+    /// The sampled batch the plan's seed ids refer into.
+    pub batch: &'a Batch,
+    /// One micro-batch per non-empty group, in gradient-accumulation
+    /// order. Whole-batch execution is a plan of one group holding every
+    /// seed.
+    pub plan: &'a SchedulePlan,
+    /// Model shape (for memory/cost accounting).
+    pub shape: &'a GnnShape,
+    /// The simulated device to allocate on.
+    pub device: &'a dyn Device,
+    /// The device cost model.
+    pub cost: &'a CostModel,
+    /// Staging mode.
+    pub pipeline: PipelineConfig,
 }
 
-/// One work item for the Prepare stage.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum MicroSpec<'a> {
-    /// Train on the whole sampled batch (Algorithm 1).
-    Whole,
-    /// Train on the micro-batch these seed ids span (Algorithm 2).
-    Seeds(&'a [NodeId]),
+/// One micro-batch as Prepare hands it to Execute: owned buffers, moved
+/// across the channel, never copied.
+struct Prepared {
+    /// The per-layer blocks, input layer first; node ids are the batch's.
+    blocks: Vec<Block>,
+    /// What the blocks read from the dataset.
+    data: Gathered,
+    /// Wall-clock seconds the block walk took.
+    block_gen_s: f64,
+    /// Wall-clock seconds the gather took.
+    gather_s: f64,
 }
 
-/// Runs the full Prepare stage for one micro-batch: its blocks in one walk
-/// of the batch graph (node ids in them stay the batch's), then the
-/// feature/label gather.
+/// Runs the full Prepare stage for the micro-batch whose output nodes are
+/// `group`: its blocks in one walk of the batch graph, then the gather.
 fn prepare_one(
     ds: &Dataset,
     batch: &Batch,
-    spec: MicroSpec<'_>,
+    group: &[NodeId],
     num_layers: usize,
     walker: &mut BlockWalker,
-) -> PreparedBlocks {
+) -> Prepared {
     // lint:allow(wallclock-taint): StageTimings telemetry; overlap accounting never alters numerics (suppresses chain: prepare_one → Instant::now)
     let t0 = Instant::now();
-    let blocks = match spec {
-        MicroSpec::Whole => walker.whole_batch(&batch.graph, batch.num_seeds, num_layers),
-        MicroSpec::Seeds(group) => {
-            walker.micro_batch(&batch.graph, batch.num_seeds, group, num_layers)
-        }
-    };
-    let mut prepared = PreparedBlocks::from_blocks(blocks, t0.elapsed().as_secs_f64());
-    let dim = ds.spec.feat_dim;
-    // lint:allow(wallclock-taint): StageTimings telemetry; gathered features are clock-independent (suppresses chain: prepare_one → Instant::now)
+    let blocks = walker.micro_batch(&batch.graph, batch.num_seeds, group, num_layers);
+    let block_gen_s = t0.elapsed().as_secs_f64();
+    // lint:allow(wallclock-taint): StageTimings telemetry; gathered features and labels are clock-independent (suppresses chain: prepare_one → Instant::now)
     let t1 = Instant::now();
-    let globals: Vec<u32> = prepared
-        .input_srcs()
+    let data = gather(ds, batch, &blocks);
+    Prepared {
+        blocks,
+        data,
+        block_gen_s,
+        gather_s: t1.elapsed().as_secs_f64(),
+    }
+}
+
+/// One prepared micro-batch queued for execution.
+struct MicroWork<'s> {
+    prepared: Prepared,
+    /// The seed group it was prepared from — what the re-split rung of
+    /// the recovery ladder divides.
+    seeds: &'s [NodeId],
+    /// Plan-time memory estimate, bytes (0 when the plan carries none).
+    estimate: u64,
+    /// Index among the pass's top-level micro-batches — the round-robin
+    /// shard key a device pool routes by. Re-split sub-groups inherit
+    /// their parent's index so they execute on the device the parent was
+    /// assigned to.
+    assign_idx: usize,
+}
+
+/// A plan's micro-batches: every non-empty group with its estimate.
+fn micro_batches(plan: &SchedulePlan) -> impl Iterator<Item = (&[NodeId], u64)> {
+    plan.groups
         .iter()
-        .map(|&l| batch.global_ids[l as usize])
-        .collect();
-    let mut features = vec![0.0f32; globals.len() * dim];
-    ds.gather_features(&globals, &mut features);
-    prepared.set_features(features, dim, t1.elapsed().as_secs_f64());
-    // lint:allow(wallclock-taint): StageTimings telemetry; gathered labels are clock-independent (suppresses chain: prepare_one → Instant::now)
-    let t2 = Instant::now();
-    let labels: Vec<u32> = prepared
-        .output_dsts()
-        .iter()
-        .map(|&l| ds.label(batch.global_ids[l as usize]))
-        .collect();
-    prepared.set_labels(labels, t2.elapsed().as_secs_f64());
-    // Dataset-global output ids: training ignores them, but inference
-    // needs them to key predictions.
-    let out_globals: Vec<NodeId> = prepared
-        .output_dsts()
-        .iter()
-        .map(|&l| batch.global_ids[l as usize])
-        .collect();
-    prepared.set_output_globals(out_globals);
-    prepared
+        .enumerate()
+        .filter(|(_, group)| !group.is_empty())
+        .map(|(i, group)| {
+            let estimate = plan.group_estimates.get(i).copied().unwrap_or(0);
+            (group.as_slice(), estimate)
+        })
+}
+
+/// The staged driver, the one place an iteration's loop is written:
+/// prepares the plan's micro-batches in order and hands each to `execute`
+/// on the caller's thread, in that order.
+///
+/// Serial staging prepares and executes in turn. Overlapped staging runs
+/// Prepare on a scoped worker thread behind a bounded channel, so the
+/// producer stays at most `OVERLAP_DEPTH - 1` prepared-but-unconsumed
+/// micro-batches ahead (host-side staging; device residency is capped
+/// separately at two allocations by [`Residency`]). Either way Prepare
+/// owns its [`BlockWalker`] — scratch whose contents between walks never
+/// reach the numerics — and never touches the device, so when `execute`
+/// routes its micro-batch ([`Device::begin_micro_batch`]) relative to the
+/// preparation is unobservable.
+fn run_staged<'a, E>(req: &Staged<'a>, depth: usize, mut execute: E) -> Result<(), TrainError>
+where
+    E: FnMut(MicroWork<'a>) -> Result<(), TrainError>,
+{
+    let (ds, batch, num_layers) = (req.ds, req.batch, req.shape.num_layers);
+    let mut walker = BlockWalker::default();
+    let prepare = move |(assign_idx, (seeds, estimate)): (usize, (&'a [NodeId], u64))| MicroWork {
+        prepared: prepare_one(ds, batch, seeds, num_layers, &mut walker),
+        seeds,
+        estimate,
+        assign_idx,
+    };
+    let mut prepared = micro_batches(req.plan).enumerate().map(prepare);
+    if depth <= 1 {
+        return prepared.try_for_each(execute);
+    }
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::sync_channel(depth - 1);
+        s.spawn(move || {
+            for work in prepared {
+                // The consumer hit an error and hung up: stop preparing.
+                if tx.send(work).is_err() {
+                    break;
+                }
+            }
+        });
+        rx.into_iter().try_for_each(&mut execute)
+    })
+}
+
+/// The staging depth for `req`: 1 (serial) unless the pipeline is enabled
+/// and there is a second micro-batch to overlap with.
+fn staging_depth(req: &Staged<'_>) -> usize {
+    if req.pipeline.enabled {
+        OVERLAP_DEPTH.min(micro_batches(req.plan).count().max(1))
+    } else {
+        1
+    }
 }
 
 /// Device residency policy for the Execute stage.
@@ -266,124 +318,78 @@ impl<'d> Residency<'d> {
     }
 }
 
-/// Everything one iteration's pipeline run needs besides the model: the
-/// data source, the work list, and the execution environment.
-pub(crate) struct PipelineRequest<'a> {
-    /// The dataset supplying features and labels.
-    pub ds: &'a Dataset,
-    /// The sampled batch the specs refer into.
-    pub batch: &'a Batch,
-    /// One entry per micro-batch, in gradient-accumulation order.
-    pub specs: &'a [MicroSpec<'a>],
-    /// Plan-time memory estimate per spec, bytes (empty or zero entries
-    /// when no estimate exists, e.g. the whole-batch path). Feeds the
-    /// headroom calibrator on completion.
-    pub estimates: &'a [u64],
-    /// Model shape (for memory/cost accounting).
-    pub shape: &'a GnnShape,
-    /// Loss-gradient divisor (total output nodes of the iteration).
-    pub grad_divisor: usize,
-    /// The simulated device to allocate on.
-    pub device: &'a dyn Device,
-    /// The device cost model.
-    pub cost: &'a CostModel,
-    /// Staging mode.
-    pub pipeline: PipelineConfig,
-    /// Execution-time OOM recovery limits.
-    pub policy: &'a RecoveryPolicy,
-    /// Scheduler for the re-split rung of the recovery ladder; `None`
-    /// disables re-splitting (e.g. the whole-batch trainer).
-    pub scheduler: Option<&'a BuffaloScheduler>,
-    /// Online headroom calibration fed by observed peaks and refusals.
-    pub calibrator: Option<&'a mut HeadroomCalibrator>,
-    /// Serial scheduling prefix, seconds — it cannot overlap (the plan
-    /// must exist before the first micro-batch can be prepared) and is
-    /// folded into the reported timings.
-    pub schedule_seconds: f64,
+/// What one iteration's Execute stage accumulated.
+#[derive(Debug, Clone)]
+pub(crate) struct PipelineOutcome {
+    /// Summed (un-normalized) loss over all output nodes.
+    pub loss_sum: f64,
+    /// Correctly classified output nodes.
+    pub correct: usize,
+    /// Micro-batches executed.
+    pub micro_batches: usize,
+    /// Full timing breakdown, including the overlapped makespan.
+    pub timings: StageTimings,
+    /// Recovery actions taken this iteration, in order. Empty in an
+    /// undisturbed run.
+    pub recovery: Vec<RecoveryEvent>,
 }
 
-/// Immutable per-iteration context shared by every Execute call.
-struct ExecCtx<'a> {
-    ds: &'a Dataset,
-    batch: &'a Batch,
-    shape: &'a GnnShape,
-    grad_divisor: usize,
-    cost: &'a CostModel,
+/// The scheduler the re-split rung re-plans with, and the headroom
+/// calibration that observed peaks and refusals feed.
+pub(crate) type Replan<'a> = (&'a BuffaloScheduler, &'a mut HeadroomCalibrator);
+
+/// The training Execute stage: its recovery limits and its accumulators.
+struct ExecState<'a> {
     policy: &'a RecoveryPolicy,
-    scheduler: Option<&'a BuffaloScheduler>,
-}
-
-/// Mutable Execute-stage accumulators.
-struct ExecState<'d, 'c> {
-    residency: Residency<'d>,
+    replan: Option<Replan<'a>>,
+    residency: Residency<'a>,
     timeline: DeviceTimeline,
     timings: StageTimings,
     loss_sum: f64,
     correct: usize,
     micro_batches: usize,
     events: Vec<RecoveryEvent>,
-    calibrator: Option<&'c mut HeadroomCalibrator>,
-    /// Block-generation scratch of whatever prepares on the Execute
-    /// thread: every micro-batch when serial, re-split groups otherwise.
+    /// Block-generation scratch of the re-split rung, the one place the
+    /// Execute thread prepares.
     walker: BlockWalker,
 }
 
-impl ExecState<'_, '_> {
+impl ExecState<'_> {
     fn record_event(&mut self, action: RecoveryAction, oom: &buffalo_memsim::OomError) {
         self.events
             .push(RecoveryEvent::new(self.micro_batches, action, oom));
     }
 }
 
-/// One prepared micro-batch queued for execution.
-struct MicroWork<'s> {
-    /// The generated blocks, gathered features, and labels.
-    prepared: PreparedBlocks,
-    /// The micro-batch's seed group when known (required for the
-    /// re-split rung of the recovery ladder).
-    seeds: Option<&'s [NodeId]>,
-    /// Plan-time memory estimate, bytes (0 when unknown).
-    estimate: u64,
-    /// Current re-split recursion depth.
-    depth: usize,
-    /// Top-level spec index — the round-robin shard key a device pool
-    /// routes by. Re-split sub-groups inherit their parent's index so
-    /// they execute on the device the parent was assigned to.
-    assign_idx: usize,
-}
-
 /// Executes one prepared micro-batch, climbing the recovery ladder on
-/// device refusal.
+/// device refusal. `depth` is the re-split recursion depth.
 fn consume_one(
     model: &mut GnnModel,
-    ctx: &ExecCtx<'_>,
-    st: &mut ExecState<'_, '_>,
+    req: &Staged<'_>,
+    st: &mut ExecState<'_>,
     work: MicroWork<'_>,
+    depth: usize,
 ) -> Result<(), TrainError> {
     let MicroWork {
         prepared,
         seeds,
         estimate,
-        depth,
         assign_idx,
     } = work;
-    let block_gen = prepared.block_gen_seconds();
-    let gather = prepared.gather_seconds();
-    let PreparedParts {
+    let Prepared {
         blocks,
-        features,
-        feat_dim,
-        labels,
-        ..
-    } = prepared.into_parts();
-    let bytes = measure::training_memory(&blocks, ctx.shape).total();
+        data,
+        block_gen_s,
+        gather_s,
+    } = prepared;
+    let bytes = measure::training_memory(&blocks, req.shape).total();
     let mut attempt = 0usize;
     let mut observed_oom = false;
     let oom = loop {
         match st.residency.acquire(bytes) {
             Ok(()) => break None,
             Err(TrainError::Oom(oom)) => {
-                if !ctx.policy.enabled {
+                if !st.policy.enabled {
                     return Err(TrainError::Oom(oom));
                 }
                 // Failover rung: re-route this micro-batch (and, via
@@ -391,8 +397,13 @@ fn consume_one(
                 // the dead device would have taken) and replay the
                 // allocation.
                 if oom.device_lost {
-                    let device = st.residency.device;
-                    fail_over(device, &mut st.events, st.micro_batches, assign_idx, oom)?;
+                    fail_over(
+                        req.device,
+                        &mut st.events,
+                        st.micro_batches,
+                        assign_idx,
+                        oom,
+                    )?;
                     // Fresh device, fresh retry budget.
                     attempt = 0;
                     continue;
@@ -404,7 +415,7 @@ fn consume_one(
                 // not compound it.
                 if !oom.transient && !observed_oom {
                     observed_oom = true;
-                    if let Some(cal) = st.calibrator.as_deref_mut() {
+                    if let Some((_, cal)) = st.replan.as_mut() {
                         cal.observe_oom();
                     }
                 }
@@ -416,7 +427,7 @@ fn consume_one(
                 // Rung 2: bounded pure retries. Allocation precedes all
                 // compute, so a retry repeats no work and perturbs no
                 // gradient.
-                if attempt < ctx.policy.max_retries {
+                if attempt < st.policy.max_retries {
                     attempt += 1;
                     st.record_event(RecoveryAction::Retry { attempt }, &oom);
                     continue;
@@ -428,115 +439,91 @@ fn consume_one(
         }
     };
     if let Some(oom) = oom {
-        if depth < ctx.policy.max_resplits {
-            if let (Some(scheduler), Some(seeds)) = (ctx.scheduler, seeds) {
-                if seeds.len() > 1 {
-                    let constraint = match st.calibrator.as_deref_mut() {
-                        Some(cal) => cal.constrain(st.residency.device.budget()),
-                        None => st.residency.device.budget(),
-                    };
-                    if let Ok(plan) = scheduler.resplit_group(&ctx.batch.graph, seeds, constraint) {
-                        st.record_event(
-                            RecoveryAction::Resplit {
-                                seeds: seeds.len(),
-                                into: plan.groups.len(),
-                            },
-                            &oom,
-                        );
-                        // The discarded preparation still happened:
-                        // account for it as prepare-only pipeline time.
-                        st.timeline.record(block_gen + gather, 0.0);
-                        st.timings.block_gen_seconds += block_gen;
-                        st.timings.gather_seconds += gather;
-                        for (i, group) in plan.groups.iter().filter(|g| !g.is_empty()).enumerate() {
-                            let prep = prepare_one(
-                                ctx.ds,
-                                ctx.batch,
-                                MicroSpec::Seeds(group),
-                                ctx.shape.num_layers,
-                                &mut st.walker,
-                            );
-                            let est = plan.group_estimates.get(i).copied().unwrap_or(0);
-                            consume_one(
-                                model,
-                                ctx,
-                                st,
-                                MicroWork {
-                                    prepared: prep,
-                                    seeds: Some(group),
-                                    estimate: est,
-                                    depth: depth + 1,
-                                    assign_idx,
-                                },
-                            )?;
-                        }
-                        return Ok(());
-                    }
-                }
+        let replanned = match &st.replan {
+            Some((scheduler, cal)) if depth < st.policy.max_resplits && seeds.len() > 1 => {
+                let constraint = cal.constrain(req.device.budget());
+                scheduler
+                    .resplit_group(&req.batch.graph, seeds, constraint)
+                    .ok()
             }
+            _ => None,
+        };
+        let Some(plan) = replanned else {
+            return Err(exhausted(&mut st.events, st.micro_batches, oom));
+        };
+        st.record_event(
+            RecoveryAction::Resplit {
+                seeds: seeds.len(),
+                into: plan.groups.len(),
+            },
+            &oom,
+        );
+        // The discarded preparation still happened: account for it as
+        // prepare-only pipeline time.
+        st.timeline.record(block_gen_s + gather_s, 0.0);
+        st.timings.block_gen_seconds += block_gen_s;
+        st.timings.gather_seconds += gather_s;
+        for (group, estimate) in micro_batches(&plan) {
+            let prepared = prepare_one(
+                req.ds,
+                req.batch,
+                group,
+                req.shape.num_layers,
+                &mut st.walker,
+            );
+            let sub = MicroWork {
+                prepared,
+                seeds: group,
+                estimate,
+                assign_idx,
+            };
+            consume_one(model, req, st, sub, depth + 1)?;
         }
-        return Err(exhausted(&mut st.events, st.micro_batches, oom));
+        return Ok(());
     }
     // Allocation landed: forward, loss, backward.
-    let features = Tensor::from_vec(features.len() / feat_dim, feat_dim, features);
-    let (logits, cache) = model.forward(&blocks, &features);
-    let out = softmax_cross_entropy(&logits, &labels, Some(ctx.grad_divisor));
+    let (logits, cache) = model.forward(&blocks, &data.features);
+    let out = softmax_cross_entropy(&logits, &data.labels, Some(req.batch.num_seeds));
     model.backward(&blocks, &cache, &out.dlogits);
     st.residency.release_after_step();
-    if estimate > 0 {
-        if let Some(cal) = st.calibrator.as_deref_mut() {
-            cal.observe(estimate, bytes);
-        }
+    if let Some((_, cal)) = st.replan.as_mut() {
+        cal.observe(estimate, bytes);
     }
-    let compute = ctx.cost.training_seconds(&blocks, ctx.shape);
-    let transfer = ctx
+    let compute = req.cost.training_seconds(&blocks, req.shape);
+    let transfer = req
         .cost
-        .transfer_seconds(measure::transfer_bytes(&blocks, ctx.shape) as f64);
-    st.timeline.record(block_gen + gather, compute + transfer);
-    st.timings.block_gen_seconds += block_gen;
-    st.timings.gather_seconds += gather;
+        .transfer_seconds(measure::transfer_bytes(&blocks, req.shape) as f64);
+    st.timeline
+        .record(block_gen_s + gather_s, compute + transfer);
+    st.timings.block_gen_seconds += block_gen_s;
+    st.timings.gather_seconds += gather_s;
     st.timings.sim_compute_seconds += compute;
     st.timings.sim_transfer_seconds += transfer;
-    st.loss_sum += out.loss as f64 * labels.len() as f64;
+    st.loss_sum += out.loss as f64 * data.labels.len() as f64;
     st.correct += out.correct;
     st.micro_batches += 1;
     Ok(())
 }
 
 /// Runs one iteration's micro-batches through the Prepare/Execute
-/// pipeline, accumulating gradients into `model` in spec order.
+/// pipeline, accumulating gradients into `model` in plan order; the loss
+/// gradient is divided by the batch's seed count. `replan` enables the
+/// re-split rung and headroom calibration (`None`: an execution-time
+/// refusal can only be retried).
 pub(crate) fn run_pipeline(
     model: &mut GnnModel,
-    req: PipelineRequest<'_>,
+    req: &Staged<'_>,
+    policy: &RecoveryPolicy,
+    replan: Option<Replan<'_>>,
 ) -> Result<PipelineOutcome, TrainError> {
-    let PipelineRequest {
-        ds,
-        batch,
-        specs,
-        estimates,
-        shape,
-        grad_divisor,
-        device,
-        cost,
-        pipeline,
-        policy,
-        scheduler,
-        calibrator,
-        schedule_seconds,
-    } = req;
-    let depth = pipeline.effective_depth().min(specs.len().max(1));
-    let num_layers = shape.num_layers;
-    let ctx = ExecCtx {
-        ds,
-        batch,
-        shape,
-        grad_divisor,
-        cost,
-        policy,
-        scheduler,
-    };
+    let depth = staging_depth(req);
+    // The scheduling prefix is serial — the plan must exist before the
+    // first micro-batch can be prepared — and is folded into the timings.
+    let schedule_seconds = req.plan.scheduling_time.as_secs_f64();
     let mut st = ExecState {
-        residency: Residency::new(device, depth > 1),
+        policy,
+        replan,
+        residency: Residency::new(req.device, depth > 1),
         timeline: DeviceTimeline::new(depth),
         timings: StageTimings {
             schedule_seconds,
@@ -546,76 +533,14 @@ pub(crate) fn run_pipeline(
         correct: 0,
         micro_batches: 0,
         events: Vec::new(),
-        calibrator,
         walker: BlockWalker::default(),
     };
-    let spec_seeds = |idx: usize| -> Option<&[NodeId]> {
-        match specs[idx] {
-            MicroSpec::Whole => None,
-            MicroSpec::Seeds(s) => Some(s),
-        }
-    };
-    let spec_estimate = |idx: usize| estimates.get(idx).copied().unwrap_or(0);
-    let result: Result<(), TrainError> = if depth <= 1 {
-        (|| {
-            for (idx, &spec) in specs.iter().enumerate() {
-                let prepared = prepare_one(ds, batch, spec, num_layers, &mut st.walker);
-                // Route this micro-batch's allocations: a device pool
-                // round-robins over its live members.
-                device.begin_micro_batch(idx);
-                consume_one(
-                    model,
-                    &ctx,
-                    &mut st,
-                    MicroWork {
-                        prepared,
-                        seeds: spec_seeds(idx),
-                        estimate: spec_estimate(idx),
-                        depth: 0,
-                        assign_idx: idx,
-                    },
-                )?;
-            }
-            Ok(())
-        })()
-    } else {
-        std::thread::scope(|s| {
-            // Bounded channel: the producer stays at most `depth - 1`
-            // prepared-but-unconsumed micro-batches ahead (host-side
-            // staging); device residency is capped separately at two
-            // allocations by `Residency`.
-            let (tx, rx) = mpsc::sync_channel::<(usize, PreparedBlocks)>(depth - 1);
-            s.spawn(move || {
-                // The Prepare thread's own scratch: nothing it holds
-                // between micro-batches reaches the numerics.
-                let mut walker = BlockWalker::default();
-                for (idx, &spec) in specs.iter().enumerate() {
-                    let prepared = prepare_one(ds, batch, spec, num_layers, &mut walker);
-                    // The consumer hit an error and hung up: stop preparing.
-                    if tx.send((idx, prepared)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for (idx, prepared) in rx {
-                device.begin_micro_batch(idx);
-                consume_one(
-                    model,
-                    &ctx,
-                    &mut st,
-                    MicroWork {
-                        prepared,
-                        seeds: spec_seeds(idx),
-                        estimate: spec_estimate(idx),
-                        depth: 0,
-                        assign_idx: idx,
-                    },
-                )?;
-            }
-            Ok(())
-        })
-    };
-    result?;
+    run_staged(req, depth, |work| {
+        // Route this micro-batch's allocations: a device pool
+        // round-robins over its live members.
+        req.device.begin_micro_batch(work.assign_idx);
+        consume_one(model, req, &mut st, work, 0)
+    })?;
     st.residency.finish();
     st.timings.overlapped_makespan = schedule_seconds + st.timeline.makespan();
     Ok(PipelineOutcome {
@@ -625,33 +550,6 @@ pub(crate) fn run_pipeline(
         timings: st.timings,
         recovery: st.events,
     })
-}
-
-/// Everything one inference pass needs besides the model: the data
-/// source, the micro-batch work list, and the execution environment.
-/// Forward-only — no gradient divisor, no recovery policy (an OOM
-/// propagates so the serving driver can account the rejection).
-pub(crate) struct InferRequest<'a> {
-    /// The dataset supplying features (labels are gathered but unused).
-    pub ds: &'a Dataset,
-    /// The sampled batch the specs refer into.
-    pub batch: &'a Batch,
-    /// One entry per micro-batch, in execution order.
-    pub specs: &'a [MicroSpec<'a>],
-    /// Model shape (for memory/cost accounting).
-    pub shape: &'a GnnShape,
-    /// The simulated device to allocate on.
-    pub device: &'a dyn Device,
-    /// The device cost model.
-    pub cost: &'a CostModel,
-    /// Staging mode (overlap prepares exactly as in training).
-    pub pipeline: PipelineConfig,
-    /// Offset added to each spec's index when assigning micro-batches to
-    /// pool members ([`Device::begin_micro_batch`]). Serving passes its
-    /// run-cumulative micro-batch count so successive dispatches
-    /// round-robin across a [`DevicePool`](super::DevicePool) instead of
-    /// all landing on member 0.
-    pub micro_base: usize,
 }
 
 /// What one inference pass produced.
@@ -684,29 +582,22 @@ fn argmax_row(row: &[f32]) -> u32 {
 /// argmax, release.
 fn infer_one(
     model: &GnnModel,
-    req: &InferRequest<'_>,
+    req: &Staged<'_>,
     residency: &mut Residency<'_>,
     out: &mut InferOutcome,
-    prepared: PreparedBlocks,
+    prepared: Prepared,
 ) -> Result<(), TrainError> {
-    let PreparedParts {
-        blocks,
-        features,
-        feat_dim,
-        output_globals,
-        ..
-    } = prepared.into_parts();
+    let Prepared { blocks, data, .. } = prepared;
     // Admission uses the same footprint the bucket scheduler's estimator
     // plans against, keeping serving consistent with training admission.
     let bytes = measure::training_memory(&blocks, req.shape).total();
     residency.acquire(bytes)?;
-    let features = Tensor::from_vec(features.len() / feat_dim, feat_dim, features);
-    let logits = model.logits(&blocks, &features);
+    let logits = model.logits(&blocks, &data.features);
     let classes = logits.cols();
-    let data = logits.data();
-    for (i, node) in output_globals.into_iter().enumerate() {
+    let rows = logits.data();
+    for (i, node) in data.output_globals.into_iter().enumerate() {
         out.predictions
-            .push((node, argmax_row(&data[i * classes..(i + 1) * classes])));
+            .push((node, argmax_row(&rows[i * classes..(i + 1) * classes])));
     }
     residency.release_after_step();
     let compute = req.cost.inference_seconds(&blocks, req.shape);
@@ -718,54 +609,34 @@ fn infer_one(
     Ok(())
 }
 
-/// Runs a forward-only pass over the request's micro-batches through the
-/// same Prepare/Execute pipeline as training: CPU preparation (optionally
-/// overlapped on a worker thread), in-order device execution with the same
-/// residency policy. Takes `&GnnModel` — the pass cannot touch parameters
-/// or optimizer state by construction.
+/// Runs a forward-only pass over the plan's micro-batches through the
+/// same staged driver as training: CPU preparation (optionally overlapped
+/// on a worker thread), in-order device execution with the same residency
+/// policy. Forward-only — no recovery policy (an OOM propagates so the
+/// serving driver can account the rejection) — and `&GnnModel`: the pass
+/// cannot touch parameters or optimizer state by construction.
+///
+/// `micro_base` is added to each micro-batch's index when assigning it to
+/// a pool member ([`Device::begin_micro_batch`]). Serving passes its
+/// run-cumulative micro-batch count so successive dispatches round-robin
+/// across a [`DevicePool`](super::DevicePool) instead of all landing on
+/// member 0.
 pub(crate) fn run_inference(
     model: &GnnModel,
-    req: InferRequest<'_>,
+    req: &Staged<'_>,
+    micro_base: usize,
 ) -> Result<InferOutcome, TrainError> {
-    let depth = req.pipeline.effective_depth().min(req.specs.len().max(1));
-    let num_layers = req.shape.num_layers;
+    let depth = staging_depth(req);
     let mut residency = Residency::new(req.device, depth > 1);
     let mut out = InferOutcome {
         predictions: Vec::new(),
         micro_batches: 0,
         device_seconds: 0.0,
     };
-    let result: Result<(), TrainError> = if depth <= 1 {
-        (|| {
-            let mut walker = BlockWalker::default();
-            for (idx, &spec) in req.specs.iter().enumerate() {
-                req.device.begin_micro_batch(req.micro_base + idx);
-                let prepared = prepare_one(req.ds, req.batch, spec, num_layers, &mut walker);
-                infer_one(model, &req, &mut residency, &mut out, prepared)?;
-            }
-            Ok(())
-        })()
-    } else {
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::sync_channel::<(usize, PreparedBlocks)>(depth - 1);
-            let (ds, batch, specs) = (req.ds, req.batch, req.specs);
-            s.spawn(move || {
-                let mut walker = BlockWalker::default();
-                for (idx, &spec) in specs.iter().enumerate() {
-                    let prepared = prepare_one(ds, batch, spec, num_layers, &mut walker);
-                    if tx.send((idx, prepared)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for (idx, prepared) in rx {
-                req.device.begin_micro_batch(req.micro_base + idx);
-                infer_one(model, &req, &mut residency, &mut out, prepared)?;
-            }
-            Ok(())
-        })
-    };
-    result?;
+    run_staged(req, depth, |work| {
+        req.device.begin_micro_batch(micro_base + work.assign_idx);
+        infer_one(model, req, &mut residency, &mut out, work.prepared)
+    })?;
     residency.finish();
     Ok(out)
 }

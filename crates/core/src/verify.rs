@@ -11,7 +11,7 @@
 //! equivalent.)
 
 use crate::models::GnnModel;
-use crate::train::{gather_features, gather_labels, TrainConfig};
+use crate::train::{gather, TrainConfig};
 use crate::TrainError;
 use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
 use buffalo_bucketing::BuffaloScheduler;
@@ -57,12 +57,11 @@ fn accumulate(
         depth,
         GenerateOptions::default(),
     );
-    let features = gather_features(ds, batch, blocks[0].src_nodes());
-    let labels = gather_labels(ds, batch, blocks.last().unwrap().dst_nodes());
-    let (logits, cache) = model.forward(&blocks, &features);
-    let out = softmax_cross_entropy(&logits, &labels, Some(divisor));
+    let data = gather(ds, batch, &blocks);
+    let (logits, cache) = model.forward(&blocks, &data.features);
+    let out = softmax_cross_entropy(&logits, &data.labels, Some(divisor));
     model.backward(&blocks, &cache, &out.dlogits);
-    out.loss as f64 * labels.len() as f64
+    out.loss as f64 * data.labels.len() as f64
 }
 
 /// Computes whole-batch and Buffalo micro-batch gradients from identical

@@ -2,10 +2,10 @@
 //!
 //! Two estimators cooperate in Buffalo's scheduler:
 //!
-//! * [`bucket_mem_estimate`] — the paper's *BucketMemEstimator*: the
-//!   working memory of the micro-batch a single bucket would generate,
-//!   computed from the bucket's degree, output-node count, and the
-//!   sampling fanouts (no graph traversal).
+//! * [`mem_from_counts`] — the paper's *BucketMemEstimator*: the working
+//!   memory of the micro-batch a single bucket would generate, computed
+//!   from the per-layer counts of its dependency closure with the same
+//!   accounting the measurement uses.
 //! * [`group_mem_estimate`] — the paper's *RedundancyAwareMemEstimator*:
 //!   the memory of a *group* of buckets is **not** the linear sum of the
 //!   per-bucket estimates, because micro-batches share input nodes. Each
@@ -115,59 +115,6 @@ pub fn mem_from_counts(counts: &ClosureCounts, shape: &GnnShape) -> u64 {
     bytes
 }
 
-/// The fanout-based *approximate* bucket estimator: working memory (bytes)
-/// of the micro-batch generated by a single bucket, without building or
-/// traversing it. Used by the `ablate-estimator` study; the scheduler
-/// itself uses [`mem_from_counts`] on closure counts.
-///
-/// The estimate expands layer by layer from the output bucket:
-/// the bucket's `O` output nodes contribute `O · D` layer-`L` edges
-/// reaching `I` distinct inputs; each deeper hop multiplies by the
-/// sampling fanout, damped by `(1 - C)` because clustered neighborhoods
-/// overlap. Per-layer bytes follow the same accounting rules as
-/// [`crate::measure::training_memory`].
-///
-/// `fanouts` is ordered output layer first, matching
-/// `buffalo_sampling::BatchSampler`.
-///
-/// # Panics
-///
-/// Panics if `fanouts.len() != shape.num_layers`.
-pub fn bucket_mem_estimate(
-    stats: &BucketStats,
-    shape: &GnnShape,
-    fanouts: &[usize],
-    clustering: f64,
-) -> u64 {
-    assert_eq!(
-        fanouts.len(),
-        shape.num_layers,
-        "fanouts must cover every layer"
-    );
-    let dims = shape.layer_dims(); // input layer first
-    let per_edge = shape.aggregator.workspace_floats_per_edge_dim();
-    let damp = (1.0 - clustering).clamp(0.15, 1.0);
-    let mut bytes = 0.0f64;
-    // Walk from the output layer (dims last) inward.
-    let mut dst = stats.num_output as f64;
-    let mut edges = stats.num_output as f64 * stats.degree as f64;
-    let mut inputs = (stats.num_input as f64).max(1.0);
-    for (hop, &(in_dim, out_dim)) in dims.iter().rev().enumerate() {
-        bytes += dst * out_dim as f64 * 4.0; // activations
-        bytes += edges * in_dim as f64 * per_edge * 4.0; // workspace
-        bytes += edges * 8.0; // block structure (index + offset share)
-                              // Next (deeper) layer: destinations are this layer's inputs.
-        dst = inputs;
-        let fanout = fanouts.get(hop + 1).copied().unwrap_or(0) as f64;
-        edges = inputs * fanout;
-        inputs = (edges * damp).max(inputs);
-    }
-    // Innermost feature rows + parameters.
-    bytes += dst * shape.feat_dim as f64 * 4.0;
-    bytes += shape.parameter_bytes() as f64;
-    bytes as u64
-}
-
 /// The paper's *RedundancyAwareMemEstimator* (Eq. 2): estimated memory of
 /// a bucket group given each member's per-bucket estimate.
 pub fn group_mem_estimate(members: &[(BucketStats, u64)], clustering: f64) -> u64 {
@@ -251,44 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_estimate_grows_with_degree_and_outputs() {
-        let shape = shape();
-        let base = BucketStats {
-            degree: 10,
-            num_output: 1_000,
-            num_input: 5_000,
-        };
-        let more_deg = BucketStats { degree: 20, ..base };
-        let more_out = BucketStats {
-            num_output: 2_000,
-            ..base
-        };
-        let f = [10, 25];
-        let m0 = bucket_mem_estimate(&base, &shape, &f, 0.2);
-        assert!(bucket_mem_estimate(&more_deg, &shape, &f, 0.2) > m0);
-        assert!(bucket_mem_estimate(&more_out, &shape, &f, 0.2) > m0);
-    }
-
-    #[test]
-    fn lstm_estimate_exceeds_mean() {
-        let stats = BucketStats {
-            degree: 10,
-            num_output: 500,
-            num_input: 2_500,
-        };
-        let lstm = shape();
-        let mean = GnnShape::new(128, 256, 2, 40, AggregatorKind::Mean);
-        let f = [10, 25];
-        assert!(
-            bucket_mem_estimate(&stats, &lstm, &f, 0.2)
-                > bucket_mem_estimate(&stats, &mean, &f, 0.2)
-        );
-    }
-
-    #[test]
     fn group_estimate_is_sub_linear() {
-        let shape = shape();
-        let f = [10, 25];
         let c = 0.4;
         // Buckets with heavy redundancy: I << O * D * C
         let members: Vec<(BucketStats, u64)> = (0..4)
@@ -298,7 +208,7 @@ mod tests {
                     num_output: 1_000,
                     num_input: 1_200 + i * 50,
                 };
-                (s, bucket_mem_estimate(&s, &shape, &f, c))
+                (s, 40_000_000 + i as u64 * 1_000_000)
             })
             .collect();
         let linear: u64 = members.iter().map(|(_, m)| *m).sum();
@@ -368,16 +278,5 @@ mod tests {
             }],
         };
         let _ = mem_from_counts(&counts, &shape());
-    }
-
-    #[test]
-    #[should_panic(expected = "fanouts")]
-    fn estimate_rejects_fanout_mismatch() {
-        let s = BucketStats {
-            degree: 1,
-            num_output: 1,
-            num_input: 1,
-        };
-        let _ = bucket_mem_estimate(&s, &shape(), &[10], 0.2);
     }
 }

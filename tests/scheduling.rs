@@ -2,7 +2,7 @@
 //! budget sweeps, plan invariants, and estimator quality.
 
 use buffalo::blocks::{generate_blocks_fast, GenerateOptions};
-use buffalo::bucketing::{BuffaloScheduler, SchedulerOptions};
+use buffalo::bucketing::BuffaloScheduler;
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::graph::{stats, NodeId};
 use buffalo::memsim::{estimate, measure, AggregatorKind, GnnShape};
@@ -45,6 +45,17 @@ fn whole_mem(f: &Fixture) -> u64 {
         GenerateOptions::default(),
     );
     measure::training_memory(&blocks, &f.shape).total()
+}
+
+/// The scheduler's `K_max`: a constant of Algorithm 3 here, reported in
+/// every [`buffalo::bucketing::ScheduleError`].
+const K_MAX: usize = 256;
+
+/// A constraint that leaves `1 / divisor` of the whole batch's activation
+/// memory beside the parameters: a perfect packing needs `divisor` groups.
+fn activation_fraction(f: &Fixture, divisor: u64) -> u64 {
+    let params = f.shape.parameter_bytes();
+    params + (whole_mem(f) - params) / divisor
 }
 
 #[test]
@@ -151,23 +162,21 @@ fn scheduler_time_stays_interactive() {
 
 #[test]
 fn k_min_above_k_max_exits_early_with_context() {
-    // A whole-batch footprint far above k_max * constraint makes even a
-    // perfect packing infeasible; the scheduler must bail out before the
-    // K search with the attempted constraint in the error.
+    // Parameters are resident in every micro-batch, so a constraint just
+    // above them leaves almost no activation room: even a perfect packing
+    // would need more than K_max groups. The scheduler must bail out
+    // before the K search, with the attempted constraint and the best it
+    // could have hoped for — the whole footprint spread over K_max groups
+    // — in the error.
     let f = fixture(DatasetName::OgbnArxiv, 4_000, 128);
-    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering)
-        .with_options(SchedulerOptions {
-            k_max: 2,
-            explosion_factor: 2.0,
-            validate_exact: false,
-        });
-    let constraint = whole_mem(&f) / 100;
+    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering);
+    let constraint = activation_fraction(&f, 1_000);
     let err = scheduler
         .schedule(&f.batch.graph, f.batch.num_seeds, constraint)
-        .expect_err("1% of whole within K=2 must be infeasible");
+        .expect_err("0.1% of the activations within K_max groups must be infeasible");
     assert_eq!(err.mem_constraint, constraint);
-    assert_eq!(err.k_max, 2);
-    assert!(err.best_max_group > 0);
+    assert_eq!(err.k_max, K_MAX);
+    assert_eq!(err.best_max_group, whole_mem(&f) / K_MAX as u64);
 }
 
 #[test]
@@ -188,20 +197,23 @@ fn constraint_at_or_below_parameter_bytes_is_rejected() {
 
 #[test]
 fn resplit_group_respects_k_max() {
-    // resplit_group starts its K search at 2, so a scheduler capped at
-    // K_max = 1 can never re-split — even with an unlimited budget.
+    // resplit_group runs the same K search from K = 2: a constraint that
+    // would need more than K_max groups is the same structured error, not
+    // a plan with more groups than Algorithm 3 allows.
     let f = fixture(DatasetName::Cora, 256, 64);
-    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering)
-        .with_options(SchedulerOptions {
-            k_max: 1,
-            explosion_factor: 2.0,
-            validate_exact: true,
-        });
+    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering);
     let seeds: Vec<NodeId> = (0..f.batch.num_seeds as NodeId).collect();
+    let constraint = activation_fraction(&f, 1_000);
     let err = scheduler
+        .resplit_group(&f.batch.graph, &seeds, constraint)
+        .expect_err("a re-split into more than K_max groups must fail");
+    assert_eq!(err.mem_constraint, constraint);
+    assert_eq!(err.k_max, K_MAX);
+    // With room, the same group re-splits.
+    let plan = scheduler
         .resplit_group(&f.batch.graph, &seeds, u64::MAX)
-        .expect_err("K_max = 1 cannot satisfy a minimum of 2 groups");
-    assert_eq!(err.k_max, 1);
+        .unwrap();
+    assert!((2..=K_MAX).contains(&plan.k));
 }
 
 #[test]
@@ -260,22 +272,28 @@ fn train_error_variants_display_and_chain_sources() {
 }
 
 #[test]
-fn k_max_of_one_disables_splitting() {
+fn budget_alone_exhausts_the_k_search() {
     let f = fixture(DatasetName::Cora, 256, 64);
-    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering)
-        .with_options(SchedulerOptions {
-            k_max: 1,
-            explosion_factor: 2.0,
-            validate_exact: true,
-        });
+    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering);
     // Generous budget: single group.
     let plan = scheduler
         .schedule(&f.batch.graph, f.batch.num_seeds, u64::MAX)
         .unwrap();
     assert_eq!(plan.k, 1);
-    // Tight budget: nothing the scheduler may do.
+    // 1/128 of the activations: a perfect packing would fit 128 groups, so
+    // the K search runs — and finds that no grouping up to K_max does,
+    // because 256 seeds' closures overlap far too much to divide that
+    // finely. The error names the K it stopped at and the lightest "worst
+    // group" any attempt reached, which is what was still too large.
+    let constraint = activation_fraction(&f, 128);
     let err = scheduler
-        .schedule(&f.batch.graph, f.batch.num_seeds, whole_mem(&f) / 2)
-        .unwrap_err();
-    assert_eq!(err.k_max, 1);
+        .schedule(&f.batch.graph, f.batch.num_seeds, constraint)
+        .expect_err("nothing up to K_max fits 1/128 of the activations");
+    assert_eq!(err.mem_constraint, constraint);
+    assert_eq!(err.k_max, K_MAX);
+    assert!(
+        err.best_max_group > constraint && err.best_max_group < whole_mem(&f),
+        "best attempt {} should lie between the constraint {constraint} and the whole batch",
+        err.best_max_group
+    );
 }

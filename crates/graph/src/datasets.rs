@@ -32,7 +32,6 @@ use rand::{Rng, SeedableRng};
 
 /// The six datasets of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DatasetName {
     /// Cora citation graph (2.7 K nodes).
     Cora,

@@ -11,7 +11,6 @@ use buffalo_blocks::Block;
 
 /// Device characteristics for time simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// Peak sustained fp32 throughput in FLOP/s.
     pub flops_per_sec: f64,

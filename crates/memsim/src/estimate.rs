@@ -25,7 +25,6 @@ use crate::shape::GnnShape;
 /// paper's notation; all are byproducts of bucketing/micro-batch
 /// generation, so collecting them is free (§IV-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BucketStats {
     /// `D`: the (sampled) degree shared by the bucket's output nodes.
     pub degree: usize,

@@ -5,7 +5,6 @@
 /// memory: LSTM keeps per-step gate activations for backprop, which is what
 /// pushes large graphs over the memory wall in Figure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AggregatorKind {
     /// Element-wise mean of neighbor embeddings.
     Mean,
@@ -76,7 +75,6 @@ impl std::fmt::Display for AggregatorKind {
 /// aggregator. `layer_dims()[l] = (in_dim, out_dim)` for layer `l` (input
 /// layer first).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GnnShape {
     /// Input feature dimension.
     pub feat_dim: usize,

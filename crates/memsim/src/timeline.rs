@@ -22,7 +22,6 @@ use std::collections::VecDeque;
 /// [`serial_sum`](Self::serial_sum); for any depth it satisfies
 /// `max_stage() ≤ overlapped_makespan ≤ serial_sum()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StageTimings {
     /// Buffalo scheduling wall clock, seconds (serial prefix — the plan
     /// must exist before any micro-batch can be prepared).

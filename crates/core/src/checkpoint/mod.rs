@@ -22,6 +22,7 @@ mod ring;
 
 pub use ring::CheckpointRing;
 
+use crate::fnv::Fnv;
 use crate::train::{EpochConfig, TrainConfig};
 use buffalo_memsim::CrashPoint;
 use std::fmt;
@@ -157,24 +158,7 @@ pub fn config_fingerprint(cfg: &TrainConfig, epoch_cfg: &EpochConfig) -> u64 {
     h.u64(epoch_cfg.eval_nodes as u64);
     h.u64(epoch_cfg.seed);
     h.u64(cfg.parallelism.simd as u64);
-    h.finish()
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    h.0
 }
 
 /// Errors from the checkpoint subsystem.

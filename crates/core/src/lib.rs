@@ -38,5 +38,6 @@ pub mod train;
 pub mod verify;
 
 mod error;
+mod fnv;
 
 pub use error::TrainError;

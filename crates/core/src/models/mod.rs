@@ -250,6 +250,7 @@ mod tests {
     //! every layer, so they also hold the kernels underneath in place.
 
     use super::*;
+    use crate::fnv::Fnv;
     use buffalo_tensor::softmax_cross_entropy;
 
     /// Deterministic LCG, good enough to synthesize irregular blocks.
@@ -296,13 +297,11 @@ mod tests {
     }
 
     fn fnv<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv::new();
         for x in tensors.into_iter().flat_map(|t| t.data()) {
-            for b in x.to_bits().to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-            }
+            h.bytes(&x.to_bits().to_le_bytes());
         }
-        h
+        h.0
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -45,6 +45,7 @@ pub use admission::{Admission, AdmissionQueue, QueueEntry, ShedPolicy};
 pub use recovery::ServeRecoveryCounts;
 pub use trace::{Request, RequestTrace};
 
+use crate::fnv::Fnv;
 use crate::train::{Engine, RecoveryEvent, RecoveryPolicy};
 use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
@@ -241,22 +242,6 @@ pub struct ServeReport {
     /// re-splits, and failovers shift latencies but must never move this
     /// digest (isolated sampling guarantees it).
     pub answer_digest: u64,
-}
-
-/// FNV-1a over a sequence of u64 words, byte-wise.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
 }
 
 impl ServeReport {
@@ -532,22 +517,22 @@ pub fn serve_trace(
     };
     let mut answers = Fnv::new();
     for r in &served {
-        answers.eat(r.index as u64);
-        answers.eat(r.node as u64);
-        answers.eat(r.class as u64);
+        answers.u64(r.index as u64);
+        answers.u64(r.node as u64);
+        answers.u64(r.class as u64);
     }
     let mut output = Fnv::new();
     for r in &served {
-        output.eat(r.index as u64);
-        output.eat(r.node as u64);
-        output.eat(r.class as u64);
-        output.eat(r.latency.to_bits());
+        output.u64(r.index as u64);
+        output.u64(r.node as u64);
+        output.u64(r.class as u64);
+        output.u64(r.latency.to_bits());
     }
     for &idx in &queue.shed {
-        output.eat(idx as u64);
+        output.u64(idx as u64);
     }
     for &idx in &queue.missed {
-        output.eat(idx as u64);
+        output.u64(idx as u64);
     }
     let report = ServeReport {
         num_admitted: n,

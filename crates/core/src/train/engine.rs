@@ -411,6 +411,7 @@ fn restore_params(model: &mut GnnModel, params: &[ParamState]) -> Result<(), Che
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::Fnv;
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, GnnShape};
     use buffalo_par::Parallelism;
@@ -447,20 +448,14 @@ mod tests {
     /// FNV-1a over every parameter byte plus the Adam moments — the
     /// "nothing moved" witness for read-only paths.
     fn param_fingerprint(state: &TrainerState) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(state.adam_t);
+        let mut h = Fnv::new();
+        h.u64(state.adam_t);
         for p in &state.params {
             for x in p.value.iter().chain(&p.m).chain(&p.v) {
-                eat(x.to_bits() as u64);
+                h.u64(x.to_bits() as u64);
             }
         }
-        h
+        h.0
     }
 
     /// Drift audit: the two modes disagree on headroom bookkeeping, and

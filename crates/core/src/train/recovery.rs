@@ -264,11 +264,6 @@ impl HeadroomCalibrator {
         self.multiplier
     }
 
-    /// The configured floor the multiplier never drops below.
-    pub fn floor(&self) -> f64 {
-        self.floor
-    }
-
     /// Sets the multiplier directly, clamped to `[floor, cap]` — used by
     /// checkpoint restore and the rollback rung, which must be able to
     /// impose a *larger* margin than the snapshot recorded.
@@ -297,11 +292,6 @@ impl HeadroomCalibrator {
     /// estimate comparison is available: grow the margin geometrically.
     pub fn observe_oom(&mut self) {
         self.multiplier = (self.multiplier * 1.25).min(HEADROOM_CAP);
-    }
-
-    /// Resets to the starting floor.
-    pub fn reset(&mut self) {
-        self.multiplier = self.floor;
     }
 }
 
@@ -338,8 +328,6 @@ mod tests {
         assert!((c.multiplier() - 1.5).abs() < 1e-12);
         c.observe(1, 100); // absurd ratio clamps at the cap
         assert!((c.multiplier() - 4.0).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.multiplier(), 1.0);
     }
 
     #[test]
@@ -388,8 +376,8 @@ mod tests {
             }
 
             /// No sequence of observations — refusals, arbitrary
-            /// estimate/actual pairs, resets — drives the multiplier below
-            /// the configured floor or above the cap.
+            /// estimate/actual pairs, imposed multipliers — drives the
+            /// multiplier below the configured floor or above the cap.
             #[test]
             fn never_tightens_below_floor_or_beyond_cap(
                 floor in 1.0f64..4.0,
@@ -397,12 +385,11 @@ mod tests {
                     (0u8..3, 0u64..u64::MAX, 0u64..u64::MAX), 1..60),
             ) {
                 let mut c = HeadroomCalibrator::new(floor);
-                let floor = c.floor();
                 for (op, est, act) in ops {
                     match op {
                         0 => c.observe_oom(),
                         1 => c.observe(est, act),
-                        _ => c.reset(),
+                        _ => c.set_multiplier(est as f64 / act.max(1) as f64),
                     }
                     prop_assert!(c.multiplier() >= floor - 1e-12,
                         "multiplier {} fell below floor {floor}", c.multiplier());
@@ -419,7 +406,7 @@ mod tests {
             ) {
                 let mut c = HeadroomCalibrator::new(floor);
                 c.set_multiplier(m);
-                prop_assert!(c.multiplier() >= c.floor());
+                prop_assert!(c.multiplier() >= floor);
                 prop_assert!(c.multiplier() <= HEADROOM_CAP);
             }
 

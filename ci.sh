@@ -305,17 +305,15 @@ if [ "$(grep '^answers:' <<<"$sc")" != "$(grep '^answers:' <<<"$sl")" ]; then
 fi
 echo "ci: chaos serve (device loss) fails over with identical answers"
 
-# The serving experiment must run end-to-end (table only; the committed
-# BENCH_serving.json is regenerated with --write-bench).
-cargo run -q --release -p buffalo-bench --bin figures -- serving --quick
-
-# The serving chaos experiment must run end-to-end (table only; the
-# committed BENCH_serving_chaos.json is regenerated with --write-bench).
-cargo run -q --release -p buffalo-bench --bin figures -- serving-chaos --quick
-
-# The device-loss failover experiment must run end-to-end (table only;
-# the committed BENCH_failover.json is regenerated with --write-bench).
-cargo run -q --release -p buffalo-bench --bin figures -- failover --quick
+# The resilience artifacts are gates: the five experiments run at full
+# size and each fails if its committed BENCH_*.json differs from what the
+# run regenerated (every field is exact or simulated; `--write-bench`
+# rewrites them deliberately). Built first, so the echoed wall time is
+# the experiments' own: a trend line.
+cargo build -q --release -p buffalo-bench --bin figures
+figures_start=$(date +%s.%N)
+target/release/figures robustness failover checkpoint serving serving-chaos
+echo "ci: five BENCH_*.json match their experiments ($(date +%s.%N | awk -v s="$figures_start" '{printf "%.1f", $1 - s}') s)"
 
 # The standing benchmark must still run: its smoke runs every workload
 # with reduced sizes, checks each workload's outputs (loss trail, answer

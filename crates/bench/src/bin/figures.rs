@@ -4,9 +4,14 @@
 //! figures <id>...            run specific experiments (e.g. `figures fig10 tab3`)
 //! figures all                run everything
 //! figures --quick <id>       quarter-size batches, fewer sweep points
-//! figures --write-bench <id> also (re)write the experiment's BENCH_*.json
+//! figures --write-bench <id> rewrite the experiment's BENCH_*.json
 //! figures --list             list experiment ids
 //! ```
+//!
+//! The five experiments with a `BENCH_*.json` (`robustness`, `failover`,
+//! `checkpoint`, `serving`, `serving-chaos`) always run at full size, and
+//! without `--write-bench` the run fails if the committed file differs
+//! from what it regenerated.
 
 use buffalo_bench::experiments;
 use std::process::ExitCode;

@@ -3,16 +3,12 @@
 //! output compares with the paper.
 
 pub mod ablation;
-pub mod checkpoint;
 pub mod convergence;
 pub mod distributions;
-pub mod failover;
 pub mod memwall;
 pub mod multigpu;
 pub mod pareto;
-pub mod robustness;
-pub mod serving;
-pub mod serving_chaos;
+pub mod resilience;
 pub mod tables;
 pub mod tiered;
 pub mod timing;
@@ -48,13 +44,15 @@ pub const ALL_IDS: &[&str] = &[
     "failover",
 ];
 
-/// Runs one experiment by id. `write_bench` gates the `BENCH_*.json`
-/// artifacts some experiments produce (see
-/// [`write_artifact`](crate::output::write_artifact)).
+/// Runs one experiment by id. The five resilience experiments always run
+/// at full size and hold their `BENCH_*.json` against the run — rewritten
+/// with `write_bench`, compared without (see
+/// [`check_artifact`](crate::output::check_artifact)).
 ///
 /// # Errors
 ///
-/// Returns a message for unknown ids.
+/// Returns a message for unknown ids, and for a committed artifact that
+/// differs from what the run regenerated.
 pub fn run(id: &str, quick: bool, write_bench: bool) -> Result<(), String> {
     println!("=== {id} {} ===", if quick { "(quick)" } else { "" });
     match id {
@@ -80,11 +78,11 @@ pub fn run(id: &str, quick: bool, write_bench: bool) -> Result<(), String> {
         "ablate-tiered" => tiered::tiered(quick),
         "ablate-pipeline" => ablation::pipeline(quick),
         "pipeline-train" => timing::pipeline_train(quick),
-        "robustness" => robustness::robustness(quick, write_bench),
-        "checkpoint" => checkpoint::checkpoint(quick, write_bench),
-        "serving" => serving::serving(quick, write_bench),
-        "serving-chaos" => serving_chaos::serving_chaos(quick, write_bench),
-        "failover" => failover::failover(quick, write_bench),
+        "robustness" => resilience::robustness(write_bench)?,
+        "checkpoint" => resilience::checkpoint(write_bench)?,
+        "serving" => resilience::serving(write_bench)?,
+        "serving-chaos" => resilience::serving_chaos(write_bench)?,
+        "failover" => resilience::failover(write_bench)?,
         other => return Err(format!("unknown experiment id `{other}`")),
     }
     println!();

@@ -20,7 +20,6 @@ use buffalo_core::train::{Engine, RecoveryAction, RecoveryEvent, RecoveryPolicy,
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{CostModel, Device};
 
-const FANOUTS: [usize; 2] = [5, 10];
 const MAX_RETRIES: usize = 8;
 
 /// Cora's default batch, the light model, and a per-device budget of
@@ -50,7 +49,7 @@ impl Fixture {
     fn new() -> Self {
         let w = load_workload(DatasetName::Cora, false);
         let cost = CostModel::rtx6000();
-        let config = light_config(&w.dataset.spec, &FANOUTS);
+        let config = light_config(&w.dataset.spec, &w.fanouts);
         let budget = tight_budget(|roomy| {
             Engine::buffalo(config.clone(), w.clustering)
                 .train_iteration(&w.dataset, &w.batch, roomy, &cost)

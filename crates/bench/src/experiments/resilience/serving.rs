@@ -125,16 +125,20 @@ pub fn serving(write_bench: bool) -> Result<(), String> {
     check_artifact("BENCH_serving.json", &json, write_bench)
 }
 
+/// Whether every request `r` completed got the baseline's answer for the
+/// same trace index. Sheds and misses shrink the set but never change a
+/// survivor's answer.
+fn answers_match(r: &ServeReport, baseline: &ServeReport) -> bool {
+    let answered = |q: &ServedRequest| (q.index, q.node, q.class);
+    r.requests
+        .iter()
+        .all(|q| baseline.requests.iter().any(|b| answered(b) == answered(q)))
+}
+
 /// One scenario's `BENCH_serving_chaos.json` row, against the fault-free
 /// `baseline`.
-fn chaos_row(name: &str, r: &ServeReport, baseline: &ServeReport) -> Json {
-    // Sheds and misses shrink the set but never change a survivor's
-    // answer; only a run that completed everything can match the digest.
-    let answered = |q: &ServedRequest| (q.index, q.node, q.class);
-    let answers_match = r
-        .requests
-        .iter()
-        .all(|q| baseline.requests.iter().any(|b| answered(b) == answered(q)));
+fn chaos_row(name: &str, r: &ServeReport, baseline: &ServeReport, answers_match: bool) -> Json {
+    // Only a run that completed everything can match the folded digest.
     let full = r.shed.is_empty() && r.deadline_missed.is_empty();
     let digest_match = full && r.answer_digest == baseline.answer_digest;
     let (rc, lat, base) = (r.recovery_counts(), &r.latency, &baseline.latency);
@@ -181,12 +185,14 @@ pub fn serving_chaos(write_bench: bool) -> Result<(), String> {
     );
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut all_accounted = true;
+    let (mut all_accounted, mut all_match) = (true, true);
     let mut run = |name, gpus, faults: &str, cfg: &ServeConfig| {
         let (r, pool) = fx.serve(gpus, faults, cfg);
         all_accounted &=
             r.num_admitted == r.requests.len() + r.shed.len() + r.deadline_missed.len();
-        rows.push(chaos_row(name, &r, &baseline));
+        let matched = answers_match(&r, &baseline);
+        all_match &= matched;
+        rows.push(chaos_row(name, &r, &baseline, matched));
         pool
     };
     // Seeded transient faults on one device: retries and re-splits absorb
@@ -207,9 +213,6 @@ pub fn serving_chaos(write_bench: bool) -> Result<(), String> {
         ..cfg
     };
     run("overload-shed", 1, "", &overload);
-    let all_match = rows
-        .iter()
-        .all(|row| row.get("answers_match_baseline") == Some(&Json::Bool(true)));
 
     let baseline_row = Json::Object(vec![
         ("answer_digest", digest(&baseline)),

@@ -159,7 +159,7 @@ impl Json {
     }
 
     /// Field `key` of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(fields) => fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
             _ => None,

@@ -1,8 +1,7 @@
 //! Single-head graph attention (GAT) layers over blocks.
 
-use super::{activate, back_layers, run_layers, BlockLayer};
+use super::{activate, BlockLayer};
 use buffalo_blocks::Block;
-use buffalo_memsim::GnnShape;
 use buffalo_tensor::{Linear, Param, Tensor};
 use std::borrow::Cow;
 
@@ -347,71 +346,11 @@ impl BlockLayer for GatLayer {
     }
 }
 
-/// A full GAT model: one [`GatLayer`] per block.
-#[derive(Debug, Clone)]
-pub struct GatModel {
-    pub(super) layers: Vec<GatLayer>,
-}
-
-impl GatModel {
-    /// Builds the model for `shape` (aggregator field ignored).
-    pub fn new(shape: &GnnShape, seed: u64) -> Self {
-        let dims = shape.layer_dims();
-        let last = dims.len() - 1;
-        let layers = dims
-            .iter()
-            .enumerate()
-            .map(|(l, &(i, o))| GatLayer::new(i, o, l != last, seed.wrapping_add(31 * l as u64)))
-            .collect();
-        GatModel { layers }
-    }
-
-    /// Model depth.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Forward over `blocks` (input layer first); the caches borrow
-    /// `features`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from model depth.
-    pub fn forward<'a>(
-        &self,
-        blocks: &[Block],
-        features: &'a Tensor,
-    ) -> (Tensor, Vec<GatCache<'a>>) {
-        run_layers(&self.layers, blocks, features, true)
-    }
-
-    /// The logits of [`forward`](Self::forward) with no cache built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from model depth.
-    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
-        run_layers(&self.layers, blocks, features, false).0
-    }
-
-    /// Backward over `blocks`; accumulates parameter gradients.
-    pub fn backward(&mut self, blocks: &[Block], caches: &[GatCache<'_>], dlogits: &Tensor) {
-        back_layers(&mut self.layers, blocks, caches, dlogits);
-    }
-
-    /// All parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffalo_memsim::AggregatorKind;
+    use crate::models::GnnModel;
+    use buffalo_memsim::{AggregatorKind, GnnShape};
     use buffalo_tensor::softmax_cross_entropy;
 
     fn test_block() -> Block {
@@ -459,7 +398,7 @@ mod tests {
     #[test]
     fn gradcheck_gat_model() {
         let shape = GnnShape::new(3, 4, 2, 2, AggregatorKind::Attention);
-        let mut model = GatModel::new(&shape, 11);
+        let mut model = GnnModel::for_shape(&shape, 11);
         let blocks = vec![inner_block(), test_block()];
         let x = Tensor::xavier(5, 3, 6);
         let labels = [1u32, 0];
@@ -469,7 +408,7 @@ mod tests {
             p.zero_grad();
         }
         model.backward(&blocks, &caches, &out.dlogits);
-        let loss_of = |m: &GatModel| {
+        let loss_of = |m: &GnnModel| {
             let (lg, _) = m.forward(&blocks, &x);
             softmax_cross_entropy(&lg, &labels, None).loss
         };
@@ -505,7 +444,7 @@ mod tests {
     #[test]
     fn model_output_has_class_width() {
         let shape = GnnShape::new(3, 4, 2, 7, AggregatorKind::Attention);
-        let model = GatModel::new(&shape, 2);
+        let model = GnnModel::for_shape(&shape, 2);
         let x = Tensor::xavier(5, 3, 1);
         let (logits, _) = model.forward(&[inner_block(), test_block()], &x);
         assert_eq!((logits.rows(), logits.cols()), (2, 7));

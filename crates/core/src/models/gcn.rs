@@ -7,9 +7,8 @@
 //! module completes the trio of canonical models next to GraphSAGE and
 //! GAT.
 
-use super::{activate, back_layers, run_layers, BlockLayer};
+use super::{activate, BlockLayer};
 use buffalo_blocks::{Block, ReverseIndex};
-use buffalo_memsim::GnnShape;
 use buffalo_tensor::{Linear, Param, Tensor};
 use std::borrow::Cow;
 
@@ -144,66 +143,11 @@ impl BlockLayer for GcnLayer {
     }
 }
 
-/// A full GCN model: one [`GcnLayer`] per block.
-#[derive(Debug, Clone)]
-pub struct GcnModel {
-    pub(super) layers: Vec<GcnLayer>,
-}
-
-impl GcnModel {
-    /// Builds the model for `shape` (aggregator field ignored).
-    pub fn new(shape: &GnnShape, seed: u64) -> Self {
-        let dims = shape.layer_dims();
-        let last = dims.len() - 1;
-        let layers = dims
-            .iter()
-            .enumerate()
-            .map(|(l, &(i, o))| GcnLayer::new(i, o, l != last, seed.wrapping_add(53 * l as u64)))
-            .collect();
-        GcnModel { layers }
-    }
-
-    /// Model depth.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Forward over `blocks` (input layer first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from the model depth.
-    pub fn forward(&self, blocks: &[Block], features: &Tensor) -> (Tensor, Vec<GcnCache>) {
-        run_layers(&self.layers, blocks, features, true)
-    }
-
-    /// The logits of [`forward`](Self::forward) with no cache built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from the model depth.
-    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
-        run_layers(&self.layers, blocks, features, false).0
-    }
-
-    /// Backward over `blocks`; accumulates parameter gradients.
-    pub fn backward(&mut self, blocks: &[Block], caches: &[GcnCache], dlogits: &Tensor) {
-        back_layers(&mut self.layers, blocks, caches, dlogits);
-    }
-
-    /// All parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffalo_memsim::AggregatorKind;
+    use crate::models::GnnModel;
+    use buffalo_memsim::{AggregatorKind, GnnShape};
     use buffalo_tensor::softmax_cross_entropy;
 
     fn test_block() -> Block {
@@ -249,7 +193,7 @@ mod tests {
     #[test]
     fn gradcheck_gcn_model() {
         let shape = GnnShape::new(3, 4, 2, 2, AggregatorKind::Mean);
-        let mut model = GcnModel::new(&shape, 21);
+        let mut model = GnnModel::gcn(&shape, 21);
         let blocks = vec![inner_block(), test_block()];
         let x = Tensor::xavier(5, 3, 9);
         let labels = [0u32, 1];
@@ -259,7 +203,7 @@ mod tests {
             p.zero_grad();
         }
         model.backward(&blocks, &caches, &out.dlogits);
-        let loss_of = |m: &GcnModel| {
+        let loss_of = |m: &GnnModel| {
             let (lg, _) = m.forward(&blocks, &x);
             softmax_cross_entropy(&lg, &labels, None).loss
         };
@@ -289,7 +233,7 @@ mod tests {
     #[test]
     fn output_width_is_classes() {
         let shape = GnnShape::new(3, 4, 2, 5, AggregatorKind::Mean);
-        let model = GcnModel::new(&shape, 2);
+        let model = GnnModel::gcn(&shape, 2);
         let x = Tensor::xavier(5, 3, 1);
         let (logits, _) = model.forward(&[inner_block(), test_block()], &x);
         assert_eq!((logits.rows(), logits.cols()), (2, 5));

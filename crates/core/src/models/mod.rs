@@ -24,16 +24,16 @@ mod gat;
 mod gcn;
 mod sage;
 
-pub use gat::{GatLayer, GatModel};
-pub use gcn::{GcnCache, GcnLayer, GcnModel};
-pub use sage::{SageCache, SageLayer, SageModel};
+pub use gat::GatLayer;
+pub use gcn::{GcnCache, GcnLayer};
+pub use sage::{SageCache, SageLayer};
 
 use buffalo_blocks::Block;
 use buffalo_memsim::{AggregatorKind, GnnShape};
 use buffalo_tensor::{Param, Tensor};
 use std::borrow::Cow;
 
-/// One layer over one block, as the three models drive it. The two
+/// One layer over one block, as [`GnnModel`] drives it. The two
 /// switches say what the caller will read, so a layer does only that
 /// work; neither changes a bit of what is still produced.
 trait BlockLayer {
@@ -112,41 +112,56 @@ fn back_layers<L: BlockLayer>(
     }
 }
 
-/// A trainable GNN: GraphSAGE (any aggregator), GAT, or GCN.
+/// A trainable GNN, one layer per block: GraphSAGE (any aggregator), GAT,
+/// or GCN.
 #[derive(Debug, Clone)]
 pub enum GnnModel {
     /// GraphSAGE with a configurable aggregator.
-    Sage(SageModel),
+    Sage(Vec<SageLayer>),
     /// Graph attention network (single-head attention aggregator).
-    Gat(GatModel),
+    Gat(Vec<GatLayer>),
     /// Graph convolutional network (normalized mean with self-loop).
-    Gcn(GcnModel),
+    Gcn(Vec<GcnLayer>),
 }
 
 impl GnnModel {
-    /// Builds a GraphSAGE model matching `shape`.
-    pub fn sage(shape: &GnnShape, seed: u64) -> Self {
-        GnnModel::Sage(SageModel::new(shape, seed))
-    }
-
-    /// Builds a GAT model matching `shape` (the aggregator field of
-    /// `shape` is ignored; attention is used).
-    pub fn gat(shape: &GnnShape, seed: u64) -> Self {
-        GnnModel::Gat(GatModel::new(shape, seed))
+    /// Builds the model named by `shape.aggregator` with deterministic
+    /// init: `Attention` → GAT, anything else → GraphSAGE. Every layer
+    /// but the last has the output ReLU.
+    pub fn for_shape(shape: &GnnShape, seed: u64) -> Self {
+        let dims = shape.layer_dims();
+        let last = dims.len() - 1;
+        let layers = dims.iter().enumerate();
+        match shape.aggregator {
+            AggregatorKind::Attention => GnnModel::Gat(
+                layers
+                    .map(|(l, &(i, o))| {
+                        GatLayer::new(i, o, l != last, seed.wrapping_add(31 * l as u64))
+                    })
+                    .collect(),
+            ),
+            agg => GnnModel::Sage(
+                layers
+                    .map(|(l, &(i, o))| {
+                        SageLayer::new(i, o, agg, l != last, seed.wrapping_add(100 * l as u64))
+                    })
+                    .collect(),
+            ),
+        }
     }
 
     /// Builds a GCN model matching `shape` (aggregator field ignored).
     pub fn gcn(shape: &GnnShape, seed: u64) -> Self {
-        GnnModel::Gcn(GcnModel::new(shape, seed))
-    }
-
-    /// Builds the model named by `shape.aggregator`: `Attention` → GAT,
-    /// anything else → GraphSAGE.
-    pub fn for_shape(shape: &GnnShape, seed: u64) -> Self {
-        match shape.aggregator {
-            AggregatorKind::Attention => GnnModel::gat(shape, seed),
-            _ => GnnModel::sage(shape, seed),
-        }
+        let dims = shape.layer_dims();
+        let last = dims.len() - 1;
+        let layers = dims.iter().enumerate();
+        GnnModel::Gcn(
+            layers
+                .map(|(l, &(i, o))| {
+                    GcnLayer::new(i, o, l != last, seed.wrapping_add(53 * l as u64))
+                })
+                .collect(),
+        )
     }
 
     /// Forward pass over `blocks` (input layer first) with `features`
@@ -159,16 +174,16 @@ impl GnnModel {
     /// Panics if `blocks.len()` differs from the model depth.
     pub fn forward<'a>(&self, blocks: &[Block], features: &'a Tensor) -> (Tensor, ModelCache<'a>) {
         match self {
-            GnnModel::Sage(m) => {
-                let (logits, c) = m.forward(blocks, features);
+            GnnModel::Sage(layers) => {
+                let (logits, c) = run_layers(layers, blocks, features, true);
                 (logits, ModelCache::Sage(c))
             }
-            GnnModel::Gat(m) => {
-                let (logits, c) = m.forward(blocks, features);
+            GnnModel::Gat(layers) => {
+                let (logits, c) = run_layers(layers, blocks, features, true);
                 (logits, ModelCache::Gat(c))
             }
-            GnnModel::Gcn(m) => {
-                let (logits, c) = m.forward(blocks, features);
+            GnnModel::Gcn(layers) => {
+                let (logits, c) = run_layers(layers, blocks, features, true);
                 (logits, ModelCache::Gcn(c))
             }
         }
@@ -182,9 +197,9 @@ impl GnnModel {
     /// Panics if `blocks.len()` differs from the model depth.
     pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
         match self {
-            GnnModel::Sage(m) => m.logits(blocks, features),
-            GnnModel::Gat(m) => m.logits(blocks, features),
-            GnnModel::Gcn(m) => m.logits(blocks, features),
+            GnnModel::Sage(layers) => run_layers(layers, blocks, features, false).0,
+            GnnModel::Gat(layers) => run_layers(layers, blocks, features, false).0,
+            GnnModel::Gcn(layers) => run_layers(layers, blocks, features, false).0,
         }
     }
 
@@ -195,9 +210,11 @@ impl GnnModel {
     /// Panics if the cache kind does not match the model kind.
     pub fn backward(&mut self, blocks: &[Block], cache: &ModelCache<'_>, dlogits: &Tensor) {
         match (self, cache) {
-            (GnnModel::Sage(m), ModelCache::Sage(c)) => m.backward(blocks, c, dlogits),
-            (GnnModel::Gat(m), ModelCache::Gat(c)) => m.backward(blocks, c, dlogits),
-            (GnnModel::Gcn(m), ModelCache::Gcn(c)) => m.backward(blocks, c, dlogits),
+            (GnnModel::Sage(layers), ModelCache::Sage(c)) => {
+                back_layers(layers, blocks, c, dlogits)
+            }
+            (GnnModel::Gat(layers), ModelCache::Gat(c)) => back_layers(layers, blocks, c, dlogits),
+            (GnnModel::Gcn(layers), ModelCache::Gcn(c)) => back_layers(layers, blocks, c, dlogits),
             // lint:allow(panic-reachability): kind invariant — backward only ever receives the cache returned by this same model's forward (suppresses chain: consume_one → GnnModel::backward → panic!)
             _ => panic!("model/cache kind mismatch"),
         }
@@ -206,9 +223,9 @@ impl GnnModel {
     /// All trainable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         match self {
-            GnnModel::Sage(m) => m.params_mut(),
-            GnnModel::Gat(m) => m.params_mut(),
-            GnnModel::Gcn(m) => m.params_mut(),
+            GnnModel::Sage(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
+            GnnModel::Gat(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
+            GnnModel::Gcn(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
         }
     }
 
@@ -222,9 +239,9 @@ impl GnnModel {
     /// Model depth (number of blocks consumed per step).
     pub fn num_layers(&self) -> usize {
         match self {
-            GnnModel::Sage(m) => m.num_layers(),
-            GnnModel::Gat(m) => m.num_layers(),
-            GnnModel::Gcn(m) => m.num_layers(),
+            GnnModel::Sage(layers) => layers.len(),
+            GnnModel::Gat(layers) => layers.len(),
+            GnnModel::Gcn(layers) => layers.len(),
         }
     }
 }
@@ -360,7 +377,10 @@ mod tests {
 
     fn sage_contract(agg: AggregatorKind, pinned: [(u64, u64); 2]) {
         contract(
-            |depth| SageModel::new(&shape(depth, agg), 17).layers,
+            |depth| match GnnModel::for_shape(&shape(depth, agg), 17) {
+                GnnModel::Sage(layers) => layers,
+                other => panic!("{agg:?} built {other:?}"),
+            },
             SageLayer::params_mut,
             pinned,
         );
@@ -402,7 +422,10 @@ mod tests {
     #[test]
     fn gcn_contract() {
         contract(
-            |depth| GcnModel::new(&shape(depth, AggregatorKind::Mean), 17).layers,
+            |depth| match GnnModel::gcn(&shape(depth, AggregatorKind::Mean), 17) {
+                GnnModel::Gcn(layers) => layers,
+                other => panic!("gcn built {other:?}"),
+            },
             GcnLayer::params_mut,
             [
                 (0xd25f40698e7858d7, 0x4b9c16f131f2a842),
@@ -414,7 +437,10 @@ mod tests {
     #[test]
     fn gat_contract() {
         contract(
-            |depth| GatModel::new(&shape(depth, AggregatorKind::Attention), 17).layers,
+            |depth| match GnnModel::for_shape(&shape(depth, AggregatorKind::Attention), 17) {
+                GnnModel::Gat(layers) => layers,
+                other => panic!("attention built {other:?}"),
+            },
             GatLayer::params_mut,
             [
                 (0x3414cb8c04073731, 0xe3a9d695f4c09520),

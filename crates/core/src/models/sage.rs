@@ -6,9 +6,9 @@
 //! runs the recurrent aggregator over equal-length neighbor sequences with
 //! no padding.
 
-use super::{activate, back_layers, run_layers, BlockLayer};
+use super::{activate, BlockLayer};
 use buffalo_blocks::{Block, ReverseIndex};
-use buffalo_memsim::{AggregatorKind, GnnShape};
+use buffalo_memsim::AggregatorKind;
 use buffalo_tensor::{Linear, LstmCell, LstmState, Param, Tensor};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -88,8 +88,8 @@ impl SageLayer {
                 cell: LstmCell::new(in_dim, seed.wrapping_add(3)),
             },
             AggregatorKind::Attention => {
-                // lint:allow(panic-reachability): unreachable from the engine — for_shape routes Attention shapes to GatModel before SageModel::new ever runs; a direct GnnModel::sage call with Attention is a programmer error (suppresses chain: Engine::full_batch → GnnModel::for_shape → GnnModel::sage → SageModel::new → SageLayer::new → panic!)
-                panic!("use GatModel for the attention aggregator")
+                // lint:allow(panic-reachability): unreachable from the engine — for_shape builds GatLayers for Attention shapes and SageLayers only for the rest; a direct SageLayer::new call with Attention is a programmer error (suppresses chain: Engine::full_batch → GnnModel::for_shape → SageLayer::new → panic!)
+                panic!("use GatLayer for the attention aggregator")
             }
         };
         SageLayer {
@@ -434,78 +434,11 @@ impl BlockLayer for SageLayer {
     }
 }
 
-/// A full GraphSAGE model: one [`SageLayer`] per block.
-#[derive(Debug, Clone)]
-pub struct SageModel {
-    pub(super) layers: Vec<SageLayer>,
-}
-
-impl SageModel {
-    /// Builds the model for `shape` with deterministic init.
-    pub fn new(shape: &GnnShape, seed: u64) -> Self {
-        let dims = shape.layer_dims();
-        let last = dims.len() - 1;
-        let layers = dims
-            .iter()
-            .enumerate()
-            .map(|(l, &(i, o))| {
-                SageLayer::new(
-                    i,
-                    o,
-                    shape.aggregator,
-                    l != last,
-                    seed.wrapping_add(100 * l as u64),
-                )
-            })
-            .collect();
-        SageModel { layers }
-    }
-
-    /// Model depth.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Forward over `blocks` (input layer first); the caches borrow
-    /// `features`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from the model depth.
-    pub fn forward<'a>(
-        &self,
-        blocks: &[Block],
-        features: &'a Tensor,
-    ) -> (Tensor, Vec<SageCache<'a>>) {
-        run_layers(&self.layers, blocks, features, true)
-    }
-
-    /// The logits of [`forward`](Self::forward) with no cache built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from the model depth.
-    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
-        run_layers(&self.layers, blocks, features, false).0
-    }
-
-    /// Backward over `blocks`; accumulates parameter gradients.
-    pub fn backward(&mut self, blocks: &[Block], caches: &[SageCache<'_>], dlogits: &Tensor) {
-        back_layers(&mut self.layers, blocks, caches, dlogits);
-    }
-
-    /// All parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::GnnModel;
+    use buffalo_memsim::GnnShape;
     use buffalo_tensor::softmax_cross_entropy;
 
     /// Block: 2 dsts; dst0 <- {1, 2}, dst1 <- {2, 3, 0}; srcs {0,1,2,3}.
@@ -534,7 +467,7 @@ mod tests {
 
     fn numeric_gradcheck(agg: AggregatorKind) {
         let s = shape(agg);
-        let mut model = SageModel::new(&s, 42);
+        let mut model = GnnModel::for_shape(&s, 42);
         let blocks = vec![inner_block(), test_block()];
         let x = Tensor::xavier(5, 3, 7);
         let labels = [0u32, 1];
@@ -546,7 +479,7 @@ mod tests {
         }
         model.backward(&blocks, &caches, &out.dlogits);
         // Numeric check on a handful of parameters of each kind.
-        let loss_of = |m: &SageModel| {
+        let loss_of = |m: &GnnModel| {
             let (lg, _) = m.forward(&blocks, &x);
             softmax_cross_entropy(&lg, &labels, None).loss
         };
@@ -634,7 +567,7 @@ mod tests {
     #[test]
     fn forward_output_shape_is_classes() {
         let s = shape(AggregatorKind::Mean);
-        let model = SageModel::new(&s, 4);
+        let model = GnnModel::for_shape(&s, 4);
         let blocks = vec![inner_block(), test_block()];
         let x = Tensor::xavier(5, 3, 8);
         let (logits, _) = model.forward(&blocks, &x);
@@ -645,7 +578,7 @@ mod tests {
     #[should_panic(expected = "block/layer count mismatch")]
     fn forward_rejects_wrong_depth() {
         let s = shape(AggregatorKind::Mean);
-        let model = SageModel::new(&s, 4);
+        let model = GnnModel::for_shape(&s, 4);
         let x = Tensor::xavier(4, 3, 8);
         let _ = model.forward(&[test_block()], &x);
     }

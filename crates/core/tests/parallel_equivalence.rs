@@ -73,8 +73,7 @@ fn run_under(par: Parallelism, model_seed: u64, agg: AggregatorKind, kind: &str)
     let classes = 7;
     let shape = GnnShape::new(feat_dim, 20, 2, classes, agg);
     let mut model = match kind {
-        "sage" => GnnModel::sage(&shape, model_seed),
-        "gat" => GnnModel::gat(&shape, model_seed),
+        "sage" | "gat" => GnnModel::for_shape(&shape, model_seed),
         "gcn" => GnnModel::gcn(&shape, model_seed),
         other => panic!("unknown model kind {other}"),
     };

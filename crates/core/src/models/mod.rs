@@ -21,11 +21,9 @@
 //! same arithmetic with no cache built at all — what inference calls.
 
 mod gat;
-mod gcn;
 mod sage;
 
 pub use gat::GatLayer;
-pub use gcn::{GcnCache, GcnLayer};
 pub use sage::{SageCache, SageLayer};
 
 use buffalo_blocks::Block;
@@ -112,16 +110,13 @@ fn back_layers<L: BlockLayer>(
     }
 }
 
-/// A trainable GNN, one layer per block: GraphSAGE (any aggregator), GAT,
-/// or GCN.
+/// A trainable GNN, one layer per block: GraphSAGE (any aggregator) or GAT.
 #[derive(Debug, Clone)]
 pub enum GnnModel {
     /// GraphSAGE with a configurable aggregator.
     Sage(Vec<SageLayer>),
     /// Graph attention network (single-head attention aggregator).
     Gat(Vec<GatLayer>),
-    /// Graph convolutional network (normalized mean with self-loop).
-    Gcn(Vec<GcnLayer>),
 }
 
 impl GnnModel {
@@ -150,20 +145,6 @@ impl GnnModel {
         }
     }
 
-    /// Builds a GCN model matching `shape` (aggregator field ignored).
-    pub fn gcn(shape: &GnnShape, seed: u64) -> Self {
-        let dims = shape.layer_dims();
-        let last = dims.len() - 1;
-        let layers = dims.iter().enumerate();
-        GnnModel::Gcn(
-            layers
-                .map(|(l, &(i, o))| {
-                    GcnLayer::new(i, o, l != last, seed.wrapping_add(53 * l as u64))
-                })
-                .collect(),
-        )
-    }
-
     /// Forward pass over `blocks` (input layer first) with `features`
     /// rows for `blocks[0].src_nodes()`. Returns logits
     /// (`num output dst × classes`) and the cache for backward, which
@@ -182,10 +163,6 @@ impl GnnModel {
                 let (logits, c) = run_layers(layers, blocks, features, true);
                 (logits, ModelCache::Gat(c))
             }
-            GnnModel::Gcn(layers) => {
-                let (logits, c) = run_layers(layers, blocks, features, true);
-                (logits, ModelCache::Gcn(c))
-            }
         }
     }
 
@@ -199,7 +176,6 @@ impl GnnModel {
         match self {
             GnnModel::Sage(layers) => run_layers(layers, blocks, features, false).0,
             GnnModel::Gat(layers) => run_layers(layers, blocks, features, false).0,
-            GnnModel::Gcn(layers) => run_layers(layers, blocks, features, false).0,
         }
     }
 
@@ -214,7 +190,6 @@ impl GnnModel {
                 back_layers(layers, blocks, c, dlogits)
             }
             (GnnModel::Gat(layers), ModelCache::Gat(c)) => back_layers(layers, blocks, c, dlogits),
-            (GnnModel::Gcn(layers), ModelCache::Gcn(c)) => back_layers(layers, blocks, c, dlogits),
             // lint:allow(panic-reachability): kind invariant — backward only ever receives the cache returned by this same model's forward (suppresses chain: consume_one → GnnModel::backward → panic!)
             _ => panic!("model/cache kind mismatch"),
         }
@@ -225,7 +200,6 @@ impl GnnModel {
         match self {
             GnnModel::Sage(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
             GnnModel::Gat(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
-            GnnModel::Gcn(layers) => layers.iter_mut().flat_map(|l| l.params_mut()).collect(),
         }
     }
 
@@ -241,7 +215,6 @@ impl GnnModel {
         match self {
             GnnModel::Sage(layers) => layers.len(),
             GnnModel::Gat(layers) => layers.len(),
-            GnnModel::Gcn(layers) => layers.len(),
         }
     }
 }
@@ -254,8 +227,6 @@ pub enum ModelCache<'a> {
     Sage(Vec<SageCache<'a>>),
     /// GAT cache.
     Gat(Vec<gat::GatCache<'a>>),
-    /// GCN cache.
-    Gcn(Vec<gcn::GcnCache>),
 }
 
 #[cfg(test)]
@@ -420,21 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn gcn_contract() {
-        contract(
-            |depth| match GnnModel::gcn(&shape(depth, AggregatorKind::Mean), 17) {
-                GnnModel::Gcn(layers) => layers,
-                other => panic!("gcn built {other:?}"),
-            },
-            GcnLayer::params_mut,
-            [
-                (0xd25f40698e7858d7, 0x4b9c16f131f2a842),
-                (0x586d943ce869d832, 0xec33f7a2ae47c8d9),
-            ],
-        );
-    }
-
-    #[test]
     fn gat_contract() {
         contract(
             |depth| match GnnModel::for_shape(&shape(depth, AggregatorKind::Attention), 17) {
@@ -466,7 +422,6 @@ mod tests {
         assert_eq!(dh_src(sage(AggregatorKind::Mean)), 0xe432f788c845942f);
         assert_eq!(dh_src(sage(AggregatorKind::MaxPool)), 0x0d072ecde3a874c1);
         assert_eq!(dh_src(sage(AggregatorKind::Lstm)), 0xaad70b9450d6afed);
-        assert_eq!(dh_src(GcnLayer::new(8, 6, true, 23)), 0x98d86c5422fa30d1);
         assert_eq!(dh_src(GatLayer::new(8, 6, true, 23)), 0xdd87cd66c5398993);
     }
 }

@@ -8,7 +8,7 @@ use buffalo_bucketing::degree_bucketing;
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::stats;
 use buffalo_memsim::{measure, AggregatorKind};
-use buffalo_partition::BettyPartitioner;
+use buffalo_partition::betty_partition;
 
 /// Figure 1: degree frequency of all nodes in OGBN-products, showing the
 /// power-law long tail that causes bucket explosion. Printed log-binned.
@@ -63,8 +63,8 @@ pub fn fig4(quick: bool) {
 
     // (c) Betty 2-way micro-batches still explode and are memory-imbalanced.
     println!("\n(c) OGBN-arxiv after Betty batch-level partitioning (2 micro-batches):");
-    let part = BettyPartitioner::default()
-        .partition(&arxiv.batch.graph, arxiv.batch.num_seeds, 2)
+    let batch = &arxiv.batch;
+    let part = betty_partition(&batch.graph, batch.num_seeds, arxiv.fanouts.len(), 2)
         .expect("arxiv batch has no zero in-degree seeds");
     let shape = arxiv.shape(128, AggregatorKind::Lstm);
     let mut mems = Vec::new();

@@ -10,7 +10,7 @@ use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo_core::train::{Engine, PipelineConfig, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{measure, AggregatorKind, CostModel, DeviceMemory, StageTimings};
-use buffalo_partition::{metis_kway, range_partition, MetisOptions};
+use buffalo_partition::{metis_kway, range_partition};
 use std::time::Instant;
 
 /// Figure 5: executing METIS-based graph partitioning inside each training
@@ -30,7 +30,7 @@ pub fn fig5(quick: bool) {
         // Graph-level partitioning of the whole sampled subgraph, as the
         // METIS-based systems do per iteration.
         let t0 = Instant::now();
-        let parts = metis_kway(&w.batch.graph, 8, MetisOptions::default());
+        let parts = metis_kway(&w.batch.graph, 8);
         let metis_time = t0.elapsed().as_secs_f64();
         std::hint::black_box(&parts);
         let t1 = Instant::now();

@@ -13,9 +13,7 @@ use buffalo_blocks::{generate_blocks_checked, BlockWalker};
 use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::{CsrGraph, NodeId};
 use buffalo_memsim::{measure, CostModel, Device, DeviceTimeline, GnnShape};
-use buffalo_partition::{
-    metis_kway, random_partition, range_partition, BettyPartitioner, MetisOptions,
-};
+use buffalo_partition::{betty_partition, metis_kway, random_partition, range_partition};
 use buffalo_sampling::Batch;
 use std::time::Instant;
 
@@ -209,7 +207,7 @@ pub fn simulate_iteration(
         }
         Strategy::Betty { k } => {
             check_k(k, batch.num_seeds)?;
-            let part = BettyPartitioner::default().partition(&batch.graph, batch.num_seeds, k)?;
+            let part = betty_partition(&batch.graph, batch.num_seeds, ctx.shape.num_layers, k)?;
             phases.reg_construction = part.reg_time.as_secs_f64();
             phases.metis_partition = part.metis_time.as_secs_f64();
             part.groups
@@ -221,7 +219,7 @@ pub fn simulate_iteration(
             // their component's id (§II-B, Figure 5).
             // lint:allow(wallclock-taint): measured CPU seconds feed the simulated timeline report, not the plan (suppresses chain: simulate_iteration → Instant::now)
             let t0 = Instant::now();
-            let parts = metis_kway(&batch.graph, k, MetisOptions::default());
+            let parts = metis_kway(&batch.graph, k);
             phases.metis_partition = t0.elapsed().as_secs_f64();
             let mut groups = vec![Vec::new(); k];
             for v in 0..batch.num_seeds {

@@ -24,6 +24,6 @@ pub mod betty;
 pub mod metis;
 mod simple;
 
-pub use betty::{BettyError, BettyPartition, BettyPartitioner};
-pub use metis::{edge_cut, metis_kway, MetisOptions};
+pub use betty::{betty_partition, BettyError, BettyPartition};
+pub use metis::{edge_cut, metis_kway};
 pub use simple::{random_partition, range_partition};

@@ -20,29 +20,14 @@
 
 use buffalo_graph::{CsrGraph, NodeId};
 
-/// Options for [`metis_kway`].
-#[derive(Debug, Clone, Copy)]
-pub struct MetisOptions {
-    /// Stop coarsening when the graph has at most `coarsen_to × k` nodes.
-    pub coarsen_to: usize,
-    /// Allowed imbalance: a part may weigh up to `(1 + epsilon) × ideal`.
-    pub epsilon: f64,
-    /// Boundary refinement passes per uncoarsening level.
-    pub refine_passes: usize,
-    /// RNG seed for matching tie-breaks.
-    pub seed: u64,
-}
-
-impl Default for MetisOptions {
-    fn default() -> Self {
-        MetisOptions {
-            coarsen_to: 30,
-            epsilon: 0.1,
-            refine_passes: 4,
-            seed: 1,
-        }
-    }
-}
+/// Coarsening stops when the graph has at most `COARSEN_TO × k` nodes.
+const COARSEN_TO: usize = 30;
+/// Allowed imbalance: a part may weigh up to `(1 + EPSILON) × ideal`.
+const EPSILON: f64 = 0.1;
+/// Boundary refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 4;
+/// RNG seed for matching tie-breaks.
+const SEED: u64 = 1;
 
 /// Internal weighted graph used across coarsening levels.
 #[derive(Debug, Clone)]
@@ -85,7 +70,7 @@ impl WGraph {
 /// # Panics
 ///
 /// Panics if `k == 0`.
-pub fn metis_kway(g: &CsrGraph, k: usize, options: MetisOptions) -> Vec<u32> {
+pub fn metis_kway(g: &CsrGraph, k: usize) -> Vec<u32> {
     assert!(k > 0, "k must be positive");
     let n = g.num_nodes();
     if n == 0 {
@@ -101,8 +86,8 @@ pub fn metis_kway(g: &CsrGraph, k: usize, options: MetisOptions) -> Vec<u32> {
     // Coarsening: remember each level's graph and the projection map.
     let mut levels: Vec<(WGraph, Vec<NodeId>)> = Vec::new(); // (graph, map fine->coarse)
     let mut current = base;
-    let target = options.coarsen_to.saturating_mul(k).max(2 * k);
-    let mut rng_state = options.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let target = COARSEN_TO.saturating_mul(k).max(2 * k);
+    let mut rng_state = SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     while current.num_nodes() > target {
         let (coarse, map) = coarsen_once(&current, &mut rng_state);
         if coarse.num_nodes() as f64 > current.num_nodes() as f64 * 0.95 {
@@ -112,27 +97,15 @@ pub fn metis_kway(g: &CsrGraph, k: usize, options: MetisOptions) -> Vec<u32> {
         levels.push((prev, map));
     }
     // Initial partition on the coarsest graph.
-    let mut parts = initial_partition(&current, k, options.epsilon);
-    refine(
-        &current,
-        &mut parts,
-        k,
-        options.epsilon,
-        options.refine_passes,
-    );
+    let mut parts = initial_partition(&current, k);
+    refine(&current, &mut parts, k);
     // Uncoarsen with refinement at every level.
     while let Some((fine, map)) = levels.pop() {
         let mut fine_parts = vec![0u32; fine.num_nodes()];
         for (v, p) in fine_parts.iter_mut().enumerate() {
             *p = parts[map[v] as usize];
         }
-        refine(
-            &fine,
-            &mut fine_parts,
-            k,
-            options.epsilon,
-            options.refine_passes,
-        );
+        refine(&fine, &mut fine_parts, k);
         parts = fine_parts;
     }
     parts
@@ -255,10 +228,10 @@ fn coarsen_once(g: &WGraph, rng_state: &mut u64) -> (WGraph, Vec<NodeId>) {
 
 /// Greedy initial partition: descending node weight, into the lightest
 /// part (preferring the most-connected part among those under the cap).
-fn initial_partition(g: &WGraph, k: usize, epsilon: f64) -> Vec<u32> {
+fn initial_partition(g: &WGraph, k: usize) -> Vec<u32> {
     let n = g.num_nodes();
     let total = g.total_weight();
-    let cap = ((total as f64 / k as f64) * (1.0 + epsilon)).ceil() as u64;
+    let cap = ((total as f64 / k as f64) * (1.0 + EPSILON)).ceil() as u64;
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
     order.sort_by_key(|&v| std::cmp::Reverse(g.nweights[v as usize]));
     let mut parts = vec![u32::MAX; n];
@@ -305,15 +278,15 @@ fn initial_partition(g: &WGraph, k: usize, epsilon: f64) -> Vec<u32> {
 
 /// Bounded boundary FM refinement: repeatedly move boundary nodes to the
 /// neighboring part with the largest positive gain, respecting balance.
-fn refine(g: &WGraph, parts: &mut [u32], k: usize, epsilon: f64, passes: usize) {
+fn refine(g: &WGraph, parts: &mut [u32], k: usize) {
     let total = g.total_weight();
-    let cap = ((total as f64 / k as f64) * (1.0 + epsilon)).ceil() as u64;
+    let cap = ((total as f64 / k as f64) * (1.0 + EPSILON)).ceil() as u64;
     let mut loads = vec![0u64; k];
     for v in 0..g.num_nodes() {
         loads[parts[v] as usize] += g.nweights[v];
     }
     let mut conn = vec![0u64; k];
-    for _ in 0..passes {
+    for _ in 0..REFINE_PASSES {
         let mut moved = false;
         for v in 0..g.num_nodes() as NodeId {
             let home = parts[v as usize] as usize;
@@ -378,7 +351,7 @@ mod tests {
     #[test]
     fn separates_two_cliques() {
         let g = two_cliques(20);
-        let parts = metis_kway(&g, 2, MetisOptions::default());
+        let parts = metis_kway(&g, 2);
         assert_eq!(edge_cut(&g, &parts), 1, "only the bridge should be cut");
         // Each clique entirely in one part.
         for i in 1..20u32 {
@@ -392,7 +365,7 @@ mod tests {
     fn respects_balance_tolerance() {
         let g = generators::barabasi_albert(2_000, 5, 0.3, 7).unwrap();
         let k = 4;
-        let parts = metis_kway(&g, k, MetisOptions::default());
+        let parts = metis_kway(&g, k);
         let mut sizes = vec![0usize; k];
         for &p in &parts {
             sizes[p as usize] += 1;
@@ -407,7 +380,7 @@ mod tests {
     #[test]
     fn cut_is_much_better_than_random() {
         let g = generators::watts_strogatz(3_000, 10, 0.05, 5).unwrap();
-        let parts = metis_kway(&g, 4, MetisOptions::default());
+        let parts = metis_kway(&g, 4);
         let random: Vec<u32> = (0..3_000u32).map(|v| v % 4).collect();
         let metis_cut = edge_cut(&g, &parts);
         let random_cut = edge_cut(&g, &random);
@@ -420,14 +393,14 @@ mod tests {
     #[test]
     fn k_equals_one_is_trivial() {
         let g = two_cliques(5);
-        let parts = metis_kway(&g, 1, MetisOptions::default());
+        let parts = metis_kway(&g, 1);
         assert!(parts.iter().all(|&p| p == 0));
     }
 
     #[test]
     fn k_at_least_n_round_robins() {
         let g = two_cliques(2);
-        let parts = metis_kway(&g, 10, MetisOptions::default());
+        let parts = metis_kway(&g, 10);
         assert_eq!(parts.len(), 4);
         assert!(parts.iter().all(|&p| p < 10));
     }
@@ -435,14 +408,14 @@ mod tests {
     #[test]
     fn empty_graph_yields_empty_parts() {
         let g = CsrGraph::empty(0);
-        assert!(metis_kway(&g, 3, MetisOptions::default()).is_empty());
+        assert!(metis_kway(&g, 3).is_empty());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = generators::barabasi_albert(1_000, 4, 0.2, 3).unwrap();
-        let a = metis_kway(&g, 3, MetisOptions::default());
-        let b = metis_kway(&g, 3, MetisOptions::default());
+        let a = metis_kway(&g, 3);
+        let b = metis_kway(&g, 3);
         assert_eq!(a, b);
     }
 
@@ -450,7 +423,7 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn rejects_zero_k() {
         let g = two_cliques(3);
-        let _ = metis_kway(&g, 0, MetisOptions::default());
+        let _ = metis_kway(&g, 0);
     }
 
     #[test]

@@ -137,11 +137,11 @@ fn all_strategies_agree_on_whole_batch_memory_bound() {
 
 #[test]
 fn metis_groups_cut_fewer_seed_edges_than_random() {
-    use buffalo::partition::{edge_cut, metis_kway, MetisOptions};
+    use buffalo::partition::{edge_cut, metis_kway};
     // Direct quality check of the multilevel partitioner on a clustered
     // dataset graph.
     let ds = datasets::load(DatasetName::Pubmed, 3);
-    let parts = metis_kway(&ds.graph, 8, MetisOptions::default());
+    let parts = metis_kway(&ds.graph, 8);
     let n = ds.graph.num_nodes();
     let random_parts: Vec<u32> = (0..n)
         .map(|v| (v as u32).wrapping_mul(2654435761) % 8)

@@ -3,11 +3,11 @@
 //! Every parallel kernel in the stack partitions work by disjoint output
 //! rows and accumulates each output element in the same order as the
 //! serial code, so forward logits and backward gradients must be
-//! *bitwise* identical for any thread count and tile size. These tests
-//! run full forward + backward passes for every model (SAGE with each
-//! aggregator, GAT) under a serial and an adversarial parallel
-//! configuration (8 threads, tiny odd tiles, no serial fallback) and
-//! compare every output bit for bit.
+//! *bitwise* identical for any thread count. These tests run full
+//! forward + backward passes for every model (SAGE with each aggregator,
+//! GAT) on one thread and on 2, 4 and 8, over shapes that straddle the
+//! kernels' fixed tile grid (64 deep, 128 wide) and their 64-row
+//! serial-fallback threshold, and compare every output bit for bit.
 //!
 //! The ambient [`Parallelism`] is process-global, so the comparisons run
 //! inside a single `#[test]` per model to avoid install races between
@@ -56,28 +56,30 @@ fn lcg_block(seed: u64, n_dst: usize, n_src: usize, max_deg: usize) -> Block {
     Block::from_parts(dst_nodes, src_nodes, offsets, indices)
 }
 
-/// A 2-layer block stack large enough to clear every parallel threshold:
-/// 220 sources -> 140 mid -> 48 outputs.
+/// Outputs of the 2-layer block stack: one row past the serial-fallback
+/// threshold, so the last layer's kernels dispatch too.
+const OUTPUTS: usize = 65;
+
+/// 220 sources -> 140 mid -> [`OUTPUTS`] outputs.
 fn block_stack(seed: u64) -> (Vec<Block>, usize) {
     let b0 = lcg_block(seed, 140, 220, 6);
-    let b1 = lcg_block(seed ^ 0x9e3779b97f4a7c15, 48, 140, 5);
+    let b1 = lcg_block(seed ^ 0x9e3779b97f4a7c15, OUTPUTS, 140, 5);
     (vec![b0, b1], 220)
 }
 
 /// Runs forward + loss + backward under `par` and returns every output
 /// bit: logits, loss, dlogits, and all parameter gradients.
-fn run_under(par: Parallelism, model_seed: u64, agg: AggregatorKind, kind: &str) -> Vec<Vec<f32>> {
+fn run_under(par: Parallelism, model_seed: u64, agg: AggregatorKind) -> Vec<Vec<f32>> {
     par.install();
     let (blocks, n_src) = block_stack(31);
-    let feat_dim = 12;
+    // One past the depth tile at layer 0; two depth tiles and a tail,
+    // and one width tile and a tail, at the hidden layer.
+    let feat_dim = 65;
     let classes = 7;
-    let shape = GnnShape::new(feat_dim, 20, 2, classes, agg);
-    let mut model = match kind {
-        "sage" | "gat" => GnnModel::for_shape(&shape, model_seed),
-        other => panic!("unknown model kind {other}"),
-    };
+    let shape = GnnShape::new(feat_dim, 130, 2, classes, agg);
+    let mut model = GnnModel::for_shape(&shape, model_seed);
     let x = Tensor::xavier(n_src, feat_dim, 77);
-    let labels: Vec<u32> = (0..48).map(|i| (i * 5 % classes) as u32).collect();
+    let labels: Vec<u32> = (0..OUTPUTS).map(|i| (i * 5 % classes) as u32).collect();
     let (logits, cache) = model.forward(&blocks, &x);
     let out = softmax_cross_entropy(&logits, &labels, None);
     model.zero_grad();
@@ -93,79 +95,83 @@ fn run_under(par: Parallelism, model_seed: u64, agg: AggregatorKind, kind: &str)
     bits
 }
 
-/// Serial reference: one thread, whole-matrix tiles.
-fn serial() -> Parallelism {
+fn threads(threads: usize) -> Parallelism {
     Parallelism {
-        threads: 1,
-        min_parallel_rows: 1,
-        tile_k: usize::MAX,
-        tile_n: usize::MAX,
+        threads,
         ..Parallelism::auto()
     }
 }
 
-/// Adversarial parallel config: many threads, tiny odd tiles, and no
-/// serial fallback so even small matrices take the parallel path.
-fn adversarial() -> Parallelism {
-    Parallelism {
-        threads: 8,
-        min_parallel_rows: 1,
-        tile_k: 3,
-        tile_n: 5,
-        ..Parallelism::auto()
-    }
-}
-
-fn assert_bitwise_equal(kind: &str, agg: AggregatorKind) {
-    let want = run_under(serial(), 5, agg, kind);
-    let configs = [
-        adversarial(),
-        Parallelism {
-            threads: 2,
-            ..adversarial()
-        },
-        Parallelism {
-            threads: 4,
-            tile_k: 64,
-            tile_n: 128,
-            ..adversarial()
-        },
-    ];
-    for cfg in configs {
-        let got = run_under(cfg, 5, agg, kind);
+fn assert_bitwise_equal(agg: AggregatorKind) {
+    let want = run_under(threads(1), 5, agg);
+    for cfg in [2, 4, 8].map(threads) {
+        let got = run_under(cfg, 5, agg);
         assert_eq!(
             want.len(),
             got.len(),
-            "{kind}/{agg:?}: output arity changed under {cfg:?}"
+            "{agg:?}: output arity changed under {cfg:?}"
         );
         for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(
-                w, g,
-                "{kind}/{agg:?} output {i} differs bitwise under {cfg:?}"
-            );
+            assert_eq!(w, g, "{agg:?} output {i} differs bitwise under {cfg:?}");
         }
     }
     Parallelism::auto().install();
 }
 
+/// The three dense layouts on their own, one thread against many, at
+/// depths and widths one below, at, one above and past twice the tile
+/// sizes and row counts around the serial-fallback threshold, on every
+/// backend the host has.
+#[test]
+fn matmuls_are_bitwise_thread_invariant_at_tile_and_threshold_edges() {
+    for simd in buffalo_par::SimdBackend::available() {
+        let par = |threads| Parallelism { threads, simd };
+        for m in [63, 64, 65] {
+            for k in [63, 64, 65, 130] {
+                for n in [127, 128, 129, 260] {
+                    let a = Tensor::xavier(m, k, 1);
+                    let at = Tensor::xavier(k, m, 2);
+                    let b = Tensor::xavier(k, n, 3);
+                    let bt = Tensor::xavier(n, k, 4);
+                    let products = |p: &Parallelism| {
+                        [
+                            a.matmul_with(&b, p),
+                            at.matmul_tn_with(&b, p),
+                            a.matmul_nt_with(&bt, p),
+                        ]
+                        .map(|t| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                    };
+                    let want = products(&par(1));
+                    for threads in [2, 3, 8] {
+                        assert!(
+                            products(&par(threads)) == want,
+                            "{simd:?} {m}x{k}x{n} differs at {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn sage_mean_is_bitwise_thread_invariant() {
-    assert_bitwise_equal("sage", AggregatorKind::Mean);
+    assert_bitwise_equal(AggregatorKind::Mean);
 }
 
 #[test]
 fn sage_maxpool_is_bitwise_thread_invariant() {
-    assert_bitwise_equal("sage", AggregatorKind::MaxPool);
+    assert_bitwise_equal(AggregatorKind::MaxPool);
 }
 
 #[test]
 fn sage_lstm_is_bitwise_thread_invariant() {
-    assert_bitwise_equal("sage", AggregatorKind::Lstm);
+    assert_bitwise_equal(AggregatorKind::Lstm);
 }
 
 #[test]
 fn gat_is_bitwise_thread_invariant() {
-    assert_bitwise_equal("gat", AggregatorKind::Attention);
+    assert_bitwise_equal(AggregatorKind::Attention);
 }
 
 /// Trainer-level check: the full training iteration (Prepare gather,
@@ -197,7 +203,6 @@ fn trainer_loss_is_bitwise_thread_invariant() {
             seed: 3,
             parallelism: Parallelism {
                 threads,
-                min_parallel_rows: 1,
                 ..Parallelism::auto()
             },
         };

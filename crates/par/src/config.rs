@@ -3,46 +3,37 @@
 use buffalo_simd::SimdBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default minimum output-row count before a kernel goes parallel; below
-/// it the per-task dispatch overhead outweighs the work.
+/// Minimum output-row count before a kernel goes parallel; below it the
+/// per-task dispatch overhead outweighs the work.
 pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 64;
 
-/// Default depth (k) tile for the blocked matmul kernels.
+/// Depth (k) tile of the blocked matmul kernels.
 pub const DEFAULT_TILE_K: usize = 64;
 
-/// Default width (n) tile for the blocked matmul kernels. A `tile_k ×
-/// tile_n` f32 panel of the right-hand matrix (32 KiB at the defaults)
-/// stays cache-resident while a thread sweeps its output rows.
+/// Width (n) tile of the blocked matmul kernels. A `DEFAULT_TILE_K ×
+/// DEFAULT_TILE_N` f32 panel of the right-hand matrix (32 KiB) stays
+/// cache-resident while a thread sweeps its output rows.
 pub const DEFAULT_TILE_N: usize = 128;
 
-/// How the CPU compute kernels split their work: worker-thread count,
-/// the serial-fallback threshold, cache-tile sizes, and the SIMD inner
-/// kernel backend.
+/// How the CPU compute kernels split their work: worker-thread count and
+/// the SIMD inner kernel backend.
 ///
-/// `threads` and `min_parallel_rows` never affect results — kernels
-/// partition by disjoint output rows and keep per-element accumulation
-/// order fixed. Under the default [`SimdBackend::Scalar`] backend the
-/// tile sizes are also bitwise-neutral, so any two scalar configurations
-/// produce bit-identical tensors (the historical contract, unchanged).
-/// A vector `simd` backend selects different (run-to-run deterministic)
-/// rounding, and makes the tile grid part of that rounding pattern: each
-/// tile's lane body/scalar tail split follows the tile bounds. In short:
-/// numerics are a function of (`simd`, `tile_k`, `tile_n`) and nothing
-/// else here; see [`SimdBackend`].
+/// `threads` never affects results — kernels partition by disjoint output
+/// rows and keep per-element accumulation order fixed, so any two
+/// configurations with the same `simd` produce bit-identical tensors.
+/// `simd` selects the (run-to-run deterministic) rounding: the default
+/// [`SimdBackend::Scalar`] reproduces the historical bits, and under a
+/// vector backend each tile's lane body/scalar tail split follows the
+/// fixed [`DEFAULT_TILE_K`] × [`DEFAULT_TILE_N`] grid. In short: numerics
+/// are a function of `simd` and nothing else here; see [`SimdBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Total threads applied to a kernel, including the calling thread
     /// (`1` = serial).
     pub threads: usize,
-    /// Minimum output-row count before a kernel dispatches to the pool.
-    pub min_parallel_rows: usize,
-    /// Depth (k) tile of the blocked matmul kernels.
-    pub tile_k: usize,
-    /// Width (n) tile of the blocked matmul kernels.
-    pub tile_n: usize,
     /// SIMD backend for the per-element inner kernels (axpy/dot/widen).
-    /// Unlike the scheduling fields this selects the numerics; scalar is
-    /// the default and vectorization is opt-in (CLI `--simd`).
+    /// Unlike `threads` this selects the numerics; scalar is the default
+    /// and vectorization is opt-in (CLI `--simd`).
     pub simd: SimdBackend,
 }
 
@@ -55,29 +46,18 @@ impl Parallelism {
         }
     }
 
-    /// `threads` workers with default threshold and tiles.
-    pub fn with_threads(threads: usize) -> Self {
-        Parallelism {
-            threads: threads.max(1),
-            ..Self::auto()
-        }
-    }
-
-    /// One thread per available CPU, default threshold and tiles.
+    /// One thread per available CPU, scalar kernels.
     pub fn auto() -> Self {
         Parallelism {
             threads: available_threads(),
-            min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
-            tile_k: DEFAULT_TILE_K,
-            tile_n: DEFAULT_TILE_N,
             simd: SimdBackend::Scalar,
         }
     }
 
     /// Threads a kernel with `rows` output rows should actually use:
-    /// `1` below the serial-fallback threshold, never more than `rows`.
+    /// `1` below [`DEFAULT_MIN_PARALLEL_ROWS`], never more than `rows`.
     pub fn effective_threads(&self, rows: usize) -> usize {
-        if self.threads <= 1 || rows < self.min_parallel_rows.max(1) {
+        if self.threads <= 1 || rows < DEFAULT_MIN_PARALLEL_ROWS {
             1
         } else {
             self.threads.min(rows)
@@ -89,9 +69,6 @@ impl Parallelism {
     /// configuration reads.
     pub fn install(self) {
         AMBIENT_THREADS.store(self.threads.max(1), Ordering::Relaxed);
-        AMBIENT_MIN_ROWS.store(self.min_parallel_rows.max(1), Ordering::Relaxed);
-        AMBIENT_TILE_K.store(self.tile_k.max(1), Ordering::Relaxed);
-        AMBIENT_TILE_N.store(self.tile_n.max(1), Ordering::Relaxed);
         AMBIENT_SIMD.store(self.simd as usize + 1, Ordering::Relaxed);
     }
 }
@@ -108,29 +85,19 @@ fn available_threads() -> usize {
 
 // Zero means "not installed": fall back to the `auto()` defaults.
 static AMBIENT_THREADS: AtomicUsize = AtomicUsize::new(0);
-static AMBIENT_MIN_ROWS: AtomicUsize = AtomicUsize::new(0);
-static AMBIENT_TILE_K: AtomicUsize = AtomicUsize::new(0);
-static AMBIENT_TILE_N: AtomicUsize = AtomicUsize::new(0);
 // Stored as `backend as usize + 1` so zero keeps meaning "not installed"
 // (falling back to the scalar default).
 static AMBIENT_SIMD: AtomicUsize = AtomicUsize::new(0);
-
-fn read_or(cell: &AtomicUsize, default: usize) -> usize {
-    match cell.load(Ordering::Relaxed) {
-        0 => default,
-        v => v,
-    }
-}
 
 /// The process-wide ambient configuration: the last one
 /// [installed](Parallelism::install), or [`Parallelism::auto`] if none
 /// has been.
 pub fn ambient() -> Parallelism {
     Parallelism {
-        threads: read_or(&AMBIENT_THREADS, available_threads()),
-        min_parallel_rows: read_or(&AMBIENT_MIN_ROWS, DEFAULT_MIN_PARALLEL_ROWS),
-        tile_k: read_or(&AMBIENT_TILE_K, DEFAULT_TILE_K),
-        tile_n: read_or(&AMBIENT_TILE_N, DEFAULT_TILE_N),
+        threads: match AMBIENT_THREADS.load(Ordering::Relaxed) {
+            0 => available_threads(),
+            v => v,
+        },
         simd: match AMBIENT_SIMD.load(Ordering::Relaxed) {
             0 => SimdBackend::Scalar,
             v => SimdBackend::from_index(v - 1).unwrap_or(SimdBackend::Scalar),
@@ -142,39 +109,30 @@ pub fn ambient() -> Parallelism {
 mod tests {
     use super::*;
 
+    fn threads(threads: usize) -> Parallelism {
+        Parallelism {
+            threads,
+            ..Parallelism::auto()
+        }
+    }
+
     #[test]
     fn serial_fallback_threshold_applies() {
-        let p = Parallelism {
-            threads: 8,
-            min_parallel_rows: 100,
-            tile_k: 4,
-            tile_n: 4,
-            simd: SimdBackend::Scalar,
-        };
-        assert_eq!(p.effective_threads(99), 1);
-        assert_eq!(p.effective_threads(100), 8);
-        assert_eq!(p.effective_threads(3), 1);
+        assert_eq!(threads(8).effective_threads(63), 1);
+        assert_eq!(threads(8).effective_threads(64), 8);
+        assert_eq!(threads(8).effective_threads(3), 1);
         assert_eq!(Parallelism::serial().effective_threads(1 << 20), 1);
     }
 
     #[test]
     fn effective_threads_never_exceed_rows() {
-        let p = Parallelism {
-            threads: 16,
-            min_parallel_rows: 1,
-            tile_k: 4,
-            tile_n: 4,
-            simd: SimdBackend::Scalar,
-        };
-        assert_eq!(p.effective_threads(5), 5);
+        assert_eq!(threads(100).effective_threads(70), 70);
     }
 
     #[test]
     fn ambient_defaults_are_sane() {
         let a = ambient();
         assert!(a.threads >= 1);
-        assert!(a.tile_k >= 1 && a.tile_n >= 1);
-        assert!(a.min_parallel_rows >= 1);
         // Nothing installed (or whatever a prior test installed): the
         // decoded backend is always a valid enum value.
         assert!(SimdBackend::from_index(a.simd as usize).is_some());

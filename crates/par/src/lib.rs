@@ -6,7 +6,7 @@
 //! crate so one `--threads` setting governs them all. The design invariant
 //! is **disjoint-output determinism**: work is always partitioned by
 //! disjoint output rows (or columns), and every output element accumulates
-//! its terms in the same order regardless of thread count or tile size —
+//! its terms in the same order regardless of thread count —
 //! so parallel results are bit-identical to serial ones, with no
 //! floating-point reassociation anywhere.
 //!
@@ -16,9 +16,10 @@
 //!   threads executing borrowed closures; [`Pool::run`] blocks until every
 //!   task finishes, so tasks may borrow from the caller's stack (the same
 //!   guarantee `std::thread::scope` gives, without per-call spawns).
-//! * [`Parallelism`] — the tunable configuration (worker threads,
-//!   serial-fallback threshold, matmul tile sizes) plus a process-wide
-//!   *ambient* copy that trainers install and kernels read.
+//! * [`Parallelism`] — the configuration (worker threads, SIMD backend)
+//!   plus a process-wide *ambient* copy that trainers install and kernels
+//!   read; the serial-fallback threshold and the matmul tile sizes are
+//!   constants beside it.
 
 #![warn(missing_docs)]
 
@@ -26,5 +27,5 @@ mod config;
 mod pool;
 
 pub use buffalo_simd::{SimdBackend, SimdPolicy};
-pub use config::{ambient, Parallelism};
+pub use config::{ambient, Parallelism, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_TILE_K, DEFAULT_TILE_N};
 pub use pool::{global_pool, parallel_for, parallel_rows, run_tasks, Pool, Task};

@@ -255,7 +255,7 @@ pub fn run_tasks(tasks: Vec<Task<'_>>, threads: usize) {
 
 /// Splits `0..n` into one contiguous range per effective thread and runs
 /// `f` on each. Falls back to a single serial call below the
-/// [`Parallelism::min_parallel_rows`] threshold.
+/// [`DEFAULT_MIN_PARALLEL_ROWS`](crate::DEFAULT_MIN_PARALLEL_ROWS) threshold.
 pub fn parallel_for<F>(n: usize, par: &Parallelism, f: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -314,7 +314,6 @@ mod tests {
     fn par(threads: usize) -> Parallelism {
         Parallelism {
             threads,
-            min_parallel_rows: 1,
             ..Parallelism::auto()
         }
     }
@@ -351,21 +350,23 @@ mod tests {
 
     #[test]
     fn serial_threshold_short_circuits_dispatch() {
-        // With a large threshold, the pool must not be touched: the whole
-        // range arrives as one call on the calling thread.
+        // One row below the threshold the pool must not be touched: the
+        // whole range arrives as one call on the calling thread.
         let calls = AtomicUsize::new(0);
         let caller = thread::current().id();
-        let p = Parallelism {
-            threads: 8,
-            min_parallel_rows: 1_000,
-            ..Parallelism::auto()
-        };
-        parallel_for(999, &p, |range| {
+        parallel_for(63, &par(8), |range| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(range, 0..999);
+            assert_eq!(range, 0..63);
             assert_eq!(thread::current().id(), caller);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // At the threshold the range is split, one chunk per thread.
+        calls.store(0, Ordering::Relaxed);
+        parallel_for(64, &par(8), |range| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(range.len(), 8);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 8);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! through [`buffalo_par`] with the inner loops dispatched to the
 //! configured [`buffalo_par::SimdBackend`]. Each output element always
 //! accumulates its terms in ascending-`p` order, so within a backend
-//! results are bit-identical for every thread count and tile size (the
-//! default scalar backend reproduces the historical bits exactly).
+//! results are bit-identical for every thread count (the default scalar
+//! backend reproduces the historical bits exactly).
 
-use buffalo_par::{parallel_rows, Parallelism, SimdBackend};
+use buffalo_par::{parallel_rows, Parallelism, SimdBackend, DEFAULT_TILE_K, DEFAULT_TILE_N};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -162,8 +162,8 @@ impl Tensor {
     /// parallelized over disjoint output-row ranges.
     ///
     /// Each output element accumulates `a[i][p] * b[p][j]` in ascending-`p`
-    /// order (zero `a` terms skipped) for every thread count and tile size,
-    /// so results are bit-identical across configurations.
+    /// order (zero `a` terms skipped) for every thread count, so results
+    /// are bit-identical across configurations with the same backend.
     ///
     /// # Panics
     ///
@@ -185,7 +185,7 @@ impl Tensor {
     /// `selfᵀ × rhs` (`k×m ᵀ · k×n = m×n`) without materializing the
     /// transpose — the weight-gradient layout. Cache-blocked, parallel
     /// over disjoint output rows, ascending-`p` accumulation (zero terms
-    /// skipped): bit-identical for every thread count and tile size.
+    /// skipped): bit-identical for every thread count.
     ///
     /// # Panics
     ///
@@ -207,8 +207,8 @@ impl Tensor {
     /// `self × rhsᵀ` (`m×k · n×k ᵀ = m×n`) — the input-gradient layout.
     /// Parallel over disjoint output rows and tiled over B rows; each
     /// element is one full-depth dot product accumulated in ascending-`p`
-    /// order, so results are bit-identical for every thread count and
-    /// tile size (k is never split — that would reassociate the chain).
+    /// order, so results are bit-identical for every thread count (k is
+    /// never split — that would reassociate the chain).
     ///
     /// # Panics
     ///
@@ -223,9 +223,10 @@ impl Tensor {
     /// call site per inner-loop shape):
     ///
     /// * `Nn`/`Tn` accumulate rank-1 updates — the inner loop is an
-    ///   `axpy_panel` (a k-tile's worth of axpys with the `tile_n`-wide
-    ///   output tile held in registers), k-tiled so a `tile_k × tile_n`
-    ///   panel of B stays cache resident. Per element the `p` order is
+    ///   `axpy_panel` (a k-tile's worth of axpys with the
+    ///   `DEFAULT_TILE_N`-wide output tile held in registers), k-tiled so
+    ///   a `DEFAULT_TILE_K × DEFAULT_TILE_N` panel of B stays cache
+    ///   resident. Per element the `p` order is
     ///   globally ascending (k-tiles ascend, `p` ascends within each)
     ///   and zero `a` terms are skipped.
     /// * `Nt` computes one full-depth dot product per element (k is
@@ -235,11 +236,11 @@ impl Tensor {
     ///
     /// Within a backend, results are bit-identical for every thread
     /// count (rows are disjoint and each row's work is independent of
-    /// the chunking). Under the scalar backend tile sizes are also
-    /// bitwise-neutral; under a vector backend the tile grid decides
+    /// the chunking). Under a vector backend the fixed tile grid decides
     /// where each axpy's lane body ends and its scalar tail begins, so
-    /// tile sizes join the backend in fixing the (still run-to-run
-    /// deterministic) rounding. See [`buffalo_par::SimdBackend`].
+    /// it is part of that backend's (run-to-run deterministic) rounding;
+    /// under scalar it is bitwise-neutral. See
+    /// [`buffalo_par::SimdBackend`].
     fn gemm(&self, rhs: &Tensor, par: &Parallelism, layout: Gemm) -> Tensor {
         let (m, k, n) = match layout {
             Gemm::Nn => {
@@ -260,8 +261,6 @@ impl Tensor {
         if m == 0 || n == 0 || k == 0 {
             return out;
         }
-        let tile_k = par.tile_k.max(1);
-        let tile_n = par.tile_n.max(1);
         let simd = par.simd;
         let a = &self.data; // Tn reads it as k × m, down column i.
         let b = &rhs.data;
@@ -269,10 +268,10 @@ impl Tensor {
             (layout == Gemm::Nt && simd == SimdBackend::Scalar).then(|| nt_pack_scalar(b, n, k));
         parallel_rows(&mut out.data, n, par, |row0, chunk| match layout {
             Gemm::Nn | Gemm::Tn => {
-                for p0 in (0..k).step_by(tile_k) {
-                    let p1 = (p0 + tile_k).min(k);
-                    for j0 in (0..n).step_by(tile_n) {
-                        let j1 = (j0 + tile_n).min(n);
+                for p0 in (0..k).step_by(DEFAULT_TILE_K) {
+                    let p1 = (p0 + DEFAULT_TILE_K).min(k);
+                    for j0 in (0..n).step_by(DEFAULT_TILE_N) {
+                        let j1 = (j0 + DEFAULT_TILE_N).min(n);
                         for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
                             let i = row0 + r;
                             // Row i's coefficients for this k-tile.
@@ -293,8 +292,8 @@ impl Tensor {
                     }
                     return;
                 }
-                for j0 in (0..n).step_by(tile_n) {
-                    let j1 = (j0 + tile_n).min(n);
+                for j0 in (0..n).step_by(DEFAULT_TILE_N) {
+                    let j1 = (j0 + DEFAULT_TILE_N).min(n);
                     for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
                         let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
                         for (j, o) in o_row[j0..j1].iter_mut().enumerate() {
@@ -400,11 +399,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Column-wise sum producing a `1 × cols` tensor (bias gradients).
@@ -609,34 +603,10 @@ mod tests {
 
     mod kernel_equivalence {
         use super::*;
-        use buffalo_par::Parallelism;
+        use buffalo_par::{Parallelism, SimdBackend};
 
-        /// Serial, whole-matrix tiles: structurally the straight-line
-        /// reference every configuration must match bitwise.
-        fn baseline() -> Parallelism {
-            Parallelism {
-                threads: 1,
-                min_parallel_rows: 1,
-                tile_k: usize::MAX,
-                tile_n: usize::MAX,
-                ..Parallelism::auto()
-            }
-        }
-
-        fn configs() -> Vec<Parallelism> {
-            let mut out = vec![baseline()];
-            for threads in [1, 2, 4, 8] {
-                for (tile_k, tile_n) in [(3, 5), (7, 3), (64, 128), (1, 1)] {
-                    out.push(Parallelism {
-                        threads,
-                        min_parallel_rows: 1,
-                        tile_k,
-                        tile_n,
-                        ..Parallelism::auto()
-                    });
-                }
-            }
-            out
+        fn cfg(simd: SimdBackend, threads: usize) -> Parallelism {
+            Parallelism { threads, simd }
         }
 
         /// Sparse-ish values so the `a == 0.0` skip path is exercised.
@@ -650,36 +620,75 @@ mod tests {
             t
         }
 
-        #[test]
-        fn matmul_bitwise_across_threads_and_tiles() {
-            let a = sparse(37, 19, 11);
-            let b = Tensor::xavier(19, 23, 12);
-            let want = a.matmul_with(&b, &baseline());
-            for cfg in configs() {
-                let got = a.matmul_with(&b, &cfg);
-                assert_eq!(got.data(), want.data(), "config {cfg:?}");
+        /// The `m × n` product whose coefficient `(i, p)` is `a_at(i, p)`,
+        /// one `simd.axpy` per term: k-tiles ascend, n-tiles within, `p`
+        /// within those, zero coefficients skipped. The 64 × 128 grid is
+        /// spelled out because it is part of a vector backend's rounding
+        /// (each tile splits into lane body and scalar tail on its own).
+        fn axpy_reference(
+            simd: SimdBackend,
+            (m, k): (usize, usize),
+            a_at: impl Fn(usize, usize) -> f32,
+            b: &Tensor,
+        ) -> Tensor {
+            let n = b.cols();
+            let mut out = Tensor::zeros(m, n);
+            for i in 0..m {
+                for p0 in (0..k).step_by(64) {
+                    for j0 in (0..n).step_by(128) {
+                        let j1 = (j0 + 128).min(n);
+                        for p in p0..(p0 + 64).min(k) {
+                            let a = a_at(i, p);
+                            if a != 0.0 {
+                                simd.axpy(&mut out.row_mut(i)[j0..j1], &b.row(p)[j0..j1], a);
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        fn assert_bits(got: &Tensor, want: &Tensor, what: &str) {
+            assert_eq!(got.data().len(), want.data().len(), "{what}");
+            for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}");
             }
         }
 
+        /// Depths and widths one below, at, one above and past twice the
+        /// tile sizes, with row counts one below, at and one above the
+        /// serial-fallback threshold: on every backend each layout equals
+        /// its term-by-term reference bit for bit, on one thread (always
+        /// serial) and on four (parallel from 64 rows).
         #[test]
-        fn matmul_tn_bitwise_across_threads_and_tiles() {
-            let a = sparse(19, 37, 13);
-            let b = Tensor::xavier(19, 23, 14);
-            let want = a.matmul_tn_with(&b, &baseline());
-            for cfg in configs() {
-                let got = a.matmul_tn_with(&b, &cfg);
-                assert_eq!(got.data(), want.data(), "config {cfg:?}");
-            }
-        }
-
-        #[test]
-        fn matmul_nt_bitwise_across_threads_and_tiles() {
-            let a = Tensor::xavier(37, 19, 15);
-            let b = Tensor::xavier(23, 19, 16);
-            let want = a.matmul_nt_with(&b, &baseline());
-            for cfg in configs() {
-                let got = a.matmul_nt_with(&b, &cfg);
-                assert_eq!(got.data(), want.data(), "config {cfg:?}");
+        fn gemm_is_the_axpy_reference_bitwise_at_tile_and_threshold_edges() {
+            for simd in SimdBackend::available() {
+                for m in [63, 64, 65] {
+                    for k in [63, 64, 65, 130] {
+                        for n in [127, 128, 129, 260] {
+                            let a = sparse(m, k, 11);
+                            let at = sparse(k, m, 13);
+                            let b = Tensor::xavier(k, n, 12);
+                            let bt = Tensor::xavier(n, k, 16);
+                            let nn = axpy_reference(simd, (m, k), |i, p| a.get(i, p), &b);
+                            let tn = axpy_reference(simd, (m, k), |i, p| at.get(p, i), &b);
+                            let mut nt = Tensor::zeros(m, n);
+                            for i in 0..m {
+                                for j in 0..n {
+                                    nt.set(i, j, simd.dot(a.row(i), bt.row(j)));
+                                }
+                            }
+                            for threads in [1, 4] {
+                                let par = cfg(simd, threads);
+                                let what = format!("{simd:?} t={threads} {m}x{k}x{n}");
+                                assert_bits(&a.matmul_with(&b, &par), &nn, &what);
+                                assert_bits(&at.matmul_tn_with(&b, &par), &tn, &what);
+                                assert_bits(&a.matmul_nt_with(&bt, &par), &nt, &what);
+                            }
+                        }
+                    }
+                }
             }
         }
 
@@ -687,28 +696,23 @@ mod tests {
         /// once; each must still be the one-chain ascending-`p` sum.
         #[test]
         fn scalar_matmul_nt_is_the_one_chain_dot_bitwise() {
-            let scalar = Parallelism {
-                simd: buffalo_par::SimdBackend::Scalar,
-                ..baseline()
-            };
+            let scalar = cfg(SimdBackend::Scalar, 1);
             for k in [0, 1, 7, 64] {
                 for n in [1, 5, 8, 13, 27] {
                     let a = Tensor::xavier(3, k, 40 + k as u64);
                     let b = Tensor::xavier(n, k, 50 + n as u64);
-                    for tile_n in [3, 11, usize::MAX] {
-                        let got = a.matmul_nt_with(&b, &Parallelism { tile_n, ..scalar });
-                        for i in 0..3 {
-                            for j in 0..n {
-                                let mut acc = 0.0f32;
-                                for p in 0..k {
-                                    acc += a.get(i, p) * b.get(j, p);
-                                }
-                                assert_eq!(
-                                    got.get(i, j).to_bits(),
-                                    acc.to_bits(),
-                                    "k={k} n={n} tile_n={tile_n} ({i},{j})"
-                                );
+                    let got = a.matmul_nt_with(&b, &scalar);
+                    for i in 0..3 {
+                        for j in 0..n {
+                            let mut acc = 0.0f32;
+                            for p in 0..k {
+                                acc += a.get(i, p) * b.get(j, p);
                             }
+                            assert_eq!(
+                                got.get(i, j).to_bits(),
+                                acc.to_bits(),
+                                "k={k} n={n} ({i},{j})"
+                            );
                         }
                     }
                 }
@@ -717,13 +721,7 @@ mod tests {
 
         #[test]
         fn degenerate_shapes_are_safe() {
-            let cfg = Parallelism {
-                threads: 4,
-                min_parallel_rows: 1,
-                tile_k: 3,
-                tile_n: 3,
-                ..Parallelism::auto()
-            };
+            let cfg = cfg(SimdBackend::Scalar, 4);
             let a = Tensor::zeros(0, 5);
             let b = Tensor::zeros(5, 4);
             assert_eq!(a.matmul_with(&b, &cfg).data(), &[] as &[f32]);
@@ -740,14 +738,8 @@ mod tests {
         use super::*;
         use buffalo_par::{Parallelism, SimdBackend};
 
-        fn cfg(backend: SimdBackend, threads: usize, tile: usize) -> Parallelism {
-            Parallelism {
-                threads,
-                min_parallel_rows: 1,
-                tile_k: tile,
-                tile_n: tile,
-                simd: backend,
-            }
+        fn cfg(simd: SimdBackend, threads: usize) -> Parallelism {
+            Parallelism { threads, simd }
         }
 
         fn close(x: f32, y: f32) -> bool {
@@ -764,8 +756,8 @@ mod tests {
                     let b = Tensor::xavier(k, n, 22);
                     let at = Tensor::xavier(k, m, 23);
                     let bt = Tensor::xavier(n, k, 24);
-                    let scalar = cfg(SimdBackend::Scalar, 1, 64);
-                    let simd = cfg(backend, 1, 64);
+                    let scalar = cfg(SimdBackend::Scalar, 1);
+                    let simd = cfg(backend, 1);
                     for (want, got) in [
                         (a.matmul_with(&b, &scalar), a.matmul_with(&b, &simd)),
                         (at.matmul_tn_with(&b, &scalar), at.matmul_tn_with(&b, &simd)),
@@ -780,23 +772,19 @@ mod tests {
         }
 
         /// The determinism contract the golden gates rely on: within one
-        /// backend (at fixed tile sizes), results stay bitwise-identical
-        /// across thread counts and repeated runs. Tile sizes are also
-        /// bitwise-neutral for the NT (dot) layout on every backend, and
-        /// for everything under scalar — but under a vector backend the
-        /// axpy layouts' tile grid decides where the lane body ends and
-        /// the scalar tail begins, so tiles there are part of the
-        /// (deterministic) rounding pattern, not varied here.
+        /// backend, results stay bitwise-identical across thread counts
+        /// and repeated runs (70 rows: past the serial-fallback threshold,
+        /// so every count above one really dispatches).
         #[test]
         fn each_backend_bitwise_across_threads() {
             for backend in SimdBackend::available() {
-                let a = Tensor::xavier(37, 19, 31);
+                let a = Tensor::xavier(70, 19, 31);
                 let b = Tensor::xavier(19, 23, 32);
                 let bt = Tensor::xavier(23, 19, 33);
-                let want = a.matmul_with(&b, &cfg(backend, 1, 64));
-                let want_nt = a.matmul_nt_with(&bt, &cfg(backend, 1, 64));
+                let want = a.matmul_with(&b, &cfg(backend, 1));
+                let want_nt = a.matmul_nt_with(&bt, &cfg(backend, 1));
                 for threads in [1, 2, 4, 8] {
-                    let c = cfg(backend, threads, 64);
+                    let c = cfg(backend, threads);
                     assert_eq!(
                         a.matmul_with(&b, &c).data(),
                         want.data(),
@@ -809,16 +797,6 @@ mod tests {
                     );
                     // Repeated run, same config: identical bits.
                     assert_eq!(a.matmul_with(&b, &c).data(), want.data());
-                }
-                // NT never splits k, so its dots are tile-invariant on
-                // every backend.
-                for tile in [1, 3, usize::MAX] {
-                    let c = cfg(backend, 4, tile);
-                    assert_eq!(
-                        a.matmul_nt_with(&bt, &c).data(),
-                        want_nt.data(),
-                        "{backend:?} nt tile={tile}"
-                    );
                 }
             }
         }

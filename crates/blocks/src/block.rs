@@ -185,14 +185,6 @@ impl Block {
             .max()
             .unwrap_or(0)
     }
-
-    /// Approximate in-memory footprint of the block structure in bytes,
-    /// counted as if the block owned its views.
-    pub fn memory_bytes(&self) -> usize {
-        (self.num_dst + self.num_src) * std::mem::size_of::<NodeId>()
-            + (self.num_dst + 1) * std::mem::size_of::<usize>()
-            + self.num_edges() * std::mem::size_of::<u32>()
-    }
 }
 
 /// Blocks are equal when their views are, whatever else the arrays hold.

@@ -49,11 +49,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of raw (possibly duplicate) edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an edge. Ids must be `< num_nodes`.
     ///
     /// # Panics

@@ -57,18 +57,6 @@ impl CostModel {
         }
     }
 
-    /// Seconds to execute `flops` of dense work, including one kernel
-    /// launch.
-    pub fn compute_seconds(&self, flops: f64) -> f64 {
-        self.kernel_overhead + flops / (self.flops_per_sec * self.efficiency)
-    }
-
-    /// Seconds for a memory-bound kernel that touches `bytes` of device
-    /// memory.
-    pub fn bandwidth_seconds(&self, bytes: f64) -> f64 {
-        self.kernel_overhead + bytes / self.device_bw
-    }
-
     /// Seconds to move `bytes` from host to device.
     pub fn transfer_seconds(&self, bytes: f64) -> f64 {
         bytes / self.transfer_bw
@@ -145,12 +133,6 @@ mod tests {
             vec![0, 2, 3],
             vec![1, 2, 2],
         )]
-    }
-
-    #[test]
-    fn more_flops_takes_longer() {
-        let m = CostModel::rtx6000();
-        assert!(m.compute_seconds(1e12) > m.compute_seconds(1e9));
     }
 
     #[test]

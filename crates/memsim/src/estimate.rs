@@ -1,15 +1,17 @@
 //! Analytical memory estimation (§IV-D).
 //!
-//! Two estimators cooperate in Buffalo's scheduler:
+//! The two halves of the paper's estimator, as the scheduler uses them:
 //!
 //! * [`mem_from_counts`] — the paper's *BucketMemEstimator*: the working
 //!   memory of the micro-batch a single bucket would generate, computed
-//!   from the per-layer counts of its dependency closure with the same
-//!   accounting the measurement uses.
-//! * [`group_mem_estimate`] — the paper's *RedundancyAwareMemEstimator*:
-//!   the memory of a *group* of buckets is **not** the linear sum of the
-//!   per-bucket estimates, because micro-batches share input nodes. Each
-//!   bucket's contribution is discounted by the grouping ratio of Eq. 1:
+//!   from the per-layer counts of its dependency closure by the one
+//!   accounting rule the measurement uses
+//!   ([`MemoryBreakdown::from_counts`]).
+//! * [`grouping_ratio`] — the discount of the paper's
+//!   *RedundancyAwareMemEstimator*: the memory of a *group* of buckets is
+//!   **not** the linear sum of the per-bucket estimates, because
+//!   micro-batches share input nodes. Each bucket's contribution is
+//!   discounted by the grouping ratio of Eq. 1:
 //!
 //!   ```text
 //!   R_group[i] = min(1, I_i / (O_i · D_i · C))        (Eq. 1)
@@ -17,9 +19,14 @@
 //!   ```
 //!
 //!   where `I`/`O` are the bucket's input/output node counts, `D` its
-//!   degree, and `C` the graph's average clustering coefficient.
+//!   degree, and `C` the graph's average clustering coefficient. The sum
+//!   of Eq. 2 itself is not here: it is the running per-group total
+//!   inside `buffalo_bucketing`'s `mem_balanced_grouping`, which opens
+//!   each group with its first bucket undiscounted.
 
+use crate::measure::MemoryBreakdown;
 use crate::shape::GnnShape;
+use buffalo_blocks::Block;
 
 /// Per-bucket statistics the estimators consume. `I`, `O`, and `D` in the
 /// paper's notation; all are byproducts of bucketing/micro-batch
@@ -74,6 +81,23 @@ pub struct LayerCount {
     pub num_edges: usize,
 }
 
+impl LayerCount {
+    /// The counts of a generated block.
+    pub fn of(block: &Block) -> Self {
+        LayerCount {
+            num_dst: block.num_dst(),
+            num_src: block.num_src(),
+            num_edges: block.num_edges(),
+        }
+    }
+
+    /// Bytes of the layer's block structure resident on device: dst and
+    /// src id arrays (`u32`), row offsets (`usize`), edge indices (`u32`).
+    pub fn structure_bytes(&self) -> u64 {
+        ((self.num_dst + self.num_src) * 4 + (self.num_dst + 1) * 8 + self.num_edges * 4) as u64
+    }
+}
+
 /// Closure counts for a whole micro-batch, input layer first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosureCounts {
@@ -89,38 +113,16 @@ impl ClosureCounts {
 }
 
 /// The paper's *BucketMemEstimator* operating on exact closure counts:
-/// byte-for-byte the same accounting as
-/// [`crate::measure::training_memory`], so a single bucket's estimate is
-/// exact and all remaining estimator error comes from the grouping
-/// discount of Eq. 1 — which is what Table III quantifies.
+/// the total of the accounting [`crate::measure::training_memory`] applies
+/// to generated blocks, so a single bucket's estimate is exact and all
+/// remaining estimator error comes from the grouping discount of Eq. 1 —
+/// which is what Table III quantifies.
+///
+/// # Panics
+///
+/// Panics if the closure depth differs from `shape.num_layers`.
 pub fn mem_from_counts(counts: &ClosureCounts, shape: &GnnShape) -> u64 {
-    assert_eq!(
-        counts.layers.len(),
-        shape.num_layers,
-        "closure depth must equal model depth"
-    );
-    let dims = shape.layer_dims();
-    let per_edge = shape.aggregator.workspace_floats_per_edge_dim();
-    let mut bytes = (counts.layers[0].num_src * shape.feat_dim * 4) as u64;
-    bytes += shape.parameter_bytes();
-    for (layer, &(in_dim, out_dim)) in counts.layers.iter().zip(&dims) {
-        bytes += (layer.num_dst * out_dim * 4) as u64;
-        bytes += (layer.num_edges as f64 * in_dim as f64 * per_edge * 4.0) as u64;
-        // Block structure: dst + src id arrays, offsets, edge indices.
-        bytes +=
-            (layer.num_dst * 4 + layer.num_src * 4 + (layer.num_dst + 1) * 8 + layer.num_edges * 4)
-                as u64;
-    }
-    bytes
-}
-
-/// The paper's *RedundancyAwareMemEstimator* (Eq. 2): estimated memory of
-/// a bucket group given each member's per-bucket estimate.
-pub fn group_mem_estimate(members: &[(BucketStats, u64)], clustering: f64) -> u64 {
-    members
-        .iter()
-        .map(|(stats, m_est)| (*m_est as f64 * grouping_ratio(stats, clustering)) as u64)
-        .sum()
+    MemoryBreakdown::from_counts(&counts.layers, shape).total()
 }
 
 /// Relative error (`|est - actual| / actual`) between an estimate and a
@@ -197,25 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn group_estimate_is_sub_linear() {
-        let c = 0.4;
-        // Buckets with heavy redundancy: I << O * D * C
-        let members: Vec<(BucketStats, u64)> = (0..4)
-            .map(|i| {
-                let s = BucketStats {
-                    degree: 10,
-                    num_output: 1_000,
-                    num_input: 1_200 + i * 50,
-                };
-                (s, 40_000_000 + i as u64 * 1_000_000)
-            })
-            .collect();
-        let linear: u64 = members.iter().map(|(_, m)| *m).sum();
-        let grouped = group_mem_estimate(&members, c);
-        assert!(grouped < linear, "grouped={grouped} linear={linear}");
-    }
-
-    #[test]
     fn relative_error_basics() {
         assert_eq!(relative_error(110, 100), 0.1);
         assert_eq!(relative_error(90, 100), 0.1);
@@ -234,14 +217,7 @@ mod tests {
         let blocks = vec![inner, out];
         let shape = GnnShape::new(10, 4, 2, 3, AggregatorKind::Lstm);
         let counts = ClosureCounts {
-            layers: blocks
-                .iter()
-                .map(|b| LayerCount {
-                    num_dst: b.num_dst(),
-                    num_src: b.num_src(),
-                    num_edges: b.num_edges(),
-                })
-                .collect(),
+            layers: blocks.iter().map(LayerCount::of).collect(),
         };
         let measured = measure::training_memory(&blocks, &shape).total();
         assert_eq!(mem_from_counts(&counts, &shape), measured);
@@ -267,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "closure depth")]
+    #[should_panic(expected = "model depth")]
     fn mem_from_counts_rejects_depth_mismatch() {
         let counts = ClosureCounts {
             layers: vec![LayerCount {

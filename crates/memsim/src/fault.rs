@@ -314,7 +314,6 @@ pub struct FaultyDevice {
     inner: DeviceMemory,
     plan: FaultPlan,
     original_budget: u64,
-    index: usize,
     lost_at: Option<u64>,
     state: Mutex<FaultState>,
 }
@@ -335,7 +334,6 @@ impl FaultyDevice {
         FaultyDevice {
             inner,
             original_budget,
-            index,
             lost_at,
             state: Mutex::new(FaultState {
                 rng: splitmix_seed(plan.seed),
@@ -349,11 +347,6 @@ impl FaultyDevice {
     /// The wrapped device.
     pub fn inner(&self) -> &DeviceMemory {
         &self.inner
-    }
-
-    /// This device's index within its pool (0 for standalone devices).
-    pub fn device_index(&self) -> usize {
-        self.index
     }
 
     /// Whether the plan has already lost this device: true once the

@@ -7,6 +7,7 @@
 //! estimator is validated against (Table III), and it is what the
 //! [`crate::DeviceMemory`] allocations in the trainers are sized from.
 
+use crate::estimate::LayerCount;
 use crate::shape::GnnShape;
 use buffalo_blocks::Block;
 
@@ -27,52 +28,65 @@ pub struct MemoryBreakdown {
 }
 
 impl MemoryBreakdown {
+    /// The training footprint of a micro-batch with the given per-layer
+    /// counts, input layer first — the one statement of the accounting
+    /// (all tensors fp32):
+    ///
+    /// * features: `num_src(innermost) × feat_dim`
+    /// * per layer `l`: activations `num_dst × out_dim`; workspace
+    ///   `num_edges × in_dim × aggregator.workspace_floats_per_edge_dim()`
+    /// * parameters: weights + grads + Adam moments
+    /// * structure: the raw block arrays
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers.len() != shape.num_layers`.
+    pub fn from_counts(layers: &[LayerCount], shape: &GnnShape) -> Self {
+        assert_eq!(
+            layers.len(),
+            shape.num_layers,
+            "layer count must equal model depth"
+        );
+        let per_edge = shape.aggregator.workspace_floats_per_edge_dim();
+        let mut b = MemoryBreakdown {
+            features: (layers[0].num_src * shape.feat_dim * 4) as u64,
+            parameters: shape.parameter_bytes(),
+            ..MemoryBreakdown::default()
+        };
+        for (layer, &(in_dim, out_dim)) in layers.iter().zip(&shape.layer_dims()) {
+            b.activations += (layer.num_dst * out_dim * 4) as u64;
+            b.workspace += (layer.num_edges as f64 * in_dim as f64 * per_edge * 4.0) as u64;
+            b.structure += layer.structure_bytes();
+        }
+        b
+    }
+
     /// Total bytes.
     pub fn total(&self) -> u64 {
         self.features + self.activations + self.workspace + self.parameters + self.structure
     }
 }
 
-/// Computes the exact training footprint of a micro-batch from its blocks
-/// (input layer first) and the model shape.
-///
-/// Accounting rules (all tensors fp32):
-///
-/// * features: `num_src(innermost) × feat_dim`
-/// * per layer `l`: activations `num_dst × out_dim`; workspace
-///   `num_edges × in_dim × aggregator.workspace_floats_per_edge_dim()`
-/// * parameters: weights + grads + Adam moments
-/// * structure: the raw block arrays
+/// The exact training footprint of a micro-batch, from its blocks (input
+/// layer first) and the model shape: [`MemoryBreakdown::from_counts`] over
+/// the counts read off each block.
 ///
 /// # Panics
 ///
 /// Panics if `blocks.len() != shape.num_layers`.
 pub fn training_memory(blocks: &[Block], shape: &GnnShape) -> MemoryBreakdown {
-    assert_eq!(
-        blocks.len(),
-        shape.num_layers,
-        "block count must equal model depth"
-    );
-    let dims = shape.layer_dims();
-    let mut b = MemoryBreakdown {
-        features: (blocks[0].num_src() * shape.feat_dim * 4) as u64,
-        parameters: shape.parameter_bytes(),
-        ..MemoryBreakdown::default()
-    };
-    for (block, &(in_dim, out_dim)) in blocks.iter().zip(&dims) {
-        b.activations += (block.num_dst() * out_dim * 4) as u64;
-        let per_edge = shape.aggregator.workspace_floats_per_edge_dim();
-        b.workspace += (block.num_edges() as f64 * in_dim as f64 * per_edge * 4.0) as u64;
-        b.structure += block.memory_bytes() as u64;
-    }
-    b
+    let layers: Vec<LayerCount> = blocks.iter().map(LayerCount::of).collect();
+    MemoryBreakdown::from_counts(&layers, shape)
 }
 
 /// Host→device bytes to load one micro-batch (features + block structure).
+///
+/// # Panics
+///
+/// Panics if `blocks.len() != shape.num_layers`.
 pub fn transfer_bytes(blocks: &[Block], shape: &GnnShape) -> u64 {
-    let features = (blocks[0].num_src() * shape.feat_dim * 4) as u64;
-    let structure: u64 = blocks.iter().map(|b| b.memory_bytes() as u64).sum();
-    features + structure
+    let m = training_memory(blocks, shape);
+    m.features + m.structure
 }
 
 #[cfg(test)]

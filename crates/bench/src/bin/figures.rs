@@ -25,18 +25,19 @@ fn main() -> ExitCode {
             "--quick" | "-q" => quick = true,
             "--write-bench" | "-w" => write_bench = true,
             "--list" | "-l" => {
-                for id in experiments::ALL_IDS {
+                for id in experiments::ids() {
                     println!("{id}");
                 }
                 return ExitCode::SUCCESS;
             }
-            "all" => ids.extend(experiments::ALL_IDS.iter().map(|s| s.to_string())),
+            "all" => ids.extend(experiments::ids().map(str::to_string)),
             other => ids.push(other.to_string()),
         }
     }
     if ids.is_empty() {
         eprintln!("usage: figures [--quick] [--write-bench] <id>... | all | --list");
-        eprintln!("ids: {}", experiments::ALL_IDS.join(", "));
+        let all: Vec<&str> = experiments::ids().collect();
+        eprintln!("ids: {}", all.join(", "));
         return ExitCode::FAILURE;
     }
     for id in &ids {

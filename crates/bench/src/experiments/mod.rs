@@ -13,36 +13,49 @@ pub mod tables;
 pub mod tiered;
 pub mod timing;
 
-/// All experiment ids accepted by the `figures` binary.
-pub const ALL_IDS: &[&str] = &[
-    "tab2",
-    "fig1",
-    "fig4",
-    "fig2",
-    "fig13",
-    "fig5",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "tab3",
-    "tab4",
-    "multigpu",
-    "ablate-grouping",
-    "ablate-estimator",
-    "ablate-layer",
-    "ablate-tiered",
-    "ablate-pipeline",
-    "pipeline-train",
-    "robustness",
-    "checkpoint",
-    "serving",
-    "serving-chaos",
-    "failover",
+/// How an experiment is started: a figure takes the `quick` switch, a
+/// resilience experiment the `write_bench` one and can fail its check.
+enum Experiment {
+    Figure(fn(bool)),
+    Bench(fn(bool) -> Result<(), String>),
+}
+use Experiment::{Bench, Figure};
+
+/// Every experiment the `figures` binary accepts, in `all` order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("tab2", Figure(tables::tab2)),
+    ("fig1", Figure(distributions::fig1)),
+    ("fig4", Figure(distributions::fig4)),
+    ("fig2", Figure(memwall::fig2)),
+    ("fig13", Figure(memwall::fig13)),
+    ("fig5", Figure(timing::fig5)),
+    ("fig10", Figure(pareto::fig10)),
+    ("fig11", Figure(timing::fig11)),
+    ("fig12", Figure(timing::fig12)),
+    ("fig14", Figure(pareto::fig14)),
+    ("fig15", Figure(pareto::fig15)),
+    ("fig16", Figure(pareto::fig16)),
+    ("fig17", Figure(convergence::fig17)),
+    ("tab3", Figure(tables::tab3)),
+    ("tab4", Figure(convergence::tab4)),
+    ("multigpu", Figure(multigpu::multigpu)),
+    ("ablate-grouping", Figure(ablation::grouping)),
+    ("ablate-estimator", Figure(ablation::estimator)),
+    ("ablate-layer", Figure(ablation::layer)),
+    ("ablate-tiered", Figure(tiered::tiered)),
+    ("ablate-pipeline", Figure(ablation::pipeline)),
+    ("pipeline-train", Figure(timing::pipeline_train)),
+    ("robustness", Bench(resilience::robustness)),
+    ("checkpoint", Bench(resilience::checkpoint)),
+    ("serving", Bench(resilience::serving)),
+    ("serving-chaos", Bench(resilience::serving_chaos)),
+    ("failover", Bench(resilience::failover)),
 ];
+
+/// All experiment ids accepted by the `figures` binary.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|(id, _)| *id)
+}
 
 /// Runs one experiment by id. The five resilience experiments always run
 /// at full size and hold their `BENCH_*.json` against the run — rewritten
@@ -55,35 +68,10 @@ pub const ALL_IDS: &[&str] = &[
 /// differs from what the run regenerated.
 pub fn run(id: &str, quick: bool, write_bench: bool) -> Result<(), String> {
     println!("=== {id} {} ===", if quick { "(quick)" } else { "" });
-    match id {
-        "tab2" => tables::tab2(quick),
-        "fig1" => distributions::fig1(quick),
-        "fig4" => distributions::fig4(quick),
-        "fig2" => memwall::fig2(quick),
-        "fig13" => memwall::fig13(quick),
-        "fig5" => timing::fig5(quick),
-        "fig10" => pareto::fig10(quick),
-        "fig11" => timing::fig11(quick),
-        "fig12" => timing::fig12(quick),
-        "fig14" => pareto::fig14(quick),
-        "fig15" => pareto::fig15(quick),
-        "fig16" => pareto::fig16(quick),
-        "fig17" => convergence::fig17(quick),
-        "tab3" => tables::tab3(quick),
-        "tab4" => convergence::tab4(quick),
-        "multigpu" => multigpu::multigpu(quick),
-        "ablate-grouping" => ablation::grouping(quick),
-        "ablate-estimator" => ablation::estimator(quick),
-        "ablate-layer" => ablation::layer(quick),
-        "ablate-tiered" => tiered::tiered(quick),
-        "ablate-pipeline" => ablation::pipeline(quick),
-        "pipeline-train" => timing::pipeline_train(quick),
-        "robustness" => resilience::robustness(write_bench)?,
-        "checkpoint" => resilience::checkpoint(write_bench)?,
-        "serving" => resilience::serving(write_bench)?,
-        "serving-chaos" => resilience::serving_chaos(write_bench)?,
-        "failover" => resilience::failover(write_bench)?,
-        other => return Err(format!("unknown experiment id `{other}`")),
+    match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+        Some((_, Figure(run))) => run(quick),
+        Some((_, Bench(run))) => run(write_bench)?,
+        None => return Err(format!("unknown experiment id `{id}`")),
     }
     println!();
     Ok(())

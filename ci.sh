@@ -25,6 +25,19 @@ cargo run -q -p buffalo-lint -- check
 # `lint:allow` in the workspace's Rust sources (the linter's own rule
 # texts and fixtures included, so the count only moves with a waiver).
 echo "ci: lint:allow sites: $(grep -rn 'lint:allow' --include='*.rs' crates src | wc -l)"
+# Size, as a second trend line (no gate): what every simplicity write-up
+# since PR 19 quotes as "PR 19's script". Per source directory, the code
+# lines (neither blank nor a `//` comment, each file cut at its first
+# `#[cfg(test)]`) and, of those, the lines that open a `pub` item.
+for dir in crates/*/src src shims; do
+  find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk -v dir="$dir" '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*($|\/\/)/ { next }
+    { code++ }
+    /^[[:space:]]*pub (fn|struct|enum|trait|const|type|mod|static|use)/ { pubs++ }
+    END { printf "ci: size: %s: %d code lines, %d pub items\n", dir, code, pubs }'
+done
 
 # Machine-readable gate, as its own step: the --json rendering over a
 # clean workspace must be exactly the empty array (any diagnostic, or

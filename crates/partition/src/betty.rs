@@ -275,7 +275,7 @@ mod tests {
     /// a 3-layer model links 2–3, a 2-hop REG cannot.
     #[test]
     fn reg_embeds_as_many_hops_as_the_model_has_layers() {
-        let mut b = buffalo_graph::GraphBuilder::new(5);
+        let mut b = GraphBuilder::new(5);
         for (src, dst) in [(1, 2), (0, 1), (4, 0), (4, 3)] {
             b.add_edge(src, dst);
         }

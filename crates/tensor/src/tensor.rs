@@ -491,6 +491,10 @@ impl fmt::Debug for Tensor {
 mod tests {
     use super::*;
 
+    fn cfg(simd: SimdBackend, threads: usize) -> Parallelism {
+        Parallelism { threads, simd }
+    }
+
     fn t(rows: usize, cols: usize, v: &[f32]) -> Tensor {
         Tensor::from_vec(rows, cols, v.to_vec())
     }
@@ -603,11 +607,6 @@ mod tests {
 
     mod kernel_equivalence {
         use super::*;
-        use buffalo_par::{Parallelism, SimdBackend};
-
-        fn cfg(simd: SimdBackend, threads: usize) -> Parallelism {
-            Parallelism { threads, simd }
-        }
 
         /// Sparse-ish values so the `a == 0.0` skip path is exercised.
         fn sparse(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -736,11 +735,6 @@ mod tests {
 
     mod simd_backends {
         use super::*;
-        use buffalo_par::{Parallelism, SimdBackend};
-
-        fn cfg(simd: SimdBackend, threads: usize) -> Parallelism {
-            Parallelism { threads, simd }
-        }
 
         fn close(x: f32, y: f32) -> bool {
             (x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs()))

@@ -10,6 +10,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 cargo build --examples --release
 
+# Plan identity, beside the digests `tests/scheduling.rs` pins: the
+# scheduler tour prints bucket estimates and K, split and imbalance on
+# arxiv at four budgets. Without its wall-clock column the output must be
+# the golden captured at PR 24, byte for byte.
+tour=$(cargo run -q --release --example scheduler_tour | sed -E 's/, [0-9]+ms$//')
+if [ "$tour" != "$(cat tests/golden/scheduler_tour.txt)" ]; then
+  echo "ci: FAIL — scheduler_tour diverged from tests/golden/scheduler_tour.txt" >&2
+  diff tests/golden/scheduler_tour.txt <(printf '%s\n' "$tour") >&2 || true
+  exit 1
+fi
+echo "ci: scheduler_tour plans match the golden"
+
 # The API docs must build clean: broken intra-doc links or malformed
 # rustdoc are errors, not warnings.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

@@ -2,9 +2,11 @@
 //! budget sweeps, plan invariants, and estimator quality.
 
 use buffalo::blocks::{generate_blocks_fast, GenerateOptions};
-use buffalo::bucketing::BuffaloScheduler;
+use buffalo::bucketing::{
+    closure_counts, BuffaloScheduler, ClosureScratch, ScheduleError, SchedulePlan,
+};
 use buffalo::graph::datasets::{self, DatasetName};
-use buffalo::graph::{stats, NodeId};
+use buffalo::graph::{generators, stats, NodeId};
 use buffalo::memsim::{estimate, measure, AggregatorKind, GnnShape};
 use buffalo::sampling::BatchSampler;
 
@@ -296,4 +298,126 @@ fn budget_alone_exhausts_the_k_search() {
         "best attempt {} should lie between the constraint {constraint} and the whole batch",
         err.best_max_group
     );
+}
+
+/// FNV-1a over everything a plan decides — `k`, `split_explosion`, every
+/// group's seeds in order and its estimate — or over the error's fields.
+fn plan_digest(outcome: Result<SchedulePlan, ScheduleError>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    match outcome {
+        Ok(plan) => {
+            eat(plan.k as u64);
+            eat(plan.split_explosion as u64);
+            for (group, &est) in plan.groups.iter().zip(&plan.group_estimates) {
+                eat(group.len() as u64);
+                group.iter().for_each(|&v| eat(v as u64));
+                eat(est);
+            }
+        }
+        Err(e) => {
+            eat(u64::MAX);
+            eat(e.mem_constraint);
+            eat(e.k_max as u64);
+            eat(e.best_max_group);
+        }
+    }
+    h
+}
+
+/// Plans pinned at PR 24 (`f9c4f2a`), before the scheduler counted
+/// closures on bitsets and read split buckets' counts off their parts:
+/// Barabási–Albert batches (sparse `m = 3`, whose seeds spread over
+/// every degree bucket, and dense `m = 8`) at depth 2 and 3, budgets of
+/// 1/2, 1/3, 1/5 and 1/9 of the whole batch, one re-split each, and the
+/// arxiv stand-in. A changed digest is a changed plan.
+#[test]
+fn plans_reproduce_their_pinned_digests() {
+    const PINNED: [u64; 35] = [
+        6785200956527273487,
+        10770527745219969039,
+        10661672087878532485,
+        6920924568909189728,
+        5935195791028798392,
+        2819391802416681648,
+        11656512670694220112,
+        7660807746255329272,
+        9366269677707111833,
+        14868385213992598374,
+        12563858623387748211,
+        11330980738122377726,
+        17559632758470738270,
+        11065499452608718867,
+        15061476183328059448,
+        8416747901394210270,
+        14684252742425343421,
+        3952952148117632554,
+        17482712162541758444,
+        7110594213280813262,
+        10646170188673823499,
+        15392388001057698790,
+        11428420684946756768,
+        1930201786633298662,
+        16865331100479597777,
+        10427535197403986043,
+        11520204440565992027,
+        13702124746510940801,
+        4735137165368933884,
+        9736592641573024223,
+        250633158062718966,
+        4245489675643978492,
+        13486367009548091174,
+        11563778916983402169,
+        14568468794755845961,
+    ];
+    let mut got = Vec::new();
+    let mut scratch = ClosureScratch::default();
+    for (m, graph_seed) in [(3usize, 1u64), (8, 2), (8, 3)] {
+        let g = generators::barabasi_albert(3_000, m, 0.5, graph_seed).unwrap();
+        let seeds: Vec<NodeId> = (0..800).collect();
+        for fanouts in [vec![10, 25], vec![10, 15, 5]] {
+            let depth = fanouts.len();
+            let batch = BatchSampler::new(fanouts.clone()).sample(&g, &seeds, graph_seed + 10);
+            let shape = GnnShape::new(128, 128, depth, 16, AggregatorKind::Lstm);
+            let whole = estimate::mem_from_counts(
+                &closure_counts(&batch.graph, &seeds, depth, &mut scratch),
+                &shape,
+            );
+            let scheduler = BuffaloScheduler::new(shape, fanouts, 0.3);
+            for divisor in [2, 3, 5, 9] {
+                got.push(plan_digest(scheduler.schedule(
+                    &batch.graph,
+                    batch.num_seeds,
+                    whole / divisor,
+                )));
+            }
+            got.push(plan_digest(scheduler.resplit_group(
+                &batch.graph,
+                &seeds[100..700],
+                whole / 4,
+            )));
+        }
+    }
+    let f = fixture(DatasetName::OgbnArxiv, 4_000, 128);
+    let scheduler = BuffaloScheduler::new(f.shape.clone(), vec![10, 25], f.clustering);
+    let whole = whole_mem(&f);
+    for divisor in [2, 3, 5, 9] {
+        got.push(plan_digest(scheduler.schedule(
+            &f.batch.graph,
+            f.batch.num_seeds,
+            whole / divisor,
+        )));
+    }
+    let seeds: Vec<NodeId> = (0..f.batch.num_seeds as NodeId).rev().step_by(2).collect();
+    got.push(plan_digest(scheduler.resplit_group(
+        &f.batch.graph,
+        &seeds,
+        whole / 6,
+    )));
+    assert_eq!(got, PINNED);
 }

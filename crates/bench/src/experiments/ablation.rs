@@ -11,7 +11,7 @@ use buffalo_bucketing::{
 };
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::NodeId;
-use buffalo_memsim::estimate::{grouping_ratio, mem_from_counts, BucketStats};
+use buffalo_memsim::estimate::grouping_ratio;
 use buffalo_memsim::{measure, AggregatorKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,29 +41,26 @@ fn build_entries(
                 shape.num_layers,
                 &mut scratch,
             );
-            let stats = BucketStats {
-                degree: bucket.degree,
-                num_output: bucket.volume(),
-                num_input: counts.output_layer_inputs(),
-            };
-            let mem_estimate = mem_from_counts(&counts, shape);
-            BucketEntry {
-                bucket,
-                stats,
-                mem_estimate,
-            }
+            BucketEntry::new(bucket, &counts, shape)
         })
         .collect()
 }
 
 /// Places entries into `k` groups with one of three policies, returning
-/// per-group discounted estimates.
+/// per-group discounted estimates; a group that receives a bucket also
+/// pays `fixed_bytes` (the model's parameters) once.
 ///
 /// * `greedy-desc` — Buffalo: sort descending, place into lightest group.
 /// * `first-fit` — arrival order, place into the first group whose load
 ///   stays under the ideal share (classic first-fit with a capacity hint).
 /// * `random` — place each bucket into a uniformly random group.
-fn place(entries: &[BucketEntry], k: usize, clustering: f64, policy: &str) -> Vec<u64> {
+fn place(
+    entries: &[BucketEntry],
+    k: usize,
+    clustering: f64,
+    fixed_bytes: u64,
+    policy: &str,
+) -> Vec<u64> {
     let mut order: Vec<usize> = (0..entries.len()).collect();
     if policy == "greedy-desc" {
         order.sort_by_key(|&i| std::cmp::Reverse(entries[i].mem_estimate));
@@ -98,7 +95,11 @@ fn place(entries: &[BucketEntry], k: usize, clustering: f64, policy: &str) -> Ve
         };
         loads[gi] += contribution;
     }
+    // Every entry estimate is positive, so a loaded group received one.
     loads
+        .into_iter()
+        .map(|l| if l > 0 { l + fixed_bytes } else { 0 })
+        .collect()
 }
 
 /// Grouping-policy ablation: greedy-descending (Buffalo) vs first-fit vs
@@ -112,7 +113,7 @@ pub fn grouping(quick: bool) {
     let entries = build_entries(&w, &shape, 3 * k);
     let mut t = Table::new(["policy", "max group", "min group", "imbalance %"]);
     for policy in ["greedy-desc", "first-fit", "random"] {
-        let loads = place(&entries, k, w.clustering, policy);
+        let loads = place(&entries, k, w.clustering, shape.parameter_bytes(), policy);
         let max = *loads.iter().max().unwrap();
         let min = *loads.iter().min().unwrap();
         t.row([
@@ -193,6 +194,12 @@ pub fn estimator(quick: bool) {
             })
             .sum();
         let linear: u64 = members.iter().map(|&i| entries[i].mem_estimate).sum();
+        // Entry estimates leave the parameters out; a group pays them once,
+        // as `actual` does.
+        let (aware, linear) = (
+            aware + shape.parameter_bytes(),
+            linear + shape.parameter_bytes(),
+        );
         let ea = 100.0 * (aware as f64 - actual as f64).abs() / actual as f64;
         let el = 100.0 * (linear as f64 - actual as f64).abs() / actual as f64;
         e_aware += ea;

@@ -60,7 +60,6 @@ fn estimation_error(w: &Workload, agg: AggregatorKind, k: u64) -> Option<(usize,
         closure_counts, degree_bucketing, detect_explosion, mem_balanced_grouping,
         split_explosion_bucket, BucketEntry, ClosureScratch,
     };
-    use buffalo_memsim::estimate::{mem_from_counts, BucketStats};
     let shape = w.shape(256, agg);
     let k = k as usize;
     let base = degree_bucketing(&w.batch.graph, w.batch.num_seeds, w.fanouts[0]);
@@ -78,18 +77,7 @@ fn estimation_error(w: &Workload, agg: AggregatorKind, k: u64) -> Option<(usize,
         .into_iter()
         .map(|bucket| {
             let counts = closure_counts(&w.batch.graph, &bucket.nodes, 2, &mut scratch);
-            let stats = BucketStats {
-                degree: bucket.degree,
-                num_output: bucket.volume(),
-                num_input: counts.output_layer_inputs(),
-            };
-            let mem_estimate =
-                mem_from_counts(&counts, &shape).saturating_sub(shape.parameter_bytes());
-            BucketEntry {
-                bucket,
-                stats,
-                mem_estimate,
-            }
+            BucketEntry::new(bucket, &counts, &shape)
         })
         .collect();
     let outcome =

@@ -1,7 +1,6 @@
 //! Degree buckets: construction, explosion detection, and splitting.
 
 use buffalo_graph::{CsrGraph, NodeId};
-use buffalo_memsim::estimate::BucketStats;
 
 /// A degree bucket at the output layer: the seed (output) nodes sharing a
 /// sampled in-degree, or — for the cut-off bucket — all seeds with degree
@@ -23,33 +22,6 @@ impl DegreeBucket {
     /// Number of output nodes (the paper's *bucket volume*).
     pub fn volume(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Computes the bucket's [`BucketStats`] against the sampled batch
-    /// graph: `O` = volume, `D` = degree label, `I` = distinct in-neighbors
-    /// of the bucket's nodes. `scratch` must be a zeroed bitmap of at least
-    /// `batch.num_nodes()` entries; it is returned zeroed.
-    pub fn stats(&self, batch: &CsrGraph, scratch: &mut Vec<bool>) -> BucketStats {
-        scratch.resize(batch.num_nodes(), false);
-        let mut inputs = 0usize;
-        let mut touched: Vec<NodeId> = Vec::new();
-        for &v in &self.nodes {
-            for &u in batch.neighbors(v) {
-                if !scratch[u as usize] {
-                    scratch[u as usize] = true;
-                    touched.push(u);
-                    inputs += 1;
-                }
-            }
-        }
-        for t in touched {
-            scratch[t as usize] = false;
-        }
-        BucketStats {
-            degree: self.degree,
-            num_output: self.volume(),
-            num_input: inputs,
-        }
     }
 }
 
@@ -203,35 +175,6 @@ mod tests {
         // The full prefix agrees with the classic entry point.
         let all: Vec<NodeId> = (0..6).collect();
         assert_eq!(degree_bucketing_of(&g, &all, 3), degree_bucketing(&g, 6, 3));
-    }
-
-    #[test]
-    fn stats_count_distinct_inputs() {
-        let g = degree_ladder();
-        let buckets = degree_bucketing(&g, 6, 3);
-        let mut scratch = Vec::new();
-        let cut = buckets.last().unwrap();
-        let s = cut.stats(&g, &mut scratch);
-        assert_eq!(s.num_output, 3);
-        assert_eq!(s.degree, 3);
-        // Sources are all distinct in the ladder: 3 + 3 + 5 = 11 inputs.
-        assert_eq!(s.num_input, 11);
-        // Scratch bitmap must be returned clean.
-        assert!(scratch.iter().all(|&x| !x));
-    }
-
-    #[test]
-    fn stats_dedup_shared_inputs() {
-        // Two seeds sharing one source.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(2, 0);
-        b.add_edge(2, 1);
-        let g = b.build_directed();
-        let buckets = degree_bucketing(&g, 2, 5);
-        let mut scratch = Vec::new();
-        let s = buckets[0].stats(&g, &mut scratch);
-        assert_eq!(s.num_output, 2);
-        assert_eq!(s.num_input, 1);
     }
 
     #[test]

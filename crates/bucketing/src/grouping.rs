@@ -2,7 +2,8 @@
 //! of buckets into `K` memory-balanced bucket groups.
 
 use crate::bucket::DegreeBucket;
-use buffalo_memsim::estimate::{self, BucketStats};
+use buffalo_memsim::estimate::{self, BucketStats, ClosureCounts};
+use buffalo_memsim::GnnShape;
 
 /// A bucket plus its precomputed statistics and per-bucket memory estimate
 /// — one "item" of the bin-packing formulation (weight = value = estimated
@@ -15,6 +16,25 @@ pub struct BucketEntry {
     pub stats: BucketStats,
     /// *BucketMemEstimator* output for this bucket, bytes.
     pub mem_estimate: u64,
+}
+
+impl BucketEntry {
+    /// The entry of `bucket`, whose micro-batch has the closure `counts`
+    /// under `shape`: `I` is the output layer's source count, and the
+    /// estimate leaves out the model's parameters, which every group pays
+    /// once (the `fixed_bytes` of [`mem_balanced_grouping`]).
+    pub fn new(bucket: DegreeBucket, counts: &ClosureCounts, shape: &GnnShape) -> Self {
+        BucketEntry {
+            stats: BucketStats {
+                degree: bucket.degree,
+                num_output: bucket.volume(),
+                num_input: counts.output_layer_inputs(),
+            },
+            mem_estimate: estimate::mem_from_counts(counts, shape)
+                .saturating_sub(shape.parameter_bytes()),
+            bucket,
+        }
+    }
 }
 
 /// Result of a grouping attempt.

@@ -1,10 +1,10 @@
 //! The Buffalo Scheduler (Algorithm 3).
 
 use crate::bucket::{degree_bucketing_of, detect_explosion, split_explosion_bucket, DegreeBucket};
-use crate::closure::{closure_counts, ClosureScratch};
+use crate::closure::{closure_counts, ClosureScratch, ReachUnion};
 use crate::grouping::{mem_balanced_grouping, BucketEntry};
 use buffalo_graph::{CsrGraph, NodeId};
-use buffalo_memsim::estimate::{mem_from_counts, BucketStats};
+use buffalo_memsim::estimate::mem_from_counts;
 use buffalo_memsim::GnnShape;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -130,30 +130,6 @@ impl BuffaloScheduler {
     /// The cut-off degree `F` (= the output-layer fanout).
     pub fn cutoff(&self) -> usize {
         self.fanouts[0]
-    }
-
-    fn entry_for(
-        &self,
-        batch: &CsrGraph,
-        bucket: crate::bucket::DegreeBucket,
-        scratch: &mut ClosureScratch,
-    ) -> BucketEntry {
-        let counts = closure_counts(batch, &bucket.nodes, self.shape.num_layers, scratch);
-        let stats = BucketStats {
-            degree: bucket.degree,
-            num_output: bucket.volume(),
-            num_input: counts.output_layer_inputs(),
-        };
-        // Per-bucket estimates exclude the model's own footprint: every
-        // micro-batch pays for parameters exactly once, so the grouping
-        // carries them as a fixed per-group cost instead.
-        let mem_estimate =
-            mem_from_counts(&counts, &self.shape).saturating_sub(self.shape.parameter_bytes());
-        BucketEntry {
-            bucket,
-            stats,
-            mem_estimate,
-        }
     }
 
     /// Exact union-closure memory of a group of entry indices.
@@ -287,30 +263,27 @@ impl BuffaloScheduler {
         // whose own micro-batch would overflow the device must be split
         // too. Atoms around an eighth of the budget let the greedy packer
         // even groups out to a few percent (Figure 14's 4–6 % spread).
-        let atom_target = (activation_budget / 8).max(1);
-        let mut split = false;
-        let mut entries: Vec<BucketEntry> = base
-            .iter()
-            .map(|bucket| self.entry_for(batch, bucket.clone(), &mut scratch))
-            .collect();
-        let mut i = 0;
-        while i < entries.len() {
-            if entries[i].mem_estimate > atom_target && entries[i].bucket.volume() > 1 {
-                split |= is_explosion_bucket(&base, explosion, entries[i].bucket.degree);
-                let parts = ((entries[i].mem_estimate / atom_target) as usize + 1)
-                    .clamp(2, entries[i].bucket.volume());
-                let replacement: Vec<BucketEntry> =
-                    split_explosion_bucket(&entries[i].bucket, parts)
-                        .into_iter()
-                        .map(|b| self.entry_for(batch, b, &mut scratch))
-                        .collect();
-                entries.splice(i..=i, replacement);
-                // Re-examine from the same index: splits may still be
-                // oversized (closure floors shrink sub-linearly).
+        let mut splitter = Splitter {
+            scheduler: self,
+            batch,
+            atom_target: (activation_budget / 8).max(1),
+            scratch: &mut scratch,
+            leaves: Vec::new(),
+        };
+        for bucket in &base {
+            // A lone bucket is every seed: the whole-batch walk counted it.
+            let entry = if base.len() == 1 {
+                BucketEntry::new(bucket.clone(), &whole_counts, &self.shape)
             } else {
-                i += 1;
-            }
+                splitter.walk(bucket.clone(), None)
+            };
+            splitter.settle(entry, None);
         }
+        let entries = splitter.leaves;
+        // Parts keep their bucket's degree, and only parts have a split index.
+        let split = entries.iter().any(|e| {
+            e.bucket.split_index.is_some() && is_explosion_bucket(&base, explosion, e.bucket.degree)
+        });
         let mut k = k_min;
         while k <= K_MAX {
             let outcome =
@@ -401,6 +374,74 @@ impl BuffaloScheduler {
             k_max: K_MAX,
             best_max_group,
         })
+    }
+}
+
+/// Splits one schedule's buckets until each fits an atom, collecting the
+/// leaves in the order the K search packs them: depth-first, every part in
+/// the place of the bucket it came from.
+struct Splitter<'a> {
+    scheduler: &'a BuffaloScheduler,
+    batch: &'a CsrGraph,
+    /// A bucket whose estimate exceeds this many bytes is split.
+    atom_target: u64,
+    scratch: &'a mut ClosureScratch,
+    leaves: Vec<BucketEntry>,
+}
+
+impl Splitter<'_> {
+    /// The entry of `bucket`, its walk added to `union` if one is given.
+    fn walk(&mut self, bucket: DegreeBucket, union: Option<&mut ReachUnion>) -> BucketEntry {
+        let shape = &self.scheduler.shape;
+        let counts = closure_counts(self.batch, &bucket.nodes, shape.num_layers, self.scratch);
+        if let Some(union) = union {
+            union.add(self.scratch, &counts);
+        }
+        BucketEntry::new(bucket, &counts, shape)
+    }
+
+    /// How many parts `entry` splits into; `None` keeps it whole.
+    fn parts_of(&self, entry: &BucketEntry) -> Option<usize> {
+        let volume = entry.bucket.volume();
+        (entry.mem_estimate > self.atom_target && volume > 1)
+            .then(|| ((entry.mem_estimate / self.atom_target) as usize + 1).clamp(2, volume))
+    }
+
+    /// Adds `entry`'s leaves and returns how many parts it split into (1:
+    /// none). `parts` are the entries of that split when already walked.
+    fn settle(&mut self, entry: BucketEntry, parts: Option<Vec<BucketEntry>>) -> usize {
+        let Some(p) = self.parts_of(&entry) else {
+            self.leaves.push(entry);
+            return 1;
+        };
+        if let Some(parts) = parts {
+            for part in parts {
+                self.settle(part, None);
+            }
+            return p;
+        }
+        // Each part is examined in turn: closure floors shrink sub-linearly,
+        // so a part may still be oversized, and likely splits as its
+        // previous sibling did. Walk it as that many parts; their union is
+        // its own closure (its seed list is theirs, concatenated), and if
+        // it does split so, the parts' walks are already made.
+        let mut guess = 1;
+        for bucket in split_explosion_bucket(&entry.bucket, p) {
+            if guess < 2 {
+                let part = self.walk(bucket, None);
+                guess = self.settle(part, None);
+                continue;
+            }
+            let mut union = ReachUnion::default();
+            let parts: Vec<BucketEntry> = split_explosion_bucket(&bucket, guess)
+                .into_iter()
+                .map(|b| self.walk(b, Some(&mut union)))
+                .collect();
+            let part = BucketEntry::new(bucket, &union.counts(self.batch), &self.scheduler.shape);
+            let guessed = self.parts_of(&part) == Some(parts.len());
+            guess = self.settle(part, guessed.then_some(parts));
+        }
+        p
     }
 }
 

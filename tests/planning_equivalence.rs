@@ -1,8 +1,9 @@
 //! The host planning path — sample, restrict, closure counting, block
 //! generation — against frozen copies of the bodies it replaced (`parent`,
-//! the tree at PR 12). Everything training reads must be bit-equal:
-//! `global_ids`, `layer_frontiers`, the sampled graph, the rows a
-//! `depth()`-layer consumer can reach, and every `Block`.
+//! the tree at PR 12; `closure_counts` as of PR 24). Everything training
+//! reads must be bit-equal: `global_ids`, `layer_frontiers`, the sampled
+//! graph, the rows a `depth()`-layer consumer can reach, every `Block`,
+//! and every closure count the scheduler plans with.
 //!
 //! The hot loop no longer restricts and then generates: `BlockWalker`
 //! builds a micro-batch's blocks in one walk of the batch graph. Its
@@ -12,13 +13,15 @@
 use buffalo::blocks::{generate_blocks_fast, Block, BlockWalker, GenerateOptions};
 use buffalo::bucketing::{closure_counts, ClosureScratch};
 use buffalo::graph::{generators, CsrGraph, GraphBuilder, NodeId};
+use buffalo::memsim::estimate::{ClosureCounts, LayerCount};
 use buffalo::sampling::{Batch, BatchSampler};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// The replaced bodies, verbatim except that `induced_subgraph` (deleted
-/// with its only caller) is inlined into `restrict_to_seeds` and that the
-/// row gathering of `generate_blocks_fast` is serial.
+/// with its only caller) is inlined into `restrict_to_seeds`, that the
+/// row gathering of `generate_blocks_fast` is serial, and that
+/// `closure_counts` keeps its scratch type here.
 mod parent {
     use super::*;
     use rand::rngs::StdRng;
@@ -214,6 +217,63 @@ mod parent {
                 .map(|f| f.into_iter().map(|v| remap[v as usize]).collect())
                 .collect(),
         }
+    }
+
+    /// Reusable versioned visit-marking scratch, avoiding an `O(n)` clear
+    /// per bucket.
+    #[derive(Debug, Default, Clone)]
+    pub struct ClosureScratch {
+        version: u32,
+        mark: Vec<u32>,
+        frontier: Vec<NodeId>,
+    }
+
+    pub fn closure_counts(
+        batch: &CsrGraph,
+        seeds: &[NodeId],
+        depth: usize,
+        scratch: &mut ClosureScratch,
+    ) -> ClosureCounts {
+        assert!(depth > 0, "depth must be at least 1");
+        scratch.mark.resize(batch.num_nodes(), 0);
+        scratch.version = scratch.version.wrapping_add(1);
+        if scratch.version == 0 {
+            scratch.mark.iter_mut().for_each(|m| *m = 0);
+            scratch.version = 1;
+        }
+        let v = scratch.version;
+        let frontier = &mut scratch.frontier;
+        if frontier.len() < seeds.len() + batch.num_nodes() {
+            frontier.resize(seeds.len() + batch.num_nodes(), 0);
+        }
+        frontier[..seeds.len()].copy_from_slice(seeds);
+        for &s in seeds {
+            scratch.mark[s as usize] = v;
+        }
+        let mut layers_rev: Vec<LayerCount> = Vec::with_capacity(depth);
+        let (mut expanded, mut num_nodes, mut edges) = (0usize, seeds.len(), 0usize);
+        for _ in 0..depth {
+            let dst_count = num_nodes;
+            frontier[expanded..dst_count].sort_unstable();
+            for idx in expanded..dst_count {
+                let row = batch.neighbors(frontier[idx]);
+                edges += row.len();
+                for &u in row {
+                    let unseen = scratch.mark[u as usize] != v;
+                    scratch.mark[u as usize] = v;
+                    frontier[num_nodes] = u;
+                    num_nodes += unseen as usize;
+                }
+            }
+            expanded = dst_count;
+            layers_rev.push(LayerCount {
+                num_dst: dst_count,
+                num_src: num_nodes,
+                num_edges: edges,
+            });
+        }
+        layers_rev.reverse();
+        ClosureCounts { layers: layers_rev }
     }
 
     pub fn generate_blocks_fast(g: &CsrGraph, num_seeds: usize, depth: usize) -> Vec<Block> {
@@ -505,6 +565,52 @@ proptest! {
             prop_assert_eq!(
                 &walker.whole_batch(&batch.graph, batch.num_seeds, batch.depth()),
                 &whole
+            );
+        }
+    }
+
+    /// (e) closure counting equals its parent body — on a BA graph, on a
+    /// batch sampled from it and on raw rows with repeated neighbors and
+    /// self-loops; from seed lists in arbitrary order that repeat seeds
+    /// (the empty list included); at depth 1–3 — with one scratch per side
+    /// reused across graphs of different sizes.
+    #[test]
+    fn closure_counts_equal_parent(
+        n in 2usize..300,
+        m in 1usize..6,
+        graph_seed in 0u64..1_000,
+        edges in vec((0u32..300, 0u32..300), 0..800),
+        picks in vec(0u32..300, 0..40),
+        depth in 1usize..4,
+    ) {
+        let ba = generators::barabasi_albert(n.max(m + 1), m, 0.3, graph_seed).unwrap();
+        let roots = unsorted_subset(ba.num_nodes(), 30, &[graph_seed as usize, 7, 3]);
+        let sampled = BatchSampler::new(vec![5; depth]).sample(&ba, &roots, graph_seed).graph;
+        let mut rows: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for (s, d) in edges {
+            let (s, d) = (s % n as u32, d as usize % n);
+            rows[d].push(s);
+            if (s as usize + d).is_multiple_of(4) {
+                rows[d].push(s);
+            }
+        }
+        for (v, row) in rows.iter_mut().enumerate().step_by(3) {
+            row.push(v as NodeId);
+        }
+        let mut offsets = vec![0usize];
+        for row in &rows {
+            offsets.push(offsets[offsets.len() - 1] + row.len());
+        }
+        let raw = CsrGraph::from_parts(offsets, rows.concat());
+        let (mut scratch, mut old_scratch) = (ClosureScratch::default(), parent::ClosureScratch::default());
+        for g in [&ba, &sampled, &raw] {
+            let mut seeds: Vec<NodeId> =
+                picks.iter().map(|&p| p % g.num_nodes() as NodeId).collect();
+            seeds.extend_from_within(..seeds.len() / 3);
+            prop_assert_eq!(
+                closure_counts(g, &seeds, depth, &mut scratch),
+                parent::closure_counts(g, &seeds, depth, &mut old_scratch),
+                "{} nodes, seeds {:?}", g.num_nodes(), &seeds
             );
         }
     }

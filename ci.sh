@@ -40,11 +40,12 @@ echo "ci: lint:allow sites: $(grep -rn 'lint:allow' --include='*.rs' crates src 
 # Size, as a second trend line (no gate): what every simplicity write-up
 # since PR 19 quotes as "PR 19's script". Per source directory, the code
 # lines (neither blank nor a `//` comment, each file cut at its first
-# `#[cfg(test)]`) and, of those, the lines that open a `pub` item.
+# line that *starts* with `#[cfg(test)]` — a mention inside a doc comment
+# does not cut) and, of those, the lines that open a `pub` item.
 for dir in crates/*/src src shims; do
   find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk -v dir="$dir" '
     FNR == 1 { in_tests = 0 }
-    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*($|\/\/)/ { next }
     { code++ }
     /^[[:space:]]*pub (fn|struct|enum|trait|const|type|mod|static|use)/ { pubs++ }
@@ -99,6 +100,18 @@ if [ "$t1" != "$t4" ]; then
   exit 1
 fi
 echo "ci: --threads 1 and --threads 4 epoch tables identical"
+
+# A misspelled flag must fail, not plan silently against the defaults.
+if out=$(cargo run -q --release --bin buffalo -- schedule cora --budgte 2M --seeds 256 2>&1); then
+  echo "ci: FAIL — buffalo schedule accepted the unknown flag --budgte" >&2
+  exit 1
+fi
+if ! grep -q 'unknown flag `--budgte`' <<<"$out"; then
+  echo "ci: FAIL — buffalo schedule --budgte did not name the unknown flag" >&2
+  printf '%s\n' "$out" >&2
+  exit 1
+fi
+echo "ci: an unknown CLI flag exits non-zero"
 
 # Fault-injection smoke: a training run with injected transient faults
 # must complete end-to-end under the recovery ladder.

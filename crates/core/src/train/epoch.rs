@@ -88,30 +88,6 @@ struct Cursor {
     rollbacks: u64,
 }
 
-/// Runs `cfg.epochs` epochs of mini-batch training.
-///
-/// Equivalent to [`run_epochs_checkpointed`] with checkpointing disabled;
-/// the two paths share one loop, so their loss trails are identical by
-/// construction.
-///
-/// # Errors
-///
-/// Stops at the first failing iteration.
-///
-/// # Panics
-///
-/// Panics if `train_nodes + eval_nodes` exceeds the dataset size or
-/// `batch_size == 0`.
-pub fn run_epochs(
-    trainer: &mut Engine,
-    ds: &Dataset,
-    device: &dyn Device,
-    cost: &CostModel,
-    cfg: &EpochConfig,
-) -> Result<Vec<EpochStats>, TrainError> {
-    run_epochs_checkpointed(trainer, ds, device, cost, cfg, None, false).map(|run| run.epochs)
-}
-
 /// Runs `cfg.epochs` epochs with optional checkpointing, resume, and
 /// rollback-on-exhaustion.
 ///
@@ -406,7 +382,9 @@ mod tests {
             eval_nodes: 256,
             seed: 1,
         };
-        let stats = run_epochs(&mut trainer, &ds, &device, &cost, &cfg).unwrap();
+        let stats = run_epochs_checkpointed(&mut trainer, &ds, &device, &cost, &cfg, None, false)
+            .unwrap()
+            .epochs;
         assert_eq!(stats.len(), 5);
         assert!(stats.iter().all(|s| s.iterations == 4));
         let first = stats.first().unwrap();
@@ -434,8 +412,12 @@ mod tests {
         };
         let mut full = Engine::full_batch(config(&ds));
         let mut buffalo = Engine::buffalo(config(&ds), 0.24);
-        let a = run_epochs(&mut full, &ds, &device, &cost, &cfg).unwrap();
-        let b = run_epochs(&mut buffalo, &ds, &device, &cost, &cfg).unwrap();
+        let a = run_epochs_checkpointed(&mut full, &ds, &device, &cost, &cfg, None, false)
+            .unwrap()
+            .epochs;
+        let b = run_epochs_checkpointed(&mut buffalo, &ds, &device, &cost, &cfg, None, false)
+            .unwrap()
+            .epochs;
         assert_eq!(a[0].iterations, b[0].iterations);
         assert!(a[0].val_accuracy.is_none());
         // Identical computation -> identical epoch losses.
@@ -650,7 +632,7 @@ mod tests {
         let peak = {
             let device = DeviceMemory::with_gib(24.0);
             let mut t = Engine::buffalo(config(&ds), 0.24);
-            run_epochs(&mut t, &ds, &device, &cost, &cfg).unwrap();
+            run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, None, false).unwrap();
             device.peak()
         };
         let policy = crate::train::RecoveryPolicy {
@@ -663,7 +645,8 @@ mod tests {
         {
             let device = FaultyDevice::new(DeviceMemory::new(peak), plan.clone());
             let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy);
-            let err = run_epochs(&mut t, &ds, &device, &cost, &cfg).unwrap_err();
+            let err = run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, None, false)
+                .unwrap_err();
             assert!(
                 matches!(err, TrainError::RecoveryExhausted { .. }),
                 "{err:?}"
@@ -704,6 +687,6 @@ mod tests {
             eval_nodes: 2_500,
             seed: 1,
         };
-        let _ = run_epochs(&mut trainer, &ds, &device, &cost, &cfg);
+        let _ = run_epochs_checkpointed(&mut trainer, &ds, &device, &cost, &cfg, None, false);
     }
 }

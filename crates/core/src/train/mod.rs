@@ -1,6 +1,6 @@
 //! Trainers: Algorithm 1 (whole-batch, DGL-style) and Algorithm 2
 //! (Buffalo micro-batch training with gradient accumulation), plus an
-//! epoch-level driver with held-out evaluation ([`run_epochs`]).
+//! epoch-level driver with held-out evaluation ([`run_epochs_checkpointed`]).
 //!
 //! All long-lived state — the model with its Adam moments, the bucket
 //! scheduler, the pipeline/recovery configuration — lives in the
@@ -24,7 +24,7 @@ pub(crate) mod recovery;
 
 pub use device_pool::DevicePool;
 pub use engine::{Engine, InferenceStats};
-pub use epoch::{evaluate, run_epochs, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
+pub use epoch::{evaluate, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 

@@ -21,18 +21,17 @@
 //! condition mirrored exactly by `fast_forward`) carries a site waiver
 //! whose reason must say how replay stays in sync.
 
-use crate::analyses::{chain_text, prune, reaches, settle_edge_claims};
+use crate::analyses::{chain_diag, chain_to, prune, settle};
 use crate::callgraph::CallGraph;
-use crate::{Config, Diagnostic, Frame, WaiverSet};
+use crate::{Diagnostic, WaiverSet};
 use std::collections::{BTreeSet, VecDeque};
 
-pub(crate) const RULE: &str = "rng-stream-discipline";
+const RULE: &str = "rng-stream-discipline";
 
 /// Leaf draw functions of the fault RNG stream.
 const DRAW_FNS: [&str; 2] = ["next_u64", "next_f64"];
 
-pub(crate) fn run(g: &CallGraph, cfg: &Config, ws: &mut WaiverSet, out: &mut Vec<Diagnostic>) {
-    let _ = cfg;
+pub(crate) fn run(g: &CallGraph, ws: &mut WaiverSet, out: &mut Vec<Diagnostic>) {
     let pruned = prune(g, RULE, ws);
     let roots: Vec<usize> = (0..g.fns.len())
         .filter(|&i| g.fns[i].name == "alloc" && g.fns[i].trait_name.as_deref() == Some("Device"))
@@ -106,26 +105,16 @@ pub(crate) fn run(g: &CallGraph, cfg: &Config, ws: &mut WaiverSet, out: &mut Vec
                     (_, true) => "inside a loop",
                     _ => "under a branch",
                 };
-                let frames = chain_with_site(g, &parent, root, i);
-                out.push(Diagnostic {
-                    rule: RULE,
-                    file: g.fns[i].file.clone(),
-                    line: c.line,
-                    col: c.col,
-                    message: format!(
-                        "fault RNG draw `{}` {} on the `{}` alloc path — replay \
-                         fast-forward cannot count it; hoist the draw, or waive with \
-                         the invariant that keeps the stream in sync; chain: {} → {} at {}:{}",
-                        what,
-                        how,
-                        frames[0].func,
-                        chain_text(&frames),
-                        what,
-                        g.fns[i].file,
-                        c.line
-                    ),
-                    chain: frames,
-                });
+                let frames = chain_to(g, &parent, i);
+                let head = format!(
+                    "fault RNG draw `{what}` {how} on the `{}` alloc path — replay \
+                     fast-forward cannot count it; hoist the draw, or waive with \
+                     the invariant that keeps the stream in sync",
+                    frames[0].func
+                );
+                out.push(chain_diag(
+                    RULE, &g.fns[i], c.line, c.col, &what, head, frames,
+                ));
             }
         }
 
@@ -136,55 +125,16 @@ pub(crate) fn run(g: &CallGraph, cfg: &Config, ws: &mut WaiverSet, out: &mut Vec
                 if !emitted.insert((line, col, g.fns[i].file.clone())) {
                     continue;
                 }
-                let frames = chain_with_site(g, &parent, root, i);
-                out.push(Diagnostic {
-                    rule: RULE,
-                    file: g.fns[i].file.clone(),
-                    line,
-                    col,
-                    message: format!(
-                        "fault RNG draw `{}` is the second unconditional draw on the \
-                         `{}` alloc path — replay assumes exactly one per alloc; \
-                         chain: {} → {} at {}:{}",
-                        what,
-                        frames[0].func,
-                        chain_text(&frames),
-                        what,
-                        g.fns[i].file,
-                        line
-                    ),
-                    chain: frames,
-                });
+                let frames = chain_to(g, &parent, i);
+                let head = format!(
+                    "fault RNG draw `{what}` is the second unconditional draw on the \
+                     `{}` alloc path — replay assumes exactly one per alloc",
+                    frames[0].func
+                );
+                out.push(chain_diag(RULE, &g.fns[i], line, col, &what, head, frames));
             }
         }
     }
 
-    let leads = reaches(&pruned.adj, &hazard_fns);
-    settle_edge_claims(ws, &pruned.claims, &any_reach, &leads);
-}
-
-/// Exemplar chain from `root` to the function containing the draw site.
-fn chain_with_site(
-    g: &CallGraph,
-    parent: &[Option<(usize, u32)>],
-    root: usize,
-    target: usize,
-) -> Vec<Frame> {
-    let mut frames = vec![Frame {
-        func: g.fns[target].display_name(),
-        file: g.fns[target].file.clone(),
-        line: g.fns[target].line,
-    }];
-    let mut cur = target;
-    while cur != root {
-        let Some((p, line)) = parent[cur] else { break };
-        frames.push(Frame {
-            func: g.fns[p].display_name(),
-            file: g.fns[p].file.clone(),
-            line,
-        });
-        cur = p;
-    }
-    frames.reverse();
-    frames
+    settle(ws, &pruned, &any_reach, &hazard_fns);
 }

@@ -169,15 +169,13 @@ fn resolve(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse_fns;
+    use crate::parser::parse;
 
     fn graph(sources: &[(&str, &str)]) -> CallGraph {
-        let mut fns = Vec::new();
-        for (path, src) in sources {
-            let toks = lex(src);
-            let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-            fns.extend(parse_fns(path, &toks, &code));
-        }
+        let fns = sources
+            .iter()
+            .flat_map(|(path, src)| parse(path, &lex(src)).fns)
+            .collect();
         CallGraph::build(fns)
     }
 

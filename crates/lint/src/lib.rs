@@ -8,11 +8,13 @@
 //! show up as a flaky golden file. See `DESIGN.md` § "Static invariants"
 //! for the rationale behind each rule.
 //!
-//! The pass has two layers. Four rules are *intra-file* token patterns
-//! (`rules.rs`); three are *interprocedural* analyses over a
-//! workspace-wide call graph (`parser.rs` → `callgraph.rs` →
-//! `analyses/`), whose diagnostics carry the full call chain from a
-//! declared root to the offending site:
+//! One walk per file (`parser.rs`) splits it into items, skipping
+//! test-only ones, and records both the `fn` items with their calls and
+//! hazards and the sites the four *intra-file* rules judge
+//! (`rules.rs`). The three *interprocedural* rules run through one
+//! reachability driver over the workspace-wide call graph
+//! (`callgraph.rs` → `analyses/`), and their diagnostics carry the full
+//! call chain from a declared root to the offending site:
 //!
 //! * `nondet-iteration` — `HashMap`/`HashSet` banned in decision crates
 //!   (plans and schedules must not depend on hash-iteration order or
@@ -306,7 +308,7 @@ impl WaiverSet {
 fn parse_waivers(toks: &[Tok], skip: &[(usize, usize)]) -> Vec<Waiver> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::LineComment || in_spans(i, skip) {
+        if t.kind != TokKind::LineComment || skip.iter().any(|&(s, e)| (s..e).contains(&i)) {
             continue;
         }
         // Waivers are plain `//` comments whose first word is the marker.
@@ -351,101 +353,6 @@ fn parse_waivers(toks: &[Tok], skip: &[(usize, usize)]) -> Vec<Waiver> {
     out
 }
 
-/// Token-index ranges covering `#[cfg(test)]` / `#[cfg(loom)]` items.
-/// Test-only code is exempt from every rule (and stays out of the call
-/// graph): an `unwrap` in a unit test is the assertion, not a hazard.
-fn test_item_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    let at = |k: usize| -> Option<&Tok> { code.get(k).map(|&i| &toks[i]) };
-    let mut spans = Vec::new();
-    let mut k = 0usize;
-    while k < code.len() {
-        if !(at(k).is_some_and(|t| t.is_punct('#')) && at(k + 1).is_some_and(|t| t.is_punct('['))) {
-            k += 1;
-            continue;
-        }
-        // Find the attribute's closing `]` and check it is a cfg carrying
-        // `test` or `loom` anywhere inside (covers `cfg(all(test, ..))`).
-        let mut depth = 0usize;
-        let mut close = None;
-        let mut is_cfg = false;
-        let mut gated = false;
-        for j in k + 1..code.len() {
-            let t = at(j).unwrap();
-            match t.kind {
-                TokKind::Punct('[') => depth += 1,
-                TokKind::Punct(']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(j);
-                        break;
-                    }
-                }
-                TokKind::Ident => {
-                    if t.text == "cfg" {
-                        is_cfg = true;
-                    }
-                    if t.text == "test" || t.text == "loom" {
-                        gated = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(close) = close else { break };
-        if !(is_cfg && gated) {
-            k = close + 1;
-            continue;
-        }
-        // Skip the gated item: through any further attributes, then to
-        // the first top-level `{` (brace-matched) or a terminating `;`.
-        let mut j = close + 1;
-        let mut brace = 0usize;
-        let end_k = loop {
-            let Some(t) = at(j) else { break code.len() };
-            match t.kind {
-                TokKind::Punct('{') => {
-                    brace += 1;
-                }
-                TokKind::Punct('}') => {
-                    brace -= 1;
-                    if brace == 0 {
-                        break j + 1;
-                    }
-                }
-                TokKind::Punct(';') if brace == 0 => break j + 1,
-                _ => {}
-            }
-            j += 1;
-        };
-        let start_tok = code[k];
-        let end_tok = if end_k < code.len() {
-            code[end_k - 1] + 1
-        } else {
-            toks.len()
-        };
-        spans.push((start_tok, end_tok));
-        k = end_k;
-    }
-    spans
-}
-
-fn in_spans(i: usize, spans: &[(usize, usize)]) -> bool {
-    spans.iter().any(|&(s, e)| i >= s && i < e)
-}
-
-/// Everything the intra-file rules need to inspect one file.
-pub(crate) struct FileCtx<'a> {
-    pub path: &'a str,
-    pub toks: &'a [Tok],
-    /// Indices of non-comment tokens outside `#[cfg(test)]` items, in
-    /// source order. Rules pattern-match over this view.
-    pub code: Vec<usize>,
-    /// Indices of every comment token (test spans included — a `SAFETY:`
-    /// comment is valid wherever it sits).
-    pub comments: Vec<usize>,
-}
-
 /// Call-graph size counters, surfaced by `ci.sh` so resolver
 /// regressions (an alias rule silently matching nothing, ambiguity
 /// exploding) show up in CI logs instead of as missing diagnostics.
@@ -466,27 +373,14 @@ pub fn check_sources(sources: &[(String, String)], cfg: &Config) -> (Vec<Diagnos
     let mut all_fns = Vec::new();
     for (path, src) in sources {
         let toks = lex(src);
-        let skip = test_item_spans(&toks);
-        let ctx = FileCtx {
-            path,
-            toks: &toks,
-            code: (0..toks.len())
-                .filter(|&i| !toks[i].is_comment() && !in_spans(i, &skip))
-                .collect(),
-            comments: (0..toks.len()).filter(|&i| toks[i].is_comment()).collect(),
-        };
-        rules::nondet_iteration(&ctx, cfg, &mut raw);
-        rules::undocumented_unsafe(&ctx, cfg, &mut raw);
-        rules::undocumented_simd(&ctx, cfg, &mut raw);
-        rules::unaccounted_alloc(&ctx, cfg, &mut raw);
-        ws.collect(path, &toks, &skip);
-        all_fns.extend(parser::parse_fns(path, &toks, &ctx.code));
+        let items = parser::parse(path, &toks);
+        rules::check(path, &toks, &items, cfg, &mut raw);
+        ws.collect(path, &toks, &items.gated);
+        all_fns.extend(items.fns);
     }
 
     let g = CallGraph::build(all_fns);
-    analyses::panic_reach::run(&g, cfg, &mut ws, &mut raw);
-    analyses::wallclock::run(&g, cfg, &mut ws, &mut raw);
-    analyses::rng::run(&g, cfg, &mut ws, &mut raw);
+    analyses::run(&g, cfg, &mut ws, &mut raw);
     let stats = GraphStats {
         functions: g.fns.len(),
         edges: g.n_edges,

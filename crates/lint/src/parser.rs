@@ -1,5 +1,8 @@
-//! Item-level parser on top of the lexer: extracts every `fn` item in a
-//! file together with the evidence the interprocedural analyses need.
+//! Item-level parser on top of the lexer: the one structural walk over
+//! a file. It skips `#[cfg(test)]` / `#[cfg(loom)]` items, extracts every
+//! `fn` item with the evidence the interprocedural analyses need, and
+//! records beside them the sites the intra-file rules judge
+//! (`FileItems`).
 //!
 //! For each function this records
 //!
@@ -17,7 +20,7 @@
 //!
 //! This is still not a type checker: resolution happens later, by name,
 //! in `callgraph.rs`. The parser's job is only to segment the token
-//! stream into functions and classify what each body does. Known
+//! stream into items and classify what each body does. Known
 //! approximations, all conservative for the rules built on top:
 //!
 //! * brace-less closure bodies (`.map(|x| draw(x))`) are treated as both
@@ -116,6 +119,39 @@ impl FnItem {
     }
 }
 
+/// One file's item structure: its `fn` items and every site the
+/// intra-file rules judge, found by the same walk. Sites are token
+/// indices into the file's token stream.
+#[derive(Debug, Default)]
+pub(crate) struct FileItems {
+    pub fns: Vec<FnItem>,
+    /// Token ranges of the `#[cfg(test)]` / `#[cfg(loom)]` items the walk
+    /// skipped; waivers inside them are ignored too.
+    pub gated: Vec<(usize, usize)>,
+    /// Hash-container type names.
+    pub hash_types: Vec<usize>,
+    /// `unsafe` keywords that open a block.
+    pub unsafe_blocks: Vec<usize>,
+    /// The `#` of each `#[target_feature]` attribute that is not itself
+    /// inside a target-feature fn (the outer fn's contract covers it).
+    pub target_features: Vec<usize>,
+    /// `_mm*` identifiers outside every target-feature fn body. Inside
+    /// one means anywhere within its braces, nested items included.
+    pub bare_intrinsics: Vec<usize>,
+    /// Structs with a field mentioning `AllocId` or `dyn Device`.
+    pub device_structs: Vec<String>,
+    /// Per `impl` block: every identifier of its header, and the raw
+    /// allocation sites in its body. A nested impl's sites belong to the
+    /// outermost one.
+    pub impls: Vec<(Vec<String>, Vec<usize>)>,
+}
+
+/// Hash-based container type names (`nondet-iteration`).
+const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
+
+/// Methods that grow a buffer outside the memsim accounting API.
+const ALLOC_METHODS: [&str; 4] = ["with_capacity", "reserve", "reserve_exact", "resize"];
+
 /// Enclosing-block classification for the scan stack.
 #[derive(Debug, Clone)]
 enum BlockKind {
@@ -123,6 +159,8 @@ enum BlockKind {
     Impl {
         ty: Option<String>,
         tr: Option<String>,
+        /// Index of this block's entry in [`FileItems::impls`].
+        ix: usize,
     },
     Trait(String),
     /// Body of the `FnItem` at this index in the output vector.
@@ -135,14 +173,14 @@ enum BlockKind {
     Plain,
 }
 
-/// Parses the non-test code view of one file into its `fn` items.
-///
-/// `toks` is the full token stream; `code` the indices of non-comment
-/// tokens outside `#[cfg(test)]` items (the same view the intra-file
-/// rules use), so test-only functions never enter the call graph.
-pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
+/// Walks one file's tokens once: splits it into items, skips
+/// `#[cfg(test)]` / `#[cfg(loom)]` items (test-only code is exempt from
+/// every rule and stays out of the call graph), and records every `fn`
+/// with its evidence beside the sites the intra-file rules judge.
+pub(crate) fn parse(path: &str, toks: &[Tok]) -> FileItems {
+    let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
     let tok = |k: usize| -> &Tok { &toks[code[k]] };
-    let mut out: Vec<FnItem> = Vec::new();
+    let mut items = FileItems::default();
     let mut stack: Vec<BlockKind> = Vec::new();
     // A `fn name` seen but its body `{` (or decl `;`) not yet reached.
     let mut pending_fn: Option<FnItem> = None;
@@ -156,6 +194,18 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
     // Brace-less closure regions: pop when paren depth drops below the
     // recorded value or a `,`/`;` appears at it.
     let mut closure_until: Vec<usize> = Vec::new();
+    // Tokens before `resume` were consumed by a lookahead (a fn name,
+    // closure parameters, …): they only count as intra-file sites.
+    let mut resume = 0usize;
+    // Tokens before `gated_until` belong to a skipped test-only item.
+    let mut gated_until = 0usize;
+    // A `#[target_feature]` seen, its fn's body not yet opened; then the
+    // stack depth of that body while the walk is inside it.
+    let mut simd_pending = false;
+    let mut simd_depth: Option<usize> = None;
+    // A `struct Name` being scanned to its end: (name, stack depth,
+    // mentions device state).
+    let mut open_struct: Option<(String, usize, bool)> = None;
 
     let enclosing_fn = |stack: &[BlockKind]| -> Option<usize> {
         stack.iter().rev().find_map(|b| match b {
@@ -181,13 +231,72 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
         (conditional, looped)
     };
 
-    let mut k = 0usize;
-    while k < code.len() {
+    for k in 0..code.len() {
+        if k < gated_until {
+            continue;
+        }
         let t = tok(k);
+        let next_is = |c: char| k + 1 < code.len() && tok(k + 1).is_punct(c);
+        // Attributes: a test-gated item is skipped whole; a
+        // `#[target_feature]` marks the next fn's body.
+        if t.is_punct('#') && next_is('[') {
+            if let Some(end) = gated_item_end(toks, &code, k) {
+                let end_tok = if end < code.len() {
+                    code[end - 1] + 1
+                } else {
+                    toks.len()
+                };
+                items.gated.push((code[k], end_tok));
+                gated_until = end;
+                stmt_start = end;
+                continue;
+            }
+            let simd_attr = k + 2 < code.len() && tok(k + 2).is_ident("target_feature");
+            if simd_attr && simd_depth.is_none() && !simd_pending {
+                items.target_features.push(code[k]);
+                simd_pending = true;
+            }
+        }
+
+        // The intra-file rule sites: every identifier outside gated items
+        // counts, including those a lookahead consumed.
+        if t.kind == TokKind::Ident {
+            let text = t.text.as_str();
+            if HASH_TYPES.contains(&text) {
+                items.hash_types.push(code[k]);
+            }
+            if text == "unsafe" && next_is('{') {
+                items.unsafe_blocks.push(code[k]);
+            }
+            if text.starts_with("_mm") && simd_depth.is_none() {
+                items.bare_intrinsics.push(code[k]);
+            }
+            if let Some((_, _, device)) = &mut open_struct {
+                *device |= text == "AllocId"
+                    || (text == "dyn" && k + 1 < code.len() && tok(k + 1).is_ident("Device"));
+            }
+            let outer_impl = stack.iter().find_map(|b| match b {
+                BlockKind::Impl { ix, .. } => Some(*ix),
+                _ => None,
+            });
+            if let Some(ix) = outer_impl {
+                let raw_alloc = (text == "vec" && next_is('!'))
+                    || (ALLOC_METHODS.contains(&text)
+                        && k > 0
+                        && (tok(k - 1).is_punct('.') || tok(k - 1).is_punct(':'))
+                        && next_is('('));
+                if raw_alloc {
+                    items.impls[ix].1.push(code[k]);
+                }
+            }
+        }
+        if k < resume {
+            continue;
+        }
+
         match t.kind {
             TokKind::Punct('(') => {
                 paren_depth += 1;
-                k += 1;
                 continue;
             }
             TokKind::Punct(')') => {
@@ -195,14 +304,12 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                 while closure_until.last().is_some_and(|&d| paren_depth < d) {
                     closure_until.pop();
                 }
-                k += 1;
                 continue;
             }
             TokKind::Punct(',') => {
                 while closure_until.last().is_some_and(|&d| paren_depth <= d) {
                     closure_until.pop();
                 }
-                k += 1;
                 continue;
             }
             TokKind::Punct(';') => {
@@ -210,24 +317,34 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                     closure_until.clear();
                     // `fn name(..);` — a body-less trait declaration.
                     if let Some(f) = pending_fn.take() {
-                        out.push(f);
+                        items.fns.push(f);
+                        simd_pending = false;
                     }
+                    finish_struct(&mut open_struct, &mut items);
                     stmt_start = k + 1;
                 }
-                k += 1;
                 continue;
             }
             TokKind::Punct('{') => {
-                let kind = classify_block(toks, code, stmt_start, k, &mut pending_fn, &mut out);
+                let opens_fn = pending_fn.is_some();
+                let kind = classify_block(toks, &code, stmt_start, k, &mut pending_fn, &mut items);
                 stack.push(kind);
+                if opens_fn && simd_pending {
+                    simd_pending = false;
+                    simd_depth = Some(stack.len());
+                }
                 stmt_start = k + 1;
-                k += 1;
                 continue;
             }
             TokKind::Punct('}') => {
                 stack.pop();
+                if simd_depth.is_some_and(|d| stack.len() < d) {
+                    simd_depth = None;
+                }
+                if open_struct.as_ref().is_some_and(|s| stack.len() <= s.1) {
+                    finish_struct(&mut open_struct, &mut items);
+                }
                 stmt_start = k + 1;
-                k += 1;
                 continue;
             }
             TokKind::Punct('|') => {
@@ -251,31 +368,28 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                     }
                     // A braced body will hit the `{` arm; seed the
                     // lookback so it classifies as a closure block.
-                    k = j + 1;
-                    stmt_start = stmt_start.min(k.saturating_sub(1));
-                    continue;
+                    resume = j + 1;
+                    stmt_start = stmt_start.min(j);
                 }
-                k += 1;
                 continue;
             }
             TokKind::Punct(']') => {
                 bracket_depth = bracket_depth.saturating_sub(1);
-                k += 1;
                 continue;
             }
             TokKind::Punct('[') => {
                 bracket_depth += 1;
                 // Expression-position indexing is a panic-capable site.
-                if pending_fn.is_none() && enclosing_fn(&stack).is_some() && k > 0 {
-                    let prev = tok(k - 1);
-                    let is_index = match prev.kind {
-                        TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                        TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('?') => true,
-                        _ => false,
-                    };
-                    if is_index {
-                        if let Some(ix) = enclosing_fn(&stack) {
-                            out[ix].hazards.push(HazardSite {
+                if pending_fn.is_none() && k > 0 {
+                    if let Some(ix) = enclosing_fn(&stack) {
+                        let prev = tok(k - 1);
+                        let is_index = match prev.kind {
+                            TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
+                            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('?') => true,
+                            _ => false,
+                        };
+                        if is_index {
+                            items.fns[ix].hazards.push(HazardSite {
                                 kind: HazardKind::Index,
                                 what: "[]".to_string(),
                                 line: t.line,
@@ -284,18 +398,19 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                         }
                     }
                 }
-                k += 1;
                 continue;
             }
             TokKind::Ident => {}
-            _ => {
-                k += 1;
-                continue;
-            }
+            _ => continue,
         }
 
         // Ident handling from here on.
         let text = t.text.as_str();
+
+        // `struct Name` — scanned for device state until its item ends.
+        if text == "struct" && k + 1 < code.len() && tok(k + 1).kind == TokKind::Ident {
+            open_struct = Some((tok(k + 1).text.clone(), stack.len(), false));
+        }
 
         // `fn name` — a new item begins; its signature tokens are
         // skipped until the body `{` or a terminating `;`.
@@ -320,19 +435,17 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                 calls: Vec::new(),
                 hazards: Vec::new(),
             });
-            k += 2;
+            resume = k + 2;
             continue;
         }
 
         // Evidence is only collected inside a function body (and not in
         // the signature of a pending nested declaration).
-        let in_body = pending_fn.is_none() && enclosing_fn(&stack).is_some();
-        if !in_body {
-            k += 1;
+        let Some(fn_ix) = enclosing_fn(&stack).filter(|_| pending_fn.is_none()) else {
             continue;
-        }
-        let fn_ix = enclosing_fn(&stack).expect("in_body implies an enclosing fn");
+        };
         let (conditional, looped) = flags(&stack, &closure_until);
+        let out = &mut items.fns;
 
         // `Instant::now` / `SystemTime::now` — wall-clock read.
         if (text == "Instant" || text == "SystemTime")
@@ -347,7 +460,7 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                 line: t.line,
                 col: t.col,
             });
-            k += 4;
+            resume = k + 4;
             continue;
         }
 
@@ -359,7 +472,7 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                 line: t.line,
                 col: t.col,
             });
-            k += 2;
+            resume = k + 2;
             continue;
         }
 
@@ -376,7 +489,6 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                 line: t.line,
                 col: t.col,
             });
-            k += 1;
             continue;
         }
 
@@ -416,12 +528,70 @@ pub fn parse_fns(path: &str, toks: &[Tok], code: &[usize]) -> Vec<FnItem> {
                 looped,
             });
         }
-        k += 1;
     }
     if let Some(f) = pending_fn.take() {
-        out.push(f);
+        items.fns.push(f);
     }
-    out
+    finish_struct(&mut open_struct, &mut items);
+    items
+}
+
+/// Closes the struct being scanned, keeping its name when it holds
+/// device state.
+fn finish_struct(open: &mut Option<(String, usize, bool)>, items: &mut FileItems) {
+    if let Some((name, _, true)) = open.take() {
+        items.device_structs.push(name);
+    }
+}
+
+/// When the attribute opening at code position `k` is a `cfg` naming
+/// `test` or `loom` anywhere inside (`cfg(all(test, ..))` included),
+/// the code position just past the item it gates: through any further
+/// attributes to the first brace-matched `{..}` or a top-level `;`.
+fn gated_item_end(toks: &[Tok], code: &[usize], k: usize) -> Option<usize> {
+    let tok = |j: usize| -> &Tok { &toks[code[j]] };
+    let mut depth = 0usize;
+    let mut is_cfg = false;
+    let mut gated = false;
+    let mut j = k + 1;
+    loop {
+        let t = code.get(j).map(|&i| &toks[i])?;
+        match t.kind {
+            TokKind::Punct('[') => depth += 1,
+            TokKind::Punct(']') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            TokKind::Ident => {
+                is_cfg |= t.text == "cfg";
+                gated |= t.text == "test" || t.text == "loom";
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    if !(is_cfg && gated) {
+        return None;
+    }
+    let mut brace = 0usize;
+    for j in j + 1..code.len() {
+        match tok(j).kind {
+            TokKind::Punct('{') => brace += 1,
+            // A stray `}` closes the enclosing block: the item ends before it.
+            TokKind::Punct('}') if brace == 0 => return Some(j),
+            TokKind::Punct('}') => {
+                brace -= 1;
+                if brace == 0 {
+                    return Some(j + 1);
+                }
+            }
+            TokKind::Punct(';') if brace == 0 => return Some(j + 1),
+            _ => {}
+        }
+    }
+    Some(code.len())
 }
 
 /// Self type a `Self::` path refers to inside a body: the innermost
@@ -443,7 +613,7 @@ fn self_type(stack: &[BlockKind]) -> Option<String> {
 fn impl_context(stack: &[BlockKind]) -> (Option<String>, Option<String>) {
     for b in stack.iter().rev() {
         match b {
-            BlockKind::Impl { ty, tr } => return (ty.clone(), tr.clone()),
+            BlockKind::Impl { ty, tr, .. } => return (ty.clone(), tr.clone()),
             BlockKind::Trait(name) => return (None, Some(name.clone())),
             BlockKind::Fn(_) => return (None, None),
             _ => {}
@@ -461,12 +631,12 @@ fn classify_block(
     stmt_start: usize,
     open: usize,
     pending_fn: &mut Option<FnItem>,
-    out: &mut Vec<FnItem>,
+    items: &mut FileItems,
 ) -> BlockKind {
     let tok = |k: usize| -> &Tok { &toks[code[k]] };
     if let Some(f) = pending_fn.take() {
-        out.push(f);
-        return BlockKind::Fn(out.len() - 1);
+        items.fns.push(f);
+        return BlockKind::Fn(items.fns.len() - 1);
     }
     // A closure body: `| .. | {`.
     if open > 0 && tok(open - 1).is_punct('|') {
@@ -498,7 +668,16 @@ fn classify_block(
     }
     if let Some(k) = saw_impl {
         let (ty, tr) = parse_impl_header(toks, code, k + 1, open);
-        return BlockKind::Impl { ty, tr };
+        let header = (k + 1..open)
+            .filter(|&j| tok(j).kind == TokKind::Ident)
+            .map(|j| tok(j).text.clone())
+            .collect();
+        items.impls.push((header, Vec::new()));
+        return BlockKind::Impl {
+            ty,
+            tr,
+            ix: items.impls.len() - 1,
+        };
     }
     saw_kw.unwrap_or(BlockKind::Plain)
 }
@@ -573,9 +752,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> Vec<FnItem> {
-        let toks = lex(src);
-        let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-        parse_fns("f.rs", &toks, &code)
+        super::parse("f.rs", &lex(src)).fns
     }
 
     #[test]

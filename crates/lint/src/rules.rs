@@ -1,80 +1,132 @@
-//! The four *intra-file* invariant rules, each a pattern over the lexed
-//! token stream. (Panic sites, wall-clock reads, and RNG draws are
-//! handled interprocedurally — see `parser.rs` and `analyses/`.)
-//!
-//! Every rule receives the same [`FileCtx`] view: `code` is the ordered
-//! list of token indices that are neither comments nor inside
-//! `#[cfg(test)]`/`#[cfg(loom)]` items, so test-only code is exempt by
-//! construction. Diagnostics carry the span of the offending token; the
-//! waiver layer in `lib.rs` decides what survives.
+//! The four *intra-file* invariant rules. The parser's one walk over a
+//! file finds the sites each rule judges ([`FileItems`]), with
+//! `#[cfg(test)]`/`#[cfg(loom)]` items already skipped, so test-only code
+//! is exempt by construction; here live only the predicates and the
+//! messages. (Panic sites, wall-clock reads, and RNG draws are handled
+//! interprocedurally — see `analyses/`.) Diagnostics carry the span of
+//! the offending token; the waiver layer in `lib.rs` decides what
+//! survives.
 
-use crate::lexer::{Tok, TokKind};
-use crate::{path_matches, Config, Diagnostic, FileCtx};
+use crate::lexer::Tok;
+use crate::parser::FileItems;
+use crate::{path_matches, Config, Diagnostic};
 
-/// Hash-based container type names banned in decision crates.
-const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
+/// Runs the four rules over one file's sites.
+pub(crate) fn check(
+    path: &str,
+    toks: &[Tok],
+    items: &FileItems,
+    cfg: &Config,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut diag = |rule: &'static str, i: usize, message: String| {
+        out.push(Diagnostic {
+            rule,
+            file: path.to_string(),
+            line: toks[i].line,
+            col: toks[i].col,
+            message,
+            chain: Vec::new(),
+        });
+    };
+    // Every comment counts, test items included: a `SAFETY:` comment is
+    // valid wherever it sits.
+    let comments: Vec<(u32, &str)> = toks
+        .iter()
+        .filter(|t| t.is_comment())
+        .map(|t| (t.line, t.text.as_str()))
+        .collect();
 
-fn diag(rule: &'static str, ctx: &FileCtx, t: &Tok, message: String, out: &mut Vec<Diagnostic>) {
-    out.push(Diagnostic {
-        rule,
-        file: ctx.path.to_string(),
-        line: t.line,
-        col: t.col,
-        message,
-        chain: Vec::new(),
-    });
-}
-
-/// `nondet-iteration`: hash containers in decision crates. Even
-/// lookup-only uses are banned — deny-by-default means the reviewer never
-/// has to re-audit whether a `HashMap` quietly grew an iteration.
-pub fn nondet_iteration(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    if !path_matches(ctx.path, &cfg.decision_paths) {
-        return;
-    }
-    for &i in &ctx.code {
-        let t = &ctx.toks[i];
-        if t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str()) {
+    // `nondet-iteration`: hash containers in decision crates. Even
+    // lookup-only uses are banned — deny-by-default means the reviewer
+    // never has to re-audit whether a `HashMap` quietly grew an
+    // iteration.
+    if path_matches(path, &cfg.decision_paths) {
+        for &i in &items.hash_types {
             diag(
                 "nondet-iteration",
-                ctx,
-                t,
+                i,
                 format!(
                     "`{}` in a decision crate — iteration order depends on RandomState; \
                      use BTreeMap/BTreeSet or a sorted Vec",
-                    t.text
+                    toks[i].text
                 ),
-                out,
             );
         }
     }
-}
 
-/// `undocumented-unsafe`: every `unsafe` *block* must carry a
-/// `// SAFETY:` comment on the same line or within the three lines above
-/// it, stating the invariant that makes it sound. `unsafe fn` signatures
-/// are the caller's contract and are not flagged — only block bodies,
-/// where the obligation is discharged.
-pub fn undocumented_unsafe(ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let code = &ctx.code;
-    for k in 0..code.len() {
-        let t = &ctx.toks[code[k]];
-        if !(t.kind == TokKind::Ident && t.text == "unsafe") {
-            continue;
-        }
-        let opens_block = code.get(k + 1).is_some_and(|&j| ctx.toks[j].is_punct('{'));
-        if !opens_block {
-            continue;
-        }
-        if !comment_run_documents(ctx, t.line, &["SAFETY:"]) {
+    // `undocumented-unsafe`: every `unsafe` *block* must carry a
+    // `// SAFETY:` comment on the same line or within the three lines
+    // above it, stating the invariant that makes it sound. `unsafe fn`
+    // signatures are the caller's contract and are not flagged — only
+    // block bodies, where the obligation is discharged.
+    for &i in &items.unsafe_blocks {
+        if !comment_run_documents(&comments, toks[i].line, &["SAFETY:"]) {
             diag(
                 "undocumented-unsafe",
-                ctx,
-                t,
+                i,
                 "`unsafe` block without a `// SAFETY:` comment in the 3 preceding lines"
                     .to_string(),
-                out,
             );
+        }
+    }
+
+    // `undocumented-simd`: SIMD soundness is a pair of obligations. Every
+    // `#[target_feature]` function must carry, within the 3 lines above
+    // the attribute, a comment run stating both the `SAFETY:` contract
+    // and how callers feature-*detect* before reaching it (mention of
+    // `is_x86_feature_detected!` or the word "detect" satisfies this).
+    // And raw `std::arch` intrinsics (`_mm*`) may only appear inside such
+    // functions — an intrinsic in openly-callable code executes an
+    // undetected instruction and faults on older hardware.
+    for &i in &items.target_features {
+        if !comment_run_documents(&comments, toks[i].line, &["SAFETY:", "detect"]) {
+            diag(
+                "undocumented-simd",
+                i,
+                "`#[target_feature]` function without a `// SAFETY:` comment noting how \
+                 callers feature-detect (e.g. `is_x86_feature_detected!`) in the 3 \
+                 preceding lines"
+                    .to_string(),
+            );
+        }
+    }
+    for &i in &items.bare_intrinsics {
+        diag(
+            "undocumented-simd",
+            i,
+            format!(
+                "`{}` std::arch intrinsic outside a `#[target_feature]` function — \
+                 raw SIMD calls are only sound behind runtime-detected dispatch",
+                toks[i].text
+            ),
+        );
+    }
+
+    // `unaccounted-alloc`: types that hold device state (a field
+    // mentioning `AllocId` or `dyn Device`) must not raw-allocate in
+    // their impls — device bytes flow through the memsim accounting API
+    // or the OOM simulation under-counts. Heuristic and deliberately
+    // per-file (struct + impl in the same file, the norm in this
+    // workspace): an impl counts when any identifier of its header names
+    // such a struct, wherever in the file the struct is declared.
+    if !path_matches(path, &cfg.alloc_exempt_paths) {
+        for (header, allocs) in &items.impls {
+            if !header.iter().any(|id| items.device_structs.contains(id)) {
+                continue;
+            }
+            for &i in allocs {
+                diag(
+                    "unaccounted-alloc",
+                    i,
+                    format!(
+                        "raw allocation (`{}`) in the impl of a device-state type — \
+                         route device memory through the memsim accounting API, or \
+                         waive if this buffer is host-side",
+                        toks[i].text
+                    ),
+                );
+            }
         }
     }
 }
@@ -83,13 +135,8 @@ pub fn undocumented_unsafe(ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Diagnosti
 /// above `line` (or trailing on `line` itself) contains every needle —
 /// each needle may sit on a different line of the run, so a long
 /// justification whose first line says `SAFETY:` still counts.
-fn comment_run_documents(ctx: &FileCtx, line: u32, needles: &[&str]) -> bool {
+fn comment_run_documents(comment_lines: &[(u32, &str)], line: u32, needles: &[&str]) -> bool {
     let lo = line.saturating_sub(3);
-    let comment_lines: Vec<(u32, &str)> = ctx
-        .comments
-        .iter()
-        .map(|&ci| (ctx.toks[ci].line, ctx.toks[ci].text.as_str()))
-        .collect();
     comment_lines.iter().any(|&(start, _)| {
         if start < lo || start > line {
             return false;
@@ -99,7 +146,7 @@ fn comment_run_documents(ctx: &FileCtx, line: u32, needles: &[&str]) -> bool {
         let mut found = vec![false; needles.len()];
         let mut cur = start;
         loop {
-            for &(l, txt) in &comment_lines {
+            for &(l, txt) in comment_lines {
                 if l == cur {
                     for (n, needle) in needles.iter().enumerate() {
                         if txt.contains(needle) {
@@ -118,234 +165,6 @@ fn comment_run_documents(ctx: &FileCtx, line: u32, needles: &[&str]) -> bool {
             }
         }
     })
-}
-
-/// `undocumented-simd`: SIMD soundness is a pair of obligations. Every
-/// `#[target_feature]` function must carry, within the 3 lines above the
-/// attribute, a comment run stating both the `SAFETY:` contract and how
-/// callers feature-*detect* before reaching it (mention of
-/// `is_x86_feature_detected!` or the word "detect" satisfies this). And
-/// raw `std::arch` intrinsics (`_mm*`) may only appear inside such
-/// functions — an intrinsic in openly-callable code executes an
-/// undetected instruction and faults on older hardware.
-pub fn undocumented_simd(ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let code = &ctx.code;
-    let tok = |k: usize| -> &Tok { &ctx.toks[code[k]] };
-
-    // Pass 1: `#[target_feature(..)]` attributes — check the comment run
-    // and record the decorated function's body span (code-index space).
-    let mut simd_fn_spans: Vec<(usize, usize)> = Vec::new();
-    let mut k = 0usize;
-    while k < code.len() {
-        let is_attr = k + 2 < code.len()
-            && tok(k).is_punct('#')
-            && tok(k + 1).is_punct('[')
-            && tok(k + 2).is_ident("target_feature");
-        if !is_attr {
-            k += 1;
-            continue;
-        }
-        let attr = tok(k);
-        if !comment_run_documents(ctx, attr.line, &["SAFETY:", "detect"]) {
-            diag(
-                "undocumented-simd",
-                ctx,
-                attr,
-                "`#[target_feature]` function without a `// SAFETY:` comment noting how \
-                 callers feature-detect (e.g. `is_x86_feature_detected!`) in the 3 \
-                 preceding lines"
-                    .to_string(),
-                out,
-            );
-        }
-        // Forward to the decorated `fn`, then brace-match its body.
-        let Some(fn_at) = (k + 3..code.len()).find(|&j| tok(j).is_ident("fn")) else {
-            break;
-        };
-        let Some(open) = (fn_at + 1..code.len()).find(|&j| tok(j).is_punct('{')) else {
-            break;
-        };
-        let close = matching_brace(ctx, code, open).unwrap_or(code.len());
-        simd_fn_spans.push((open, close));
-        k = close + 1;
-    }
-
-    // Pass 2: raw intrinsics outside those spans.
-    for (j, &ti) in code.iter().enumerate() {
-        let t = &ctx.toks[ti];
-        if t.kind == TokKind::Ident
-            && t.text.starts_with("_mm")
-            && !simd_fn_spans.iter().any(|&(s, e)| j > s && j < e)
-        {
-            diag(
-                "undocumented-simd",
-                ctx,
-                t,
-                format!(
-                    "`{}` std::arch intrinsic outside a `#[target_feature]` function — \
-                     raw SIMD calls are only sound behind runtime-detected dispatch",
-                    t.text
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// `unaccounted-alloc`: types that hold device state (a field mentioning
-/// `AllocId` or `dyn Device`) must not raw-allocate in their impls —
-/// device bytes flow through the memsim accounting API or the OOM
-/// simulation under-counts.
-///
-/// Heuristic and deliberately per-file (struct + impl in the same file,
-/// the norm in this workspace): pass 1 collects device-state struct
-/// names, pass 2 flags `vec!` / `with_capacity` / `reserve` / `resize`
-/// inside `impl` blocks naming one of them.
-pub fn unaccounted_alloc(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    if path_matches(ctx.path, &cfg.alloc_exempt_paths) {
-        return;
-    }
-    let code = &ctx.code;
-    let tok = |k: usize| -> &Tok { &ctx.toks[code[k]] };
-
-    // Pass 1: struct names whose body mentions device state.
-    let mut names: Vec<String> = Vec::new();
-    let mut k = 0usize;
-    while k < code.len() {
-        if !(tok(k).is_ident("struct") && k + 1 < code.len() && tok(k + 1).kind == TokKind::Ident) {
-            k += 1;
-            continue;
-        }
-        let name = tok(k + 1).text.clone();
-        // Body: first brace-matched `{..}` or paren group before `;`.
-        let (body_start, body_end) = match item_body(ctx, code, k + 2) {
-            Some(span) => span,
-            None => {
-                k += 2;
-                continue;
-            }
-        };
-        let mut holds_device_state = false;
-        for j in body_start..body_end {
-            if tok(j).is_ident("AllocId")
-                || (tok(j).is_ident("dyn") && j + 1 < body_end && tok(j + 1).is_ident("Device"))
-            {
-                holds_device_state = true;
-                break;
-            }
-        }
-        if holds_device_state {
-            names.push(name);
-        }
-        k = body_end;
-    }
-    if names.is_empty() {
-        return;
-    }
-
-    // Pass 2: impl blocks over those names.
-    let mut k = 0usize;
-    while k < code.len() {
-        if !tok(k).is_ident("impl") {
-            k += 1;
-            continue;
-        }
-        // Header runs to the body `{` (generics contain no braces).
-        let mut open = None;
-        let mut header_hits = false;
-        for j in k + 1..code.len() {
-            match tok(j).kind {
-                TokKind::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                TokKind::Ident if names.iter().any(|n| tok(j).text == *n) => header_hits = true,
-                _ => {}
-            }
-        }
-        let Some(open) = open else { break };
-        let close = match matching_brace(ctx, code, open) {
-            Some(c) => c,
-            None => code.len(),
-        };
-        if header_hits {
-            for j in open + 1..close {
-                let t = tok(j);
-                let flagged = (t.is_ident("vec") && j + 1 < close && tok(j + 1).is_punct('!'))
-                    || ((t.is_ident("with_capacity")
-                        || t.is_ident("reserve")
-                        || t.is_ident("reserve_exact")
-                        || t.is_ident("resize"))
-                        && j > 0
-                        && (tok(j - 1).is_punct('.') || tok(j - 1).is_punct(':'))
-                        && j + 1 < close
-                        && tok(j + 1).is_punct('('));
-                if flagged {
-                    diag(
-                        "unaccounted-alloc",
-                        ctx,
-                        t,
-                        format!(
-                            "raw allocation (`{}`) in the impl of a device-state type — \
-                             route device memory through the memsim accounting API, or \
-                             waive if this buffer is host-side",
-                            t.text
-                        ),
-                        out,
-                    );
-                }
-            }
-        }
-        k = close + 1;
-    }
-}
-
-/// Span `(start, end)` of the item body opening at-or-after `from`:
-/// either a brace block or (for tuple structs) a paren group; `None` for
-/// unit structs / EOF.
-fn item_body(ctx: &FileCtx, code: &[usize], from: usize) -> Option<(usize, usize)> {
-    for j in from..code.len() {
-        match ctx.toks[code[j]].kind {
-            TokKind::Punct('{') => return matching_brace(ctx, code, j).map(|c| (j + 1, c)),
-            TokKind::Punct('(') => {
-                let mut depth = 0usize;
-                for (m, &cm) in code.iter().enumerate().skip(j) {
-                    match ctx.toks[cm].kind {
-                        TokKind::Punct('(') => depth += 1,
-                        TokKind::Punct(')') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some((j + 1, m));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                return None;
-            }
-            TokKind::Punct(';') => return None,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Index (in `code` space) of the `}` matching the `{` at `open`.
-fn matching_brace(ctx: &FileCtx, code: &[usize], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (j, &cj) in code.iter().enumerate().skip(open) {
-        match ctx.toks[cj].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]

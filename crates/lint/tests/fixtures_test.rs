@@ -142,3 +142,28 @@ fn json_output_matches_golden_file() {
     let again = run_check(&fixture_dir(), &Config::all_files()).expect("rescan fixtures");
     assert_eq!(actual, to_json(&again.diags));
 }
+
+/// `structure.rs` pins what the one item walk must get right: test-gated
+/// items are silent, a device-state struct declared below its impl and a
+/// device-state name in an impl's trait position both count, intrinsics
+/// in a closure or a nested fn inside a `#[target_feature]` fn are
+/// covered, and a module-level hash-container import is flagged.
+#[test]
+fn structural_fixture_flags_exactly_the_live_sites() {
+    let got: Vec<(&str, u32)> = lint_fixture("structure.rs")
+        .iter()
+        .map(|d| (d.rule, d.line))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("nondet-iteration", 7),
+            ("panic-reachability", 10),
+            ("panic-reachability", 30),
+            ("unaccounted-alloc", 35),
+            ("unaccounted-alloc", 52),
+            ("undocumented-simd", 69),
+            ("undocumented-simd", 69),
+        ]
+    );
+}

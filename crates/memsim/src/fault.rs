@@ -291,7 +291,7 @@ struct FaultState {
 /// A fault-injecting wrapper over [`DeviceMemory`].
 ///
 /// Implements [`Device`], so anything that takes `&dyn Device` — the
-/// trainers, `run_epochs`, the simulation harness — can run against it
+/// trainers, `run_epochs_checkpointed`, the simulation harness — can run against it
 /// unchanged. Injected failures surface as [`OomError`]s with
 /// `transient: true`; budget events mutate the wrapped device through
 /// [`DeviceMemory::set_budget`].

@@ -118,6 +118,37 @@ impl Options {
     }
 }
 
+/// Flags [`setup`] reads, shared by every command that plans a batch.
+const SETUP_FLAGS: [&str; 5] = ["budget", "seeds", "hidden", "agg", "fanouts"];
+/// Flags [`engine_setup`] adds for `train` and `serve`.
+const ENGINE_FLAGS: [&str; 6] = ["simd", "precision", "lr", "pipeline", "faults", "gpus"];
+const TRAIN_FLAGS: [&str; 12] = [
+    "epochs",
+    "batch-size",
+    "eval",
+    "train-nodes",
+    "threads",
+    "resume",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "checkpoint-keep",
+    "max-rollbacks",
+    "max-retries",
+    "headroom",
+];
+const SERVE_FLAGS: [&str; 10] = [
+    "warmup-iters",
+    "max-batch",
+    "max-wait-ms",
+    "quiet-requests",
+    "trace",
+    "queue-depth",
+    "shed-policy",
+    "deadline-ms",
+    "max-retries",
+    "json",
+];
+
 /// Parses sizes like `24G`, `512M`, `1073741824`.
 fn parse_bytes(s: &str) -> Result<u64, String> {
     let (num, mult) = match s.chars().last() {
@@ -180,19 +211,33 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err("missing command".into());
     };
     let opts = Options::parse(rest)?;
+    // Every command names the flags it reads; anything else is a typo
+    // that would otherwise run silently with a default.
+    type Command = fn(&str, &Options) -> Result<(), String>;
+    let (known, command): (Vec<&str>, Command) = match cmd.as_str() {
+        "stats" => (Vec::new(), |target, _| cmd_stats(target)),
+        "generate" => (vec!["o", "output"], cmd_generate),
+        "schedule" => (SETUP_FLAGS.to_vec(), cmd_schedule),
+        "compare" => ([&SETUP_FLAGS[..], &["k"]].concat(), cmd_compare),
+        "train" => (
+            [&SETUP_FLAGS[..], &ENGINE_FLAGS, &TRAIN_FLAGS].concat(),
+            cmd_train,
+        ),
+        "serve" => (
+            [&SETUP_FLAGS[..], &ENGINE_FLAGS, &SERVE_FLAGS].concat(),
+            cmd_serve,
+        ),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    if let Some(key) = opts.flags.keys().find(|k| !known.contains(&k.as_str())) {
+        let dash = if key.len() == 1 { "-" } else { "--" };
+        return Err(format!("unknown flag `{dash}{key}` for `{cmd}`"));
+    }
     let target = opts
         .positional
         .first()
         .ok_or_else(|| "missing dataset/path argument".to_string())?;
-    match cmd.as_str() {
-        "stats" => cmd_stats(target),
-        "generate" => cmd_generate(target, &opts),
-        "schedule" => cmd_schedule(target, &opts),
-        "train" => cmd_train(target, &opts),
-        "serve" => cmd_serve(target, &opts),
-        "compare" => cmd_compare(target, &opts),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    command(target, &opts)
 }
 
 fn cmd_stats(target: &str) -> Result<(), String> {
@@ -788,6 +833,21 @@ mod tests {
         assert_eq!(o.flags.get("budget").unwrap(), "4G");
         assert_eq!(o.flags.get("o").unwrap(), "x.bin");
         assert!(Options::parse(&["--budget".to_string()]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_any_work() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = run(&args(&[
+            "schedule", "cora", "--budgte", "2M", "--seeds", "256",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag `--budgte` for `schedule`");
+        // A flag one command reads is still unknown to another.
+        let err = run(&args(&["compare", "cora", "--epochs", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--epochs` for `compare`");
+        let err = run(&args(&["stats", "cora", "-o", "x.bin"])).unwrap_err();
+        assert_eq!(err, "unknown flag `-o` for `stats`");
     }
 
     #[test]

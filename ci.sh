@@ -11,9 +11,11 @@ cargo test -q --workspace
 cargo build --examples --release
 
 # Plan identity, beside the digests `tests/scheduling.rs` pins: the
-# scheduler tour prints bucket estimates and K, split and imbalance on
-# arxiv at four budgets. Without its wall-clock column the output must be
-# the golden captured at PR 24, byte for byte.
+# scheduler tour prints bucket estimates and, on arxiv at four budgets, K,
+# split, imbalance and the largest group's exact memory (its own seed list
+# walked afresh), then one re-split of that group at each K > 1 budget.
+# Without its wall-clock column the output must be the golden, byte for
+# byte.
 tour=$(cargo run -q --release --example scheduler_tour | sed -E 's/, [0-9]+ms$//')
 if [ "$tour" != "$(cat tests/golden/scheduler_tour.txt)" ]; then
   echo "ci: FAIL — scheduler_tour diverged from tests/golden/scheduler_tour.txt" >&2

@@ -51,31 +51,60 @@ fn main() {
         None => println!("\nstep 2 — no explosion (balanced buckets)"),
     }
 
-    // Step 3: schedule under increasingly tight budgets.
-    let whole = closure_counts(
-        &batch.graph,
-        &(0..batch.num_seeds as u32).collect::<Vec<_>>(),
-        2,
-        &mut scratch,
-    );
-    let whole_mem = mem_from_counts(&whole, &shape);
+    // Step 3: schedule under increasingly tight budgets. Each group's exact
+    // memory is its own seed list walked afresh; the heaviest group of a
+    // K > 1 plan is then re-split against half of it, as the OOM recovery
+    // rung would.
+    let mut exact = |seeds: &[u32]| {
+        mem_from_counts(
+            &closure_counts(&batch.graph, seeds, 2, &mut scratch),
+            &shape,
+        )
+    };
+    let whole_mem = exact(&(0..batch.num_seeds as u32).collect::<Vec<_>>());
     println!(
         "\nstep 3 — whole batch needs {:.1} MB; scheduling:",
         whole_mem as f64 / 1e6
     );
-    let scheduler = BuffaloScheduler::new(shape, vec![10, 25], clustering);
+    let scheduler = BuffaloScheduler::new(shape.clone(), vec![10, 25], clustering);
     for divisor in [1u64, 2, 4, 8] {
         let budget = whole_mem / divisor + 1;
-        match scheduler.schedule(&batch.graph, batch.num_seeds, budget) {
-            Ok(plan) => println!(
-                "  budget {:>7.1} MB -> K={:>2}, split explosion: {}, imbalance {:.1}%, {:?}ms",
-                budget as f64 / 1e6,
-                plan.k,
-                plan.split_explosion,
-                100.0 * plan.imbalance(),
-                plan.scheduling_time.as_millis()
-            ),
-            Err(e) => println!("  budget {:>7.1} MB -> {e}", budget as f64 / 1e6),
+        let plan = match scheduler.schedule(&batch.graph, batch.num_seeds, budget) {
+            Ok(plan) => plan,
+            Err(e) => {
+                println!("  budget {:>7.1} MB -> {e}", budget as f64 / 1e6);
+                continue;
+            }
+        };
+        let group_mems: Vec<u64> = plan.groups.iter().map(|g| exact(g)).collect();
+        let heaviest = (0..group_mems.len())
+            .max_by_key(|&i| group_mems[i])
+            .unwrap();
+        println!(
+            "  budget {:>7.1} MB -> K={:>2}, split explosion: {}, imbalance {:.1}%, max exact {:.1} MB, {:?}ms",
+            budget as f64 / 1e6,
+            plan.k,
+            plan.split_explosion,
+            100.0 * plan.imbalance(),
+            group_mems[heaviest] as f64 / 1e6,
+            plan.scheduling_time.as_millis()
+        );
+        if plan.k > 1 {
+            let constraint = group_mems[heaviest] / 2;
+            let seeds = &plan.groups[heaviest];
+            match scheduler.resplit_group(&batch.graph, seeds, constraint) {
+                Ok(sub) => {
+                    let max = sub.groups.iter().map(|g| exact(g)).max().unwrap();
+                    println!(
+                        "    re-split heaviest ({} seeds) at {:.1} MB -> K={}, max exact {:.1} MB",
+                        seeds.len(),
+                        constraint as f64 / 1e6,
+                        sub.k,
+                        max as f64 / 1e6
+                    );
+                }
+                Err(e) => println!("    re-split heaviest -> {e}"),
+            }
         }
     }
 }

@@ -71,6 +71,60 @@ proptest! {
         prop_assert_eq!(plan.groups, again.groups);
     }
 
+    /// At depth 1–3, a plan has `k` groups and `k` estimates, and every
+    /// group's exact memory — its own seed list walked afresh — fits the
+    /// budget. `resplit_group` of a sub-range against a budget below that
+    /// range's own memory returns at least two non-empty groups that
+    /// partition exactly the range, each strictly smaller than it.
+    #[test]
+    fn schedule_and_resplit_invariants_at_any_depth(
+        n in 300usize..1_500,
+        num_seeds in 30usize..200,
+        depth in 1usize..4,
+        divisor in 1u64..6,
+        graph_seed in 0u64..50,
+        range in (0.0f64..0.5, 0.5f64..1.0),
+        shrink in 2u64..5,
+    ) {
+        let g = generators::barabasi_albert(n, 4, 0.3, graph_seed).unwrap();
+        let seeds: Vec<NodeId> = (0..num_seeds.min(n) as NodeId).collect();
+        let fanouts = vec![6; depth];
+        let batch = BatchSampler::new(fanouts.clone()).sample(&g, &seeds, graph_seed + 1);
+        let shape = GnnShape::new(32, 32, depth, 8, AggregatorKind::Lstm);
+        let mut scratch = ClosureScratch::default();
+        let mut exact = |group: &[NodeId]| {
+            mem_from_counts(&closure_counts(&batch.graph, group, depth, &mut scratch), &shape)
+        };
+        let budget = exact(&seeds) / divisor + 1;
+        let scheduler = BuffaloScheduler::new(shape.clone(), fanouts, 0.3);
+        if let Ok(plan) = scheduler.schedule(&batch.graph, batch.num_seeds, budget) {
+            prop_assert_eq!(plan.k, plan.groups.len());
+            prop_assert_eq!(plan.k, plan.group_estimates.len());
+            for group in plan.groups.iter().filter(|g| !g.is_empty()) {
+                let mem = exact(group);
+                prop_assert!(mem <= budget, "group exact {mem} over budget {budget}");
+            }
+        }
+        let lo = (range.0 * seeds.len() as f64) as usize;
+        let hi = ((range.1 * seeds.len() as f64) as usize).max(lo + 2);
+        let part = &seeds[lo..hi];
+        let constraint = exact(part) * (shrink - 1) / shrink;
+        let Ok(sub) = scheduler.resplit_group(&batch.graph, part, constraint) else {
+            return Ok(());
+        };
+        prop_assert_eq!(sub.k, sub.groups.len());
+        prop_assert_eq!(sub.k, sub.group_estimates.len());
+        prop_assert!(sub.groups.iter().filter(|g| !g.is_empty()).count() >= 2);
+        prop_assert!(sub.groups.iter().all(|g| g.len() < part.len()));
+        for group in sub.groups.iter().filter(|g| !g.is_empty()) {
+            let mem = exact(group);
+            prop_assert!(mem <= constraint, "re-split exact {mem} over {constraint}");
+        }
+        let mut all: Vec<NodeId> = sub.groups.iter().flatten().copied().collect();
+        all.sort_unstable();
+        prop_assert_eq!(all, part.to_vec());
+    }
+
     /// Micro-batch extraction preserves every kept seed's sampled
     /// in-neighborhood: the micro block's output-layer in-degrees equal
     /// the batch's.

@@ -6,6 +6,11 @@
 //! subgraph is materialized, which is why the paper can claim the inputs
 //! of its estimator "do not bring any computation overhead" (§IV-D): the
 //! same traversal happens during micro-batch generation anyway.
+//!
+//! A walk leaves its reach set — the nodes within each hop of the seeds —
+//! behind in bitsets. [`ReachSets`] keeps those of many walks and counts a
+//! group of walked lists off the OR of their sets, so a seed list is walked
+//! once however many groups it joins.
 
 use buffalo_graph::{CsrGraph, NodeId};
 use buffalo_memsim::estimate::{ClosureCounts, LayerCount};
@@ -16,56 +21,92 @@ use buffalo_memsim::estimate::{ClosureCounts, LayerCount};
 /// it reads come from memory.
 #[derive(Debug, Default, Clone)]
 pub struct ClosureScratch {
-    hops: Vec<u64>,
+    pub(crate) hops: Vec<u64>,
 }
 
-/// The reach sets of several walks, OR-ed hop by hop. The nodes within `h`
-/// hops of a union of seed sets are the union of each set's, so
-/// [`ReachUnion::counts`] are the counts of the walked seed lists
-/// concatenated, read without walking them again.
+/// Reach sets kept back to back in one arena, one per walked seed list:
+/// the bitsets of hops `1..=depth` of its walk. Hop 0 is the list itself,
+/// so it is not kept. The nodes within `h` hops of a union of seed sets are
+/// the union of each set's, so [`ReachSets::union_counts`] counts kept
+/// lists, concatenated, off their sets without walking them again.
 #[derive(Debug, Default)]
-pub(crate) struct ReachUnion {
+pub(crate) struct ReachSets {
     depth: usize,
-    /// [`ClosureScratch::hops`] of every walk added, OR-ed.
-    hops: Vec<u64>,
-    /// Seeds listed across the walks, duplicates included, and the total
-    /// length of their rows: what hop 0 of the concatenated list counts.
-    listed: usize,
-    listed_edges: usize,
+    /// Words per bitset (one bit per batch node) and per set.
+    words: usize,
+    stride: usize,
+    sets: Vec<u64>,
+    /// The `depth + 1` bitsets of the last union counted, laid out as
+    /// [`ClosureScratch`]'s.
+    pub(crate) union: Vec<u64>,
 }
 
-impl ReachUnion {
-    /// Adds the walk `scratch` just made, which counted `counts`; every
-    /// walk added is over the same batch, to the same depth.
-    pub(crate) fn add(&mut self, scratch: &ClosureScratch, counts: &ClosureCounts) {
-        self.depth = counts.layers.len();
-        self.hops.resize(scratch.hops.len(), 0);
-        self.hops
-            .iter_mut()
-            .zip(&scratch.hops)
-            .for_each(|(u, &w)| *u |= w);
-        let output = &counts.layers[self.depth - 1];
-        self.listed += output.num_dst;
-        self.listed_edges += output.num_edges;
+impl ReachSets {
+    /// Empties the arena, for seed lists of `batch` walked to `depth`.
+    pub(crate) fn reset(&mut self, batch: &CsrGraph, depth: usize) {
+        (self.depth, self.words) = (depth, batch.num_nodes().div_ceil(64));
+        self.stride = depth * self.words;
+        self.sets.clear();
     }
 
-    /// The closure counts of every walk added, as one seed list: node
-    /// counts off the bitsets, edge counts from the degrees of the nodes
+    /// Keeps the reach set that ends `hops` — its last `depth` bitsets: a
+    /// [`ClosureScratch`] after its walk, a union, or another arena's set.
+    pub(crate) fn keep(&mut self, hops: &[u64]) {
+        self.sets.extend(&hops[hops.len() - self.stride..]);
+    }
+
+    /// Set `i`.
+    pub(crate) fn get(&self, i: usize) -> &[u64] {
+        &self.sets[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// How many sets are kept; a seed list has nodes, so a set has words.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len() / self.stride
+    }
+
+    /// Drops every set from the `len`-th on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.sets.truncate(len * self.stride);
+    }
+
+    /// The closure counts of the seed lists `members` — each with the
+    /// index of its kept set — concatenated: hop 0 set from the lists, each
+    /// later hop the OR of the sets; node counts off the bitsets, edge
+    /// counts from the listed seeds' rows and the degrees of the nodes
     /// each hop adds.
-    pub(crate) fn counts(&self, batch: &CsrGraph) -> ClosureCounts {
-        let words = self.hops.len() / (self.depth + 1);
-        let hop = |h: usize| &self.hops[h * words..(h + 1) * words];
+    pub(crate) fn union_counts<'s>(
+        &mut self,
+        batch: &CsrGraph,
+        members: impl IntoIterator<Item = (usize, &'s [NodeId])>,
+    ) -> ClosureCounts {
+        let (depth, words, stride) = (self.depth, self.words, self.stride);
+        let union = &mut self.union;
+        union.clear();
+        union.resize((depth + 1) * words, 0);
+        let (mut listed, mut edges) = (0, 0);
+        for (i, seeds) in members {
+            for &s in seeds {
+                union[s as usize >> 6] |= 1 << (s & 63);
+                edges += batch.degree(s);
+            }
+            listed += seeds.len();
+            let set = &self.sets[i * stride..(i + 1) * stride];
+            for (u, w) in union[words..].iter_mut().zip(set) {
+                *u |= w;
+            }
+        }
+        let hop = |h: usize| &union[h * words..(h + 1) * words];
         let distinct_seeds = ones(hop(0));
-        let mut edges = self.listed_edges;
-        let mut layers = Vec::with_capacity(self.depth);
-        for h in 0..self.depth {
+        let mut layers = Vec::with_capacity(depth);
+        for h in 0..depth {
             if h > 0 {
                 let added = hop(h).iter().zip(hop(h - 1)).map(|(now, was)| now & !was);
                 for_each_bit(added, |v| edges += batch.degree(v as NodeId));
             }
             layers.push(LayerCount {
-                num_dst: self.listed + ones(hop(h)) - distinct_seeds,
-                num_src: self.listed + ones(hop(h + 1)) - distinct_seeds,
+                num_dst: listed + ones(hop(h)) - distinct_seeds,
+                num_src: listed + ones(hop(h + 1)) - distinct_seeds,
                 num_edges: edges,
             });
         }
@@ -235,9 +276,17 @@ mod tests {
         let _ = closure_counts(&g, &[0], 0, &mut scratch);
     }
 
+    /// `picks` cut at `cuts` (clamped, sorted, ends added): the leaves.
+    fn leaves<'a>(picks: &'a [NodeId], cuts: &[usize]) -> Vec<&'a [NodeId]> {
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(picks.len())).collect();
+        cuts.extend([0, picks.len()]);
+        cuts.sort_unstable();
+        cuts.windows(2).map(|w| &picks[w[0]..w[1]]).collect()
+    }
+
     proptest! {
         /// The union rule: split a seed list (duplicates and all) anywhere,
-        /// add each part's walk to one union, and the union's counts are a
+        /// keep each part's walk, and the union of the kept sets counts a
         /// walk of the whole list.
         #[test]
         fn union_of_parts_counts_the_whole(
@@ -249,20 +298,67 @@ mod tests {
             let g = generators::barabasi_albert(400, 3, 0.3, graph_seed).unwrap();
             let roots: Vec<NodeId> = (0..120).collect();
             let batch = BatchSampler::new(vec![4; depth]).sample(&g, &roots, graph_seed);
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(picks.len())).collect();
-            cuts.push(0);
-            cuts.push(picks.len());
-            cuts.sort_unstable();
             let mut scratch = ClosureScratch::default();
-            let mut union = ReachUnion::default();
-            for part in cuts.windows(2).map(|w| &picks[w[0]..w[1]]) {
-                let own = closure_counts(&batch.graph, part, depth, &mut scratch);
-                union.add(&scratch, &own);
+            let mut sets = ReachSets::default();
+            sets.reset(&batch.graph, depth);
+            let parts = leaves(&picks, &cuts);
+            for part in &parts {
+                closure_counts(&batch.graph, part, depth, &mut scratch);
+                sets.keep(&scratch.hops);
             }
             prop_assert_eq!(
-                union.counts(&batch.graph),
+                sets.union_counts(&batch.graph, parts.into_iter().enumerate()),
                 closure_counts(&batch.graph, &picks, depth, &mut scratch)
             );
+        }
+
+        /// The scheduler's bookkeeping: a seed list cut into leaves whose
+        /// reach sets are kept in one arena, the leaves dealt to groups in
+        /// any order, then one leaf moved to another group as a rebalance
+        /// step moves it — every group counted off its members' kept sets
+        /// is a walk of their seeds concatenated. One arena and one scratch
+        /// serve two graphs of different sizes in turn.
+        #[test]
+        fn kept_reach_sets_count_any_grouping(
+            sizes in (60usize..600, 60usize..600),
+            graph_seed in 0u64..200,
+            depth in 1usize..4,
+            picks in vec(0u32..60, 1..80),
+            cuts in vec(0usize..80, 0..8),
+            deal in vec((0usize..4, 0u64..1_000), 8..9),
+            moved in (0usize..8, 0usize..4),
+        ) {
+            let mut scratch = ClosureScratch::default();
+            let mut sets = ReachSets::default();
+            for n in [sizes.0, sizes.1] {
+                let g = generators::barabasi_albert(n, 3, 0.3, graph_seed).unwrap();
+                let roots: Vec<NodeId> = (0..60).collect();
+                let batch = BatchSampler::new(vec![4; depth]).sample(&g, &roots, graph_seed);
+                let leaves = leaves(&picks, &cuts);
+                sets.reset(&batch.graph, depth);
+                for leaf in &leaves {
+                    closure_counts(&batch.graph, leaf, depth, &mut scratch);
+                    sets.keep(&scratch.hops);
+                }
+                // Deal each leaf to its group, in the order of random keys.
+                let mut order: Vec<usize> = (0..leaves.len()).collect();
+                order.sort_by_key(|&i| deal[i].1);
+                let mut groups = vec![Vec::new(); 4];
+                for i in order {
+                    groups[deal[i].0].push(i);
+                }
+                let leaf = moved.0 % leaves.len();
+                let from = deal[leaf].0;
+                groups[from].retain(|&i| i != leaf);
+                groups[moved.1].push(leaf);
+                for members in &groups {
+                    let seeds: Vec<NodeId> = members.iter().flat_map(|&i| leaves[i]).copied().collect();
+                    prop_assert_eq!(
+                        sets.union_counts(&batch.graph, members.iter().map(|&i| (i, leaves[i]))),
+                        closure_counts(&batch.graph, &seeds, depth, &mut scratch)
+                    );
+                }
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The Buffalo Scheduler (Algorithm 3).
 
 use crate::bucket::{degree_bucketing_of, detect_explosion, split_explosion_bucket, DegreeBucket};
-use crate::closure::{closure_counts, ClosureScratch, ReachUnion};
+use crate::closure::{closure_counts, ClosureScratch, ReachSets};
 use crate::grouping::{mem_balanced_grouping, BucketEntry};
 use buffalo_graph::{CsrGraph, NodeId};
 use buffalo_memsim::estimate::mem_from_counts;
@@ -132,23 +132,20 @@ impl BuffaloScheduler {
         self.fanouts[0]
     }
 
-    /// Exact union-closure memory of a group of entry indices.
+    /// Exact union-closure memory of a group of entry indices, read off
+    /// the members' reach sets (`reach`, in `entries` order) without a walk.
     fn exact_group_mem(
         &self,
         batch: &CsrGraph,
         entries: &[BucketEntry],
+        reach: &mut ReachSets,
         members: &[usize],
-        scratch: &mut ClosureScratch,
     ) -> u64 {
         if members.is_empty() {
             return 0;
         }
-        let seeds: Vec<NodeId> = members
-            .iter()
-            .flat_map(|&i| entries[i].bucket.nodes.iter().copied())
-            .collect();
-        let counts = closure_counts(batch, &seeds, self.shape.num_layers, scratch);
-        mem_from_counts(&counts, &self.shape)
+        let lists = members.iter().map(|&i| (i, &entries[i].bucket.nodes[..]));
+        mem_from_counts(&reach.union_counts(batch, lists), &self.shape)
     }
 
     /// Runs Algorithm 3 over the sampled `batch` graph whose first
@@ -267,19 +264,23 @@ impl BuffaloScheduler {
             scheduler: self,
             batch,
             atom_target: (activation_budget / 8).max(1),
-            scratch: &mut scratch,
+            scratch,
             leaves: Vec::new(),
+            reach: ReachSets::default(),
+            parked: ReachSets::default(),
         };
+        splitter.reach.reset(batch, self.shape.num_layers);
+        splitter.parked.reset(batch, self.shape.num_layers);
         for bucket in &base {
             // A lone bucket is every seed: the whole-batch walk counted it.
             let entry = if base.len() == 1 {
                 BucketEntry::new(bucket.clone(), &whole_counts, &self.shape)
             } else {
-                splitter.walk(bucket.clone(), None)
+                splitter.walk(bucket.clone())
             };
-            splitter.settle(entry, None);
+            splitter.settle(entry, Held::Scratch);
         }
-        let entries = splitter.leaves;
+        let (entries, mut reach) = (splitter.leaves, splitter.reach);
         // Parts keep their bucket's degree, and only parts have a split index.
         let split = entries.iter().any(|e| {
             e.bucket.split_index.is_some() && is_explosion_bucket(&base, explosion, e.bucket.degree)
@@ -297,14 +298,14 @@ impl BuffaloScheduler {
                 k = next_k(k, max_group, mem_constraint);
                 continue;
             }
-            // The Eq.-2 grouping fits: re-validate every group with an exact
-            // union-closure memory computation and retry with a larger K on
-            // violation, so a plan never OOMs from estimator
-            // under-prediction.
+            // The Eq.-2 grouping fits: re-validate every group with its exact
+            // union-closure memory, read off its leaves' reach sets (nothing
+            // is walked), and retry with a larger K on violation, so a plan
+            // never OOMs from estimator under-prediction.
             let mut member_groups = outcome.groups;
             let mut exact: Vec<u64> = member_groups
                 .iter()
-                .map(|g| self.exact_group_mem(batch, &entries, g, &mut scratch))
+                .map(|g| self.exact_group_mem(batch, &entries, &mut reach, g))
                 .collect();
             // Exact-balance refinement: Eq. 2 balances *estimates*; actual
             // union closures can still diverge because overlap varies per
@@ -337,8 +338,8 @@ impl BuffaloScheduler {
                 new_hi_members.remove(pos);
                 let mut new_lo_members = member_groups[lo].clone();
                 new_lo_members.push(candidate);
-                let new_hi = self.exact_group_mem(batch, &entries, &new_hi_members, &mut scratch);
-                let new_lo = self.exact_group_mem(batch, &entries, &new_lo_members, &mut scratch);
+                let new_hi = self.exact_group_mem(batch, &entries, &mut reach, &new_hi_members);
+                let new_lo = self.exact_group_mem(batch, &entries, &mut reach, &new_lo_members);
                 if new_hi.max(new_lo) >= exact[hi] {
                     break;
                 }
@@ -379,24 +380,37 @@ impl BuffaloScheduler {
 
 /// Splits one schedule's buckets until each fits an atom, collecting the
 /// leaves in the order the K search packs them: depth-first, every part in
-/// the place of the bucket it came from.
+/// the place of the bucket it came from. Each leaf's reach set is kept in
+/// `reach`, so the K search counts a group off its members' sets.
 struct Splitter<'a> {
     scheduler: &'a BuffaloScheduler,
     batch: &'a CsrGraph,
     /// A bucket whose estimate exceeds this many bytes is split.
     atom_target: u64,
-    scratch: &'a mut ClosureScratch,
+    scratch: ClosureScratch,
     leaves: Vec<BucketEntry>,
+    /// The reach set of each leaf, in `leaves` order.
+    reach: ReachSets,
+    /// The reach sets of parts walked for a guess and not yet settled: a
+    /// stack, since settling a part may guess again.
+    parked: ReachSets,
+}
+
+/// Where the reach set of an entry being settled is held.
+enum Held {
+    /// In the scratch, by the walk that counted the entry.
+    Scratch,
+    /// In the union its parts were counted off, `parked`'s.
+    Union,
+    /// Parked, as set `i`.
+    Parked(usize),
 }
 
 impl Splitter<'_> {
-    /// The entry of `bucket`, its walk added to `union` if one is given.
-    fn walk(&mut self, bucket: DegreeBucket, union: Option<&mut ReachUnion>) -> BucketEntry {
-        let shape = &self.scheduler.shape;
-        let counts = closure_counts(self.batch, &bucket.nodes, shape.num_layers, self.scratch);
-        if let Some(union) = union {
-            union.add(self.scratch, &counts);
-        }
+    /// The entry of `bucket`; its reach set is left in the scratch.
+    fn walk(&mut self, bucket: DegreeBucket) -> BucketEntry {
+        let (shape, scratch) = (&self.scheduler.shape, &mut self.scratch);
+        let counts = closure_counts(self.batch, &bucket.nodes, shape.num_layers, scratch);
         BucketEntry::new(bucket, &counts, shape)
     }
 
@@ -407,19 +421,18 @@ impl Splitter<'_> {
             .then(|| ((entry.mem_estimate / self.atom_target) as usize + 1).clamp(2, volume))
     }
 
-    /// Adds `entry`'s leaves and returns how many parts it split into (1:
-    /// none). `parts` are the entries of that split when already walked.
-    fn settle(&mut self, entry: BucketEntry, parts: Option<Vec<BucketEntry>>) -> usize {
+    /// Adds `entry`'s leaves, its reach set `held` there, and returns how
+    /// many parts it split into (1: none).
+    fn settle(&mut self, entry: BucketEntry, held: Held) -> usize {
         let Some(p) = self.parts_of(&entry) else {
+            match held {
+                Held::Scratch => self.reach.keep(&self.scratch.hops),
+                Held::Union => self.reach.keep(&self.parked.union),
+                Held::Parked(i) => self.reach.keep(self.parked.get(i)),
+            }
             self.leaves.push(entry);
             return 1;
         };
-        if let Some(parts) = parts {
-            for part in parts {
-                self.settle(part, None);
-            }
-            return p;
-        }
         // Each part is examined in turn: closure floors shrink sub-linearly,
         // so a part may still be oversized, and likely splits as its
         // previous sibling did. Walk it as that many parts; their union is
@@ -428,18 +441,28 @@ impl Splitter<'_> {
         let mut guess = 1;
         for bucket in split_explosion_bucket(&entry.bucket, p) {
             if guess < 2 {
-                let part = self.walk(bucket, None);
-                guess = self.settle(part, None);
+                let part = self.walk(bucket);
+                guess = self.settle(part, Held::Scratch);
                 continue;
             }
-            let mut union = ReachUnion::default();
-            let parts: Vec<BucketEntry> = split_explosion_bucket(&bucket, guess)
-                .into_iter()
-                .map(|b| self.walk(b, Some(&mut union)))
-                .collect();
-            let part = BucketEntry::new(bucket, &union.counts(self.batch), &self.scheduler.shape);
-            let guessed = self.parts_of(&part) == Some(parts.len());
-            guess = self.settle(part, guessed.then_some(parts));
+            let base = self.parked.len();
+            let mut parts = Vec::with_capacity(guess);
+            for b in split_explosion_bucket(&bucket, guess) {
+                parts.push(self.walk(b));
+                self.parked.keep(&self.scratch.hops);
+            }
+            let lists = parts.iter().enumerate();
+            let lists = lists.map(|(i, part)| (base + i, &part.bucket.nodes[..]));
+            let counts = self.parked.union_counts(self.batch, lists);
+            let part = BucketEntry::new(bucket, &counts, &self.scheduler.shape);
+            if self.parts_of(&part) == Some(parts.len()) {
+                for (i, part) in parts.into_iter().enumerate() {
+                    self.settle(part, Held::Parked(base + i));
+                }
+            } else {
+                guess = self.settle(part, Held::Union);
+            }
+            self.parked.truncate(base);
         }
         p
     }

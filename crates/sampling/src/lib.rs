@@ -308,9 +308,9 @@ impl BatchSampler {
 }
 
 /// The nodes of a batch under construction: `global_ids` (local → global)
-/// and its inverse as a versioned dense table (the `ClosureScratch`
-/// idiom): a slot counts only while its stamp equals the current version,
-/// so forgetting every entry costs nothing. Dense and probed, never
+/// and its inverse as a versioned dense table, one slot per graph node: a
+/// slot counts only while its stamp equals the current version, so
+/// forgetting every entry costs nothing. Dense and probed, never
 /// iterated — the nondet-iteration lint bans hash containers from sampling
 /// wholesale so a future drain cannot order a batch by hasher state.
 struct Discovered<'g> {

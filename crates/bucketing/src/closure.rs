@@ -276,48 +276,14 @@ mod tests {
         let _ = closure_counts(&g, &[0], 0, &mut scratch);
     }
 
-    /// `picks` cut at `cuts` (clamped, sorted, ends added): the leaves.
-    fn leaves<'a>(picks: &'a [NodeId], cuts: &[usize]) -> Vec<&'a [NodeId]> {
-        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(picks.len())).collect();
-        cuts.extend([0, picks.len()]);
-        cuts.sort_unstable();
-        cuts.windows(2).map(|w| &picks[w[0]..w[1]]).collect()
-    }
-
     proptest! {
-        /// The union rule: split a seed list (duplicates and all) anywhere,
-        /// keep each part's walk, and the union of the kept sets counts a
-        /// walk of the whole list.
-        #[test]
-        fn union_of_parts_counts_the_whole(
-            graph_seed in 0u64..200,
-            depth in 1usize..4,
-            picks in vec(0u32..120, 0..60),
-            cuts in vec(0usize..60, 0..5),
-        ) {
-            let g = generators::barabasi_albert(400, 3, 0.3, graph_seed).unwrap();
-            let roots: Vec<NodeId> = (0..120).collect();
-            let batch = BatchSampler::new(vec![4; depth]).sample(&g, &roots, graph_seed);
-            let mut scratch = ClosureScratch::default();
-            let mut sets = ReachSets::default();
-            sets.reset(&batch.graph, depth);
-            let parts = leaves(&picks, &cuts);
-            for part in &parts {
-                closure_counts(&batch.graph, part, depth, &mut scratch);
-                sets.keep(&scratch.hops);
-            }
-            prop_assert_eq!(
-                sets.union_counts(&batch.graph, parts.into_iter().enumerate()),
-                closure_counts(&batch.graph, &picks, depth, &mut scratch)
-            );
-        }
-
-        /// The scheduler's bookkeeping: a seed list cut into leaves whose
-        /// reach sets are kept in one arena, the leaves dealt to groups in
-        /// any order, then one leaf moved to another group as a rebalance
-        /// step moves it — every group counted off its members' kept sets
-        /// is a walk of their seeds concatenated. One arena and one scratch
-        /// serve two graphs of different sizes in turn.
+        /// The union rule as the scheduler uses it: a seed list (repeats
+        /// and all) cut into leaves whose reach sets are kept in one arena,
+        /// the leaves dealt to groups in any order, then one leaf moved to
+        /// another group as a rebalance step moves it — every group, and
+        /// all the leaves together, counted off the kept sets is a walk of
+        /// their seeds concatenated. One arena and one scratch serve two
+        /// graphs of different sizes in turn.
         #[test]
         fn kept_reach_sets_count_any_grouping(
             sizes in (60usize..600, 60usize..600),
@@ -328,13 +294,16 @@ mod tests {
             deal in vec((0usize..4, 0u64..1_000), 8..9),
             moved in (0usize..8, 0usize..4),
         ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(picks.len())).collect();
+            cuts.extend([0, picks.len()]);
+            cuts.sort_unstable();
+            let leaves: Vec<&[NodeId]> = cuts.windows(2).map(|w| &picks[w[0]..w[1]]).collect();
             let mut scratch = ClosureScratch::default();
             let mut sets = ReachSets::default();
             for n in [sizes.0, sizes.1] {
                 let g = generators::barabasi_albert(n, 3, 0.3, graph_seed).unwrap();
                 let roots: Vec<NodeId> = (0..60).collect();
                 let batch = BatchSampler::new(vec![4; depth]).sample(&g, &roots, graph_seed);
-                let leaves = leaves(&picks, &cuts);
                 sets.reset(&batch.graph, depth);
                 for leaf in &leaves {
                     closure_counts(&batch.graph, leaf, depth, &mut scratch);
@@ -351,6 +320,11 @@ mod tests {
                 let from = deal[leaf].0;
                 groups[from].retain(|&i| i != leaf);
                 groups[moved.1].push(leaf);
+                let all = leaves.iter().copied().enumerate();
+                prop_assert_eq!(
+                    sets.union_counts(&batch.graph, all),
+                    closure_counts(&batch.graph, &picks, depth, &mut scratch)
+                );
                 for members in &groups {
                     let seeds: Vec<NodeId> = members.iter().flat_map(|&i| leaves[i]).copied().collect();
                     prop_assert_eq!(

@@ -39,6 +39,16 @@ cargo run -q -p buffalo-lint -- check
 # `lint:allow` in the workspace's Rust sources (the linter's own rule
 # texts and fixtures included, so the count only moves with a waiver).
 echo "ci: lint:allow sites: $(grep -rn 'lint:allow' --include='*.rs' crates src | wc -l)"
+# The callers left on the restrict → generate pair that `BlockWalker`
+# replaces, as a third trend line: non-test call sites (each file cut as
+# the size script below cuts it, comments and the definitions skipped).
+planning=$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// || /fn (restrict_to_seeds|generate_blocks_fast)\(/ { next }
+  { r += gsub(/restrict_to_seeds\(/, "&"); g += gsub(/generate_blocks_fast\(/, "&") }
+  END { printf "restrict_to_seeds %d, generate_blocks_fast %d", r, g }')
+echo "ci: planning callers: $planning"
 # Size, as a second trend line (no gate): what every simplicity write-up
 # since PR 19 quotes as "PR 19's script". Per source directory, the code
 # lines (neither blank nor a `//` comment, each file cut at its first

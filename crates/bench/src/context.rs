@@ -1,8 +1,13 @@
 //! Workload preparation shared by the `figures` binary's experiments.
 
+use buffalo_blocks::BlockWalker;
+use buffalo_bucketing::{
+    closure_counts, degree_bucketing, detect_explosion, split_explosion_bucket, BucketEntry,
+    ClosureScratch,
+};
 use buffalo_graph::datasets::{self, Dataset, DatasetName};
 use buffalo_graph::{stats, NodeId};
-use buffalo_memsim::{AggregatorKind, GnnShape};
+use buffalo_memsim::{measure, AggregatorKind, GnnShape};
 use buffalo_sampling::{Batch, BatchSampler};
 
 /// The paper's default sampling fanouts ("cut-off 10,25", Table III).
@@ -64,6 +69,57 @@ impl Workload {
             self.dataset.spec.num_classes,
             aggregator,
         )
+    }
+
+    /// Algorithm 4's items for this batch under `shape`: its degree
+    /// buckets, the explosion bucket split into `parts` micro-buckets
+    /// (Algorithm 3 line 5), each with its closure counted.
+    pub(crate) fn bucket_entries(&self, shape: &GnnShape, parts: usize) -> Vec<BucketEntry> {
+        let base = degree_bucketing(&self.batch.graph, self.batch.num_seeds, self.fanouts[0]);
+        let explosion = detect_explosion(&base, 2.0);
+        let mut scratch = ClosureScratch::default();
+        let depth = shape.num_layers;
+        base.iter()
+            .enumerate()
+            .flat_map(|(i, b)| {
+                if Some(i) == explosion {
+                    split_explosion_bucket(b, parts)
+                } else {
+                    vec![b.clone()]
+                }
+            })
+            .map(|bucket| {
+                let counts = closure_counts(&self.batch.graph, &bucket.nodes, depth, &mut scratch);
+                BucketEntry::new(bucket, &counts, shape)
+            })
+            .collect()
+    }
+
+    /// The exact footprint under `shape` of each group of `entries`
+    /// (indices), its blocks walked off the batch as the engine's Prepare
+    /// stage walks them; an empty group costs nothing.
+    pub(crate) fn group_memory(
+        &self,
+        shape: &GnnShape,
+        entries: &[BucketEntry],
+        groups: &[Vec<usize>],
+    ) -> Vec<u64> {
+        let mut walker = BlockWalker::default();
+        let (graph, num_seeds) = (&self.batch.graph, self.batch.num_seeds);
+        groups
+            .iter()
+            .map(|members| {
+                let seeds: Vec<NodeId> = members
+                    .iter()
+                    .flat_map(|&i| entries[i].bucket.nodes.iter().copied())
+                    .collect();
+                if seeds.is_empty() {
+                    return 0;
+                }
+                let blocks = walker.micro_batch(graph, num_seeds, &seeds, shape.num_layers);
+                measure::training_memory(&blocks, shape).total()
+            })
+            .collect()
     }
 }
 

@@ -4,118 +4,61 @@
 
 use crate::context::load_workload;
 use crate::output::{mem, Table};
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
-use buffalo_bucketing::{
-    closure_counts, degree_bucketing, detect_explosion, split_explosion_bucket, BucketEntry,
-    ClosureScratch,
-};
+use buffalo_blocks::BlockWalker;
+use buffalo_bucketing::{mem_balanced_grouping, BucketEntry};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::NodeId;
-use buffalo_memsim::estimate::grouping_ratio;
-use buffalo_memsim::{measure, AggregatorKind};
+use buffalo_memsim::AggregatorKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn build_entries(
-    w: &crate::context::Workload,
-    shape: &buffalo_memsim::GnnShape,
-    split_k: usize,
-) -> Vec<BucketEntry> {
-    let base = degree_bucketing(&w.batch.graph, w.batch.num_seeds, w.fanouts[0]);
-    let explosion = detect_explosion(&base, 2.0);
-    let mut buckets = Vec::new();
-    for (i, b) in base.iter().enumerate() {
-        if Some(i) == explosion && split_k > 1 {
-            buckets.extend(split_explosion_bucket(b, split_k));
-        } else {
-            buckets.push(b.clone());
-        }
-    }
-    let mut scratch = ClosureScratch::default();
-    buckets
-        .into_iter()
-        .map(|bucket| {
-            let counts = closure_counts(
-                &w.batch.graph,
-                &bucket.nodes,
-                shape.num_layers,
-                &mut scratch,
-            );
-            BucketEntry::new(bucket, &counts, shape)
-        })
-        .collect()
-}
-
-/// Places entries into `k` groups with one of three policies, returning
-/// per-group discounted estimates; a group that receives a bucket also
-/// pays `fixed_bytes` (the model's parameters) once.
+/// Places `entries` into `k` groups with one of three policies, returning
+/// each group's entry indices:
 ///
-/// * `greedy-desc` — Buffalo: sort descending, place into lightest group.
+/// * `greedy-desc` — Buffalo: Algorithm 4, [`mem_balanced_grouping`].
 /// * `first-fit` — arrival order, place into the first group whose load
-///   stays under the ideal share (classic first-fit with a capacity hint).
+///   of entry estimates stays under the ideal share (classic first-fit
+///   with a capacity hint).
 /// * `random` — place each bucket into a uniformly random group.
-fn place(
-    entries: &[BucketEntry],
-    k: usize,
-    clustering: f64,
-    fixed_bytes: u64,
-    policy: &str,
-) -> Vec<u64> {
-    let mut order: Vec<usize> = (0..entries.len()).collect();
+fn place(entries: &[BucketEntry], k: usize, clustering: f64, policy: &str) -> Vec<Vec<usize>> {
     if policy == "greedy-desc" {
-        order.sort_by_key(|&i| std::cmp::Reverse(entries[i].mem_estimate));
+        return mem_balanced_grouping(entries, k, u64::MAX, clustering, 0).groups;
     }
-    let total: u64 = entries.iter().map(|e| e.mem_estimate).sum();
-    let share = total / k as u64 + 1;
+    let share = entries.iter().map(|e| e.mem_estimate).sum::<u64>() / k as u64 + 1;
     let mut rng = StdRng::seed_from_u64(99);
     let mut loads = vec![0u64; k];
-    for idx in order {
-        let contribution = (entries[idx].mem_estimate as f64
-            * grouping_ratio(&entries[idx].stats, clustering)) as u64;
+    let mut groups = vec![Vec::new(); k];
+    for (idx, entry) in entries.iter().enumerate() {
         let gi = match policy {
-            "first-fit" => loads
-                .iter()
-                .position(|&l| l + contribution <= share)
-                .unwrap_or_else(|| {
-                    loads
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &l)| l)
-                        .map(|(i, _)| i)
-                        .unwrap()
-                }),
-            "random" => rng.gen_range(0..k),
-            "greedy-desc" => loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &l)| l)
-                .map(|(i, _)| i)
+            "first-fit" => (0..k)
+                .find(|&g| loads[g] + entry.mem_estimate <= share)
+                .or_else(|| (0..k).min_by_key(|&g| loads[g]))
                 .unwrap(),
+            "random" => rng.gen_range(0..k),
             other => panic!("unknown policy {other}"),
         };
-        loads[gi] += contribution;
+        loads[gi] += entry.mem_estimate;
+        groups[gi].push(idx);
     }
-    // Every entry estimate is positive, so a loaded group received one.
-    loads
-        .into_iter()
-        .map(|l| if l > 0 { l + fixed_bytes } else { 0 })
-        .collect()
+    groups
 }
 
 /// Grouping-policy ablation: greedy-descending (Buffalo) vs first-fit vs
-/// random placement — max group size and imbalance. Uses the coarse
-/// bucket granularity (explosion split into `k/2` parts) so item sizes
-/// vary, as they do when the scheduler first probes a small `K`.
+/// random placement — the exact footprint of the largest and smallest
+/// group's micro-batch, and their imbalance. Uses the coarse bucket
+/// granularity (explosion split into `3k` parts) so item sizes vary, as
+/// they do when the scheduler first probes a small `K`.
 pub fn grouping(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.shape(256, AggregatorKind::Lstm);
     let k = 4;
-    let entries = build_entries(&w, &shape, 3 * k);
+    let entries = w.bucket_entries(&shape, 3 * k);
     let mut t = Table::new(["policy", "max group", "min group", "imbalance %"]);
     for policy in ["greedy-desc", "first-fit", "random"] {
-        let loads = place(&entries, k, w.clustering, shape.parameter_bytes(), policy);
-        let max = *loads.iter().max().unwrap();
-        let min = *loads.iter().min().unwrap();
+        let groups = place(&entries, k, w.clustering, policy);
+        let exact = w.group_memory(&shape, &entries, &groups);
+        let max = *exact.iter().max().unwrap();
+        let min = *exact.iter().min().unwrap();
         t.row([
             policy.into(),
             mem(max),
@@ -124,15 +67,14 @@ pub fn grouping(quick: bool) {
         ]);
     }
     t.print();
-    println!(
-        "(greedy-descending should dominate: smallest max group -> smallest K satisfies a budget)"
-    );
+    println!("(exact footprints: the smallest max group lets the smallest K satisfy a budget)");
 }
 
-/// Estimator ablation: redundancy-aware (Eq. 2) vs linear-sum group
-/// estimates against the measured footprint of each group. Runs on the
-/// Reddit stand-in, whose high clustering coefficient (≈0.6) activates
-/// the `R_group < 1` discount that low-clustering graphs never trigger.
+/// Estimator ablation: Algorithm 4's redundancy-aware (Eq. 2) group
+/// estimates vs linear-sum ones against the exact footprint of each
+/// group. Runs on the Reddit stand-in, whose high clustering coefficient
+/// (≈0.6) activates the `R_group < 1` discount that low-clustering graphs
+/// never trigger.
 pub fn estimator(quick: bool) {
     let mut w = load_workload(DatasetName::Reddit, quick);
     // Re-sample with *community-ordered* seeds (consecutive ids group
@@ -144,23 +86,10 @@ pub fn estimator(quick: bool) {
         buffalo_sampling::BatchSampler::new(w.fanouts.clone()).sample(&w.dataset.graph, &seeds, 7);
     let shape = w.shape(256, AggregatorKind::Lstm);
     let k = 4;
-    let entries = build_entries(&w, &shape, 3 * k);
-    // Greedy placement, tracking members per group.
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(entries[i].mem_estimate));
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut loads = vec![0u64; k];
-    for idx in order {
-        let gi = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &l)| l)
-            .map(|(i, _)| i)
-            .unwrap();
-        groups[gi].push(idx);
-        loads[gi] += (entries[idx].mem_estimate as f64
-            * grouping_ratio(&entries[idx].stats, w.clustering)) as u64;
-    }
+    let entries = w.bucket_entries(&shape, 3 * k);
+    let params = shape.parameter_bytes();
+    let outcome = mem_balanced_grouping(&entries, k, u64::MAX, w.clustering, params);
+    let exact = w.group_memory(&shape, &entries, &outcome.groups);
     let mut t = Table::new([
         "group",
         "actual",
@@ -170,36 +99,17 @@ pub fn estimator(quick: bool) {
         "err %",
     ]);
     let (mut e_aware, mut e_linear) = (0.0f64, 0.0f64);
-    for (gi, members) in groups.iter().enumerate() {
-        let seeds: Vec<NodeId> = members
-            .iter()
-            .flat_map(|&i| entries[i].bucket.nodes.iter().copied())
-            .collect();
-        if seeds.is_empty() {
+    for (gi, members) in outcome.groups.iter().enumerate() {
+        if members.is_empty() {
             continue;
         }
-        let micro = w.batch.restrict_to_seeds(&seeds);
-        let blocks = generate_blocks_fast(
-            &micro.graph,
-            micro.num_seeds,
-            shape.num_layers,
-            GenerateOptions::default(),
-        );
-        let actual = measure::training_memory(&blocks, &shape).total();
-        let aware: u64 = members
-            .iter()
-            .map(|&i| {
-                (entries[i].mem_estimate as f64 * grouping_ratio(&entries[i].stats, w.clustering))
-                    as u64
-            })
-            .sum();
-        let linear: u64 = members.iter().map(|&i| entries[i].mem_estimate).sum();
-        // Entry estimates leave the parameters out; a group pays them once,
-        // as `actual` does.
-        let (aware, linear) = (
-            aware + shape.parameter_bytes(),
-            linear + shape.parameter_bytes(),
-        );
+        let (actual, aware) = (exact[gi], outcome.group_estimates[gi]);
+        // Entry estimates leave the parameters out; a group pays them once.
+        let linear = params
+            + members
+                .iter()
+                .map(|&i| entries[i].mem_estimate)
+                .sum::<u64>();
         let ea = 100.0 * (aware as f64 - actual as f64).abs() / actual as f64;
         let el = 100.0 * (linear as f64 - actual as f64).abs() / actual as f64;
         e_aware += ea;
@@ -232,21 +142,23 @@ pub fn layer(quick: bool) {
     let w = load_workload(DatasetName::OgbnArxiv, quick);
     let depth = w.fanouts.len();
     let k = 4;
-    // Output-layer partitioning: restrict_to_seeds pulls the complete
-    // dependency closure, so by construction zero dependencies are lost.
+    // Output-layer partitioning: a micro-batch's blocks are walked off the
+    // batch's rows, so by construction zero dependencies are lost.
     let per = w.batch.num_seeds / k;
     let mut missing_output_layer = 0usize;
     let mut kept_nodes = 0usize;
+    let mut walker = BlockWalker::default();
     for g in 0..k {
         let seeds: Vec<NodeId> =
             ((g * per) as NodeId..((g + 1) * per).min(w.batch.num_seeds) as NodeId).collect();
-        let micro = w.batch.restrict_to_seeds(&seeds);
-        kept_nodes += micro.num_nodes();
-        // Every sampled in-edge of every kept node within depth must be
-        // present; count any that are not.
-        for v in 0..micro.num_seeds as NodeId {
-            missing_output_layer +=
-                (w.batch.graph.degree(seeds[v as usize]) != micro.graph.degree(v)) as usize;
+        let blocks = walker.micro_batch(&w.batch.graph, w.batch.num_seeds, &seeds, depth);
+        // The input layer's sources are the micro-batch's whole closure.
+        kept_nodes += blocks[0].num_src();
+        // Every sampled in-edge of every output node must be present;
+        // count any that are not.
+        let out = &blocks[depth - 1];
+        for (i, &s) in out.dst_nodes().iter().enumerate() {
+            missing_output_layer += (w.batch.graph.degree(s) != out.in_degree(i)) as usize;
         }
     }
     // Non-output-layer partitioning: split the layer-1 frontier instead;

@@ -3,7 +3,7 @@
 
 use crate::context::load_workload;
 use crate::output::{mem, Table};
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+use buffalo_blocks::BlockWalker;
 use buffalo_bucketing::degree_bucketing;
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::stats;
@@ -68,16 +68,13 @@ pub fn fig4(quick: bool) {
         .expect("arxiv batch has no zero in-degree seeds");
     let shape = arxiv.shape(128, AggregatorKind::Lstm);
     let mut mems = Vec::new();
+    let mut walker = BlockWalker::default();
     for (i, group) in part.groups.iter().enumerate() {
-        let micro = arxiv.batch.restrict_to_seeds(group);
+        // Betty's own micro-batch: the restriction it pays for.
+        let micro = batch.restrict_to_seeds(group);
         println!("micro-batch {i} bucket volumes:");
         print_volumes(&micro.graph, micro.num_seeds, cutoff);
-        let blocks = generate_blocks_fast(
-            &micro.graph,
-            micro.num_seeds,
-            shape.num_layers,
-            GenerateOptions::default(),
-        );
+        let blocks = walker.micro_batch(&batch.graph, batch.num_seeds, group, shape.num_layers);
         mems.push(measure::training_memory(&blocks, &shape).total());
     }
     let mut t = Table::new(["micro-batch", "memory"]);

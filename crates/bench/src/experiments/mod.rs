@@ -14,16 +14,18 @@ pub mod tiered;
 pub mod timing;
 
 /// How an experiment is started: a figure takes the `quick` switch, a
-/// resilience experiment the `write_bench` one and can fail its check.
+/// fixed-size table nothing, and a resilience experiment the
+/// `write_bench` switch and can fail its check.
 enum Experiment {
     Figure(fn(bool)),
+    Fixed(fn()),
     Bench(fn(bool) -> Result<(), String>),
 }
-use Experiment::{Bench, Figure};
+use Experiment::{Bench, Figure, Fixed};
 
 /// Every experiment the `figures` binary accepts, in `all` order.
 const EXPERIMENTS: &[(&str, Experiment)] = &[
-    ("tab2", Figure(tables::tab2)),
+    ("tab2", Fixed(tables::tab2)),
     ("fig1", Figure(distributions::fig1)),
     ("fig4", Figure(distributions::fig4)),
     ("fig2", Figure(memwall::fig2)),
@@ -57,9 +59,10 @@ pub fn ids() -> impl Iterator<Item = &'static str> {
     EXPERIMENTS.iter().map(|(id, _)| *id)
 }
 
-/// Runs one experiment by id. The five resilience experiments always run
-/// at full size and hold their `BENCH_*.json` against the run — rewritten
-/// with `write_bench`, compared without (see
+/// Runs one experiment by id; its header says `(quick)` only when a
+/// figure runs quick. Table II and the five resilience experiments always
+/// run at full size, and the latter hold their `BENCH_*.json` against the
+/// run — rewritten with `write_bench`, compared without (see
 /// [`check_artifact`](crate::output::check_artifact)).
 ///
 /// # Errors
@@ -67,11 +70,15 @@ pub fn ids() -> impl Iterator<Item = &'static str> {
 /// Returns a message for unknown ids, and for a committed artifact that
 /// differs from what the run regenerated.
 pub fn run(id: &str, quick: bool, write_bench: bool) -> Result<(), String> {
-    println!("=== {id} {} ===", if quick { "(quick)" } else { "" });
-    match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
-        Some((_, Figure(run))) => run(quick),
-        Some((_, Bench(run))) => run(write_bench)?,
-        None => return Err(format!("unknown experiment id `{id}`")),
+    let Some((_, experiment)) = EXPERIMENTS.iter().find(|(name, _)| *name == id) else {
+        return Err(format!("unknown experiment id `{id}`"));
+    };
+    let quick = quick && matches!(experiment, Figure(_));
+    println!("=== {id}{} ===", if quick { " (quick)" } else { "" });
+    match experiment {
+        Figure(run) => run(quick),
+        Fixed(run) => run(),
+        Bench(run) => run(write_bench)?,
     }
     println!();
     Ok(())

@@ -3,14 +3,14 @@
 
 use crate::context::{load_workload, Workload};
 use crate::output::Table;
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+use buffalo_bucketing::mem_balanced_grouping;
 use buffalo_graph::datasets::{self, DatasetName};
 use buffalo_graph::stats;
-use buffalo_memsim::{estimate, measure, AggregatorKind};
+use buffalo_memsim::{estimate, AggregatorKind};
 
 /// Table II: paper-reported vs measured characteristics of every dataset
 /// stand-in (scale factors recorded per dataset).
-pub fn tab2(_quick: bool) {
+pub fn tab2() {
     let mut t = Table::new([
         "dataset",
         "scale",
@@ -42,7 +42,7 @@ pub fn tab2(_quick: bool) {
 }
 
 /// The number of micro-batches Table III uses per dataset/aggregator.
-fn tab3_batches(name: DatasetName, agg: AggregatorKind) -> u64 {
+fn tab3_batches(name: DatasetName, agg: AggregatorKind) -> usize {
     match (name, agg) {
         (DatasetName::OgbnProducts | DatasetName::OgbnPapers, AggregatorKind::Lstm) => 16,
         (DatasetName::OgbnProducts | DatasetName::OgbnPapers, _) => 8,
@@ -54,55 +54,18 @@ fn tab3_batches(name: DatasetName, agg: AggregatorKind) -> u64 {
 /// the explosion bucket into exactly `k` micro-buckets (Algorithm 3 line
 /// 5), group into `k` bucket groups with Algorithm 4, then compare every
 /// group's Eq.-2 estimate against the exact measured footprint of the
-/// micro-batch it generates.
-fn estimation_error(w: &Workload, agg: AggregatorKind, k: u64) -> Option<(usize, f64)> {
-    use buffalo_bucketing::{
-        closure_counts, degree_bucketing, detect_explosion, mem_balanced_grouping,
-        split_explosion_bucket, BucketEntry, ClosureScratch,
-    };
+/// micro-batch it generates. Returns the mean relative error.
+fn estimation_error(w: &Workload, agg: AggregatorKind, k: usize) -> f64 {
     let shape = w.shape(256, agg);
-    let k = k as usize;
-    let base = degree_bucketing(&w.batch.graph, w.batch.num_seeds, w.fanouts[0]);
-    let explosion = detect_explosion(&base, 2.0);
-    let mut buckets = Vec::new();
-    for (i, b) in base.iter().enumerate() {
-        if Some(i) == explosion {
-            buckets.extend(split_explosion_bucket(b, k));
-        } else {
-            buckets.push(b.clone());
-        }
-    }
-    let mut scratch = ClosureScratch::default();
-    let entries: Vec<BucketEntry> = buckets
-        .into_iter()
-        .map(|bucket| {
-            let counts = closure_counts(&w.batch.graph, &bucket.nodes, 2, &mut scratch);
-            BucketEntry::new(bucket, &counts, &shape)
-        })
-        .collect();
+    let entries = w.bucket_entries(&shape, k);
     let outcome =
         mem_balanced_grouping(&entries, k, u64::MAX, w.clustering, shape.parameter_bytes());
-    let mut errors = Vec::new();
-    for (group, &est) in outcome.groups.iter().zip(&outcome.group_estimates) {
-        if group.is_empty() {
-            continue;
-        }
-        let seeds: Vec<u32> = group
-            .iter()
-            .flat_map(|&i| entries[i].bucket.nodes.iter().copied())
-            .collect();
-        let micro = w.batch.restrict_to_seeds(&seeds);
-        let blocks = generate_blocks_fast(
-            &micro.graph,
-            micro.num_seeds,
-            shape.num_layers,
-            GenerateOptions::default(),
-        );
-        let actual = measure::training_memory(&blocks, &shape).total();
-        errors.push(estimate::relative_error(est, actual));
-    }
-    let mean = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
-    Some((k, mean))
+    let exact = w.group_memory(&shape, &entries, &outcome.groups);
+    let errors: Vec<f64> = (0..k)
+        .filter(|&g| !outcome.groups[g].is_empty())
+        .map(|g| estimate::relative_error(outcome.group_estimates[g], exact[g]))
+        .collect();
+    errors.iter().sum::<f64>() / errors.len().max(1) as f64
 }
 
 /// Table III: relative error of the redundancy-aware memory estimator vs
@@ -125,16 +88,9 @@ pub fn tab3(quick: bool) {
         let w = load_workload(name, quick);
         let mut cells = vec![name.to_string(), "10,25".into()];
         for agg in [AggregatorKind::Lstm, AggregatorKind::Mean] {
-            match estimation_error(&w, agg, tab3_batches(name, agg)) {
-                Some((k, err)) => {
-                    cells.push(k.to_string());
-                    cells.push(format!("{:.2}", 100.0 * err));
-                }
-                None => {
-                    cells.push("-".into());
-                    cells.push("-".into());
-                }
-            }
+            let k = tab3_batches(name, agg);
+            cells.push(k.to_string());
+            cells.push(format!("{:.2}", 100.0 * estimation_error(&w, agg, k)));
         }
         t.row(cells);
     }

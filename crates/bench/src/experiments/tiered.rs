@@ -4,7 +4,7 @@
 
 use crate::context::load_workload;
 use crate::output::{mem, secs, Table};
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+use buffalo_blocks::BlockWalker;
 use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::tiered::{plan_spill, TieredConfig};
@@ -25,12 +25,8 @@ pub fn tiered(quick: bool) {
     let cost = CostModel::rtx6000();
     // Whole-batch blocks once: the spilling baseline trains the same
     // batch unsplit.
-    let blocks = generate_blocks_fast(
-        &w.batch.graph,
-        w.batch.num_seeds,
-        shape.num_layers,
-        GenerateOptions::default(),
-    );
+    let blocks =
+        BlockWalker::default().whole_batch(&w.batch.graph, w.batch.num_seeds, shape.num_layers);
     let breakdown = measure::training_memory(&blocks, &shape);
     let base_step = cost.training_seconds(&blocks, &shape)
         + cost.transfer_seconds(measure::transfer_bytes(&blocks, &shape) as f64);

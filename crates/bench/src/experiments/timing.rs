@@ -3,9 +3,9 @@
 //! generation time, Buffalo vs Betty), and the staged-pipeline experiment
 //! (`pipeline-train`: real trainer, serial vs overlapped staging).
 
-use crate::context::{load_workload, load_workload_with, RTX6000_GIB};
+use crate::context::{load_workload, load_workload_with};
 use crate::output::{secs, Table};
-use buffalo_blocks::{generate_blocks_checked, generate_blocks_fast, GenerateOptions};
+use buffalo_blocks::{generate_blocks_checked, BlockWalker};
 use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo_core::train::{Engine, PipelineConfig, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
@@ -34,12 +34,8 @@ pub fn fig5(quick: bool) {
         let metis_time = t0.elapsed().as_secs_f64();
         std::hint::black_box(&parts);
         let t1 = Instant::now();
-        let blocks = generate_blocks_fast(
-            &w.batch.graph,
-            w.batch.num_seeds,
-            shape.num_layers,
-            GenerateOptions::default(),
-        );
+        let blocks =
+            BlockWalker::default().whole_batch(&w.batch.graph, w.batch.num_seeds, shape.num_layers);
         let block_time = t1.elapsed().as_secs_f64();
         let compute = cost.training_seconds(&blocks, &shape);
         t.row([
@@ -173,7 +169,10 @@ pub fn fig11(quick: bool) {
 }
 
 /// Figure 12: block generation time, Buffalo's CSR fast path vs Betty's
-/// repeated connection checks, at 4/8/16 micro-batches.
+/// repeated connection checks, at 4/8/16 micro-batches. Betty generates
+/// from each micro-batch's restriction (its connection check, untimed
+/// here); Buffalo walks each micro-batch off the batch with one reused
+/// walker, as the engine's Prepare stage does.
 pub fn fig12(quick: bool) {
     let mut t = Table::new([
         "dataset",
@@ -205,12 +204,13 @@ pub fn fig12(quick: bool) {
             }
             let betty = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            for m in &micros {
-                std::hint::black_box(generate_blocks_fast(
-                    &m.graph,
-                    m.num_seeds,
+            let mut walker = BlockWalker::default();
+            for g in groups.iter().filter(|g| !g.is_empty()) {
+                std::hint::black_box(walker.micro_batch(
+                    &w.batch.graph,
+                    w.batch.num_seeds,
+                    g,
                     depth,
-                    GenerateOptions::default(),
                 ));
             }
             let buffalo = t1.elapsed().as_secs_f64();
@@ -225,7 +225,6 @@ pub fn fig12(quick: bool) {
     }
     t.print();
     println!("(paper: Buffalo up to 8x faster block generation; 10x claimed in §I)");
-    let _ = RTX6000_GIB;
 }
 
 /// Staged-pipeline experiment: the real `Engine::buffalo` (dense math, not
@@ -245,12 +244,8 @@ pub fn pipeline_train(quick: bool) {
         // Real dense math on the CPU: keep the batch and shape light.
         let w = load_workload_with(name, if quick { 256 } else { 512 }, vec![5, 10], 42);
         let shape = w.shape(32, AggregatorKind::Mean);
-        let blocks = generate_blocks_fast(
-            &w.batch.graph,
-            w.batch.num_seeds,
-            shape.num_layers,
-            GenerateOptions::default(),
-        );
+        let blocks =
+            BlockWalker::default().whole_batch(&w.batch.graph, w.batch.num_seeds, shape.num_layers);
         // Three quarters of the whole-batch footprint forces a split.
         let budget = measure::training_memory(&blocks, &shape).total() * 3 / 4;
         let config = TrainConfig {

@@ -5,7 +5,8 @@ use buffalo_graph::{CsrGraph, NodeId};
 use std::collections::BTreeMap;
 
 /// Options for [`generate_blocks_fast`]. There are none left to set; the
-/// type stays so that call sites keep reading `GenerateOptions::default()`.
+/// type stays only because the standing benchmark's traced replay still
+/// names it, and goes with that replay's move onto [`BlockWalker`].
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct GenerateOptions {}
@@ -21,7 +22,9 @@ pub struct GenerateOptions {}
 /// Each destination's sources are read *directly from its CSR row* of the
 /// sampled subgraph — there is no re-validation against the original graph
 /// ("avoiding repeated connection checks"). This is
-/// [`BlockWalker::whole_batch`] on a fresh walker.
+/// [`BlockWalker::whole_batch`] on a fresh walker, which every caller in
+/// the workspace uses instead; the function stays only for the standing
+/// benchmark's traced replay.
 ///
 /// # Panics
 ///

@@ -119,7 +119,7 @@ impl ReachSets {
 /// with aggregation depth `depth`, against the sampled `batch` graph.
 ///
 /// Returned layers are ordered input layer first, matching
-/// `buffalo_blocks::generate_blocks_fast` output and
+/// `buffalo_blocks::BlockWalker` output and
 /// [`buffalo_memsim::measure::training_memory`] expectations.
 ///
 /// # Panics
@@ -193,7 +193,7 @@ fn for_each_bit(words: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+    use buffalo_blocks::BlockWalker;
     use buffalo_graph::{generators, GraphBuilder};
     use buffalo_memsim::estimate::mem_from_counts;
     use buffalo_memsim::{measure, AggregatorKind, GnnShape};
@@ -206,7 +206,7 @@ mod tests {
         let g = generators::barabasi_albert(1_500, 6, 0.4, 3).unwrap();
         let seeds: Vec<NodeId> = (0..200).collect();
         let batch = BatchSampler::new(vec![8, 12]).sample(&g, &seeds, 9);
-        let blocks = generate_blocks_fast(&batch.graph, 200, 2, GenerateOptions::default());
+        let blocks = BlockWalker::default().whole_batch(&batch.graph, 200, 2);
         let mut scratch = ClosureScratch::default();
         let counts = closure_counts(&batch.graph, &(0..200).collect::<Vec<_>>(), 2, &mut scratch);
         assert_eq!(counts.layers.len(), blocks.len());

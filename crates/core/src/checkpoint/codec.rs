@@ -93,12 +93,12 @@ pub fn decode(bytes: &[u8], path: &Path) -> Result<TrainSnapshot, CheckpointErro
     let epoch = r.u64()?;
     let epoch_iter = r.u64()?;
     let global_iter = r.u64()?;
-    let num_devices = r.len_prefix("device alloc list")?;
+    let num_devices = r.len_prefix("device alloc list", 8)?;
     let mut device_allocs = Vec::with_capacity(num_devices);
     for _ in 0..num_devices {
         device_allocs.push(r.u64()?);
     }
-    let num_dead = r.len_prefix("dead device list")?;
+    let num_dead = r.len_prefix("dead device list", 8)?;
     let mut dead_devices = Vec::with_capacity(num_dead);
     for _ in 0..num_dead {
         dead_devices.push(r.u64()?);
@@ -108,19 +108,18 @@ pub fn decode(bytes: &[u8], path: &Path) -> Result<TrainSnapshot, CheckpointErro
     let epoch_acc_sum = f64::from_bits(r.u64()?);
     let adam_t = r.u64()?;
     let headroom_multiplier = f64::from_bits(r.u64()?);
-    let trail_len = r.len_prefix("loss trail")?;
+    let trail_len = r.len_prefix("loss trail", 4)?;
     let mut loss_trail = Vec::with_capacity(trail_len);
     for _ in 0..trail_len {
         loss_trail.push(f32::from_bits(r.u32()?));
     }
-    let num_params = r.len_prefix("param list")?;
+    let num_params = r.len_prefix("param list", 8)?;
     let mut params = Vec::with_capacity(num_params);
     for _ in 0..num_params {
         let rows = r.u32()?;
         let cols = r.u32()?;
-        let n = (rows as usize)
-            .checked_mul(cols as usize)
-            .ok_or_else(|| r.corrupt("param shape overflows"))?;
+        // Value, first and second moment: three floats per entry.
+        let n = r.bounded(rows as u64 * cols as u64, 12, "param shape")?;
         let mut tensors = [Vec::new(), Vec::new(), Vec::new()];
         for t in &mut tensors {
             t.reserve(n);
@@ -196,14 +195,21 @@ impl Reader<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// A u64 length prefix, sanity-bounded by the bytes actually left so
-    /// a corrupt length cannot trigger a huge allocation.
-    fn len_prefix(&mut self, what: &str) -> Result<usize, CheckpointError> {
-        let n = self.u64()? as usize;
-        if n > self.bytes.len() - self.pos {
-            return Err(self.corrupt(&format!("implausible {what} length {n}")));
+    /// A u64 length prefix of items at least `width` bytes each, bounded
+    /// as [`Reader::bounded`] bounds it.
+    fn len_prefix(&mut self, what: &str, width: u64) -> Result<usize, CheckpointError> {
+        let n = self.u64()?;
+        self.bounded(n, width, what)
+    }
+
+    /// `n` items of `width` bytes, checked against the bytes actually left
+    /// so a corrupt count cannot trigger a huge allocation.
+    fn bounded(&self, n: u64, width: u64, what: &str) -> Result<usize, CheckpointError> {
+        let left = self.bytes.len().saturating_sub(self.pos) as u64;
+        match n.checked_mul(width) {
+            Some(len) if len <= left => Ok(n as usize),
+            _ => Err(self.corrupt(&format!("implausible {what} length {n}"))),
         }
-        Ok(n)
     }
 }
 
@@ -251,6 +257,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     pub(crate) fn sample_snapshot() -> TrainSnapshot {
@@ -339,10 +346,40 @@ mod tests {
         // Patch the version field (right after the magic) and re-seal the
         // CRC so only the version check can object.
         bytes[8] = 99;
+        let err = decode(&resealed(bytes), &PathBuf::from("mem")).unwrap_err();
+        assert!(err.to_string().contains("version 99"), "{err}");
+    }
+
+    /// `bytes` with the CRC footer recomputed over the rest.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
         let body_len = bytes.len() - 4;
         let crc = crc32(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&crc);
-        let err = decode(&bytes, &PathBuf::from("mem")).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        bytes
+    }
+
+    #[test]
+    fn a_param_shape_larger_than_the_file_is_an_error() {
+        let mut bytes = encode(&sample_snapshot());
+        // The first param's `rows`: after the header, the two device
+        // lists, five scalars and the loss trail.
+        let at = 8 + 4 + 4 * 8 + (8 + 16) + (8 + 8) + 5 * 8 + (8 + 16) + 8;
+        assert_eq!(bytes[at..at + 8], [2, 0, 0, 0, 3, 0, 0, 0]);
+        // 2^20 x 2^20 entries: 12 TiB the file does not hold.
+        bytes[at..at + 8].copy_from_slice(&[0, 0, 0x10, 0, 0, 0, 0x10, 0]);
+        let err = decode(&resealed(bytes), &PathBuf::from("mem")).unwrap_err();
+        assert!(err.to_string().contains("implausible param shape"), "{err}");
+    }
+
+    proptest! {
+        /// A valid snapshot with one byte replaced and the CRC re-sealed
+        /// decodes or is rejected; it never panics or aborts.
+        #[test]
+        fn decoding_a_resealed_mutation_is_total(at in 0usize..1_024, byte in 0u16..256) {
+            let mut bytes = encode(&sample_snapshot());
+            let at = at % (bytes.len() - 4);
+            bytes[at] = byte as u8;
+            let _ = decode(&resealed(bytes), &PathBuf::from("mem"));
+        }
     }
 }

@@ -534,7 +534,7 @@ pub fn serve_trace(
     for &idx in &queue.missed {
         output.u64(idx as u64);
     }
-    let report = ServeReport {
+    Ok(ServeReport {
         num_admitted: n,
         num_batches,
         num_micro_batches,
@@ -550,13 +550,7 @@ pub fn serve_trace(
         shed: queue.shed,
         deadline_missed: queue.missed,
         requests: served,
-    };
-    debug_assert_eq!(
-        report.num_admitted,
-        report.requests.len() + report.shed.len() + report.deadline_missed.len(),
-        "admission accounting must be exact"
-    );
-    Ok(report)
+    })
 }
 
 #[cfg(test)]
@@ -566,6 +560,7 @@ mod tests {
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, FaultPlan, FaultyDevice, GnnShape};
     use buffalo_par::Parallelism;
+    use proptest::prelude::*;
 
     fn engine_and_ds() -> (Engine, Dataset) {
         let ds = datasets::load(DatasetName::Cora, 7);
@@ -1126,5 +1121,52 @@ mod tests {
             serve_trace(&engine, &ds, &device, &cost, &past_the_end, &cfg),
             Err(TrainError::InvalidConfig(_))
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Admission accounting under any coalescing width, queue bound,
+        /// shed policy, deadline and trace: every offered request is
+        /// completed, shed or missed — exactly one of the three — and a
+        /// completed request's class is the one an unconstrained run gives
+        /// it.
+        #[test]
+        fn admission_accounts_for_every_request(
+            max_batch in 1usize..16,
+            queue in (0usize..2, 1usize..12),
+            shed_oldest in 0usize..2,
+            deadline in (0usize..2, 5u64..201),
+            (n, rate, seed) in (1usize..65, 100.0f64..100_000.0, 0u64..1_000),
+        ) {
+            let (engine, ds) = engine_and_ds();
+            let device = DeviceMemory::with_gib(24.0);
+            let cost = CostModel::rtx6000();
+            let trace = RequestTrace::poisson(n, rate, ds.graph.num_nodes(), seed).unwrap();
+            let cfg = ServeConfig {
+                max_batch,
+                max_wait: 0.001,
+                queue_depth: if queue.0 == 0 { usize::MAX } else { queue.1 },
+                shed_policy: [ShedPolicy::RejectNewest, ShedPolicy::ShedOldest][shed_oldest],
+                deadline: (deadline.0 == 1).then_some(deadline.1 as f64 / 1_000.0),
+                ..ServeConfig::default()
+            };
+            let r = serve_trace(&engine, &ds, &device, &cost, &trace, &cfg).unwrap();
+            let unconstrained = ServeConfig::default();
+            let free = serve_trace(&engine, &ds, &device, &cost, &trace, &unconstrained).unwrap();
+            prop_assert_eq!(
+                r.num_admitted,
+                r.requests.len() + r.shed.len() + r.deadline_missed.len()
+            );
+            let mut ledgers: Vec<usize> = r.requests.iter().map(|q| q.index).collect();
+            ledgers.extend(r.shed.iter().chain(&r.deadline_missed));
+            ledgers.sort_unstable();
+            prop_assert_eq!(ledgers, (0..n).collect::<Vec<_>>());
+            let class: BTreeMap<usize, u32> =
+                free.requests.iter().map(|q| (q.index, q.class)).collect();
+            for q in &r.requests {
+                prop_assert_eq!(class.get(&q.index), Some(&q.class), "index {}", q.index);
+            }
+        }
     }
 }

@@ -200,7 +200,8 @@ pub(crate) fn infer_with_recovery(
     }
     // Rung: re-split. Cut the batch in half by seed and retry each half
     // recursively. Isolated sampling makes the halves exact sub-copies,
-    // so answers cannot move.
+    // so answers cannot move. A half is restricted to a `Batch` of its
+    // own because `Engine::infer` plans and walks whole batches.
     if depth < policy.max_resplits && batch.num_seeds > 1 {
         let mid = batch.num_seeds.div_ceil(2);
         let action = RecoveryAction::Resplit {

@@ -48,7 +48,8 @@ impl RequestTrace {
     /// # Errors
     ///
     /// [`TrainError::InvalidConfig`] when `n == 0`, `rate_hz` is not
-    /// positive/finite, or `num_nodes == 0`.
+    /// positive/finite, `num_nodes == 0`, or `n` requests do not fit in
+    /// memory.
     pub fn poisson(
         n: usize,
         rate_hz: f64,
@@ -72,7 +73,10 @@ impl RequestTrace {
         }
         let mut state = seed;
         let mut t = 0.0f64;
-        let mut requests = Vec::with_capacity(n);
+        let mut requests = Vec::new();
+        requests.try_reserve_exact(n).map_err(|e| {
+            TrainError::InvalidConfig(format!("a trace of {n} requests does not fit: {e}"))
+        })?;
         for _ in 0..n {
             t += -unit_open(splitmix64(&mut state)).ln() / rate_hz;
             let node = (splitmix64(&mut state) % num_nodes as u64) as NodeId;
@@ -126,6 +130,8 @@ impl RequestTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn trace_generation_is_seeded_and_ordered() {
@@ -197,5 +203,49 @@ mod tests {
                 .len(),
             4
         );
+    }
+
+    #[test]
+    fn a_trace_too_large_to_hold_is_an_error() {
+        let err = RequestTrace::parse("poisson:n=100000000000000", 500).unwrap_err();
+        assert!(err.to_string().contains("does not fit"), "{err}");
+    }
+
+    /// Spec text from pieces whose counts end in a separator, so `n` is
+    /// either small or far too large to hold — never a legitimately huge
+    /// trace.
+    const SPEC_PIECES: [&str; 14] = [
+        "poisson",
+        "uniform",
+        ":",
+        "n=",
+        "rate=",
+        "seed=",
+        "4,",
+        "64,",
+        "0,",
+        "-1,",
+        "1e3,",
+        "100000000000000,",
+        "=",
+        " ",
+    ];
+
+    proptest! {
+        /// A spec, arbitrary or assembled from the pieces above, parses or
+        /// is rejected; it never panics or aborts.
+        #[test]
+        fn trace_spec_parsing_is_total(
+            raw in vec(0u16..256, 0..256),
+            pieces in vec(0usize..SPEC_PIECES.len(), 0..24),
+            num_nodes in 0usize..4,
+        ) {
+            let raw: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            let _ = RequestTrace::parse(&String::from_utf8_lossy(&raw), num_nodes);
+            let spec: String = pieces.iter().map(|&i| SPEC_PIECES[i]).collect();
+            if let Ok(trace) = RequestTrace::parse(&spec, num_nodes) {
+                prop_assert!(trace.requests.len() <= 256);
+            }
+        }
     }
 }

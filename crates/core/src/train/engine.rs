@@ -439,9 +439,8 @@ mod tests {
 
     /// A budget that forces the scheduler to split `batch`.
     fn splitting_budget(batch: &Batch, shape: &GnnShape) -> u64 {
-        use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
         let blocks =
-            generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
+            buffalo_blocks::BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
         buffalo_memsim::measure::training_memory(&blocks, shape).total() * 3 / 4
     }
 

@@ -7,7 +7,7 @@ use crate::checkpoint::{
 use crate::models::GnnModel;
 use crate::train::{gather, Engine, RecoveryEvent};
 use crate::TrainError;
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+use buffalo_blocks::BlockWalker;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device, StageTimings};
@@ -334,12 +334,7 @@ pub fn evaluate(
 ) -> f32 {
     assert!(!nodes.is_empty(), "evaluation set must be non-empty");
     let batch = BatchSampler::new(fanouts.to_vec()).sample(&ds.graph, nodes, seed);
-    let blocks = generate_blocks_fast(
-        &batch.graph,
-        batch.num_seeds,
-        fanouts.len(),
-        GenerateOptions::default(),
-    );
+    let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, fanouts.len());
     let data = gather(ds, &batch, &blocks);
     let logits = model.logits(&blocks, &data.features);
     let out = softmax_cross_entropy(&logits, &data.labels, None);

@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use crate::models::GnnModel;
     use crate::TrainError;
-    use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+    use buffalo_blocks::BlockWalker;
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{measure, AggregatorKind, CostModel, Device, DeviceMemory};
     use buffalo_sampling::BatchSampler;
@@ -155,8 +155,7 @@ mod tests {
 
     /// A budget that forces the Buffalo scheduler to split this batch.
     fn splitting_budget(batch: &Batch, shape: &GnnShape) -> u64 {
-        let blocks =
-            generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
+        let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
         measure::training_memory(&blocks, shape).total() * 3 / 4
     }
 

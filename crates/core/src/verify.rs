@@ -13,7 +13,7 @@
 use crate::models::GnnModel;
 use crate::train::{gather, TrainConfig};
 use crate::TrainError;
-use buffalo_blocks::{generate_blocks_fast, GenerateOptions};
+use buffalo_blocks::{Block, BlockWalker};
 use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::datasets::Dataset;
 use buffalo_sampling::Batch;
@@ -42,25 +42,20 @@ impl EquivalenceReport {
     }
 }
 
-/// Runs forward + backward over `blocks_of` a (micro-)batch, accumulating
-/// gradients into `model`; returns the summed (not averaged) loss.
+/// Runs forward + backward over the `blocks` of a (micro-)batch of
+/// `batch`, accumulating gradients into `model`; returns the summed (not
+/// averaged) loss.
 fn accumulate(
     model: &mut GnnModel,
     ds: &Dataset,
     batch: &Batch,
-    depth: usize,
+    blocks: &[Block],
     divisor: usize,
 ) -> f64 {
-    let blocks = generate_blocks_fast(
-        &batch.graph,
-        batch.num_seeds,
-        depth,
-        GenerateOptions::default(),
-    );
-    let data = gather(ds, batch, &blocks);
-    let (logits, cache) = model.forward(&blocks, &data.features);
+    let data = gather(ds, batch, blocks);
+    let (logits, cache) = model.forward(blocks, &data.features);
     let out = softmax_cross_entropy(&logits, &data.labels, Some(divisor));
-    model.backward(&blocks, &cache, &out.dlogits);
+    model.backward(blocks, &cache, &out.dlogits);
     out.loss as f64 * data.labels.len() as f64
 }
 
@@ -79,10 +74,14 @@ pub fn verify_gradient_equivalence(
 ) -> Result<EquivalenceReport, TrainError> {
     let depth = config.shape.num_layers;
     let n = batch.num_seeds;
+    // Both runs build their blocks as the engine does: off the batch's
+    // rows, node ids local to `batch`.
+    let mut walker = BlockWalker::default();
     // Whole-batch gradient.
     let mut whole = GnnModel::for_shape(&config.shape, config.seed);
     whole.zero_grad();
-    let whole_loss = accumulate(&mut whole, ds, batch, depth, n) / n as f64;
+    let blocks = walker.whole_batch(&batch.graph, n, depth);
+    let whole_loss = accumulate(&mut whole, ds, batch, &blocks, n) / n as f64;
     // Micro-batch gradient accumulation over a Buffalo plan.
     let scheduler = BuffaloScheduler::new(config.shape.clone(), config.fanouts.clone(), clustering);
     let plan = scheduler.schedule(&batch.graph, batch.num_seeds, budget_bytes)?;
@@ -91,8 +90,8 @@ pub fn verify_gradient_equivalence(
     let mut micro_loss = 0.0f64;
     let mut micro_batches = 0usize;
     for group in plan.groups.iter().filter(|g| !g.is_empty()) {
-        let m = batch.restrict_to_seeds(group);
-        micro_loss += accumulate(&mut micro, ds, &m, depth, n);
+        let blocks = walker.micro_batch(&batch.graph, n, group, depth);
+        micro_loss += accumulate(&mut micro, ds, batch, &blocks, n);
         micro_batches += 1;
     }
     micro_loss /= n as f64;
@@ -141,8 +140,7 @@ mod tests {
             seed: 5,
             parallelism: buffalo_par::Parallelism::auto(),
         };
-        let blocks =
-            generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
+        let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
         let whole = measure::training_memory(&blocks, &config.shape).total();
         (ds, batch, config, whole * 7 / 10)
     }
@@ -174,8 +172,10 @@ mod tests {
 
     #[test]
     fn lstm_gradients_are_equivalent() {
-        // Order-sensitive aggregation: requires the order-preserving
-        // micro-batch relabeling in `Batch::restrict_to_seeds`.
+        // Order-sensitive aggregation: the LSTM reads each neighbour list
+        // in the order `BlockWalker::micro_batch`'s row partition leaves
+        // it — the batch row's order with the micro-batch's own seeds
+        // stably moved first.
         check(AggregatorKind::Lstm);
     }
 
@@ -192,8 +192,9 @@ mod tests {
         let mut b = GnnModel::for_shape(&config.shape, 999);
         a.zero_grad();
         b.zero_grad();
-        let _ = accumulate(&mut a, &ds, &batch, 2, batch.num_seeds);
-        let _ = accumulate(&mut b, &ds, &batch, 2, batch.num_seeds);
+        let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
+        let _ = accumulate(&mut a, &ds, &batch, &blocks, batch.num_seeds);
+        let _ = accumulate(&mut b, &ds, &batch, &blocks, batch.num_seeds);
         let mut worst = 0.0f64;
         for (x, y) in a.params_mut().iter().zip(b.params_mut().iter()) {
             for (&u, &v) in x.grad.data().iter().zip(y.grad.data()) {

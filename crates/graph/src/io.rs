@@ -10,6 +10,7 @@ use crate::error::GraphError;
 use crate::GraphBuilder;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::slice::ChunksExact;
 
 /// Magic header of the binary CSR format.
 const MAGIC: &[u8; 8] = b"BUFCSR01";
@@ -48,7 +49,6 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
     let r = BufReader::new(r);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     let mut declared_nodes: Option<usize> = None;
-    let mut max_id: u64 = 0;
     for (lineno, line) in r.lines().enumerate() {
         let line = line.map_err(|e| invalid(format!("line {}: {e}", lineno + 1)))?;
         let line = line.trim();
@@ -75,7 +75,6 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
         let d: u64 = d
             .parse()
             .map_err(|_| invalid(format!("line {}: bad dst `{d}`", lineno + 1)))?;
-        max_id = max_id.max(s).max(d);
         if s > NodeId::MAX as u64 || d > NodeId::MAX as u64 {
             return Err(GraphError::NodeOutOfRange {
                 node: s.max(d),
@@ -84,12 +83,13 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
         }
         edges.push((s as NodeId, d as NodeId));
     }
-    let inferred = if edges.is_empty() {
-        0
-    } else {
-        max_id as usize + 1
-    };
-    let n = declared_nodes.unwrap_or(inferred).max(inferred);
+    let inferred = edges.iter().map(|&(s, d)| s.max(d) as usize + 1).max();
+    let n = declared_nodes.max(inferred).unwrap_or(0);
+    // Ids are `NodeId`s: a larger declared count names nodes no line can
+    // reach, and would size the row table off the header alone.
+    if n > NodeId::MAX as usize + 1 {
+        return Err(invalid(format!("{n} nodes exceed the id range")));
+    }
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     b.extend_edges(edges);
     Ok(b.build_directed())
@@ -114,47 +114,50 @@ pub fn write_binary<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads a graph from the compact binary CSR format.
+/// Reads a graph from the compact binary CSR format. Every count in the
+/// header is bounded by the bytes that follow it, so a corrupt header
+/// cannot size an allocation beyond the file.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::InvalidParameter`] on magic/shape mismatches or
 /// I/O failure.
-pub fn read_binary<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
+pub fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, GraphError> {
     let invalid = |message: &str| GraphError::InvalidParameter {
         name: "binary_csr",
         message: message.to_owned(),
     };
-    let mut r = BufReader::new(r);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|_| invalid("truncated header"))?;
-    if &magic != MAGIC {
-        return Err(invalid("bad magic"));
-    }
-    let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut BufReader<R>| -> Result<u64, GraphError> {
-        r.read_exact(&mut u64buf)
-            .map_err(|_| invalid("truncated body"))?;
-        Ok(u64::from_le_bytes(u64buf))
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)
+        .map_err(|e| invalid(&e.to_string()))?;
+    let body = match bytes.strip_prefix(MAGIC) {
+        Some(body) => body,
+        None if bytes.len() < MAGIC.len() => return Err(invalid("truncated header")),
+        None => return Err(invalid("bad magic")),
     };
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
-    }
-    let mut neighbors = Vec::with_capacity(m);
-    let mut u32buf = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut u32buf)
-            .map_err(|_| invalid("truncated neighbors"))?;
-        neighbors.push(NodeId::from_le_bytes(u32buf));
-    }
-    if offsets.last() != Some(&m) || offsets.windows(2).any(|w| w[0] > w[1]) {
+    // `count` words of `width` bytes from `at`, if the file holds them.
+    let words = |at: usize, count: u64, width: usize| -> Option<ChunksExact<u8>> {
+        let len = usize::try_from(count).ok()?.checked_mul(width)?;
+        Some(body.get(at..at.checked_add(len)?)?.chunks_exact(width))
+    };
+    let u64_of = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap_or_default());
+    let mut header = words(0, 2, 8).ok_or_else(|| invalid("truncated body"))?;
+    let (n, m) = (
+        header.next().map_or(0, u64_of),
+        header.next().map_or(0, u64_of),
+    );
+    let offsets: Vec<usize> = (n.checked_add(1).and_then(|len| words(16, len, 8)))
+        .ok_or_else(|| invalid("truncated body"))?
+        .map(|w| u64_of(w) as usize)
+        .collect();
+    let neighbors: Vec<NodeId> = words(16 + 8 * offsets.len(), m, 4)
+        .ok_or_else(|| invalid("truncated neighbors"))?
+        .map(|w| NodeId::from_le_bytes(w.try_into().unwrap_or_default()))
+        .collect();
+    if offsets.last() != Some(&neighbors.len()) || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(invalid("inconsistent offsets"));
     }
-    if neighbors.iter().any(|&u| (u as usize) >= n) {
+    if neighbors.iter().any(|&u| u as u64 >= n) {
         return Err(invalid("neighbor id out of range"));
     }
     Ok(CsrGraph::from_parts(offsets, neighbors))
@@ -191,6 +194,8 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> CsrGraph {
         generators::barabasi_albert(300, 4, 0.3, 5).unwrap()
@@ -251,6 +256,80 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(read_binary(&bad[..]).is_err());
+    }
+
+    #[test]
+    fn a_node_count_beyond_the_id_range_is_an_error() {
+        let err = read_edge_list("# nodes 1000000000000\n0 1\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("exceed the id range"), "{err}");
+    }
+
+    /// A binary header declaring `n` nodes and `m` edges, and nothing else.
+    fn header_only(n: u64, m: u64) -> Vec<u8> {
+        [&MAGIC[..], &n.to_le_bytes(), &m.to_le_bytes()].concat()
+    }
+
+    #[test]
+    fn a_header_larger_than_its_file_is_an_error() {
+        for (n, m) in [(1 << 40, 0), (u64::MAX, 0), (0, u64::MAX), (1, 1 << 40)] {
+            let err = read_binary(&header_only(n, m)[..]).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "n={n} m={m}: {err}");
+        }
+    }
+
+    /// Lines of edge-list text from pieces that end in a separator, so
+    /// numbers never run together into a legitimately huge id.
+    const TEXT_PIECES: [&str; 16] = [
+        "0 ",
+        "1 ",
+        "17 ",
+        "255\n",
+        "3\n",
+        "\n",
+        "# nodes 300\n",
+        "# nodes 1000000000000\n",
+        "#",
+        "nodes ",
+        "x ",
+        "-1 ",
+        "4294967297 ",
+        "99999999999999999999\n",
+        "\t",
+        "2.5 ",
+    ];
+
+    proptest! {
+        /// Edge-list text, arbitrary or assembled from the pieces above,
+        /// parses or is rejected; it never panics or aborts.
+        #[test]
+        fn edge_list_parsing_is_total(
+            raw in vec(0u16..256, 0..256),
+            pieces in vec(0usize..TEXT_PIECES.len(), 0..40),
+        ) {
+            let raw: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            let _ = read_edge_list(&raw[..]);
+            let text: String = pieces.iter().map(|&i| TEXT_PIECES[i]).collect();
+            if let Ok(g) = read_edge_list(text.as_bytes()) {
+                prop_assert!(g.num_nodes() <= 1_000);
+            }
+        }
+
+        /// Arbitrary bytes behind the magic, and a valid file with one
+        /// byte replaced, parse or are rejected; they never panic or abort.
+        #[test]
+        fn binary_parsing_is_total(
+            body in vec(0u16..256, 0..248),
+            at in 0usize..4_096,
+            byte in 0u16..256,
+        ) {
+            let body: Vec<u8> = body.into_iter().map(|b| b as u8).collect();
+            let _ = read_binary(&[&MAGIC[..], &body].concat()[..]);
+            let mut file = Vec::new();
+            write_binary(&generators::barabasi_albert(20, 2, 0.3, 1).unwrap(), &mut file).unwrap();
+            let at = at % file.len();
+            file[at] = byte as u8;
+            let _ = read_binary(&file[..]);
+        }
     }
 
     #[test]

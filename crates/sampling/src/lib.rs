@@ -79,11 +79,12 @@ impl Batch {
 
     /// Restricts the batch to a subset of its seeds, re-sampling nothing:
     /// the result contains the chosen seeds plus every batch node reachable
-    /// from them through sampled in-edges within `depth()` hops. This is the
-    /// primitive micro-batch extraction of output-layer partitioning; the
-    /// trainers build a micro-batch's blocks straight from the batch
-    /// (`buffalo_blocks::BlockWalker::micro_batch`) and are tested against
-    /// block generation over this method's result.
+    /// from them through sampled in-edges within `depth()` hops. Buffalo
+    /// never calls it to build blocks: those come straight from the batch
+    /// (`buffalo_blocks::BlockWalker::micro_batch`), tested against block
+    /// generation over this method's result. Its callers are Betty's
+    /// modelled connection check, the serving ladder's halving rung and the
+    /// standing benchmark's traced replay.
     ///
     /// The result has the shape [`BatchSampler::sample`] itself produces:
     /// nodes reached before the last hop keep their whole row (every

@@ -2,7 +2,7 @@
 //! sample → bucket → schedule → extract → generate pipeline under random
 //! graphs, seed sets, and budgets.
 
-use buffalo::blocks::{generate_blocks_checked, generate_blocks_fast, GenerateOptions};
+use buffalo::blocks::{generate_blocks_checked, BlockWalker};
 use buffalo::bucketing::{closure_counts, BuffaloScheduler, ClosureScratch};
 use buffalo::core::checkpoint::TrainerState;
 use buffalo::core::serve::{serve_trace, RequestTrace, ServeConfig};
@@ -56,10 +56,9 @@ proptest! {
         all.sort_unstable();
         prop_assert_eq!(all, seeds.clone());
         // (b) measured fit
+        let mut walker = BlockWalker::default();
         for group in plan.groups.iter().filter(|g| !g.is_empty()) {
-            let micro = batch.restrict_to_seeds(group);
-            let blocks =
-                generate_blocks_fast(&micro.graph, micro.num_seeds, 2, GenerateOptions::default());
+            let blocks = walker.micro_batch(&batch.graph, batch.num_seeds, group, 2);
             let actual = measure::training_memory(&blocks, &shape).total();
             prop_assert!(
                 actual <= budget,
@@ -137,9 +136,7 @@ proptest! {
         let seeds: Vec<NodeId> = (0..60).collect();
         let batch = BatchSampler::new(vec![5, 5]).sample(&g, &seeds, 9);
         let subset: Vec<NodeId> = (0..take.min(60) as NodeId).collect();
-        let micro = batch.restrict_to_seeds(&subset);
-        let blocks =
-            generate_blocks_fast(&micro.graph, micro.num_seeds, 2, GenerateOptions::default());
+        let blocks = BlockWalker::default().micro_batch(&batch.graph, batch.num_seeds, &subset, 2);
         let out = blocks.last().unwrap();
         for (i, &s) in subset.iter().enumerate() {
             prop_assert_eq!(
@@ -158,8 +155,7 @@ proptest! {
         let g = generators::barabasi_albert(300, 4, 0.2, graph_seed).unwrap();
         let seeds: Vec<NodeId> = (0..40).collect();
         let batch = BatchSampler::new(vec![fanout, fanout]).sample(&g, &seeds, 1);
-        let fast =
-            generate_blocks_fast(&batch.graph, batch.num_seeds, 2, GenerateOptions::default());
+        let fast = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
         let checked =
             generate_blocks_checked(&batch.graph, &batch.global_ids, &g, batch.num_seeds, 2);
         prop_assert_eq!(fast.len(), checked.len());

@@ -1,7 +1,7 @@
 //! Integration tests for the scheduler against real dataset stand-ins:
 //! budget sweeps, plan invariants, and estimator quality.
 
-use buffalo::blocks::{generate_blocks_fast, GenerateOptions};
+use buffalo::blocks::BlockWalker;
 use buffalo::bucketing::{
     closure_counts, BuffaloScheduler, ClosureScratch, ScheduleError, SchedulePlan,
 };
@@ -40,12 +40,13 @@ fn fixture(name: DatasetName, num_seeds: u32, hidden: usize) -> Fixture {
 }
 
 fn whole_mem(f: &Fixture) -> u64 {
-    let blocks = generate_blocks_fast(
-        &f.batch.graph,
-        f.batch.num_seeds,
-        2,
-        GenerateOptions::default(),
-    );
+    let blocks = BlockWalker::default().whole_batch(&f.batch.graph, f.batch.num_seeds, 2);
+    measure::training_memory(&blocks, &f.shape).total()
+}
+
+/// The exact memory of the micro-batch whose output nodes are `group`.
+fn group_mem(f: &Fixture, walker: &mut BlockWalker, group: &[NodeId]) -> u64 {
+    let blocks = walker.micro_batch(&f.batch.graph, f.batch.num_seeds, group, 2);
     measure::training_memory(&blocks, &f.shape).total()
 }
 
@@ -88,11 +89,9 @@ fn every_plan_group_fits_its_budget_exactly_measured() {
     let plan = scheduler
         .schedule(&f.batch.graph, f.batch.num_seeds, budget)
         .expect("1/3 budget feasible");
+    let mut walker = BlockWalker::default();
     for group in plan.groups.iter().filter(|g| !g.is_empty()) {
-        let micro = f.batch.restrict_to_seeds(group);
-        let blocks =
-            generate_blocks_fast(&micro.graph, micro.num_seeds, 2, GenerateOptions::default());
-        let actual = measure::training_memory(&blocks, &f.shape).total();
+        let actual = group_mem(&f, &mut walker, group);
         assert!(
             actual <= budget,
             "group of {} outputs measures {actual} over budget {budget}",
@@ -133,14 +132,12 @@ fn group_estimates_track_measured_memory() {
         .schedule(&f.batch.graph, f.batch.num_seeds, whole_mem(&f) / 4 + 1)
         .expect("1/4 budget feasible");
     let mut worst = 0.0f64;
+    let mut walker = BlockWalker::default();
     for (group, &est) in plan.groups.iter().zip(&plan.group_estimates) {
         if group.is_empty() {
             continue;
         }
-        let micro = f.batch.restrict_to_seeds(group);
-        let blocks =
-            generate_blocks_fast(&micro.graph, micro.num_seeds, 2, GenerateOptions::default());
-        let actual = measure::training_memory(&blocks, &f.shape).total();
+        let actual = group_mem(&f, &mut walker, group);
         worst = worst.max(estimate::relative_error(est, actual));
     }
     assert!(worst < 0.35, "worst estimation error {:.1}%", 100.0 * worst);

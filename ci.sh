@@ -288,6 +288,19 @@ if [ "$s1" != "$s2" ]; then
 fi
 echo "ci: buffalo serve replay byte-identical"
 
+# Serving pinned on arxiv: a 2 000-request trace (~1 s) on the f32
+# feature path, where every gathered row is synthesised, must answer and
+# time every request as the golden records — the cora runs above only
+# compare with each other.
+arxiv=$(cargo run -q --release --bin buffalo -- serve ogbn-arxiv \
+  --trace 'poisson:n=2000,rate=1024' | grep -E '^(answers|digest):')
+if [ "$arxiv" != "$(cat tests/golden/serve_arxiv_answers.txt)" ]; then
+  echo "ci: FAIL — arxiv serve diverged from tests/golden/serve_arxiv_answers.txt" >&2
+  diff tests/golden/serve_arxiv_answers.txt <(printf '%s\n' "$arxiv") >&2 || true
+  exit 1
+fi
+echo "ci: arxiv serve answers and digest match the golden"
+
 # Chaos-serve smoke: injected transient faults must not drop a single
 # admitted request or move one answer bit — only latencies may change.
 # The `answers:` digest folds (index, node, class) per completed request.

@@ -152,7 +152,10 @@ impl SageLayer {
                 let mut p = proj.forward(&h_src);
                 let proj_mask = activate(&mut p, true, keep);
                 let mut agg = Tensor::zeros(n_dst, dim);
-                let mut argmax = vec![vec![u32::MAX; dim]; n_dst];
+                // Only backward reads the argmax rows, so inference leaves
+                // each one empty and skips its writes.
+                let arg_dim = if keep { dim } else { 0 };
+                let mut argmax = vec![vec![u32::MAX; arg_dim]; n_dst];
                 // Each destination row owns its agg row and argmax row, so
                 // row chunks can fill both in parallel; per element the max
                 // scan keeps block source order (first strict max wins).
@@ -164,9 +167,7 @@ impl SageLayer {
                         if pos.is_empty() {
                             continue;
                         }
-                        for (d, (out, slot)) in
-                            dst_row.iter_mut().zip(arg_row.iter_mut()).enumerate()
-                        {
+                        for (d, out) in dst_row.iter_mut().enumerate() {
                             let mut best = f32::NEG_INFINITY;
                             let mut best_p = u32::MAX;
                             for &q in pos {
@@ -177,7 +178,9 @@ impl SageLayer {
                                 }
                             }
                             *out = best;
-                            *slot = best_p;
+                            if let Some(slot) = arg_row.get_mut(d) {
+                                *slot = best_p;
+                            }
                         }
                     }
                 };

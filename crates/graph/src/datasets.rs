@@ -331,14 +331,48 @@ impl Dataset {
     ///
     /// Panics if `out.len()` differs from `feat_dim`.
     pub fn feature_row_into(&self, node: NodeId, out: &mut [f32]) {
+        assert_eq!(out.len(), self.spec.feat_dim, "feature row width mismatch");
+        self.feature_rows_into(&[node], out);
+    }
+
+    /// The feature synthesiser: writes the row of `nodes[i]` into row `i`
+    /// of `out` (`nodes.len() × feat_dim`, row-major). Rows go two at a
+    /// time, because one xoshiro256++ stream's serial state updates cap a
+    /// row's speed and a second, independent stream fills the gaps; an odd
+    /// last row is the one-stream case. Each row's stream and its f32
+    /// operations (each rounded on its own, never fused) are fixed by its
+    /// node alone, so the pairing never moves a bit.
+    fn feature_rows_into(&self, nodes: &[NodeId], out: &mut [f32]) {
         let dim = self.spec.feat_dim;
-        assert_eq!(out.len(), dim, "feature row width mismatch");
-        let mut rng =
-            StdRng::seed_from_u64(self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let class = self.label(node) as usize;
-        let proto = &self.prototypes[class * dim..(class + 1) * dim];
-        for (x, &p) in out.iter_mut().zip(proto) {
-            *x = 0.7 * p + 0.3 * (rng.gen::<f32>() * 2.0 - 1.0);
+        if dim == 0 {
+            return;
+        }
+        let stream = |node: NodeId| {
+            StdRng::seed_from_u64(self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        };
+        for (rows, pair) in out.chunks_mut(2 * dim).zip(nodes.chunks(2)) {
+            // Uniform draws first, the two streams side by side ...
+            let (a, b) = rows.split_at_mut(dim);
+            let mut ra = stream(pair[0]);
+            match *pair {
+                [_, second] => {
+                    let mut rb = stream(second);
+                    for (x, y) in a.iter_mut().zip(b) {
+                        *x = ra.gen::<f32>();
+                        *y = rb.gen::<f32>();
+                    }
+                }
+                _ => a.iter_mut().for_each(|x| *x = ra.gen::<f32>()),
+            }
+            // ... then each row mixed with its class prototype while it is
+            // still in cache.
+            for (row, &node) in rows.chunks_exact_mut(dim).zip(pair) {
+                let class = self.label(node) as usize;
+                let proto = &self.prototypes[class * dim..(class + 1) * dim];
+                for (x, &p) in row.iter_mut().zip(proto) {
+                    *x = 0.7 * p + 0.3 * (*x * 2.0 - 1.0);
+                }
+            }
         }
     }
 
@@ -358,8 +392,10 @@ impl Dataset {
 
     /// Fills `out` (length `nodes.len() * feat_dim`, row-major) with the
     /// feature rows for `nodes`, parallelized over disjoint output rows via
-    /// the ambient [`buffalo_par`] configuration. Rows are generated
-    /// independently, so the result is identical for any thread count.
+    /// the ambient [`buffalo_par`] configuration. Under f32 storage each
+    /// chunk of rows is synthesised two rows at a time; a row's bits depend
+    /// on its node alone, so the result is identical for any thread count
+    /// and wherever a chunk boundary splits a pair.
     ///
     /// # Panics
     ///
@@ -385,9 +421,7 @@ impl Dataset {
             return;
         }
         buffalo_par::parallel_rows(out, dim, &par, |row0, chunk| {
-            for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                self.feature_row_into(nodes[row0 + r], row);
-            }
+            self.feature_rows_into(&nodes[row0..row0 + chunk.len() / dim], chunk);
         });
     }
 
@@ -403,7 +437,8 @@ impl Dataset {
     /// Switches feature storage. `Bf16` materializes the full
     /// `nodes × feat_dim` table (2 bytes per value — ~111 MB for the
     /// largest scaled stand-in) by rounding each generated f32 row to
-    /// nearest-even bf16, parallelized over disjoint node rows; `F32`
+    /// nearest-even bf16, parallelized over disjoint node rows: each task
+    /// synthesises two rows per step into a two-row f32 scratch. `F32`
     /// drops the table and returns to on-demand generation. Idempotent.
     pub fn set_precision(&mut self, precision: FeaturePrecision) {
         match precision {
@@ -425,12 +460,15 @@ impl Dataset {
                         .enumerate()
                         .map(|(ci, chunk)| -> buffalo_par::Task<'_> {
                             Box::new(move || {
-                                // One f32 row per task, not per node.
-                                let mut wide = vec![0.0f32; dim];
-                                for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                                    let node = (ci * chunk_nodes + r) as NodeId;
-                                    this.feature_row_into(node, &mut wide);
-                                    for (h, &v) in row.iter_mut().zip(&wide) {
+                                // Two f32 rows of scratch per task, not per pair.
+                                let mut wide = vec![0.0f32; 2 * dim];
+                                let first = (ci * chunk_nodes) as NodeId;
+                                for (p, rows) in chunk.chunks_mut(2 * dim).enumerate() {
+                                    let node = first + 2 * p as NodeId;
+                                    let pair = [node, node + 1];
+                                    let wide = &mut wide[..rows.len()];
+                                    this.feature_rows_into(&pair[..rows.len() / dim], wide);
+                                    for (h, &v) in rows.iter_mut().zip(&*wide) {
                                         *h = buffalo_simd::f32_to_bf16(v);
                                     }
                                 }
@@ -578,14 +616,80 @@ mod tests {
         }
     }
 
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn threads(threads: usize) -> buffalo_par::Parallelism {
+        buffalo_par::Parallelism {
+            threads,
+            ..buffalo_par::Parallelism::auto()
+        }
+    }
+
+    /// 127 node ids over `0..n`, unsorted, the last 27 repeating the
+    /// first 27.
+    fn scrambled(n: usize) -> Vec<NodeId> {
+        (0..127u64)
+            .map(|i| ((i % 100) * 0x9E37_79B9 % n as u64) as NodeId)
+            .collect()
+    }
+
+    /// `gather_features` is `feature_row` row by row, bitwise, at every
+    /// length around the row pairing and at 1 and 3 threads (127 rows
+    /// over 3 threads puts chunk boundaries mid-pair). The FNV-1a digests
+    /// of the gathered bits were pinned before the synthesiser went two
+    /// rows at a time.
     #[test]
     fn gather_features_matches_rows() {
-        let ds = load(DatasetName::Cora, 5);
-        let nodes = [3u32, 7, 11];
-        let mut out = vec![0.0; nodes.len() * ds.spec.feat_dim];
-        ds.gather_features(&nodes, &mut out);
-        assert_eq!(&out[0..ds.spec.feat_dim], ds.feature_row(3).as_slice());
-        assert_eq!(&out[2 * ds.spec.feat_dim..], ds.feature_row(11).as_slice());
+        let pinned = [
+            (DatasetName::Cora, 0x9c0e_5ada_78ed_1406),
+            (DatasetName::OgbnArxiv, 0x9b38_e2e1_575d_6ac8),
+        ];
+        for (name, digest) in pinned {
+            let ds = load(name, 5);
+            let dim = ds.spec.feat_dim;
+            let nodes = scrambled(ds.graph.num_nodes());
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for len in [0, 1, 2, 3, 127] {
+                let nodes = &nodes[..len];
+                let mut out = vec![0.0; len * dim];
+                for t in [1, 3] {
+                    threads(t).install();
+                    out.fill(f32::NAN);
+                    ds.gather_features(nodes, &mut out);
+                    for (row, &v) in out.chunks_exact(dim).zip(nodes) {
+                        let want = bits(&ds.feature_row(v));
+                        assert_eq!(bits(row), want, "{name} node {v}, {len} rows, {t} threads");
+                    }
+                }
+                for b in out.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            assert_eq!(h, digest, "{name} gathered bits moved");
+        }
+        buffalo_par::Parallelism::auto().install();
+    }
+
+    /// The bf16 table is every node's `feature_row` rounded, at a thread
+    /// count whose chunks end mid-pair (2 708 nodes over 3 threads).
+    #[test]
+    fn bf16_table_rounds_every_row() {
+        let mut ds = load(DatasetName::Cora, 5);
+        threads(3).install();
+        ds.set_precision(FeaturePrecision::Bf16);
+        buffalo_par::Parallelism::auto().install();
+        let dim = ds.spec.feat_dim;
+        let table = ds.bf16_features.as_deref().expect("bf16 table built");
+        for (v, row) in table.chunks_exact(dim).enumerate() {
+            let want: Vec<u16> = ds
+                .feature_row(v as NodeId)
+                .into_iter()
+                .map(buffalo_simd::f32_to_bf16)
+                .collect();
+            assert_eq!(row, want, "node {v}");
+        }
     }
 
     #[test]

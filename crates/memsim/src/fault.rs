@@ -523,6 +523,8 @@ fn next_f64(state: &mut u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn drain(dev: &FaultyDevice, n: usize, bytes: u64) -> Vec<bool> {
         (0..n)
@@ -774,5 +776,78 @@ mod tests {
             }]
         );
         assert!(!plan.is_noop());
+    }
+
+    /// Each clause kind with its keys and a value each accepts (`lose`'s
+    /// keys are positional, so empty), then an unknown kind.
+    const CLAUSES: [(&str, [(&str, &str); 3]); 5] = [
+        ("transient", [("p", "0.25"), ("seed", "7"), ("nth", "5")]),
+        (
+            "shrink",
+            [("at", "10"), ("factor", "0.5"), ("restore", "30")],
+        ),
+        ("crash", [("at", "3"), ("bytes", "64"), ("torn", "1")]),
+        ("lose", [("", "1"), ("", "40"), ("", "2")]),
+        ("meteor", [("at", "1"), ("p", "0.5"), ("", "1")]),
+    ];
+    /// Values out of some key's range or type: the range edges, past
+    /// `u64::MAX`, and text that is no number at all.
+    const EDGES: [&str; 12] = [
+        "0",
+        "1",
+        "-1",
+        "nan",
+        "1e400",
+        "true",
+        "18446744073709551615",
+        "18446744073709551616",
+        " 2 ",
+        "",
+        "=",
+        "\u{e9}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// A spec, arbitrary or assembled from the vocabulary above as
+        /// `kind:key=value,...;...`, parses or is rejected; it never
+        /// panics, and what parses holds the plan's documented ranges and
+        /// orders. An assembled parameter is one of its kind's keys or
+        /// `bogus`, with the value that key accepts three times in four
+        /// and an edge value otherwise.
+        #[test]
+        fn fault_spec_parsing_is_total(
+            raw in vec(0u16..256, 0..256),
+            clauses in vec((0..CLAUSES.len(), vec((0usize..4, 0..4 * EDGES.len()), 0..4)), 0..4),
+        ) {
+            let raw: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            let _ = FaultPlan::parse(&String::from_utf8_lossy(&raw));
+            let clause = |(kind, params): &(usize, Vec<(usize, usize)>)| {
+                let (kind, keys) = CLAUSES[*kind];
+                let params: Vec<String> = params
+                    .iter()
+                    .map(|&(k, v)| {
+                        let (key, accepted) = keys.get(k).copied().unwrap_or(("bogus", "1"));
+                        let value = EDGES.get(v).copied().unwrap_or(accepted);
+                        match key {
+                            "" => value.to_owned(),
+                            key => format!("{key}={value}"),
+                        }
+                    })
+                    .collect();
+                format!("{kind}:{}", params.join(","))
+            };
+            let spec = clauses.iter().map(clause).collect::<Vec<_>>().join(";");
+            if let Ok(plan) = FaultPlan::parse(&spec) {
+                prop_assert!((0.0..1.0).contains(&plan.transient_prob));
+                prop_assert!(plan.fail_nth.windows(2).all(|w| w[0] <= w[1]));
+                prop_assert!(plan.budget_events.windows(2).all(|w| w[0].at_alloc <= w[1].at_alloc));
+                prop_assert!(plan.budget_events.iter().all(|e| (0.0..=1.0).contains(&e.factor)));
+                prop_assert!(plan.crash.is_none_or(|c| c.at_save >= 1));
+                prop_assert!(plan.device_loss.iter().all(|l| l.at_alloc >= 1));
+                let key = |l: &DeviceLoss| (l.device, l.at_alloc);
+                prop_assert!(plan.device_loss.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+            }
+        }
     }
 }

@@ -304,8 +304,16 @@ echo "ci: arxiv serve answers and digest match the golden"
 # Chaos-serve smoke: injected transient faults must not drop a single
 # admitted request or move one answer bit — only latencies may change.
 # The `answers:` digest folds (index, node, class) per completed request.
+# The fault-free run's `--json` report is pinned byte for byte.
+serve_json=$(mktemp)
 sc=$(cargo run -q --release --bin buffalo -- serve cora --budget 12M \
-  --trace 'poisson:n=64,rate=128,seed=7' --quiet-requests 1)
+  --trace 'poisson:n=64,rate=128,seed=7' --quiet-requests 1 --json "$serve_json")
+if ! diff tests/golden/serve_cora.json "$serve_json" >&2; then
+  echo "ci: FAIL — serve --json diverged from tests/golden/serve_cora.json" >&2
+  exit 1
+fi
+rm -f "$serve_json"
+echo "ci: serve --json matches tests/golden/serve_cora.json"
 sf=$(cargo run -q --release --bin buffalo -- serve cora --budget 12M \
   --trace 'poisson:n=64,rate=128,seed=7' --quiet-requests 1 \
   --faults 'transient:p=0.2,seed=11')

@@ -15,8 +15,9 @@
 //!    boosted headroom and completes every epoch.
 
 use super::light_config;
-use crate::output::{check_artifact, print_document, Json};
+use crate::output::{check_artifact, print_document};
 use buffalo_core::checkpoint::{CheckpointError, CheckpointOptions};
+use buffalo_core::json::Json;
 use buffalo_core::train::{run_epochs_checkpointed, Engine, EpochConfig, RecoveryPolicy, TrainRun};
 use buffalo_core::TrainError;
 use buffalo_graph::datasets::{self, DatasetName};

@@ -25,7 +25,8 @@
 
 use super::{light_config, lose_spec, pool, tight_budget};
 use crate::context::{load_workload_with, Workload};
-use crate::output::{check_artifact, mem, print_document, Json};
+use crate::output::{check_artifact, mem, print_document};
+use buffalo_core::json::Json;
 use buffalo_core::serve::{serve_trace, RequestTrace, ServeConfig, ServeReport, ServedRequest};
 use buffalo_core::train::{DevicePool, Engine};
 use buffalo_graph::datasets::DatasetName;
@@ -112,7 +113,7 @@ pub fn serving(write_bench: bool) -> Result<(), String> {
     let (report, _) = fx.serve(1, "", &cfg);
     let (replay, _) = fx.serve(1, "", &cfg);
     let json = report.to_json("rtx6000");
-    print!("{json}");
+    print_document(&json, "");
     println!(
         "(budget {} = 60% of the roomy peak; under budget: {}; scheduler split \
          dispatches: {}; replay digest and p99 bitwise identical: {})",
@@ -122,7 +123,7 @@ pub fn serving(write_bench: bool) -> Result<(), String> {
         report.output_digest == replay.output_digest
             && report.latency.p99.to_bits() == replay.latency.p99.to_bits()
     );
-    check_artifact("BENCH_serving.json", &json, write_bench)
+    check_artifact("BENCH_serving.json", &json.render(), write_bench)
 }
 
 /// Whether every request `r` completed got the baseline's answer for the

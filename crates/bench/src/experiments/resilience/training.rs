@@ -15,7 +15,8 @@
 
 use super::{light_config, lose_spec, pool, tight_budget, Kill};
 use crate::context::{load_workload, Workload};
-use crate::output::{check_artifact, print_document, Json};
+use crate::output::{check_artifact, print_document};
+use buffalo_core::json::Json;
 use buffalo_core::train::{Engine, RecoveryAction, RecoveryEvent, RecoveryPolicy, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{CostModel, Device};

@@ -1,4 +1,10 @@
-//! Plain-text table output for the `figures` binary.
+//! Output for the `figures` binary: plain-text tables, the `secs`/`mem`
+//! cell formatters, and the two things done with a `BENCH_*.json`
+//! document — printing it for people ([`print_document`]) and holding it
+//! against the committed file ([`check_artifact`]). The documents
+//! themselves are [`Json`] values, the library's one JSON type.
+
+use buffalo_core::json::Json;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone)]
@@ -77,121 +83,6 @@ pub fn mem(bytes: u64) -> String {
     } else {
         format!("{:.1}MB", b / (1u64 << 20) as f64)
     }
-}
-
-/// An ordered JSON value with the renderings the `BENCH_*.json` files
-/// use. Object fields keep the order they were given in.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A non-negative integer, printed in full.
-    Int(u64),
-    /// A float printed with a fixed number of decimals (`{:.4}`,
-    /// `{:.6}`, ...); a non-finite value prints as `null`.
-    Fixed(f64, usize),
-    /// A string, escaped.
-    Str(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object; fields print in this order.
-    Object(Vec<(&'static str, Json)>),
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Self {
-        Json::Int(v)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::Int(v as u64)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Self {
-        Json::Str(v.to_string())
-    }
-}
-
-impl Json {
-    /// The value on one line: `{"k": v, "k2": [1, 2]}`.
-    pub fn inline(&self) -> String {
-        match self {
-            Json::Null => "null".to_string(),
-            Json::Bool(b) => b.to_string(),
-            Json::Int(i) => i.to_string(),
-            Json::Fixed(x, digits) if x.is_finite() => format!("{x:.digits$}"),
-            Json::Fixed(..) => "null".to_string(),
-            Json::Str(s) => quote(s),
-            Json::Array(items) => format!("[{}]", join(items.iter().map(Json::inline), ", ")),
-            Json::Object(fields) => {
-                let fields = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}: {}", quote(k), v.inline()));
-                format!("{{{}}}", join(fields, ", "))
-            }
-        }
-    }
-
-    /// The value as a `BENCH_*.json` document, newline-terminated: a root
-    /// object puts one field per line and a field holding an array of
-    /// objects one row per line; everything nested deeper is inline.
-    pub fn render(&self) -> String {
-        let Json::Object(fields) = self else {
-            return self.inline() + "\n";
-        };
-        let fields = fields.iter().map(|(k, v)| {
-            let value = v.rows().map_or_else(
-                || v.inline(),
-                |rows| {
-                    let rows = rows.iter().map(|r| format!("    {}", r.inline()));
-                    format!("[\n{}\n  ]", join(rows, ",\n"))
-                },
-            );
-            format!("  {}: {value}", quote(k))
-        });
-        format!("{{\n{}\n}}\n", join(fields, ",\n"))
-    }
-
-    /// Field `key` of an object.
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The elements of an array of objects — a scenario table.
-    fn rows(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(rows) if matches!(rows.first(), Some(Json::Object(_))) => Some(rows),
-            _ => None,
-        }
-    }
-}
-
-fn join(parts: impl Iterator<Item = String>, sep: &str) -> String {
-    parts.collect::<Vec<_>>().join(sep)
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out + "\""
 }
 
 /// Prints a `BENCH_*.json` document for people: each field of the root
@@ -291,59 +182,6 @@ mod tests {
         assert_eq!(secs(0.0000025), "2.5us");
         assert_eq!(mem(1 << 30), "1.00GB");
         assert_eq!(mem(1 << 20), "1.0MB");
-    }
-
-    #[test]
-    fn json_keeps_order_nests_and_escapes() {
-        let doc = Json::Object(vec![
-            ("zeta", "quote \" slash \\ tab \t nl \n bell \u{7}".into()),
-            ("alpha", 47126412u64.into()),
-            ("rate", Json::Fixed(1.0 / 3.0, 4)),
-            ("p50_s", Json::Fixed(-0.1323834, 6)),
-            ("fault_rate", Json::Fixed(0.05, 2)),
-            ("nan", Json::Fixed(f64::NAN, 4)),
-            ("flag", Json::Bool(true)),
-            ("none", Json::Null),
-            (
-                "inner",
-                Json::Object(vec![("b", 1usize.into()), ("a", Json::Bool(false))]),
-            ),
-            ("allocs", Json::Array(vec![36u64.into(), 36u64.into()])),
-            ("empty", Json::Array(Vec::new())),
-            (
-                "scenarios",
-                Json::Array(vec![
-                    Json::Object(vec![
-                        ("scenario", "x".into()),
-                        ("dead", Json::Array(vec![1u64.into()])),
-                    ]),
-                    Json::Object(vec![
-                        ("scenario", "y".into()),
-                        ("dead", Json::Array(Vec::new())),
-                    ]),
-                ]),
-            ),
-        ]);
-        let expected = r#"{
-  "zeta": "quote \" slash \\ tab \t nl \n bell \u0007",
-  "alpha": 47126412,
-  "rate": 0.3333,
-  "p50_s": -0.132383,
-  "fault_rate": 0.05,
-  "nan": null,
-  "flag": true,
-  "none": null,
-  "inner": {"b": 1, "a": false},
-  "allocs": [36, 36],
-  "empty": [],
-  "scenarios": [
-    {"scenario": "x", "dead": [1]},
-    {"scenario": "y", "dead": []}
-  ]
-}
-"#;
-        assert_eq!(doc.render(), expected);
-        assert_eq!(doc.get("alpha"), Some(&Json::Int(47126412)));
     }
 
     #[test]

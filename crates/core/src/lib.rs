@@ -23,6 +23,8 @@
 //! state; the epoch loop in [`train`] drives it to train and [`serve`]
 //! drives it forward-only for deterministic online inference.
 //!
+//! [`json`] is the one JSON value every report renders through.
+//!
 //! [`models`] implements GraphSAGE (mean/pool/LSTM aggregators) and GAT
 //! with explicit backward passes over blocks; per-bucket aggregation in
 //! the LSTM path exercises degree bucketing exactly as §II-C describes.
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod json;
 pub mod models;
 pub mod multi_gpu;
 pub mod serve;

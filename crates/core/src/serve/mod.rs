@@ -46,6 +46,7 @@ pub use recovery::ServeRecoveryCounts;
 pub use trace::{Request, RequestTrace};
 
 use crate::fnv::Fnv;
+use crate::json::Json;
 use crate::train::{Engine, RecoveryEvent, RecoveryPolicy};
 use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
@@ -250,68 +251,48 @@ impl ServeReport {
         ServeRecoveryCounts::from_events(&self.recovery)
     }
 
-    /// Renders the aggregate numbers as a JSON object (the
-    /// `BENCH_serving.json` payload). Per-request answers are not
+    /// The aggregate numbers as a JSON object (the `BENCH_serving.json`
+    /// payload and `buffalo serve --json`). Per-request answers are not
     /// included; the digests pin them.
-    pub fn to_json(&self, device_name: &str) -> String {
-        let rc = self.recovery_counts();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"experiment\": \"serving\",\n",
-                "  \"device\": \"{}\",\n",
-                "  \"budget_bytes\": {},\n",
-                "  \"offered\": {},\n",
-                "  \"requests\": {},\n",
-                "  \"shed\": {},\n",
-                "  \"deadline_missed\": {},\n",
-                "  \"batches\": {},\n",
-                "  \"micro_batches\": {},\n",
-                "  \"effective_max_batch\": {},\n",
-                "  \"peak_mem_bytes\": {},\n",
-                "  \"span_seconds\": {},\n",
-                "  \"throughput_rps\": {},\n",
-                "  \"latency_seconds\": {{\n",
-                "    \"mean\": {},\n",
-                "    \"p50\": {},\n",
-                "    \"p95\": {},\n",
-                "    \"p99\": {},\n",
-                "    \"max\": {}\n",
-                "  }},\n",
-                "  \"recovery\": {{\n",
-                "    \"retries\": {},\n",
-                "    \"degrades\": {},\n",
-                "    \"resplits\": {},\n",
-                "    \"failovers\": {}\n",
-                "  }},\n",
-                "  \"output_digest\": \"{:016x}\",\n",
-                "  \"answer_digest\": \"{:016x}\"\n",
-                "}}\n"
+    pub fn to_json(&self, device_name: &str) -> Json {
+        let (rc, l) = (self.recovery_counts(), &self.latency);
+        let hex = |digest: u64| Json::Str(format!("{digest:016x}"));
+        Json::Object(vec![
+            ("experiment", "serving".into()),
+            ("device", device_name.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("offered", self.num_admitted.into()),
+            ("requests", self.requests.len().into()),
+            ("shed", self.shed.len().into()),
+            ("deadline_missed", self.deadline_missed.len().into()),
+            ("batches", self.num_batches.into()),
+            ("micro_batches", self.num_micro_batches.into()),
+            ("effective_max_batch", self.effective_max_batch.into()),
+            ("peak_mem_bytes", self.peak_mem_bytes.into()),
+            ("span_seconds", Json::Float(self.span_seconds)),
+            ("throughput_rps", Json::Float(self.throughput_rps)),
+            (
+                "latency_seconds",
+                Json::Object(vec![
+                    ("mean", Json::Float(l.mean)),
+                    ("p50", Json::Float(l.p50)),
+                    ("p95", Json::Float(l.p95)),
+                    ("p99", Json::Float(l.p99)),
+                    ("max", Json::Float(l.max)),
+                ]),
             ),
-            device_name,
-            self.budget_bytes,
-            self.num_admitted,
-            self.requests.len(),
-            self.shed.len(),
-            self.deadline_missed.len(),
-            self.num_batches,
-            self.num_micro_batches,
-            self.effective_max_batch,
-            self.peak_mem_bytes,
-            self.span_seconds,
-            self.throughput_rps,
-            self.latency.mean,
-            self.latency.p50,
-            self.latency.p95,
-            self.latency.p99,
-            self.latency.max,
-            rc.retries,
-            rc.degrades,
-            rc.resplits,
-            rc.failovers,
-            self.output_digest,
-            self.answer_digest,
-        )
+            (
+                "recovery",
+                Json::Object(vec![
+                    ("retries", rc.retries.into()),
+                    ("degrades", rc.degrades.into()),
+                    ("resplits", rc.resplits.into()),
+                    ("failovers", rc.failovers.into()),
+                ]),
+            ),
+            ("output_digest", hex(self.output_digest)),
+            ("answer_digest", hex(self.answer_digest)),
+        ])
     }
 }
 
@@ -465,18 +446,19 @@ pub fn serve_trace(
         let mut seeds: Vec<NodeId> = live.iter().map(|e| e.node).collect();
         seeds.sort_unstable();
         seeds.dedup();
-        let batch = sampler.sample_isolated(&ds.graph, &seeds, trace.seed);
         let mut degraded = false;
         let out = infer_with_recovery(
             &DispatchCtx {
                 engine,
                 ds,
+                sampler: &sampler,
+                sample_seed: trace.seed,
                 device,
                 cost,
                 policy: &cfg.recovery,
                 batch_idx: num_batches,
             },
-            &batch,
+            &seeds,
             num_micro_batches,
             0,
             &mut degraded,
@@ -869,6 +851,29 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_shrink_resplits_and_completes() {
+        let (engine, ds) = engine_and_ds();
+        let cost = CostModel::rtx6000();
+        let trace = RequestTrace::poisson(64, 300.0, ds.graph.num_nodes(), 31).unwrap();
+        let cfg = ServeConfig::default();
+        let clean_dev = DeviceMemory::with_gib(24.0);
+        let clean = serve_trace(&engine, &ds, &clean_dev, &cost, &trace, &cfg).unwrap();
+        // The third allocation finds the budget cut to a fifth: that
+        // dispatch was planned against the whole budget, so its one
+        // micro-batch is refused and the ladder halves it.
+        let plan = FaultPlan::parse("shrink:at=3,factor=0.2,restore=4").unwrap();
+        let shrinking = FaultyDevice::new(DeviceMemory::new(clean.peak_mem_bytes * 2), plan);
+        let r = serve_trace(&engine, &ds, &shrinking, &cost, &trace, &cfg).unwrap();
+        let rc = r.recovery_counts();
+        assert!(rc.resplits > 0, "{:?}", r.recovery);
+        assert_eq!(r.requests.len(), trace.requests.len());
+        assert_eq!(answers(&clean), answers(&r));
+        // A re-splitting run replays bit for bit, latencies included.
+        assert_eq!(r.answer_digest, 0x9ae1_1f6e_3795_51a1);
+        assert_eq!(r.output_digest, 0x40c0_dcad_1de6_bca9);
+    }
+
+    #[test]
     fn exhausted_ladder_is_a_structured_error() {
         let (engine, ds) = engine_and_ds();
         let cost = CostModel::rtx6000();
@@ -971,17 +976,45 @@ mod tests {
         )
         .unwrap();
         let json = report.to_json("rtx6000");
-        assert!(json.contains("\"experiment\": \"serving\""));
-        assert!(json.contains("\"throughput_rps\""));
-        assert!(json.contains("\"p99\""));
-        assert!(json.contains("\"offered\": 16"));
-        assert!(json.contains("\"shed\": 0"));
-        assert!(json.contains("\"deadline_missed\": 0"));
-        assert!(json.contains("\"retries\": 0"));
-        assert!(json.contains("\"failovers\": 0"));
-        assert!(json.contains(&format!("{:016x}", report.output_digest)));
-        assert!(json.contains(&format!("{:016x}", report.answer_digest)));
-        assert!(json.contains(&format!("\"budget_bytes\": {}", device.budget())));
+        let field = |key: &str| json.get(key).cloned();
+        let int = |v: usize| Some(Json::Int(v as u64));
+        let Json::Object(fields) = &json else {
+            panic!("not an object: {json:?}")
+        };
+        assert_eq!(fields.len(), 17, "{json:?}");
+        assert_eq!(field("experiment"), Some("serving".into()));
+        assert_eq!(field("device"), Some("rtx6000".into()));
+        assert_eq!(field("budget_bytes"), Some(Json::Int(device.budget())));
+        assert_eq!(field("offered"), int(16));
+        assert_eq!(field("requests"), int(16));
+        assert_eq!(field("shed"), int(0));
+        assert_eq!(field("deadline_missed"), int(0));
+        assert_eq!(field("batches"), int(report.num_batches));
+        assert_eq!(field("micro_batches"), int(report.num_micro_batches));
+        assert_eq!(field("effective_max_batch"), int(64));
+        assert_eq!(
+            field("peak_mem_bytes"),
+            Some(Json::Int(report.peak_mem_bytes))
+        );
+        assert_eq!(
+            field("span_seconds"),
+            Some(Json::Float(report.span_seconds))
+        );
+        assert_eq!(
+            field("throughput_rps"),
+            Some(Json::Float(report.throughput_rps))
+        );
+        assert_eq!(
+            json.get("latency_seconds").and_then(|l| l.get("p99")),
+            Some(&Json::Float(report.latency.p99))
+        );
+        assert_eq!(
+            json.get("recovery").and_then(|r| r.get("failovers")),
+            Some(&Json::Int(0))
+        );
+        let hex = |d: u64| Some(Json::Str(format!("{d:016x}")));
+        assert_eq!(field("output_digest"), hex(report.output_digest));
+        assert_eq!(field("answer_digest"), hex(report.answer_digest));
     }
 
     #[test]

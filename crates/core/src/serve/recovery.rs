@@ -15,15 +15,15 @@
 //! 3. **degrade batch size** — the first non-transient refusal halves the
 //!    loop's effective coalescing width so *future* dispatches are
 //!    smaller (recorded once per dispatch);
-//! 4. **re-split** — the failing batch is cut in half by seed and each
-//!    half retried recursively, up to [`RecoveryPolicy::max_resplits`]
-//!    levels deep.
+//! 4. **re-split** — the failing dispatch's seed list is cut in half and
+//!    each half sampled and retried recursively, up to
+//!    [`RecoveryPolicy::max_resplits`] levels deep.
 //!
 //! Because serving samples each request's neighborhood in isolation
-//! (see [`BatchSampler::sample_isolated`](buffalo_sampling::BatchSampler::sample_isolated)),
-//! none of these rungs can move an answer bit: a re-split half contains
-//! exact copies of its requests' sampled closures, and a failover replays
-//! them unchanged on the survivor. Only latencies shift.
+//! (see [`BatchSampler::sample_isolated`]), none of these rungs can move
+//! an answer bit: a re-split half, sampled on its own, holds exact copies
+//! of its requests' sampled closures, and a failover replays them
+//! unchanged on the survivor. Only latencies shift.
 //!
 //! The policy, the [`RecoveryEvent`] trail and the structured
 //! [`TrainError::RecoveryExhausted`] that ends a ladder are training's
@@ -37,7 +37,7 @@ use crate::TrainError;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device};
-use buffalo_sampling::Batch;
+use buffalo_sampling::BatchSampler;
 
 /// Base *simulated* backoff for transient retries, seconds, doubling per
 /// attempt. Added to the dispatch's service latency, never slept.
@@ -111,12 +111,15 @@ pub(crate) struct LadderState<'a> {
 }
 
 /// Everything about one top-level dispatch that the ladder does not
-/// change while climbing: the engine, the workload, the device, and the
-/// policy, plus the dispatch's event label.
+/// change while climbing: the engine, the workload and how it is sampled,
+/// the device, and the policy, plus the dispatch's event label.
 #[derive(Clone, Copy)]
 pub(crate) struct DispatchCtx<'a> {
     pub engine: &'a Engine,
     pub ds: &'a Dataset,
+    pub sampler: &'a BatchSampler,
+    /// The trace seed every request's neighborhood is sampled from.
+    pub sample_seed: u64,
     pub device: &'a dyn Device,
     pub cost: &'a CostModel,
     pub policy: &'a RecoveryPolicy,
@@ -124,7 +127,8 @@ pub(crate) struct DispatchCtx<'a> {
     pub batch_idx: usize,
 }
 
-/// Runs [`Engine::infer_with_base`] on `batch`, climbing the serving
+/// Samples `seeds` (sorted, duplicate-free dataset node ids) in isolation
+/// and runs [`Engine::infer_with_base`] on the batch, climbing the serving
 /// recovery ladder on OOM. `micro_base` is the run-cumulative
 /// micro-batch count (keeps pool round-robin rotating across
 /// dispatches); `depth` is the current re-split recursion level;
@@ -132,7 +136,7 @@ pub(crate) struct DispatchCtx<'a> {
 /// top-level dispatch.
 pub(crate) fn infer_with_recovery(
     ctx: &DispatchCtx<'_>,
-    batch: &Batch,
+    seeds: &[NodeId],
     micro_base: usize,
     depth: usize,
     degraded: &mut bool,
@@ -141,15 +145,18 @@ pub(crate) fn infer_with_recovery(
     let DispatchCtx {
         engine,
         ds,
+        sampler,
+        sample_seed,
         device,
         cost,
         policy,
         batch_idx,
     } = *ctx;
+    let batch = sampler.sample_isolated(&ds.graph, seeds, sample_seed);
     let mut attempt = 0usize;
     let mut penalty = 0.0f64;
     let oom = loop {
-        match engine.infer_with_base(ds, batch, device, cost, micro_base) {
+        match engine.infer_with_base(ds, &batch, device, cost, micro_base) {
             Ok(stats) => {
                 return Ok(RecoveredInference {
                     predictions: stats.predictions,
@@ -198,30 +205,27 @@ pub(crate) fn infer_with_recovery(
         let action = RecoveryAction::DegradeBatch { from, to };
         st.events.push(RecoveryEvent::new(batch_idx, action, &oom));
     }
-    // Rung: re-split. Cut the batch in half by seed and retry each half
-    // recursively. Isolated sampling makes the halves exact sub-copies,
-    // so answers cannot move. A half is restricted to a `Batch` of its
-    // own because `Engine::infer` plans and walks whole batches.
-    if depth < policy.max_resplits && batch.num_seeds > 1 {
-        let mid = batch.num_seeds.div_ceil(2);
+    // Rung: re-split. Cut the seed list in half and retry each half
+    // recursively, sampled on its own. Isolated sampling makes a half's
+    // batch the whole batch restricted to it, so answers cannot move.
+    if depth < policy.max_resplits && seeds.len() > 1 {
+        let mid = seeds.len().div_ceil(2);
         let action = RecoveryAction::Resplit {
-            seeds: batch.num_seeds,
+            seeds: seeds.len(),
             into: 2,
         };
         st.events.push(RecoveryEvent::new(batch_idx, action, &oom));
-        let locals: Vec<NodeId> = (0..batch.num_seeds as NodeId).collect();
         let mut merged = RecoveredInference {
-            predictions: Vec::with_capacity(batch.num_seeds),
+            predictions: Vec::with_capacity(seeds.len()),
             num_micro_batches: 0,
             peak_mem_bytes: 0,
             service_seconds: 0.0,
             penalty_seconds: penalty,
         };
-        for half in [&locals[..mid], &locals[mid..]] {
-            let sub = batch.restrict_to_seeds(half);
+        for half in [&seeds[..mid], &seeds[mid..]] {
             let out = infer_with_recovery(
                 ctx,
-                &sub,
+                half,
                 micro_base + merged.num_micro_batches,
                 depth + 1,
                 degraded,

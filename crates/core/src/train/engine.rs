@@ -341,17 +341,6 @@ impl Engine {
             service_seconds: outcome.device_seconds,
         })
     }
-
-    /// Forward-only evaluation: classification accuracy of the engine's
-    /// model on `nodes`, sampling their neighborhoods with the engine's
-    /// configured fanouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty.
-    pub fn evaluate(&self, ds: &Dataset, nodes: &[NodeId], seed: u64) -> f32 {
-        crate::train::evaluate(&self.model, ds, nodes, &self.config.fanouts, seed)
-    }
 }
 
 /// Copies every parameter's value and Adam moments out of `model`, in the

@@ -83,8 +83,10 @@ impl Batch {
     /// never calls it to build blocks: those come straight from the batch
     /// (`buffalo_blocks::BlockWalker::micro_batch`), tested against block
     /// generation over this method's result. Its callers are Betty's
-    /// modelled connection check, the serving ladder's halving rung and the
-    /// standing benchmark's traced replay.
+    /// modelled connection check (and the figures that report it) and the
+    /// standing benchmark's traced replay. Serving re-splits without it:
+    /// an isolated batch restricted to some of its seeds is what
+    /// [`BatchSampler::sample_isolated`] gives for those seeds alone.
     ///
     /// The result has the shape [`BatchSampler::sample`] itself produces:
     /// nodes reached before the last hop keep their whole row (every
@@ -634,6 +636,33 @@ mod tests {
         let b = with_b.restrict_to_seeds(&[1]);
         assert_eq!(a.global_ids, b.global_ids);
         assert_eq!(a.graph, b.graph);
+        // The halves of a multi-seed dispatch, sampled on their own, are the
+        // whole dispatch restricted to them — what lets the serving ladder
+        // re-split a dispatch by sampling each half afresh.
+        for fanouts in [vec![4, 4], vec![3], vec![5, 2, 3]] {
+            let s = BatchSampler::new(fanouts);
+            for all in [
+                &[3u32, 42, 99, 300, 301][..],
+                &[7, 8],
+                &[0, 1, 2, 250, 251, 399],
+            ] {
+                let whole = s.sample_isolated(&g, all, 11);
+                let mid = all.len().div_ceil(2);
+                let locals: Vec<NodeId> = (0..all.len() as NodeId).collect();
+                for (half, half_locals) in
+                    [(&all[..mid], &locals[..mid]), (&all[mid..], &locals[mid..])]
+                {
+                    let alone = s.sample_isolated(&g, half, 11);
+                    let restricted = whole.restrict_to_seeds(half_locals);
+                    assert_eq!(alone.graph, restricted.graph, "{half:?} of {all:?}");
+                    assert_eq!(alone.global_ids, restricted.global_ids, "{half:?}");
+                    assert_eq!(
+                        alone.layer_frontiers, restricted.layer_frontiers,
+                        "{half:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

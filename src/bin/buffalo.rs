@@ -723,7 +723,7 @@ fn cmd_serve(target: &str, opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(path) = opts.flags.get("json") {
-        std::fs::write(path, report.to_json("rtx6000")).map_err(|e| e.to_string())?;
+        std::fs::write(path, report.to_json("rtx6000").render()).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
     Ok(())

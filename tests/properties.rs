@@ -6,7 +6,7 @@ use buffalo::blocks::{generate_blocks_checked, BlockWalker};
 use buffalo::bucketing::{closure_counts, BuffaloScheduler, ClosureScratch};
 use buffalo::core::checkpoint::TrainerState;
 use buffalo::core::serve::{serve_trace, RequestTrace, ServeConfig};
-use buffalo::core::train::{Engine, TrainConfig};
+use buffalo::core::train::{evaluate, Engine, TrainConfig};
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::graph::{generators, NodeId};
 use buffalo::memsim::estimate::mem_from_counts;
@@ -277,7 +277,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Evaluation and serving are read-only: after any warmup, running
-    /// `Engine::evaluate` and the full `serve_trace` path leaves every
+    /// `train::evaluate` on the engine's model and the full `serve_trace` path leaves every
     /// model parameter, Adam moment, and the optimizer/headroom state
     /// bit-identical — inference must never perturb training state.
     #[test]
@@ -312,7 +312,7 @@ proptest! {
 
         let before = engine_fingerprint(&engine.capture_state());
         let eval_nodes: Vec<NodeId> = (100..200).collect();
-        let acc = engine.evaluate(&ds, &eval_nodes, eval_seed);
+        let acc = evaluate(engine.model(), &ds, &eval_nodes, &engine.config().fanouts, eval_seed);
         prop_assert!((0.0..=1.0).contains(&acc));
         let trace =
             RequestTrace::poisson(n_requests, 200.0, ds.graph.num_nodes(), trace_seed).unwrap();

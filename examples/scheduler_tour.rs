@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example scheduler_tour`
 
+use buffalo::blocks::BlockWalker;
 use buffalo::bucketing::{
     closure_counts, degree_bucketing, detect_explosion, BuffaloScheduler, ClosureScratch,
 };
@@ -67,6 +68,7 @@ fn main() {
         whole_mem as f64 / 1e6
     );
     let scheduler = BuffaloScheduler::new(shape.clone(), vec![10, 25], clustering);
+    let mut walker = BlockWalker::default();
     for divisor in [1u64, 2, 4, 8] {
         let budget = whole_mem / divisor + 1;
         let plan = match scheduler.schedule(&batch.graph, batch.num_seeds, budget) {
@@ -90,6 +92,14 @@ fn main() {
             plan.scheduling_time.as_millis()
         );
         if plan.k > 1 {
+            // The block volumes `simulate_iteration` reads, off one walker.
+            let (mut edges, mut rows) = (0usize, 0usize);
+            for group in plan.groups.iter().filter(|g| !g.is_empty()) {
+                let blocks = walker.micro_batch(&batch.graph, batch.num_seeds, group, 2);
+                edges += blocks.iter().map(|b| b.num_edges()).sum::<usize>();
+                rows += blocks[0].num_src();
+            }
+            println!("    blocks: {edges} edges, {rows} input-layer rows");
             let constraint = group_mems[heaviest] / 2;
             let seeds = &plan.groups[heaviest];
             match scheduler.resplit_group(&batch.graph, seeds, constraint) {

@@ -135,6 +135,49 @@ fn all_strategies_agree_on_whole_batch_memory_bound() {
     }
 }
 
+/// The device side of `simulate_iteration` — what the standing benchmark
+/// reports as `sim_*` — pinned before the walker copied a hop's rows ahead
+/// of mapping them: per strategy, FNV-1a over every micro-batch's memory
+/// and device seconds (f64 bits), the loading and compute phases, the
+/// node and edge totals and the peak.
+#[test]
+fn simulated_device_side_reproduces_its_pinned_digests() {
+    const PINNED: [u64; 3] = [
+        6283162800375639424,
+        5758179344180540332,
+        11015965687595003045,
+    ];
+    let f = fixture(DatasetName::OgbnArxiv, 4_000);
+    let cost = CostModel::rtx6000();
+    let unlimited = DeviceMemory::new(u64::MAX);
+    let whole = simulate_iteration(&f.batch, ctx(&f), Strategy::Full, &unlimited, &cost).unwrap();
+    let third = DeviceMemory::new(whole.peak_mem_bytes / 3);
+    let mut got = Vec::new();
+    for (strategy, device) in [
+        (Strategy::Buffalo, &third),
+        (Strategy::Full, &unlimited),
+        (Strategy::Range { k: 4 }, &unlimited),
+    ] {
+        let rep = simulate_iteration(&f.batch, ctx(&f), strategy, device, &cost).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        rep.per_micro_mem.iter().for_each(|&m| eat(m));
+        rep.per_micro_device.iter().for_each(|&s| eat(s.to_bits()));
+        eat(rep.phases.data_loading.to_bits());
+        eat(rep.phases.gpu_compute.to_bits());
+        eat(rep.total_nodes as u64);
+        eat(rep.total_edges as u64);
+        eat(rep.peak_mem_bytes);
+        got.push(h);
+    }
+    assert_eq!(got, PINNED);
+}
+
 #[test]
 fn metis_groups_cut_fewer_seed_edges_than_random() {
     use buffalo::partition::{edge_cut, metis_kway};

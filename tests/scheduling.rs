@@ -1,14 +1,14 @@
 //! Integration tests for the scheduler against real dataset stand-ins:
 //! budget sweeps, plan invariants, and estimator quality.
 
-use buffalo::blocks::BlockWalker;
+use buffalo::blocks::{Block, BlockWalker};
 use buffalo::bucketing::{
     closure_counts, BuffaloScheduler, ClosureScratch, ScheduleError, SchedulePlan,
 };
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::graph::{generators, stats, NodeId};
 use buffalo::memsim::{estimate, measure, AggregatorKind, GnnShape};
-use buffalo::sampling::BatchSampler;
+use buffalo::sampling::{BatchSampler, SeedBatches};
 
 struct Fixture {
     batch: buffalo::sampling::Batch,
@@ -417,4 +417,82 @@ fn plans_reproduce_their_pinned_digests() {
         whole / 6,
     )));
     assert_eq!(got, PINNED);
+}
+
+/// FNV-1a over the blocks of every walk: per block its `(num_dst,
+/// num_src)`, its `src_nodes` and every `src_positions` row.
+fn blocks_digest(walks: impl IntoIterator<Item = Vec<Block>>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u32| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for blocks in walks {
+        for block in &blocks {
+            eat(block.num_dst() as u32);
+            eat(block.num_src() as u32);
+            block.src_nodes().iter().for_each(|&v| eat(v));
+            for i in 0..block.num_dst() {
+                let row = block.src_positions(i);
+                eat(row.len() as u32);
+                row.iter().for_each(|&p| eat(p));
+            }
+        }
+    }
+    h
+}
+
+/// Blocks pinned before the walker copied a hop's rows ahead of mapping
+/// them to positions: the products stand-in at the standing benchmark's
+/// quick size, planned under its 1 GiB budget, one walker over every
+/// group; the whole of a 1 024-seed arxiv batch; and depth-3 micro-batches
+/// of unsorted groups on a Barabási–Albert batch. A changed digest is a
+/// changed block.
+#[test]
+fn walker_blocks_reproduce_their_pinned_digests() {
+    const PINNED: [u64; 3] = [
+        12086596959218156218,
+        18221114764321503433,
+        18274280159877355362,
+    ];
+    let mut walker = BlockWalker::default();
+
+    let ds = datasets::load(DatasetName::OgbnProducts, 42);
+    let clustering = stats::clustering_coefficient_sampled(&ds.graph, 10_000, 50, 1);
+    let seeds = SeedBatches::new(18_000, 9_000, 42);
+    let batch = BatchSampler::new(vec![10, 25]).sample(&ds.graph, seeds.batch(0), 42);
+    let shape = GnnShape::new(
+        ds.spec.feat_dim,
+        512,
+        2,
+        ds.spec.num_classes,
+        AggregatorKind::Lstm,
+    );
+    let plan = BuffaloScheduler::new(shape, vec![10, 25], clustering)
+        .schedule(&batch.graph, batch.num_seeds, 1 << 30)
+        .expect("the benchmark's quick budget is feasible");
+    assert!(plan.k > 1, "the quick budget must split the batch");
+    let products = blocks_digest(
+        plan.groups
+            .iter()
+            .filter(|g| !g.is_empty())
+            .map(|g| walker.micro_batch(&batch.graph, batch.num_seeds, g, 2)),
+    );
+
+    let f = fixture(DatasetName::OgbnArxiv, 1_024, 128);
+    let arxiv = blocks_digest([walker.whole_batch(&f.batch.graph, f.batch.num_seeds, 2)]);
+
+    let g = generators::barabasi_albert(3_000, 8, 0.5, 2).unwrap();
+    let seeds: Vec<NodeId> = (0..800).collect();
+    let batch = BatchSampler::new(vec![10, 15, 5]).sample(&g, &seeds, 12);
+    let order: Vec<NodeId> = (0..800).map(|i| i * 337 % 800).collect();
+    let ba = blocks_digest(
+        order
+            .chunks(130)
+            .map(|group| walker.micro_batch(&batch.graph, batch.num_seeds, group, 3)),
+    );
+
+    assert_eq!([products, arxiv, ba], PINNED);
 }

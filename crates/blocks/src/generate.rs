@@ -46,7 +46,9 @@ pub fn generate_blocks_fast(
 /// its position once it has one — so every layer's arrays are prefixes of
 /// the input layer's: `nodes` (the closure in discovery order) of its dst
 /// and src lists, `offsets`/`indices` of its rows. One walk builds them;
-/// each hop only adds the rows of the nodes the previous hop discovered.
+/// each hop only adds the rows of the nodes the previous hop discovered,
+/// first copying them as batch ids, then mapping the copy to positions in
+/// the order it was read, which is the order discovery needs.
 #[derive(Debug, Default)]
 pub struct BlockWalker {
     /// Per batch node, its position in `nodes`; `u32::MAX` outside a walk.
@@ -139,7 +141,9 @@ impl BlockWalker {
     }
 
     /// Walks `depth` hops from the `num_out` output nodes already in
-    /// `nodes`; `PARTITION` moves each row's output-node positions first.
+    /// `nodes`. Each hop copies its rows, then sweeps the copy row by row
+    /// to map ids to positions; `PARTITION` then moves each row's
+    /// output-node positions first, while the row is still in cache.
     fn walk<const PARTITION: bool>(
         &mut self,
         g: &CsrGraph,
@@ -162,37 +166,38 @@ impl BlockWalker {
             let edges: usize = nodes[expanded..num_dst].iter().map(|&v| g.degree(v)).sum();
             offsets.reserve_exact(num_dst - expanded);
             indices.reserve_exact(edges);
+            // Copy: the hop's rows, as batch ids, in position order.
             for at in expanded..num_dst {
                 if at + AHEAD < num_dst {
                     std::hint::black_box(g.neighbors(nodes[at + AHEAD]).first().copied());
                 }
-                let start = indices.len();
-                // Whether a source is new is a coin flip, so discovery is
-                // branch-free: an unseen node's `u32::MAX` loses the `min`
-                // to the next position, and the node is written to the
-                // next slot regardless — the flag decides whether the slot
-                // is kept.
+                indices.extend_from_slice(g.neighbors(nodes[at]));
+                offsets.push(indices.len());
+            }
+            // Map: each id to its position, sweeping the copy in the order
+            // the rows were read. Whether a source is new is a coin flip,
+            // so discovery is branch-free: an unseen node's `u32::MAX`
+            // loses the `min` to the next position, and the node is
+            // written to the next slot regardless — the flag decides
+            // whether the slot is kept.
+            for w in offsets[expanded..].windows(2) {
+                let row = &mut indices[w[0]..w[1]];
                 let mut outputs = 0usize;
-                indices.extend(g.neighbors(nodes[at]).iter().map(|&u| {
-                    let seen = pos_of[u as usize];
+                for x in row.iter_mut() {
+                    let u = *x as usize;
+                    let seen = pos_of[u];
                     let p = seen.min(num_src as u32);
-                    pos_of[u as usize] = p;
-                    nodes[num_src] = u;
+                    pos_of[u] = p;
+                    nodes[num_src] = *x;
                     num_src += (seen == u32::MAX) as usize;
                     if PARTITION {
                         outputs += ((p as usize) < num_out) as usize;
                     }
-                    p
-                }));
-                if outputs > 0 {
-                    outputs_first(
-                        &mut indices[start..],
-                        num_out as u32,
-                        outputs,
-                        &mut self.spill,
-                    );
+                    *x = p;
                 }
-                offsets.push(indices.len());
+                if outputs > 0 {
+                    outputs_first(row, num_out as u32, outputs, &mut self.spill);
+                }
             }
             expanded = num_dst;
             layers.push((num_dst, num_src));
@@ -430,6 +435,41 @@ mod tests {
         assert_eq!(blocks[0].src_nodes(), &[0, 2, 1, 3, 4]);
         assert_eq!(blocks[0].src_positions(0), &[1, 2, 3]); // {2} first, then {1, 3}
         assert_eq!(blocks[0].src_positions(1), &[0, 4]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The row partition is the naive stable one: outputs in row order,
+        /// then the rest in row order — on arbitrary rows (`shape` 0), rows
+        /// of outputs only (1), rows without one (2) and rows whose only
+        /// output is the last entry (3).
+        #[test]
+        fn outputs_first_is_a_stable_partition(
+            row in proptest::collection::vec(0u32..40, 0..30),
+            num_out in 1u32..40,
+            shape in 0u8..4,
+        ) {
+            let (mut row, num_out) = match shape {
+                1 => (row, 40),
+                2 => (row, 0),
+                3 => {
+                    let mut row: Vec<u32> = row.iter().map(|&p| p + num_out).collect();
+                    row.push(num_out - 1);
+                    (row, num_out)
+                }
+                _ => (row, num_out),
+            };
+            let naive: Vec<u32> = row
+                .iter()
+                .filter(|&&p| p < num_out)
+                .chain(row.iter().filter(|&&p| p >= num_out))
+                .copied()
+                .collect();
+            let outputs = row.iter().filter(|&&p| p < num_out).count();
+            outputs_first(&mut row, num_out, outputs, &mut Vec::new());
+            proptest::prop_assert_eq!(row, naive);
+        }
     }
 
     #[test]

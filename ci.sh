@@ -34,11 +34,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 # discipline, documented unsafe, accounted device allocation. The
 # human-readable run prints the call-graph stats (functions, edges,
 # ambiguous call sites) on stderr.
-cargo run -q -p buffalo-lint -- check
+if ! lint_out=$(cargo run -q -p buffalo-lint -- check 2>&1); then
+  printf '%s\n' "$lint_out" >&2
+  exit 1
+fi
+printf '%s\n' "$lint_out"
 # The waivers those invariants are granted, as a trend line: every
 # `lint:allow` in the workspace's Rust sources (the linter's own rule
 # texts and fixtures included, so the count only moves with a waiver).
 echo "ci: lint:allow sites: $(grep -rn 'lint:allow' --include='*.rs' crates src | wc -l)"
+# The call graph's size, as a trend line beside it: fewer functions and
+# fewer call sites the resolver cannot pin to one callee.
+graph=$(sed -nE 's/.*call graph[^0-9]*([0-9]+) function\(s\), ([0-9]+) edge\(s\), ([0-9]+) ambiguous.*/\1 fns, \2 edges, \3 ambiguous/p' <<<"$lint_out")
+if [ -z "$graph" ]; then
+  echo "ci: FAIL — buffalo-lint check printed no call-graph stats" >&2
+  exit 1
+fi
+echo "ci: call graph: $graph"
 # The callers left on the restrict → generate pair that `BlockWalker`
 # replaces, as a third trend line: non-test call sites (each file cut as
 # the size script below cuts it, comments and the definitions skipped).
@@ -124,6 +136,20 @@ if ! grep -q 'unknown flag `--budgte`' <<<"$out"; then
   exit 1
 fi
 echo "ci: an unknown CLI flag exits non-zero"
+
+# A device pool needs a member: `--gpus 0` must be refused with exit code
+# 1 and an error message (its wording may change), by both commands that
+# build a pool.
+for cmd in train serve; do
+  status=0
+  out=$(timeout 60 cargo run -q --release --bin buffalo -- "$cmd" cora --gpus 0 2>&1) || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q '^error: .' <<<"$out"; then
+    echo "ci: FAIL — buffalo $cmd --gpus 0 exited $status, not 1 with an error message" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+  fi
+done
+echo "ci: an empty device pool exits 1 with a message"
 
 # Fault-injection smoke: a training run with injected transient faults
 # must complete end-to-end under the recovery ladder.

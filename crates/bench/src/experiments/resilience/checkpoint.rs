@@ -14,14 +14,14 @@
 //!    with the rollback rung the run restores the last snapshot under a
 //!    boosted headroom and completes every epoch.
 
-use super::light_config;
+use super::{light_config, pool};
 use crate::output::{check_artifact, print_document};
 use buffalo_core::checkpoint::{CheckpointError, CheckpointOptions};
 use buffalo_core::json::Json;
 use buffalo_core::train::{run_epochs_checkpointed, Engine, EpochConfig, RecoveryPolicy, TrainRun};
 use buffalo_core::TrainError;
 use buffalo_graph::datasets::{self, DatasetName};
-use buffalo_memsim::{CostModel, CrashPoint, Device, DeviceMemory, FaultPlan, FaultyDevice};
+use buffalo_memsim::{CostModel, CrashPoint, Device, DeviceMemory};
 use std::path::PathBuf;
 
 const CLUSTERING: f64 = 0.24;
@@ -133,10 +133,7 @@ pub fn checkpoint(write_bench: bool) -> Result<(), String> {
         max_resplits: 0,
         ..RecoveryPolicy::default()
     };
-    let shrinking = || {
-        let plan = FaultPlan::parse(&format!("shrink:{SHRINK}")).expect("shrink spec");
-        FaultyDevice::new(DeviceMemory::new(peak), plan)
-    };
+    let shrinking = || pool(1, peak, &format!("shrink:{SHRINK}"));
     let seed_aborted = matches!(
         run(&shrinking(), None, false, Some(policy)),
         Err(TrainError::RecoveryExhausted { .. })

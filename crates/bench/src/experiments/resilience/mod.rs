@@ -20,9 +20,9 @@ pub use checkpoint::checkpoint;
 pub use serving::{serving, serving_chaos};
 pub use training::{failover, robustness};
 
-use buffalo_core::train::{DevicePool, TrainConfig};
+use buffalo_core::train::TrainConfig;
 use buffalo_graph::datasets::DatasetSpec;
-use buffalo_memsim::{AggregatorKind, DeviceMemory, FaultPlan, GnnShape};
+use buffalo_memsim::{AggregatorKind, DeviceMemory, DevicePool, FaultPlan, GnnShape};
 
 /// The light model all five experiments run: GraphSAGE-mean, hidden 32,
 /// one layer per fanout — small enough that a scenario sweep stays

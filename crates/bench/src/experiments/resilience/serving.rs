@@ -28,9 +28,9 @@ use crate::context::{load_workload_with, Workload};
 use crate::output::{check_artifact, mem, print_document};
 use buffalo_core::json::Json;
 use buffalo_core::serve::{serve_trace, RequestTrace, ServeConfig, ServeReport, ServedRequest};
-use buffalo_core::train::{DevicePool, Engine};
+use buffalo_core::train::Engine;
 use buffalo_graph::datasets::DatasetName;
-use buffalo_memsim::{CostModel, Device, DeviceMemory};
+use buffalo_memsim::{CostModel, DeviceMemory, DevicePool};
 
 const WARMUP_ITERS: usize = 3;
 const REQUESTS: usize = 512;

@@ -19,7 +19,7 @@ use crate::output::{check_artifact, print_document};
 use buffalo_core::json::Json;
 use buffalo_core::train::{Engine, RecoveryAction, RecoveryEvent, RecoveryPolicy, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
-use buffalo_memsim::{CostModel, Device};
+use buffalo_memsim::CostModel;
 
 const MAX_RETRIES: usize = 8;
 
@@ -86,13 +86,12 @@ impl Fixture {
                 Err(e) => eprintln!("  [{name}] iteration failed: {e}"),
             }
         }
-        let members = (0..gpus).filter_map(|i| pool.device(i));
         let (allocs, dead) = pool.snapshot_position();
         Outcome {
             losses,
             events,
             headroom: engine.headroom_multiplier(),
-            injected: members.map(|d| d.counters().injected).sum(),
+            injected: pool.counters().iter().map(|c| c.injected).sum(),
             allocs,
             dead,
         }

@@ -10,7 +10,7 @@
 //!
 //! This is an *analytic* driver over [`crate::sim`]; it holds no model
 //! state. It now has an *executing* counterpart: the elastic
-//! [`DevicePool`](crate::train::DevicePool) runs real multi-device epochs
+//! [`DevicePool`](buffalo_memsim::DevicePool) runs real multi-device epochs
 //! through the shared [`crate::train::Engine`], round-robin-sharding
 //! bucket groups across pool members and surviving whole-device loss
 //! mid-epoch via the recovery ladder's failover rung (`--gpus` in the

@@ -538,9 +538,9 @@ pub fn serve_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{DevicePool, Engine, RecoveryAction, TrainConfig};
+    use crate::train::{Engine, RecoveryAction, TrainConfig};
     use buffalo_graph::datasets::{self, DatasetName};
-    use buffalo_memsim::{AggregatorKind, DeviceMemory, FaultPlan, FaultyDevice, GnnShape};
+    use buffalo_memsim::{AggregatorKind, DeviceMemory, DevicePool, FaultPlan, GnnShape};
     use buffalo_par::Parallelism;
     use proptest::prelude::*;
 
@@ -813,7 +813,7 @@ mod tests {
         let clean_dev = DeviceMemory::with_gib(24.0);
         let clean = serve_trace(&engine, &ds, &clean_dev, &cost, &trace, &cfg).unwrap();
         let plan = FaultPlan::parse("transient:p=0.2,seed=11").unwrap();
-        let faulty = FaultyDevice::new(DeviceMemory::with_gib(24.0), plan);
+        let faulty = DevicePool::homogeneous(1, 24 << 30, &plan).unwrap();
         let chaos = serve_trace(&engine, &ds, &faulty, &cost, &trace, &cfg).unwrap();
         assert_eq!(
             chaos.requests.len(),
@@ -862,7 +862,7 @@ mod tests {
         // dispatch was planned against the whole budget, so its one
         // micro-batch is refused and the ladder halves it.
         let plan = FaultPlan::parse("shrink:at=3,factor=0.2,restore=4").unwrap();
-        let shrinking = FaultyDevice::new(DeviceMemory::new(clean.peak_mem_bytes * 2), plan);
+        let shrinking = DevicePool::homogeneous(1, clean.peak_mem_bytes * 2, &plan).unwrap();
         let r = serve_trace(&engine, &ds, &shrinking, &cost, &trace, &cfg).unwrap();
         let rc = r.recovery_counts();
         assert!(rc.resplits > 0, "{:?}", r.recovery);
@@ -885,7 +885,7 @@ mod tests {
             format!("transient:{}", nths.join(","))
         };
         let plan = FaultPlan::parse(&spec).unwrap();
-        let faulty = FaultyDevice::new(DeviceMemory::with_gib(24.0), plan);
+        let faulty = DevicePool::homogeneous(1, 24 << 30, &plan).unwrap();
         let err = serve_trace(
             &engine,
             &ds,
@@ -914,33 +914,28 @@ mod tests {
     fn a_lone_lost_device_exhausts_like_a_pool_of_one() {
         // Regression: a lone device that died used to report one live
         // device forever, so the dispatch "failed over" onto it without
-        // end. A single device is a pool of one: same error, same
-        // one-event trail.
+        // end. A pool of one leaves no survivor: the trail is one
+        // `Exhausted` event.
         let (engine, ds) = engine_and_ds();
         let cost = CostModel::rtx6000();
         let trace = RequestTrace::poisson(16, 300.0, ds.graph.num_nodes(), 31).unwrap();
-        let budget = DeviceMemory::with_gib(24.0).budget();
         let plan = FaultPlan::parse("lose:0,2").unwrap();
-        let lone = FaultyDevice::new(DeviceMemory::new(budget), plan.clone());
-        let pool = DevicePool::homogeneous(1, budget, &plan).unwrap();
+        let pool = DevicePool::homogeneous(1, 24 << 30, &plan).unwrap();
         // Narrow batches: one allocation per dispatch, several dispatches.
         let cfg = ServeConfig {
             max_batch: 4,
             ..ServeConfig::default()
         };
-        let trails = [&lone as &dyn Device, &pool].map(|device| {
-            match serve_trace(&engine, &ds, device, &cost, &trace, &cfg) {
-                Err(TrainError::RecoveryExhausted { events, last }) => {
-                    assert!(last.device_lost);
-                    events
-                }
-                other => panic!("expected RecoveryExhausted, got {other:?}"),
+        let events = match serve_trace(&engine, &ds, &pool, &cost, &trace, &cfg) {
+            Err(TrainError::RecoveryExhausted { events, last }) => {
+                assert!(last.device_lost);
+                events
             }
-        });
-        assert_eq!(trails[0], trails[1]);
-        assert_eq!(trails[0].len(), 1, "trail grew: {:?}", trails[0]);
-        assert_eq!(trails[0][0].action, RecoveryAction::Exhausted);
-        assert_eq!(trails[0][0].index, 1, "the second dispatch hit the loss");
+            other => panic!("expected RecoveryExhausted, got {other:?}"),
+        };
+        assert_eq!(events.len(), 1, "trail grew: {events:?}");
+        assert_eq!(events[0].action, RecoveryAction::Exhausted);
+        assert_eq!(events[0].index, 1, "the second dispatch hit the loss");
     }
 
     #[test]
@@ -949,7 +944,7 @@ mod tests {
         let cost = CostModel::rtx6000();
         let trace = RequestTrace::poisson(8, 1e6, ds.graph.num_nodes(), 37).unwrap();
         let plan = FaultPlan::parse("transient:nth=1").unwrap();
-        let faulty = FaultyDevice::new(DeviceMemory::with_gib(24.0), plan);
+        let faulty = DevicePool::homogeneous(1, 24 << 30, &plan).unwrap();
         let cfg = ServeConfig {
             recovery: RecoveryPolicy::disabled(),
             ..ServeConfig::default()

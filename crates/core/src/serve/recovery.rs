@@ -5,7 +5,7 @@
 //! 1. **failover** — a permanent device loss (`OomError::device_lost`)
 //!    short-circuits everything else: the rung shared with training
 //!    (`train::recovery::fail_over`) marks the device dead and re-routes
-//!    onto the survivors via [`DevicePool`](crate::train::DevicePool)
+//!    onto the survivors via [`DevicePool`](buffalo_memsim::DevicePool)
 //!    round-robin; serving resets the retry budget and charges a
 //!    simulated failover penalty;
 //! 2. **bounded retry** — transient faults retry up to

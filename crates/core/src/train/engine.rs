@@ -30,7 +30,7 @@ use crate::TrainError;
 use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
-use buffalo_memsim::{CostModel, Device};
+use buffalo_memsim::{CostModel, Device, DevicePool};
 use buffalo_sampling::Batch;
 use buffalo_tensor::{Adam, Optimizer};
 use std::time::Duration;
@@ -216,7 +216,10 @@ impl Engine {
                 scheduling_time: Duration::ZERO,
             });
         };
-        let constraint = calibrator.constrain(device.schedule_budget());
+        let budget = device
+            .pool()
+            .map_or_else(|| device.budget(), DevicePool::schedule_budget);
+        let constraint = calibrator.constrain(budget);
         Ok(scheduler.schedule(&batch.graph, batch.num_seeds, constraint)?)
     }
 
@@ -306,8 +309,6 @@ impl Engine {
     /// serving loop passes its run-cumulative micro-batch count so
     /// successive dispatches keep rotating across [`DevicePool`] members
     /// instead of re-starting at member 0 every call.
-    ///
-    /// [`DevicePool`]: crate::train::DevicePool
     ///
     /// # Errors
     ///

@@ -10,7 +10,7 @@ use crate::TrainError;
 use buffalo_blocks::BlockWalker;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
-use buffalo_memsim::{CostModel, Device, StageTimings};
+use buffalo_memsim::{CostModel, Device, DevicePool, StageTimings};
 use buffalo_sampling::{BatchSampler, SeedBatches};
 use buffalo_tensor::softmax_cross_entropy;
 
@@ -172,7 +172,9 @@ pub fn run_epochs_checkpointed(
         trainer
             .restore_state(&snap.trainer)
             .map_err(TrainError::Checkpoint)?;
-        device.restore_position(&snap.device_allocs, &snap.dead_devices);
+        if let Some(pool) = device.pool() {
+            pool.restore_position(&snap.device_allocs, &snap.dead_devices);
+        }
         cur = Cursor {
             epoch: snap.epoch,
             epoch_iter: snap.epoch_iter,
@@ -301,7 +303,10 @@ fn save_snapshot(
     cur: &Cursor,
     loss_trail: &[f32],
 ) -> Result<(), TrainError> {
-    let (device_allocs, dead_devices) = device.snapshot_position();
+    // A plain device is a lone device whose stream never moves.
+    let (device_allocs, dead_devices) = device
+        .pool()
+        .map_or_else(|| (vec![0], Vec::new()), DevicePool::snapshot_position);
     let snap = TrainSnapshot {
         config_hash,
         epoch: cur.epoch,
@@ -475,19 +480,15 @@ mod tests {
         // per-iteration loss trail bitwise identical to an uninterrupted
         // run. Injected transient faults make the device stream
         // position-dependent, so this also proves the RNG fast-forward.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
+        use buffalo_memsim::FaultPlan;
         let ds = datasets::load(DatasetName::Cora, 9);
         let cost = CostModel::rtx6000();
         let cfg = epoch_cfg();
         let dir = tmpdir("resume");
         let fault_spec = "transient:p=0.15,seed=11";
         let budget = DeviceMemory::with_gib(24.0).budget();
-        let fresh_device = || {
-            FaultyDevice::new(
-                DeviceMemory::new(budget),
-                FaultPlan::parse(fault_spec).unwrap(),
-            )
-        };
+        let plan = FaultPlan::parse(fault_spec).unwrap();
+        let fresh_device = || DevicePool::homogeneous(1, budget, &plan).unwrap();
         let fresh_trainer = || {
             Engine::buffalo(config(&ds), 0.24).with_recovery(crate::train::RecoveryPolicy {
                 max_retries: 8,
@@ -619,7 +620,7 @@ mod tests {
         // that kills the epoch (the seed behavior); with the rollback rung
         // the run restores the last snapshot, schedules with boosted
         // headroom against the shrunken budget, and completes every epoch.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
+        use buffalo_memsim::FaultPlan;
         let ds = datasets::load(DatasetName::Cora, 9);
         let cost = CostModel::rtx6000();
         let cfg = epoch_cfg();
@@ -638,7 +639,7 @@ mod tests {
         let plan = FaultPlan::parse("shrink:at=3,factor=0.6").unwrap();
         // Seed behavior: recovery exhausts and the run dies.
         {
-            let device = FaultyDevice::new(DeviceMemory::new(peak), plan.clone());
+            let device = DevicePool::homogeneous(1, peak, &plan).unwrap();
             let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy);
             let err = run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, None, false)
                 .unwrap_err();
@@ -653,7 +654,7 @@ mod tests {
             every: 1,
             ..crate::checkpoint::CheckpointOptions::new(&dir)
         };
-        let device = FaultyDevice::new(DeviceMemory::new(peak), plan);
+        let device = DevicePool::homogeneous(1, peak, &plan).unwrap();
         let mut t = Engine::buffalo(config(&ds), 0.24).with_recovery(policy);
         let run =
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false).unwrap();

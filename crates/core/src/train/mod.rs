@@ -16,13 +16,11 @@
 //! executes — same math, same gradient-accumulation order, bit-identical
 //! losses, smaller iteration makespan.
 
-mod device_pool;
 mod engine;
 mod epoch;
 pub(crate) mod pipeline;
 pub(crate) mod recovery;
 
-pub use device_pool::DevicePool;
 pub use engine::{Engine, InferenceStats};
 pub use epoch::{evaluate, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
 pub use pipeline::PipelineConfig;
@@ -130,7 +128,9 @@ mod tests {
     use crate::TrainError;
     use buffalo_blocks::BlockWalker;
     use buffalo_graph::datasets::{self, DatasetName};
-    use buffalo_memsim::{measure, AggregatorKind, CostModel, Device, DeviceMemory};
+    use buffalo_memsim::{
+        measure, AggregatorKind, CostModel, Device, DeviceMemory, DevicePool, FaultPlan,
+    };
     use buffalo_sampling::BatchSampler;
 
     fn small_setup() -> (Dataset, Batch, TrainConfig) {
@@ -376,15 +376,12 @@ mod tests {
         // retry-only path, training completes with bit-identical losses to
         // the fault-free run — allocation precedes all compute, so a retry
         // repeats no work.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         let clean = DeviceMemory::new(budget);
-        let faulty = FaultyDevice::new(
-            DeviceMemory::new(budget),
-            FaultPlan::parse("transient:nth=1,nth=3,nth=7,nth=12").unwrap(),
-        );
+        let plan = FaultPlan::parse("transient:nth=1,nth=3,nth=7,nth=12").unwrap();
+        let faulty = DevicePool::homogeneous(1, budget, &plan).unwrap();
         let mut a = Engine::buffalo(config.clone(), 0.24);
         let mut b = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
         let mut recovered = 0usize;
@@ -401,7 +398,7 @@ mod tests {
             recovered >= 4,
             "expected >= 4 recovery events, saw {recovered}"
         );
-        assert_eq!(faulty.counters().injected, 4);
+        assert_eq!(faulty.counters()[0].injected, 4);
         // Transient faults say nothing about the estimator: headroom must
         // stay at the floor so scheduling is unchanged.
         assert_eq!(b.headroom_multiplier(), 1.0);
@@ -412,14 +409,11 @@ mod tests {
         // Acceptance: a mid-iteration budget shrink must not let an
         // `OomError` escape — the ladder re-splits the offending
         // micro-batch and every seed still trains exactly once.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
-        let faulty = FaultyDevice::new(
-            DeviceMemory::new(budget),
-            FaultPlan::parse("shrink:at=2,factor=0.55").unwrap(),
-        );
+        let plan = FaultPlan::parse("shrink:at=2,factor=0.55").unwrap();
+        let faulty = DevicePool::homogeneous(1, budget, &plan).unwrap();
         let baseline_k = {
             let clean = DeviceMemory::new(budget);
             let mut t = Engine::buffalo(config.clone(), 0.24);
@@ -451,21 +445,18 @@ mod tests {
         // Peak never exceeded the budget in force at allocation time: the
         // first micro-batch landed under the original budget, everything
         // after the shrink fit the reduced one.
-        assert!(faulty.inner().peak() <= budget);
+        assert!(faulty.peak() <= budget);
     }
 
     #[test]
     fn exhausted_recovery_surfaces_the_event_trail() {
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         // Shrink to 1% of budget at the first allocation: nothing fits,
         // re-splitting cannot help, recovery must exhaust.
-        let faulty = FaultyDevice::new(
-            DeviceMemory::new(budget),
-            FaultPlan::parse("shrink:at=1,factor=0.01").unwrap(),
-        );
+        let plan = FaultPlan::parse("shrink:at=1,factor=0.01").unwrap();
+        let faulty = DevicePool::homogeneous(1, budget, &plan).unwrap();
         let policy = RecoveryPolicy {
             max_retries: 2,
             ..RecoveryPolicy::default()
@@ -500,15 +491,12 @@ mod tests {
     fn fault_plans_replay_identical_event_logs() {
         // Acceptance: the same fault spec produces identical RecoveryEvent
         // logs across runs — full determinism from the seed.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         let run = || {
-            let faulty = FaultyDevice::new(
-                DeviceMemory::new(budget),
-                FaultPlan::parse("transient:p=0.12,seed=11").unwrap(),
-            );
+            let plan = FaultPlan::parse("transient:p=0.12,seed=11").unwrap();
+            let faulty = DevicePool::homogeneous(1, budget, &plan).unwrap();
             let mut trainer = Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy {
                 max_retries: 8,
                 ..RecoveryPolicy::default()
@@ -540,15 +528,12 @@ mod tests {
         // A transient fault while double-buffered climbs the DegradeSerial
         // rung first; the math is residency-independent, so losses still
         // match the clean serial run bit-for-bit.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         let clean = DeviceMemory::new(budget);
-        let faulty = FaultyDevice::new(
-            DeviceMemory::new(budget),
-            FaultPlan::parse("transient:nth=1").unwrap(),
-        );
+        let plan = FaultPlan::parse("transient:nth=1").unwrap();
+        let faulty = DevicePool::homogeneous(1, budget, &plan).unwrap();
         let mut serial = Engine::buffalo(config.clone(), 0.24);
         let mut pipelined = Engine::buffalo(config, 0.24)
             .with_pipeline(PipelineConfig::overlapped())
@@ -575,7 +560,6 @@ mod tests {
         // fault-free 2-device run. Execute is in-order, so re-routing the
         // dead device's micro-batches onto the survivor changes nothing
         // about the accumulation order.
-        use buffalo_memsim::FaultPlan;
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
@@ -618,14 +602,13 @@ mod tests {
         assert_eq!(clean.dead(), Vec::<usize>::new());
         // The clean run sharded across both members; the faulty run's
         // survivor absorbed everything after the loss.
-        assert!(clean.device(1).unwrap().counters().allocs > 0);
+        assert!(clean.counters()[1].allocs > 0);
         // A device loss says nothing about the memory estimator.
         assert_eq!(b.headroom_multiplier(), 1.0);
     }
 
     #[test]
     fn losing_every_device_exhausts_recovery() {
-        use buffalo_memsim::FaultPlan;
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
@@ -657,33 +640,26 @@ mod tests {
 
     #[test]
     fn a_lone_lost_device_exhausts_like_a_pool_of_one() {
-        // Regression: the `Device` defaults used to answer "one live
-        // device" after a lone device died, so this iteration took the
-        // failover rung forever, one `DeviceLost` event per spin. A
-        // single device is a pool of one: same error, same one-event
-        // trail.
-        use buffalo_memsim::{FaultPlan, FaultyDevice};
+        // Regression: the lone-device answer used to be "one live
+        // device" after it died, so this iteration took the failover
+        // rung forever, one `DeviceLost` event per spin. A pool of one
+        // leaves no survivor: the trail is one `Exhausted` event.
         let (ds, batch, config) = small_setup();
         let cost = CostModel::rtx6000();
         let budget = splitting_budget(&batch, &config.shape);
         let plan = FaultPlan::parse("lose:0,2").unwrap();
-        let lone = FaultyDevice::new(DeviceMemory::new(budget), plan.clone());
         let pool = DevicePool::homogeneous(1, budget, &plan).unwrap();
-        let trails = [&lone as &dyn Device, &pool].map(|device| {
-            let mut engine =
-                Engine::buffalo(config.clone(), 0.24).with_recovery(RecoveryPolicy::default());
-            match engine.train_iteration(&ds, &batch, device, &cost) {
-                Err(TrainError::RecoveryExhausted { events, last }) => {
-                    assert!(last.device_lost);
-                    events
-                }
-                other => panic!("expected RecoveryExhausted, got {other:?}"),
+        let mut engine = Engine::buffalo(config, 0.24).with_recovery(RecoveryPolicy::default());
+        let events = match engine.train_iteration(&ds, &batch, &pool, &cost) {
+            Err(TrainError::RecoveryExhausted { events, last }) => {
+                assert!(last.device_lost);
+                events
             }
-        });
-        assert_eq!(trails[0], trails[1]);
-        assert_eq!(trails[0].len(), 1, "trail grew: {:?}", trails[0]);
-        assert_eq!(trails[0][0].action, RecoveryAction::Exhausted);
-        assert_eq!(trails[0][0].index, 1, "the second micro-batch hit the loss");
+            other => panic!("expected RecoveryExhausted, got {other:?}"),
+        };
+        assert_eq!(events.len(), 1, "trail grew: {events:?}");
+        assert_eq!(events[0].action, RecoveryAction::Exhausted);
+        assert_eq!(events[0].index, 1, "the second micro-batch hit the loss");
     }
 
     #[test]
@@ -691,7 +667,7 @@ mod tests {
         // A 2-device run that loses device 1, crashes mid-save, and
         // resumes in a "new process" (fresh pool, same fault plan) must
         // re-mark the dead member and produce the fault-free trail.
-        use buffalo_memsim::{CrashPoint, FaultPlan};
+        use buffalo_memsim::CrashPoint;
         let ds = datasets::load(DatasetName::Cora, 9);
         let cost = CostModel::rtx6000();
         let config = TrainConfig {

@@ -29,15 +29,16 @@
 //! partition (and hence f32 summation order) but still trains every seed
 //! exactly once with the original gradient divisor.
 //!
-//! When the device handle fronts a *pool* (see
-//! [`DevicePool`](crate::train::DevicePool)), Execute routes each
-//! top-level micro-batch to a pool member via
-//! [`Device::begin_micro_batch`] — round-robin over the live devices —
-//! and a permanent whole-device loss climbs the failover rung: the dead
+//! When the device handle is a *pool* ([`Device::pool`]), Execute
+//! routes each top-level micro-batch to a pool member — round-robin over
+//! the live devices, see [`DevicePool::begin_micro_batch`] — and a
+//! permanent whole-device loss climbs the failover rung: the dead
 //! device is excluded from routing, the in-flight micro-batch replays on
 //! a survivor, and the math is unchanged because execution stays in-order
 //! on the caller's thread, so gradient accumulation order is independent
 //! of which device an allocation landed on.
+//!
+//! [`DevicePool::begin_micro_batch`]: buffalo_memsim::DevicePool::begin_micro_batch
 //!
 //! The staging itself is written once, in `run_staged`: training and
 //! inference differ only in the Execute closure they hand it.
@@ -185,8 +186,8 @@ fn micro_batches(plan: &SchedulePlan) -> impl Iterator<Item = (&[NodeId], u64)> 
 /// separately at two allocations by [`Residency`]). Either way Prepare
 /// owns its [`BlockWalker`] — scratch whose contents between walks never
 /// reach the numerics — and never touches the device, so when `execute`
-/// routes its micro-batch ([`Device::begin_micro_batch`]) relative to the
-/// preparation is unobservable.
+/// routes its micro-batch (`DevicePool::begin_micro_batch`) relative to
+/// the preparation is unobservable.
 fn run_staged<'a, E>(req: &Staged<'a>, depth: usize, mut execute: E) -> Result<(), TrainError>
 where
     E: FnMut(MicroWork<'a>) -> Result<(), TrainError>,
@@ -538,7 +539,9 @@ pub(crate) fn run_pipeline(
     run_staged(req, depth, |work| {
         // Route this micro-batch's allocations: a device pool
         // round-robins over its live members.
-        req.device.begin_micro_batch(work.assign_idx);
+        if let Some(pool) = req.device.pool() {
+            pool.begin_micro_batch(work.assign_idx);
+        }
         consume_one(model, req, &mut st, work, 0)
     })?;
     st.residency.finish();
@@ -617,10 +620,9 @@ fn infer_one(
 /// cannot touch parameters or optimizer state by construction.
 ///
 /// `micro_base` is added to each micro-batch's index when assigning it to
-/// a pool member ([`Device::begin_micro_batch`]). Serving passes its
+/// a pool member (`DevicePool::begin_micro_batch`). Serving passes its
 /// run-cumulative micro-batch count so successive dispatches round-robin
-/// across a [`DevicePool`](super::DevicePool) instead of all landing on
-/// member 0.
+/// across a pool instead of all landing on member 0.
 pub(crate) fn run_inference(
     model: &GnnModel,
     req: &Staged<'_>,
@@ -634,7 +636,9 @@ pub(crate) fn run_inference(
         device_seconds: 0.0,
     };
     run_staged(req, depth, |work| {
-        req.device.begin_micro_batch(micro_base + work.assign_idx);
+        if let Some(pool) = req.device.pool() {
+            pool.begin_micro_batch(micro_base + work.assign_idx);
+        }
         infer_one(model, req, &mut residency, &mut out, work.prepared)
     })?;
     residency.finish();

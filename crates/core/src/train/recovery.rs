@@ -212,7 +212,11 @@ pub(crate) fn fail_over(
     route: usize,
     oom: OomError,
 ) -> Result<(), TrainError> {
-    let (lost, survivors) = device.fail_active_device();
+    // A plain device is a lone device: nowhere to fail over to.
+    let Some(pool) = device.pool() else {
+        return Err(exhausted(events, index, oom));
+    };
+    let (lost, survivors) = pool.fail_active_device();
     if survivors == 0 {
         return Err(exhausted(events, index, oom));
     }
@@ -221,7 +225,7 @@ pub(crate) fn fail_over(
         survivors,
     };
     events.push(RecoveryEvent::new(index, action, &oom));
-    device.begin_micro_batch(route);
+    pool.begin_micro_batch(route);
     Ok(())
 }
 

@@ -172,7 +172,7 @@ impl Config {
                 "crates/core/src/train/engine.rs",
                 "crates/core/src/train/epoch.rs",
                 "crates/core/src/train/pipeline.rs",
-                "crates/core/src/train/device_pool.rs",
+                "crates/memsim/src/pool.rs",
                 "crates/core/src/serve/",
                 "crates/bucketing/src/scheduler.rs",
             ]),

@@ -1,5 +1,6 @@
 //! Budgeted device-memory simulator.
 
+use crate::DevicePool;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,21 +8,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Handle to a live simulated allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AllocId(u64);
-
-impl AllocId {
-    /// The raw id value — for wrappers (e.g. a device pool) that mint
-    /// their own id space and map it onto inner per-device ids.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a handle from [`raw`](Self::raw). Only meaningful for ids
-    /// minted by the same allocator that will receive them back.
-    pub fn from_raw(raw: u64) -> Self {
-        AllocId(raw)
-    }
-}
+pub struct AllocId(pub(crate) u64);
 
 /// Returned when an allocation would exceed the device budget — the
 /// simulated equivalent of CUDA's out-of-memory error.
@@ -34,7 +21,7 @@ pub struct OomError {
     /// Total device budget.
     pub budget: u64,
     /// `true` when the failure was injected by a fault plan (see
-    /// [`FaultyDevice`](crate::FaultyDevice)) rather than a genuine budget
+    /// [`DevicePool`](crate::DevicePool)) rather than a genuine budget
     /// overflow — transient faults are worth retrying, overflows are not.
     pub transient: bool,
     /// `true` when the device has been lost for good (a whole-device-loss
@@ -87,9 +74,9 @@ impl std::error::Error for OomError {}
 
 /// Object-safe view of a budgeted device: everything trainers and the
 /// simulation pipeline need from device memory, implemented by the plain
-/// [`DeviceMemory`] and by fault-injecting wrappers like
-/// [`FaultyDevice`](crate::FaultyDevice). Trainers accept `&dyn Device`,
-/// so any call site holding a `&DeviceMemory` keeps working unchanged.
+/// [`DeviceMemory`] and by the fault-injecting [`DevicePool`]. Trainers
+/// accept `&dyn Device`, so any call site holding a `&DeviceMemory`
+/// keeps working unchanged.
 pub trait Device: Sync {
     /// Attempts to allocate `bytes` (see [`DeviceMemory::alloc`]).
     fn alloc(&self, bytes: u64) -> Result<AllocId, OomError>;
@@ -109,55 +96,12 @@ pub trait Device: Sync {
     /// Frees everything.
     fn free_all(&self);
 
-    // --- Pool surface ---------------------------------------------------
-    //
-    // A `Device` may front a *pool* of simulated devices (an elastic
-    // multi-device runner). Every default below is the truth for a lone
-    // device — a pool of one with nowhere to fail over to.
-
-    /// Routes the upcoming micro-batch's allocations: a pool picks the
-    /// live device for `index` (round-robin over survivors); a lone
-    /// device has nowhere else to route.
-    fn begin_micro_batch(&self, index: usize) {
-        let _ = index;
-    }
-
-    /// The budget the *scheduler* should plan against: the tightest
-    /// per-device budget across live pool members (a bucket group must
-    /// fit whichever survivor it lands on). A lone device reports its
-    /// own budget.
-    fn schedule_budget(&self) -> u64 {
-        self.budget()
-    }
-
-    /// The failover rung's one question, asked after an allocation came
-    /// back [`OomError::device_lost`]: marks the device that refused it
-    /// dead — skipped by every later
-    /// [`begin_micro_batch`](Device::begin_micro_batch) — and returns
-    /// `(lost device index, live devices remaining)`. A lone device is
-    /// device 0 and leaves **zero** survivors, so recovery over it ends
-    /// instead of failing over onto the device that just died.
-    fn fail_active_device(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
-    /// Where the deterministic fault streams stand, for snapshots:
-    /// `(allocation calls seen per device, indices of devices marked
-    /// dead, ascending)`. A device without fault state stays at position
-    /// 0 — replaying it from anywhere is already deterministic.
-    fn snapshot_position(&self) -> (Vec<u64>, Vec<u64>) {
-        (vec![0], Vec::new())
-    }
-
-    /// Puts the fault streams back where
-    /// [`snapshot_position`](Device::snapshot_position) found them:
-    /// device `i` is reset to the state after exactly `allocs[i]` calls
-    /// (see [`FaultyDevice::fast_forward`](crate::FaultyDevice::fast_forward))
-    /// and the devices in `dead` are marked dead again. Indices past the
-    /// device count are ignored; a device without fault state has
-    /// nothing to move.
-    fn restore_position(&self, allocs: &[u64], dead: &[u64]) {
-        let _ = (allocs, dead);
+    /// The pool behind this handle, if it is one: micro-batch routing,
+    /// the schedule budget, failover and the fault streams' position
+    /// are [`DevicePool`] methods. A plain device is a lone device with
+    /// nowhere to fail over to, and each caller spells out that answer.
+    fn pool(&self) -> Option<&DevicePool> {
+        None
     }
 }
 

@@ -7,7 +7,9 @@
 //!
 //! * **Memory sizes** — [`DeviceMemory`] is a budgeted allocator that
 //!   tracks current/peak usage and faults with [`OomError`] exactly when a
-//!   real device would, and [`measure`] computes the exact training
+//!   real device would; [`DevicePool`] fronts one or more of them behind
+//!   the same [`Device`] trait, replaying a [`FaultPlan`] of injected
+//!   faults and device losses; and [`measure`] computes the exact training
 //!   footprint of a micro-batch from its blocks (the "profiled ground
 //!   truth" that Table III compares the analytical estimator against).
 //! * **Times** — [`CostModel`] converts FLOPs and byte movement into
@@ -26,12 +28,14 @@ mod device;
 pub mod estimate;
 mod fault;
 pub mod measure;
+mod pool;
 mod shape;
 pub mod tiered;
 pub mod timeline;
 
 pub use cost::CostModel;
 pub use device::{AllocId, Device, DeviceMemory, OomError};
-pub use fault::{BudgetEvent, CrashPoint, DeviceLoss, FaultCounters, FaultPlan, FaultyDevice};
+pub use fault::{BudgetEvent, CrashPoint, DeviceLoss, FaultPlan};
+pub use pool::{DevicePool, FaultCounters};
 pub use shape::{AggregatorKind, GnnShape};
 pub use timeline::{DeviceTimeline, StageTimings};

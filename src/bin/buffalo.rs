@@ -18,12 +18,12 @@ use buffalo::core::checkpoint::CheckpointOptions;
 use buffalo::core::serve::{serve_trace, RequestTrace, ServeConfig, ShedPolicy};
 use buffalo::core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo::core::train::{
-    run_epochs_checkpointed, DevicePool, Engine, EpochConfig, PipelineConfig, RecoveryAction,
-    RecoveryPolicy, TrainConfig,
+    run_epochs_checkpointed, Engine, EpochConfig, PipelineConfig, RecoveryAction, RecoveryPolicy,
+    TrainConfig,
 };
 use buffalo::graph::datasets::{self, DatasetName};
 use buffalo::graph::{io, stats, CsrGraph, NodeId};
-use buffalo::memsim::{AggregatorKind, CostModel, FaultPlan, GnnShape};
+use buffalo::memsim::{AggregatorKind, CostModel, DevicePool, FaultPlan, GnnShape};
 use buffalo::sampling::{BatchSampler, SeedBatches};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -411,30 +411,30 @@ fn device_pool(
 ) -> Result<DevicePool, String> {
     let none = FaultPlan::none();
     DevicePool::homogeneous(gpus.unwrap_or(1), budget, faults.unwrap_or(&none))
-        .map_err(|e| e.to_string())
+        .ok_or_else(|| "device pool needs at least one device".into())
 }
 
 /// What the devices went through: the `faults:` line for a single device
 /// under a fault plan, the `devices:` table when `--gpus` asked for a pool.
 fn print_device_summary(pool: &DevicePool, faults: bool, gpus: bool) {
-    let members = (0..pool.len()).filter_map(|i| Some((i, pool.device(i)?.counters())));
+    let (members, dead) = (pool.counters(), pool.dead());
     if gpus {
         println!(
             "devices: {} in pool, {} live",
-            pool.len(),
-            pool.len() - pool.dead().len()
+            members.len(),
+            members.len() - dead.len()
         );
-        for (i, c) in members {
+        for (i, c) in members.iter().enumerate() {
             println!(
                 "  device {i}: {} allocs, {} injected{}",
                 c.allocs,
                 c.injected,
-                if pool.is_dead(i) { ", LOST" } else { "" }
+                if dead.contains(&i) { ", LOST" } else { "" }
             );
         }
     } else if faults {
         // No `--gpus`: the pool's one member is the device.
-        for (_, c) in members {
+        for c in members {
             println!(
                 "faults: {} injected over {} allocs, {} budget changes",
                 c.injected, c.allocs, c.budget_changes

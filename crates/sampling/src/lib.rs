@@ -825,5 +825,50 @@ mod tests {
             ids.dedup();
             prop_assert_eq!(ids.len(), batch.global_ids.len());
         }
+
+        /// In a `sample`d batch hop 1 is the id range `num_seeds..end1`,
+        /// `end1` one past the largest id in the seeds' rows (or
+        /// `num_seeds` if there is none): the seeds' rows reference only
+        /// ids below `end1`, and every id in the range occurs in one of
+        /// them. Raw rows, so repeats and self-loops are in play.
+        #[test]
+        fn hop_one_is_an_id_range(
+            n in 1usize..60,
+            edges in proptest::collection::vec((0u32..60, 0u32..60), 0..400),
+            picks in proptest::collection::vec(0u32..60, 1..20),
+            fanouts in proptest::collection::vec(1usize..8, 1..4),
+            seed in 0u64..1_000,
+        ) {
+            let mut rows: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            for (s, d) in edges {
+                rows[d as usize % n].push(s % n as NodeId);
+            }
+            let mut offsets = vec![0usize];
+            for row in &rows {
+                offsets.push(offsets[offsets.len() - 1] + row.len());
+            }
+            let g = CsrGraph::from_parts(offsets, rows.concat());
+            let mut seeds: Vec<NodeId> = Vec::new();
+            for p in picks {
+                let v = p % n as NodeId;
+                if !seeds.contains(&v) {
+                    seeds.push(v);
+                }
+            }
+            let batch = BatchSampler::new(fanouts).sample(&g, &seeds, seed);
+            let k = batch.num_seeds;
+            let seed_rows = &batch.graph.neighbor_array()[..batch.graph.offsets()[k]];
+            let end1 = seed_rows.iter().map(|&u| u as usize + 1).max().unwrap_or(0).max(k);
+            let mut hit = vec![false; end1 - k];
+            for &u in seed_rows {
+                prop_assert!((u as usize) < end1);
+                if u as usize >= k {
+                    hit[u as usize - k] = true;
+                }
+            }
+            prop_assert!(hit.iter().all(|&h| h), "an id in {}..{} is in no seed row", k, end1);
+            let range: Vec<NodeId> = (k as NodeId..end1 as NodeId).collect();
+            prop_assert_eq!(&range, &batch.layer_frontiers[1]);
+        }
     }
 }

@@ -66,6 +66,7 @@ echo "ci: planning callers: $planning"
 # lines (neither blank nor a `//` comment, each file cut at its first
 # line that *starts* with `#[cfg(test)]` — a mention inside a doc comment
 # does not cut) and, of those, the lines that open a `pub` item.
+# The last line sums the directories.
 for dir in crates/*/src src shims; do
   find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk -v dir="$dir" '
     FNR == 1 { in_tests = 0 }
@@ -74,7 +75,8 @@ for dir in crates/*/src src shims; do
     { code++ }
     /^[[:space:]]*pub (fn|struct|enum|trait|const|type|mod|static|use)/ { pubs++ }
     END { printf "ci: size: %s: %d code lines, %d pub items\n", dir, code, pubs }'
-done
+done | awk '{ print; code += $(NF - 5); pubs += $(NF - 2) }
+  END { printf "ci: size: total: %d code lines, %d pub items\n", code, pubs }'
 
 # Machine-readable gate, as its own step: the --json rendering over a
 # clean workspace must be exactly the empty array (any diagnostic, or
@@ -137,19 +139,31 @@ if ! grep -q 'unknown flag `--budgte`' <<<"$out"; then
 fi
 echo "ci: an unknown CLI flag exits non-zero"
 
-# A device pool needs a member: `--gpus 0` must be refused with exit code
-# 1 and an error message (its wording may change), by both commands that
-# build a pool.
-for cmd in train serve; do
+# Bad numbers must be refused with exit code 1 and an error message (its
+# wording may change), not a panic (exit 101) and not a plan against a
+# misread value: an empty device pool, by both commands that build one; a
+# zero count or fanout; a negative, NaN or infinite budget.
+while read -r bad; do
   status=0
-  out=$(timeout 60 cargo run -q --release --bin buffalo -- "$cmd" cora --gpus 0 2>&1) || status=$?
+  # shellcheck disable=SC2086  # $bad is a fixed word list
+  out=$(timeout 60 cargo run -q --release --bin buffalo -- $bad 2>&1) || status=$?
   if [ "$status" -ne 1 ] || ! grep -q '^error: .' <<<"$out"; then
-    echo "ci: FAIL — buffalo $cmd --gpus 0 exited $status, not 1 with an error message" >&2
+    echo "ci: FAIL — buffalo $bad exited $status, not 1 with an error message" >&2
     printf '%s\n' "$out" >&2
     exit 1
   fi
-done
-echo "ci: an empty device pool exits 1 with a message"
+done <<'EOF_BAD'
+train cora --gpus 0
+serve cora --gpus 0
+schedule cora --seeds 0
+train cora --batch-size 0
+schedule cora --fanouts 10,0
+schedule cora --hidden 0
+schedule cora --budget -1G
+schedule cora --budget nanG
+schedule cora --budget infG
+EOF_BAD
+echo "ci: bad numbers on the command line exit 1 with a message"
 
 # Fault-injection smoke: a training run with injected transient faults
 # must complete end-to-end under the recovery ladder.

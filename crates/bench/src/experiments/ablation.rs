@@ -163,11 +163,21 @@ pub fn layer(quick: bool) {
     }
     // Non-output-layer partitioning: split the layer-1 frontier instead;
     // count layer-2 destinations whose layer-1 dependencies land in a
-    // different partition (Figure 8's "missing dependencies").
-    let frontier = &w.batch.layer_frontiers[1];
+    // different partition (Figure 8's "missing dependencies"). In a
+    // sampled batch that frontier is the id range after the seeds up to
+    // one past the largest id in the seeds' rows.
+    let num_seeds = w.batch.num_seeds;
+    let seed_rows = &w.batch.graph.neighbor_array()[..w.batch.graph.offsets()[num_seeds]];
+    let end1 = seed_rows
+        .iter()
+        .map(|&u| u as usize + 1)
+        .max()
+        .unwrap_or(0)
+        .max(num_seeds);
+    let frontier_len = end1 - num_seeds;
     let mut part_of = vec![usize::MAX; w.batch.num_nodes()];
-    for (i, &v) in frontier.iter().enumerate() {
-        part_of[v as usize] = i * k / frontier.len().max(1);
+    for (i, p) in part_of[num_seeds..end1].iter_mut().enumerate() {
+        *p = i * k / frontier_len.max(1);
     }
     let mut missing_inner_layer = 0usize;
     for s in 0..w.batch.num_seeds as NodeId {

@@ -177,14 +177,6 @@ impl Block {
             .iter()
             .map(move |&p| self.arrays.nodes[p as usize])
     }
-
-    /// Maximum in-degree over all destinations (0 if there are none).
-    pub fn max_in_degree(&self) -> usize {
-        (0..self.num_dst())
-            .map(|i| self.in_degree(i))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Blocks are equal when their views are, whatever else the arrays hold.
@@ -232,7 +224,6 @@ mod tests {
         assert_eq!(b.num_edges(), 5);
         assert_eq!(b.in_degree(0), 2);
         assert_eq!(b.in_degree(1), 3);
-        assert_eq!(b.max_in_degree(), 3);
         assert_eq!(b.srcs_of(0).collect::<Vec<_>>(), vec![9, 2]);
         assert_eq!(b.srcs_of(1).collect::<Vec<_>>(), vec![2, 3, 5]);
     }
@@ -259,6 +250,6 @@ mod tests {
     fn empty_block_is_valid() {
         let b = Block::from_parts(vec![], vec![], vec![0], vec![]);
         assert_eq!(b.num_dst(), 0);
-        assert_eq!(b.max_in_degree(), 0);
+        assert_eq!((b.num_src(), b.num_edges()), (0, 0));
     }
 }

@@ -61,22 +61,12 @@ impl ReverseIndex {
         ReverseIndex { offsets, dsts }
     }
 
-    /// Number of source positions indexed.
-    pub fn num_src(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of edges (equals the block's edge count).
-    pub fn num_edges(&self) -> usize {
-        self.dsts.len()
-    }
-
     /// Destination rows whose aggregation reads source position `p`, in
     /// serial scatter order (ascending, duplicates preserved).
     ///
     /// # Panics
     ///
-    /// Panics if `p >= num_src()`.
+    /// Panics if `p` is not a source position of the indexed block.
     pub fn dsts_of(&self, p: usize) -> &[u32] {
         &self.dsts[self.offsets[p]..self.offsets[p + 1]]
     }
@@ -99,8 +89,6 @@ mod tests {
     #[test]
     fn reverse_of_sample_block() {
         let rev = ReverseIndex::new(&sample_block());
-        assert_eq!(rev.num_src(), 4);
-        assert_eq!(rev.num_edges(), 5);
         assert_eq!(rev.dsts_of(0), &[1]); // src pos 0 feeds dst row 1
         assert_eq!(rev.dsts_of(1), &[0]);
         assert_eq!(rev.dsts_of(2), &[0, 1]); // ascending dst order
@@ -113,15 +101,17 @@ mod tests {
         let b = Block::from_parts(vec![7], vec![7, 3], vec![0, 3], vec![1, 1, 0]);
         let rev = ReverseIndex::new(&b);
         assert_eq!(rev.dsts_of(1), &[0, 0]);
-        assert_eq!(rev.num_edges(), 3);
+        assert_eq!(rev.dsts_of(0), &[0]);
     }
 
     #[test]
     fn empty_block_yields_empty_index() {
         let b = Block::from_parts(vec![], vec![], vec![0], vec![]);
         let rev = ReverseIndex::new(&b);
-        assert_eq!(rev.num_src(), 0);
-        assert_eq!(rev.num_edges(), 0);
+        assert_eq!(
+            (rev.offsets.as_slice(), rev.dsts.as_slice()),
+            (&[0][..], &[][..])
+        );
     }
 
     mod properties {
@@ -169,7 +159,7 @@ mod tests {
                 }
                 fwd.sort_unstable();
                 let mut bwd: Vec<(u32, u32)> = Vec::new();
-                for p in 0..rev.num_src() {
+                for p in 0..block.num_src() {
                     prop_assert!(rev.dsts_of(p).windows(2).all(|w| w[0] <= w[1]));
                     for &i in rev.dsts_of(p) {
                         bwd.push((p as u32, i));

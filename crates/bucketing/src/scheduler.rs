@@ -35,11 +35,6 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
-    /// Total number of output nodes across all groups.
-    pub fn total_outputs(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
     /// Largest relative imbalance between group estimates (Figure 14).
     pub fn imbalance(&self) -> f64 {
         let max = self.group_estimates.iter().copied().max().unwrap_or(0);
@@ -96,7 +91,7 @@ impl std::error::Error for ScheduleError {}
 ///     .schedule(&batch.graph, batch.num_seeds, 256 << 20)
 ///     .unwrap();
 /// assert!(plan.k >= 1);
-/// assert_eq!(plan.total_outputs(), 500);
+/// assert_eq!(plan.groups.iter().map(Vec::len).sum::<usize>(), 500);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BuffaloScheduler {
@@ -546,7 +541,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.k, 1);
         assert_eq!(plan.groups.len(), 1);
-        assert_eq!(plan.total_outputs(), 800);
+        assert_eq!(plan.groups.iter().map(Vec::len).sum::<usize>(), 800);
         assert!(!plan.split_explosion);
     }
 
@@ -563,7 +558,7 @@ mod tests {
             .schedule(&batch.graph, batch.num_seeds, single / 3)
             .unwrap();
         assert!(plan.k > 1, "expected multiple groups, got K={}", plan.k);
-        assert_eq!(plan.total_outputs(), 800);
+        assert_eq!(plan.groups.iter().map(Vec::len).sum::<usize>(), 800);
         for &e in &plan.group_estimates {
             assert!(e <= single / 3);
         }
@@ -676,7 +671,7 @@ mod tests {
         let seeds: Vec<NodeId> = (0..100).collect();
         let sub = sched.resplit_group(&batch.graph, &seeds, u64::MAX).unwrap();
         assert!(sub.k >= 2);
-        assert_eq!(sub.total_outputs(), 100);
+        assert_eq!(sub.groups.iter().map(Vec::len).sum::<usize>(), 100);
     }
 
     #[test]

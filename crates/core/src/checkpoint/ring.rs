@@ -54,11 +54,6 @@ impl CheckpointRing {
         self.crash = crash;
     }
 
-    /// The ring directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Saves `snap` atomically and prunes the ring to `keep` entries.
     /// Returns the final snapshot path.
     ///

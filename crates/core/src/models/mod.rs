@@ -209,14 +209,6 @@ impl GnnModel {
             p.zero_grad();
         }
     }
-
-    /// Model depth (number of blocks consumed per step).
-    pub fn num_layers(&self) -> usize {
-        match self {
-            GnnModel::Sage(layers) => layers.len(),
-            GnnModel::Gat(layers) => layers.len(),
-        }
-    }
 }
 
 /// Forward-pass cache, matching the model kind; `'a` is the borrow of

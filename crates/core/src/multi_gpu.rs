@@ -25,8 +25,6 @@ use buffalo_sampling::Batch;
 /// Result of a simulated data-parallel iteration.
 #[derive(Debug, Clone)]
 pub struct MultiGpuReport {
-    /// Number of GPUs simulated.
-    pub num_gpus: usize,
     /// End-to-end iteration seconds.
     pub iteration_seconds: f64,
     /// Seconds spent in the gradient all-reduce.
@@ -93,7 +91,6 @@ pub fn simulate_data_parallel(
         0.0
     };
     Ok(MultiGpuReport {
-        num_gpus,
         iteration_seconds: cpu_seconds + max_gpu_seconds + comm_seconds,
         comm_seconds,
         cpu_seconds,

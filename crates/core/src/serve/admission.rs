@@ -116,11 +116,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Requests currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether no request is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
@@ -230,7 +225,7 @@ mod tests {
         assert!(q.is_empty());
         // A meetable one queues.
         assert_eq!(q.offer(e(1, 0.9), 1.0, Some(0.5)), Admission::Admitted);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.entries().count(), 1);
     }
 
     #[test]
@@ -244,7 +239,7 @@ mod tests {
             got.iter().map(|x| x.index).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.entries().count(), 2);
         let rest = q.take_front(99);
         assert_eq!(rest.len(), 2);
         assert!(q.is_empty());

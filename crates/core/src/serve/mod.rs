@@ -34,8 +34,8 @@
 //!   it. Batch boundaries can shift — under load shedding, deadline
 //!   drops, fault-driven re-splits, or device failover — without moving a
 //!   single answer bit ([`ServeReport::answer_digest`] pins this);
-//! * the engine is borrowed immutably ([`Engine::infer`] takes `&self`),
-//!   so serving cannot perturb model parameters or Adam moments.
+//! * the engine is borrowed immutably ([`Engine::infer_with_base`] takes
+//!   `&self`), so serving cannot perturb model parameters or Adam moments.
 
 pub mod admission;
 pub mod recovery;
@@ -311,7 +311,7 @@ impl ServeReport {
 ///
 /// Each dispatch samples the queried nodes' neighborhoods **in
 /// isolation** ([`BatchSampler::sample_isolated`], seeded by
-/// `trace.seed`) and runs [`Engine::infer`] through the serving recovery
+/// `trace.seed`) and runs [`Engine::infer_with_base`] through the serving recovery
 /// ladder: the same Prepare/Execute pipeline as training, with the
 /// bucket scheduler splitting any dispatch whose footprint exceeds the
 /// budget, and transient OOMs / device losses climbing the ladder
@@ -323,7 +323,7 @@ impl ServeReport {
 ///   [`ServeConfig`] (see [`ServeConfig::validate`]), or a query for a
 ///   node outside the dataset.
 /// * [`TrainError::RecoveryExhausted`] when every ladder rung failed
-///   for one dispatch (or any [`Engine::infer`] failure with recovery
+///   for one dispatch (or any [`Engine::infer_with_base`] failure with recovery
 ///   disabled).
 pub fn serve_trace(
     engine: &Engine,

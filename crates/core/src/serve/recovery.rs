@@ -84,8 +84,8 @@ impl ServeRecoveryCounts {
     }
 }
 
-/// What one recovered dispatch produced: [`Engine::infer`] outputs plus
-/// the simulated seconds recovery itself cost.
+/// What one recovered dispatch produced: [`Engine::infer_with_base`]
+/// outputs plus the simulated seconds recovery itself cost.
 #[derive(Debug, Clone)]
 pub(crate) struct RecoveredInference {
     /// `(dataset node id, predicted class)` for every request node.

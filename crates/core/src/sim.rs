@@ -101,8 +101,6 @@ impl PhaseTimes {
 /// Result of simulating one iteration.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// The strategy simulated.
-    pub strategy: Strategy,
     /// Per-phase times.
     pub phases: PhaseTimes,
     /// Number of micro-batches executed.
@@ -186,7 +184,6 @@ pub fn simulate_iteration(
     device.reset_peak();
     let mut phases = PhaseTimes::default();
     let mut report = SimReport {
-        strategy,
         phases,
         num_micro_batches: 0,
         peak_mem_bytes: 0,

@@ -9,10 +9,10 @@
 //! * [`train_iteration`](Engine::train_iteration) — one gradient step
 //!   (whole-batch or bucket-scheduled, depending on how the engine was
 //!   built), exactly the math the paper's Algorithms 1 and 2 specify;
-//! * [`infer`](Engine::infer) — a forward-only pass over a sampled batch
-//!   through the same pipeline and (in scheduled mode) the same bucket
-//!   scheduler for admission under the device budget, touching no
-//!   parameter or optimizer state;
+//! * [`infer_with_base`](Engine::infer_with_base) — a forward-only pass
+//!   over a sampled batch through the same pipeline and (in scheduled
+//!   mode) the same bucket scheduler for admission under the device
+//!   budget, touching no parameter or optimizer state;
 //! * [`capture_state`](Engine::capture_state) /
 //!   [`restore_state`](Engine::restore_state) — the single bit-exact
 //!   snapshot implementation the checkpoint subsystem targets.
@@ -25,7 +25,7 @@ use crate::checkpoint::{CheckpointError, ParamState, TrainerState};
 use crate::models::GnnModel;
 use crate::train::pipeline::{run_inference, run_pipeline, Staged};
 use crate::train::recovery::{HeadroomCalibrator, RecoveryPolicy};
-use crate::train::{IterationStats, PipelineConfig, TrainConfig};
+use crate::train::{InferenceStats, IterationStats, PipelineConfig, TrainConfig};
 use crate::TrainError;
 use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
@@ -34,22 +34,6 @@ use buffalo_memsim::{CostModel, Device, DevicePool};
 use buffalo_sampling::Batch;
 use buffalo_tensor::{Adam, Optimizer};
 use std::time::Duration;
-
-/// Result of a forward-only inference pass (see [`Engine::infer`]).
-#[derive(Debug, Clone)]
-pub struct InferenceStats {
-    /// `(dataset node id, predicted class)` for every output node, in
-    /// execution order (micro-batch by micro-batch).
-    pub predictions: Vec<(NodeId, u32)>,
-    /// Micro-batches executed (1 in whole-batch mode).
-    pub num_micro_batches: usize,
-    /// Peak simulated device memory over the pass, bytes.
-    pub peak_mem_bytes: u64,
-    /// Simulated device service seconds (compute + transfer, costed by
-    /// the [`CostModel`]). Deterministic — no wall clock feeds it — so
-    /// serving latency distributions replay bit-identically.
-    pub service_seconds: f64,
-}
 
 /// The long-lived core shared by every driver: model + optimizer state,
 /// the bucket scheduler, and the pipeline/recovery configuration.
@@ -263,20 +247,12 @@ impl Engine {
             _ => None,
         };
         self.model.zero_grad();
-        let outcome = run_pipeline(&mut self.model, &staged, &self.recovery, replan)?;
+        let stats = run_pipeline(&mut self.model, &staged, &self.recovery, replan)?;
         // One optimizer step after all partial gradients accumulated
         // (Algorithm 2 line 13; trivially one micro-batch in whole-batch
         // mode).
         self.opt.step(&mut self.model.params_mut());
-        let total = batch.num_seeds;
-        Ok(IterationStats {
-            loss: (outcome.loss_sum / total as f64) as f32,
-            accuracy: outcome.correct as f32 / total as f32,
-            num_micro_batches: outcome.micro_batches,
-            peak_mem_bytes: device.peak(),
-            timings: outcome.timings,
-            recovery: outcome.recovery,
-        })
+        Ok(stats)
     }
 
     /// Forward-only inference over `batch`: the same Prepare/Execute
@@ -290,29 +266,16 @@ impl Engine {
     /// admission-control decisions are consistent between training and
     /// serving.
     ///
+    /// `micro_base` numbers the pass's micro-batches. The serving loop
+    /// passes its run-cumulative micro-batch count so successive
+    /// dispatches keep rotating across [`DevicePool`] members instead of
+    /// re-starting at member 0 every call; a lone pass passes 0.
+    ///
     /// # Errors
     ///
     /// * [`TrainError::Schedule`] if no feasible grouping exists
     ///   (scheduled mode only).
     /// * [`TrainError::Oom`] if a micro-batch exceeds the budget.
-    pub fn infer(
-        &self,
-        ds: &Dataset,
-        batch: &Batch,
-        device: &dyn Device,
-        cost: &CostModel,
-    ) -> Result<InferenceStats, TrainError> {
-        self.infer_with_base(ds, batch, device, cost, 0)
-    }
-
-    /// [`Self::infer`] with an explicit micro-batch numbering base. The
-    /// serving loop passes its run-cumulative micro-batch count so
-    /// successive dispatches keep rotating across [`DevicePool`] members
-    /// instead of re-starting at member 0 every call.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::infer`].
     pub fn infer_with_base(
         &self,
         ds: &Dataset,
@@ -334,13 +297,7 @@ impl Engine {
             cost,
             pipeline: self.pipeline,
         };
-        let outcome = run_inference(&self.model, &staged, micro_base)?;
-        Ok(InferenceStats {
-            predictions: outcome.predictions,
-            num_micro_batches: outcome.micro_batches,
-            peak_mem_bytes: device.peak(),
-            service_seconds: outcome.device_seconds,
-        })
+        run_inference(&self.model, &staged, micro_base)
     }
 }
 
@@ -497,8 +454,12 @@ mod tests {
             engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
         }
         let before = param_fingerprint(&engine.capture_state());
-        let a = engine.infer(&ds, &batch, &device, &cost).unwrap();
-        let b = engine.infer(&ds, &batch, &device, &cost).unwrap();
+        let a = engine
+            .infer_with_base(&ds, &batch, &device, &cost, 0)
+            .unwrap();
+        let b = engine
+            .infer_with_base(&ds, &batch, &device, &cost, 0)
+            .unwrap();
         let after = param_fingerprint(&engine.capture_state());
         assert_eq!(before, after, "inference touched parameter state");
         assert_eq!(a.predictions, b.predictions);
@@ -523,7 +484,9 @@ mod tests {
         let budget = splitting_budget(&batch, &config.shape);
         let device = DeviceMemory::new(budget);
         let engine = Engine::buffalo(config, 0.24);
-        let stats = engine.infer(&ds, &batch, &device, &cost).unwrap();
+        let stats = engine
+            .infer_with_base(&ds, &batch, &device, &cost, 0)
+            .unwrap();
         assert!(stats.num_micro_batches > 1, "budget did not force split");
         assert!(stats.peak_mem_bytes <= budget);
         assert_eq!(stats.predictions.len(), batch.num_seeds);
@@ -542,7 +505,9 @@ mod tests {
             let device = DeviceMemory::new(budget);
             let mut engine = Engine::buffalo(config.clone(), 0.24).with_pipeline(pipeline);
             engine.train_iteration(&ds, &batch, &device, &cost).unwrap();
-            engine.infer(&ds, &batch, &device, &cost).unwrap()
+            engine
+                .infer_with_base(&ds, &batch, &device, &cost, 0)
+                .unwrap()
         };
         let serial = run(PipelineConfig::serial());
         let overlapped = run(PipelineConfig::overlapped());
@@ -577,8 +542,12 @@ mod tests {
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits(), "iter {i}");
             assert_eq!(a.peak_mem_bytes, b.peak_mem_bytes, "iter {i}");
         }
-        let a = full.infer(&ds, &batch, &device, &cost).unwrap();
-        let b = buffalo.infer(&ds, &batch, &device, &cost).unwrap();
+        let a = full
+            .infer_with_base(&ds, &batch, &device, &cost, 0)
+            .unwrap();
+        let b = buffalo
+            .infer_with_base(&ds, &batch, &device, &cost, 0)
+            .unwrap();
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.service_seconds.to_bits(), b.service_seconds.to_bits());
         assert_eq!(

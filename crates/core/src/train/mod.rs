@@ -21,7 +21,7 @@ mod epoch;
 pub(crate) mod pipeline;
 pub(crate) mod recovery;
 
-pub use engine::{Engine, InferenceStats};
+pub use engine::Engine;
 pub use epoch::{evaluate, run_epochs_checkpointed, EpochConfig, EpochStats, TrainRun};
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
@@ -67,6 +67,24 @@ pub struct IterationStats {
     /// Recovery actions taken this iteration, in order. Empty unless a
     /// [`RecoveryPolicy`] is enabled and the device refused an allocation.
     pub recovery: Vec<RecoveryEvent>,
+}
+
+/// Result of a forward-only inference pass (see
+/// [`Engine::infer_with_base`]).
+#[derive(Debug, Clone)]
+pub struct InferenceStats {
+    /// `(dataset node id, predicted class)` for every output node, in
+    /// execution order (micro-batch by micro-batch).
+    pub predictions: Vec<(NodeId, u32)>,
+    /// Micro-batches executed (1 in whole-batch mode).
+    pub num_micro_batches: usize,
+    /// Peak simulated device memory over the pass, bytes.
+    pub peak_mem_bytes: u64,
+    /// Simulated device service seconds (compute + transfer, costed by
+    /// the [`CostModel`](buffalo_memsim::CostModel)). Deterministic — no
+    /// wall clock feeds it — so serving latency distributions replay
+    /// bit-identically.
+    pub service_seconds: f64,
 }
 
 /// What the blocks of one (micro-)batch read from the dataset.

@@ -47,7 +47,7 @@ use crate::models::GnnModel;
 use crate::train::recovery::{
     exhausted, fail_over, HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy,
 };
-use crate::train::{gather, Gathered};
+use crate::train::{gather, Gathered, InferenceStats, IterationStats};
 use crate::TrainError;
 use buffalo_blocks::{Block, BlockWalker};
 use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
@@ -319,22 +319,6 @@ impl<'d> Residency<'d> {
     }
 }
 
-/// What one iteration's Execute stage accumulated.
-#[derive(Debug, Clone)]
-pub(crate) struct PipelineOutcome {
-    /// Summed (un-normalized) loss over all output nodes.
-    pub loss_sum: f64,
-    /// Correctly classified output nodes.
-    pub correct: usize,
-    /// Micro-batches executed.
-    pub micro_batches: usize,
-    /// Full timing breakdown, including the overlapped makespan.
-    pub timings: StageTimings,
-    /// Recovery actions taken this iteration, in order. Empty in an
-    /// undisturbed run.
-    pub recovery: Vec<RecoveryEvent>,
-}
-
 /// The scheduler the re-split rung re-plans with, and the headroom
 /// calibration that observed peaks and refusals feed.
 pub(crate) type Replan<'a> = (&'a BuffaloScheduler, &'a mut HeadroomCalibrator);
@@ -508,15 +492,16 @@ fn consume_one(
 
 /// Runs one iteration's micro-batches through the Prepare/Execute
 /// pipeline, accumulating gradients into `model` in plan order; the loss
-/// gradient is divided by the batch's seed count. `replan` enables the
-/// re-split rung and headroom calibration (`None`: an execution-time
-/// refusal can only be retried).
+/// gradient is divided by the batch's seed count, and so are the
+/// reported loss and accuracy. `replan` enables the re-split rung and
+/// headroom calibration (`None`: an execution-time refusal can only be
+/// retried).
 pub(crate) fn run_pipeline(
     model: &mut GnnModel,
     req: &Staged<'_>,
     policy: &RecoveryPolicy,
     replan: Option<Replan<'_>>,
-) -> Result<PipelineOutcome, TrainError> {
+) -> Result<IterationStats, TrainError> {
     let depth = staging_depth(req);
     // The scheduling prefix is serial — the plan must exist before the
     // first micro-batch can be prepared — and is folded into the timings.
@@ -546,27 +531,15 @@ pub(crate) fn run_pipeline(
     })?;
     st.residency.finish();
     st.timings.overlapped_makespan = schedule_seconds + st.timeline.makespan();
-    Ok(PipelineOutcome {
-        loss_sum: st.loss_sum,
-        correct: st.correct,
-        micro_batches: st.micro_batches,
+    let total = req.batch.num_seeds;
+    Ok(IterationStats {
+        loss: (st.loss_sum / total as f64) as f32,
+        accuracy: st.correct as f32 / total as f32,
+        num_micro_batches: st.micro_batches,
+        peak_mem_bytes: req.device.peak(),
         timings: st.timings,
         recovery: st.events,
     })
-}
-
-/// What one inference pass produced.
-#[derive(Debug, Clone)]
-pub(crate) struct InferOutcome {
-    /// `(dataset node id, predicted class)` per output node, in execution
-    /// order.
-    pub predictions: Vec<(NodeId, u32)>,
-    /// Micro-batches executed.
-    pub micro_batches: usize,
-    /// Simulated device seconds (forward compute + transfer) summed over
-    /// the micro-batches. Derived entirely from the [`CostModel`], never
-    /// the wall clock, so it is bit-stable across runs and hosts.
-    pub device_seconds: f64,
 }
 
 /// Deterministic argmax: the first class whose logit is strictly greater
@@ -587,7 +560,7 @@ fn infer_one(
     model: &GnnModel,
     req: &Staged<'_>,
     residency: &mut Residency<'_>,
-    out: &mut InferOutcome,
+    out: &mut InferenceStats,
     prepared: Prepared,
 ) -> Result<(), TrainError> {
     let Prepared { blocks, data, .. } = prepared;
@@ -607,15 +580,16 @@ fn infer_one(
     let transfer = req
         .cost
         .transfer_seconds(measure::transfer_bytes(&blocks, req.shape) as f64);
-    out.device_seconds += compute + transfer;
-    out.micro_batches += 1;
+    out.service_seconds += compute + transfer;
+    out.num_micro_batches += 1;
     Ok(())
 }
 
 /// Runs a forward-only pass over the plan's micro-batches through the
 /// same staged driver as training: CPU preparation (optionally overlapped
 /// on a worker thread), in-order device execution with the same residency
-/// policy. Forward-only — no recovery policy (an OOM propagates so the
+/// policy. Service seconds are simulated (forward compute + transfer, from
+/// the [`CostModel`]), never the wall clock. Forward-only — no recovery policy (an OOM propagates so the
 /// serving driver can account the rejection) — and `&GnnModel`: the pass
 /// cannot touch parameters or optimizer state by construction.
 ///
@@ -627,13 +601,14 @@ pub(crate) fn run_inference(
     model: &GnnModel,
     req: &Staged<'_>,
     micro_base: usize,
-) -> Result<InferOutcome, TrainError> {
+) -> Result<InferenceStats, TrainError> {
     let depth = staging_depth(req);
     let mut residency = Residency::new(req.device, depth > 1);
-    let mut out = InferOutcome {
+    let mut out = InferenceStats {
         predictions: Vec::new(),
-        micro_batches: 0,
-        device_seconds: 0.0,
+        num_micro_batches: 0,
+        peak_mem_bytes: 0,
+        service_seconds: 0.0,
     };
     run_staged(req, depth, |work| {
         if let Some(pool) = req.device.pool() {
@@ -642,5 +617,6 @@ pub(crate) fn run_inference(
         infer_one(model, req, &mut residency, &mut out, work.prepared)
     })?;
     residency.finish();
+    out.peak_mem_bytes = req.device.peak();
     Ok(out)
 }

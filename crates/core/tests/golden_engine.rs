@@ -4,9 +4,10 @@
 //! `tests/golden/cora_epochs2_bits.txt` through the CLI. This builds the
 //! same run from the library — same dataset seed, shape, split and budget
 //! as `cmd_train` — and checks the loss trail of [`Engine::train_iteration`]
-//! against that file bit for bit, then the predictions of [`Engine::infer`]
-//! from the trained weights against a digest pinned when the forward pass
-//! still cloned its activations and built a cache for inference.
+//! against that file bit for bit, then the predictions of
+//! [`Engine::infer_with_base`] from the trained weights against a digest
+//! pinned when the forward pass still cloned its activations and built a
+//! cache for inference.
 
 use buffalo_core::train::{run_epochs_checkpointed, Engine, EpochConfig, TrainConfig};
 use buffalo_graph::datasets::{self, DatasetName};
@@ -70,7 +71,7 @@ fn cora_trail_and_predictions_match_the_golden() {
     let seeds: Vec<NodeId> = (train_nodes as NodeId..train_nodes as NodeId + 300).collect();
     let batch = BatchSampler::new(vec![5, 10]).sample(&ds.graph, &seeds, 23);
     let stats = engine
-        .infer(&ds, &batch, &device, &cost)
+        .infer_with_base(&ds, &batch, &device, &cost, 0)
         .expect("cora infers under 12 MB");
     assert!(
         stats.num_micro_batches > 1,

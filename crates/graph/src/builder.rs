@@ -44,11 +44,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes this builder was created with.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     /// Adds an edge. Ids must be `< num_nodes`.
     ///
     /// # Panics

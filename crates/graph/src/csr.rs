@@ -120,12 +120,6 @@ impl CsrGraph {
             .max()
             .unwrap_or(0)
     }
-
-    /// Approximate in-memory footprint in bytes (offsets + neighbor array).
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.neighbors.len() * std::mem::size_of::<NodeId>()
-    }
 }
 
 impl fmt::Debug for CsrGraph {
@@ -204,11 +198,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn from_parts_rejects_bad_neighbor() {
         let _ = CsrGraph::from_parts(vec![0, 1], vec![7]);
-    }
-
-    #[test]
-    fn memory_bytes_scales_with_edges() {
-        let g = triangle_plus_tail();
-        assert!(g.memory_bytes() >= 8 * std::mem::size_of::<NodeId>());
     }
 }

@@ -320,19 +320,8 @@ impl Dataset {
     /// classification task is learnable.
     pub fn feature_row(&self, node: NodeId) -> Vec<f32> {
         let mut row = vec![0.0; self.spec.feat_dim];
-        self.feature_row_into(node, &mut row);
+        self.feature_rows_into(&[node], &mut row);
         row
-    }
-
-    /// Writes [`feature_row`](Self::feature_row) of `node` into `out`
-    /// without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from `feat_dim`.
-    pub fn feature_row_into(&self, node: NodeId, out: &mut [f32]) {
-        assert_eq!(out.len(), self.spec.feat_dim, "feature row width mismatch");
-        self.feature_rows_into(&[node], out);
     }
 
     /// The feature synthesiser: writes the row of `nodes[i]` into row `i`
@@ -425,15 +414,6 @@ impl Dataset {
         });
     }
 
-    /// The active feature-storage precision.
-    pub fn precision(&self) -> FeaturePrecision {
-        if self.bf16_features.is_some() {
-            FeaturePrecision::Bf16
-        } else {
-            FeaturePrecision::F32
-        }
-    }
-
     /// Switches feature storage. `Bf16` materializes the full
     /// `nodes × feat_dim` table (2 bytes per value — ~111 MB for the
     /// largest scaled stand-in) by rounding each generated f32 row to
@@ -480,16 +460,6 @@ impl Dataset {
                 self.bf16_features = Some(table);
             }
         }
-    }
-
-    /// Bytes per node feature row: `feat_dim × 4` for f32 storage,
-    /// `feat_dim × 2` under [`FeaturePrecision::Bf16`].
-    pub fn feature_row_bytes(&self) -> usize {
-        let per_value = match self.precision() {
-            FeaturePrecision::F32 => std::mem::size_of::<f32>(),
-            FeaturePrecision::Bf16 => std::mem::size_of::<u16>(),
-        };
-        self.spec.feat_dim * per_value
     }
 }
 
@@ -716,7 +686,6 @@ mod tests {
         let mut exact = vec![0.0; nodes.len() * dim];
         ds.gather_features(&nodes, &mut exact);
         ds.set_precision(FeaturePrecision::Bf16);
-        assert_eq!(ds.precision(), FeaturePrecision::Bf16);
         let mut rounded = vec![0.0; nodes.len() * dim];
         ds.gather_features(&nodes, &mut rounded);
         for (&e, &r) in exact.iter().zip(&rounded) {
@@ -729,22 +698,23 @@ mod tests {
     }
 
     #[test]
-    fn precision_toggles_row_bytes_and_round_trips() {
+    fn precision_toggle_is_idempotent_and_round_trips() {
         let mut ds = load(DatasetName::Cora, 5);
-        let f32_bytes = ds.feature_row_bytes();
-        assert_eq!(f32_bytes, ds.spec.feat_dim * 4);
+        let exact = ds.feature_row(9);
+        let gather = |ds: &Dataset| {
+            let mut out = vec![0.0; ds.spec.feat_dim];
+            ds.gather_features(&[9], &mut out);
+            out
+        };
         ds.set_precision(FeaturePrecision::Bf16);
-        assert_eq!(ds.feature_row_bytes(), f32_bytes / 2);
+        let rounded = gather(&ds);
+        assert_ne!(rounded, exact, "bf16 storage must round the gathered row");
         // Idempotent: re-applying bf16 keeps the table, returning to f32
         // restores exact gathers.
         ds.set_precision(FeaturePrecision::Bf16);
-        assert_eq!(ds.precision(), FeaturePrecision::Bf16);
+        assert_eq!(gather(&ds), rounded);
         ds.set_precision(FeaturePrecision::F32);
-        assert_eq!(ds.precision(), FeaturePrecision::F32);
-        assert_eq!(ds.feature_row_bytes(), f32_bytes);
-        let mut out = vec![0.0; ds.spec.feat_dim];
-        ds.gather_features(&[9], &mut out);
-        assert_eq!(out, ds.feature_row(9));
+        assert_eq!(gather(&ds), exact);
     }
 
     #[test]

@@ -4,14 +4,11 @@
 //! This reproduction has no dataset downloads, so [`crate::datasets`]
 //! synthesizes calibrated stand-ins from the models here:
 //!
-//! * [`erdos_renyi`] — binomial random graphs (no clustering, no tail);
-//!   used for the small citation-style datasets.
 //! * [`barabasi_albert`] — preferential attachment with optional
 //!   triad-closure (Holme–Kim), producing the power-law degree tails that
 //!   cause bucket explosion *and* tunable clustering for Eq. 1.
 //! * [`watts_strogatz`] — small-world ring rewiring, high clustering with
 //!   near-regular degrees.
-//! * [`rmat`] — recursive-matrix graphs with skewed quadrant probabilities.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::error::GraphError;
@@ -24,44 +21,6 @@ fn invalid(name: &'static str, message: impl Into<String>) -> GraphError {
         name,
         message: message.into(),
     }
-}
-
-/// Erdős–Rényi `G(n, p)` by geometric edge skipping (O(edges)).
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `p` is not in `[0, 1]`.
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<CsrGraph, GraphError> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(invalid("p", format!("probability {p} not in [0, 1]")));
-    }
-    let mut b = GraphBuilder::new(n);
-    if p > 0.0 && n > 1 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lq = (1.0 - p).ln();
-        // Iterate over the strict upper triangle using skip lengths drawn
-        // from the geometric distribution.
-        let total = n * (n - 1) / 2;
-        let mut idx: f64 = -1.0;
-        loop {
-            let r: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            idx += if p >= 1.0 {
-                1.0
-            } else {
-                1.0 + (r.ln() / lq).floor()
-            };
-            if idx >= total as f64 {
-                break;
-            }
-            let k = idx as usize;
-            // Invert the triangular index.
-            let i = ((((8 * k + 1) as f64).sqrt() - 1.0) / 2.0) as usize;
-            let i = if (i + 1) * (i + 2) / 2 <= k { i + 1 } else { i };
-            let j = k - i * (i + 1) / 2;
-            b.add_edge((i + 1) as NodeId, j as NodeId);
-        }
-    }
-    Ok(b.build_undirected())
 }
 
 /// Barabási–Albert preferential attachment with Holme–Kim triad closure.
@@ -247,86 +206,10 @@ pub fn community_clustered(
     Ok(b.build_undirected())
 }
 
-/// R-MAT recursive-matrix generator. Produces `edge_factor * n` edges with
-/// quadrant probabilities `(a, b, c)` (the fourth is `1 - a - b - c`).
-/// Skewed probabilities (e.g. the Graph500 defaults `0.57, 0.19, 0.19`)
-/// yield heavy-tailed degree distributions.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `n` is not a power of two or
-/// the probabilities are invalid.
-pub fn rmat(
-    n: usize,
-    edge_factor: usize,
-    (a, b, c): (f64, f64, f64),
-    seed: u64,
-) -> Result<CsrGraph, GraphError> {
-    if !n.is_power_of_two() {
-        return Err(invalid("n", format!("{n} is not a power of two")));
-    }
-    let d = 1.0 - a - b - c;
-    if a < 0.0 || b < 0.0 || c < 0.0 || d < -1e-9 {
-        return Err(invalid(
-            "a/b/c",
-            "quadrant probabilities must be >= 0 and sum to <= 1",
-        ));
-    }
-    let levels = n.trailing_zeros();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity(n, edge_factor * n);
-    for _ in 0..edge_factor * n {
-        let (mut x, mut y) = (0usize, 0usize);
-        for _ in 0..levels {
-            let r: f64 = rng.gen();
-            let (dx, dy) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            x = (x << 1) | dx;
-            y = (y << 1) | dy;
-        }
-        builder.add_edge(x as NodeId, y as NodeId);
-    }
-    Ok(builder.build_undirected())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats;
-
-    #[test]
-    fn er_density_matches_p() {
-        let n = 2_000;
-        let p = 0.005;
-        let g = erdos_renyi(n, p, 9).unwrap();
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let actual = (g.num_edges() / 2) as f64;
-        assert!(
-            (actual - expected).abs() / expected < 0.1,
-            "expected ~{expected}, got {actual}"
-        );
-    }
-
-    #[test]
-    fn er_rejects_bad_probability() {
-        assert!(erdos_renyi(10, 1.5, 0).is_err());
-        assert!(erdos_renyi(10, -0.1, 0).is_err());
-    }
-
-    #[test]
-    fn er_extremes() {
-        let g = erdos_renyi(50, 0.0, 1).unwrap();
-        assert_eq!(g.num_edges(), 0);
-        let g = erdos_renyi(20, 1.0, 1).unwrap();
-        assert_eq!(g.num_edges(), 20 * 19);
-    }
 
     #[test]
     fn ba_average_degree_is_about_2m() {
@@ -405,19 +288,6 @@ mod tests {
         assert!(community_clustered(100, 1, 0.5, 3, 0).is_err());
         assert!(community_clustered(100, 10, 1.5, 3, 0).is_err());
         assert!(community_clustered(100, 10, 0.5, 0, 0).is_err());
-    }
-
-    #[test]
-    fn rmat_requires_power_of_two() {
-        assert!(rmat(1000, 8, (0.57, 0.19, 0.19), 0).is_err());
-        assert!(rmat(1024, 8, (0.57, 0.19, 0.19), 0).is_ok());
-    }
-
-    #[test]
-    fn rmat_skew_produces_heavier_tail_than_uniform() {
-        let skewed = rmat(4096, 8, (0.57, 0.19, 0.19), 4).unwrap();
-        let uniform = rmat(4096, 8, (0.25, 0.25, 0.25), 4).unwrap();
-        assert!(skewed.max_degree() > 2 * uniform.max_degree());
     }
 
     #[test]

@@ -102,12 +102,8 @@ pub fn clustering_coefficient_sampled(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Maximum-likelihood exponent `alpha` of `P(d) ~ d^-alpha` for
-    /// `d >= d_min`.
+    /// `d >=` the fit's minimum degree.
     pub alpha: f64,
-    /// Minimum degree used for the fit.
-    pub d_min: usize,
-    /// Number of nodes in the tail (`degree >= d_min`).
-    pub tail_size: usize,
     /// Heavy-tail indicator: ratio of the maximum degree to the average
     /// degree. Long-tailed graphs have large values.
     pub max_to_avg_ratio: f64,
@@ -145,8 +141,6 @@ pub fn fit_power_law(g: &CsrGraph, d_min: usize) -> Option<PowerLawFit> {
     let avg = g.average_degree().max(f64::MIN_POSITIVE);
     Some(PowerLawFit {
         alpha: 1.0 + n_tail as f64 / log_sum,
-        d_min,
-        tail_size: n_tail,
         max_to_avg_ratio: max_deg as f64 / avg,
     })
 }

@@ -495,7 +495,7 @@ mod tests {
         let err = p.alloc(10).unwrap_err();
         assert!(err.transient);
         assert_eq!(p.in_use(), 0);
-        assert_eq!(member(&p, 0, DeviceMemory::live_allocations), 0);
+        assert_eq!(member(&p, 0, DeviceMemory::peak), 0);
     }
 
     #[test]

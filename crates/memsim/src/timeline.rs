@@ -113,8 +113,6 @@ pub struct DeviceTimeline {
     prepare_frontier: f64,
     device_frontier: f64,
     completions: VecDeque<f64>,
-    prepare_busy: f64,
-    device_busy: f64,
 }
 
 impl DeviceTimeline {
@@ -130,14 +128,7 @@ impl DeviceTimeline {
             prepare_frontier: 0.0,
             device_frontier: 0.0,
             completions: VecDeque::with_capacity(depth),
-            prepare_busy: 0.0,
-            device_busy: 0.0,
         }
-    }
-
-    /// The configured pipeline depth.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Records one micro-batch: `prepare_s` seconds of CPU preparation
@@ -161,29 +152,12 @@ impl DeviceTimeline {
             self.completions.pop_front();
         }
         self.completions.push_back(device_end);
-        self.prepare_busy += prepare_s.max(0.0);
-        self.device_busy += device_s.max(0.0);
         device_end
     }
 
     /// Critical-path end-to-end time of everything recorded so far.
     pub fn makespan(&self) -> f64 {
         self.device_frontier.max(self.prepare_frontier)
-    }
-
-    /// Total CPU Prepare busy time.
-    pub fn prepare_busy(&self) -> f64 {
-        self.prepare_busy
-    }
-
-    /// Total device Execute busy time.
-    pub fn device_busy(&self) -> f64 {
-        self.device_busy
-    }
-
-    /// What the same work would cost with no overlap.
-    pub fn serial_sum(&self) -> f64 {
-        self.prepare_busy + self.device_busy
     }
 }
 
@@ -197,7 +171,7 @@ mod tests {
         for (p, d) in [(0.5, 2.0), (1.5, 0.25), (3.0, 1.0)] {
             tl.record(p, d);
         }
-        assert!((tl.makespan() - tl.serial_sum()).abs() < 1e-12);
+        assert!((tl.makespan() - 8.25).abs() < 1e-12);
     }
 
     #[test]
@@ -208,7 +182,6 @@ mod tests {
         tl.record(1.0, 3.0);
         tl.record(1.0, 3.0);
         assert!((tl.makespan() - (1.0 + 9.0)).abs() < 1e-12);
-        assert!((tl.serial_sum() - 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -235,8 +208,10 @@ mod tests {
             for &(p, d) in &durations {
                 tl.record(p, d);
             }
-            let lower = tl.prepare_busy().max(tl.device_busy());
-            assert!(tl.makespan() <= tl.serial_sum() + 1e-12, "depth {depth}");
+            let prepare: f64 = durations.iter().map(|&(p, _)| p).sum();
+            let device: f64 = durations.iter().map(|&(_, d)| d).sum();
+            let lower = prepare.max(device);
+            assert!(tl.makespan() <= prepare + device + 1e-12, "depth {depth}");
             assert!(tl.makespan() + 1e-12 >= lower, "depth {depth}");
         }
     }

@@ -118,11 +118,6 @@ impl Pool {
         }
     }
 
-    /// Current worker-thread count (excluding callers).
-    pub fn num_workers(&self) -> usize {
-        lock_unpoisoned(&self.workers).len()
-    }
-
     fn ensure_workers(&self, wanted: usize) {
         let wanted = wanted.min(MAX_WORKERS);
         let mut workers = lock_unpoisoned(&self.workers);
@@ -376,7 +371,7 @@ mod tests {
             let tasks: Vec<Task<'_>> = (0..4).map(|_| Box::new(|| {}) as Task<'_>).collect();
             pool.run(tasks, 4);
         }
-        assert_eq!(pool.num_workers(), 3);
+        assert_eq!(lock_unpoisoned(&pool.workers).len(), 3);
     }
 
     #[test]

@@ -51,9 +51,6 @@ pub struct Batch {
     pub num_seeds: usize,
     /// Per-layer fanouts, output layer first.
     pub fanouts: Vec<usize>,
-    /// For each sampling layer, the local ids first discovered at that
-    /// layer. `layer_frontiers[0]` is the seed set itself.
-    pub layer_frontiers: Vec<Vec<NodeId>>,
 }
 
 impl Batch {
@@ -70,11 +67,6 @@ impl Batch {
     /// Aggregation depth `L` this batch was sampled for.
     pub fn depth(&self) -> usize {
         self.fanouts.len()
-    }
-
-    /// Local ids of the output (seed) nodes.
-    pub fn seed_locals(&self) -> impl Iterator<Item = NodeId> + '_ {
-        0..self.num_seeds as NodeId
     }
 
     /// Restricts the batch to a subset of its seeds, re-sampling nothing:
@@ -178,15 +170,6 @@ impl Batch {
             global_ids: keep.iter().map(|&v| self.global_ids[v as usize]).collect(),
             num_seeds: seed_subset.len(),
             fanouts: self.fanouts.clone(),
-            layer_frontiers: bounds
-                .windows(2)
-                .map(|w| {
-                    order[w[0]..w[1]]
-                        .iter()
-                        .map(|&v| remap[v as usize])
-                        .collect()
-                })
-                .collect(),
         }
     }
 }
@@ -210,11 +193,6 @@ impl BatchSampler {
         BatchSampler { fanouts }
     }
 
-    /// The configured fanouts.
-    pub fn fanouts(&self) -> &[usize] {
-        &self.fanouts
-    }
-
     /// Samples a [`Batch`] around `seeds` from `graph`.
     ///
     /// Deterministic in `(graph, seeds, seed)`.
@@ -228,17 +206,14 @@ impl BatchSampler {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rows = Rows::default();
         let mut frontier = 0..seeds.len() as NodeId;
-        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![frontier.clone().collect()];
         for &fanout in &self.fanouts {
             frontier = nodes.hop(frontier, fanout, &mut rng, &mut rows);
-            layer_frontiers.push(frontier.clone().collect());
         }
         Batch {
             graph: rows.into_graph(nodes.global_ids.len()),
             global_ids: nodes.global_ids,
             num_seeds: seeds.len(),
             fanouts: self.fanouts.clone(),
-            layer_frontiers,
         }
     }
 
@@ -281,8 +256,6 @@ impl BatchSampler {
         // exactly as in a standalone single-seed `sample`, so every
         // component is a relabeled bitwise copy of that batch.
         let (mut seed_rows, mut tail_rows) = (Rows::default(), Rows::default());
-        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![Vec::new(); self.fanouts.len() + 1];
-        layer_frontiers[0] = (0..k as NodeId).collect();
         for (i, &s) in seeds.iter().enumerate() {
             nodes.forget();
             nodes.set_local(s, i as NodeId);
@@ -295,7 +268,6 @@ impl BatchSampler {
                     &mut tail_rows
                 };
                 frontier = nodes.hop(frontier, fanout, &mut rng, rows);
-                layer_frontiers[layer + 1].extend(frontier.clone());
             }
             tail_rows.pad_to(nodes.global_ids.len() - k);
         }
@@ -305,7 +277,6 @@ impl BatchSampler {
             global_ids: nodes.global_ids,
             num_seeds: k,
             fanouts: self.fanouts.clone(),
-            layer_frontiers,
         }
     }
 }
@@ -538,11 +509,6 @@ impl SeedBatches {
         let end = (start + self.batch_size).min(self.order.len());
         &self.order[start..end]
     }
-
-    /// Iterator over all batches of the epoch.
-    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
-        (0..self.num_batches()).map(move |i| self.batch(i))
-    }
 }
 
 #[cfg(test)]
@@ -559,7 +525,7 @@ mod tests {
     fn fanout_caps_seed_degree() {
         let g = test_graph();
         let batch = BatchSampler::new(vec![5, 3]).sample(&g, &[0, 1, 2], 1);
-        for s in batch.seed_locals() {
+        for s in 0..batch.num_seeds as NodeId {
             assert!(batch.graph.degree(s) <= 5);
         }
     }
@@ -615,12 +581,6 @@ mod tests {
             let part = merged.restrict_to_seeds(&[i as NodeId]);
             assert_eq!(part.global_ids, alone.global_ids, "seed {node}");
             assert_eq!(part.graph, alone.graph, "seed {node}");
-            assert_eq!(part.layer_frontiers.len(), alone.layer_frontiers.len());
-            for (pf, af) in part.layer_frontiers.iter().zip(&alone.layer_frontiers) {
-                let pg: Vec<NodeId> = pf.iter().map(|&l| part.global_ids[l as usize]).collect();
-                let ag: Vec<NodeId> = af.iter().map(|&l| alone.global_ids[l as usize]).collect();
-                assert_eq!(pg, ag, "seed {node} frontier globals");
-            }
         }
     }
 
@@ -656,10 +616,6 @@ mod tests {
                     let restricted = whole.restrict_to_seeds(half_locals);
                     assert_eq!(alone.graph, restricted.graph, "{half:?} of {all:?}");
                     assert_eq!(alone.global_ids, restricted.global_ids, "{half:?}");
-                    assert_eq!(
-                        alone.layer_frontiers, restricted.layer_frontiers,
-                        "{half:?}"
-                    );
                 }
             }
         }
@@ -703,7 +659,6 @@ mod tests {
         let b = s.sample_isolated(&g, &[0, 9, 17], 99);
         assert_eq!(a.global_ids, b.global_ids);
         assert_eq!(a.graph, b.graph);
-        assert_eq!(a.layer_frontiers, b.layer_frontiers);
     }
 
     #[test]
@@ -723,15 +678,6 @@ mod tests {
             assert!(g.has_edge(orig, 7));
         }
         assert_eq!(batch.graph.degree(0), g.degree(7));
-    }
-
-    #[test]
-    fn layer_frontiers_partition_nodes() {
-        let g = test_graph();
-        let batch = BatchSampler::new(vec![5, 5]).sample(&g, &[0, 1], 6);
-        let total: usize = batch.layer_frontiers.iter().map(Vec::len).sum();
-        assert_eq!(total, batch.num_nodes());
-        assert_eq!(batch.layer_frontiers[0], vec![0, 1]);
     }
 
     #[test]
@@ -798,7 +744,7 @@ mod tests {
         let sb = SeedBatches::new(103, 10, 4);
         assert_eq!(sb.num_batches(), 11);
         let mut seen = [false; 103];
-        for b in sb.iter() {
+        for b in (0..sb.num_batches()).map(|i| sb.batch(i)) {
             for &v in b {
                 assert!(!seen[v as usize], "node {v} appears twice");
                 seen[v as usize] = true;
@@ -867,8 +813,6 @@ mod tests {
                 }
             }
             prop_assert!(hit.iter().all(|&h| h), "an id in {}..{} is in no seed row", k, end1);
-            let range: Vec<NodeId> = (k as NodeId..end1 as NodeId).collect();
-            prop_assert_eq!(&range, &batch.layer_frontiers[1]);
         }
     }
 }

@@ -12,7 +12,7 @@
 //! * [`Linear`] and [`LstmCell`] — layers with explicit
 //!   forward/backward, no autograd tape.
 //! * [`softmax_cross_entropy`] — the classification loss with gradient.
-//! * [`Sgd`] / [`Adam`] — optimizers over [`Param`]s.
+//! * [`Adam`] — the optimizer over [`Param`]s.
 //!
 //! Everything is deterministic: random init takes explicit seeds.
 
@@ -26,6 +26,6 @@ mod tensor;
 
 pub use layers::{Linear, LstmCell, LstmState};
 pub use loss::{softmax_cross_entropy, LossOutput};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use param::Param;
 pub use tensor::Tensor;

@@ -56,12 +56,6 @@ impl Param {
     pub fn zero_grad(&mut self) {
         self.grad.fill_zero();
     }
-
-    /// Total bytes for value + grad + moments (optimizer state
-    /// accounting).
-    pub fn bytes(&self) -> u64 {
-        self.value.bytes() * 4
-    }
 }
 
 #[cfg(test)]
@@ -77,11 +71,5 @@ mod tests {
         assert_eq!(p.grad.data(), &[2.0, 4.0]);
         p.zero_grad();
         assert_eq!(p.grad.data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn bytes_counts_all_copies() {
-        let p = Param::zeros(2, 3);
-        assert_eq!(p.bytes(), 2 * 3 * 4 * 4);
     }
 }

@@ -338,11 +338,6 @@ impl Tensor {
         }
     }
 
-    /// Multiplies every element by `s`.
-    pub fn scale(&mut self, s: f32) {
-        self.data.iter_mut().for_each(|x| *x *= s);
-    }
-
     /// Adds a 1×cols bias row to every row.
     ///
     /// # Panics
@@ -394,11 +389,6 @@ impl Tensor {
                 *x = 0.0;
             }
         }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
     }
 
     /// Column-wise sum producing a `1 × cols` tensor (bias gradients).
@@ -473,11 +463,6 @@ impl Tensor {
                 *d += s;
             }
         }
-    }
-
-    /// Bytes this tensor occupies (`rows × cols × 4`).
-    pub fn bytes(&self) -> u64 {
-        (self.data.len() * 4) as u64
     }
 }
 

@@ -116,6 +116,14 @@ impl Options {
             Some(v) => v.parse().map_err(|_| format!("bad --{key} `{v}`")),
         }
     }
+
+    /// A count that must be at least 1.
+    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get(key, default)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
 }
 
 /// Flags [`setup`] reads, shared by every command that plans a batch.
@@ -149,7 +157,8 @@ const SERVE_FLAGS: [&str; 10] = [
     "json",
 ];
 
-/// Parses sizes like `24G`, `512M`, `1073741824`.
+/// Parses sizes like `24G`, `512M`, `1073741824`. A negative, NaN,
+/// infinite or out-of-range size is an error, not a saturated cast.
 fn parse_bytes(s: &str) -> Result<u64, String> {
     let (num, mult) = match s.chars().last() {
         Some('G') | Some('g') => (&s[..s.len() - 1], 1u64 << 30),
@@ -158,12 +167,20 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
         _ => (s, 1),
     };
     let v: f64 = num.parse().map_err(|_| format!("bad size `{s}`"))?;
-    Ok((v * mult as f64) as u64)
+    let bytes = v * mult as f64;
+    // 2^64 is the first f64 past `u64::MAX`.
+    if !(0.0..18_446_744_073_709_551_616.0).contains(&bytes) {
+        return Err(format!("size `{s}` is not a byte count"));
+    }
+    Ok(bytes as u64)
 }
 
 fn parse_fanouts(s: &str) -> Result<Vec<usize>, String> {
     s.split(',')
-        .map(|p| p.trim().parse().map_err(|_| format!("bad fanouts `{s}`")))
+        .map(|p| match p.trim().parse() {
+            Ok(0) | Err(_) => Err(format!("bad fanouts `{s}` (each must be at least 1)")),
+            Ok(f) => Ok(f),
+        })
         .collect()
 }
 
@@ -291,9 +308,9 @@ fn setup(target: &str, opts: &Options, default_fanouts: &str) -> Result<Setup, S
     let (_, ds, _) = load_graph(target)?;
     let ds = ds.ok_or("this command needs a dataset (features/labels), not a raw graph file")?;
     let fanouts = parse_fanouts(&opts.get::<String>("fanouts", default_fanouts.into())?)?;
-    let hidden: usize = opts.get("hidden", 256)?;
+    let hidden = opts.positive("hidden", 256)?;
     let agg = parse_agg(&opts.get::<String>("agg", "lstm".into())?)?;
-    let num_seeds: usize = opts.get("seeds", (ds.graph.num_nodes() / 5).max(256))?;
+    let num_seeds = opts.positive("seeds", (ds.graph.num_nodes() / 5).max(256))?;
     let budget = parse_bytes(&opts.get::<String>("budget", "24G".into())?)?;
     let seeds: Vec<NodeId> = SeedBatches::new(ds.graph.num_nodes(), num_seeds, 7)
         .batch(0)
@@ -453,7 +470,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         gpus,
     } = engine_setup(target, opts)?;
     let epochs: usize = opts.get("epochs", 3)?;
-    let batch_size: usize = opts.get("batch-size", 256)?;
+    let batch_size = opts.positive("batch-size", 256)?;
     let eval_nodes: usize = opts.get("eval", 512)?;
     let train_nodes: usize = opts.get(
         "train-nodes",
@@ -803,6 +820,18 @@ mod tests {
             (1.5 * (1u64 << 30) as f64) as u64
         );
         assert!(parse_bytes("abc").is_err());
+        assert_eq!(parse_bytes("0").unwrap(), 0);
+        // The largest whole-GiB byte count, and the first past `u64::MAX`.
+        assert_eq!(
+            parse_bytes("17179869183G").unwrap(),
+            ((1u64 << 34) - 1) << 30
+        );
+        assert!(parse_bytes("17179869184G").is_err());
+        for bad in [
+            "-1G", "-0.5", "nanG", "NaN", "infG", "inf", "-inf", "1e30G", "G", "",
+        ] {
+            assert!(parse_bytes(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -810,6 +839,9 @@ mod tests {
         assert_eq!(parse_fanouts("10,25").unwrap(), vec![10, 25]);
         assert_eq!(parse_fanouts("5, 10, 15").unwrap(), vec![5, 10, 15]);
         assert!(parse_fanouts("a,b").is_err());
+        for bad in ["0", "10,0", "0,25", "5,-1", "5,", ""] {
+            assert!(parse_fanouts(bad).is_err(), "{bad}");
+        }
         assert_eq!(parse_agg("lstm").unwrap(), AggregatorKind::Lstm);
         assert_eq!(parse_agg("gat").unwrap(), AggregatorKind::Attention);
         assert!(parse_agg("median").is_err());

@@ -1,8 +1,7 @@
 //! The host planning path — sample, restrict, closure counting, block
 //! generation — against frozen copies of the bodies it replaced (`parent`,
 //! the tree at PR 12; `closure_counts` as of PR 24). Everything training
-//! reads must be bit-equal: `global_ids`, `layer_frontiers`, the sampled
-//! graph, the rows a `depth()`-layer consumer can reach, every `Block`,
+//! reads must be bit-equal: `global_ids`, the sampled graph, the rows a `depth()`-layer consumer can reach, every `Block`,
 //! and every closure count the scheduler plans with.
 //!
 //! The hot loop no longer restricts and then generates: `BlockWalker`
@@ -41,10 +40,8 @@ mod parent {
         }
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new(); // (src=in-neighbor, dst)
         let mut frontier: Vec<NodeId> = seeds.to_vec(); // original ids
-        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![(0..seeds.len() as NodeId).collect()];
         for &fanout in fanouts {
             let mut next_frontier: Vec<NodeId> = Vec::new();
-            let mut next_locals: Vec<NodeId> = Vec::new();
             for &v in &frontier {
                 let dst_local = local_of[&v];
                 let nb = graph.neighbors(v);
@@ -53,13 +50,11 @@ mod parent {
                         let l = global_ids.len() as NodeId;
                         global_ids.push(u);
                         next_frontier.push(u);
-                        next_locals.push(l);
                         l
                     });
                     edges.push((src_local, dst_local));
                 }
             }
-            layer_frontiers.push(next_locals);
             frontier = next_frontier;
         }
         let mut b = GraphBuilder::with_capacity(global_ids.len(), edges.len());
@@ -69,7 +64,6 @@ mod parent {
             global_ids,
             num_seeds: seeds.len(),
             fanouts: fanouts.to_vec(),
-            layer_frontiers,
         }
     }
 
@@ -116,22 +110,11 @@ mod parent {
                 }
             }
         }
-        let mut layer_frontiers: Vec<Vec<NodeId>> = vec![(0..k as NodeId).collect()];
-        for layer in 1..=fanouts.len() {
-            let mut front: Vec<NodeId> = Vec::new();
-            for (i, p) in parts.iter().enumerate() {
-                if let Some(f) = p.layer_frontiers.get(layer) {
-                    front.extend(f.iter().map(|&l| relabel(i, l)));
-                }
-            }
-            layer_frontiers.push(front);
-        }
         Batch {
             graph: b.build_directed(),
             global_ids,
             num_seeds: k,
             fanouts: fanouts.to_vec(),
-            layer_frontiers,
         }
     }
 
@@ -169,7 +152,6 @@ mod parent {
             seen[s as usize] = true;
         }
         let mut tail: Vec<NodeId> = Vec::new();
-        let mut frontiers = vec![seed_subset.to_vec()];
         for _ in 0..batch.depth() {
             let mut next = Vec::new();
             for &v in &frontier {
@@ -181,7 +163,6 @@ mod parent {
                     }
                 }
             }
-            frontiers.push(next.clone());
             frontier = next;
         }
         let mut keep: Vec<NodeId> = seed_subset.to_vec();
@@ -212,10 +193,6 @@ mod parent {
             global_ids: keep.iter().map(|&l| batch.global_ids[l as usize]).collect(),
             num_seeds: seed_subset.len(),
             fanouts: batch.fanouts.clone(),
-            layer_frontiers: frontiers
-                .into_iter()
-                .map(|f| f.into_iter().map(|v| remap[v as usize]).collect())
-                .collect(),
         }
     }
 
@@ -319,7 +296,6 @@ fn assert_same_nodes(new: &Batch, old: &Batch) {
     assert_eq!(new.global_ids, old.global_ids);
     assert_eq!(new.num_seeds, old.num_seeds);
     assert_eq!(new.fanouts, old.fanouts);
-    assert_eq!(new.layer_frontiers, old.layer_frontiers);
 }
 
 fn assert_same_batch(new: &Batch, old: &Batch) {
@@ -327,19 +303,41 @@ fn assert_same_batch(new: &Batch, old: &Batch) {
     assert_eq!(new.graph, old.graph);
 }
 
-/// A restriction against its frozen twin: the same nodes and frontiers,
-/// the same row for every node reached before the last hop, an empty row
-/// for the rest — and therefore the same blocks.
+/// Each node's hop from the seeds, by BFS over `batch`'s rows to
+/// `depth()` hops (`usize::MAX` for a node no walk reaches).
+fn hops(batch: &Batch) -> Vec<usize> {
+    let mut hop = vec![usize::MAX; batch.num_nodes()];
+    let mut frontier: Vec<NodeId> = (0..batch.num_seeds as NodeId).collect();
+    for &s in &frontier {
+        hop[s as usize] = 0;
+    }
+    for h in 1..=batch.depth() {
+        let mut next = Vec::new();
+        for &v in &frontier {
+            for &u in batch.graph.neighbors(v) {
+                if hop[u as usize] == usize::MAX {
+                    hop[u as usize] = h;
+                    next.push(u);
+                }
+            }
+        }
+        frontier = next;
+    }
+    hop
+}
+
+/// A restriction against its frozen twin: the same nodes, the same row
+/// for every node reached before the last hop (hops read off the twin's
+/// whole rows), an empty row for the rest — and therefore the same blocks.
 fn assert_same_restriction(new: &Batch, old: &Batch) {
     assert_same_nodes(new, old);
     let depth = new.depth();
-    for (hop, frontier) in new.layer_frontiers.iter().enumerate() {
-        for &v in frontier {
-            if hop < depth {
-                assert_eq!(new.graph.neighbors(v), old.graph.neighbors(v), "row of {v}");
-            } else {
-                assert!(new.graph.neighbors(v).is_empty(), "last-hop row of {v}");
-            }
+    for (v, &hop) in hops(old).iter().enumerate() {
+        let v = v as NodeId;
+        if hop < depth {
+            assert_eq!(new.graph.neighbors(v), old.graph.neighbors(v), "row of {v}");
+        } else {
+            assert!(new.graph.neighbors(v).is_empty(), "last-hop row of {v}");
         }
     }
     assert_eq!(

@@ -19,7 +19,7 @@ pub const RTX6000_GIB: f64 = 24.0;
 /// Default training-batch seed count per dataset — roughly the training
 /// split of each graph, scaled with the dataset. `quick` mode quarters
 /// these so every experiment stays interactive.
-pub fn default_seed_count(name: DatasetName, quick: bool) -> usize {
+pub(crate) fn default_seed_count(name: DatasetName, quick: bool) -> usize {
     // Roughly the training-split share of each graph at our scale — the
     // full-batch regime the paper's memory-wall experiments run in
     // (e.g. OGBN-arxiv trains on ~54 % of its nodes).
@@ -56,12 +56,12 @@ pub struct Workload {
 impl Workload {
     /// The model shape the paper's main experiments use on this dataset:
     /// 2-layer GraphSAGE, hidden 512, LSTM aggregator.
-    pub fn default_shape(&self) -> GnnShape {
+    pub(crate) fn default_shape(&self) -> GnnShape {
         self.shape(512, AggregatorKind::Lstm)
     }
 
     /// A model shape with this dataset's feature/class dimensions.
-    pub fn shape(&self, hidden: usize, aggregator: AggregatorKind) -> GnnShape {
+    pub(crate) fn shape(&self, hidden: usize, aggregator: AggregatorKind) -> GnnShape {
         GnnShape::new(
             self.dataset.spec.feat_dim,
             hidden,
@@ -124,7 +124,7 @@ impl Workload {
 }
 
 /// Loads a workload with the default seed count and fanouts.
-pub fn load_workload(name: DatasetName, quick: bool) -> Workload {
+pub(crate) fn load_workload(name: DatasetName, quick: bool) -> Workload {
     load_workload_with(
         name,
         default_seed_count(name, quick),
@@ -134,7 +134,7 @@ pub fn load_workload(name: DatasetName, quick: bool) -> Workload {
 }
 
 /// Loads a workload with explicit batch size and fanouts.
-pub fn load_workload_with(
+pub(crate) fn load_workload_with(
     name: DatasetName,
     num_seeds: usize,
     fanouts: Vec<usize>,
@@ -165,7 +165,7 @@ pub fn load_workload_with(
 }
 
 /// GiB formatting helper (binary gibibytes, as the paper's GB figures).
-pub fn gib(bytes: u64) -> f64 {
+pub(crate) fn gib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64
 }
 

@@ -48,7 +48,7 @@ fn place(entries: &[BucketEntry], k: usize, clustering: f64, policy: &str) -> Ve
 /// group's micro-batch, and their imbalance. Uses the coarse bucket
 /// granularity (explosion split into `3k` parts) so item sizes vary, as
 /// they do when the scheduler first probes a small `K`.
-pub fn grouping(quick: bool) {
+pub(crate) fn grouping(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.shape(256, AggregatorKind::Lstm);
     let k = 4;
@@ -75,7 +75,7 @@ pub fn grouping(quick: bool) {
 /// group. Runs on the Reddit stand-in, whose high clustering coefficient
 /// (≈0.6) activates the `R_group < 1` discount that low-clustering graphs
 /// never trigger.
-pub fn estimator(quick: bool) {
+pub(crate) fn estimator(quick: bool) {
     let mut w = load_workload(DatasetName::Reddit, quick);
     // Re-sample with *community-ordered* seeds (consecutive ids group
     // whole communities): buckets then share most of their inputs with
@@ -138,7 +138,7 @@ pub fn estimator(quick: bool) {
 /// Partition-layer ablation (§IV-B, Figure 8): partitioning at a
 /// non-output layer leaves cross-partition dependencies that block
 /// gradient accumulation; partitioning at the output layer leaves none.
-pub fn layer(quick: bool) {
+pub(crate) fn layer(quick: bool) {
     let w = load_workload(DatasetName::OgbnArxiv, quick);
     let depth = w.fanouts.len();
     let k = 4;
@@ -214,7 +214,7 @@ pub fn layer(quick: bool) {
 /// `i + 1`'s CPU preparation with micro-batch `i`'s device work — the
 /// optimization the paper's related work (§II-B) applies and Buffalo
 /// composes with, because its plan is known up front.
-pub fn pipeline(quick: bool) {
+pub(crate) fn pipeline(quick: bool) {
     use crate::output::secs;
     use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
     use buffalo_memsim::{CostModel, DeviceMemory};

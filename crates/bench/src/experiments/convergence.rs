@@ -25,7 +25,7 @@ fn train_config(feat_dim: usize, num_classes: usize, aggregator: AggregatorKind)
 
 /// Figure 17: convergence of whole-batch vs Buffalo micro-batch training
 /// on OGBN-arxiv for three batch sizes — the curves must coincide.
-pub fn fig17(quick: bool) {
+pub(crate) fn fig17(quick: bool) {
     let w = load_workload_with(DatasetName::OgbnArxiv, 64, TRAIN_FANOUTS.to_vec(), 5);
     let cost = CostModel::rtx6000();
     let iters = if quick { 8 } else { 20 };
@@ -98,7 +98,7 @@ pub fn fig17(quick: bool) {
 /// 512 LSTM for SAGE, 8-head GAT accounted as hidden 2048); the loss
 /// itself is measured with a reduced CPU-trainable configuration, since
 /// the claim under test is *equality* of the DGL and Buffalo losses.
-pub fn tab4(quick: bool) {
+pub(crate) fn tab4(quick: bool) {
     let cost = CostModel::rtx6000();
     let iters = if quick { 6 } else { 12 };
     let mut t = Table::new([

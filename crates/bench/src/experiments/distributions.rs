@@ -12,7 +12,7 @@ use buffalo_partition::betty_partition;
 
 /// Figure 1: degree frequency of all nodes in OGBN-products, showing the
 /// power-law long tail that causes bucket explosion. Printed log-binned.
-pub fn fig1(quick: bool) {
+pub(crate) fn fig1(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let hist = stats::degree_frequency(&w.dataset.graph);
     let mut t = Table::new(["degree range", "#nodes", "share %"]);
@@ -42,7 +42,7 @@ pub fn fig1(quick: bool) {
 /// OGBN-arxiv with F=10 — exploded, (c) OGBN-arxiv after Betty 2-way
 /// batch-level partitioning — still exploded in every micro-batch, with
 /// imbalanced micro-batch memory.
-pub fn fig4(quick: bool) {
+pub(crate) fn fig4(quick: bool) {
     let cutoff = 10;
     // (a) Cora: small batch, balanced buckets.
     let cora = load_workload(DatasetName::Cora, quick);

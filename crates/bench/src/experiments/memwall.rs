@@ -138,12 +138,12 @@ fn run_grid(quick: bool, buffalo: bool) {
 
 /// Figure 2: whole-batch GraphSAGE memory across aggregators, depths,
 /// hidden sizes, and fanouts — the memory wall.
-pub fn fig2(quick: bool) {
+pub(crate) fn fig2(quick: bool) {
     run_grid(quick, false);
 }
 
 /// Figure 13: the same grid trained with Buffalo under the 24 GB budget —
 /// every OOM cell becomes a finite micro-batch count.
-pub fn fig13(quick: bool) {
+pub(crate) fn fig13(quick: bool) {
     run_grid(quick, true);
 }

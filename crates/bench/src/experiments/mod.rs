@@ -63,7 +63,7 @@ pub fn ids() -> impl Iterator<Item = &'static str> {
 /// figure runs quick. Table II and the five resilience experiments always
 /// run at full size, and the latter hold their `BENCH_*.json` against the
 /// run — rewritten with `write_bench`, compared without (see
-/// [`check_artifact`](crate::output::check_artifact)).
+/// `check_artifact`).
 ///
 /// # Errors
 ///

@@ -11,7 +11,7 @@ use buffalo_memsim::{AggregatorKind, CostModel};
 
 /// §V-G: repeat the Figure 15 setting on one vs two simulated A100s
 /// connected by PCIe (25 GB/s).
-pub fn multigpu(quick: bool) {
+pub(crate) fn multigpu(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.shape(1024, AggregatorKind::Lstm);
     let ctx = SimContext {

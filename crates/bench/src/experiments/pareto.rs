@@ -18,7 +18,7 @@ fn whole_batch(w: &crate::context::Workload, ctx: SimContext<'_>, cost: &CostMod
 /// Figure 10: end-to-end iteration time and peak CUDA memory with varying
 /// numbers of micro-batches, for DGL/PyG (no partitioning), Betty, and
 /// Buffalo, under the 24 GB budget.
-pub fn fig10(quick: bool) {
+pub(crate) fn fig10(quick: bool) {
     let cost = CostModel::rtx6000();
     let ks: &[usize] = if quick { &[2, 8] } else { &[2, 4, 8, 16, 32] };
     let datasets = if quick {
@@ -164,7 +164,7 @@ pub fn fig10(quick: bool) {
 
 /// Figure 14: memory consumption of every micro-batch after Buffalo
 /// scheduling — the paper reports a 4–6 % spread.
-pub fn fig14(quick: bool) {
+pub(crate) fn fig14(quick: bool) {
     let cost = CostModel::rtx6000();
     let mut t = Table::new(["dataset", "micro-batches", "min", "max", "spread %"]);
     for (name, k) in [
@@ -210,7 +210,7 @@ pub fn fig14(quick: bool) {
 }
 
 /// Figure 15: bucket-group size vs memory budget (16/24/48/80 GB, A100).
-pub fn fig15(quick: bool) {
+pub(crate) fn fig15(quick: bool) {
     let cost = CostModel::a100_80gb();
     let w = load_workload(DatasetName::OgbnProducts, quick);
     // A heavier model than the default so even 80 GB is interesting
@@ -263,7 +263,7 @@ pub fn fig15(quick: bool) {
 /// baselines increase their micro-batch count until every micro-batch
 /// fits, exactly as the paper describes ("Buffalo completes training
 /// using 12 micro-batches while Random and Range require 14").
-pub fn fig16(quick: bool) {
+pub(crate) fn fig16(quick: bool) {
     let cost = CostModel::rtx6000();
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.default_shape();

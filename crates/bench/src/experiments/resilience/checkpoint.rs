@@ -46,7 +46,7 @@ fn trail_bits(run: &TrainRun) -> Vec<u32> {
 /// # Errors
 ///
 /// See [`check_artifact`].
-pub fn checkpoint(write_bench: bool) -> Result<(), String> {
+pub(crate) fn checkpoint(write_bench: bool) -> Result<(), String> {
     let ds = datasets::load(DatasetName::Cora, 9);
     let cost = CostModel::rtx6000();
     let cfg = EpochConfig {

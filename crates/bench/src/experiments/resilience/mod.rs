@@ -6,7 +6,7 @@
 //! Every column they write is exact (counts, bytes, bit-identity flags,
 //! digests) or read off the simulated clock, so each `BENCH_*.json` is a
 //! pure function of the source. They always run at full size, and
-//! [`check_artifact`](crate::output::check_artifact) holds the committed
+//! `check_artifact` holds the committed
 //! file against every run. What faults, re-shards and snapshots cost in
 //! wall time is the standing benchmark's to measure, with repetitions
 //! (`benchmark/`; EXPERIMENTS.md maps each removed wall field to the
@@ -16,9 +16,9 @@ mod checkpoint;
 mod serving;
 mod training;
 
-pub use checkpoint::checkpoint;
-pub use serving::{serving, serving_chaos};
-pub use training::{failover, robustness};
+pub(crate) use checkpoint::checkpoint;
+pub(crate) use serving::{serving, serving_chaos};
+pub(crate) use training::{failover, robustness};
 
 use buffalo_core::train::TrainConfig;
 use buffalo_graph::datasets::DatasetSpec;

@@ -107,7 +107,7 @@ impl Fixture {
 /// # Errors
 ///
 /// See [`check_artifact`].
-pub fn serving(write_bench: bool) -> Result<(), String> {
+pub(crate) fn serving(write_bench: bool) -> Result<(), String> {
     let fx = Fixture::new();
     let cfg = ServeConfig::default();
     let (report, _) = fx.serve(1, "", &cfg);
@@ -175,7 +175,7 @@ fn digest(report: &ServeReport) -> Json {
 /// # Errors
 ///
 /// See [`check_artifact`].
-pub fn serving_chaos(write_bench: bool) -> Result<(), String> {
+pub(crate) fn serving_chaos(write_bench: bool) -> Result<(), String> {
     let fx = Fixture::new();
     let cfg = ServeConfig::default();
     let (baseline, _) = fx.serve(1, "", &cfg);

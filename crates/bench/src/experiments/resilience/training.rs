@@ -117,7 +117,7 @@ const ROBUSTNESS: [(&str, f64, &str); 5] = [
 /// # Errors
 ///
 /// See [`check_artifact`].
-pub fn robustness(write_bench: bool) -> Result<(), String> {
+pub(crate) fn robustness(write_bench: bool) -> Result<(), String> {
     const ITERS: usize = 10;
     let fx = Fixture::new();
     let outcomes: Vec<Outcome> = ROBUSTNESS
@@ -181,7 +181,7 @@ const FAILOVER: [(&str, usize, &[Kill]); 6] = [
 /// # Errors
 ///
 /// See [`check_artifact`].
-pub fn failover(write_bench: bool) -> Result<(), String> {
+pub(crate) fn failover(write_bench: bool) -> Result<(), String> {
     const ITERS: usize = 12;
     let fx = Fixture::new();
     // Index of the fault-free scenario on the same pool size: the bitwise

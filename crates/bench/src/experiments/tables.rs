@@ -10,7 +10,7 @@ use buffalo_memsim::{estimate, AggregatorKind};
 
 /// Table II: paper-reported vs measured characteristics of every dataset
 /// stand-in (scale factors recorded per dataset).
-pub fn tab2() {
+pub(crate) fn tab2() {
     let mut t = Table::new([
         "dataset",
         "scale",
@@ -70,7 +70,7 @@ fn estimation_error(w: &Workload, agg: AggregatorKind, k: usize) -> f64 {
 
 /// Table III: relative error of the redundancy-aware memory estimator vs
 /// the exact measured footprint, for LSTM and mean aggregators.
-pub fn tab3(quick: bool) {
+pub(crate) fn tab3(quick: bool) {
     let mut t = Table::new([
         "dataset",
         "cut-off",

@@ -13,7 +13,7 @@ use buffalo_memsim::{measure, CostModel, DeviceMemory};
 /// Sweeps the fast-tier budget on OGBN-products and compares one
 /// iteration of (a) Buffalo micro-batching and (b) whole-batch training
 /// with activation spilling over PCIe and over a CXL-class link.
-pub fn tiered(quick: bool) {
+pub(crate) fn tiered(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.default_shape();
     let ctx = SimContext {

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 /// Figure 5: executing METIS-based graph partitioning inside each training
 /// iteration costs far more than the GPU compute it schedules.
-pub fn fig5(quick: bool) {
+pub(crate) fn fig5(quick: bool) {
     let cost = CostModel::rtx6000();
     let mut t = Table::new([
         "dataset",
@@ -64,7 +64,7 @@ fn breakdown_k(name: DatasetName) -> usize {
 /// Figure 11: end-to-end iteration time broken into the seven components,
 /// Betty vs Buffalo, across all datasets. Betty has no data for
 /// OGBN-papers (zero in-degree nodes, §V-B).
-pub fn fig11(quick: bool) {
+pub(crate) fn fig11(quick: bool) {
     let cost = CostModel::rtx6000();
     let mut t = Table::new([
         "dataset",
@@ -173,7 +173,7 @@ pub fn fig11(quick: bool) {
 /// from each micro-batch's restriction (its connection check, untimed
 /// here); Buffalo walks each micro-batch off the batch with one reused
 /// walker, as the engine's Prepare stage does.
-pub fn fig12(quick: bool) {
+pub(crate) fn fig12(quick: bool) {
     let mut t = Table::new([
         "dataset",
         "micro-batches",
@@ -231,7 +231,7 @@ pub fn fig12(quick: bool) {
 /// the analytic simulator) with serial vs overlapped staging on a budget
 /// that forces multiple micro-batches. Reports the serial stage sum, the
 /// overlapped makespan, and checks the two runs' losses bit-for-bit.
-pub fn pipeline_train(quick: bool) {
+pub(crate) fn pipeline_train(quick: bool) {
     let cost = CostModel::rtx6000();
     let iters = if quick { 3 } else { 5 };
     let names: &[DatasetName] = if quick {

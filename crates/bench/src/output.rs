@@ -1,7 +1,7 @@
 //! Output for the `figures` binary: plain-text tables, the `secs`/`mem`
 //! cell formatters, and the two things done with a `BENCH_*.json`
-//! document — printing it for people ([`print_document`]) and holding it
-//! against the committed file ([`check_artifact`]). The documents
+//! document — printing it for people (`print_document`) and holding it
+//! against the committed file (`check_artifact`). The documents
 //! themselves are [`Json`] values, the library's one JSON type.
 
 use buffalo_core::json::Json;
@@ -15,7 +15,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(headers: I) -> Self {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(headers: I) -> Self {
         Table {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -23,7 +23,10 @@ impl Table {
     }
 
     /// Appends a row (truncated/padded to the header width).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) -> &mut Self {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(
+        &mut self,
+        cells: I,
+    ) -> &mut Self {
         let mut r: Vec<String> = cells.into_iter().map(Into::into).collect();
         r.resize(self.headers.len(), String::new());
         self.rows.push(r);
@@ -31,7 +34,7 @@ impl Table {
     }
 
     /// Renders the table to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -59,13 +62,13 @@ impl Table {
     }
 
     /// Prints the table to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
     }
 }
 
 /// Formats seconds with adaptive precision.
-pub fn secs(s: f64) -> String {
+pub(crate) fn secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.2}s")
     } else if s >= 1e-3 {
@@ -76,7 +79,7 @@ pub fn secs(s: f64) -> String {
 }
 
 /// Formats bytes as GiB/MiB.
-pub fn mem(bytes: u64) -> String {
+pub(crate) fn mem(bytes: u64) -> String {
     let b = bytes as f64;
     if b >= (1u64 << 30) as f64 {
         format!("{:.2}GB", b / (1u64 << 30) as f64)
@@ -88,7 +91,7 @@ pub fn mem(bytes: u64) -> String {
 /// Prints a `BENCH_*.json` document for people: each field of the root
 /// object as `key: value`, except an array of row objects, which becomes a
 /// table of `columns` (field names, space-separated).
-pub fn print_document(doc: &Json, columns: &str) {
+pub(crate) fn print_document(doc: &Json, columns: &str) {
     let Json::Object(fields) = doc else { return };
     let columns: Vec<&str> = columns.split_whitespace().collect();
     let cell = |row: &Json, column: &str| match row.get(column) {
@@ -120,7 +123,7 @@ pub fn print_document(doc: &Json, columns: &str) {
 /// # Errors
 ///
 /// The file name plus the I/O error, or the first line that differs.
-pub fn check_artifact(name: &str, json: &str, write: bool) -> Result<(), String> {
+pub(crate) fn check_artifact(name: &str, json: &str, write: bool) -> Result<(), String> {
     if write {
         std::fs::write(name, json).map_err(|e| format!("{name}: cannot write: {e}"))?;
         println!("wrote {name}");

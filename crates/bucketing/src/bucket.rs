@@ -53,7 +53,11 @@ pub fn degree_bucketing(batch: &CsrGraph, num_seeds: usize, cutoff: usize) -> Ve
 /// # Panics
 ///
 /// Panics if `cutoff == 0` or any seed id is out of range for `batch`.
-pub fn degree_bucketing_of(batch: &CsrGraph, seeds: &[NodeId], cutoff: usize) -> Vec<DegreeBucket> {
+pub(crate) fn degree_bucketing_of(
+    batch: &CsrGraph,
+    seeds: &[NodeId],
+    cutoff: usize,
+) -> Vec<DegreeBucket> {
     assert!(cutoff > 0, "cut-off degree must be positive");
     let mut by_degree: Vec<Vec<NodeId>> = vec![Vec::new(); cutoff + 1];
     for &v in seeds {

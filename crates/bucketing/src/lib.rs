@@ -27,9 +27,7 @@ mod closure;
 mod grouping;
 mod scheduler;
 
-pub use bucket::{
-    degree_bucketing, degree_bucketing_of, detect_explosion, split_explosion_bucket, DegreeBucket,
-};
+pub use bucket::{degree_bucketing, detect_explosion, split_explosion_bucket, DegreeBucket};
 pub use closure::{closure_counts, ClosureScratch};
 pub use grouping::{mem_balanced_grouping, BucketEntry, GroupingOutcome};
 pub use scheduler::{BuffaloScheduler, ScheduleError, SchedulePlan};

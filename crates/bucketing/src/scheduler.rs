@@ -123,7 +123,7 @@ impl BuffaloScheduler {
     }
 
     /// The cut-off degree `F` (= the output-layer fanout).
-    pub fn cutoff(&self) -> usize {
+    pub(crate) fn cutoff(&self) -> usize {
         self.fanouts[0]
     }
 

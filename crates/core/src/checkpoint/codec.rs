@@ -11,7 +11,7 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"BUFCKPT\n";
 
 /// Encodes a snapshot, including the trailing CRC32 footer.
-pub fn encode(snap: &TrainSnapshot) -> Vec<u8> {
+pub(crate) fn encode(snap: &TrainSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, SNAPSHOT_VERSION);
@@ -57,7 +57,7 @@ pub fn encode(snap: &TrainSnapshot) -> Vec<u8> {
 ///
 /// [`CheckpointError::Corrupt`] naming `path` on any damage: short file,
 /// bad magic, unknown version, CRC mismatch, or truncated payload.
-pub fn decode(bytes: &[u8], path: &Path) -> Result<TrainSnapshot, CheckpointError> {
+pub(crate) fn decode(bytes: &[u8], path: &Path) -> Result<TrainSnapshot, CheckpointError> {
     let corrupt = |reason: String| CheckpointError::Corrupt {
         path: path.to_path_buf(),
         reason,
@@ -245,7 +245,7 @@ const fn crc_table() -> [u32; 256] {
 }
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial).
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
         // lint:allow(panic-reachability): in-bounds — index masked with & 0xFF, table length 256 (suppresses chain: crc32 → [])

@@ -14,7 +14,7 @@
 //! a hidden temp file, `fsync`, rename over the final name, `fsync` the
 //! directory — and carry a CRC32 footer, so a reader either sees a whole
 //! valid snapshot or detects the damage. [`CheckpointRing`] keeps the
-//! last *N* snapshots and [`CheckpointRing::load_latest`] walks them
+//! last *N* snapshots and `CheckpointRing::load_latest` walks them
 //! newest-first, skipping any that fail the integrity check.
 
 mod codec;
@@ -53,7 +53,7 @@ pub struct ParamState {
 /// The engine-owned state of a [`TrainSnapshot`]: everything
 /// [`Engine::capture_state`](crate::train::Engine::capture_state)
 /// captures and
-/// [`Engine::restore_state`](crate::train::Engine::restore_state)
+/// `Engine::restore_state`
 /// restores — the single snapshot implementation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerState {

@@ -50,7 +50,7 @@ impl CheckpointRing {
     }
 
     /// Arms an injected crash (fault testing only).
-    pub fn set_crash(&mut self, crash: Option<CrashPoint>) {
+    pub(crate) fn set_crash(&mut self, crash: Option<CrashPoint>) {
         self.crash = crash;
     }
 
@@ -122,7 +122,7 @@ impl CheckpointRing {
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the directory cannot be read.
-    pub fn entries(dir: &Path) -> Result<Vec<PathBuf>, CheckpointError> {
+    pub(crate) fn entries(dir: &Path) -> Result<Vec<PathBuf>, CheckpointError> {
         let rd = fs::read_dir(dir).map_err(|e| io_err(dir, "read dir", e))?;
         let mut out: Vec<PathBuf> = rd
             .flatten()
@@ -146,7 +146,7 @@ impl CheckpointRing {
     /// * [`CheckpointError::Io`] if the directory is unreadable.
     /// * [`CheckpointError::NoValidSnapshot`] if every candidate fails —
     ///   including the empty-directory case.
-    pub fn load_latest(dir: &Path) -> Result<(TrainSnapshot, PathBuf), CheckpointError> {
+    pub(crate) fn load_latest(dir: &Path) -> Result<(TrainSnapshot, PathBuf), CheckpointError> {
         let entries = Self::entries(dir)?;
         let mut corrupt = 0;
         for path in entries.iter().rev() {

@@ -38,7 +38,7 @@ pub struct GatCache<'a> {
 
 impl GatLayer {
     /// Creates a layer `in_dim → out_dim`.
-    pub fn new(in_dim: usize, out_dim: usize, relu: bool, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, relu: bool, seed: u64) -> Self {
         GatLayer {
             lin: Linear::new(in_dim, out_dim, seed),
             a_l: Param::xavier(1, out_dim, seed.wrapping_add(1)),
@@ -58,7 +58,7 @@ impl GatLayer {
     }
 
     /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.lin.params_mut();
         ps.push(&mut self.a_l);
         ps.push(&mut self.a_r);

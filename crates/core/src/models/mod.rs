@@ -17,7 +17,7 @@
 //! previous layer's output, moved in. A layer's cache keeps only what its
 //! own backward reads (the whole input only for the aggregators whose
 //! weight gradient is taken against it), so an input nothing reads again
-//! is dropped as soon as its layer has run. [`GnnModel::logits`] is the
+//! is dropped as soon as its layer has run. `GnnModel::logits` is the
 //! same arithmetic with no cache built at all — what inference calls.
 
 mod gat;
@@ -172,7 +172,7 @@ impl GnnModel {
     /// # Panics
     ///
     /// Panics if `blocks.len()` differs from the model depth.
-    pub fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
+    pub(crate) fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
         match self {
             GnnModel::Sage(layers) => run_layers(layers, blocks, features, false).0,
             GnnModel::Gat(layers) => run_layers(layers, blocks, features, false).0,

@@ -247,7 +247,7 @@ impl SageLayer {
     }
 
     /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.w_self.params_mut();
         ps.extend(self.w_neigh.params_mut());
         match &mut self.agg {

@@ -51,7 +51,7 @@ impl ShedPolicy {
     }
 
     /// The canonical flag spelling.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ShedPolicy::RejectNewest => "reject-newest",
             ShedPolicy::ShedOldest => "shed-oldest",
@@ -106,7 +106,7 @@ pub struct AdmissionQueue {
 impl AdmissionQueue {
     /// An empty queue holding at most `depth` requests (`usize::MAX` for
     /// effectively unbounded).
-    pub fn new(depth: usize, policy: ShedPolicy) -> Self {
+    pub(crate) fn new(depth: usize, policy: ShedPolicy) -> Self {
         AdmissionQueue {
             queue: VecDeque::new(),
             depth,
@@ -117,12 +117,12 @@ impl AdmissionQueue {
     }
 
     /// Whether no request is queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
     /// The queued entries in arrival order (front = oldest).
-    pub fn entries(&self) -> impl Iterator<Item = &QueueEntry> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &QueueEntry> + '_ {
         self.queue.iter()
     }
 
@@ -130,7 +130,7 @@ impl AdmissionQueue {
     /// finishes its current work — if that is already past the entry's
     /// deadline the request is dropped as missed (it cannot possibly
     /// dispatch in time). Otherwise capacity is enforced per the policy.
-    pub fn offer(
+    pub(crate) fn offer(
         &mut self,
         entry: QueueEntry,
         device_free: f64,
@@ -160,7 +160,7 @@ impl AdmissionQueue {
     }
 
     /// Pops the oldest `n` queued entries for dispatch.
-    pub fn take_front(&mut self, n: usize) -> Vec<QueueEntry> {
+    pub(crate) fn take_front(&mut self, n: usize) -> Vec<QueueEntry> {
         let n = n.min(self.queue.len());
         self.queue.drain(..n).collect()
     }

@@ -104,7 +104,7 @@ impl ServeConfig {
     /// [`TrainError::InvalidConfig`] when `max_batch == 0`,
     /// `queue_depth == 0`, `max_wait` is non-positive or non-finite, or a
     /// deadline is non-positive or non-finite.
-    pub fn validate(&self) -> Result<(), TrainError> {
+    pub(crate) fn validate(&self) -> Result<(), TrainError> {
         if self.max_batch == 0 {
             return Err(TrainError::InvalidConfig(
                 "max_batch must be positive".into(),
@@ -320,7 +320,7 @@ impl ServeReport {
 /// # Errors
 ///
 /// * [`TrainError::InvalidConfig`] for an empty trace, an invalid
-///   [`ServeConfig`] (see [`ServeConfig::validate`]), or a query for a
+///   [`ServeConfig`] (see `ServeConfig::validate`), or a query for a
 ///   node outside the dataset.
 /// * [`TrainError::RecoveryExhausted`] when every ladder rung failed
 ///   for one dispatch (or any [`Engine::infer_with_base`] failure with recovery

@@ -62,7 +62,7 @@ pub struct ServeRecoveryCounts {
 
 impl ServeRecoveryCounts {
     /// Tallies a recovery trail.
-    pub fn from_events(events: &[RecoveryEvent]) -> Self {
+    pub(crate) fn from_events(events: &[RecoveryEvent]) -> Self {
         let mut c = ServeRecoveryCounts::default();
         for e in events {
             match e.action {

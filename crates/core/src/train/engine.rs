@@ -145,7 +145,7 @@ impl Engine {
     /// whole-batch mode: with no scheduler there is no plan to make more
     /// conservative (kept bit-compatible with the goldens — see the
     /// drift regression test below).
-    pub fn force_headroom(&mut self, multiplier: f64) {
+    pub(crate) fn force_headroom(&mut self, multiplier: f64) {
         if let Some((_, calibrator)) = &mut self.scheduler {
             if multiplier > calibrator.multiplier() {
                 calibrator.set_multiplier(multiplier);
@@ -172,7 +172,7 @@ impl Engine {
     ///
     /// [`CheckpointError::StateMismatch`] if the snapshot's parameters do
     /// not fit this model.
-    pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
+    pub(crate) fn restore_state(&mut self, state: &TrainerState) -> Result<(), CheckpointError> {
         restore_params(&mut self.model, &state.params)?;
         self.opt.set_t(state.adam_t);
         if let Some((_, calibrator)) = &mut self.scheduler {

@@ -47,7 +47,7 @@ impl RecoveryPolicy {
     /// Recovery switched off: every OOM is terminal. This is the default
     /// for a training engine so that existing OOM semantics (the paper's
     /// "OOM" table cells) are unchanged unless a caller opts in.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         RecoveryPolicy {
             enabled: false,
             ..RecoveryPolicy::default()
@@ -255,7 +255,7 @@ const HEADROOM_CAP: f64 = 4.0;
 
 impl HeadroomCalibrator {
     /// Starts with `multiplier = floor` (clamped to `[1, 4]`).
-    pub fn new(floor: f64) -> Self {
+    pub(crate) fn new(floor: f64) -> Self {
         let floor = floor.clamp(1.0, HEADROOM_CAP);
         HeadroomCalibrator {
             multiplier: floor,
@@ -264,27 +264,27 @@ impl HeadroomCalibrator {
     }
 
     /// The current safety multiplier.
-    pub fn multiplier(&self) -> f64 {
+    pub(crate) fn multiplier(&self) -> f64 {
         self.multiplier
     }
 
     /// Sets the multiplier directly, clamped to `[floor, cap]` — used by
     /// checkpoint restore and the rollback rung, which must be able to
     /// impose a *larger* margin than the snapshot recorded.
-    pub fn set_multiplier(&mut self, multiplier: f64) {
+    pub(crate) fn set_multiplier(&mut self, multiplier: f64) {
         self.multiplier = multiplier.clamp(self.floor, HEADROOM_CAP);
     }
 
     /// The scheduling constraint to use for `budget` bytes of device
     /// memory: `budget / multiplier`, never below 1 byte.
-    pub fn constrain(&self, budget: u64) -> u64 {
+    pub(crate) fn constrain(&self, budget: u64) -> u64 {
         ((budget as f64 / self.multiplier) as u64).max(1)
     }
 
     /// Feeds one completed micro-batch: `estimated` bytes at plan time vs
     /// `actual` bytes allocated. Ratchets the multiplier up to the worst
     /// under-prediction seen.
-    pub fn observe(&mut self, estimated: u64, actual: u64) {
+    pub(crate) fn observe(&mut self, estimated: u64, actual: u64) {
         if estimated == 0 || actual <= estimated {
             return;
         }
@@ -294,7 +294,7 @@ impl HeadroomCalibrator {
 
     /// Feeds one genuine (non-transient) device refusal for which no
     /// estimate comparison is available: grow the margin geometrically.
-    pub fn observe_oom(&mut self) {
+    pub(crate) fn observe_oom(&mut self) {
         self.multiplier = (self.multiplier * 1.25).min(HEADROOM_CAP);
     }
 }

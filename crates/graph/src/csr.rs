@@ -114,7 +114,7 @@ impl CsrGraph {
     }
 
     /// Maximum degree over all nodes; 0 for an empty graph.
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.num_nodes() as NodeId)
             .map(|v| self.degree(v))
             .max()

@@ -165,7 +165,7 @@ pub fn catalog() -> Vec<DatasetSpec> {
 }
 
 /// Returns the [`DatasetSpec`] for `name`.
-pub fn spec(name: DatasetName) -> DatasetSpec {
+pub(crate) fn spec(name: DatasetName) -> DatasetSpec {
     match name {
         DatasetName::Cora => DatasetSpec {
             name,

@@ -157,7 +157,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Result<CsrGra
 ///
 /// Returns [`GraphError::InvalidParameter`] if `community_size < 2`,
 /// `p_in` is outside `[0, 1]`, or `m_cross == 0`.
-pub fn community_clustered(
+pub(crate) fn community_clustered(
     n: usize,
     community_size: usize,
     p_in: f64,

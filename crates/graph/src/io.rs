@@ -41,7 +41,7 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
 ///
 /// Returns [`GraphError::InvalidParameter`] for malformed lines; I/O
 /// errors are converted to the same variant with the underlying message.
-pub fn read_edge_list<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
+pub(crate) fn read_edge_list<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
     let invalid = |message: String| GraphError::InvalidParameter {
         name: "edge_list",
         message,
@@ -100,7 +100,7 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<CsrGraph, GraphError> {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_binary<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
+pub(crate) fn write_binary<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     w.write_all(MAGIC)?;
     w.write_all(&(g.num_nodes() as u64).to_le_bytes())?;
@@ -122,7 +122,7 @@ pub fn write_binary<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
 ///
 /// Returns [`GraphError::InvalidParameter`] on magic/shape mismatches or
 /// I/O failure.
-pub fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, GraphError> {
+pub(crate) fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, GraphError> {
     let invalid = |message: &str| GraphError::InvalidParameter {
         name: "binary_csr",
         message: message.to_owned(),

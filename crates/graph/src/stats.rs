@@ -26,7 +26,7 @@ pub fn degree_frequency(g: &CsrGraph) -> Vec<usize> {
 /// Exact local clustering coefficient of node `v`: the fraction of pairs of
 /// `v`'s neighbors that are themselves connected. Nodes of degree < 2 have
 /// coefficient 0.
-pub fn local_clustering(g: &CsrGraph, v: NodeId) -> f64 {
+pub(crate) fn local_clustering(g: &CsrGraph, v: NodeId) -> f64 {
     let nb = g.neighbors(v);
     let d = nb.len();
     if d < 2 {
@@ -113,7 +113,7 @@ impl PowerLawFit {
     /// Heuristic classification matching the paper's Table II "Power Law"
     /// column: a graph is flagged as power-law when the fitted exponent is
     /// in the typical scale-free range and the tail is heavy.
-    pub fn is_power_law(&self) -> bool {
+    pub(crate) fn is_power_law(&self) -> bool {
         self.alpha > 1.2 && self.alpha < 4.5 && self.max_to_avg_ratio > 10.0
     }
 }

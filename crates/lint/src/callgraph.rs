@@ -80,7 +80,7 @@ fn aliases(f: &FnItem) -> Vec<&str> {
 
 impl CallGraph {
     /// Builds the graph from every parsed function in the workspace.
-    pub fn build(mut fns: Vec<FnItem>) -> CallGraph {
+    pub(crate) fn build(mut fns: Vec<FnItem>) -> CallGraph {
         fns.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
@@ -117,7 +117,7 @@ impl CallGraph {
     }
 
     /// Index of every fn whose file matches one of the path prefixes.
-    pub fn fns_in_paths(&self, prefixes: &[String]) -> Vec<usize> {
+    pub(crate) fn fns_in_paths(&self, prefixes: &[String]) -> Vec<usize> {
         (0..self.fns.len())
             .filter(|&i| crate::path_matches(&self.fns[i].file, prefixes))
             .collect()

@@ -40,15 +40,15 @@ pub struct Tok {
 }
 
 impl Tok {
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
     }
 
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
     }
 
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 }
@@ -90,7 +90,7 @@ fn is_ident_continue(c: char) -> bool {
 /// block comment running to EOF) terminate the enclosing token at EOF
 /// rather than erroring — a linter should degrade, not crash, on files
 /// that `rustc` itself will reject.
-pub fn lex(src: &str) -> Vec<Tok> {
+pub(crate) fn lex(src: &str) -> Vec<Tok> {
     let mut lx = Lexer {
         chars: src.chars().collect(),
         i: 0,

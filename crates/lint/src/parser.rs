@@ -110,7 +110,7 @@ pub struct FnItem {
 impl FnItem {
     /// `Type::name` / `Trait::name` / bare `name` — what diagnostics and
     /// chain frames print.
-    pub fn display_name(&self) -> String {
+    pub(crate) fn display_name(&self) -> String {
         match (&self.impl_type, &self.trait_name) {
             (Some(ty), _) => format!("{ty}::{}", self.name),
             (None, Some(tr)) => format!("{tr}::{}", self.name),

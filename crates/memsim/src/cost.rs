@@ -111,7 +111,7 @@ pub fn training_forward_flops(blocks: &[Block], shape: &GnnShape) -> f64 {
 
 /// Bytes the aggregation kernels stream per forward pass (reads of source
 /// embeddings plus writes of aggregated outputs).
-pub fn aggregation_bytes(blocks: &[Block], shape: &GnnShape) -> f64 {
+pub(crate) fn aggregation_bytes(blocks: &[Block], shape: &GnnShape) -> f64 {
     let dims = shape.layer_dims();
     blocks
         .iter()

@@ -166,7 +166,7 @@ impl DeviceMemory {
     /// process grabbing (or releasing) device memory, or fragmentation
     /// shrinking the usable pool. Nothing is evicted: if the new budget is
     /// below current usage, every allocation fails until enough is freed.
-    pub fn set_budget(&self, bytes: u64) {
+    pub(crate) fn set_budget(&self, bytes: u64) {
         // Taking the state lock orders the change against in-flight allocs.
         let _st = self.lock();
         self.budget.store(bytes, Ordering::Relaxed);
@@ -218,20 +218,20 @@ impl DeviceMemory {
         self.lock().in_use
     }
 
-    /// High-water mark since creation or the last [`reset_peak`](Self::reset_peak).
+    /// High-water mark since creation or the last `reset_peak`.
     pub fn peak(&self) -> u64 {
         self.lock().peak
     }
 
     /// Resets the peak to the current usage (call between iterations to get
     /// per-iteration peaks).
-    pub fn reset_peak(&self) {
+    pub(crate) fn reset_peak(&self) {
         let mut st = self.lock();
         st.peak = st.in_use;
     }
 
     /// Frees everything (end of iteration / micro-batch teardown).
-    pub fn free_all(&self) {
+    pub(crate) fn free_all(&self) {
         let mut st = self.lock();
         st.live.clear();
         st.in_use = 0;

@@ -6,7 +6,7 @@
 //!   memory of the micro-batch a single bucket would generate, computed
 //!   from the per-layer counts of its dependency closure by the one
 //!   accounting rule the measurement uses
-//!   ([`MemoryBreakdown::from_counts`]).
+//!   (`MemoryBreakdown::from_counts`).
 //! * [`grouping_ratio`] — the discount of the paper's
 //!   *RedundancyAwareMemEstimator*: the memory of a *group* of buckets is
 //!   **not** the linear sum of the per-bucket estimates, because
@@ -83,7 +83,7 @@ pub struct LayerCount {
 
 impl LayerCount {
     /// The counts of a generated block.
-    pub fn of(block: &Block) -> Self {
+    pub(crate) fn of(block: &Block) -> Self {
         LayerCount {
             num_dst: block.num_dst(),
             num_src: block.num_src(),
@@ -93,7 +93,7 @@ impl LayerCount {
 
     /// Bytes of the layer's block structure resident on device: dst and
     /// src id arrays (`u32`), row offsets (`usize`), edge indices (`u32`).
-    pub fn structure_bytes(&self) -> u64 {
+    pub(crate) fn structure_bytes(&self) -> u64 {
         ((self.num_dst + self.num_src) * 4 + (self.num_dst + 1) * 8 + self.num_edges * 4) as u64
     }
 }

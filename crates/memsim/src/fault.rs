@@ -104,7 +104,7 @@ impl FaultPlan {
 
     /// The earliest allocation index at which device `device` is lost,
     /// or `None` if the plan never loses it.
-    pub fn lost_at(&self, device: usize) -> Option<u64> {
+    pub(crate) fn lost_at(&self, device: usize) -> Option<u64> {
         self.device_loss
             .iter()
             .filter(|l| l.device == device)

@@ -41,7 +41,7 @@ impl MemoryBreakdown {
     /// # Panics
     ///
     /// Panics if `layers.len() != shape.num_layers`.
-    pub fn from_counts(layers: &[LayerCount], shape: &GnnShape) -> Self {
+    pub(crate) fn from_counts(layers: &[LayerCount], shape: &GnnShape) -> Self {
         assert_eq!(
             layers.len(),
             shape.num_layers,
@@ -68,7 +68,7 @@ impl MemoryBreakdown {
 }
 
 /// The exact training footprint of a micro-batch, from its blocks (input
-/// layer first) and the model shape: [`MemoryBreakdown::from_counts`] over
+/// layer first) and the model shape: `MemoryBreakdown::from_counts` over
 /// the counts read off each block.
 ///
 /// # Panics

@@ -30,7 +30,7 @@ impl AggregatorKind {
     ///   retains its per-edge message plus attention scores (≈10× total),
     ///   which is why GAT hits the memory wall alongside LSTM in the
     ///   paper's Table IV.
-    pub fn workspace_floats_per_edge_dim(&self) -> f64 {
+    pub(crate) fn workspace_floats_per_edge_dim(&self) -> f64 {
         match self {
             AggregatorKind::Mean => 1.0,
             AggregatorKind::MaxPool => 2.0,
@@ -42,7 +42,7 @@ impl AggregatorKind {
     /// FLOPs per message edge as a multiple of `in_dim × out_dim` work
     /// (dense transform) plus per-edge streaming cost. Used by the cost
     /// model.
-    pub fn flops_per_edge(&self, in_dim: usize, out_dim: usize) -> f64 {
+    pub(crate) fn flops_per_edge(&self, in_dim: usize, out_dim: usize) -> f64 {
         let d_in = in_dim as f64;
         let d_out = out_dim as f64;
         match self {
@@ -55,7 +55,7 @@ impl AggregatorKind {
     }
 
     /// Canonical lowercase name.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             AggregatorKind::Mean => "mean",
             AggregatorKind::MaxPool => "pool",
@@ -131,7 +131,7 @@ impl GnnShape {
 
     /// Total parameter count (dense transform per layer; the LSTM
     /// aggregator adds its recurrent weights).
-    pub fn num_parameters(&self) -> usize {
+    pub(crate) fn num_parameters(&self) -> usize {
         self.layer_dims()
             .iter()
             .map(|&(i, o)| {

@@ -47,7 +47,7 @@ impl StageTimings {
     }
 
     /// Total device Execute time (transfer + compute).
-    pub fn device_seconds(&self) -> f64 {
+    pub(crate) fn device_seconds(&self) -> f64 {
         self.sim_compute_seconds + self.sim_transfer_seconds
     }
 

@@ -12,8 +12,8 @@
 //!
 //! Two layers:
 //!
-//! * [`Pool`] / [`global_pool`] — a lazily grown set of persistent worker
-//!   threads executing borrowed closures; [`Pool::run`] blocks until every
+//! * [`Pool`] — a lazily grown set of persistent worker
+//!   threads executing borrowed closures; `Pool::run` blocks until every
 //!   task finishes, so tasks may borrow from the caller's stack (the same
 //!   guarantee `std::thread::scope` gives, without per-call spawns).
 //! * [`Parallelism`] — the configuration (worker threads, SIMD backend)
@@ -28,4 +28,4 @@ mod pool;
 
 pub use buffalo_simd::{SimdBackend, SimdPolicy};
 pub use config::{ambient, Parallelism, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_TILE_K, DEFAULT_TILE_N};
-pub use pool::{global_pool, parallel_for, parallel_rows, run_tasks, Pool, Task};
+pub use pool::{parallel_rows, run_tasks, Pool, Task};

@@ -2,7 +2,6 @@
 
 use crate::config::Parallelism;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 // Under `--cfg loom` every synchronization primitive the pool touches is
@@ -95,7 +94,7 @@ impl Latch {
 ///
 /// Workers are spawned lazily, grow on demand up to the requested
 /// concurrency (capped at `MAX_WORKERS`), and persist across calls — no
-/// per-kernel thread spawns. [`run`](Self::run) gives the scoped-thread
+/// per-kernel thread spawns. `run` gives the scoped-thread
 /// guarantee: it returns only after every submitted task has finished, so
 /// tasks may borrow data owned by the caller's stack frame.
 pub struct Pool {
@@ -105,7 +104,7 @@ pub struct Pool {
 
 impl Pool {
     /// An empty pool; workers spawn on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Pool {
             shared: Arc::new(Shared {
                 queue: Mutex::new(Queue {
@@ -147,7 +146,7 @@ impl Pool {
     ///
     /// Panics if any task panicked (after all tasks have completed, so
     /// borrowed data is never observed mid-write by the unwinder).
-    pub fn run<'scope>(&self, tasks: Vec<Task<'scope>>, threads: usize) {
+    pub(crate) fn run<'scope>(&self, tasks: Vec<Task<'scope>>, threads: usize) {
         if tasks.is_empty() {
             return;
         }
@@ -237,41 +236,14 @@ fn worker_loop(shared: &Shared) {
 /// The shared process-wide pool every kernel dispatches to, so one
 /// `--threads` setting governs matmul, aggregation, gather, and block
 /// generation alike.
-pub fn global_pool() -> &'static Pool {
+pub(crate) fn global_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(Pool::new)
 }
 
-/// Runs borrowed tasks on the [`global_pool`] with `threads`-way
+/// Runs borrowed tasks on the `global_pool` with `threads`-way
 /// concurrency (serially when `threads <= 1`).
 pub fn run_tasks(tasks: Vec<Task<'_>>, threads: usize) {
-    global_pool().run(tasks, threads);
-}
-
-/// Splits `0..n` into one contiguous range per effective thread and runs
-/// `f` on each. Falls back to a single serial call below the
-/// [`DEFAULT_MIN_PARALLEL_ROWS`](crate::DEFAULT_MIN_PARALLEL_ROWS) threshold.
-pub fn parallel_for<F>(n: usize, par: &Parallelism, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let threads = par.effective_threads(n);
-    if threads <= 1 {
-        f(0..n);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    let mut tasks: Vec<Task<'_>> = Vec::with_capacity(threads);
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        tasks.push(Box::new(move || f(start..end)));
-        start = end;
-    }
     global_pool().run(tasks, threads);
 }
 
@@ -314,15 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_every_index_once() {
+    fn parallel_rows_covers_every_row_once() {
         for threads in [1, 2, 4, 8] {
-            let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(1000, &par(threads), |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
+            let mut hits = vec![0.0f32; 1000];
+            parallel_rows(&mut hits, 1, &par(threads), |_, chunk| {
+                chunk.iter_mut().for_each(|h| *h += 1.0);
             });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            assert!(hits.iter().all(|&h| h == 1.0));
         }
     }
 
@@ -349,17 +319,17 @@ mod tests {
         // whole range arrives as one call on the calling thread.
         let calls = AtomicUsize::new(0);
         let caller = thread::current().id();
-        parallel_for(63, &par(8), |range| {
+        parallel_rows(&mut [0.0; 63], 1, &par(8), |row0, chunk| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(range, 0..63);
+            assert_eq!((row0, chunk.len()), (0, 63));
             assert_eq!(thread::current().id(), caller);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // At the threshold the range is split, one chunk per thread.
+        // At the threshold the rows are split, one chunk per thread.
         calls.store(0, Ordering::Relaxed);
-        parallel_for(64, &par(8), |range| {
+        parallel_rows(&mut [0.0; 64], 1, &par(8), |_, chunk| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(range.len(), 8);
+            assert_eq!(chunk.len(), 8);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 8);
     }
@@ -401,8 +371,8 @@ mod tests {
         thread::scope(|s| {
             for slot in &done {
                 s.spawn(move || {
-                    parallel_for(256, &par(4), |range| {
-                        slot.fetch_add(range.len(), Ordering::Relaxed);
+                    parallel_rows(&mut [0.0; 256], 1, &par(4), |_, chunk| {
+                        slot.fetch_add(chunk.len(), Ordering::Relaxed);
                     });
                 });
             }

@@ -34,7 +34,7 @@
 //!
 //! `#[target_feature]` kernels live in the private `x86` module and are
 //! only reachable through [`SimdBackend`] dispatch. Non-scalar backend
-//! values originate exclusively from [`SimdBackend::detect`] /
+//! values originate exclusively from `SimdBackend::detect` /
 //! [`SimdPolicy::resolve`], which check `is_x86_feature_detected!`
 //! before producing them — that invariant is the SAFETY argument each
 //! dispatch site cites.
@@ -102,7 +102,7 @@ impl SimdPolicy {
 ///
 /// Invariant: the `Sse` / `Avx2` values are only constructed after the
 /// corresponding `is_x86_feature_detected!` checks succeed (in
-/// [`SimdBackend::detect`] and [`SimdPolicy::resolve`]); every `unsafe`
+/// `SimdBackend::detect` and [`SimdPolicy::resolve`]); every `unsafe`
 /// dispatch below relies on that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -118,7 +118,7 @@ pub enum SimdBackend {
 
 impl SimdBackend {
     /// The best backend this host supports.
-    pub fn detect() -> SimdBackend {
+    pub(crate) fn detect() -> SimdBackend {
         if avx2_available() {
             SimdBackend::Avx2
         } else if sse41_available() {
@@ -350,7 +350,7 @@ pub fn f32_to_bf16(x: f32) -> u16 {
 }
 
 /// Widens a bf16 value to f32. Exact: bf16 is the top 16 bits of f32.
-pub fn bf16_to_f32(h: u16) -> f32 {
+pub(crate) fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
 
@@ -450,7 +450,7 @@ mod x86 {
     // `SimdBackend::Avx2` dispatch, and that value is only constructed
     // after `is_x86_feature_detected!("avx2")`/`("fma")` detection.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy_avx2(dst: &mut [f32], src: &[f32], a: f32) {
+    pub(crate) unsafe fn axpy_avx2(dst: &mut [f32], src: &[f32], a: f32) {
         let n = dst.len();
         let dp = dst.as_mut_ptr();
         let sp = src.as_ptr();
@@ -519,7 +519,7 @@ mod x86 {
     // `SimdBackend::Avx2` dispatch (constructed after
     // `is_x86_feature_detected!`), which has bounds-checked the panel.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy_panel_avx2(
+    pub(crate) unsafe fn axpy_panel_avx2(
         dst: &mut [f32],
         src: &[f32],
         src_stride: usize,
@@ -565,7 +565,7 @@ mod x86 {
     // `SimdBackend::Avx2` dispatch, and that value is only constructed
     // after `is_x86_feature_detected!("avx2")`/`("fma")` detection.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -602,7 +602,7 @@ mod x86 {
     // this only through `SimdBackend::Avx2` dispatch, constructed only
     // after `is_x86_feature_detected!` detection.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn widen_bf16_avx2(dst: &mut [f32], src: &[u16]) {
+    pub(crate) unsafe fn widen_bf16_avx2(dst: &mut [f32], src: &[u16]) {
         let n = dst.len();
         let dp = dst.as_mut_ptr();
         let sp = src.as_ptr();
@@ -630,7 +630,7 @@ mod x86 {
     // `SimdBackend::Sse` dispatch, constructed only after
     // `is_x86_feature_detected!("sse4.1")` detection.
     #[target_feature(enable = "sse4.1")]
-    pub unsafe fn axpy_sse(dst: &mut [f32], src: &[f32], a: f32) {
+    pub(crate) unsafe fn axpy_sse(dst: &mut [f32], src: &[f32], a: f32) {
         let n = dst.len();
         let dp = dst.as_mut_ptr();
         let sp = src.as_ptr();
@@ -700,7 +700,7 @@ mod x86 {
     // `SimdBackend::Sse` dispatch (constructed after
     // `is_x86_feature_detected!`), which has bounds-checked the panel.
     #[target_feature(enable = "sse4.1")]
-    pub unsafe fn axpy_panel_sse(
+    pub(crate) unsafe fn axpy_panel_sse(
         dst: &mut [f32],
         src: &[f32],
         src_stride: usize,
@@ -744,7 +744,7 @@ mod x86 {
     // `SimdBackend::Sse` dispatch, constructed only after
     // `is_x86_feature_detected!("sse4.1")` detection.
     #[target_feature(enable = "sse4.1")]
-    pub unsafe fn dot_sse(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) unsafe fn dot_sse(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -784,7 +784,7 @@ mod x86 {
     // only through `SimdBackend::Sse` dispatch, constructed only after
     // `is_x86_feature_detected!("sse4.1")` detection.
     #[target_feature(enable = "sse4.1")]
-    pub unsafe fn widen_bf16_sse(dst: &mut [f32], src: &[u16]) {
+    pub(crate) unsafe fn widen_bf16_sse(dst: &mut [f32], src: &[u16]) {
         let n = dst.len();
         let dp = dst.as_mut_ptr();
         let sp = src.as_ptr();

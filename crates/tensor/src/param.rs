@@ -28,12 +28,12 @@ impl Param {
     }
 
     /// A parameter initialized to zeros (biases).
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Param::from_value(Tensor::zeros(rows, cols))
     }
 
     /// Wraps an existing value tensor.
-    pub fn from_value(value: Tensor) -> Self {
+    pub(crate) fn from_value(value: Tensor) -> Self {
         let (r, c) = (value.rows(), value.cols());
         Param {
             value,

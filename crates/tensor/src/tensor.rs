@@ -144,7 +144,7 @@ impl Tensor {
     }
 
     /// Fills with zeros.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
@@ -154,7 +154,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
+    pub(crate) fn matmul(&self, rhs: &Tensor) -> Tensor {
         self.matmul_with(rhs, &buffalo_par::ambient())
     }
 
@@ -178,7 +178,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if row counts differ.
-    pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
+    pub(crate) fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
         self.matmul_tn_with(rhs, &buffalo_par::ambient())
     }
 
@@ -322,28 +322,12 @@ impl Tensor {
         }
     }
 
-    /// Element-wise `self += scale * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "add_scaled shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Adds a 1×cols bias row to every row.
     ///
     /// # Panics
     ///
     /// Panics if `bias` is not `1 × cols`.
-    pub fn add_bias(&mut self, bias: &Tensor) {
+    pub(crate) fn add_bias(&mut self, bias: &Tensor) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
         for r in 0..self.rows {
@@ -392,7 +376,7 @@ impl Tensor {
     }
 
     /// Column-wise sum producing a `1 × cols` tensor (bias gradients).
-    pub fn sum_rows(&self) -> Tensor {
+    pub(crate) fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
         for r in 0..self.rows {
             for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
@@ -580,14 +564,6 @@ mod tests {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Tensor::zeros(1, 2);
-        let b = t(1, 2, &[2.0, 4.0]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.data(), &[1.0, 2.0]);
     }
 
     mod kernel_equivalence {

@@ -13,7 +13,7 @@
 //! Two layers:
 //!
 //! * [`Pool`] — a lazily grown set of persistent worker
-//!   threads executing borrowed closures; `Pool::run` blocks until every
+//!   threads executing borrowed closures; [`Pool::run`] blocks until every
 //!   task finishes, so tasks may borrow from the caller's stack (the same
 //!   guarantee `std::thread::scope` gives, without per-call spawns).
 //! * [`Parallelism`] — the configuration (worker threads, SIMD backend)

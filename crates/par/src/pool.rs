@@ -94,7 +94,7 @@ impl Latch {
 ///
 /// Workers are spawned lazily, grow on demand up to the requested
 /// concurrency (capped at `MAX_WORKERS`), and persist across calls — no
-/// per-kernel thread spawns. `run` gives the scoped-thread
+/// per-kernel thread spawns. [`run`](Self::run) gives the scoped-thread
 /// guarantee: it returns only after every submitted task has finished, so
 /// tasks may borrow data owned by the caller's stack frame.
 pub struct Pool {
@@ -104,7 +104,7 @@ pub struct Pool {
 
 impl Pool {
     /// An empty pool; workers spawn on first use.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Pool {
             shared: Arc::new(Shared {
                 queue: Mutex::new(Queue {
@@ -146,7 +146,7 @@ impl Pool {
     ///
     /// Panics if any task panicked (after all tasks have completed, so
     /// borrowed data is never observed mid-write by the unwinder).
-    pub(crate) fn run<'scope>(&self, tasks: Vec<Task<'scope>>, threads: usize) {
+    pub fn run<'scope>(&self, tasks: Vec<Task<'scope>>, threads: usize) {
         if tasks.is_empty() {
             return;
         }

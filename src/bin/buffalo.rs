@@ -168,8 +168,8 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
     };
     let v: f64 = num.parse().map_err(|_| format!("bad size `{s}`"))?;
     let bytes = v * mult as f64;
-    // 2^64 is the first f64 past `u64::MAX`.
-    if !(0.0..18_446_744_073_709_551_616.0).contains(&bytes) {
+    // `u64::MAX as f64` rounds up to 2^64, the first size that does not fit.
+    if !(0.0..u64::MAX as f64).contains(&bytes) {
         return Err(format!("size `{s}` is not a byte count"));
     }
     Ok(bytes as u64)

@@ -146,7 +146,7 @@ echo "ci: an unknown CLI flag exits non-zero"
 while read -r bad; do
   status=0
   # shellcheck disable=SC2086  # $bad is a fixed word list
-  out=$(timeout 60 cargo run -q --release --bin buffalo -- $bad 2>&1) || status=$?
+  out=$(timeout 60 cargo run -q --release --bin buffalo -- $bad 2>&1 </dev/null) || status=$?
   if [ "$status" -ne 1 ] || ! grep -q '^error: .' <<<"$out"; then
     echo "ci: FAIL — buffalo $bad exited $status, not 1 with an error message" >&2
     printf '%s\n' "$out" >&2
@@ -159,8 +159,8 @@ schedule cora --seeds 0
 train cora --batch-size 0
 schedule cora --fanouts 10,0
 schedule cora --hidden 0
-schedule cora --budget -1G
-schedule cora --budget nanG
+compare cora --budget -1G
+compare cora --budget nanG
 schedule cora --budget infG
 EOF_BAD
 echo "ci: bad numbers on the command line exit 1 with a message"

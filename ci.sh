@@ -165,6 +165,19 @@ schedule cora --budget infG
 EOF_BAD
 echo "ci: bad numbers on the command line exit 1 with a message"
 
+# The CLI's simulation path: `compare` runs one iteration of every
+# strategy on cora (Full runs out of memory, Buffalo plans K = 3, the four
+# baselines split into K = 8 on an unlimited device). Without its
+# wall-clock `time` column (characters 16-28) the table must be the
+# golden, byte for byte.
+compare=$(cargo run -q --release --bin buffalo -- compare cora --budget 500M | cut -c1-15,29-)
+if [ "$compare" != "$(cat tests/golden/compare_cora.txt)" ]; then
+  echo "ci: FAIL — buffalo compare cora diverged from tests/golden/compare_cora.txt" >&2
+  diff tests/golden/compare_cora.txt <(printf '%s\n' "$compare") >&2 || true
+  exit 1
+fi
+echo "ci: buffalo compare cora matches the golden"
+
 # Fault-injection smoke: a training run with injected transient faults
 # must complete end-to-end under the recovery ladder.
 cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
@@ -432,5 +445,20 @@ echo "ci: five BENCH_*.json match their experiments ($(date +%s.%N | awk -v s="$
 # bit for bit, and that BENCHMARK.json, benchmark/README.md and what a
 # run prints name the same workloads and metrics.
 benchmark/selftest.sh
+
+# The benchmark's readings, held against committed values (the selftest
+# only checks that two runs agree with each other): every simulated row
+# of the first `--quick` run and every exact row of the traced run, as
+# `workload metric value`. The traced run's allocation counts
+# (`*.allocs`, `*.alloc_mb`) are left out: they follow the standard
+# library's and the code's buffer handling, not what the program computes.
+readings=$(awk '/\(simulated;/ { print $1, $2, $3 }' benchmark/out/selftest_a.txt
+  awk '/\(exact;/ && $2 !~ /\.(allocs|alloc_mb)$/ { print $1, $2, $3 }' benchmark/out/selftest_traced.txt)
+if [ "$readings" != "$(cat tests/golden/benchmark_quick.txt)" ]; then
+  echo "ci: FAIL — benchmark readings diverged from tests/golden/benchmark_quick.txt" >&2
+  diff tests/golden/benchmark_quick.txt <(printf '%s\n' "$readings") >&2 || true
+  exit 1
+fi
+echo "ci: benchmark simulated and exact readings match tests/golden/benchmark_quick.txt"
 
 echo "ci: all checks passed"

@@ -137,15 +137,19 @@ fn all_strategies_agree_on_whole_batch_memory_bound() {
 
 /// The device side of `simulate_iteration` — what the standing benchmark
 /// reports as `sim_*` — pinned before the walker copied a hop's rows ahead
-/// of mapping them: per strategy, FNV-1a over every micro-batch's memory
-/// and device seconds (f64 bits), the loading and compute phases, the
-/// node and edge totals and the peak.
+/// of mapping them (the first three) and before the simulation ran on the
+/// staged driver (the last three): per strategy, FNV-1a over every
+/// micro-batch's memory and device seconds (f64 bits), the loading and
+/// compute phases, the node and edge totals and the peak.
 #[test]
 fn simulated_device_side_reproduces_its_pinned_digests() {
-    const PINNED: [u64; 3] = [
+    const PINNED: [u64; 6] = [
         6283162800375639424,
         5758179344180540332,
         11015965687595003045,
+        7142058045605722581,
+        17404471074013642659,
+        10871439069121275961,
     ];
     let f = fixture(DatasetName::OgbnArxiv, 4_000);
     let cost = CostModel::rtx6000();
@@ -157,6 +161,9 @@ fn simulated_device_side_reproduces_its_pinned_digests() {
         (Strategy::Buffalo, &third),
         (Strategy::Full, &unlimited),
         (Strategy::Range { k: 4 }, &unlimited),
+        (Strategy::Betty { k: 4 }, &unlimited),
+        (Strategy::Metis { k: 4 }, &unlimited),
+        (Strategy::Random { k: 4, seed: 1 }, &unlimited),
     ] {
         let rep = simulate_iteration(&f.batch, ctx(&f), strategy, device, &cost).unwrap();
         let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -149,13 +149,25 @@ proptest! {
     }
 
     /// Fast and checked block generation agree on edge sets for arbitrary
-    /// sampled batches.
+    /// sampled batches, and the whole batch's walk is the walk of the one
+    /// group holding every seed, array for array.
     #[test]
     fn fast_and_checked_generation_agree(graph_seed in 0u64..50, fanout in 2usize..8) {
         let g = generators::barabasi_albert(300, 4, 0.2, graph_seed).unwrap();
         let seeds: Vec<NodeId> = (0..40).collect();
         let batch = BatchSampler::new(vec![fanout, fanout]).sample(&g, &seeds, 1);
         let fast = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
+        let all: Vec<NodeId> = (0..batch.num_seeds as NodeId).collect();
+        let one_group = BlockWalker::default().micro_batch(&batch.graph, batch.num_seeds, &all, 2);
+        let arrays = |b: &buffalo::blocks::Block| {
+            let rows: Vec<Vec<u32>> =
+                (0..b.num_dst()).map(|i| b.src_positions(i).to_vec()).collect();
+            (b.dst_nodes().to_vec(), b.src_nodes().to_vec(), rows)
+        };
+        prop_assert_eq!(fast.len(), one_group.len());
+        for (w, m) in fast.iter().zip(&one_group) {
+            prop_assert_eq!(arrays(w), arrays(m));
+        }
         let checked =
             generate_blocks_checked(&batch.graph, &batch.global_ids, &g, batch.num_seeds, 2);
         prop_assert_eq!(fast.len(), checked.len());

@@ -449,11 +449,15 @@ benchmark/selftest.sh
 # The benchmark's readings, held against committed values (the selftest
 # only checks that two runs agree with each other): every simulated row
 # of the first `--quick` run and every exact row of the traced run, as
-# `workload metric value`. The traced run's allocation counts
-# (`*.allocs`, `*.alloc_mb`) are left out: they follow the standard
-# library's and the code's buffer handling, not what the program computes.
+# `workload metric value`. Three kinds of traced row are left out: the
+# allocation counts (`*.allocs`, `*.alloc_mb`), which follow the standard
+# library's and the code's buffer handling, not what the program
+# computes; and `bucketing.imbalance` and `bucketing.est_err_pct`, means
+# of f64 values over as many repetitions as the run's seconds allow, so
+# their last digit moves between sessions.
 readings=$(awk '/\(simulated;/ { print $1, $2, $3 }' benchmark/out/selftest_a.txt
-  awk '/\(exact;/ && $2 !~ /\.(allocs|alloc_mb)$/ { print $1, $2, $3 }' benchmark/out/selftest_traced.txt)
+  awk '/\(exact;/ && $2 !~ /(\.allocs|\.alloc_mb|^bucketing\.(imbalance|est_err_pct))$/ { print $1, $2, $3 }' \
+    benchmark/out/selftest_traced.txt)
 if [ "$readings" != "$(cat tests/golden/benchmark_quick.txt)" ]; then
   echo "ci: FAIL — benchmark readings diverged from tests/golden/benchmark_quick.txt" >&2
   diff tests/golden/benchmark_quick.txt <(printf '%s\n' "$readings") >&2 || true

@@ -7,12 +7,22 @@
 //! forward/backward compute) through the analytical
 //! [`CostModel`]. No tensor math runs, so billion-scale stand-ins stay
 //! tractable while every algorithmic cost the paper reports is real.
+//!
+//! A strategy is only a plan: the scheduler's, or a partitioner's groups
+//! with no estimates. The plan then runs on the staged driver training
+//! runs on, serially, with its Prepare passed in (the block walk, or
+//! Betty's restrict-then-check) and a costed Execute in place of the dense
+//! math, so the phases are the driver's stage sums.
 
+use crate::train::pipeline::{
+    run_staged, unestimated, walk_blocks, whole_batch_plan, Ledger, Prepare, Prepared, Residency,
+    OVERLAP_DEPTH,
+};
 use crate::TrainError;
-use buffalo_blocks::{generate_blocks_checked, BlockWalker};
+use buffalo_blocks::{generate_blocks_checked, Block};
 use buffalo_bucketing::BuffaloScheduler;
 use buffalo_graph::{CsrGraph, NodeId};
-use buffalo_memsim::{measure, CostModel, Device, DeviceTimeline, GnnShape};
+use buffalo_memsim::{measure, CostModel, Device, GnnShape};
 use buffalo_partition::{betty_partition, metis_kway, random_partition, range_partition};
 use buffalo_sampling::Batch;
 use std::time::Instant;
@@ -99,7 +109,7 @@ impl PhaseTimes {
 }
 
 /// Result of simulating one iteration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Per-phase times.
     pub phases: PhaseTimes,
@@ -115,12 +125,12 @@ pub struct SimReport {
     pub total_nodes: usize,
     /// Total message edges across all micro-batches.
     pub total_edges: usize,
-    /// CPU-side preparation seconds per micro-batch (extraction + block
-    /// generation), in execution order.
-    pub per_micro_cpu: Vec<f64>,
     /// Device-side seconds per micro-batch (loading + compute), in
     /// execution order.
     pub per_micro_device: Vec<f64>,
+    /// The serial prefix plus the double-buffered makespan, booked during
+    /// the loop.
+    pipelined: f64,
 }
 
 impl SimReport {
@@ -133,19 +143,14 @@ impl SimReport {
     /// End-to-end iteration time under double-buffered execution, where
     /// micro-batch `i + 1`'s CPU preparation overlaps micro-batch `i`'s
     /// device work — the pipelining optimization the paper's related work
-    /// (§II-B) applies and Buffalo composes with. Replayed through the
-    /// same bounded depth-2 [`DeviceTimeline`] the pipelined trainers use,
-    /// so preparation may run at most one micro-batch ahead.
+    /// (§II-B) applies and Buffalo composes with. Booked as each
+    /// micro-batch executes, into the same bounded depth-2
+    /// [`DeviceTimeline`](buffalo_memsim::DeviceTimeline) the pipelined
+    /// trainers use, so preparation may run at most one micro-batch ahead.
     /// Partitioning/scheduling cannot overlap (the plan must exist before
     /// extraction starts).
     pub fn pipelined_total(&self) -> f64 {
-        let fixed =
-            self.phases.scheduling + self.phases.reg_construction + self.phases.metis_partition;
-        let mut timeline = DeviceTimeline::new(2.min(self.per_micro_cpu.len().max(1)));
-        for (c, d) in self.per_micro_cpu.iter().zip(&self.per_micro_device) {
-            timeline.record(*c, *d);
-        }
-        fixed + timeline.makespan()
+        self.pipelined
     }
 }
 
@@ -183,34 +188,24 @@ pub fn simulate_iteration(
     device.free_all();
     device.reset_peak();
     let mut phases = PhaseTimes::default();
-    let mut report = SimReport {
-        phases,
-        num_micro_batches: 0,
-        peak_mem_bytes: 0,
-        per_micro_mem: Vec::new(),
-        total_nodes: 0,
-        total_edges: 0,
-        per_micro_cpu: Vec::new(),
-        per_micro_device: Vec::new(),
-    };
-    let groups: Vec<Vec<NodeId>> = match strategy {
-        Strategy::Full => vec![(0..batch.num_seeds as NodeId).collect()],
+    let n = batch.num_seeds;
+    let plan = match strategy {
+        Strategy::Full => whole_batch_plan(n),
         Strategy::Buffalo => {
             let scheduler =
                 BuffaloScheduler::new(ctx.shape.clone(), ctx.fanouts.to_vec(), ctx.clustering);
-            let plan = scheduler.schedule(&batch.graph, batch.num_seeds, device.budget())?;
+            let plan = scheduler.schedule(&batch.graph, n, device.budget())?;
             phases.scheduling = plan.scheduling_time.as_secs_f64();
-            plan.groups
+            plan
         }
         Strategy::Betty { k } => {
-            check_k(k, batch.num_seeds)?;
-            let part = betty_partition(&batch.graph, batch.num_seeds, ctx.shape.num_layers, k)?;
+            let part = betty_partition(&batch.graph, n, ctx.shape.num_layers, check_k(k, n)?)?;
             phases.reg_construction = part.reg_time.as_secs_f64();
             phases.metis_partition = part.metis_time.as_secs_f64();
-            part.groups
+            unestimated(part.groups)
         }
         Strategy::Metis { k } => {
-            check_k(k, batch.num_seeds)?;
+            let k = check_k(k, n)?;
             // Graph-level partitioning as the METIS-based systems do: the
             // whole sampled subgraph is partitioned and output nodes take
             // their component's id (§II-B, Figure 5).
@@ -219,34 +214,24 @@ pub fn simulate_iteration(
             let parts = metis_kway(&batch.graph, k);
             phases.metis_partition = t0.elapsed().as_secs_f64();
             let mut groups = vec![Vec::new(); k];
-            for v in 0..batch.num_seeds {
+            for v in 0..n {
                 groups[parts[v] as usize % k].push(v as NodeId);
             }
-            groups
+            unestimated(groups)
         }
-        Strategy::Random { k, seed } => {
-            check_k(k, batch.num_seeds)?;
-            random_partition(batch.num_seeds, k, seed)
-        }
-        Strategy::Range { k } => {
-            check_k(k, batch.num_seeds)?;
-            range_partition(batch.num_seeds, k)
-        }
+        Strategy::Random { k, seed } => unestimated(random_partition(n, check_k(k, n)?, seed)),
+        Strategy::Range { k } => unestimated(range_partition(n, check_k(k, n)?)),
     };
     let depth = ctx.shape.num_layers;
-    // One walker for the iteration: its tables are sized by the first
-    // micro-batch and reset by every walk.
-    let mut walker = BlockWalker::default();
-    for group in groups.iter().filter(|g| !g.is_empty()) {
-        let cpu_before = phases.connection_check + phases.block_construction;
-        // lint:allow(wallclock-taint): measured CPU seconds feed the simulated timeline report, not the batch (suppresses chain: simulate_iteration → Instant::now)
-        let t0 = Instant::now();
-        let blocks = if let Strategy::Betty { .. } = strategy {
-            // Betty's own path, the baseline being modelled. Connection
-            // check: extract the micro-batch's dependency closure. Block
-            // construction: re-derive every edge from the original graph.
+    let prepare: Prepare<'_, ()> = if let Strategy::Betty { .. } = strategy {
+        // Betty's own path, the baseline being modelled. Connection
+        // check: extract the micro-batch's dependency closure. Block
+        // construction: re-derive every edge from the original graph.
+        Box::new(|group| {
+            // lint:allow(wallclock-taint): measured CPU seconds feed the simulated timeline report, not the batch (suppresses chain: simulate_iteration → Instant::now)
+            let t0 = Instant::now();
             let micro = batch.restrict_to_seeds(group);
-            phases.connection_check += t0.elapsed().as_secs_f64();
+            let connection_s = t0.elapsed().as_secs_f64();
             // lint:allow(wallclock-taint): measured CPU seconds feed the simulated timeline report, not the blocks (suppresses chain: simulate_iteration → Instant::now)
             let t1 = Instant::now();
             let blocks = generate_blocks_checked(
@@ -256,50 +241,62 @@ pub fn simulate_iteration(
                 micro.num_seeds,
                 depth,
             );
-            phases.block_construction += t1.elapsed().as_secs_f64();
-            blocks
-        } else {
-            // §IV-E as written: the blocks come straight off the sampled
-            // batch's rows, so there is no connection check to time.
-            let blocks = if let Strategy::Full = strategy {
-                walker.whole_batch(&batch.graph, batch.num_seeds, depth)
-            } else {
-                walker.micro_batch(&batch.graph, batch.num_seeds, group, depth)
-            };
-            phases.block_construction += t0.elapsed().as_secs_f64();
-            blocks
-        };
-        // Device-side phases are costed analytically.
-        let mem = measure::training_memory(&blocks, ctx.shape);
-        let alloc = device.alloc(mem.total())?;
-        let load = cost.transfer_seconds(measure::transfer_bytes(&blocks, ctx.shape) as f64);
-        let compute = cost.training_seconds(&blocks, ctx.shape);
-        phases.data_loading += load;
-        phases.gpu_compute += compute;
-        device.free(alloc);
-        report
-            .per_micro_cpu
-            .push(phases.connection_check + phases.block_construction - cpu_before);
-        report.per_micro_device.push(load + compute);
-        report.per_micro_mem.push(mem.total());
-        report.num_micro_batches += 1;
+            Prepared {
+                blocks,
+                data: (),
+                block_gen_s: t1.elapsed().as_secs_f64(),
+                gather_s: connection_s,
+            }
+        })
+    } else {
+        // §IV-E as written: the blocks come straight off the sampled
+        // batch's rows, so there is no connection check to time.
+        Box::new(walk_blocks(batch, depth))
+    };
+    // The costed Execute: staged serially, booked double-buffered, so the
+    // makespan is what overlapping Prepare with Execute would give.
+    let mut residency = Residency::new(device, false);
+    let prefix = phases.scheduling + phases.reg_construction + phases.metis_partition;
+    let mut ledger = Ledger::new(OVERLAP_DEPTH, prefix);
+    let mut report = SimReport::default();
+    run_staged(&plan, 1, prepare, |work| {
+        let blocks = &work.prepared.blocks;
+        let bytes = measure::training_memory(blocks, ctx.shape).total();
+        residency.acquire(bytes)?;
+        residency.release_after_step();
+        let device_s = ledger.book(&work.prepared, Some((cost, ctx.shape)));
+        report.per_micro_mem.push(bytes);
+        report.per_micro_device.push(device_s);
         // The input layer's sources are the micro-batch's whole closure.
         report.total_nodes += blocks[0].num_src();
-        report.total_edges += blocks.iter().map(|b| b.num_edges()).sum::<usize>();
-    }
-    report.phases = phases;
+        report.total_edges += blocks.iter().map(Block::num_edges).sum::<usize>();
+        Ok(())
+    })?;
+    let timings = ledger.finish();
+    // Prepare's second timer is Betty's connection check: the simulation
+    // gathers nothing.
+    report.phases = PhaseTimes {
+        connection_check: timings.gather_seconds,
+        block_construction: timings.block_gen_seconds,
+        data_loading: timings.sim_transfer_seconds,
+        gpu_compute: timings.sim_compute_seconds,
+        ..phases
+    };
+    report.num_micro_batches = report.per_micro_mem.len();
     report.peak_mem_bytes = device.peak();
+    report.pipelined = timings.overlapped_makespan;
     Ok(report)
 }
 
-fn check_k(k: usize, num_outputs: usize) -> Result<(), TrainError> {
+/// `k`, when it is a valid micro-batch count for `num_outputs` outputs.
+fn check_k(k: usize, num_outputs: usize) -> Result<usize, TrainError> {
     if k == 0 || k > num_outputs {
         Err(TrainError::InvalidMicroBatches {
             requested: k,
             num_outputs,
         })
     } else {
-        Ok(())
+        Ok(k)
     }
 }
 
@@ -446,8 +443,7 @@ mod tests {
         // Lower bound: the device chain alone.
         let dev_chain: f64 = rep.per_micro_device.iter().sum();
         assert!(pipelined + 1e-9 >= dev_chain);
-        // Per-micro vectors align with the micro-batch count.
-        assert_eq!(rep.per_micro_cpu.len(), rep.num_micro_batches);
+        // The per-micro vector aligns with the micro-batch count.
         assert_eq!(rep.per_micro_device.len(), rep.num_micro_batches);
     }
 

@@ -23,17 +23,15 @@
 
 use crate::checkpoint::{CheckpointError, ParamState, TrainerState};
 use crate::models::GnnModel;
-use crate::train::pipeline::{run_inference, run_pipeline, Staged};
+use crate::train::pipeline::{run_inference, run_pipeline, whole_batch_plan, Staged};
 use crate::train::recovery::{HeadroomCalibrator, RecoveryPolicy};
 use crate::train::{InferenceStats, IterationStats, PipelineConfig, TrainConfig};
 use crate::TrainError;
 use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
-use buffalo_graph::NodeId;
 use buffalo_memsim::{CostModel, Device, DevicePool};
 use buffalo_sampling::Batch;
 use buffalo_tensor::{Adam, Optimizer};
-use std::time::Duration;
 
 /// The long-lived core shared by every driver: model + optimizer state,
 /// the bucket scheduler, and the pipeline/recovery configuration.
@@ -192,13 +190,7 @@ impl Engine {
     /// no planning time.
     fn plan(&self, batch: &Batch, device: &dyn Device) -> Result<SchedulePlan, TrainError> {
         let Some((scheduler, calibrator)) = &self.scheduler else {
-            return Ok(SchedulePlan {
-                groups: vec![(0..batch.num_seeds as NodeId).collect()],
-                group_estimates: Vec::new(),
-                k: 1,
-                split_explosion: false,
-                scheduling_time: Duration::ZERO,
-            });
+            return Ok(whole_batch_plan(batch.num_seeds));
         };
         let budget = device
             .pool()
@@ -360,6 +352,7 @@ mod tests {
     use super::*;
     use crate::fnv::Fnv;
     use buffalo_graph::datasets::{self, DatasetName};
+    use buffalo_graph::NodeId;
     use buffalo_memsim::{AggregatorKind, DeviceMemory, GnnShape};
     use buffalo_par::Parallelism;
     use buffalo_sampling::BatchSampler;

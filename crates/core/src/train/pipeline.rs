@@ -40,8 +40,13 @@
 //!
 //! [`DevicePool::begin_micro_batch`]: buffalo_memsim::DevicePool::begin_micro_batch
 //!
-//! The staging itself is written once, in `run_staged`: training and
-//! inference differ only in the Execute closure they hand it.
+//! The staging itself is written once, in `run_staged`, which takes
+//! Prepare and Execute as parameters. Training and inference prepare
+//! alike (the walk, then the gather) and differ in their Execute. The
+//! simulation (`crate::sim`) prepares the walk alone, or Betty's
+//! restrict-then-check, and executes *costed*: measure, allocate, release
+//! and book the simulated seconds into the same [`Ledger`] training
+//! books into, with no dense math.
 
 use crate::models::GnnModel;
 use crate::train::recovery::{
@@ -57,7 +62,7 @@ use buffalo_memsim::{measure, AllocId, CostModel, Device, DeviceTimeline, GnnSha
 use buffalo_sampling::Batch;
 use buffalo_tensor::softmax_cross_entropy;
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How a trainer schedules its Prepare and Execute stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +74,7 @@ pub struct PipelineConfig {
 
 /// Micro-batches in flight between prepare-start and device completion
 /// when the stages overlap: double buffering.
-const OVERLAP_DEPTH: usize = 2;
+pub(crate) const OVERLAP_DEPTH: usize = 2;
 
 impl PipelineConfig {
     /// Strictly serial staging — the classic one-micro-batch-at-a-time
@@ -112,45 +117,67 @@ pub(crate) struct Staged<'a> {
 }
 
 /// One micro-batch as Prepare hands it to Execute: owned buffers, moved
-/// across the channel, never copied.
-struct Prepared {
+/// across the channel, never copied. `D` is what Prepare read from the
+/// dataset: the gather for training and inference, nothing for the
+/// simulation, whose Execute is costed.
+pub(crate) struct Prepared<D = Gathered> {
     /// The per-layer blocks, input layer first; node ids are the batch's.
-    blocks: Vec<Block>,
+    pub blocks: Vec<Block>,
     /// What the blocks read from the dataset.
-    data: Gathered,
+    pub data: D,
     /// Wall-clock seconds the block walk took.
-    block_gen_s: f64,
-    /// Wall-clock seconds the gather took.
-    gather_s: f64,
+    pub block_gen_s: f64,
+    /// Wall-clock seconds of Prepare's other step: the gather (Betty's
+    /// connection check in the simulation, which gathers nothing).
+    pub gather_s: f64,
 }
 
-/// Runs the full Prepare stage for the micro-batch whose output nodes are
-/// `group`: its blocks in one walk of the batch graph, then the gather.
-fn prepare_one(
-    ds: &Dataset,
+/// A Prepare stage chosen at run time.
+pub(crate) type Prepare<'a, D = Gathered> = Box<dyn FnMut(&[NodeId]) -> Prepared<D> + Send + 'a>;
+
+/// Prepare's walk alone, as a closure owning its [`BlockWalker`]: the
+/// blocks of the micro-batch whose output nodes are `group`, in one walk
+/// of the batch graph.
+pub(crate) fn walk_blocks(
     batch: &Batch,
-    group: &[NodeId],
     num_layers: usize,
-    walker: &mut BlockWalker,
-) -> Prepared {
-    // lint:allow(wallclock-taint): StageTimings telemetry; overlap accounting never alters numerics (suppresses chain: prepare_one → Instant::now)
-    let t0 = Instant::now();
-    let blocks = walker.micro_batch(&batch.graph, batch.num_seeds, group, num_layers);
-    let block_gen_s = t0.elapsed().as_secs_f64();
-    // lint:allow(wallclock-taint): StageTimings telemetry; gathered features and labels are clock-independent (suppresses chain: prepare_one → Instant::now)
-    let t1 = Instant::now();
-    let data = gather(ds, batch, &blocks);
-    Prepared {
-        blocks,
-        data,
-        block_gen_s,
-        gather_s: t1.elapsed().as_secs_f64(),
+) -> impl FnMut(&[NodeId]) -> Prepared<()> + Send + '_ {
+    let mut walker = BlockWalker::default();
+    move |group| {
+        // lint:allow(wallclock-taint): StageTimings telemetry; overlap accounting never alters numerics (suppresses chain: walk_blocks → Instant::now)
+        let t0 = Instant::now();
+        let blocks = walker.micro_batch(&batch.graph, batch.num_seeds, group, num_layers);
+        Prepared {
+            blocks,
+            data: (),
+            block_gen_s: t0.elapsed().as_secs_f64(),
+            gather_s: 0.0,
+        }
+    }
+}
+
+/// The Prepare stage of training and inference, as a closure: the walk,
+/// then the gather.
+fn walk_and_gather<'a>(req: &Staged<'a>) -> impl FnMut(&[NodeId]) -> Prepared + Send + 'a {
+    let (ds, batch) = (req.ds, req.batch);
+    let mut walk = walk_blocks(batch, req.shape.num_layers);
+    move |group| {
+        let walked = walk(group);
+        // lint:allow(wallclock-taint): StageTimings telemetry; gathered features and labels are clock-independent (suppresses chain: walk_and_gather → Instant::now)
+        let t1 = Instant::now();
+        let data = gather(ds, batch, &walked.blocks);
+        Prepared {
+            data,
+            gather_s: t1.elapsed().as_secs_f64(),
+            blocks: walked.blocks,
+            block_gen_s: walked.block_gen_s,
+        }
     }
 }
 
 /// One prepared micro-batch queued for execution.
-struct MicroWork<'s> {
-    prepared: Prepared,
+pub(crate) struct MicroWork<'s, W = Prepared> {
+    pub prepared: W,
     /// The seed group it was prepared from — what the re-split rung of
     /// the recovery ladder divides.
     seeds: &'s [NodeId],
@@ -161,6 +188,24 @@ struct MicroWork<'s> {
     /// their parent's index so they execute on the device the parent was
     /// assigned to.
     assign_idx: usize,
+}
+
+/// A plan of `groups` with no estimates and no planning time, as a
+/// partitioner's output reaches the staged driver.
+pub(crate) fn unestimated(groups: Vec<Vec<NodeId>>) -> SchedulePlan {
+    SchedulePlan {
+        k: groups.len(),
+        groups,
+        group_estimates: Vec::new(),
+        split_explosion: false,
+        scheduling_time: Duration::ZERO,
+    }
+}
+
+/// Algorithm 3's `K = 1` exit ("treat the original subgraph as the
+/// micro-batch"): one group holding every seed.
+pub(crate) fn whole_batch_plan(num_seeds: usize) -> SchedulePlan {
+    unestimated(vec![(0..num_seeds as NodeId).collect()])
 }
 
 /// A plan's micro-batches: every non-empty group with its estimate.
@@ -176,31 +221,38 @@ fn micro_batches(plan: &SchedulePlan) -> impl Iterator<Item = (&[NodeId], u64)> 
 }
 
 /// The staged driver, the one place an iteration's loop is written:
-/// prepares the plan's micro-batches in order and hands each to `execute`
-/// on the caller's thread, in that order.
+/// `prepare`s the plan's micro-batches in order and hands each to
+/// `execute` on the caller's thread, in that order.
 ///
 /// Serial staging prepares and executes in turn. Overlapped staging runs
 /// Prepare on a scoped worker thread behind a bounded channel, so the
 /// producer stays at most `OVERLAP_DEPTH - 1` prepared-but-unconsumed
 /// micro-batches ahead (host-side staging; device residency is capped
-/// separately at two allocations by [`Residency`]). Either way Prepare
-/// owns its [`BlockWalker`] — scratch whose contents between walks never
-/// reach the numerics — and never touches the device, so when `execute`
-/// routes its micro-batch (`DevicePool::begin_micro_batch`) relative to
-/// the preparation is unobservable.
-fn run_staged<'a, E>(req: &Staged<'a>, depth: usize, mut execute: E) -> Result<(), TrainError>
+/// separately at two allocations by [`Residency`]). Either way `prepare`
+/// owns its scratch (a [`BlockWalker`], whose contents between walks
+/// never reach the numerics) and never touches the device, so when
+/// `execute` routes its micro-batch (`DevicePool::begin_micro_batch`)
+/// relative to the preparation is unobservable.
+pub(crate) fn run_staged<'a, W, P, E>(
+    plan: &'a SchedulePlan,
+    depth: usize,
+    mut prepare: P,
+    mut execute: E,
+) -> Result<(), TrainError>
 where
-    E: FnMut(MicroWork<'a>) -> Result<(), TrainError>,
+    W: Send,
+    P: FnMut(&'a [NodeId]) -> W + Send,
+    E: FnMut(MicroWork<'a, W>) -> Result<(), TrainError>,
 {
-    let (ds, batch, num_layers) = (req.ds, req.batch, req.shape.num_layers);
-    let mut walker = BlockWalker::default();
-    let prepare = move |(assign_idx, (seeds, estimate)): (usize, (&'a [NodeId], u64))| MicroWork {
-        prepared: prepare_one(ds, batch, seeds, num_layers, &mut walker),
-        seeds,
-        estimate,
-        assign_idx,
-    };
-    let mut prepared = micro_batches(req.plan).enumerate().map(prepare);
+    let mut prepared =
+        micro_batches(plan)
+            .enumerate()
+            .map(move |(assign_idx, (seeds, estimate))| MicroWork {
+                prepared: prepare(seeds),
+                seeds,
+                estimate,
+                assign_idx,
+            });
     if depth <= 1 {
         return prepared.try_for_each(execute);
     }
@@ -236,14 +288,14 @@ fn staging_depth(req: &Staged<'_>) -> usize {
 /// the previous one computes), so two prepared micro-batches are resident
 /// at once; when both do not fit the budget, the policy degrades to serial
 /// residency for that handoff instead of faulting.
-struct Residency<'d> {
+pub(crate) struct Residency<'d> {
     device: &'d dyn Device,
     double_buffer: bool,
     held: Option<AllocId>,
 }
 
 impl<'d> Residency<'d> {
-    fn new(device: &'d dyn Device, double_buffer: bool) -> Self {
+    pub(crate) fn new(device: &'d dyn Device, double_buffer: bool) -> Self {
         Residency {
             device,
             double_buffer,
@@ -251,43 +303,31 @@ impl<'d> Residency<'d> {
         }
     }
 
-    fn acquire(&mut self, bytes: u64) -> Result<(), TrainError> {
-        if !self.double_buffer {
-            self.held = Some(self.device.alloc(bytes)?);
-            return Ok(());
-        }
-        match self.device.alloc(bytes) {
-            Ok(id) => {
-                if let Some(prev) = self.held.take() {
-                    self.device.free(prev);
-                }
-                self.held = Some(id);
-                Ok(())
-            }
+    pub(crate) fn acquire(&mut self, bytes: u64) -> Result<(), TrainError> {
+        let id = match self.device.alloc(bytes) {
+            Ok(id) => id,
             Err(first) => {
-                // Both micro-batches do not fit together: release the
-                // previous one first and retry once, serial-style.
-                match self.held.take() {
-                    Some(prev) => {
-                        self.device.free(prev);
-                        match self.device.alloc(bytes) {
-                            Ok(id) => {
-                                self.held = Some(id);
-                                Ok(())
-                            }
-                            Err(mut second) => {
-                                // Attribute both attempts: the caller sees
-                                // the solo-allocation failure, with the
-                                // co-resident attempt's numbers chained.
-                                second.first_attempt = Some(Box::new(first));
-                                Err(second.into())
-                            }
-                        }
-                    }
-                    None => Err(first.into()),
-                }
+                // Both micro-batches do not fit together (serial residency
+                // holds nothing here): release the previous one first and
+                // retry once, serial-style.
+                let Some(prev) = self.held.take() else {
+                    return Err(first.into());
+                };
+                self.device.free(prev);
+                self.device.alloc(bytes).map_err(|mut second| {
+                    // Attribute both attempts: the caller sees the
+                    // solo-allocation failure, with the co-resident
+                    // attempt's numbers chained.
+                    second.first_attempt = Some(Box::new(first));
+                    TrainError::from(second)
+                })?
             }
-        }
+        };
+        // The double-buffered handoff: the new allocation landed, so the
+        // previous one goes.
+        self.finish();
+        self.held = Some(id);
+        Ok(())
     }
 
     /// Drops double-buffering for the rest of the iteration, freeing any
@@ -298,23 +338,76 @@ impl<'d> Residency<'d> {
             return false;
         }
         self.double_buffer = false;
-        if let Some(id) = self.held.take() {
-            self.device.free(id);
-        }
+        self.finish();
         true
     }
 
-    fn release_after_step(&mut self) {
+    pub(crate) fn release_after_step(&mut self) {
         if !self.double_buffer {
-            if let Some(id) = self.held.take() {
-                self.device.free(id);
-            }
+            self.finish();
         }
     }
 
+    /// Frees the held allocation, if any.
     fn finish(&mut self) {
         if let Some(id) = self.held.take() {
             self.device.free(id);
+        }
+    }
+}
+
+/// The accounts every executed micro-batch is booked into, in execution
+/// order: the staged timeline and the per-stage sums. Training and the
+/// simulation's costed Execute book through it alike.
+pub(crate) struct Ledger {
+    timeline: DeviceTimeline,
+    timings: StageTimings,
+}
+
+impl Ledger {
+    /// A ledger for a pass staged at `depth` behind a serial prefix of
+    /// `schedule_seconds` (the plan must exist before anything is
+    /// prepared).
+    pub(crate) fn new(depth: usize, schedule_seconds: f64) -> Self {
+        Ledger {
+            timeline: DeviceTimeline::new(depth),
+            timings: StageTimings {
+                schedule_seconds,
+                ..StageTimings::default()
+            },
+        }
+    }
+
+    /// Books one micro-batch's Prepare seconds and, when it is `costed`
+    /// (a training micro-batch that reached the device), its simulated
+    /// device seconds, which it returns; `None` books a preparation that
+    /// never reached the device.
+    pub(crate) fn book<D>(
+        &mut self,
+        p: &Prepared<D>,
+        costed: Option<(&CostModel, &GnnShape)>,
+    ) -> f64 {
+        let (compute, transfer) = costed.map_or((0.0, 0.0), |(cost, shape)| {
+            let bytes = measure::transfer_bytes(&p.blocks, shape) as f64;
+            (
+                cost.training_seconds(&p.blocks, shape),
+                cost.transfer_seconds(bytes),
+            )
+        });
+        self.timeline
+            .record(p.block_gen_s + p.gather_s, compute + transfer);
+        self.timings.block_gen_seconds += p.block_gen_s;
+        self.timings.gather_seconds += p.gather_s;
+        self.timings.sim_compute_seconds += compute;
+        self.timings.sim_transfer_seconds += transfer;
+        compute + transfer
+    }
+
+    /// The stage sums with the makespan of everything booked.
+    pub(crate) fn finish(self) -> StageTimings {
+        StageTimings {
+            overlapped_makespan: self.timings.schedule_seconds + self.timeline.makespan(),
+            ..self.timings
         }
     }
 }
@@ -328,15 +421,11 @@ struct ExecState<'a> {
     policy: &'a RecoveryPolicy,
     replan: Option<Replan<'a>>,
     residency: Residency<'a>,
-    timeline: DeviceTimeline,
-    timings: StageTimings,
+    ledger: Ledger,
     loss_sum: f64,
     correct: usize,
     micro_batches: usize,
     events: Vec<RecoveryEvent>,
-    /// Block-generation scratch of the re-split rung, the one place the
-    /// Execute thread prepares.
-    walker: BlockWalker,
 }
 
 impl ExecState<'_> {
@@ -361,13 +450,7 @@ fn consume_one(
         estimate,
         assign_idx,
     } = work;
-    let Prepared {
-        blocks,
-        data,
-        block_gen_s,
-        gather_s,
-    } = prepared;
-    let bytes = measure::training_memory(&blocks, req.shape).total();
+    let bytes = measure::training_memory(&prepared.blocks, req.shape).total();
     let mut attempt = 0usize;
     let mut observed_oom = false;
     let oom = loop {
@@ -445,45 +528,24 @@ fn consume_one(
         );
         // The discarded preparation still happened: account for it as
         // prepare-only pipeline time.
-        st.timeline.record(block_gen_s + gather_s, 0.0);
-        st.timings.block_gen_seconds += block_gen_s;
-        st.timings.gather_seconds += gather_s;
-        for (group, estimate) in micro_batches(&plan) {
-            let prepared = prepare_one(
-                req.ds,
-                req.batch,
-                group,
-                req.shape.num_layers,
-                &mut st.walker,
-            );
-            let sub = MicroWork {
-                prepared,
-                seeds: group,
-                estimate,
-                assign_idx,
-            };
-            consume_one(model, req, st, sub, depth + 1)?;
-        }
-        return Ok(());
+        st.ledger.book(&prepared, None);
+        // The one place the Execute thread prepares: the sub-groups run
+        // serially, on the device their parent was routed to.
+        return run_staged(&plan, 1, walk_and_gather(req), |sub| {
+            let sub = MicroWork { assign_idx, ..sub };
+            consume_one(model, req, st, sub, depth + 1)
+        });
     }
     // Allocation landed: forward, loss, backward.
-    let (logits, cache) = model.forward(&blocks, &data.features);
+    let (blocks, data) = (&prepared.blocks, &prepared.data);
+    let (logits, cache) = model.forward(blocks, &data.features);
     let out = softmax_cross_entropy(&logits, &data.labels, Some(req.batch.num_seeds));
-    model.backward(&blocks, &cache, &out.dlogits);
+    model.backward(blocks, &cache, &out.dlogits);
     st.residency.release_after_step();
     if let Some((_, cal)) = st.replan.as_mut() {
         cal.observe(estimate, bytes);
     }
-    let compute = req.cost.training_seconds(&blocks, req.shape);
-    let transfer = req
-        .cost
-        .transfer_seconds(measure::transfer_bytes(&blocks, req.shape) as f64);
-    st.timeline
-        .record(block_gen_s + gather_s, compute + transfer);
-    st.timings.block_gen_seconds += block_gen_s;
-    st.timings.gather_seconds += gather_s;
-    st.timings.sim_compute_seconds += compute;
-    st.timings.sim_transfer_seconds += transfer;
+    st.ledger.book(&prepared, Some((req.cost, req.shape)));
     st.loss_sum += out.loss as f64 * data.labels.len() as f64;
     st.correct += out.correct;
     st.micro_batches += 1;
@@ -503,25 +565,17 @@ pub(crate) fn run_pipeline(
     replan: Option<Replan<'_>>,
 ) -> Result<IterationStats, TrainError> {
     let depth = staging_depth(req);
-    // The scheduling prefix is serial — the plan must exist before the
-    // first micro-batch can be prepared — and is folded into the timings.
-    let schedule_seconds = req.plan.scheduling_time.as_secs_f64();
     let mut st = ExecState {
         policy,
         replan,
         residency: Residency::new(req.device, depth > 1),
-        timeline: DeviceTimeline::new(depth),
-        timings: StageTimings {
-            schedule_seconds,
-            ..StageTimings::default()
-        },
+        ledger: Ledger::new(depth, req.plan.scheduling_time.as_secs_f64()),
         loss_sum: 0.0,
         correct: 0,
         micro_batches: 0,
         events: Vec::new(),
-        walker: BlockWalker::default(),
     };
-    run_staged(req, depth, |work| {
+    run_staged(req.plan, depth, walk_and_gather(req), |work| {
         // Route this micro-batch's allocations: a device pool
         // round-robins over its live members.
         if let Some(pool) = req.device.pool() {
@@ -530,14 +584,13 @@ pub(crate) fn run_pipeline(
         consume_one(model, req, &mut st, work, 0)
     })?;
     st.residency.finish();
-    st.timings.overlapped_makespan = schedule_seconds + st.timeline.makespan();
     let total = req.batch.num_seeds;
     Ok(IterationStats {
         loss: (st.loss_sum / total as f64) as f32,
         accuracy: st.correct as f32 / total as f32,
         num_micro_batches: st.micro_batches,
         peak_mem_bytes: req.device.peak(),
-        timings: st.timings,
+        timings: st.ledger.finish(),
         recovery: st.events,
     })
 }
@@ -610,7 +663,7 @@ pub(crate) fn run_inference(
         peak_mem_bytes: 0,
         service_seconds: 0.0,
     };
-    run_staged(req, depth, |work| {
+    run_staged(req.plan, depth, walk_and_gather(req), |work| {
         if let Some(pool) = req.device.pool() {
             pool.begin_micro_batch(micro_base + work.assign_idx);
         }

@@ -11,13 +11,14 @@
 //! equivalent.)
 
 use crate::models::GnnModel;
-use crate::train::{gather, TrainConfig};
+use crate::train::pipeline::{run_pipeline, whole_batch_plan, Staged};
+use crate::train::recovery::RecoveryPolicy;
+use crate::train::{PipelineConfig, TrainConfig};
 use crate::TrainError;
-use buffalo_blocks::{Block, BlockWalker};
-use buffalo_bucketing::BuffaloScheduler;
+use buffalo_bucketing::{BuffaloScheduler, SchedulePlan};
 use buffalo_graph::datasets::Dataset;
+use buffalo_memsim::{CostModel, DeviceMemory};
 use buffalo_sampling::Batch;
-use buffalo_tensor::softmax_cross_entropy;
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,21 +43,30 @@ impl EquivalenceReport {
     }
 }
 
-/// Runs forward + backward over the `blocks` of a (micro-)batch of
-/// `batch`, accumulating gradients into `model`; returns the summed (not
-/// averaged) loss.
-fn accumulate(
-    model: &mut GnnModel,
+/// Accumulates the gradients of one pass over `plan` into a fresh model
+/// with the weights of `seed`, through the engine's staged driver (serial,
+/// on an unlimited device, recovery off); returns the model, the mean loss
+/// and the micro-batch count.
+fn gradients(
     ds: &Dataset,
     batch: &Batch,
-    blocks: &[Block],
-    divisor: usize,
-) -> f64 {
-    let data = gather(ds, batch, blocks);
-    let (logits, cache) = model.forward(blocks, &data.features);
-    let out = softmax_cross_entropy(&logits, &data.labels, Some(divisor));
-    model.backward(blocks, &cache, &out.dlogits);
-    out.loss as f64 * data.labels.len() as f64
+    config: &TrainConfig,
+    seed: u64,
+    plan: &SchedulePlan,
+) -> Result<(GnnModel, f64, usize), TrainError> {
+    let mut model = GnnModel::for_shape(&config.shape, seed);
+    model.zero_grad();
+    let staged = Staged {
+        ds,
+        batch,
+        plan,
+        shape: &config.shape,
+        device: &DeviceMemory::new(u64::MAX),
+        cost: &CostModel::rtx6000(),
+        pipeline: PipelineConfig::serial(),
+    };
+    let stats = run_pipeline(&mut model, &staged, &RecoveryPolicy::disabled(), None)?;
+    Ok((model, stats.loss as f64, stats.num_micro_batches))
 }
 
 /// Computes whole-batch and Buffalo micro-batch gradients from identical
@@ -72,29 +82,12 @@ pub fn verify_gradient_equivalence(
     clustering: f64,
     budget_bytes: u64,
 ) -> Result<EquivalenceReport, TrainError> {
-    let depth = config.shape.num_layers;
-    let n = batch.num_seeds;
-    // Both runs build their blocks as the engine does: off the batch's
-    // rows, node ids local to `batch`.
-    let mut walker = BlockWalker::default();
-    // Whole-batch gradient.
-    let mut whole = GnnModel::for_shape(&config.shape, config.seed);
-    whole.zero_grad();
-    let blocks = walker.whole_batch(&batch.graph, n, depth);
-    let whole_loss = accumulate(&mut whole, ds, batch, &blocks, n) / n as f64;
-    // Micro-batch gradient accumulation over a Buffalo plan.
+    // Both runs are the engine's: whole-batch, then over a Buffalo plan.
+    let whole_plan = whole_batch_plan(batch.num_seeds);
+    let (mut whole, whole_loss, _) = gradients(ds, batch, config, config.seed, &whole_plan)?;
     let scheduler = BuffaloScheduler::new(config.shape.clone(), config.fanouts.clone(), clustering);
     let plan = scheduler.schedule(&batch.graph, batch.num_seeds, budget_bytes)?;
-    let mut micro = GnnModel::for_shape(&config.shape, config.seed);
-    micro.zero_grad();
-    let mut micro_loss = 0.0f64;
-    let mut micro_batches = 0usize;
-    for group in plan.groups.iter().filter(|g| !g.is_empty()) {
-        let blocks = walker.micro_batch(&batch.graph, n, group, depth);
-        micro_loss += accumulate(&mut micro, ds, batch, &blocks, n);
-        micro_batches += 1;
-    }
-    micro_loss /= n as f64;
+    let (mut micro, micro_loss, micro_batches) = gradients(ds, batch, config, config.seed, &plan)?;
     // Compare gradients with per-tensor normalization: the worst absolute
     // entry difference relative to the tensor's own gradient magnitude
     // (the standard `allclose`-style check). Summation-order noise is a
@@ -125,6 +118,7 @@ pub fn verify_gradient_equivalence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buffalo_blocks::BlockWalker;
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{measure, AggregatorKind, GnnShape};
     use buffalo_sampling::BatchSampler;
@@ -188,13 +182,9 @@ mod tests {
     fn different_weights_are_detected() {
         // Sanity: the metric must flag genuinely different gradients.
         let (ds, batch, config, _) = setup(AggregatorKind::Mean);
-        let mut a = GnnModel::for_shape(&config.shape, 5);
-        let mut b = GnnModel::for_shape(&config.shape, 999);
-        a.zero_grad();
-        b.zero_grad();
-        let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
-        let _ = accumulate(&mut a, &ds, &batch, &blocks, batch.num_seeds);
-        let _ = accumulate(&mut b, &ds, &batch, &blocks, batch.num_seeds);
+        let whole = whole_batch_plan(batch.num_seeds);
+        let (mut a, ..) = gradients(&ds, &batch, &config, 5, &whole).unwrap();
+        let (mut b, ..) = gradients(&ds, &batch, &config, 999, &whole).unwrap();
         let mut worst = 0.0f64;
         for (x, y) in a.params_mut().iter().zip(b.params_mut().iter()) {
             for (&u, &v) in x.grad.data().iter().zip(y.grad.data()) {

@@ -71,16 +71,12 @@ pub fn simulate_data_parallel(
     // CPU phases stay serial: scheduling + extraction + block generation.
     let cpu_seconds =
         base.phases.scheduling + base.phases.connection_check + base.phases.block_construction;
-    // Distribute micro-batch device time round-robin. Without per-micro
-    // compute times we approximate by splitting the device phases evenly
-    // over micro-batches, which is accurate because Buffalo balances
-    // micro-batch sizes (Figure 14: 4–6 % spread).
-    let device_total = base.phases.data_loading + base.phases.gpu_compute;
-    let m = base.num_micro_batches.max(1);
-    let per_micro = device_total / m as f64;
+    // Each micro-batch's device seconds go to the GPU a pool routes it to
+    // (`DevicePool::begin_micro_batch`): micro-batch `i` to GPU
+    // `i % num_gpus`.
     let mut gpu_time = vec![0.0f64; num_gpus];
-    for i in 0..m {
-        gpu_time[i % num_gpus] += per_micro;
+    for (i, s) in base.per_micro_device.iter().enumerate() {
+        gpu_time[i % num_gpus] += s;
     }
     let max_gpu_seconds = gpu_time.iter().copied().fold(0.0, f64::max);
     // Ring all-reduce on gradients: 2 (n-1)/n of the parameter bytes.

@@ -454,7 +454,7 @@ benchmark/selftest.sh
 # library's and the code's buffer handling, not what the program
 # computes; and `bucketing.imbalance` and `bucketing.est_err_pct`, means
 # of f64 values over as many repetitions as the run's seconds allow, so
-# their last digit moves between sessions.
+# their last digit can differ from one run to the next.
 readings=$(awk '/\(simulated;/ { print $1, $2, $3 }' benchmark/out/selftest_a.txt
   awk '/\(exact;/ && $2 !~ /(\.allocs|\.alloc_mb|^bucketing\.(imbalance|est_err_pct))$/ { print $1, $2, $3 }' \
     benchmark/out/selftest_traced.txt)

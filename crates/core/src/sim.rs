@@ -15,7 +15,7 @@
 //! math, so the phases are the driver's stage sums.
 
 use crate::train::pipeline::{
-    run_staged, unestimated, walk_blocks, whole_batch_plan, Ledger, Prepare, Prepared, Residency,
+    run_staged, unestimated, walk_blocks, whole_batch_plan, Ledger, Prepared, Residency,
     OVERLAP_DEPTH,
 };
 use crate::TrainError;
@@ -169,6 +169,9 @@ pub struct SimContext<'a> {
     pub original: &'a CsrGraph,
 }
 
+/// The simulation's Prepare, chosen by strategy.
+type Prepare<'a> = Box<dyn FnMut(&[NodeId]) -> Prepared<()> + Send + 'a>;
+
 /// Simulates one training iteration of `strategy` over `batch`.
 ///
 /// # Errors
@@ -223,7 +226,7 @@ pub fn simulate_iteration(
         Strategy::Range { k } => unestimated(range_partition(n, check_k(k, n)?)),
     };
     let depth = ctx.shape.num_layers;
-    let prepare: Prepare<'_, ()> = if let Strategy::Betty { .. } = strategy {
+    let prepare: Prepare<'_> = if let Strategy::Betty { .. } = strategy {
         // Betty's own path, the baseline being modelled. Connection
         // check: extract the micro-batch's dependency closure. Block
         // construction: re-derive every edge from the original graph.

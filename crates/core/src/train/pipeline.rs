@@ -132,9 +132,6 @@ pub(crate) struct Prepared<D = Gathered> {
     pub gather_s: f64,
 }
 
-/// A Prepare stage chosen at run time.
-pub(crate) type Prepare<'a, D = Gathered> = Box<dyn FnMut(&[NodeId]) -> Prepared<D> + Send + 'a>;
-
 /// Prepare's walk alone, as a closure owning its [`BlockWalker`]: the
 /// blocks of the micro-batch whose output nodes are `group`, in one walk
 /// of the batch graph.

@@ -439,6 +439,20 @@ figures_start=$(date +%s.%N)
 target/release/figures robustness failover checkpoint serving serving-chaos
 echo "ci: five BENCH_*.json match their experiments ($(date +%s.%N | awk -v s="$figures_start" '{printf "%.1f", $1 - s}') s)"
 
+# The simulated figures' exact columns, held against the golden (~10 s):
+# Figs. 2, 13, 14 and Table III in full (every cell is simulated memory, a
+# plan or an estimator error), Fig. 5's simulated GPU-compute column, and
+# Fig. 15 without its iteration-time column (it adds real host seconds).
+exact=$(target/release/figures --quick fig2 fig13 fig14 tab3
+  target/release/figures --quick fig5 | awk '/^===/ { print; next } $1 ~ /^ogbn-/ { print $1, $NF }'
+  target/release/figures --quick fig15 | sed -E 's/ +([0-9.]+(s|ms|us)|iteration time)$//')
+if [ "$exact" != "$(cat tests/golden/figures_quick_exact.txt)" ]; then
+  echo "ci: FAIL — figures' exact columns diverged from tests/golden/figures_quick_exact.txt" >&2
+  diff tests/golden/figures_quick_exact.txt <(printf '%s\n' "$exact") >&2 || true
+  exit 1
+fi
+echo "ci: figures' exact columns match tests/golden/figures_quick_exact.txt"
+
 # The standing benchmark must still run: its smoke runs every workload
 # with reduced sizes, checks each workload's outputs (loss trail, answer
 # digest, admission accounting), that simulated and exact metrics repeat

@@ -5,9 +5,11 @@ use buffalo_bucketing::{
     closure_counts, degree_bucketing, detect_explosion, split_explosion_bucket, BucketEntry,
     ClosureScratch,
 };
+use buffalo_core::sim::{simulate_iteration, SimContext, SimReport, Strategy};
+use buffalo_core::TrainError;
 use buffalo_graph::datasets::{self, Dataset, DatasetName};
 use buffalo_graph::{stats, NodeId};
-use buffalo_memsim::{measure, AggregatorKind, GnnShape};
+use buffalo_memsim::{measure, AggregatorKind, CostModel, DeviceMemory, GnnShape};
 use buffalo_sampling::{Batch, BatchSampler};
 
 /// The paper's default sampling fanouts ("cut-off 10,25", Table III).
@@ -69,6 +71,44 @@ impl Workload {
             self.dataset.spec.num_classes,
             aggregator,
         )
+    }
+
+    /// The simulation's view of this workload under `shape`: its fanouts,
+    /// clustering coefficient and graph.
+    pub(crate) fn sim_context<'a>(&'a self, shape: &'a GnnShape) -> SimContext<'a> {
+        SimContext {
+            shape,
+            fanouts: &self.fanouts,
+            clustering: self.clustering,
+            original: &self.dataset.graph,
+        }
+    }
+
+    /// One simulated iteration of `strategy` over this batch on a fresh
+    /// device of `budget` bytes ([`UNLIMITED`] for one nothing fills).
+    pub(crate) fn simulate(
+        &self,
+        shape: &GnnShape,
+        strategy: Strategy,
+        budget: u64,
+        cost: &CostModel,
+    ) -> Result<SimReport, TrainError> {
+        let device = DeviceMemory::new(budget);
+        simulate_iteration(
+            &self.batch,
+            self.sim_context(shape),
+            strategy,
+            &device,
+            cost,
+        )
+    }
+
+    /// The whole batch (`Strategy::Full`) on an unlimited device: its peak
+    /// is the footprint the experiments divide into budgets, its phases
+    /// the unsplit iteration's.
+    pub(crate) fn probe(&self, shape: &GnnShape, cost: &CostModel) -> SimReport {
+        self.simulate(shape, Strategy::Full, UNLIMITED, cost)
+            .expect("an unlimited device cannot run out of memory")
     }
 
     /// Algorithm 4's items for this batch under `shape`: its degree
@@ -164,9 +204,18 @@ pub(crate) fn load_workload_with(
     }
 }
 
+/// A device budget no batch here reaches.
+pub(crate) const UNLIMITED: u64 = u64::MAX;
+
 /// GiB formatting helper (binary gibibytes, as the paper's GB figures).
 pub(crate) fn gib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64
+}
+
+/// A budget of `gib` binary gibibytes, in bytes (as
+/// `DeviceMemory::with_gib` rounds it).
+pub(crate) fn gib_bytes(gib: f64) -> u64 {
+    (gib * (1u64 << 30) as f64) as u64
 }
 
 #[cfg(test)]

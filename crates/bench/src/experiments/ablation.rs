@@ -3,12 +3,13 @@
 //! output-layer vs non-output-layer partitioning.
 
 use crate::context::load_workload;
-use crate::output::{mem, Table};
+use crate::output::{mem, secs, Table};
 use buffalo_blocks::BlockWalker;
 use buffalo_bucketing::{mem_balanced_grouping, BucketEntry};
+use buffalo_core::sim::Strategy;
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::NodeId;
-use buffalo_memsim::AggregatorKind;
+use buffalo_memsim::{AggregatorKind, CostModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -215,9 +216,6 @@ pub(crate) fn layer(quick: bool) {
 /// optimization the paper's related work (§II-B) applies and Buffalo
 /// composes with, because its plan is known up front.
 pub(crate) fn pipeline(quick: bool) {
-    use crate::output::secs;
-    use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
-    use buffalo_memsim::{CostModel, DeviceMemory};
     let cost = CostModel::rtx6000();
     let mut t = Table::new(["dataset", "K", "serial", "pipelined", "saved %"]);
     for name in [
@@ -227,17 +225,9 @@ pub(crate) fn pipeline(quick: bool) {
     ] {
         let w = load_workload(name, quick);
         let shape = w.shape(128, AggregatorKind::Lstm);
-        let ctx = SimContext {
-            shape: &shape,
-            fanouts: &w.fanouts,
-            clustering: w.clustering,
-            original: &w.dataset.graph,
-        };
-        let unlimited = DeviceMemory::new(u64::MAX);
-        let whole = simulate_iteration(&w.batch, ctx, Strategy::Full, &unlimited, &cost)
-            .expect("unlimited device");
-        let budget = DeviceMemory::new((whole.peak_mem_bytes / 8).max(1) * 13 / 10);
-        match simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &budget, &cost) {
+        let whole = w.probe(&shape, &cost);
+        let budget = (whole.peak_mem_bytes / 8).max(1) * 13 / 10;
+        match w.simulate(&shape, Strategy::Buffalo, budget, &cost) {
             Ok(rep) => {
                 let serial = rep.phases.total();
                 let pipelined = rep.pipelined_total();
@@ -250,13 +240,7 @@ pub(crate) fn pipeline(quick: bool) {
                 ]);
             }
             Err(e) => {
-                t.row([
-                    name.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("{e}"),
-                ]);
+                t.failed([name.to_string()], e.to_string());
             }
         }
     }

@@ -3,7 +3,6 @@
 
 use crate::context::{gib, load_workload, load_workload_with, RTX6000_GIB};
 use crate::output::Table;
-use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
 use buffalo_core::train::{Engine, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::NodeId;
@@ -126,15 +125,7 @@ pub(crate) fn tab4(quick: bool) {
                 continue;
             }
             // OOM decision at paper-scale config.
-            let ctx = SimContext {
-                shape: &oom_shape,
-                fanouts: &w.fanouts,
-                clustering: w.clustering,
-                original: &w.dataset.graph,
-            };
-            let unlimited = DeviceMemory::new(u64::MAX);
-            let whole = simulate_iteration(&w.batch, ctx, Strategy::Full, &unlimited, &cost)
-                .expect("unlimited device");
+            let whole = w.probe(&oom_shape, &cost);
             let dgl_oom = gib(whole.peak_mem_bytes) > RTX6000_GIB;
             // Loss measurement at reduced scale.
             let bs = if quick { 192 } else { 384 };

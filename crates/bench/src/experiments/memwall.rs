@@ -1,12 +1,11 @@
 //! Figure 2 (the memory wall: whole-batch training OOMs as the model
 //! scales) and Figure 13 (Buffalo breaks the wall with micro-batches).
 
-use crate::context::{gib, load_workload, load_workload_with, Workload, RTX6000_GIB};
+use crate::context::{gib, gib_bytes, load_workload, load_workload_with, Workload, RTX6000_GIB};
 use crate::output::{mem, Table};
-use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
-use buffalo_core::TrainError;
+use buffalo_core::sim::Strategy;
 use buffalo_graph::datasets::DatasetName;
-use buffalo_memsim::{AggregatorKind, CostModel, DeviceMemory, GnnShape};
+use buffalo_memsim::{AggregatorKind, CostModel, GnnShape};
 
 /// One Figure 2/13 configuration: label + shape + fanouts.
 struct Config {
@@ -70,24 +69,13 @@ fn run_grid(quick: bool, buffalo: bool) {
             ["config", "whole-batch memory", "vs 24GB", "status"]
         });
         for cfg in configs(&w) {
-            // Re-sample when the fanouts differ from the workload default.
-            let batch;
-            let batch_ref = if cfg.fanouts == w.fanouts {
-                &w.batch
-            } else {
-                let alt = load_workload_with(name, w.batch.num_seeds, cfg.fanouts.clone(), 42);
-                batch = alt.batch;
-                &batch
-            };
-            let ctx = SimContext {
-                shape: &cfg.shape,
-                fanouts: &cfg.fanouts,
-                clustering: w.clustering,
-                original: &w.dataset.graph,
-            };
+            // Re-sample when the fanouts differ from the workload default:
+            // same dataset, seeds and clustering.
+            let resampled = (cfg.fanouts != w.fanouts)
+                .then(|| load_workload_with(name, w.batch.num_seeds, cfg.fanouts, 42));
+            let w = resampled.as_ref().unwrap_or(&w);
             if buffalo {
-                let device = DeviceMemory::with_gib(RTX6000_GIB);
-                match simulate_iteration(batch_ref, ctx, Strategy::Buffalo, &device, &cost) {
+                match w.simulate(&cfg.shape, Strategy::Buffalo, gib_bytes(RTX6000_GIB), &cost) {
                     Ok(rep) => {
                         t.row([
                             cfg.label,
@@ -97,39 +85,23 @@ fn run_grid(quick: bool, buffalo: bool) {
                         ]);
                     }
                     Err(e) => {
-                        t.row([cfg.label, "-".into(), "-".into(), format!("failed: {e}")]);
+                        t.failed([cfg.label], format!("failed: {e}"));
                     }
                 }
             } else {
-                // Measure the whole-batch footprint against an unlimited
-                // device, then compare with the real budget.
-                let unlimited = DeviceMemory::new(u64::MAX);
-                match simulate_iteration(batch_ref, ctx, Strategy::Full, &unlimited, &cost) {
-                    Ok(rep) => {
-                        let over = gib(rep.peak_mem_bytes) > RTX6000_GIB;
-                        t.row([
-                            cfg.label,
-                            mem(rep.peak_mem_bytes),
-                            format!("{:.1}x", gib(rep.peak_mem_bytes) / RTX6000_GIB),
-                            if over {
-                                "OOM".into()
-                            } else {
-                                "fits".to_string()
-                            },
-                        ]);
+                // The whole-batch footprint, held against the real budget.
+                let peak = w.probe(&cfg.shape, &cost).peak_mem_bytes;
+                t.row([
+                    cfg.label,
+                    mem(peak),
+                    format!("{:.1}x", gib(peak) / RTX6000_GIB),
+                    if gib(peak) > RTX6000_GIB {
+                        "OOM"
+                    } else {
+                        "fits"
                     }
-                    Err(TrainError::Oom(e)) => {
-                        t.row([
-                            cfg.label,
-                            format!(">{}", mem(e.requested)),
-                            "-".into(),
-                            "OOM".into(),
-                        ]);
-                    }
-                    Err(e) => {
-                        t.row([cfg.label, "-".into(), "-".into(), format!("failed: {e}")]);
-                    }
-                }
+                    .into(),
+                ]);
             }
         }
         t.print();

@@ -46,7 +46,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("ablate-layer", Figure(ablation::layer)),
     ("ablate-tiered", Figure(tiered::tiered)),
     ("ablate-pipeline", Figure(ablation::pipeline)),
-    ("pipeline-train", Figure(timing::pipeline_train)),
     ("robustness", Bench(resilience::robustness)),
     ("checkpoint", Bench(resilience::checkpoint)),
     ("serving", Bench(resilience::serving)),

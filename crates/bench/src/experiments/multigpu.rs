@@ -2,10 +2,9 @@
 //! is 9–12 % of the iteration, micro-batch generation stays on the CPU,
 //! so a second GPU shaves only 3–5 % while all-reduce adds ~1 %.
 
-use crate::context::load_workload;
+use crate::context::{gib_bytes, load_workload};
 use crate::output::{secs, Table};
 use buffalo_core::multi_gpu::simulate_data_parallel;
-use buffalo_core::sim::SimContext;
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::{AggregatorKind, CostModel};
 
@@ -14,12 +13,7 @@ use buffalo_memsim::{AggregatorKind, CostModel};
 pub(crate) fn multigpu(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.shape(1024, AggregatorKind::Lstm);
-    let ctx = SimContext {
-        shape: &shape,
-        fanouts: &w.fanouts,
-        clustering: w.clustering,
-        original: &w.dataset.graph,
-    };
+    let ctx = w.sim_context(&shape);
     let cost = CostModel::a100_80gb();
     let mut t = Table::new([
         "budget/GPU",
@@ -32,20 +26,14 @@ pub(crate) fn multigpu(quick: bool) {
         "vs 1 GPU",
     ]);
     for budget_gib in [16.0f64, 24.0] {
-        let budget = (budget_gib * (1u64 << 30) as f64) as u64;
+        let budget = gib_bytes(budget_gib);
         let one = match simulate_data_parallel(&w.batch, ctx, budget, 1, 25e9, &cost) {
             Ok(r) => r,
             Err(e) => {
-                t.row([
-                    format!("{budget_gib:.0}GB"),
-                    "1".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
+                t.failed(
+                    [format!("{budget_gib:.0}GB"), "1".into()],
                     format!("failed: {e}"),
-                ]);
+                );
                 continue;
             }
         };

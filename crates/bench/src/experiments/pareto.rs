@@ -2,18 +2,12 @@
 //! balance), Figure 15 (bucket-group size vs memory budget), and Figure 16
 //! (computation efficiency).
 
-use crate::context::{gib, load_workload, RTX6000_GIB};
+use crate::context::{gib, gib_bytes, load_workload, RTX6000_GIB, UNLIMITED};
 use crate::output::{mem, secs, Table};
-use buffalo_core::sim::{simulate_iteration, SimContext, SimReport, Strategy};
+use buffalo_core::sim::{SimReport, Strategy};
 use buffalo_core::TrainError;
 use buffalo_graph::datasets::DatasetName;
-use buffalo_memsim::{AggregatorKind, CostModel, DeviceMemory};
-
-fn whole_batch(w: &crate::context::Workload, ctx: SimContext<'_>, cost: &CostModel) -> SimReport {
-    let unlimited = DeviceMemory::new(u64::MAX);
-    simulate_iteration(&w.batch, ctx, Strategy::Full, &unlimited, cost)
-        .expect("unlimited device cannot OOM")
-}
+use buffalo_memsim::{AggregatorKind, CostModel};
 
 /// Figure 10: end-to-end iteration time and peak CUDA memory with varying
 /// numbers of micro-batches, for DGL/PyG (no partitioning), Betty, and
@@ -43,56 +37,40 @@ pub(crate) fn fig10(quick: bool) {
     for name in datasets {
         let w = load_workload(name, quick);
         let shape = w.default_shape();
-        let ctx = SimContext {
-            shape: &shape,
-            fanouts: &w.fanouts,
-            clustering: w.clustering,
-            original: &w.dataset.graph,
-        };
-        let whole = whole_batch(&w, ctx, &cost);
         // DGL/PyG: whole batch against the 24 GB budget.
-        if gib(whole.peak_mem_bytes) <= RTX6000_GIB {
-            t.row([
-                name.to_string(),
-                "dgl/pyg".into(),
-                "1".into(),
-                secs(whole.phases.total()),
-                mem(whole.peak_mem_bytes),
+        let whole = w.probe(&shape, &cost);
+        let fits = gib(whole.peak_mem_bytes) <= RTX6000_GIB;
+        t.row([
+            name.to_string(),
+            "dgl/pyg".into(),
+            "1".into(),
+            if fits {
+                secs(whole.phases.total())
+            } else {
+                "-".into()
+            },
+            mem(whole.peak_mem_bytes),
+            if fits { "ok" } else { "OOM" }.into(),
+        ]);
+        let ok = |system: &str, k: usize, rep: &SimReport| {
+            let lead = [name.to_string(), system.into(), k.to_string()];
+            lead.into_iter().chain([
+                secs(rep.phases.total()),
+                mem(rep.peak_mem_bytes),
                 "ok".into(),
-            ]);
-        } else {
-            t.row([
-                name.to_string(),
-                "dgl/pyg".into(),
-                "1".into(),
-                "-".into(),
-                mem(whole.peak_mem_bytes),
-                "OOM".into(),
-            ]);
-        }
+            ])
+        };
         // Buffalo at the paper's actual 24 GB budget: the scheduler picks
         // its own K (1 when the batch already fits).
-        let rtx = DeviceMemory::with_gib(RTX6000_GIB);
-        match simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &rtx, &cost) {
+        match w.simulate(&shape, Strategy::Buffalo, gib_bytes(RTX6000_GIB), &cost) {
             Ok(rep) => {
-                t.row([
-                    name.to_string(),
-                    "buffalo@24GB".into(),
-                    rep.num_micro_batches.to_string(),
-                    secs(rep.phases.total()),
-                    mem(rep.peak_mem_bytes),
-                    "ok".into(),
-                ]);
+                t.row(ok("buffalo@24GB", rep.num_micro_batches, &rep));
             }
             Err(e) => {
-                t.row([
-                    name.to_string(),
-                    "buffalo@24GB".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
+                t.failed(
+                    [name.to_string(), "buffalo@24GB".into()],
                     format!("failed ({e})"),
-                ]);
+                );
             }
         }
         for &k in ks {
@@ -100,61 +78,28 @@ pub(crate) fn fig10(quick: bool) {
                 continue;
             }
             // Betty at exactly k micro-batches.
-            let unlimited = DeviceMemory::new(u64::MAX);
-            match simulate_iteration(&w.batch, ctx, Strategy::Betty { k }, &unlimited, &cost) {
+            match w.simulate(&shape, Strategy::Betty { k }, UNLIMITED, &cost) {
                 Ok(rep) => {
-                    t.row([
-                        name.to_string(),
-                        "betty".into(),
-                        k.to_string(),
-                        secs(rep.phases.total()),
-                        mem(rep.peak_mem_bytes),
-                        "ok".into(),
-                    ]);
+                    t.row(ok("betty", k, &rep));
                 }
                 Err(e) => {
-                    t.row([
-                        name.to_string(),
-                        "betty".into(),
-                        k.to_string(),
-                        "-".into(),
-                        "-".into(),
-                        format!("no data ({e})"),
-                    ]);
+                    let lead = [name.to_string(), "betty".into(), k.to_string()];
+                    t.failed(lead, format!("no data ({e})"));
                 }
             }
             // Buffalo with a budget that targets ~k micro-batches.
-            let budget = DeviceMemory::new((whole.peak_mem_bytes / k as u64).max(1) * 11 / 10);
-            match simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &budget, &cost) {
+            let budget = (whole.peak_mem_bytes / k as u64).max(1) * 11 / 10;
+            match w.simulate(&shape, Strategy::Buffalo, budget, &cost) {
                 Ok(rep) => {
-                    t.row([
-                        name.to_string(),
-                        "buffalo".into(),
-                        rep.num_micro_batches.to_string(),
-                        secs(rep.phases.total()),
-                        mem(rep.peak_mem_bytes),
-                        "ok".into(),
-                    ]);
-                }
-                Err(TrainError::Schedule(e)) => {
-                    t.row([
-                        name.to_string(),
-                        "buffalo".into(),
-                        format!("target {k}"),
-                        "-".into(),
-                        "-".into(),
-                        format!("infeasible ({e})"),
-                    ]);
+                    t.row(ok("buffalo", rep.num_micro_batches, &rep));
                 }
                 Err(e) => {
-                    t.row([
-                        name.to_string(),
-                        "buffalo".into(),
-                        format!("target {k}"),
-                        "-".into(),
-                        "-".into(),
-                        format!("failed ({e})"),
-                    ]);
+                    let status = match e {
+                        TrainError::Schedule(e) => format!("infeasible ({e})"),
+                        e => format!("failed ({e})"),
+                    };
+                    let lead = [name.to_string(), "buffalo".into(), format!("target {k}")];
+                    t.failed(lead, status);
                 }
             }
         }
@@ -174,15 +119,9 @@ pub(crate) fn fig14(quick: bool) {
     ] {
         let w = load_workload(name, quick);
         let shape = w.default_shape();
-        let ctx = SimContext {
-            shape: &shape,
-            fanouts: &w.fanouts,
-            clustering: w.clustering,
-            original: &w.dataset.graph,
-        };
-        let whole = whole_batch(&w, ctx, &cost);
-        let budget = DeviceMemory::new((whole.peak_mem_bytes / k).max(1) * 13 / 10);
-        match simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &budget, &cost) {
+        let whole = w.probe(&shape, &cost);
+        let budget = (whole.peak_mem_bytes / k).max(1) * 13 / 10;
+        match w.simulate(&shape, Strategy::Buffalo, budget, &cost) {
             Ok(rep) => {
                 let max = *rep.per_micro_mem.iter().max().unwrap();
                 let min = *rep.per_micro_mem.iter().min().unwrap();
@@ -195,13 +134,7 @@ pub(crate) fn fig14(quick: bool) {
                 ]);
             }
             Err(e) => {
-                t.row([
-                    name.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("failed: {e}"),
-                ]);
+                t.failed([name.to_string()], format!("failed: {e}"));
             }
         }
     }
@@ -216,12 +149,6 @@ pub(crate) fn fig15(quick: bool) {
     // A heavier model than the default so even 80 GB is interesting
     // (the paper's products batch exceeds 80 GB at its full scale).
     let shape = w.shape(4096, AggregatorKind::Lstm);
-    let ctx = SimContext {
-        shape: &shape,
-        fanouts: &w.fanouts,
-        clustering: w.clustering,
-        original: &w.dataset.graph,
-    };
     let mut t = Table::new([
         "budget",
         "micro-batches",
@@ -230,11 +157,11 @@ pub(crate) fn fig15(quick: bool) {
         "iteration time",
     ]);
     for budget_gib in [16.0f64, 24.0, 48.0, 80.0] {
-        let device = DeviceMemory::with_gib(budget_gib);
-        match simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &device, &cost) {
+        let label = format!("{budget_gib:.0}GB");
+        match w.simulate(&shape, Strategy::Buffalo, gib_bytes(budget_gib), &cost) {
             Ok(rep) => {
                 t.row([
-                    format!("{budget_gib:.0}GB"),
+                    label,
                     rep.num_micro_batches.to_string(),
                     (w.batch.num_seeds / rep.num_micro_batches.max(1)).to_string(),
                     mem(rep.peak_mem_bytes),
@@ -242,13 +169,7 @@ pub(crate) fn fig15(quick: bool) {
                 ]);
             }
             Err(e) => {
-                t.row([
-                    format!("{budget_gib:.0}GB"),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("failed: {e}"),
-                ]);
+                t.failed([label], format!("failed: {e}"));
             }
         }
     }
@@ -267,14 +188,8 @@ pub(crate) fn fig16(quick: bool) {
     let cost = CostModel::rtx6000();
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.default_shape();
-    let ctx = SimContext {
-        shape: &shape,
-        fanouts: &w.fanouts,
-        clustering: w.clustering,
-        original: &w.dataset.graph,
-    };
-    let whole = whole_batch(&w, ctx, &cost);
-    let budget = DeviceMemory::new((whole.peak_mem_bytes / 8).max(1) * 11 / 10);
+    let whole = w.probe(&shape, &cost);
+    let budget = (whole.peak_mem_bytes / 8).max(1) * 11 / 10;
     let mut t = Table::new([
         "strategy",
         "micro-batches",
@@ -282,70 +197,52 @@ pub(crate) fn fig16(quick: bool) {
         "iteration time",
         "nodes/s",
     ]);
-    let mut best_baseline = 0.0f64;
-    let mut buffalo_eff = 0.0f64;
-    // Find the minimum K at which a fixed-K strategy fits the budget.
-    let fit = |make: &dyn Fn(usize) -> Strategy| -> Option<buffalo_core::sim::SimReport> {
+    type Make = fn(usize) -> Strategy;
+    // The minimum K at which a fixed-K strategy fits the budget, or why
+    // none up to one seed per micro-batch does.
+    let fit = |make: Make| {
         let mut k = 2;
-        while k <= w.batch.num_seeds {
-            match simulate_iteration(&w.batch, ctx, make(k), &budget, &cost) {
-                Ok(rep) => return Some(rep),
-                Err(TrainError::Oom(_)) => k += 1,
-                Err(_) => return None,
+        loop {
+            match w.simulate(&shape, make(k), budget, &cost) {
+                Err(TrainError::Oom(_)) if k < w.batch.num_seeds => k += 1,
+                result => return result,
             }
         }
-        None
     };
-    type StrategyMaker = Box<dyn Fn(usize) -> Strategy>;
-    let baselines: Vec<(&str, StrategyMaker)> = vec![
-        ("random", Box::new(|k| Strategy::Random { k, seed: 7 })),
-        ("range", Box::new(|k| Strategy::Range { k })),
-        ("metis", Box::new(|k| Strategy::Metis { k })),
-        ("betty", Box::new(|k| Strategy::Betty { k })),
+    let baselines: [(&str, Make); 4] = [
+        ("random", |k| Strategy::Random { k, seed: 7 }),
+        ("range", |k| Strategy::Range { k }),
+        ("metis", |k| Strategy::Metis { k }),
+        ("betty", |k| Strategy::Betty { k }),
     ];
-    for (name, make) in &baselines {
-        match fit(make.as_ref()) {
-            Some(rep) => {
+    let runs = baselines.into_iter().map(|(name, make)| (name, fit(make)));
+    let buffalo = || {
+        (
+            "buffalo",
+            w.simulate(&shape, Strategy::Buffalo, budget, &cost),
+        )
+    };
+    let (mut best_baseline, mut buffalo_eff) = (0.0f64, 0.0f64);
+    for (name, result) in runs.chain(std::iter::once_with(buffalo)) {
+        match result {
+            Ok(rep) => {
                 let eff = rep.computation_efficiency();
-                best_baseline = best_baseline.max(eff);
+                if name == "buffalo" {
+                    buffalo_eff = eff;
+                } else {
+                    best_baseline = best_baseline.max(eff);
+                }
                 t.row([
-                    (*name).into(),
+                    name.into(),
                     rep.num_micro_batches.to_string(),
                     rep.total_nodes.to_string(),
                     secs(rep.phases.total()),
                     format!("{eff:.0}"),
                 ]);
             }
-            None => {
-                t.row::<String, _>([
-                    (*name).into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "failed".into(),
-                ]);
+            Err(e) => {
+                t.failed([name], format!("failed: {e}"));
             }
-        }
-    }
-    match simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &budget, &cost) {
-        Ok(rep) => {
-            buffalo_eff = rep.computation_efficiency();
-            t.row([
-                "buffalo".into(),
-                rep.num_micro_batches.to_string(),
-                rep.total_nodes.to_string(),
-                secs(rep.phases.total()),
-                format!("{buffalo_eff:.0}"),
-            ]);
-        }
-        Err(e) => {
-            t.row([
-                "buffalo".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                format!("failed: {e}"),
-            ]);
         }
     }
     t.print();

@@ -5,10 +5,10 @@
 use crate::context::load_workload;
 use crate::output::{mem, secs, Table};
 use buffalo_blocks::BlockWalker;
-use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
+use buffalo_core::sim::Strategy;
 use buffalo_graph::datasets::DatasetName;
 use buffalo_memsim::tiered::{plan_spill, TieredConfig};
-use buffalo_memsim::{measure, CostModel, DeviceMemory};
+use buffalo_memsim::{measure, CostModel};
 
 /// Sweeps the fast-tier budget on OGBN-products and compares one
 /// iteration of (a) Buffalo micro-batching and (b) whole-batch training
@@ -16,12 +16,6 @@ use buffalo_memsim::{measure, CostModel, DeviceMemory};
 pub(crate) fn tiered(quick: bool) {
     let w = load_workload(DatasetName::OgbnProducts, quick);
     let shape = w.default_shape();
-    let ctx = SimContext {
-        shape: &shape,
-        fanouts: &w.fanouts,
-        clustering: w.clustering,
-        original: &w.dataset.graph,
-    };
     let cost = CostModel::rtx6000();
     // Whole-batch blocks once: the spilling baseline trains the same
     // batch unsplit.
@@ -44,9 +38,7 @@ pub(crate) fn tiered(quick: bool) {
     ]);
     for frac in [2u64, 4, 8] {
         let fast = breakdown.total() / frac;
-        let device = DeviceMemory::new(fast);
-        let buffalo = simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &device, &cost);
-        let (k, b_time) = match &buffalo {
+        let (k, b_time) = match w.simulate(&shape, Strategy::Buffalo, fast, &cost) {
             Ok(rep) => (rep.num_micro_batches.to_string(), secs(rep.phases.total())),
             Err(e) => ("-".into(), format!("failed: {e}")),
         };

@@ -1,20 +1,20 @@
 //! Figure 5 (METIS-based per-iteration partitioning dominates), Figure 11
-//! (end-to-end time breakdown, Betty vs Buffalo), Figure 12 (block
-//! generation time, Buffalo vs Betty), and the staged-pipeline experiment
-//! (`pipeline-train`: real trainer, serial vs overlapped staging).
+//! (end-to-end time breakdown, Betty vs Buffalo), and Figure 12 (block
+//! generation time, Buffalo vs Betty).
 
-use crate::context::{load_workload, load_workload_with};
+use crate::context::{load_workload, UNLIMITED};
 use crate::output::{secs, Table};
 use buffalo_blocks::{generate_blocks_checked, BlockWalker};
-use buffalo_core::sim::{simulate_iteration, SimContext, Strategy};
-use buffalo_core::train::{Engine, PipelineConfig, TrainConfig};
+use buffalo_core::sim::Strategy;
 use buffalo_graph::datasets::DatasetName;
-use buffalo_memsim::{measure, AggregatorKind, CostModel, DeviceMemory, StageTimings};
-use buffalo_partition::{metis_kway, range_partition};
+use buffalo_memsim::{AggregatorKind, CostModel};
+use buffalo_partition::range_partition;
 use std::time::Instant;
 
 /// Figure 5: executing METIS-based graph partitioning inside each training
-/// iteration costs far more than the GPU compute it schedules.
+/// iteration costs far more than the GPU compute it schedules. All three
+/// columns are the simulation's phases: METIS's from an 8-way METIS
+/// iteration, the walk and the compute from the whole batch's.
 pub(crate) fn fig5(quick: bool) {
     let cost = CostModel::rtx6000();
     let mut t = Table::new([
@@ -26,23 +26,18 @@ pub(crate) fn fig5(quick: bool) {
     for name in [DatasetName::OgbnArxiv, DatasetName::OgbnProducts] {
         let w = load_workload(name, quick);
         // The paper's §IV-D configuration: LSTM aggregator, hidden 128.
-        let shape = w.shape(128, buffalo_memsim::AggregatorKind::Lstm);
+        let shape = w.shape(128, AggregatorKind::Lstm);
         // Graph-level partitioning of the whole sampled subgraph, as the
         // METIS-based systems do per iteration.
-        let t0 = Instant::now();
-        let parts = metis_kway(&w.batch.graph, 8);
-        let metis_time = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&parts);
-        let t1 = Instant::now();
-        let blocks =
-            BlockWalker::default().whole_batch(&w.batch.graph, w.batch.num_seeds, shape.num_layers);
-        let block_time = t1.elapsed().as_secs_f64();
-        let compute = cost.training_seconds(&blocks, &shape);
+        let metis = w
+            .simulate(&shape, Strategy::Metis { k: 8 }, UNLIMITED, &cost)
+            .expect("an 8-way split of a batch this size");
+        let whole = w.probe(&shape, &cost).phases;
         t.row([
             name.to_string(),
-            secs(metis_time),
-            secs(block_time),
-            secs(compute),
+            secs(metis.phases.metis_partition),
+            secs(whole.block_construction),
+            secs(whole.gpu_compute),
         ]);
     }
     t.print();
@@ -84,51 +79,30 @@ pub(crate) fn fig11(quick: bool) {
         // The paper's §IV-D configuration (LSTM, hidden 128) — compute
         // stays a small share of the iteration, as in Figure 11 where
         // data preparation dominates.
-        let shape = w.shape(128, buffalo_memsim::AggregatorKind::Lstm);
-        let ctx = SimContext {
-            shape: &shape,
-            fanouts: &w.fanouts,
-            clustering: w.clustering,
-            original: &w.dataset.graph,
-        };
+        let shape = w.shape(128, AggregatorKind::Lstm);
         let target_k = breakdown_k(name);
         // Find the whole-batch footprint, then give Buffalo a budget that
         // forces roughly the paper's micro-batch count; Betty then runs at
         // the K Buffalo actually produced so both systems do the same
-        // amount of training work.
-        let unlimited = DeviceMemory::new(u64::MAX);
-        let whole = simulate_iteration(&w.batch, ctx, Strategy::Full, &unlimited, &cost)
-            .expect("unlimited device cannot OOM");
-        // A 1.3x slack keeps closure saturation from inflating K far past
-        // the paper's micro-batch count.
-        let budget = DeviceMemory::new((whole.peak_mem_bytes / target_k as u64).max(1) * 13 / 10);
-        let buffalo_rep = simulate_iteration(&w.batch, ctx, Strategy::Buffalo, &budget, &cost);
-        let k = buffalo_rep
-            .as_ref()
-            .map(|r| r.num_micro_batches)
-            .unwrap_or(target_k);
+        // amount of training work. A 1.3x slack keeps closure saturation
+        // from inflating K far past the paper's micro-batch count.
+        let whole = w.probe(&shape, &cost);
+        let budget = (whole.peak_mem_bytes / target_k as u64).max(1) * 13 / 10;
+        let buffalo = w.simulate(&shape, Strategy::Buffalo, budget, &cost);
+        let k = buffalo.as_ref().map_or(target_k, |r| r.num_micro_batches);
+        let betty = w.simulate(&shape, Strategy::Betty { k }, UNLIMITED, &cost);
         let mut totals = [0.0f64; 2];
-        for (si, strategy) in [Strategy::Buffalo, Strategy::Betty { k }]
-            .into_iter()
-            .enumerate()
+        for (total, (system, result)) in totals
+            .iter_mut()
+            .zip([("buffalo", buffalo), ("betty", betty)])
         {
-            let device = if matches!(strategy, Strategy::Buffalo) {
-                &budget
-            } else {
-                &unlimited
-            };
-            let result = if matches!(strategy, Strategy::Buffalo) {
-                buffalo_rep.clone()
-            } else {
-                simulate_iteration(&w.batch, ctx, strategy, device, &cost)
-            };
             match result {
                 Ok(rep) => {
                     let p = rep.phases;
-                    totals[si] = p.total();
+                    *total = p.total();
                     t.row([
                         name.to_string(),
-                        strategy.name().into(),
+                        system.into(),
                         secs(p.scheduling),
                         secs(p.reg_construction),
                         secs(p.metis_partition),
@@ -140,18 +114,7 @@ pub(crate) fn fig11(quick: bool) {
                     ]);
                 }
                 Err(e) => {
-                    t.row([
-                        name.to_string(),
-                        strategy.name().into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        format!("no data ({e})"),
-                    ]);
+                    t.failed([name.to_string(), system.into()], format!("no data ({e})"));
                 }
             }
         }
@@ -225,69 +188,4 @@ pub(crate) fn fig12(quick: bool) {
     }
     t.print();
     println!("(paper: Buffalo up to 8x faster block generation; 10x claimed in §I)");
-}
-
-/// Staged-pipeline experiment: the real `Engine::buffalo` (dense math, not
-/// the analytic simulator) with serial vs overlapped staging on a budget
-/// that forces multiple micro-batches. Reports the serial stage sum, the
-/// overlapped makespan, and checks the two runs' losses bit-for-bit.
-pub(crate) fn pipeline_train(quick: bool) {
-    let cost = CostModel::rtx6000();
-    let iters = if quick { 3 } else { 5 };
-    let names: &[DatasetName] = if quick {
-        &[DatasetName::Cora]
-    } else {
-        &[DatasetName::Cora, DatasetName::Pubmed]
-    };
-    let mut t = Table::new(["dataset", "K", "serial", "overlapped", "speedup", "losses"]);
-    for &name in names {
-        // Real dense math on the CPU: keep the batch and shape light.
-        let w = load_workload_with(name, if quick { 256 } else { 512 }, vec![5, 10], 42);
-        let shape = w.shape(32, AggregatorKind::Mean);
-        let blocks =
-            BlockWalker::default().whole_batch(&w.batch.graph, w.batch.num_seeds, shape.num_layers);
-        // Three quarters of the whole-batch footprint forces a split.
-        let budget = measure::training_memory(&blocks, &shape).total() * 3 / 4;
-        let config = TrainConfig {
-            shape: shape.clone(),
-            fanouts: w.fanouts.clone(),
-            lr: 0.01,
-            seed: 9,
-            parallelism: buffalo_par::Parallelism::auto(),
-        };
-        let run = |pipeline: PipelineConfig| {
-            let device = DeviceMemory::new(budget);
-            let mut trainer = Engine::buffalo(config.clone(), w.clustering).with_pipeline(pipeline);
-            let mut timings = StageTimings::default();
-            let mut losses = Vec::new();
-            let mut k = 0usize;
-            for _ in 0..iters {
-                let s = trainer
-                    .train_iteration(&w.dataset, &w.batch, &device, &cost)
-                    .expect("training iteration");
-                timings.accumulate(&s.timings);
-                losses.push(s.loss.to_bits());
-                k = s.num_micro_batches;
-            }
-            (k, timings, losses)
-        };
-        let (k, serial, serial_losses) = run(PipelineConfig::serial());
-        let (_, overlapped, overlapped_losses) = run(PipelineConfig::overlapped());
-        t.row([
-            name.to_string(),
-            k.to_string(),
-            secs(serial.serial_sum()),
-            secs(overlapped.overlapped_makespan),
-            format!("{:.2}x", overlapped.speedup()),
-            if serial_losses == overlapped_losses {
-                "bit-identical".into()
-            } else {
-                "MISMATCH".into()
-            },
-        ]);
-    }
-    t.print();
-    println!("(Prepare of micro-batch i+1 runs on a worker thread while micro-batch i");
-    println!("executes; in-order execution keeps gradient accumulation — and therefore");
-    println!("the losses — bit-identical to serial staging)");
 }

@@ -33,6 +33,20 @@ impl Table {
         self
     }
 
+    /// Appends the row of a cell that did not run: `lead`, then `-` in
+    /// every column but the last, which holds `message`.
+    pub(crate) fn failed<S: Into<String>, I: IntoIterator<Item = S>>(
+        &mut self,
+        lead: I,
+        message: impl Into<String>,
+    ) -> &mut Self {
+        let mut r: Vec<String> = lead.into_iter().map(Into::into).collect();
+        r.resize(self.headers.len() - 1, "-".into());
+        r.push(message.into());
+        self.rows.push(r);
+        self
+    }
+
     /// Renders the table to a string.
     pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -176,6 +190,18 @@ mod tests {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["only-one"]);
         assert!(t.render().contains("only-one"));
+    }
+
+    #[test]
+    fn failed_rows_dash_the_middle_columns() {
+        let mut t = Table::new(["a", "b", "c", "d"]);
+        t.failed(["x"], "no data");
+        let s = t.render();
+        let row = s.lines().nth(2).unwrap();
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["x", "-", "-", "no", "data"]
+        );
     }
 
     #[test]

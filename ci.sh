@@ -142,7 +142,8 @@ echo "ci: an unknown CLI flag exits non-zero"
 # Bad numbers must be refused with exit code 1 and an error message (its
 # wording may change), not a panic (exit 101) and not a plan against a
 # misread value: an empty device pool, by both commands that build one; a
-# zero count or fanout; a negative, NaN or infinite budget.
+# zero count (seeds, batch size, kernel threads) or fanout; a negative,
+# NaN or infinite budget.
 while read -r bad; do
   status=0
   # shellcheck disable=SC2086  # $bad is a fixed word list
@@ -157,6 +158,7 @@ train cora --gpus 0
 serve cora --gpus 0
 schedule cora --seeds 0
 train cora --batch-size 0
+train cora --threads 0
 schedule cora --fanouts 10,0
 schedule cora --hidden 0
 compare cora --budget -1G
@@ -452,6 +454,23 @@ if [ "$exact" != "$(cat tests/golden/figures_quick_exact.txt)" ]; then
   exit 1
 fi
 echo "ci: figures' exact columns match tests/golden/figures_quick_exact.txt"
+
+# A reader that stops early (`| head`) must end both binaries quietly —
+# status 0, or 141 from SIGPIPE — not with a panic on the closed pipe.
+# Each command prints its first line well before its last.
+pipe_err=$(mktemp)
+for cmd in 'buffalo train cora --epochs 2 --budget 12M' 'figures --quick fig5'; do
+  status=0
+  # shellcheck disable=SC2086  # $cmd is a fixed word list
+  target/release/$cmd 2>"$pipe_err" | head -1 >/dev/null || status=$?
+  if { [ "$status" -ne 0 ] && [ "$status" -ne 141 ]; } || grep -q panicked "$pipe_err"; then
+    echo "ci: FAIL — $cmd | head -1 exited $status" >&2
+    cat "$pipe_err" >&2
+    exit 1
+  fi
+done
+rm -f "$pipe_err"
+echo "ci: buffalo and figures end quietly when stdout closes early"
 
 # The standing benchmark must still run: its smoke runs every workload
 # with reduced sizes, checks each workload's outputs (loss trail, answer

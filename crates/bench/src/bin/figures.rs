@@ -17,6 +17,7 @@ use buffalo_bench::experiments;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    default_sigpipe();
     let mut quick = false;
     let mut write_bench = false;
     let mut ids: Vec<String> = Vec::new();
@@ -48,3 +49,22 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+/// Restores SIGPIPE's default action, which the Rust runtime sets to
+/// "ignore": output piped into a reader that exits early (`| head`) then
+/// ends the process quietly, as it does any command-line tool, instead of
+/// the next `println!` panicking on the closed pipe.
+#[cfg(unix)]
+fn default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` only swaps the process's disposition for one signal;
+    // it is called first thing in `main`, before any other thread exists.
+    unsafe { signal(SIGPIPE, SIG_DFL) };
+}
+
+#[cfg(not(unix))]
+fn default_sigpipe() {}

@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -40,6 +41,25 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Restores SIGPIPE's default action, which the Rust runtime sets to
+/// "ignore": output piped into a reader that exits early (`| head`) then
+/// ends the process quietly, as it does any command-line tool, instead of
+/// the next `println!` panicking on the closed pipe.
+#[cfg(unix)]
+fn default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` only swaps the process's disposition for one signal;
+    // it is called first thing in `main`, before any other thread exists.
+    unsafe { signal(SIGPIPE, SIG_DFL) };
+}
+
+#[cfg(not(unix))]
+fn default_sigpipe() {}
 
 const USAGE: &str = "usage:
   buffalo stats    <dataset|path>
@@ -476,9 +496,8 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         "train-nodes",
         (s.ds.graph.num_nodes() / 4).min(2_048).max(batch_size),
     )?;
-    if let Some(v) = opts.flags.get("threads") {
-        let n: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-        config.parallelism.threads = n.max(1);
+    if opts.flags.contains_key("threads") {
+        config.parallelism.threads = opts.positive("threads", 1)?;
     }
     println!(
         "kernels: simd={} precision={}",

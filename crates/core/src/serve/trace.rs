@@ -3,6 +3,7 @@
 
 use crate::TrainError;
 use buffalo_graph::NodeId;
+use buffalo_memsim::next_u64;
 
 /// One inference query: a node whose class is wanted, arriving at a
 /// simulated time.
@@ -25,18 +26,9 @@ pub struct RequestTrace {
     pub seed: u64,
 }
 
-/// SplitMix64 step — the same generator discipline `FaultPlan` uses, so a
-/// seed pins the whole trace.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform draw in (0, 1] from one SplitMix64 output (never 0, so
-/// `-ln(u)` is finite).
+/// `-ln(u)` is finite). Traces draw from [`next_u64`], the generator
+/// `FaultPlan` uses, so a seed pins the whole trace.
 pub(crate) fn unit_open(z: u64) -> f64 {
     ((z >> 11) as f64 + 1.0) / (1u64 << 53) as f64
 }
@@ -78,8 +70,8 @@ impl RequestTrace {
             TrainError::InvalidConfig(format!("a trace of {n} requests does not fit: {e}"))
         })?;
         for _ in 0..n {
-            t += -unit_open(splitmix64(&mut state)).ln() / rate_hz;
-            let node = (splitmix64(&mut state) % num_nodes as u64) as NodeId;
+            t += -unit_open(next_u64(&mut state)).ln() / rate_hz;
+            let node = (next_u64(&mut state) % num_nodes as u64) as NodeId;
             requests.push(Request { arrival: t, node });
         }
         Ok(RequestTrace { requests, seed })

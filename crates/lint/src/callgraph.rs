@@ -11,8 +11,9 @@
 //!   whose namespace aliases — enclosing impl type, trait, inline
 //!   modules, file stem, parent directory — contain `Type`;
 //! * method calls (`.f(..)`) resolve to every impl/trait function named
-//!   `f` in the workspace — the receiver's type is unknown, so all
-//!   candidates are followed.
+//!   `f` in the workspace that takes `self` — the receiver's type is
+//!   unknown, so all candidates are followed, but an associated function
+//!   without a receiver (`Type::parse(..)`) cannot be called as a method.
 //!
 //! A call site with more than one candidate is *ambiguous*: the edges
 //! are all kept (reachability stays sound) and the site is counted in
@@ -134,11 +135,7 @@ fn resolve(
         return Vec::new();
     };
     if c.method {
-        return all
-            .iter()
-            .copied()
-            .filter(|&i| fns[i].impl_type.is_some() || fns[i].trait_name.is_some())
-            .collect();
+        return all.iter().copied().filter(|&i| fns[i].takes_self).collect();
     }
     if let Some(q) = &c.qualifier {
         return all
@@ -241,6 +238,25 @@ mod tests {
         for e in &g.edges[root] {
             assert!(g.fns[e.to].impl_type.is_some());
         }
+    }
+
+    #[test]
+    fn method_calls_skip_functions_without_a_receiver() {
+        let g = graph(&[
+            ("a.rs", "fn root(v: &str) { v.parse(); }\n"),
+            (
+                "m.rs",
+                "impl Trace { fn parse(spec: &str) -> Trace { draw() } }\n\
+                 impl Spec { fn parse<F: Fn(u8) -> u8>(&'a mut self, f: F) {} }\n\
+                 impl Plan { fn parse(self: Box<Self>) {} }\n",
+            ),
+        ]);
+        let root = idx(&g, "root");
+        let targets: Vec<String> = g.edges[root]
+            .iter()
+            .map(|e| g.fns[e.to].display_name())
+            .collect();
+        assert_eq!(targets, ["Spec::parse", "Plan::parse"]);
     }
 
     #[test]

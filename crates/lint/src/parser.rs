@@ -103,6 +103,9 @@ pub struct FnItem {
     pub trait_name: Option<String>,
     /// Enclosing inline `mod` names, outermost first.
     pub modules: Vec<String>,
+    /// Whether the first parameter is `self` — only such a function can
+    /// be the target of a method call (`.f(..)`).
+    pub takes_self: bool,
     pub calls: Vec<CallSite>,
     pub hazards: Vec<HazardSite>,
 }
@@ -177,6 +180,34 @@ enum BlockKind {
 /// `#[cfg(test)]` / `#[cfg(loom)]` items (test-only code is exempt from
 /// every rule and stays out of the call graph), and records every `fn`
 /// with its evidence beside the sites the intra-file rules judge.
+/// Whether the signature whose tokens (past the name) are `sig` takes
+/// `self`: the parameter list opens at the first `(` outside the
+/// generics, and its first token past `&`, a lifetime and `mut` is `self`.
+fn takes_self(toks: &[Tok], sig: &[usize]) -> bool {
+    let mut angle = 0usize;
+    let mut prev_arrow = false;
+    for (j, &i) in sig.iter().enumerate() {
+        let t = &toks[i];
+        match t.kind {
+            TokKind::Punct('<') => angle += 1,
+            TokKind::Punct('>') if !prev_arrow => angle = angle.saturating_sub(1),
+            TokKind::Punct('(') if angle == 0 => {
+                return sig[j + 1..]
+                    .iter()
+                    .map(|&i| &toks[i])
+                    .find(|t| {
+                        !(t.is_punct('&') || t.kind == TokKind::Lifetime || t.is_ident("mut"))
+                    })
+                    .is_some_and(|t| t.is_ident("self"));
+            }
+            TokKind::Punct('{') | TokKind::Punct(';') => return false,
+            _ => {}
+        }
+        prev_arrow = t.is_punct('-');
+    }
+    false
+}
+
 pub(crate) fn parse(path: &str, toks: &[Tok]) -> FileItems {
     let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
     let tok = |k: usize| -> &Tok { &toks[code[k]] };
@@ -432,6 +463,7 @@ pub(crate) fn parse(path: &str, toks: &[Tok]) -> FileItems {
                 impl_type,
                 trait_name,
                 modules,
+                takes_self: takes_self(toks, &code[k + 2..]),
                 calls: Vec::new(),
                 hazards: Vec::new(),
             });

@@ -36,6 +36,6 @@ pub mod timeline;
 pub use cost::CostModel;
 pub use device::{AllocId, Device, DeviceMemory, OomError};
 pub use fault::{BudgetEvent, CrashPoint, DeviceLoss, FaultPlan};
-pub use pool::{DevicePool, FaultCounters};
+pub use pool::{next_u64, DevicePool, FaultCounters};
 pub use shape::{AggregatorKind, GnnShape};
 pub use timeline::{DeviceTimeline, StageTimings};

@@ -395,7 +395,9 @@ fn splitmix_seed(seed: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1234_5678_9ABC_DEF0
 }
 
-fn next_u64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: advances `state` and returns its next output —
+/// the fault RNG's draw, and the one serving traces are drawn with.
+pub fn next_u64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

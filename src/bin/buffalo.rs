@@ -48,10 +48,12 @@ fn main() -> ExitCode {
 /// the next `println!` panicking on the closed pipe.
 #[cfg(unix)]
 fn default_sigpipe() {
+    use std::ffi::c_int;
     extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
+        // `sighandler_t` is a pointer-sized handler address.
+        fn signal(signum: c_int, handler: usize) -> usize;
     }
-    const SIGPIPE: i32 = 13;
+    const SIGPIPE: c_int = 13;
     const SIG_DFL: usize = 0;
     // SAFETY: `signal` only swaps the process's disposition for one signal;
     // it is called first thing in `main`, before any other thread exists.

@@ -176,10 +176,6 @@ enum BlockKind {
     Plain,
 }
 
-/// Walks one file's tokens once: splits it into items, skips
-/// `#[cfg(test)]` / `#[cfg(loom)]` items (test-only code is exempt from
-/// every rule and stays out of the call graph), and records every `fn`
-/// with its evidence beside the sites the intra-file rules judge.
 /// Whether the signature whose tokens (past the name) are `sig` takes
 /// `self`: the parameter list opens at the first `(` outside the
 /// generics, and its first token past `&`, a lifetime and `mut` is `self`.
@@ -208,6 +204,10 @@ fn takes_self(toks: &[Tok], sig: &[usize]) -> bool {
     false
 }
 
+/// Walks one file's tokens once: splits it into items, skips
+/// `#[cfg(test)]` / `#[cfg(loom)]` items (test-only code is exempt from
+/// every rule and stays out of the call graph), and records every `fn`
+/// with its evidence beside the sites the intra-file rules judge.
 pub(crate) fn parse(path: &str, toks: &[Tok]) -> FileItems {
     let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
     let tok = |k: usize| -> &Tok { &toks[code[k]] };

@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
+# The kernel crates' tests again at the optimisation level the binaries
+# ship with: the bitwise checks of the wide kernels against their
+# portable references must hold where the compiler optimises both.
+cargo test --release -q -p buffalo-simd -p buffalo-tensor -p buffalo-graph -p buffalo-memsim
 cargo build --examples --release
 
 # Plan identity, beside the digests `tests/scheduling.rs` pins: the
@@ -279,12 +283,15 @@ echo "ci: cora epoch table and trail match the pre-refactor golden bitwise"
 
 # SIMD backends. The scalar backend is the default and must stay bitwise
 # identical to the historical kernels (the same golden as above, reached
-# via the explicit flag). Each vector backend gets its own golden gate:
-# IEEE-754 ops (including FMA) are exactly specified, so a backend's
-# trail is portable across any host that supports it. SSE currently
-# coincides with scalar on this model — the SAGE mean path is axpy-only,
-# and the SSE axpy (separate mul+add) is bit-equal to scalar — while AVX2
-# differs through FMA contraction; both must be run-to-run deterministic.
+# via the explicit flag) — on a host with AVX its matmul and mean
+# aggregation run the scalar chain on 8-lane registers (separate mul and
+# add, no FMA), so this gate also pins those wide bodies. Each vector
+# backend gets its own golden gate: IEEE-754 ops (including FMA) are
+# exactly specified, so a backend's trail is portable across any host
+# that supports it. SSE currently coincides with scalar on this model —
+# the SAGE mean path is axpy-only, and the SSE axpy (separate mul+add) is
+# bit-equal to scalar — while AVX2 differs through FMA contraction; both
+# must be run-to-run deterministic.
 ckdir=$(mktemp -d)
 scalar_bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
   --simd scalar --checkpoint-dir "$ckdir/scalar" --checkpoint-every 2 | grep -E '^\s+[0-9]|^trail')

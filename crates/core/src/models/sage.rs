@@ -128,8 +128,10 @@ impl SageLayer {
                 // Parallel over disjoint destination rows; each row still
                 // accumulates its sources in block order, so the result is
                 // bit-identical for any thread count. The per-source
-                // accumulation is an axpy dispatched to the configured
-                // SIMD backend.
+                // accumulation is one axpy per source row, dispatched to
+                // the configured SIMD backend as a single `axpy_gather`
+                // (under scalar on an AVX host the row stays in registers
+                // across its sources).
                 let par = buffalo_par::ambient();
                 let simd = par.simd;
                 let mut agg = Tensor::zeros(n_dst, dim);
@@ -140,9 +142,7 @@ impl SageLayer {
                             continue;
                         }
                         let inv = 1.0 / pos.len() as f32;
-                        for &p in pos {
-                            simd.axpy(dst_row, h_src.row(p as usize), inv);
-                        }
+                        simd.axpy_gather(dst_row, h_src.data(), pos, inv);
                     }
                 });
                 (agg, keep.then_some(AggCache::Mean))

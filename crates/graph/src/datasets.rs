@@ -325,20 +325,43 @@ impl Dataset {
     }
 
     /// The feature synthesiser: writes the row of `nodes[i]` into row `i`
-    /// of `out` (`nodes.len() × feat_dim`, row-major). Rows go two at a
-    /// time, because one xoshiro256++ stream's serial state updates cap a
-    /// row's speed and a second, independent stream fills the gaps; an odd
-    /// last row is the one-stream case. Each row's stream and its f32
-    /// operations (each rounded on its own, never fused) are fixed by its
-    /// node alone, so the pairing never moves a bit.
+    /// of `out` (`nodes.len() × feat_dim`, row-major). With AVX2, rows go
+    /// eight at a time through [`buffalo_simd::uniform_rows8`] (eight
+    /// xoshiro256++ streams in two vector registers); the rest, or every
+    /// row on a host without AVX2, goes through the portable two-stream
+    /// [`feature_rows_paired`](Self::feature_rows_paired). Each row's
+    /// stream and its f32 operations are fixed by its node alone, so the
+    /// grouping never moves a bit.
     fn feature_rows_into(&self, nodes: &[NodeId], out: &mut [f32]) {
         let dim = self.spec.feat_dim;
         if dim == 0 {
             return;
         }
-        let stream = |node: NodeId| {
-            StdRng::seed_from_u64(self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        };
+        let mut done = 0;
+        for (rows, eight) in out.chunks_exact_mut(8 * dim).zip(nodes.chunks_exact(8)) {
+            let seeds = std::array::from_fn(|i| self.stream_seed(eight[i]));
+            if !buffalo_simd::uniform_rows8(seeds, rows) {
+                break;
+            }
+            self.mix_prototypes(eight, rows);
+            done += 8;
+        }
+        self.feature_rows_paired(&nodes[done..], &mut out[done * dim..]);
+    }
+
+    /// The seed of `node`'s feature stream.
+    fn stream_seed(&self, node: NodeId) -> u64 {
+        self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// The portable synthesiser. Rows go two at a time, because one
+    /// xoshiro256++ stream's serial state updates cap a row's speed and a
+    /// second, independent stream fills the gaps; an odd last row is the
+    /// one-stream case. Each row's f32 operations are each rounded on
+    /// their own, never fused.
+    fn feature_rows_paired(&self, nodes: &[NodeId], out: &mut [f32]) {
+        let dim = self.spec.feat_dim;
+        let stream = |node: NodeId| StdRng::seed_from_u64(self.stream_seed(node));
         for (rows, pair) in out.chunks_mut(2 * dim).zip(nodes.chunks(2)) {
             // Uniform draws first, the two streams side by side ...
             let (a, b) = rows.split_at_mut(dim);
@@ -355,12 +378,18 @@ impl Dataset {
             }
             // ... then each row mixed with its class prototype while it is
             // still in cache.
-            for (row, &node) in rows.chunks_exact_mut(dim).zip(pair) {
-                let class = self.label(node) as usize;
-                let proto = &self.prototypes[class * dim..(class + 1) * dim];
-                for (x, &p) in row.iter_mut().zip(proto) {
-                    *x = 0.7 * p + 0.3 * (*x * 2.0 - 1.0);
-                }
+            self.mix_prototypes(pair, rows);
+        }
+    }
+
+    /// Mixes each row of uniform draws with its node's class prototype.
+    fn mix_prototypes(&self, nodes: &[NodeId], rows: &mut [f32]) {
+        let dim = self.spec.feat_dim;
+        for (row, &node) in rows.chunks_exact_mut(dim).zip(nodes) {
+            let class = self.label(node) as usize;
+            let proto = &self.prototypes[class * dim..(class + 1) * dim];
+            for (x, &p) in row.iter_mut().zip(proto) {
+                *x = 0.7 * p + 0.3 * (*x * 2.0 - 1.0);
             }
         }
     }
@@ -382,9 +411,10 @@ impl Dataset {
     /// Fills `out` (length `nodes.len() * feat_dim`, row-major) with the
     /// feature rows for `nodes`, parallelized over disjoint output rows via
     /// the ambient [`buffalo_par`] configuration. Under f32 storage each
-    /// chunk of rows is synthesised two rows at a time; a row's bits depend
-    /// on its node alone, so the result is identical for any thread count
-    /// and wherever a chunk boundary splits a pair.
+    /// chunk of rows is synthesised eight (with AVX2) or two rows at a
+    /// time; a row's bits depend on its node alone, so the result is
+    /// identical for any thread count and wherever a chunk boundary
+    /// splits a group.
     ///
     /// # Panics
     ///
@@ -418,8 +448,9 @@ impl Dataset {
     /// `nodes × feat_dim` table (2 bytes per value — ~111 MB for the
     /// largest scaled stand-in) by rounding each generated f32 row to
     /// nearest-even bf16, parallelized over disjoint node rows: each task
-    /// synthesises two rows per step into a two-row f32 scratch. `F32`
-    /// drops the table and returns to on-demand generation. Idempotent.
+    /// synthesises eight rows per step (the feature synthesiser's wide
+    /// group) into an eight-row f32 scratch. `F32` drops the table and
+    /// returns to on-demand generation. Idempotent.
     pub fn set_precision(&mut self, precision: FeaturePrecision) {
         match precision {
             FeaturePrecision::F32 => self.bf16_features = None,
@@ -440,14 +471,15 @@ impl Dataset {
                         .enumerate()
                         .map(|(ci, chunk)| -> buffalo_par::Task<'_> {
                             Box::new(move || {
-                                // Two f32 rows of scratch per task, not per pair.
-                                let mut wide = vec![0.0f32; 2 * dim];
+                                // Eight f32 rows of scratch per task, not per group.
+                                let mut wide = vec![0.0f32; 8 * dim];
                                 let first = (ci * chunk_nodes) as NodeId;
-                                for (p, rows) in chunk.chunks_mut(2 * dim).enumerate() {
-                                    let node = first + 2 * p as NodeId;
-                                    let pair = [node, node + 1];
+                                for (g, rows) in chunk.chunks_mut(8 * dim).enumerate() {
+                                    let node = first + 8 * g as NodeId;
+                                    let group: [NodeId; 8] =
+                                        std::array::from_fn(|i| node + i as NodeId);
                                     let wide = &mut wide[..rows.len()];
-                                    this.feature_rows_into(&pair[..rows.len() / dim], wide);
+                                    this.feature_rows_into(&group[..rows.len() / dim], wide);
                                     for (h, &v) in rows.iter_mut().zip(&*wide) {
                                         *h = buffalo_simd::f32_to_bf16(v);
                                     }
@@ -640,6 +672,49 @@ mod tests {
             assert_eq!(h, digest, "{name} gathered bits moved");
         }
         buffalo_par::Parallelism::auto().install();
+    }
+
+    /// Cora's graph and labels with `dim`-wide features.
+    fn with_dim(dim: usize) -> Dataset {
+        let mut ds = load(DatasetName::Cora, 9);
+        ds.spec.feat_dim = dim;
+        let mut rng = StdRng::seed_from_u64(3);
+        ds.prototypes = (0..ds.spec.num_classes * dim)
+            .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
+            .collect();
+        ds
+    }
+
+    /// The synthesiser (eight streams at a time on a host with AVX2) is
+    /// the portable two-stream path and each node's own `StdRng` draws
+    /// mixed with its prototype, bit for bit, at every list length
+    /// around a group of eight and at widths around the transpose.
+    #[test]
+    fn synthesis_is_the_two_stream_path_and_std_rng_draws() {
+        for dim in [0, 1, 7, 128, 1433] {
+            let ds = with_dim(dim);
+            let all = scrambled(ds.graph.num_nodes());
+            for len in 0..=17 {
+                let nodes = &all[..len];
+                let mut got = vec![f32::NAN; len * dim];
+                ds.feature_rows_into(nodes, &mut got);
+                if dim == 0 {
+                    continue;
+                }
+                let mut paired = vec![f32::NAN; len * dim];
+                ds.feature_rows_paired(nodes, &mut paired);
+                assert_eq!(bits(&got), bits(&paired), "dim {dim}, {len} rows");
+                for (row, &v) in got.chunks_exact(dim).zip(nodes) {
+                    let mut rng = StdRng::seed_from_u64(ds.stream_seed(v));
+                    let class = ds.label(v) as usize;
+                    let want: Vec<f32> = ds.prototypes[class * dim..(class + 1) * dim]
+                        .iter()
+                        .map(|&p| 0.7 * p + 0.3 * (rng.gen::<f32>() * 2.0 - 1.0))
+                        .collect();
+                    assert_eq!(bits(row), bits(&want), "dim {dim}, {len} rows, node {v}");
+                }
+            }
+        }
     }
 
     /// The bf16 table is every node's `feature_row` rounded, at a thread

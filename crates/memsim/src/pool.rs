@@ -616,6 +616,8 @@ mod tests {
         assert_eq!(p.in_use(), 0);
     }
 
+    // The panic is `free`'s `debug_assert!`: a release build has no check.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "already-freed")]
     fn double_free_through_a_pool_panics() {

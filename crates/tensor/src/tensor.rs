@@ -7,9 +7,12 @@
 //! configured [`buffalo_par::SimdBackend`]. Each output element always
 //! accumulates its terms in ascending-`p` order, so within a backend
 //! results are bit-identical for every thread count (the default scalar
-//! backend reproduces the historical bits exactly).
+//! backend reproduces the historical bits exactly, on AVX registers
+//! where the host has them).
 
-use buffalo_par::{parallel_rows, Parallelism, SimdBackend, DEFAULT_TILE_K, DEFAULT_TILE_N};
+use buffalo_par::{
+    parallel_rows, Coeffs, Parallelism, SimdBackend, DEFAULT_TILE_K, DEFAULT_TILE_N,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -222,13 +225,15 @@ impl Tensor {
     /// dispatch and the SIMD backend wiring (`par.simd` — exactly one
     /// call site per inner-loop shape):
     ///
-    /// * `Nn`/`Tn` accumulate rank-1 updates — the inner loop is an
-    ///   `axpy_panel` (a k-tile's worth of axpys with the
-    ///   `DEFAULT_TILE_N`-wide output tile held in registers), k-tiled so
-    ///   a `DEFAULT_TILE_K × DEFAULT_TILE_N` panel of B stays cache
-    ///   resident. Per element the `p` order is
-    ///   globally ascending (k-tiles ascend, `p` ascends within each)
-    ///   and zero `a` terms are skipped.
+    /// * `Nn`/`Tn` accumulate rank-1 updates — the inner loop is one
+    ///   `axpy_rows` per k-tile and n-tile over the thread's rows: one
+    ///   `axpy_panel` (a k-tile's worth of axpys with the output tile
+    ///   held in registers) per row under a vector backend, and under
+    ///   scalar on an AVX host 4-row × 16-column register tiles, so each
+    ///   load of B feeds four rows. k-tiled so a `DEFAULT_TILE_K ×
+    ///   DEFAULT_TILE_N` panel of B stays cache resident. Per element the
+    ///   `p` order is globally ascending (k-tiles ascend, `p` ascends
+    ///   within each) and zero `a` terms are skipped.
     /// * `Nt` computes one full-depth dot product per element (k is
     ///   never split — that would reassociate the chain): `simd.dot`
     ///   under a vector backend, `nt_row_scalar`'s side-by-side chains
@@ -269,19 +274,25 @@ impl Tensor {
         parallel_rows(&mut out.data, n, par, |row0, chunk| match layout {
             Gemm::Nn | Gemm::Tn => {
                 for p0 in (0..k).step_by(DEFAULT_TILE_K) {
-                    let p1 = (p0 + DEFAULT_TILE_K).min(k);
+                    let terms = (p0 + DEFAULT_TILE_K).min(k) - p0;
+                    // The chunk's coefficients for this k-tile.
+                    let coeffs = match layout {
+                        Gemm::Nn => Coeffs {
+                            data: &a[row0 * k + p0..],
+                            row_stride: k,
+                            term_stride: 1,
+                            terms,
+                        },
+                        _ => Coeffs {
+                            data: &a[p0 * m + row0..],
+                            row_stride: 1,
+                            term_stride: m,
+                            terms,
+                        },
+                    };
                     for j0 in (0..n).step_by(DEFAULT_TILE_N) {
                         let j1 = (j0 + DEFAULT_TILE_N).min(n);
-                        for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
-                            let i = row0 + r;
-                            // Row i's coefficients for this k-tile.
-                            let (coeffs, stride) = match layout {
-                                Gemm::Nn => (&a[i * k + p0..], 1),
-                                _ => (&a[p0 * m + i..], m),
-                            };
-                            let panel = &b[p0 * n + j0..];
-                            simd.axpy_panel(&mut o_row[j0..j1], panel, n, coeffs, stride, p1 - p0);
-                        }
+                        simd.axpy_rows(chunk, n, j0..j1, &b[p0 * n..], n, coeffs);
                     }
                 }
             }
@@ -783,6 +794,82 @@ mod tests {
                     .iter()
                     .zip(b.data())
                     .all(|(x, y)| (x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs())))
+        }
+
+        /// Values in [-1, 1), of which `zeros` in 16 are ±0.0 and `rare`
+        /// in 1024 are NaN, ±inf or a subnormal.
+        fn specials(rows: usize, cols: usize, seed: u64, zeros: u32, rare: u32) -> Tensor {
+            const RARE: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = (0..rows * cols)
+                .map(|_| {
+                    let (pick, v) = (rng.gen_range(0..1024u32), rng.gen_range(-1.0f32..1.0));
+                    match pick {
+                        p if p < rare => RARE[p as usize % RARE.len()],
+                        p if p < rare + 64 * zeros => [0.0, -0.0][p as usize % 2],
+                        _ => v,
+                    }
+                })
+                .collect();
+            Tensor::from_vec(rows, cols, data)
+        }
+
+        /// Equal bits, or NaN on both sides (a NaN's payload follows
+        /// operand order, which a compiler may commute).
+        fn same(got: &Tensor, want: &Tensor) -> bool {
+            got.data().len() == want.data().len()
+                && got
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            /// The scalar `Nn`/`Tn` kernels (4 × 16 register tiles on a
+            /// host with AVX) are the portable chain bit for bit: per
+            /// element `acc += a * b` from 0.0, ascending `p`, ±0.0
+            /// coefficients skipped — at row counts off a multiple of 4,
+            /// widths `16q`, `16q + 8` and other, depths crossing
+            /// `DEFAULT_TILE_K`, coefficients holding ±0.0, NaN and ±inf
+            /// (and ±inf in B, where a skipped zero would have made NaN),
+            /// on one thread and on three.
+            #[test]
+            fn scalar_gemm_is_the_portable_chain(
+                (mq, mr, nq, n_kind, n_other) in (0usize..20, 0usize..4, 0usize..6, 0usize..3, 1usize..15),
+                (k, seed) in (1usize..150, 0u64..1000),
+            ) {
+                let m = 4 * mq + mr;
+                let n = 16 * nq + [0, 8, n_other + usize::from(n_other >= 8)][n_kind];
+                let a = specials(m, k, seed, 4, 3);
+                let at = specials(k, m, seed + 1, 4, 3);
+                let b = specials(k, n, seed + 2, 1, 3);
+                let chain = |coef: &dyn Fn(usize, usize) -> f32| {
+                    let mut out = Tensor::zeros(m, n);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let mut acc = 0.0f32;
+                            for p in 0..k {
+                                let c = coef(i, p);
+                                if c != 0.0 {
+                                    acc += c * b.get(p, j);
+                                }
+                            }
+                            out.set(i, j, acc);
+                        }
+                    }
+                    out
+                };
+                let nn = chain(&|i, p| a.get(i, p));
+                let tn = chain(&|i, p| at.get(p, i));
+                for threads in [1, 3] {
+                    let par = Parallelism { threads, simd: SimdBackend::Scalar };
+                    prop_assert!(same(&a.matmul_with(&b, &par), &nn), "nn {m}x{k}x{n} t={threads}");
+                    prop_assert!(same(&at.matmul_tn_with(&b, &par), &tn), "tn {m}x{k}x{n} t={threads}");
+                }
+            }
         }
 
         proptest! {

@@ -47,6 +47,16 @@ printf '%s\n' "$lint_out"
 # `lint:allow` in the workspace's Rust sources (the linter's own rule
 # texts and fixtures included, so the count only moves with a waiver).
 echo "ci: lint:allow sites: $(grep -rn 'lint:allow' --include='*.rs' crates src | wc -l)"
+# Unsafe code, as a trend line beside it (no gate): `#[target_feature]`
+# functions, `unsafe fn` declarations and lines opening an `unsafe {`
+# block, every line that starts with `//` skipped.
+unsafe_counts=$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  /^[[:space:]]*#\[target_feature/ { tf++ }
+  /^[[:space:]]*\/\// { next }
+  /^[[:space:]]*(pub(\([a-z]+\))? )?unsafe fn/ { uf++ }
+  /unsafe \{/ { ub++ }
+  END { printf "%d target_feature fns, %d unsafe fns, %d unsafe blocks", tf, uf, ub }')
+echo "ci: unsafe: $unsafe_counts"
 # The call graph's size, as a trend line beside it: fewer functions and
 # fewer call sites the resolver cannot pin to one callee.
 graph=$(sed -nE 's/.*call graph[^0-9]*([0-9]+) function\(s\), ([0-9]+) edge\(s\), ([0-9]+) ambiguous.*/\1 fns, \2 edges, \3 ambiguous/p' <<<"$lint_out")
@@ -283,15 +293,15 @@ echo "ci: cora epoch table and trail match the pre-refactor golden bitwise"
 
 # SIMD backends. The scalar backend is the default and must stay bitwise
 # identical to the historical kernels (the same golden as above, reached
-# via the explicit flag) — on a host with AVX its matmul and mean
-# aggregation run the scalar chain on 8-lane registers (separate mul and
-# add, no FMA), so this gate also pins those wide bodies. Each vector
+# via the explicit flag) — on a host with AVX2 and FMA its matmul and
+# mean aggregation run the scalar chain on 8-lane registers (separate mul
+# and add, no FMA), so this gate also pins those wide bodies. Each vector
 # backend gets its own golden gate: IEEE-754 ops (including FMA) are
 # exactly specified, so a backend's trail is portable across any host
-# that supports it. SSE currently coincides with scalar on this model —
-# the SAGE mean path is axpy-only, and the SSE axpy (separate mul+add) is
-# bit-equal to scalar — while AVX2 differs through FMA contraction; both
-# must be run-to-run deterministic.
+# that supports it. SSE's `axpy` is the scalar chain's code, so SSE
+# differs from scalar only in `dot`, and on this model its trail equals
+# scalar's. AVX2's `axpy` runs the same wide bodies with FMA lane
+# updates and differs; both must be run-to-run deterministic.
 ckdir=$(mktemp -d)
 scalar_bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
   --simd scalar --checkpoint-dir "$ckdir/scalar" --checkpoint-every 2 | grep -E '^\s+[0-9]|^trail')

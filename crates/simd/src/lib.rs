@@ -2,57 +2,61 @@
 //!
 //! Every hot loop in the training stack reduces to one of three shapes:
 //! `axpy` (`dst[i] += a * src[i]` — neighbor aggregation, gradient
-//! scatter; `axpy_panel`, a run of axpys into one `dst` held in
-//! registers; `axpy_rows`, a panel per row of a block — matmul inner
-//! tiles; `axpy_gather`, a run of axpys from listed source rows — mean
-//! aggregation), `dot` (transposed matmul, attention scores), and
-//! `widen_bf16` (bf16 feature rows → f32 at gather time). This crate
-//! provides explicit `std::arch` AVX2(+FMA) and SSE4.1 implementations
-//! of those primitives behind a [`SimdBackend`] value dispatch, with a
-//! scalar chain that is bitwise-identical to the pre-SIMD kernels, and
-//! [`uniform_rows8`], the feature synthesiser's eight-stream generator.
+//! scatter; `axpy_rows`, a run of axpys into each row of a block held in
+//! registers — matmul inner tiles; `axpy_gather`, a run of axpys from
+//! listed source rows — mean aggregation), `dot` (transposed matmul,
+//! attention scores), and `widen_bf16` (bf16 feature rows → f32 at
+//! gather time). This crate provides explicit `std::arch` AVX2(+FMA) and
+//! SSE4.1 bodies of those primitives behind a [`SimdBackend`] value
+//! dispatch, with a scalar chain that is bitwise-identical to the
+//! pre-SIMD kernels, and [`uniform_rows8`], the feature synthesiser's
+//! eight-stream generator.
 //!
 //! # Determinism contract
 //!
-//! Each backend is **run-to-run deterministic**: a fixed vector body, a
-//! fixed ascending-lane reduction order for dots, and a fixed scalar
-//! tail mean the same inputs always produce the same bits on any host
-//! that supports the backend (IEEE-754 ops, including FMA, are exactly
-//! specified). Backends are *not* bitwise-identical to each other:
+//! A backend names a rounding chain, not an instruction set. Each chain
+//! is **run-to-run deterministic**: a fixed lane body, a fixed
+//! ascending-lane reduction order for dots, and a fixed scalar tail mean
+//! the same inputs always produce the same bits on any host that
+//! supports the backend (IEEE-754 ops, including FMA, are exactly
+//! specified). There are two `axpy` chains, three `dot` reductions and
+//! one exact widen, each with one wide body:
 //!
-//! * [`SimdBackend::Scalar`] — the reference chain; bitwise-identical
-//!   to the historical kernels and the committed golden trails. It names
-//!   a rounding chain, not an instruction set: per element `d = d + a·s`
-//!   in ascending term order, multiply and add rounded separately, zero
-//!   coefficients skipped where the primitive skips them. On a host with
-//!   AVX, `axpy_rows` and `axpy_gather` compute that chain eight lanes
-//!   wide (`_mm256_mul_ps` then `_mm256_add_ps`, never FMA) — the same
-//!   bits, chosen by `is_x86_feature_detected!` once per call. The
-//!   portable code is the path on every other host and the reference
-//!   the tests hold the wide bodies to. (A NaN's payload is the one
-//!   thing IEEE-754 leaves to operand order, which the compiler may
-//!   commute in the portable code too; the tests compare NaN as NaN.)
-//! * [`SimdBackend::Sse`] — `axpy` uses separate 4-wide mul + add, which
-//!   rounds exactly like the scalar chain (`axpy` stays bitwise-equal);
-//!   `dot` reduces 4 lanes and differs from scalar by reassociation.
-//! * [`SimdBackend::Avx2`] — 8-wide with FMA; both `axpy` and `dot`
-//!   round differently from scalar (FMA skips the intermediate
-//!   rounding). Deterministic, gated by its own golden in `ci.sh`.
-//!
-//! `widen_bf16` is exact (a left shift) on every backend, and
-//! `uniform_rows8` is exact integer work plus exact conversions, so
-//! feature precision and SIMD selection compose without interacting.
+//! * `axpy` — per element `d = d + a·s` in ascending term order, zero
+//!   coefficients skipped where the primitive skips them.
+//!   [`SimdBackend::Scalar`] and [`SimdBackend::Sse`] run one chain,
+//!   multiply and add rounded separately — the historical kernels and
+//!   the committed golden trails. [`SimdBackend::Avx2`] fuses them
+//!   (`_mm256_fmadd_ps`) in its eight-lane body and keeps the separate
+//!   multiply and add in its scalar tail. On a host with AVX2 and FMA,
+//!   `axpy_rows` and `axpy_gather` run one set of eight-lane bodies for
+//!   both chains, the backend choosing only the lane update; elsewhere
+//!   the portable code runs, and it is the reference the tests hold the
+//!   wide bodies to. (A NaN's payload is the one thing IEEE-754 leaves
+//!   to operand order, which the compiler may commute in the portable
+//!   code too; the tests compare NaN as NaN.)
+//! * `dot` — scalar accumulates left to right; SSE and AVX2 (FMA) keep
+//!   a 4- or 8-lane accumulator, reduce it in ascending lane order, then
+//!   fold the scalar tail. Three reductions, each gated by its own
+//!   golden in `ci.sh`.
+//! * `widen_bf16` is exact (a left shift), so it is one function on
+//!   every backend: the AVX2 body where detected, the portable one
+//!   elsewhere. `uniform_rows8` is exact integer work plus exact
+//!   conversions, so feature precision and SIMD selection compose
+//!   without interacting.
 //!
 //! # Safety conventions
 //!
 //! `#[target_feature]` kernels live in the private `x86` module and are
-//! only reachable through [`SimdBackend`] dispatch or a safe function
-//! that runs `is_x86_feature_detected!` itself first (the scalar chain's
-//! AVX bodies, [`uniform_rows8`]). Non-scalar backend values originate
-//! exclusively from `SimdBackend::detect` / [`SimdPolicy::resolve`],
-//! which check `is_x86_feature_detected!` before producing them — that
-//! invariant, or the check beside the call, is the SAFETY argument each
-//! dispatch site cites.
+//! only reachable through a safe function that has checked the features
+//! they are compiled with. The wide `axpy_rows` / `axpy_gather` bodies,
+//! `widen_bf16` and [`uniform_rows8`] run `is_x86_feature_detected!`
+//! themselves, once per call. The `Avx2` arm of `axpy` and the vector
+//! arms of `dot` rely on the backend value instead: non-scalar values
+//! originate exclusively from `SimdBackend::detect` /
+//! [`SimdPolicy::resolve`], which check `is_x86_feature_detected!`
+//! before producing them. That invariant, or the check beside the call,
+//! is the SAFETY argument each dispatch site cites.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -119,18 +123,20 @@ impl SimdPolicy {
 ///
 /// Invariant: the `Sse` / `Avx2` values are only constructed after the
 /// corresponding `is_x86_feature_detected!` checks succeed (in
-/// `SimdBackend::detect` and [`SimdPolicy::resolve`]); every `unsafe`
-/// dispatch below relies on that.
+/// `SimdBackend::detect` and [`SimdPolicy::resolve`]); the `unsafe`
+/// dispatch of `axpy` and `dot` relies on that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum SimdBackend {
     /// Reference scalar chain — bitwise-identical to the pre-SIMD
-    /// kernels and the committed goldens, on AVX registers where the
+    /// kernels and the committed goldens, on AVX2 registers where the
     /// host has them.
     Scalar = 0,
-    /// SSE4.1, 4-wide. `axpy` is bitwise-equal to scalar; `dot` is not.
+    /// Requires SSE4.1. Its `axpy` chain is the scalar chain, run by the
+    /// same code; only its `dot` differs (a 4-lane reduction).
     Sse = 1,
-    /// AVX2 + FMA, 8-wide. Fastest; rounds differently from scalar.
+    /// AVX2 + FMA, 8-wide. Fastest; `axpy` fuses its lane updates and
+    /// `dot` reduces 8 FMA lanes, so it rounds differently from scalar.
     Avx2 = 2,
 }
 
@@ -180,81 +186,18 @@ impl SimdBackend {
 
     /// `dst[i] += a * src[i]`. Panics if the slices differ in length.
     ///
-    /// Scalar and SSE round identically (separate mul then add per
-    /// element); AVX2 uses FMA in the 8-wide body and mul+add in the
-    /// tail.
+    /// Scalar and SSE run the scalar chain's portable code (a separate
+    /// multiply then add per element); AVX2 uses FMA in the 8-wide body
+    /// and multiply then add in the tail.
     #[inline]
     pub fn axpy(self, dst: &mut [f32], src: &[f32], a: f32) {
         assert_eq!(dst.len(), src.len(), "axpy length mismatch");
         match self {
-            SimdBackend::Scalar => axpy_scalar(dst, src, a),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Sse` is only constructed after `detect`/`resolve`
-            // verified `is_x86_feature_detected!("sse4.1")`.
-            SimdBackend::Sse => unsafe { x86::axpy_sse(dst, src, a) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2` is only constructed after `detect`/`resolve`
             // verified `is_x86_feature_detected!` for avx2 and fma.
             SimdBackend::Avx2 => unsafe { x86::axpy_avx2(dst, src, a) },
-            #[cfg(not(target_arch = "x86_64"))]
             _ => axpy_scalar(dst, src, a),
-        }
-    }
-
-    /// Applies `terms` [`axpy`](Self::axpy) updates to one `dst`:
-    /// `dst[j] += coeffs[t * coeff_stride] * src[t * src_stride + j]` for
-    /// `t = 0, 1, …` in ascending order, skipping every term whose
-    /// coefficient is zero. Bit for bit what that many consecutive `axpy`
-    /// calls produce — each element sees the same operations in the same
-    /// order, and the lane body and scalar tail split where `axpy` splits
-    /// them — but `dst` is loaded once, carried in registers across the
-    /// panel and stored once (three of a lone axpy's four memory
-    /// operations per lane go to `dst`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `coeffs` is too short for `terms` strided reads.
-    #[inline]
-    pub fn axpy_panel(
-        self,
-        dst: &mut [f32],
-        src: &[f32],
-        src_stride: usize,
-        coeffs: &[f32],
-        coeff_stride: usize,
-        terms: usize,
-    ) {
-        if terms == 0 {
-            return;
-        }
-        assert!(
-            src.len() >= (terms - 1) * src_stride + dst.len(),
-            "axpy_panel source too short"
-        );
-        assert!(
-            coeffs.len() > (terms - 1) * coeff_stride,
-            "axpy_panel coefficients too short"
-        );
-        match self {
-            SimdBackend::Scalar => {
-                axpy_panel_scalar(dst, src, src_stride, coeffs, coeff_stride, terms)
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Sse` is only constructed after `detect`/`resolve`
-            // verified `is_x86_feature_detected!("sse4.1")`; the asserts
-            // above bound every strided read the kernel makes.
-            SimdBackend::Sse => unsafe {
-                x86::axpy_panel_sse(dst, src, src_stride, coeffs, coeff_stride, terms)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2` is only constructed after `detect`/`resolve`
-            // verified `is_x86_feature_detected!` for avx2 and fma; the
-            // asserts above bound every strided read the kernel makes.
-            SimdBackend::Avx2 => unsafe {
-                x86::axpy_panel_avx2(dst, src, src_stride, coeffs, coeff_stride, terms)
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => axpy_panel_scalar(dst, src, src_stride, coeffs, coeff_stride, terms),
         }
     }
 
@@ -284,37 +227,34 @@ impl SimdBackend {
     }
 
     /// Widens a bf16 row to f32 (`dst[i] = bf16_to_f32(src[i])`). Exact
-    /// on every backend — widening is a left shift, so the result is
-    /// independent of the backend. Panics if the slices differ in
-    /// length.
+    /// — widening is a left shift — so every backend runs the same code:
+    /// the AVX2 body on a host with AVX2 and FMA, the portable loop
+    /// elsewhere. Panics if the slices differ in length.
     #[inline]
     pub fn widen_bf16(self, dst: &mut [f32], src: &[u16]) {
         assert_eq!(dst.len(), src.len(), "widen_bf16 length mismatch");
-        match self {
-            SimdBackend::Scalar => widen_bf16_scalar(dst, src),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Sse` is only constructed after `detect`/`resolve`
-            // verified `is_x86_feature_detected!("sse4.1")` (the widen
-            // kernel needs sse4.1 for `_mm_cvtepu16_epi32`).
-            SimdBackend::Sse => unsafe { x86::widen_bf16_sse(dst, src) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2` is only constructed after `detect`/`resolve`
-            // verified `is_x86_feature_detected!` for avx2 and fma.
-            SimdBackend::Avx2 => unsafe { x86::widen_bf16_avx2(dst, src) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => widen_bf16_scalar(dst, src),
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: `is_x86_feature_detected!` for avx2 and fma was just
+            // checked; the assert above makes both slices one length.
+            unsafe { x86::widen_bf16_avx2(dst, src) };
+            return;
         }
+        widen_bf16_scalar(dst, src)
     }
 
-    /// [`axpy_panel`](Self::axpy_panel) on every row of a block: row `r`
-    /// of `dst` (`dst.len() / dst_stride` rows of `dst_stride`) gets, in
-    /// its columns `cols`, the `coeffs.terms` updates
+    /// A run of [`axpy`](Self::axpy) updates into every row of a block:
+    /// row `r` of `dst` (`dst.len() / dst_stride` rows of `dst_stride`)
+    /// gets, in its columns `cols`, the `coeffs.terms` updates
     /// `dst[r][j] += coeffs(r, t) * src[t * src_stride + j]`, ascending
-    /// `t`, zero coefficients skipped. Bit for bit what one `axpy_panel`
-    /// per row produces on every backend. Under `Scalar` on a host with
-    /// AVX, a 4-row × 16-column block is held in registers across the
-    /// terms, so each load of `src` feeds four rows; each lane still
-    /// computes the scalar chain (a separate multiply and add, no FMA).
+    /// `t`, zero coefficients skipped. Bit for bit what those `axpy`
+    /// calls on `dst[r][cols]` produce on every backend — each lane sees
+    /// the same operations in the same order, and the lane body and
+    /// scalar tail split where `axpy` splits them. On a host with AVX2
+    /// and FMA, a 4-row × 16-column block is held in registers across
+    /// the terms, so each load of `src` feeds four rows; the backend
+    /// picks the lane update (FMA under `Avx2`, a separate multiply and
+    /// add otherwise).
     ///
     /// # Panics
     ///
@@ -351,28 +291,36 @@ impl SimdBackend {
             "axpy_rows coefficients too short"
         );
         #[cfg(target_arch = "x86_64")]
-        if self == SimdBackend::Scalar && avx_available() {
-            // SAFETY: `is_x86_feature_detected!("avx")` was just checked;
-            // the asserts above bound every row, column, term and
+        if avx2_available() {
+            // SAFETY: `is_x86_feature_detected!` for avx2 and fma was just
+            // checked; the asserts above bound every row, column, term and
             // coefficient the kernel touches.
-            unsafe { x86::axpy_rows_avx(dst, dst_stride, cols, src, src_stride, coeffs) };
+            unsafe {
+                if self == SimdBackend::Avx2 {
+                    x86::axpy_rows_avx::<true>(dst, dst_stride, cols, src, src_stride, coeffs)
+                } else {
+                    x86::axpy_rows_avx::<false>(dst, dst_stride, cols, src, src_stride, coeffs)
+                }
+            };
             return;
         }
+        // Without AVX2 and FMA the backend is `Scalar` or `Sse` (an `Avx2`
+        // value exists only after detection), and both are the scalar
+        // chain.
         for (r, row) in dst.chunks_exact_mut(dst_stride).enumerate() {
             let c = &coeffs.data[r * coeffs.row_stride..];
-            let s = &src[cols.start..];
-            let d = &mut row[cols.clone()];
-            self.axpy_panel(d, s, src_stride, c, coeffs.term_stride, coeffs.terms);
+            let (d, s) = (&mut row[cols.clone()], &src[cols.start..]);
+            axpy_panel_scalar(d, s, src_stride, c, coeffs.term_stride, coeffs.terms);
         }
     }
 
     /// One [`axpy`](Self::axpy) per listed source row, in list order:
     /// `dst[j] += a * src[i * dst.len() + j]` for each `i` in `rows` — a
     /// mean aggregation's inner loop. Bit for bit what those `axpy`
-    /// calls produce on every backend. Under `Scalar` on a host with
-    /// AVX, `dst` is held in registers across all the source rows (each
-    /// lane the scalar chain, separate multiply and add) and each source
-    /// row is prefetched two rows ahead.
+    /// calls produce on every backend. On a host with AVX2 and FMA, `dst`
+    /// is held in registers across all the source rows (each lane the
+    /// backend's `axpy` update, the tail a separate multiply and add) and
+    /// each source row is prefetched two rows ahead.
     ///
     /// # Panics
     ///
@@ -386,14 +334,22 @@ impl SimdBackend {
             );
         }
         #[cfg(target_arch = "x86_64")]
-        if self == SimdBackend::Scalar && avx_available() {
-            // SAFETY: `is_x86_feature_detected!("avx")` was just checked;
-            // the assert above bounds every listed source row.
-            unsafe { x86::axpy_gather_avx(dst, src, rows, a) };
+        if avx2_available() {
+            // SAFETY: `is_x86_feature_detected!` for avx2 and fma was just
+            // checked; the assert above bounds every listed source row.
+            unsafe {
+                if self == SimdBackend::Avx2 {
+                    x86::axpy_gather_avx::<true>(dst, src, rows, a)
+                } else {
+                    x86::axpy_gather_avx::<false>(dst, src, rows, a)
+                }
+            };
             return;
         }
+        // Without AVX2 and FMA the backend is `Scalar` or `Sse` (an `Avx2`
+        // value exists only after detection): the scalar chain.
         for &i in rows {
-            self.axpy(dst, &src[i as usize * n..][..n], a);
+            axpy_scalar(dst, &src[i as usize * n..][..n], a);
         }
     }
 }
@@ -454,8 +410,9 @@ fn xoshiro_state(seed: u64) -> [u64; 4] {
 }
 
 /// CPU features relevant to the kernel layer, as `(name, detected)`
-/// pairs — recorded into `BENCH_kernels.json` so a reader can tell which
-/// SIMD rows were measurable on the bench host.
+/// pairs — a benchmark records them beside its results (its
+/// `cpu_features`) so a reader can tell which SIMD rows were measurable
+/// on the host that ran it.
 pub fn detected_features() -> [(&'static str, bool); 3] {
     [
         ("sse4.1", sse41_available()),
@@ -466,11 +423,6 @@ pub fn detected_features() -> [(&'static str, bool); 3] {
 
 fn avx2_available() -> bool {
     avx2_only_available() && fma_available()
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx")
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -532,9 +484,11 @@ fn axpy_scalar(dst: &mut [f32], src: &[f32], a: f32) {
 /// Lanes [`axpy_panel_scalar`] carries across a panel at a time.
 const PANEL_CHUNK: usize = 32;
 
-/// The scalar panel: `dst` is walked in [`PANEL_CHUNK`]-wide pieces, each
-/// copied to a local array that stays in registers over the `terms`
-/// updates; every element is still the chain `d += a * s`, ascending `t`.
+/// A run of `terms` axpys into one `dst`, the portable scalar chain:
+/// `dst[j] += coeffs[t * coeff_stride] * src[t * src_stride + j]`,
+/// ascending `t`, zero coefficients skipped. `dst` is walked in
+/// [`PANEL_CHUNK`]-wide pieces, each copied to a local array that stays
+/// in registers over the terms, then the remainder one axpy per term.
 fn axpy_panel_scalar(
     dst: &mut [f32],
     src: &[f32],
@@ -561,35 +515,15 @@ fn axpy_panel_scalar(
         piece.copy_from_slice(&acc);
         j0 += PANEL_CHUNK;
     }
-    panel_tail(
-        pieces.into_remainder(),
-        &src[j0..],
-        src_stride,
-        coeffs,
-        coeff_stride,
-        terms,
-    );
-}
-
-/// The elements of a panel past the last full vector (or chunk): plain
-/// `d += a * s` per term, which is what every backend's `axpy` tail does.
-fn panel_tail(
-    dst: &mut [f32],
-    src: &[f32],
-    src_stride: usize,
-    coeffs: &[f32],
-    coeff_stride: usize,
-    terms: usize,
-) {
-    if dst.is_empty() {
+    let rest = pieces.into_remainder();
+    if rest.is_empty() {
         return;
     }
     for t in 0..terms {
         let a = coeffs[t * coeff_stride];
-        if a == 0.0 {
-            continue;
+        if a != 0.0 {
+            axpy_scalar(rest, &src[t * src_stride + j0..][..rest.len()], a);
         }
-        axpy_scalar(dst, &src[t * src_stride..][..dst.len()], a);
     }
 }
 
@@ -610,8 +544,9 @@ fn widen_bf16_scalar(dst: &mut [f32], src: &[u16]) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `#[target_feature]` kernels. Callers must have verified the
-    //! feature via `is_x86_feature_detected!` — the only path here is
-    //! `SimdBackend` dispatch, which upholds that (see the enum docs).
+    //! features via `is_x86_feature_detected!`: either the safe function
+    //! in front of the kernel checks them, or the kernel is a backend's
+    //! arm and the backend value upholds it (see the enum docs).
 
     use core::arch::x86_64::*;
 
@@ -641,93 +576,6 @@ mod x86 {
             }
             i += 1;
         }
-    }
-
-    /// One `8 * R`-lane block of an AVX2 panel: `R` accumulators loaded
-    /// from `dp`, every non-zero term folded in with the FMA `axpy_avx2`
-    /// uses in its body, then stored back. The caller guarantees that
-    /// `dp[..8 * R]`, `cp[t * coeff_stride]` and
-    /// `sp[t * src_stride..][..8 * R]` are in bounds for every `t < terms`.
-    // SAFETY: requires AVX2+FMA; reached only from `axpy_panel_avx2`,
-    // itself behind the `is_x86_feature_detected!`-gated dispatch.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn panel_block_avx2<const R: usize>(
-        dp: *mut f32,
-        sp: *const f32,
-        src_stride: usize,
-        cp: *const f32,
-        coeff_stride: usize,
-        terms: usize,
-    ) {
-        let mut acc = [_mm256_setzero_ps(); R];
-        for (r, lane) in acc.iter_mut().enumerate() {
-            // SAFETY: 8 * r + 8 <= 8 * R lanes of `dp` are in bounds.
-            *lane = unsafe { _mm256_loadu_ps(dp.add(8 * r)) };
-        }
-        for t in 0..terms {
-            // SAFETY: the caller bounds `cp[t * coeff_stride]`.
-            let a = unsafe { *cp.add(t * coeff_stride) };
-            if a == 0.0 {
-                continue;
-            }
-            let va = _mm256_set1_ps(a);
-            for (r, lane) in acc.iter_mut().enumerate() {
-                // SAFETY: the caller bounds 8 * R lanes of source row `t`.
-                let s = unsafe { _mm256_loadu_ps(sp.add(t * src_stride + 8 * r)) };
-                *lane = _mm256_fmadd_ps(va, s, *lane);
-            }
-        }
-        for (r, lane) in acc.iter().enumerate() {
-            // SAFETY: 8 * r + 8 <= 8 * R lanes of `dp` are in bounds.
-            unsafe { _mm256_storeu_ps(dp.add(8 * r), *lane) };
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA; callers reach this only through
-    // `SimdBackend::Avx2` dispatch (constructed after
-    // `is_x86_feature_detected!`), which has bounds-checked the panel.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn axpy_panel_avx2(
-        dst: &mut [f32],
-        src: &[f32],
-        src_stride: usize,
-        coeffs: &[f32],
-        coeff_stride: usize,
-        terms: usize,
-    ) {
-        let n = dst.len();
-        let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
-        // The 8-lane body of `axpy_avx2`, taken 8, 4, 2 or 1 vectors at a
-        // time; which block a lane falls in does not change its arithmetic.
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
-            // SAFETY: the block picked spans at most `n - j` lanes, so it
-            // stays inside `dst` and (dispatch asserts) every source row.
-            j += unsafe {
-                match (n - j) / 8 {
-                    8.. => {
-                        panel_block_avx2::<8>(d, s, src_stride, cp, coeff_stride, terms);
-                        64
-                    }
-                    4.. => {
-                        panel_block_avx2::<4>(d, s, src_stride, cp, coeff_stride, terms);
-                        32
-                    }
-                    2.. => {
-                        panel_block_avx2::<2>(d, s, src_stride, cp, coeff_stride, terms);
-                        16
-                    }
-                    _ => {
-                        panel_block_avx2::<1>(d, s, src_stride, cp, coeff_stride, terms);
-                        8
-                    }
-                }
-            };
-        }
-        let (dst, src) = (&mut dst[j..], &src[j..]);
-        crate::panel_tail(dst, src, src_stride, coeffs, coeff_stride, terms);
     }
 
     // SAFETY: requires AVX2+FMA; callers reach this only through
@@ -767,9 +615,9 @@ mod x86 {
         s
     }
 
-    // SAFETY: requires AVX2 (the 256-bit u16→i32 widen); callers reach
-    // this only through `SimdBackend::Avx2` dispatch, constructed only
-    // after `is_x86_feature_detected!` detection.
+    // SAFETY: requires AVX2 (the 256-bit u16→i32 widen); reached only
+    // from `SimdBackend::widen_bf16` after its `is_x86_feature_detected!`
+    // check for avx2 and fma.
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn widen_bf16_avx2(dst: &mut [f32], src: &[u16]) {
         let n = dst.len();
@@ -792,121 +640,6 @@ mod x86 {
             }
             i += 1;
         }
-    }
-
-    // SAFETY: requires SSE4.1 (baseline SSE ops only, but gated at 4.1
-    // to match the widen kernel); callers reach this only through
-    // `SimdBackend::Sse` dispatch, constructed only after
-    // `is_x86_feature_detected!("sse4.1")` detection.
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn axpy_sse(dst: &mut [f32], src: &[f32], a: f32) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let va = _mm_set1_ps(a);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n bounds both 4-lane unaligned accesses.
-            unsafe {
-                let s = _mm_loadu_ps(sp.add(i));
-                let d = _mm_loadu_ps(dp.add(i));
-                // Separate mul + add: rounds exactly like the scalar
-                // chain, keeping SSE axpy bitwise-equal to scalar.
-                _mm_storeu_ps(dp.add(i), _mm_add_ps(d, _mm_mul_ps(va, s)));
-            }
-            i += 4;
-        }
-        while i < n {
-            // SAFETY: i < n bounds the scalar tail accesses.
-            unsafe {
-                *dp.add(i) += a * *sp.add(i);
-            }
-            i += 1;
-        }
-    }
-
-    /// One `4 * R`-lane block of an SSE panel; separate mul and add, as in
-    /// `axpy_sse`, so it rounds like the scalar chain. The caller
-    /// guarantees that `dp[..4 * R]`, `cp[t * coeff_stride]` and
-    /// `sp[t * src_stride..][..4 * R]` are in bounds for every `t < terms`.
-    // SAFETY: requires SSE4.1; reached only from `axpy_panel_sse`,
-    // itself behind the `is_x86_feature_detected!`-gated dispatch.
-    #[target_feature(enable = "sse4.1")]
-    #[inline]
-    unsafe fn panel_block_sse<const R: usize>(
-        dp: *mut f32,
-        sp: *const f32,
-        src_stride: usize,
-        cp: *const f32,
-        coeff_stride: usize,
-        terms: usize,
-    ) {
-        let mut acc = [_mm_setzero_ps(); R];
-        for (r, lane) in acc.iter_mut().enumerate() {
-            // SAFETY: 4 * r + 4 <= 4 * R lanes of `dp` are in bounds.
-            *lane = unsafe { _mm_loadu_ps(dp.add(4 * r)) };
-        }
-        for t in 0..terms {
-            // SAFETY: the caller bounds `cp[t * coeff_stride]`.
-            let a = unsafe { *cp.add(t * coeff_stride) };
-            if a == 0.0 {
-                continue;
-            }
-            let va = _mm_set1_ps(a);
-            for (r, lane) in acc.iter_mut().enumerate() {
-                // SAFETY: the caller bounds 4 * R lanes of source row `t`.
-                let s = unsafe { _mm_loadu_ps(sp.add(t * src_stride + 4 * r)) };
-                *lane = _mm_add_ps(*lane, _mm_mul_ps(va, s));
-            }
-        }
-        for (r, lane) in acc.iter().enumerate() {
-            // SAFETY: 4 * r + 4 <= 4 * R lanes of `dp` are in bounds.
-            unsafe { _mm_storeu_ps(dp.add(4 * r), *lane) };
-        }
-    }
-
-    // SAFETY: requires SSE4.1; callers reach this only through
-    // `SimdBackend::Sse` dispatch (constructed after
-    // `is_x86_feature_detected!`), which has bounds-checked the panel.
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn axpy_panel_sse(
-        dst: &mut [f32],
-        src: &[f32],
-        src_stride: usize,
-        coeffs: &[f32],
-        coeff_stride: usize,
-        terms: usize,
-    ) {
-        let n = dst.len();
-        let (dp, sp, cp) = (dst.as_mut_ptr(), src.as_ptr(), coeffs.as_ptr());
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
-            // SAFETY: the block picked spans at most `n - j` lanes, so it
-            // stays inside `dst` and (dispatch asserts) every source row.
-            j += unsafe {
-                match (n - j) / 4 {
-                    8.. => {
-                        panel_block_sse::<8>(d, s, src_stride, cp, coeff_stride, terms);
-                        32
-                    }
-                    4.. => {
-                        panel_block_sse::<4>(d, s, src_stride, cp, coeff_stride, terms);
-                        16
-                    }
-                    2.. => {
-                        panel_block_sse::<2>(d, s, src_stride, cp, coeff_stride, terms);
-                        8
-                    }
-                    _ => {
-                        panel_block_sse::<1>(d, s, src_stride, cp, coeff_stride, terms);
-                        4
-                    }
-                }
-            };
-        }
-        let (dst, src) = (&mut dst[j..], &src[j..]);
-        crate::panel_tail(dst, src, src_stride, coeffs, coeff_stride, terms);
     }
 
     // SAFETY: requires SSE4.1; callers reach this only through
@@ -949,35 +682,7 @@ mod x86 {
         s
     }
 
-    // SAFETY: requires SSE4.1 (`_mm_cvtepu16_epi32`); callers reach this
-    // only through `SimdBackend::Sse` dispatch, constructed only after
-    // `is_x86_feature_detected!("sse4.1")` detection.
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn widen_bf16_sse(dst: &mut [f32], src: &[u16]) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n bounds the 4×u16 load and 4×f32 store.
-            unsafe {
-                let h = _mm_loadl_epi64(sp.add(i) as *const __m128i);
-                let w = _mm_slli_epi32::<16>(_mm_cvtepu16_epi32(h));
-                _mm_storeu_ps(dp.add(i), _mm_castsi128_ps(w));
-            }
-            i += 4;
-        }
-        while i < n {
-            // SAFETY: i < n bounds the scalar tail accesses.
-            unsafe {
-                *dp.add(i) = crate::bf16_to_f32(*sp.add(i));
-            }
-            i += 1;
-        }
-    }
-
-    /// The strides of one `axpy_rows` call, shared by its row blocks, and
-    /// whether every source value it reads is finite.
+    /// The strides of one `axpy_rows` call, shared by its row blocks.
     #[derive(Clone, Copy)]
     struct Grid {
         dst: usize,
@@ -985,18 +690,18 @@ mod x86 {
         row: usize,
         term: usize,
         terms: usize,
-        src_finite: bool,
     }
 
-    /// The scalar chain of `SimdBackend::axpy_rows`, eight lanes wide:
-    /// rows go four at a time (then one at a time), each row block in
-    /// 16- then 8-column register tiles and a scalar column tail. Every
-    /// lane is `d = d + a * s` per non-zero term, ascending, multiply
-    /// and add rounded separately — the portable chain's bits.
-    // SAFETY: requires AVX; reached only from `SimdBackend::axpy_rows`
-    // after its `is_x86_feature_detected!("avx")` check and bounds asserts.
-    #[target_feature(enable = "avx")]
-    pub(crate) unsafe fn axpy_rows_avx(
+    /// `SimdBackend::axpy_rows`, eight lanes wide: rows go four at a
+    /// time (then one at a time), each row block in 16- then 8-column
+    /// register tiles and a scalar column tail. Every lane is
+    /// `d = d + a * s` per non-zero term, ascending — one FMA with `FMA`,
+    /// multiply and add rounded separately (the scalar chain) without;
+    /// the tail always rounds them separately, as `axpy_avx2`'s does.
+    // SAFETY: requires AVX2+FMA; reached only from `SimdBackend::axpy_rows`
+    // after its `is_x86_feature_detected!` check and bounds asserts.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn axpy_rows_avx<const FMA: bool>(
         dst: &mut [f32],
         dst_stride: usize,
         cols: core::ops::Range<usize>,
@@ -1006,17 +711,12 @@ mod x86 {
     ) {
         let rows = dst.len() / dst_stride;
         let width = cols.end - cols.start;
-        let src_finite = (0..coeffs.terms).all(|t| {
-            let row = &src[t * src_stride..];
-            row[cols.clone()].iter().all(|x| x.is_finite())
-        });
         let g = Grid {
             dst: dst_stride,
             src: src_stride,
             row: coeffs.row_stride,
             term: coeffs.term_stride,
             terms: coeffs.terms,
-            src_finite,
         };
         let dp = dst.as_mut_ptr().wrapping_add(cols.start);
         let sp = src.as_ptr().wrapping_add(cols.start);
@@ -1024,16 +724,16 @@ mod x86 {
         let mut r = 0usize;
         while r < rows {
             let (d, c) = (dp.wrapping_add(r * g.dst), cp.wrapping_add(r * g.row));
-            // SAFETY: AVX is enabled here, after the dispatch's
-            // `is_x86_feature_detected!("avx")`; the block covers rows
+            // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
+            // `is_x86_feature_detected!`; the block covers rows
             // `r..r + R` with `R <= rows - r`, which the dispatch asserts
             // keep inside `dst` and `coeffs`.
             r += unsafe {
                 if rows - r >= 4 {
-                    row_block_avx::<4>(d, sp, c, width, g);
+                    row_block_avx::<4, FMA>(d, sp, c, width, g);
                     4
                 } else {
-                    row_block_avx::<1>(d, sp, c, width, g);
+                    row_block_avx::<1, FMA>(d, sp, c, width, g);
                     1
                 }
             };
@@ -1044,11 +744,11 @@ mod x86 {
     /// then a scalar column tail. The caller guarantees `R` rows of
     /// `width` columns at `dp`, the matching coefficients at `cp` and
     /// `g.terms` source rows at `sp`.
-    // SAFETY: requires AVX; reached only from `axpy_rows_avx`, itself
-    // behind the `is_x86_feature_detected!("avx")`-gated dispatch.
-    #[target_feature(enable = "avx")]
+    // SAFETY: requires AVX2+FMA; reached only from `axpy_rows_avx`,
+    // itself behind the `is_x86_feature_detected!`-gated dispatch.
+    #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    unsafe fn row_block_avx<const R: usize>(
+    unsafe fn row_block_avx<const R: usize, const FMA: bool>(
         dp: *mut f32,
         sp: *const f32,
         cp: *const f32,
@@ -1058,14 +758,14 @@ mod x86 {
         let mut j = 0usize;
         while j + 8 <= width {
             let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
-            // SAFETY: AVX is enabled here, after the dispatch's
-            // `is_x86_feature_detected!("avx")`; the tile spans at most
+            // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
+            // `is_x86_feature_detected!`; the tile spans at most
             // `width - j` columns.
             j += unsafe {
                 if width - j >= 16 {
-                    tile_avx::<R, 2>(d, s, cp, g)
+                    tile_avx::<R, 2, FMA>(d, s, cp, g)
                 } else {
-                    tile_avx::<R, 1>(d, s, cp, g)
+                    tile_avx::<R, 1, FMA>(d, s, cp, g)
                 }
             };
         }
@@ -1089,46 +789,39 @@ mod x86 {
     }
 
     /// One `R × 8V` register tile over all of `g.terms`; returns the
-    /// columns it covered. Skipping a zero coefficient's update matters
-    /// only where adding its product `±0.0` would change a lane: a source
-    /// value that is not finite (`0 · inf` is NaN), or a lane holding
-    /// `-0.0` (`-0 + 0` is `+0`) or NaN (a signalling payload would be
-    /// quieted). Under round-to-nearest no sum of other values is `-0.0`,
-    /// and a sum's NaN is already quiet, so a tile whose sources are
-    /// finite and whose loaded lanes hold neither runs branch-free,
-    /// adding zero products; any other tile blends every update back
-    /// where its coefficient is ±0.0, exactly the portable `continue`.
-    // SAFETY: requires AVX; reached only from `row_block_avx`, itself
-    // behind the `is_x86_feature_detected!("avx")`-gated dispatch.
-    #[target_feature(enable = "avx")]
+    /// columns it covered. The tile first runs branch-free, adding every
+    /// zero coefficient's product too. That product changes a lane only
+    /// to a zero (`-0 + 0` is `+0`) or a NaN (`0 · inf`, or a signalling
+    /// NaN quieted). From there the lane stays a zero or a NaN until the
+    /// two chains agree again: NaN absorbs, and a zero lane's next
+    /// update gives both chains the same value unless it is a zero too.
+    /// This holds for the separate and the fused update alike. So a tile
+    /// whose lanes end neither zero nor NaN is exactly the portable
+    /// chain. Any other tile reruns from its loaded lanes, blending every
+    /// update back where its coefficient is ±0.0 (the portable
+    /// `continue`).
+    // SAFETY: requires AVX2+FMA; reached only from `row_block_avx`, itself
+    // behind the `is_x86_feature_detected!`-gated dispatch.
+    #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    unsafe fn tile_avx<const R: usize, const V: usize>(
+    unsafe fn tile_avx<const R: usize, const V: usize, const FMA: bool>(
         dp: *mut f32,
         sp: *const f32,
         cp: *const f32,
         g: Grid,
     ) -> usize {
+        // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
+        // `is_x86_feature_detected!`; the caller's bounds are
+        // `terms_avx`'s, and `dp` is not written before the store below.
+        let mut acc = unsafe { terms_avx::<R, V, false, FMA>(dp, sp, cp, g) };
         let zero = _mm256_setzero_ps();
-        let mut acc = [[zero; V]; R];
-        let mut special = zero;
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, lane) in row.iter_mut().enumerate() {
-                // SAFETY: the caller bounds `R` rows of `8 * V` columns.
-                *lane = unsafe { _mm256_loadu_ps(dp.add(r * g.dst + 8 * v)) };
-                let neg_zero = _mm256_and_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(*lane, zero), *lane);
-                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(*lane, *lane);
-                special = _mm256_or_ps(special, _mm256_or_ps(neg_zero, nan));
-            }
+        let mut zero_or_nan = zero;
+        for lane in acc.iter().flatten() {
+            zero_or_nan = _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(*lane, zero));
         }
-        // SAFETY: AVX is enabled here, after the dispatch's
-        // `is_x86_feature_detected!("avx")`; the caller's bounds are
-        // `terms_avx`'s.
-        unsafe {
-            if g.src_finite && _mm256_movemask_ps(special) == 0 {
-                terms_avx::<R, V, false>(&mut acc, sp, cp, g);
-            } else {
-                terms_avx::<R, V, true>(&mut acc, sp, cp, g);
-            }
+        if _mm256_movemask_ps(zero_or_nan) != 0 {
+            // SAFETY: as for the branch-free run.
+            acc = unsafe { terms_avx::<R, V, true, FMA>(dp, sp, cp, g) };
         }
         for (r, row) in acc.iter().enumerate() {
             for (v, lane) in row.iter().enumerate() {
@@ -1139,20 +832,30 @@ mod x86 {
         8 * V
     }
 
-    /// Folds every term into a tile's accumulators: `acc = acc + a · s`,
-    /// multiply and add rounded separately; with `SKIP`, blended back
-    /// where `a` is ±0.0. The caller guarantees `8 * V` columns of every
-    /// source row at `sp` and `R` rows of coefficients at `cp`.
-    // SAFETY: requires AVX; reached only from `tile_avx`, itself behind
-    // the `is_x86_feature_detected!("avx")`-gated dispatch.
-    #[target_feature(enable = "avx")]
+    /// A tile's accumulators, loaded from `R` rows of `8 * V` columns at
+    /// `dp`, with every term folded in: `acc = acc + a · s`, fused with
+    /// `FMA`, multiply and add rounded separately without; with `SKIP`,
+    /// blended back where `a` is ±0.0. The caller guarantees those rows,
+    /// `8 * V` columns of every source row at `sp` and `R` rows of
+    /// coefficients at `cp`.
+    // SAFETY: requires AVX2+FMA; reached only from `tile_avx`, itself
+    // behind the `is_x86_feature_detected!`-gated dispatch.
+    #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    unsafe fn terms_avx<const R: usize, const V: usize, const SKIP: bool>(
-        acc: &mut [[__m256; V]; R],
+    unsafe fn terms_avx<const R: usize, const V: usize, const SKIP: bool, const FMA: bool>(
+        dp: *const f32,
         sp: *const f32,
         cp: *const f32,
         g: Grid,
-    ) {
+    ) -> [[__m256; V]; R] {
+        let zero = _mm256_setzero_ps();
+        let mut acc = [[zero; V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, lane) in row.iter_mut().enumerate() {
+                // SAFETY: the caller bounds `R` rows of `8 * V` columns.
+                *lane = unsafe { _mm256_loadu_ps(dp.add(r * g.dst + 8 * v)) };
+            }
+        }
         let zero = _mm256_setzero_ps();
         for t in 0..g.terms {
             let mut b = [zero; V];
@@ -1165,7 +868,11 @@ mod x86 {
                 let va = _mm256_broadcast_ss(unsafe { &*cp.add(r * g.row + t * g.term) });
                 let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(va, zero);
                 for (lane, &s) in row.iter_mut().zip(&b) {
-                    let sum = _mm256_add_ps(*lane, _mm256_mul_ps(va, s));
+                    let sum = if FMA {
+                        _mm256_fmadd_ps(va, s, *lane)
+                    } else {
+                        _mm256_add_ps(*lane, _mm256_mul_ps(va, s))
+                    };
                     *lane = if SKIP {
                         _mm256_blendv_ps(sum, *lane, skip)
                     } else {
@@ -1174,30 +881,37 @@ mod x86 {
                 }
             }
         }
+        acc
     }
 
-    /// The scalar chain of `SimdBackend::axpy_gather`, eight lanes wide:
-    /// `dst` in 64-, 32-, 16- and 8-lane register blocks, each carried
-    /// across every listed source row, then a scalar tail.
-    // SAFETY: requires AVX; reached only from `SimdBackend::axpy_gather`
-    // after its `is_x86_feature_detected!("avx")` check and row assert.
-    #[target_feature(enable = "avx")]
-    pub(crate) unsafe fn axpy_gather_avx(dst: &mut [f32], src: &[f32], rows: &[u32], a: f32) {
+    /// `SimdBackend::axpy_gather`, eight lanes wide: `dst` in 64-, 32-,
+    /// 16- and 8-lane register blocks, each carried across every listed
+    /// source row (one FMA per lane with `FMA`, a separate multiply and
+    /// add without), then a scalar tail of separate multiplies and adds.
+    // SAFETY: requires AVX2+FMA; reached only from `SimdBackend::axpy_gather`
+    // after its `is_x86_feature_detected!` check and row assert.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn axpy_gather_avx<const FMA: bool>(
+        dst: &mut [f32],
+        src: &[f32],
+        rows: &[u32],
+        a: f32,
+    ) {
         let n = dst.len();
         let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
         let mut j = 0usize;
         while j + 8 <= n {
             let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
-            // SAFETY: AVX is enabled here, after the dispatch's
-            // `is_x86_feature_detected!("avx")`; the block picked spans at
-            // most `n - j` lanes of `dst` and of every listed source row
+            // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
+            // `is_x86_feature_detected!`; the block picked spans at most
+            // `n - j` lanes of `dst` and of every listed source row
             // (dispatch asserts the rows).
             j += unsafe {
                 match (n - j) / 8 {
-                    8.. => gather_block_avx::<8>(d, s, n, rows, a),
-                    4.. => gather_block_avx::<4>(d, s, n, rows, a),
-                    2.. => gather_block_avx::<2>(d, s, n, rows, a),
-                    _ => gather_block_avx::<1>(d, s, n, rows, a),
+                    8.. => gather_block_avx::<8, FMA>(d, s, n, rows, a),
+                    4.. => gather_block_avx::<4, FMA>(d, s, n, rows, a),
+                    2.. => gather_block_avx::<2, FMA>(d, s, n, rows, a),
+                    _ => gather_block_avx::<1, FMA>(d, s, n, rows, a),
                 }
             };
         }
@@ -1213,11 +927,11 @@ mod x86 {
     /// One `8 * V`-lane block of `axpy_gather_avx`; returns its width.
     /// The caller guarantees `dp[..8 * V]` and, for every listed `i`,
     /// `sp[i * stride..][..8 * V]` are in bounds.
-    // SAFETY: requires AVX; reached only from `axpy_gather_avx`, itself
-    // behind the `is_x86_feature_detected!("avx")`-gated dispatch.
-    #[target_feature(enable = "avx")]
+    // SAFETY: requires AVX2+FMA; reached only from `axpy_gather_avx`,
+    // itself behind the `is_x86_feature_detected!`-gated dispatch.
+    #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    unsafe fn gather_block_avx<const V: usize>(
+    unsafe fn gather_block_avx<const V: usize, const FMA: bool>(
         dp: *mut f32,
         sp: *const f32,
         stride: usize,
@@ -1242,7 +956,11 @@ mod x86 {
             for (v, lane) in acc.iter_mut().enumerate() {
                 // SAFETY: the caller bounds `8 * V` lanes of source row `i`.
                 let s = unsafe { _mm256_loadu_ps(row.add(8 * v)) };
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(va, s));
+                *lane = if FMA {
+                    _mm256_fmadd_ps(va, s, *lane)
+                } else {
+                    _mm256_add_ps(*lane, _mm256_mul_ps(va, s))
+                };
             }
         }
         for (v, lane) in acc.iter().enumerate() {
@@ -1431,12 +1149,35 @@ mod tests {
         }
     }
 
-    /// The panel is the same arithmetic as consecutive axpys, so every
-    /// backend must reproduce them bit for bit — at every width (each
-    /// block size, body/tail split), with strided rows and coefficients,
-    /// and with zero coefficients skipped.
+    /// `dst[r][cols]` after one backend's `axpy` per non-zero term of row
+    /// `r`, ascending — what `axpy_rows` must reproduce bit for bit.
+    fn consecutive_axpys(
+        backend: SimdBackend,
+        dst: &mut [f32],
+        dst_stride: usize,
+        cols: Range<usize>,
+        src: &[f32],
+        src_stride: usize,
+        c: Coeffs<'_>,
+    ) {
+        for (r, row) in dst.chunks_exact_mut(dst_stride).enumerate() {
+            for t in 0..c.terms {
+                let a = c.data[r * c.row_stride + t * c.term_stride];
+                if a != 0.0 {
+                    let s = &src[t * src_stride + cols.start..][..cols.len()];
+                    backend.axpy(&mut row[cols.clone()], s, a);
+                }
+            }
+        }
+    }
+
+    /// One row of `axpy_rows` is the same arithmetic as consecutive
+    /// axpys, so every backend must reproduce them bit for bit — at
+    /// every width (each tile size, body/tail split), with strided rows
+    /// and coefficients, and with zero coefficients skipped. The
+    /// portable panel, the path without AVX2, is the scalar axpys too.
     #[test]
-    fn axpy_panel_is_consecutive_axpys_bitwise() {
+    fn axpy_rows_is_consecutive_axpys_bitwise() {
         for backend in SimdBackend::available() {
             for n in (0..=70).chain([100, 128, 131]) {
                 for (terms, src_stride, coeff_stride) in
@@ -1448,24 +1189,56 @@ mod tests {
                         coeffs[2 * coeff_stride] = 0.0;
                         coeffs[coeff_stride] = -0.0;
                     }
+                    let c = Coeffs {
+                        data: &coeffs,
+                        row_stride: 0,
+                        term_stride: coeff_stride,
+                        terms,
+                    };
+                    let stride = n.max(1);
                     let mut want = data(n, 11);
                     let mut got = want.clone();
-                    for t in 0..terms {
-                        let a = coeffs[t * coeff_stride];
-                        if a != 0.0 {
-                            backend.axpy(&mut want, &src[t * src_stride..][..n], a);
-                        }
-                    }
-                    backend.axpy_panel(&mut got, &src, src_stride, &coeffs, coeff_stride, terms);
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "{backend:?} n={n} terms={terms} lane {i}"
+                    consecutive_axpys(backend, &mut want, stride, 0..n, &src, src_stride, c);
+                    backend.axpy_rows(&mut got, stride, 0..n, &src, src_stride, c);
+                    let what = format!("{backend:?} n={n} terms={terms}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    if backend == SimdBackend::Scalar {
+                        let mut panel = data(n, 11);
+                        axpy_panel_scalar(
+                            &mut panel,
+                            &src,
+                            src_stride,
+                            &coeffs,
+                            coeff_stride,
+                            terms,
                         );
+                        assert_eq!(bits(&panel), bits(&want), "portable panel, {what}");
                     }
                 }
             }
+        }
+    }
+
+    /// A fused update can round a tiny negative exact result to `-0.0`,
+    /// which a later zero term must leave alone: `-0 + 0` is `+0`. The
+    /// tiles' branch-free zero skip may not run on such inputs.
+    #[test]
+    fn a_fused_underflow_keeps_its_negative_zero_past_a_zero_term() {
+        let tiny = 2f32.powi(-80);
+        let src: Vec<f32> = [tiny; 16].into_iter().chain([1.0; 16]).collect();
+        let coeffs = [-tiny, 0.0];
+        for backend in SimdBackend::available() {
+            let c = Coeffs {
+                data: &coeffs,
+                row_stride: 0,
+                term_stride: 1,
+                terms: 2,
+            };
+            let mut want = vec![0.0f32; 4 * 16];
+            let mut got = want.clone();
+            consecutive_axpys(backend, &mut want, 16, 0..16, &src, 16, c);
+            backend.axpy_rows(&mut got, 16, 0..16, &src, 16, c);
+            assert_eq!(bits(&got), bits(&want), "{backend:?}");
         }
     }
 
@@ -1505,20 +1278,29 @@ mod tests {
         }
     }
 
+    /// Widening is a shift: every backend gives the portable bits at every
+    /// length around the 8-lane body, NaNs (quiet, signalling, with a
+    /// payload), ±inf, ±0.0 and subnormal halves included.
     #[test]
     fn widen_is_exact_on_every_backend() {
-        let values = data(37, 9);
-        let halves: Vec<u16> = values.iter().map(|&v| f32_to_bf16(v)).collect();
-        let mut reference = vec![0.0f32; halves.len()];
-        widen_bf16_scalar(&mut reference, &halves);
-        for backend in SimdBackend::available() {
-            let mut out = vec![0.0f32; halves.len()];
-            backend.widen_bf16(&mut out, &halves);
-            assert_eq!(
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{backend:?} widen must be exact"
-            );
+        const SPECIAL: [u16; 8] = [
+            0x7FC0, 0xFFC1, 0x7F81, 0x7F80, 0xFF80, 0x8000, 0x0000, 0x0001,
+        ];
+        for n in 0..=33 {
+            let mut halves: Vec<u16> = data(n, 9 + n as u32)
+                .iter()
+                .map(|&v| f32_to_bf16(v))
+                .collect();
+            for (i, h) in halves.iter_mut().enumerate().step_by(3) {
+                *h = SPECIAL[(i / 3 + n) % SPECIAL.len()];
+            }
+            let mut reference = vec![0.0f32; n];
+            widen_bf16_scalar(&mut reference, &halves);
+            for backend in SimdBackend::available() {
+                let mut out = vec![0.0f32; n];
+                backend.widen_bf16(&mut out, &halves);
+                assert_eq!(bits(&out), bits(&reference), "{backend:?} widen n={n}");
+            }
         }
     }
 
@@ -1539,6 +1321,10 @@ mod tests {
         v
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Equal bits, or NaN on both sides: IEEE-754 fixes every result of
     /// the chain but a NaN's payload, which follows operand order, and a
     /// compiler may commute an add (the portable code included).
@@ -1553,16 +1339,20 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
-        /// `Scalar.axpy_rows` (the AVX register tiles on a host that has
-        /// AVX) is one portable `axpy_panel_scalar` per row, bit for bit:
-        /// row counts off a multiple of 4, widths `16q`, `16q + 8` and
-        /// other, any term count, strided coefficients in either layout,
-        /// ±0.0 / NaN / ±inf coefficients and sources.
+        /// Every backend's `axpy_rows` (the AVX2 register tiles on a host
+        /// that has them) is that backend's consecutive `axpy` calls with
+        /// zero coefficients skipped, bit for bit: row counts off a
+        /// multiple of 4, widths `16q`, `16q + 8` and other, any term
+        /// count, strided coefficients in either layout, ±0.0 / NaN / ±inf
+        /// / subnormal coefficients and sources. Under the scalar chain
+        /// the portable panel, the path without AVX2, matches too.
         #[test]
-        fn scalar_axpy_rows_is_the_portable_panel(
+        fn axpy_rows_is_the_backends_axpys(
             (rows, q, tail, terms) in (0usize..11, 0usize..5, 0usize..16, 0usize..140),
             (col0, transposed, zeros, seed) in (0usize..3, 0u8..2, 0usize..12, 0u32..1000),
+            backend in 0..SimdBackend::available().len(),
         ) {
+            let backend = SimdBackend::available()[backend];
             let width = 16 * q + tail;
             let stride = col0 + width + 1;
             let src_stride = stride + 2;
@@ -1570,25 +1360,32 @@ mod tests {
             let coeffs = with_specials(rows * row_stride + terms * term_stride + 1, seed, zeros, 4);
             let src = with_specials(terms * src_stride + stride, seed + 1, zeros / 4, 4);
             let c = Coeffs { data: &coeffs, row_stride, term_stride, terms };
+            let cols = col0..col0 + width;
             let mut want = with_specials(rows * stride, seed + 2, 2, 4);
             let mut got = want.clone();
-            SimdBackend::Scalar.axpy_rows(&mut got, stride, col0..col0 + width, &src, src_stride, c);
-            if terms > 0 {
-                for (r, row) in want.chunks_exact_mut(stride).enumerate() {
-                    let d = &mut row[col0..col0 + width];
-                    axpy_panel_scalar(d, &src[col0..], src_stride, &coeffs[r * row_stride..], term_stride, terms);
+            let mut panel = want.clone();
+            backend.axpy_rows(&mut got, stride, cols.clone(), &src, src_stride, c);
+            consecutive_axpys(backend, &mut want, stride, cols.clone(), &src, src_stride, c);
+            let what = format!("{backend:?}: {rows} rows, width {width}, {terms} terms");
+            proptest::prop_assert!(same(&got, &want), "{what}");
+            if backend != SimdBackend::Avx2 && terms > 0 {
+                for (r, row) in panel.chunks_exact_mut(stride).enumerate() {
+                    let (d, s) = (&mut row[cols.clone()], &src[col0..]);
+                    axpy_panel_scalar(d, s, src_stride, &coeffs[r * row_stride..], term_stride, terms);
                 }
+                proptest::prop_assert!(same(&panel, &want), "portable panel, {what}");
             }
-            proptest::prop_assert!(same(&got, &want), "{rows} rows, width {width}, {terms} terms");
         }
 
-        /// `Scalar.axpy_gather` (a register-held row on a host with AVX)
-        /// is one portable `axpy_scalar` per listed row, in list order,
-        /// at every width around the 64/32/16/8-lane blocks.
+        /// Every backend's `axpy_gather` (a register-held row on a host
+        /// with AVX2) is that backend's `axpy` per listed row, in list
+        /// order, at every width around the 64/32/16/8-lane blocks.
         #[test]
-        fn scalar_axpy_gather_is_the_portable_axpys(
+        fn axpy_gather_is_the_backends_axpys(
             (n, listed, seed) in (0usize..150, 0usize..24, 0u32..1000),
+            backend in 0..SimdBackend::available().len(),
         ) {
+            let backend = SimdBackend::available()[backend];
             let src_rows = 9;
             let src = with_specials(src_rows * n, seed, 1, 4);
             let rows: Vec<u32> = data(listed, seed + 1)
@@ -1598,51 +1395,11 @@ mod tests {
             let a = 1.0 / (listed.max(1) as f32);
             let mut want = with_specials(n, seed + 2, 2, 4);
             let mut got = want.clone();
-            SimdBackend::Scalar.axpy_gather(&mut got, &src, &rows, a);
+            backend.axpy_gather(&mut got, &src, &rows, a);
             for &i in &rows {
-                axpy_scalar(&mut want, &src[i as usize * n..][..n], a);
+                backend.axpy(&mut want, &src[i as usize * n..][..n], a);
             }
-            proptest::prop_assert!(same(&got, &want), "n {n}, {listed} rows");
-        }
-    }
-
-    /// Every vector backend's `axpy_rows` and `axpy_gather` are its own
-    /// `axpy_panel` and `axpy` calls, bit for bit (those backends keep
-    /// their per-row kernels).
-    #[test]
-    fn vector_backends_keep_their_per_row_kernels() {
-        for backend in SimdBackend::available() {
-            let (rows, stride, terms) = (5, 37, 70);
-            let src = data(terms * stride, 3);
-            let coeffs = with_specials(rows * terms, 4, 3, 4);
-            let c = Coeffs {
-                data: &coeffs,
-                row_stride: terms,
-                term_stride: 1,
-                terms,
-            };
-            let mut want = data(rows * stride, 5);
-            let mut got = want.clone();
-            backend.axpy_rows(&mut got, stride, 2..35, &src, stride, c);
-            for (r, row) in want.chunks_exact_mut(stride).enumerate() {
-                backend.axpy_panel(
-                    &mut row[2..35],
-                    &src[2..],
-                    stride,
-                    &coeffs[r * terms..],
-                    1,
-                    terms,
-                );
-            }
-            assert!(same(&got, &want), "{backend:?} axpy_rows");
-            let (rows, n) = ([3u32, 0, 3, 7, 1], 37);
-            let mut want = data(n, 6);
-            let mut got = want.clone();
-            backend.axpy_gather(&mut got, &src, &rows, 0.2);
-            for &i in &rows {
-                backend.axpy(&mut want, &src[i as usize * n..][..n], 0.2);
-            }
-            assert!(same(&got, &want), "{backend:?} axpy_gather");
+            proptest::prop_assert!(same(&got, &want), "{backend:?}: n {n}, {listed} rows");
         }
     }
 

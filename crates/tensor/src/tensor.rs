@@ -226,11 +226,11 @@ impl Tensor {
     /// call site per inner-loop shape):
     ///
     /// * `Nn`/`Tn` accumulate rank-1 updates — the inner loop is one
-    ///   `axpy_rows` per k-tile and n-tile over the thread's rows: one
-    ///   `axpy_panel` (a k-tile's worth of axpys with the output tile
-    ///   held in registers) per row under a vector backend, and under
-    ///   scalar on an AVX host 4-row × 16-column register tiles, so each
-    ///   load of B feeds four rows. k-tiled so a `DEFAULT_TILE_K ×
+    ///   `axpy_rows` per k-tile and n-tile over the thread's rows, on
+    ///   every backend: a k-tile's worth of axpys with the output held in
+    ///   4-row × 16-column register tiles on an AVX2 host (each load of B
+    ///   feeds four rows; the backend picks only the lane update), the
+    ///   portable scalar panel elsewhere. k-tiled so a `DEFAULT_TILE_K ×
     ///   DEFAULT_TILE_N` panel of B stays cache resident. Per element the
     ///   `p` order is globally ascending (k-tiles ascend, `p` ascends
     ///   within each) and zero `a` terms are skipped.
@@ -596,7 +596,7 @@ mod tests {
         /// within those, zero coefficients skipped. The 64 × 128 grid is
         /// spelled out because it is part of a vector backend's rounding
         /// (each tile splits into lane body and scalar tail on its own).
-        fn axpy_reference(
+        pub(super) fn axpy_reference(
             simd: SimdBackend,
             (m, k): (usize, usize),
             a_at: impl Fn(usize, usize) -> f32,
@@ -828,46 +828,31 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(160))]
 
-            /// The scalar `Nn`/`Tn` kernels (4 × 16 register tiles on a
-            /// host with AVX) are the portable chain bit for bit: per
-            /// element `acc += a * b` from 0.0, ascending `p`, ±0.0
-            /// coefficients skipped — at row counts off a multiple of 4,
+            /// Every backend's `Nn`/`Tn` kernels (4 × 16 register tiles on
+            /// an AVX2 host) are its term-by-term `axpy` chain bit for bit
+            /// (`kernel_equivalence::axpy_reference`: zero coefficients
+            /// skipped, ascending `p`) — at row counts off a multiple of 4,
             /// widths `16q`, `16q + 8` and other, depths crossing
-            /// `DEFAULT_TILE_K`, coefficients holding ±0.0, NaN and ±inf
-            /// (and ±inf in B, where a skipped zero would have made NaN),
-            /// on one thread and on three.
+            /// `DEFAULT_TILE_K`, coefficients holding ±0.0, NaN, ±inf and
+            /// subnormals (and ±inf in B, where a skipped zero would have
+            /// made NaN), on one thread and on three.
             #[test]
-            fn scalar_gemm_is_the_portable_chain(
+            fn gemm_is_the_backends_axpy_chain(
                 (mq, mr, nq, n_kind, n_other) in (0usize..20, 0usize..4, 0usize..6, 0usize..3, 1usize..15),
-                (k, seed) in (1usize..150, 0u64..1000),
+                (k, seed, simd) in (1usize..150, 0u64..1000, 0..SimdBackend::available().len()),
             ) {
+                let simd = SimdBackend::available()[simd];
                 let m = 4 * mq + mr;
                 let n = 16 * nq + [0, 8, n_other + usize::from(n_other >= 8)][n_kind];
                 let a = specials(m, k, seed, 4, 3);
                 let at = specials(k, m, seed + 1, 4, 3);
                 let b = specials(k, n, seed + 2, 1, 3);
-                let chain = |coef: &dyn Fn(usize, usize) -> f32| {
-                    let mut out = Tensor::zeros(m, n);
-                    for i in 0..m {
-                        for j in 0..n {
-                            let mut acc = 0.0f32;
-                            for p in 0..k {
-                                let c = coef(i, p);
-                                if c != 0.0 {
-                                    acc += c * b.get(p, j);
-                                }
-                            }
-                            out.set(i, j, acc);
-                        }
-                    }
-                    out
-                };
-                let nn = chain(&|i, p| a.get(i, p));
-                let tn = chain(&|i, p| at.get(p, i));
+                let nn = kernel_equivalence::axpy_reference(simd, (m, k), |i, p| a.get(i, p), &b);
+                let tn = kernel_equivalence::axpy_reference(simd, (m, k), |i, p| at.get(p, i), &b);
                 for threads in [1, 3] {
-                    let par = Parallelism { threads, simd: SimdBackend::Scalar };
-                    prop_assert!(same(&a.matmul_with(&b, &par), &nn), "nn {m}x{k}x{n} t={threads}");
-                    prop_assert!(same(&at.matmul_tn_with(&b, &par), &tn), "tn {m}x{k}x{n} t={threads}");
+                    let par = Parallelism { threads, simd };
+                    prop_assert!(same(&a.matmul_with(&b, &par), &nn), "{simd:?} nn {m}x{k}x{n} t={threads}");
+                    prop_assert!(same(&at.matmul_tn_with(&b, &par), &tn), "{simd:?} tn {m}x{k}x{n} t={threads}");
                 }
             }
         }

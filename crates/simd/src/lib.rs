@@ -816,8 +816,10 @@ mod x86 {
         let mut acc = unsafe { terms_avx::<R, V, false, FMA>(dp, sp, cp, g) };
         let zero = _mm256_setzero_ps();
         let mut zero_or_nan = zero;
-        for lane in acc.iter().flatten() {
-            zero_or_nan = _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(*lane, zero));
+        for row in &acc {
+            for &lane in row {
+                zero_or_nan = _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(lane, zero));
+            }
         }
         if _mm256_movemask_ps(zero_or_nan) != 0 {
             // SAFETY: as for the branch-free run.

@@ -291,17 +291,26 @@ if [ "$bits" != "$(cat tests/golden/cora_epochs2_bits.txt)" ]; then
 fi
 echo "ci: cora epoch table and trail match the pre-refactor golden bitwise"
 
+# The width of the wide bodies in effect, which no option chooses: the
+# `axpy_rows` register tiles and `uniform_rows8` streams run 16 lanes wide
+# on a host with AVX-512F, 8 with AVX2 and FMA, and the portable code
+# (1) elsewhere. A width is not a rounding chain, so the SIMD and arxiv
+# serve goldens below pin whichever width this line names.
+lanes=$(cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M \
+  | sed -nE 's/^kernels: .* lanes=([0-9]+)$/\1/p')
+echo "ci: simd width: ${lanes:?}-lane axpy_rows tiles and uniform_rows8 streams"
+
 # SIMD backends. The scalar backend is the default and must stay bitwise
 # identical to the historical kernels (the same golden as above, reached
 # via the explicit flag) — on a host with AVX2 and FMA its matmul and
-# mean aggregation run the scalar chain on 8-lane registers (separate mul
-# and add, no FMA), so this gate also pins those wide bodies. Each vector
-# backend gets its own golden gate: IEEE-754 ops (including FMA) are
-# exactly specified, so a backend's trail is portable across any host
-# that supports it. SSE's `axpy` is the scalar chain's code, so SSE
-# differs from scalar only in `dot`, and on this model its trail equals
-# scalar's. AVX2's `axpy` runs the same wide bodies with FMA lane
-# updates and differs; both must be run-to-run deterministic.
+# mean aggregation run the scalar chain on 8- or 16-lane registers
+# (separate mul and add, no FMA), so this gate also pins those wide
+# bodies. Each vector backend gets its own golden gate: IEEE-754 ops
+# (including FMA) are exactly specified, so a backend's trail is portable
+# across any host that supports it. SSE's `axpy` is the scalar chain's
+# code, so SSE differs from scalar only in `dot`, and on this model its
+# trail equals scalar's. AVX2's `axpy` runs the same wide bodies with FMA
+# lane updates and differs; both must be run-to-run deterministic.
 ckdir=$(mktemp -d)
 scalar_bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
   --simd scalar --checkpoint-dir "$ckdir/scalar" --checkpoint-every 2 | grep -E '^\s+[0-9]|^trail')

@@ -26,6 +26,6 @@
 mod config;
 mod pool;
 
-pub use buffalo_simd::{Coeffs, SimdBackend, SimdPolicy};
+pub use buffalo_simd::{wide_lanes, Coeffs, SimdBackend, SimdPolicy};
 pub use config::{ambient, Parallelism, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_TILE_K, DEFAULT_TILE_N};
 pub use pool::{parallel_rows, run_tasks, Pool, Task};

@@ -251,10 +251,11 @@ impl SimdBackend {
     /// calls on `dst[r][cols]` produce on every backend — each lane sees
     /// the same operations in the same order, and the lane body and
     /// scalar tail split where `axpy` splits them. On a host with AVX2
-    /// and FMA, a 4-row × 16-column block is held in registers across
-    /// the terms, so each load of `src` feeds four rows; the backend
-    /// picks the lane update (FMA under `Avx2`, a separate multiply and
-    /// add otherwise).
+    /// and FMA, a 4-row block is held in registers across the terms, so
+    /// each load of `src` feeds four rows: 4 × 16 tiles, or 4 × 32 on a
+    /// host with AVX-512F too. The backend picks the lane update (FMA
+    /// under `Avx2`, a separate multiply and add otherwise); the width
+    /// never moves a bit.
     ///
     /// # Panics
     ///
@@ -262,6 +263,30 @@ impl SimdBackend {
     /// ends past `dst_stride`, or `src` or `coeffs` is too short.
     pub fn axpy_rows(
         self,
+        dst: &mut [f32],
+        dst_stride: usize,
+        cols: Range<usize>,
+        src: &[f32],
+        src_stride: usize,
+        coeffs: Coeffs<'_>,
+    ) {
+        self.axpy_rows_at(
+            Width::host(),
+            dst,
+            dst_stride,
+            cols,
+            src,
+            src_stride,
+            coeffs,
+        )
+    }
+
+    /// [`axpy_rows`](Self::axpy_rows) at a given width (tests run every
+    /// width the host has). `Width::Portable` is the scalar chain only.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn axpy_rows_at(
+        self,
+        width: Width,
         dst: &mut [f32],
         dst_stride: usize,
         cols: Range<usize>,
@@ -290,27 +315,41 @@ impl SimdBackend {
                 > (rows - 1) * coeffs.row_stride + (coeffs.terms - 1) * coeffs.term_stride,
             "axpy_rows coefficients too short"
         );
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: `is_x86_feature_detected!` for avx2 and fma was just
-            // checked; the asserts above bound every row, column, term and
-            // coefficient the kernel touches.
-            unsafe {
-                if self == SimdBackend::Avx2 {
-                    x86::axpy_rows_avx::<true>(dst, dst_stride, cols, src, src_stride, coeffs)
+        let fma = self == SimdBackend::Avx2;
+        match width {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a `Width::Zmm` exists only after
+            // `is_x86_feature_detected!` for avx512f, avx2 and fma; the
+            // asserts above bound every row, column, term and coefficient
+            // the kernel touches.
+            Width::Zmm => unsafe {
+                if fma {
+                    x86::axpy_rows_zmm::<true>(dst, dst_stride, cols, src, src_stride, coeffs)
                 } else {
-                    x86::axpy_rows_avx::<false>(dst, dst_stride, cols, src, src_stride, coeffs)
+                    x86::axpy_rows_zmm::<false>(dst, dst_stride, cols, src, src_stride, coeffs)
                 }
-            };
-            return;
-        }
-        // Without AVX2 and FMA the backend is `Scalar` or `Sse` (an `Avx2`
-        // value exists only after detection), and both are the scalar
-        // chain.
-        for (r, row) in dst.chunks_exact_mut(dst_stride).enumerate() {
-            let c = &coeffs.data[r * coeffs.row_stride..];
-            let (d, s) = (&mut row[cols.clone()], &src[cols.start..]);
-            axpy_panel_scalar(d, s, src_stride, c, coeffs.term_stride, coeffs.terms);
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a `Width::Ymm` exists only after
+            // `is_x86_feature_detected!` for avx2 and fma; the asserts
+            // above bound every row, column, term and coefficient.
+            Width::Ymm => unsafe {
+                if fma {
+                    x86::axpy_rows_ymm::<true>(dst, dst_stride, cols, src, src_stride, coeffs)
+                } else {
+                    x86::axpy_rows_ymm::<false>(dst, dst_stride, cols, src, src_stride, coeffs)
+                }
+            },
+            // Without AVX2 and FMA the backend is `Scalar` or `Sse` (an
+            // `Avx2` value exists only after detection), and both are the
+            // scalar chain.
+            _ => {
+                for (r, row) in dst.chunks_exact_mut(dst_stride).enumerate() {
+                    let c = &coeffs.data[r * coeffs.row_stride..];
+                    let (d, s) = (&mut row[cols.clone()], &src[cols.start..]);
+                    axpy_panel_scalar(d, s, src_stride, c, coeffs.term_stride, coeffs.terms);
+                }
+            }
         }
     }
 
@@ -372,28 +411,83 @@ pub struct Coeffs<'a> {
 /// streams: row `i` of `out` (`8 × dim`, row-major) is the first `dim`
 /// values of `StdRng::seed_from_u64(seeds[i]).gen::<f32>()` — the
 /// workspace's `rand` generator, SplitMix64-seeded, each draw
-/// `(x >> 40) as f32 * 2⁻²⁴`, exact. With AVX2 the eight streams advance
-/// in two registers and each step's eight draws are transposed into
-/// the rows eight columns at a time. Returns `false`, writing nothing,
-/// on a host without AVX2: the caller keeps its own portable generator.
+/// `(x >> 40) as f32 * 2⁻²⁴`, exact. With AVX2 and FMA the eight streams
+/// advance in two registers per state word (one with AVX-512F), and
+/// each step's eight draws are transposed into the rows eight columns at
+/// a time. Returns `false`, writing nothing, on a host without AVX2 and
+/// FMA: the caller keeps its own portable generator.
 ///
 /// # Panics
 ///
 /// Panics if `out.len()` is not a multiple of 8.
 pub fn uniform_rows8(seeds: [u64; 8], out: &mut [f32]) -> bool {
+    uniform_rows8_at(Width::host(), seeds, out)
+}
+
+/// [`uniform_rows8`] at a given width (tests run every width the host
+/// has); `false` at `Width::Portable`.
+pub(crate) fn uniform_rows8_at(width: Width, seeds: [u64; 8], out: &mut [f32]) -> bool {
     assert!(
         out.len().is_multiple_of(8),
         "uniform_rows8 needs eight whole rows"
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2_only_available() {
-        let states = seeds.map(xoshiro_state);
-        // SAFETY: `is_x86_feature_detected!("avx2")` was just checked;
-        // the kernel writes exactly `out`'s eight rows.
-        unsafe { x86::uniform_rows8_avx2(&states, out) };
-        return true;
+    let states = seeds.map(xoshiro_state);
+    match width {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `Width::Zmm` exists only after
+        // `is_x86_feature_detected!` for avx512f, avx2 and fma; the kernel
+        // writes exactly `out`'s eight rows.
+        Width::Zmm => unsafe { x86::uniform_rows8_zmm(&states, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `Width::Ymm` exists only after
+        // `is_x86_feature_detected!` for avx2 and fma; the kernel writes
+        // exactly `out`'s eight rows.
+        Width::Ymm => unsafe { x86::uniform_rows8_ymm(&states, out) },
+        _ => return false,
     }
-    false
+    true
+}
+
+/// The register width the wide bodies run at. A width is not a rounding
+/// chain — every width gives the same bits — so it is no option: the
+/// public entry points take the host's widest, and the crate's tests run
+/// each width the host has.
+///
+/// Invariant: `Ymm` and `Zmm` are only constructed after
+/// `is_x86_feature_detected!` found their features (in `Width::host`);
+/// the wide dispatch's `unsafe` relies on that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Width {
+    /// No wide body: the portable code.
+    Portable,
+    /// Eight f32 lanes: AVX2 and FMA.
+    Ymm,
+    /// Sixteen f32 lanes: AVX-512F, AVX2 and FMA.
+    Zmm,
+}
+
+impl Width {
+    /// The widest the host supports.
+    fn host() -> Width {
+        if !avx2_available() {
+            Width::Portable
+        } else if avx512_available() {
+            Width::Zmm
+        } else {
+            Width::Ymm
+        }
+    }
+}
+
+/// f32 lanes of the wide `axpy_rows` tiles and `uniform_rows8` streams on
+/// this host: 16 with AVX-512F, AVX2 and FMA; 8 with AVX2 and FMA; 1 (the
+/// portable code) elsewhere. Every width gives the same bits.
+pub fn wide_lanes() -> usize {
+    match Width::host() {
+        Width::Portable => 1,
+        Width::Ymm => 8,
+        Width::Zmm => 16,
+    }
 }
 
 /// The xoshiro256++ state `StdRng::seed_from_u64(seed)` starts from:
@@ -409,20 +503,25 @@ fn xoshiro_state(seed: u64) -> [u64; 4] {
     })
 }
 
-/// CPU features relevant to the kernel layer, as `(name, detected)`
-/// pairs — a benchmark records them beside its results (its
-/// `cpu_features`) so a reader can tell which SIMD rows were measurable
-/// on the host that ran it.
-pub fn detected_features() -> [(&'static str, bool); 3] {
+/// CPU features the kernel layer checks, as `(name, detected)` pairs — a
+/// benchmark records them beside its results (its `cpu_features`), so a
+/// reader can tell which backends it could measure and which width the
+/// wide bodies ran at (see [`wide_lanes`]).
+pub fn detected_features() -> [(&'static str, bool); 4] {
     [
         ("sse4.1", sse41_available()),
         ("avx2", avx2_only_available()),
         ("fma", fma_available()),
+        ("avx512f", avx512f_available()),
     ]
 }
 
 fn avx2_available() -> bool {
     avx2_only_available() && fma_available()
+}
+
+fn avx512_available() -> bool {
+    avx2_available() && avx512f_available()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -440,6 +539,11 @@ fn sse41_available() -> bool {
     std::arch::is_x86_feature_detected!("sse4.1")
 }
 
+#[cfg(target_arch = "x86_64")]
+fn avx512f_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 fn avx2_only_available() -> bool {
     false
@@ -452,6 +556,11 @@ fn fma_available() -> bool {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn sse41_available() -> bool {
+    false
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512f_available() -> bool {
     false
 }
 
@@ -682,6 +791,182 @@ mod x86 {
         s
     }
 
+    /// One register width of the `axpy_rows` tiles: `N` f32 lanes to a
+    /// register. [`Ymm`] is AVX2 + FMA, [`Zmm`] AVX-512F. The tiles are
+    /// written once over it; each width's methods are compiled with its
+    /// features and inline into that width's entry point
+    /// (`axpy_rows_ymm`, `axpy_rows_zmm`), whose features they share.
+    ///
+    /// # Safety
+    ///
+    /// Every method needs its width's features, which the entry point's
+    /// caller checked (`Width::host`); `load` and `store` also need `N`
+    /// valid lanes at the pointer.
+    pub(crate) trait Lanes {
+        /// f32 lanes to a register.
+        const N: usize;
+        /// A register of `N` f32 lanes.
+        type F: Copy;
+        /// `a` in every lane.
+        unsafe fn splat(a: f32) -> Self::F;
+        /// `N` lanes from `p`.
+        unsafe fn load(p: *const f32) -> Self::F;
+        /// `v` to the `N` lanes at `p`.
+        unsafe fn store(p: *mut f32, v: Self::F);
+        /// `d + a · s` per lane: one FMA with `FMA`, multiply and add
+        /// rounded separately without; with `SKIP`, `d` where `a` is ±0.0.
+        unsafe fn update<const FMA: bool, const SKIP: bool>(
+            d: Self::F,
+            a: Self::F,
+            s: Self::F,
+        ) -> Self::F;
+        /// Whether a lane of the tile is ±0.0 or NaN, checked row by row
+        /// so the tile stays in registers.
+        unsafe fn any_zero_or_nan<const R: usize, const V: usize>(acc: &[[Self::F; V]; R]) -> bool;
+    }
+
+    /// Eight lanes: AVX2 + FMA.
+    pub(crate) struct Ymm;
+
+    /// Sixteen lanes: AVX-512F (which implies AVX2 and FMA).
+    pub(crate) struct Zmm;
+
+    impl Lanes for Ymm {
+        const N: usize = 8;
+        type F = __m256;
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // `Ymm` entry point runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn splat(a: f32) -> __m256 {
+            _mm256_set1_ps(a)
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // `Ymm` entry point runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn load(p: *const f32) -> __m256 {
+            // SAFETY: the caller bounds eight lanes at `p`.
+            unsafe { _mm256_loadu_ps(p) }
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // `Ymm` entry point runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            // SAFETY: the caller bounds eight lanes at `p`.
+            unsafe { _mm256_storeu_ps(p, v) }
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // `Ymm` entry point runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn update<const FMA: bool, const SKIP: bool>(
+            d: __m256,
+            a: __m256,
+            s: __m256,
+        ) -> __m256 {
+            let sum = if FMA {
+                _mm256_fmadd_ps(a, s, d)
+            } else {
+                _mm256_add_ps(d, _mm256_mul_ps(a, s))
+            };
+            if SKIP {
+                _mm256_blendv_ps(sum, d, _mm256_cmp_ps::<_CMP_EQ_OQ>(a, _mm256_setzero_ps()))
+            } else {
+                sum
+            }
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // `Ymm` entry point runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn any_zero_or_nan<const R: usize, const V: usize>(acc: &[[__m256; V]; R]) -> bool {
+            let zero = _mm256_setzero_ps();
+            let mut zero_or_nan = zero;
+            for row in acc {
+                for &lane in row {
+                    zero_or_nan =
+                        _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(lane, zero));
+                }
+            }
+            _mm256_movemask_ps(zero_or_nan) != 0
+        }
+    }
+
+    impl Lanes for Zmm {
+        const N: usize = 16;
+        type F = __m512;
+
+        // SAFETY: requires AVX-512F, detected by `Width::host` before any
+        // `Zmm` entry point runs.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn splat(a: f32) -> __m512 {
+            _mm512_set1_ps(a)
+        }
+
+        // SAFETY: requires AVX-512F, detected by `Width::host` before any
+        // `Zmm` entry point runs.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn load(p: *const f32) -> __m512 {
+            // SAFETY: the caller bounds sixteen lanes at `p`.
+            unsafe { _mm512_loadu_ps(p) }
+        }
+
+        // SAFETY: requires AVX-512F, detected by `Width::host` before any
+        // `Zmm` entry point runs.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            // SAFETY: the caller bounds sixteen lanes at `p`.
+            unsafe { _mm512_storeu_ps(p, v) }
+        }
+
+        /// The skip is a mask register: lanes update only where `a` is not
+        /// ±0.0 (a NaN `a` updates, as the portable `a == 0.0` test has it).
+        // SAFETY: requires AVX-512F, detected by `Width::host` before any
+        // `Zmm` entry point runs.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn update<const FMA: bool, const SKIP: bool>(
+            d: __m512,
+            a: __m512,
+            s: __m512,
+        ) -> __m512 {
+            let keep = if SKIP {
+                _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_ps())
+            } else {
+                !0
+            };
+            if FMA {
+                _mm512_mask3_fmadd_ps(a, s, d, keep)
+            } else {
+                _mm512_mask_add_ps(d, keep, d, _mm512_mul_ps(a, s))
+            }
+        }
+
+        // SAFETY: requires AVX-512F, detected by `Width::host` before any
+        // `Zmm` entry point runs.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn any_zero_or_nan<const R: usize, const V: usize>(acc: &[[__m512; V]; R]) -> bool {
+            let zero = _mm512_setzero_ps();
+            let mut zero_or_nan: __mmask16 = 0;
+            for row in acc {
+                for &lane in row {
+                    zero_or_nan |= _mm512_cmp_ps_mask::<_CMP_EQ_UQ>(lane, zero);
+                }
+            }
+            zero_or_nan != 0
+        }
+    }
+
     /// The strides of one `axpy_rows` call, shared by its row blocks.
     #[derive(Clone, Copy)]
     struct Grid {
@@ -692,16 +977,56 @@ mod x86 {
         terms: usize,
     }
 
-    /// `SimdBackend::axpy_rows`, eight lanes wide: rows go four at a
-    /// time (then one at a time), each row block in 16- then 8-column
-    /// register tiles and a scalar column tail. Every lane is
-    /// `d = d + a * s` per non-zero term, ascending — one FMA with `FMA`,
-    /// multiply and add rounded separately (the scalar chain) without;
-    /// the tail always rounds them separately, as `axpy_avx2`'s does.
-    // SAFETY: requires AVX2+FMA; reached only from `SimdBackend::axpy_rows`
-    // after its `is_x86_feature_detected!` check and bounds asserts.
+    // SAFETY: requires AVX2+FMA; reached only from `SimdBackend::axpy_rows_at`
+    // with a `Width::Ymm` (constructed after `is_x86_feature_detected!`
+    // for avx2 and fma) and after its bounds asserts.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn axpy_rows_avx<const FMA: bool>(
+    pub(crate) unsafe fn axpy_rows_ymm<const FMA: bool>(
+        dst: &mut [f32],
+        dst_stride: usize,
+        cols: core::ops::Range<usize>,
+        src: &[f32],
+        src_stride: usize,
+        coeffs: crate::Coeffs<'_>,
+    ) {
+        // SAFETY: AVX2 and FMA are enabled here; the caller's bounds are
+        // `axpy_rows_wide`'s.
+        unsafe { axpy_rows_wide::<Ymm, FMA>(dst, dst_stride, cols, src, src_stride, coeffs) }
+    }
+
+    // SAFETY: requires AVX-512F (and so AVX2+FMA); reached only from
+    // `SimdBackend::axpy_rows_at` with a `Width::Zmm` (constructed after
+    // `is_x86_feature_detected!` for avx512f, avx2 and fma) and after its
+    // bounds asserts.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn axpy_rows_zmm<const FMA: bool>(
+        dst: &mut [f32],
+        dst_stride: usize,
+        cols: core::ops::Range<usize>,
+        src: &[f32],
+        src_stride: usize,
+        coeffs: crate::Coeffs<'_>,
+    ) {
+        // SAFETY: AVX-512F, AVX2 and FMA are enabled here; the caller's
+        // bounds are `axpy_rows_wide`'s.
+        unsafe { axpy_rows_wide::<Zmm, FMA>(dst, dst_stride, cols, src, src_stride, coeffs) }
+    }
+
+    /// `SimdBackend::axpy_rows`, `L::N` lanes wide: rows go four at a
+    /// time (then one at a time), each row block in `2N`- then `N`-column
+    /// register tiles, an eight-column tile where `N` is 16, and a scalar
+    /// column tail. Every lane is `d = d + a * s` per non-zero term,
+    /// ascending — one FMA with `FMA`, multiply and add rounded
+    /// separately (the scalar chain) without. The tail always rounds them
+    /// separately, as `axpy_avx2`'s does, and it starts where that
+    /// function's eight-lane body ends, so the widths agree bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s features are enabled in the caller, and the dispatch's
+    /// asserts bound every row, column, term and coefficient.
+    #[inline(always)]
+    unsafe fn axpy_rows_wide<L: Lanes, const FMA: bool>(
         dst: &mut [f32],
         dst_stride: usize,
         cols: core::ops::Range<usize>,
@@ -724,31 +1049,31 @@ mod x86 {
         let mut r = 0usize;
         while r < rows {
             let (d, c) = (dp.wrapping_add(r * g.dst), cp.wrapping_add(r * g.row));
-            // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
-            // `is_x86_feature_detected!`; the block covers rows
-            // `r..r + R` with `R <= rows - r`, which the dispatch asserts
-            // keep inside `dst` and `coeffs`.
+            // SAFETY: `L`'s features are enabled in the caller; the block
+            // covers rows `r..r + R` with `R <= rows - r`, which the
+            // dispatch asserts keep inside `dst` and `coeffs`.
             r += unsafe {
                 if rows - r >= 4 {
-                    row_block_avx::<4, FMA>(d, sp, c, width, g);
+                    row_block::<L, 4, FMA>(d, sp, c, width, g);
                     4
                 } else {
-                    row_block_avx::<1, FMA>(d, sp, c, width, g);
+                    row_block::<L, 1, FMA>(d, sp, c, width, g);
                     1
                 }
             };
         }
     }
 
-    /// `R` rows of `axpy_rows_avx`: 16- then 8-column register tiles,
-    /// then a scalar column tail. The caller guarantees `R` rows of
-    /// `width` columns at `dp`, the matching coefficients at `cp` and
-    /// `g.terms` source rows at `sp`.
-    // SAFETY: requires AVX2+FMA; reached only from `axpy_rows_avx`,
-    // itself behind the `is_x86_feature_detected!`-gated dispatch.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn row_block_avx<const R: usize, const FMA: bool>(
+    /// `R` rows of `axpy_rows_wide`: `2N`- then `N`-column register tiles,
+    /// an eight-column tile where `N` is 16, then a scalar column tail.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s features (and so AVX2 and FMA) are enabled in the caller,
+    /// which guarantees `R` rows of `width` columns at `dp`, the matching
+    /// coefficients at `cp` and `g.terms` source rows at `sp`.
+    #[inline(always)]
+    unsafe fn row_block<L: Lanes, const R: usize, const FMA: bool>(
         dp: *mut f32,
         sp: *const f32,
         cp: *const f32,
@@ -756,18 +1081,22 @@ mod x86 {
         g: Grid,
     ) {
         let mut j = 0usize;
-        while j + 8 <= width {
+        while j + L::N <= width {
             let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
-            // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
-            // `is_x86_feature_detected!`; the tile spans at most
-            // `width - j` columns.
+            // SAFETY: `L`'s features are enabled in the caller; the tile
+            // spans at most `width - j` columns.
             j += unsafe {
-                if width - j >= 16 {
-                    tile_avx::<R, 2, FMA>(d, s, cp, g)
+                if width - j >= 2 * L::N {
+                    tile::<L, R, 2, FMA>(d, s, cp, g)
                 } else {
-                    tile_avx::<R, 1, FMA>(d, s, cp, g)
+                    tile::<L, R, 1, FMA>(d, s, cp, g)
                 }
             };
+        }
+        if L::N > 8 && j + 8 <= width {
+            // SAFETY: AVX2 and FMA are enabled in the caller; the tile
+            // spans eight of the `width - j` columns left.
+            j += unsafe { tile::<Ymm, R, 1, FMA>(dp.wrapping_add(j), sp.wrapping_add(j), cp, g) };
         }
         for r in 0..R {
             for jj in j..width {
@@ -788,7 +1117,7 @@ mod x86 {
         }
     }
 
-    /// One `R × 8V` register tile over all of `g.terms`; returns the
+    /// One `R × V·N` register tile over all of `g.terms`; returns the
     /// columns it covered. The tile first runs branch-free, adding every
     /// zero coefficient's product too. That product changes a lane only
     /// to a zero (`-0 + 0` is `+0`) or a NaN (`0 · inf`, or a signalling
@@ -797,93 +1126,77 @@ mod x86 {
     /// update gives both chains the same value unless it is a zero too.
     /// This holds for the separate and the fused update alike. So a tile
     /// whose lanes end neither zero nor NaN is exactly the portable
-    /// chain. Any other tile reruns from its loaded lanes, blending every
-    /// update back where its coefficient is ±0.0 (the portable
-    /// `continue`).
-    // SAFETY: requires AVX2+FMA; reached only from `row_block_avx`, itself
-    // behind the `is_x86_feature_detected!`-gated dispatch.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn tile_avx<const R: usize, const V: usize, const FMA: bool>(
+    /// chain. Any other tile reruns from its loaded lanes, keeping every
+    /// lane where its coefficient is ±0.0 (the portable `continue`).
+    ///
+    /// # Safety
+    ///
+    /// `L`'s features are enabled in the caller, which guarantees `R`
+    /// rows of `V·N` columns at `dp` (not written before the store
+    /// below), those columns of every source row at `sp` and `R` rows of
+    /// coefficients at `cp`.
+    #[inline(always)]
+    unsafe fn tile<L: Lanes, const R: usize, const V: usize, const FMA: bool>(
         dp: *mut f32,
         sp: *const f32,
         cp: *const f32,
         g: Grid,
     ) -> usize {
-        // SAFETY: AVX2 and FMA are enabled here, after the dispatch's
-        // `is_x86_feature_detected!`; the caller's bounds are
-        // `terms_avx`'s, and `dp` is not written before the store below.
-        let mut acc = unsafe { terms_avx::<R, V, false, FMA>(dp, sp, cp, g) };
-        let zero = _mm256_setzero_ps();
-        let mut zero_or_nan = zero;
-        for row in &acc {
-            for &lane in row {
-                zero_or_nan = _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(lane, zero));
+        // SAFETY: `L`'s features are enabled in the caller, whose bounds
+        // are `terms`' and cover the tile's stores.
+        unsafe {
+            let mut acc = terms::<L, R, V, false, FMA>(dp, sp, cp, g);
+            if L::any_zero_or_nan(&acc) {
+                acc = terms::<L, R, V, true, FMA>(dp, sp, cp, g);
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, lane) in row.iter().enumerate() {
+                    L::store(dp.add(r * g.dst + L::N * v), *lane);
+                }
             }
         }
-        if _mm256_movemask_ps(zero_or_nan) != 0 {
-            // SAFETY: as for the branch-free run.
-            acc = unsafe { terms_avx::<R, V, true, FMA>(dp, sp, cp, g) };
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, lane) in row.iter().enumerate() {
-                // SAFETY: the caller bounds `R` rows of `8 * V` columns.
-                unsafe { _mm256_storeu_ps(dp.add(r * g.dst + 8 * v), *lane) };
-            }
-        }
-        8 * V
+        L::N * V
     }
 
-    /// A tile's accumulators, loaded from `R` rows of `8 * V` columns at
-    /// `dp`, with every term folded in: `acc = acc + a · s`, fused with
-    /// `FMA`, multiply and add rounded separately without; with `SKIP`,
-    /// blended back where `a` is ±0.0. The caller guarantees those rows,
-    /// `8 * V` columns of every source row at `sp` and `R` rows of
+    /// A tile's accumulators, loaded from `R` rows of `V·N` columns at
+    /// `dp`, with every term folded in by `L::update::<FMA, SKIP>`.
+    ///
+    /// # Safety
+    ///
+    /// `L`'s features are enabled in the caller, which guarantees those
+    /// rows, `V·N` columns of every source row at `sp` and `R` rows of
     /// coefficients at `cp`.
-    // SAFETY: requires AVX2+FMA; reached only from `tile_avx`, itself
-    // behind the `is_x86_feature_detected!`-gated dispatch.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn terms_avx<const R: usize, const V: usize, const SKIP: bool, const FMA: bool>(
+    #[inline(always)]
+    unsafe fn terms<L: Lanes, const R: usize, const V: usize, const SKIP: bool, const FMA: bool>(
         dp: *const f32,
         sp: *const f32,
         cp: *const f32,
         g: Grid,
-    ) -> [[__m256; V]; R] {
-        let zero = _mm256_setzero_ps();
-        let mut acc = [[zero; V]; R];
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, lane) in row.iter_mut().enumerate() {
-                // SAFETY: the caller bounds `R` rows of `8 * V` columns.
-                *lane = unsafe { _mm256_loadu_ps(dp.add(r * g.dst + 8 * v)) };
-            }
-        }
-        let zero = _mm256_setzero_ps();
-        for t in 0..g.terms {
-            let mut b = [zero; V];
-            for (v, lane) in b.iter_mut().enumerate() {
-                // SAFETY: the caller bounds `8 * V` columns of source row `t`.
-                *lane = unsafe { _mm256_loadu_ps(sp.add(t * g.src + 8 * v)) };
-            }
+    ) -> [[L::F; V]; R] {
+        // SAFETY: `L`'s features are enabled in the caller, which bounds
+        // every row, column and coefficient read here.
+        unsafe {
+            let zero = L::splat(0.0);
+            let mut acc = [[zero; V]; R];
             for (r, row) in acc.iter_mut().enumerate() {
-                // SAFETY: the caller bounds row `r`'s term `t`.
-                let va = _mm256_broadcast_ss(unsafe { &*cp.add(r * g.row + t * g.term) });
-                let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(va, zero);
-                for (lane, &s) in row.iter_mut().zip(&b) {
-                    let sum = if FMA {
-                        _mm256_fmadd_ps(va, s, *lane)
-                    } else {
-                        _mm256_add_ps(*lane, _mm256_mul_ps(va, s))
-                    };
-                    *lane = if SKIP {
-                        _mm256_blendv_ps(sum, *lane, skip)
-                    } else {
-                        sum
-                    };
+                for (v, lane) in row.iter_mut().enumerate() {
+                    *lane = L::load(dp.add(r * g.dst + L::N * v));
                 }
             }
+            for t in 0..g.terms {
+                let mut b = [zero; V];
+                for (v, lane) in b.iter_mut().enumerate() {
+                    *lane = L::load(sp.add(t * g.src + L::N * v));
+                }
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let a = L::splat(*cp.add(r * g.row + t * g.term));
+                    for (lane, &s) in row.iter_mut().zip(&b) {
+                        *lane = L::update::<FMA, SKIP>(*lane, a, s);
+                    }
+                }
+            }
+            acc
         }
-        acc
     }
 
     /// `SimdBackend::axpy_gather`, eight lanes wide: `dst` in 64-, 32-,
@@ -972,37 +1285,60 @@ mod x86 {
         8 * V
     }
 
+    /// `2⁻²⁴`: a 24-bit draw's scale to `[0, 1)`, exact.
+    const DRAW_SCALE: f32 = 1.0 / (1u32 << 24) as f32;
+
     /// `x` rotated left by `K` in each 64-bit lane (`L` = `64 - K`).
-    // SAFETY: requires AVX2; reached only from the xoshiro kernel below,
-    // itself behind `uniform_rows8`'s `is_x86_feature_detected!` check.
+    // SAFETY: requires AVX2; reached only from `xoshiro_step_ymm`, inside a
+    // `Ymm` entry point whose caller detected avx2 and fma.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn rotl_avx2<const K: i32, const L: i32>(x: __m256i) -> __m256i {
+    fn rotl_ymm<const K: i32, const L: i32>(x: __m256i) -> __m256i {
         _mm256_or_si256(_mm256_slli_epi64::<K>(x), _mm256_srli_epi64::<L>(x))
     }
 
     /// One xoshiro256++ step of four streams (one per 64-bit lane):
     /// returns the outputs and advances `s` as `StdRng::next_u64` does.
-    // SAFETY: requires AVX2; reached only from `uniform_rows8_avx2`,
-    // itself behind `uniform_rows8`'s `is_x86_feature_detected!` check.
+    // SAFETY: requires AVX2; reached only from `uniform_rows8_ymm`, whose
+    // caller detected avx2 and fma.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn xoshiro_step_avx2(s: &mut [__m256i; 4]) -> __m256i {
+    fn xoshiro_step_ymm(s: &mut [__m256i; 4]) -> __m256i {
         let sum = _mm256_add_epi64(s[0], s[3]);
-        let result = _mm256_add_epi64(rotl_avx2::<23, 41>(sum), s[0]);
+        let result = _mm256_add_epi64(rotl_ymm::<23, 41>(sum), s[0]);
         let t = _mm256_slli_epi64::<17>(s[1]);
         s[2] = _mm256_xor_si256(s[2], s[0]);
         s[3] = _mm256_xor_si256(s[3], s[1]);
         s[1] = _mm256_xor_si256(s[1], s[2]);
         s[0] = _mm256_xor_si256(s[0], s[3]);
         s[2] = _mm256_xor_si256(s[2], t);
-        s[3] = rotl_avx2::<45, 19>(s[3]);
+        s[3] = rotl_ymm::<45, 19>(s[3]);
+        result
+    }
+
+    /// `xoshiro_step_ymm` for eight streams, each rotate one `vprolq`.
+    /// (The step is written per width: the AVX2 and AVX-512 shifts take
+    /// their counts as const generics of different types, `i32` and
+    /// `u32`, which stable Rust cannot convert in a shared body.)
+    // SAFETY: requires AVX-512F; reached only from `uniform_rows8_zmm`,
+    // whose caller detected avx512f, avx2 and fma.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn xoshiro_step_zmm(s: &mut [__m512i; 4]) -> __m512i {
+        let result = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s[0], s[3])), s[0]);
+        let t = _mm512_slli_epi64::<17>(s[1]);
+        s[2] = _mm512_xor_si512(s[2], s[0]);
+        s[3] = _mm512_xor_si512(s[3], s[1]);
+        s[1] = _mm512_xor_si512(s[1], s[2]);
+        s[0] = _mm512_xor_si512(s[0], s[3]);
+        s[2] = _mm512_xor_si512(s[2], t);
+        s[3] = _mm512_rol_epi64::<45>(s[3]);
         result
     }
 
     /// Transposes an 8 × 8 block held as eight rows of eight lanes.
-    // SAFETY: requires AVX; reached only from `uniform_rows8_avx2`,
-    // itself behind `uniform_rows8`'s `is_x86_feature_detected!` check.
+    // SAFETY: requires AVX; reached only from `rows8`, inside an entry
+    // point whose caller detected avx2 and fma.
     #[target_feature(enable = "avx")]
     #[inline]
     fn transpose8_avx(m: [__m256; 8]) -> [__m256; 8] {
@@ -1034,48 +1370,85 @@ mod x86 {
         ]
     }
 
-    /// Eight xoshiro256++ streams side by side: `lo` holds streams 0, 2,
-    /// 4, 6 and `hi` streams 1, 3, 5, 7, so `lo >> 40 | (hi >> 40) << 32`
-    /// lays one step's eight 24-bit draws out as streams 0..8 in 32-bit
-    /// lanes; those convert to f32 exactly and scale by 2⁻²⁴ exactly.
-    /// Eight steps are transposed into eight columns of the eight rows;
-    /// the last `dim % 8` steps go through a stack strip.
-    // SAFETY: requires AVX2; reached only from `uniform_rows8` after its
-    // `is_x86_feature_detected!("avx2")` check (`out` is eight rows).
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn uniform_rows8_avx2(states: &[[u64; 4]; 8], out: &mut [f32]) {
-        let dim = out.len() / 8;
-        let lanes = |w: usize, first: usize| -> [i64; 4] {
-            [0, 2, 4, 6].map(|i| states[first + i][w] as i64)
+    // SAFETY: requires AVX2+FMA; reached only from `uniform_rows8_at` with
+    // a `Width::Ymm` (constructed after `is_x86_feature_detected!` for
+    // avx2 and fma); `out` is eight whole rows.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn uniform_rows8_ymm(states: &[[u64; 4]; 8], out: &mut [f32]) {
+        // Streams 0, 2, 4, 6 in `lo` and 1, 3, 5, 7 in `hi`, one per
+        // 64-bit lane, so `lo >> 40 | (hi >> 40) << 32` lays a step's
+        // draws out as streams 0..8 in 32-bit lanes.
+        let half = |first: usize| {
+            [0, 1, 2, 3].map(|w| {
+                let [a, b, c, d] = [0, 2, 4, 6].map(|i| states[first + i][w] as i64);
+                _mm256_set_epi64x(d, c, b, a)
+            })
         };
-        let mut lo = [0, 1, 2, 3].map(|w| {
-            let [a, b, c, d] = lanes(w, 0);
-            _mm256_set_epi64x(d, c, b, a)
-        });
-        let mut hi = [0, 1, 2, 3].map(|w| {
-            let [a, b, c, d] = lanes(w, 1);
-            _mm256_set_epi64x(d, c, b, a)
-        });
-        let scale = _mm256_set1_ps(1.0 / (1u32 << 24) as f32);
-        let mut step = || {
-            let l = _mm256_srli_epi64::<40>(xoshiro_step_avx2(&mut lo));
-            let h = _mm256_slli_epi64::<32>(_mm256_srli_epi64::<40>(xoshiro_step_avx2(&mut hi)));
+        let (mut lo, mut hi) = (half(0), half(1));
+        let scale = _mm256_set1_ps(DRAW_SCALE);
+        let step = || {
+            let l = _mm256_srli_epi64::<40>(xoshiro_step_ymm(&mut lo));
+            let h = _mm256_slli_epi64::<32>(_mm256_srli_epi64::<40>(xoshiro_step_ymm(&mut hi)));
             _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_or_si256(l, h)), scale)
         };
+        // SAFETY: AVX2 is enabled here; the caller passes eight rows.
+        unsafe { rows8(out, step) }
+    }
+
+    // SAFETY: requires AVX-512F (and so AVX2+FMA); reached only from
+    // `uniform_rows8_at` with a `Width::Zmm` (constructed after
+    // `is_x86_feature_detected!` for avx512f, avx2 and fma); `out` is
+    // eight whole rows.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn uniform_rows8_zmm(states: &[[u64; 4]; 8], out: &mut [f32]) {
+        // One stream per 64-bit lane, in stream order; a step's 24-bit
+        // draws narrow to 32-bit lanes exactly.
+        let mut s = [0, 1, 2, 3].map(|w| {
+            let [a, b, c, d, e, f, g, h] = states.map(|s| s[w] as i64);
+            _mm512_set_epi64(h, g, f, e, d, c, b, a)
+        });
+        let scale = _mm256_set1_ps(DRAW_SCALE);
+        let step = || {
+            let x = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<40>(xoshiro_step_zmm(&mut s)));
+            _mm256_mul_ps(_mm256_cvtepi32_ps(x), scale)
+        };
+        // SAFETY: AVX-512F, and so AVX2, is enabled here; the caller
+        // passes eight rows.
+        unsafe { rows8(out, step) }
+    }
+
+    /// `uniform_rows8`'s row layout: `step` advances the eight streams
+    /// and returns their draws, streams 0..8 in the eight lanes. Eight
+    /// steps are transposed into eight columns of the eight rows; the
+    /// last `dim % 8` steps go through a stack strip.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is enabled in the caller; `out` is eight whole rows.
+    #[inline(always)]
+    unsafe fn rows8(out: &mut [f32], mut step: impl FnMut() -> __m256) {
+        let dim = out.len() / 8;
         let dp = out.as_mut_ptr();
-        let mut t = 0usize;
-        while t + 8 <= dim {
-            let cols = transpose8_avx([(); 8].map(|()| step()));
-            for (r, col) in cols.iter().enumerate() {
-                // SAFETY: `t + 8 <= dim` bounds eight columns of row `r < 8`.
-                unsafe { _mm256_storeu_ps(dp.add(r * dim + t), *col) };
-            }
-            t += 8;
-        }
         let mut strip = [[0.0f32; 8]; 8];
-        for draws in strip.iter_mut().take(dim - t) {
-            // SAFETY: `draws` is eight f32s; the unaligned store fits.
-            unsafe { _mm256_storeu_ps(draws.as_mut_ptr(), step()) };
+        let mut t = 0usize;
+        // SAFETY: AVX2 is enabled in the caller; each store is bounded
+        // where it is made.
+        unsafe {
+            while t + 8 <= dim {
+                let mut steps = [Ymm::splat(0.0); 8];
+                for s in &mut steps {
+                    *s = step();
+                }
+                for (r, col) in transpose8_avx(steps).iter().enumerate() {
+                    // `t + 8 <= dim` bounds eight columns of row `r < 8`.
+                    Ymm::store(dp.add(r * dim + t), *col);
+                }
+                t += 8;
+            }
+            for draws in strip.iter_mut().take(dim - t) {
+                // `draws` is eight f32s.
+                Ymm::store(draws.as_mut_ptr(), step());
+            }
         }
         for (r, row) in out.chunks_exact_mut(dim.max(1)).enumerate() {
             for (x, draws) in row[t..].iter_mut().zip(&strip) {
@@ -1173,14 +1546,37 @@ mod tests {
         }
     }
 
+    /// Every width the host supports, narrowest first.
+    fn widths() -> Vec<Width> {
+        let host = Width::host();
+        [Width::Portable, Width::Ymm, Width::Zmm]
+            .into_iter()
+            .filter(|&w| w <= host)
+            .collect()
+    }
+
+    /// Every backend at every width the host runs its `axpy_rows` at: the
+    /// portable panel under the scalar chain, and each wide body. (`Avx2`
+    /// exists only where its wide bodies do.)
+    fn backends_and_widths() -> Vec<(SimdBackend, Width)> {
+        let mut v = Vec::new();
+        for backend in SimdBackend::available() {
+            for width in widths() {
+                if backend != SimdBackend::Avx2 || width != Width::Portable {
+                    v.push((backend, width));
+                }
+            }
+        }
+        v
+    }
+
     /// One row of `axpy_rows` is the same arithmetic as consecutive
-    /// axpys, so every backend must reproduce them bit for bit — at
-    /// every width (each tile size, body/tail split), with strided rows
-    /// and coefficients, and with zero coefficients skipped. The
-    /// portable panel, the path without AVX2, is the scalar axpys too.
+    /// axpys, so every backend must reproduce them bit for bit at every
+    /// width — each tile size, body/tail split, with strided rows and
+    /// coefficients, and with zero coefficients skipped.
     #[test]
     fn axpy_rows_is_consecutive_axpys_bitwise() {
-        for backend in SimdBackend::available() {
+        for (backend, width) in backends_and_widths() {
             for n in (0..=70).chain([100, 128, 131]) {
                 for (terms, src_stride, coeff_stride) in
                     [(0, n, 1), (1, n, 1), (7, n + 3, 1), (64, n, 5)]
@@ -1201,21 +1597,9 @@ mod tests {
                     let mut want = data(n, 11);
                     let mut got = want.clone();
                     consecutive_axpys(backend, &mut want, stride, 0..n, &src, src_stride, c);
-                    backend.axpy_rows(&mut got, stride, 0..n, &src, src_stride, c);
-                    let what = format!("{backend:?} n={n} terms={terms}");
+                    backend.axpy_rows_at(width, &mut got, stride, 0..n, &src, src_stride, c);
+                    let what = format!("{backend:?} at {width:?}, n={n} terms={terms}");
                     assert_eq!(bits(&got), bits(&want), "{what}");
-                    if backend == SimdBackend::Scalar {
-                        let mut panel = data(n, 11);
-                        axpy_panel_scalar(
-                            &mut panel,
-                            &src,
-                            src_stride,
-                            &coeffs,
-                            coeff_stride,
-                            terms,
-                        );
-                        assert_eq!(bits(&panel), bits(&want), "portable panel, {what}");
-                    }
                 }
             }
         }
@@ -1227,20 +1611,20 @@ mod tests {
     #[test]
     fn a_fused_underflow_keeps_its_negative_zero_past_a_zero_term() {
         let tiny = 2f32.powi(-80);
-        let src: Vec<f32> = [tiny; 16].into_iter().chain([1.0; 16]).collect();
+        let src: Vec<f32> = [tiny; 32].into_iter().chain([1.0; 32]).collect();
         let coeffs = [-tiny, 0.0];
-        for backend in SimdBackend::available() {
+        for (backend, width) in backends_and_widths() {
             let c = Coeffs {
                 data: &coeffs,
                 row_stride: 0,
                 term_stride: 1,
                 terms: 2,
             };
-            let mut want = vec![0.0f32; 4 * 16];
+            let mut want = vec![0.0f32; 4 * 32];
             let mut got = want.clone();
-            consecutive_axpys(backend, &mut want, 16, 0..16, &src, 16, c);
-            backend.axpy_rows(&mut got, 16, 0..16, &src, 16, c);
-            assert_eq!(bits(&got), bits(&want), "{backend:?}");
+            consecutive_axpys(backend, &mut want, 32, 0..32, &src, 32, c);
+            backend.axpy_rows_at(width, &mut got, 32, 0..32, &src, 32, c);
+            assert_eq!(bits(&got), bits(&want), "{backend:?} at {width:?}");
         }
     }
 
@@ -1341,20 +1725,20 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
-        /// Every backend's `axpy_rows` (the AVX2 register tiles on a host
-        /// that has them) is that backend's consecutive `axpy` calls with
-        /// zero coefficients skipped, bit for bit: row counts off a
-        /// multiple of 4, widths `16q`, `16q + 8` and other, any term
-        /// count, strided coefficients in either layout, ±0.0 / NaN / ±inf
-        /// / subnormal coefficients and sources. Under the scalar chain
-        /// the portable panel, the path without AVX2, matches too.
+        /// Every backend's `axpy_rows`, at every width the host has (the
+        /// portable panel, the 8- and 16-lane register tiles), is that
+        /// backend's consecutive `axpy` calls with zero coefficients
+        /// skipped, bit for bit: row counts off a multiple of 4, widths
+        /// `16q`, `16q + 8` and other, any term count, strided
+        /// coefficients in either layout, ±0.0 / NaN / ±inf / subnormal
+        /// coefficients and sources.
         #[test]
         fn axpy_rows_is_the_backends_axpys(
-            (rows, q, tail, terms) in (0usize..11, 0usize..5, 0usize..16, 0usize..140),
+            (rows, q, tail, terms) in (0usize..11, 0usize..5, 0usize..32, 0usize..140),
             (col0, transposed, zeros, seed) in (0usize..3, 0u8..2, 0usize..12, 0u32..1000),
-            backend in 0..SimdBackend::available().len(),
+            combo in 0..backends_and_widths().len(),
         ) {
-            let backend = SimdBackend::available()[backend];
+            let (backend, lanes) = backends_and_widths()[combo];
             let width = 16 * q + tail;
             let stride = col0 + width + 1;
             let src_stride = stride + 2;
@@ -1365,18 +1749,10 @@ mod tests {
             let cols = col0..col0 + width;
             let mut want = with_specials(rows * stride, seed + 2, 2, 4);
             let mut got = want.clone();
-            let mut panel = want.clone();
-            backend.axpy_rows(&mut got, stride, cols.clone(), &src, src_stride, c);
+            backend.axpy_rows_at(lanes, &mut got, stride, cols.clone(), &src, src_stride, c);
             consecutive_axpys(backend, &mut want, stride, cols.clone(), &src, src_stride, c);
-            let what = format!("{backend:?}: {rows} rows, width {width}, {terms} terms");
+            let what = format!("{backend:?} at {lanes:?}: {rows} rows, width {width}, {terms} terms");
             proptest::prop_assert!(same(&got, &want), "{what}");
-            if backend != SimdBackend::Avx2 && terms > 0 {
-                for (r, row) in panel.chunks_exact_mut(stride).enumerate() {
-                    let (d, s) = (&mut row[cols.clone()], &src[col0..]);
-                    axpy_panel_scalar(d, s, src_stride, &coeffs[r * row_stride..], term_stride, terms);
-                }
-                proptest::prop_assert!(same(&panel, &want), "portable panel, {what}");
-            }
         }
 
         /// Every backend's `axpy_gather` (a register-held row on a host
@@ -1406,31 +1782,32 @@ mod tests {
     }
 
     /// `uniform_rows8` is eight `StdRng` streams' `gen::<f32>()` draws,
-    /// bit for bit, at dims around the eight-column transpose.
+    /// bit for bit, at every width the host has and at dims around the
+    /// eight-column transpose; the portable width writes nothing.
     #[test]
     fn uniform_rows8_is_eight_std_rng_streams() {
         use rand::{Rng, SeedableRng};
-        for dim in [0, 1, 7, 8, 9, 15, 16, 128, 1433] {
-            let seeds: [u64; 8] = core::array::from_fn(|i| {
-                (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dim as u64
-            });
-            let mut out = vec![f32::NAN; 8 * dim];
-            if !uniform_rows8(seeds, &mut out) {
-                assert!(
-                    out.iter().all(|x| x.is_nan()),
-                    "nothing written without AVX2"
-                );
-                continue;
-            }
-            for (row, &seed) in out.chunks_exact(dim.max(1)).zip(&seeds) {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                for (j, &x) in row.iter().enumerate() {
-                    let want: f32 = rng.gen();
-                    assert_eq!(
-                        x.to_bits(),
-                        want.to_bits(),
-                        "dim {dim} seed {seed:#x} column {j}"
-                    );
+        for width in widths() {
+            for dim in [0, 1, 7, 8, 9, 15, 16, 128, 1433] {
+                let seeds: [u64; 8] = core::array::from_fn(|i| {
+                    (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dim as u64
+                });
+                let mut out = vec![f32::NAN; 8 * dim];
+                if !uniform_rows8_at(width, seeds, &mut out) {
+                    assert_eq!(width, Width::Portable);
+                    assert!(out.iter().all(|x| x.is_nan()), "nothing written");
+                    continue;
+                }
+                for (row, &seed) in out.chunks_exact(dim.max(1)).zip(&seeds) {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    for (j, &x) in row.iter().enumerate() {
+                        let want: f32 = rng.gen();
+                        assert_eq!(
+                            x.to_bits(),
+                            want.to_bits(),
+                            "{width:?}: dim {dim} seed {seed:#x} column {j}"
+                        );
+                    }
                 }
             }
         }

@@ -349,17 +349,18 @@ impl Tensor {
         }
     }
 
-    /// In-place ReLU; returns the activation mask for backward.
+    /// In-place ReLU; returns the activation mask for backward. An
+    /// element is kept where it is `> 0.0`; everything else, `-0.0` and
+    /// NaN included, becomes `+0.0` with mask `false`. Each element is a
+    /// select, not a branch, so the loop vectorises: activations' signs
+    /// are a coin flip a branch predictor cannot learn.
     pub fn relu_inplace(&mut self) -> Vec<bool> {
         self.data
             .iter_mut()
             .map(|x| {
-                if *x > 0.0 {
-                    true
-                } else {
-                    *x = 0.0;
-                    false
-                }
+                let keep = *x > 0.0;
+                *x = if keep { *x } else { 0.0 };
+                keep
             })
             .collect()
     }
@@ -372,7 +373,8 @@ impl Tensor {
         }
     }
 
-    /// Masks a gradient by a ReLU activation mask.
+    /// Masks a gradient by a ReLU activation mask: `+0.0` where the mask
+    /// is `false`, as a branch-free select.
     ///
     /// # Panics
     ///
@@ -380,9 +382,7 @@ impl Tensor {
     pub fn relu_backward(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.data.len(), "mask length mismatch");
         for (x, &m) in self.data.iter_mut().zip(mask) {
-            if !m {
-                *x = 0.0;
-            }
+            *x = if m { *x } else { 0.0 };
         }
     }
 
@@ -532,6 +532,20 @@ mod tests {
         let mut g = t(1, 4, &[1.0, 1.0, 1.0, 1.0]);
         g.relu_backward(&mask);
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
+        // Only `x > 0.0` is kept: `-0.0` and NaN become `+0.0`, masked off.
+        let tiny = f32::from_bits(1);
+        let mut x = t(
+            1,
+            6,
+            &[-0.0, f32::NAN, -f32::NAN, f32::INFINITY, -tiny, tiny],
+        );
+        let mask = x.relu_inplace();
+        assert_eq!(mask, [false, false, false, true, false, true]);
+        let want = [0.0, 0.0, 0.0, f32::INFINITY, 0.0, tiny].map(f32::to_bits);
+        assert_eq!(
+            x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want
+        );
     }
 
     #[test]
@@ -829,7 +843,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(160))]
 
             /// Every backend's `Nn`/`Tn` kernels (4 × 16 register tiles on
-            /// an AVX2 host) are its term-by-term `axpy` chain bit for bit
+            /// an AVX2 host, 4 × 32 with AVX-512F too; the host's widest —
+            /// the simd crate's own tests run each narrower width) are its
+            /// term-by-term `axpy` chain bit for bit
             /// (`kernel_equivalence::axpy_reference`: zero coefficients
             /// skipped, ascending `p`) — at row counts off a multiple of 4,
             /// widths `16q`, `16q + 8` and other, depths crossing
@@ -906,6 +922,38 @@ mod tests {
                     prop_assert!(close(&a.matmul_with(&b, &cfg), &a.matmul_with(&b, &scalar)));
                     prop_assert!(close(&a.matmul_nt_with(&bt, &cfg), &a.matmul_nt_with(&bt, &scalar)));
                 }
+            }
+
+            /// The branch-free ReLU passes are the branching code they
+            /// replaced, bit for bit: `relu_inplace`'s values and mask,
+            /// `relu`'s values and `relu_backward`'s gradient, on inputs
+            /// holding ±0.0, NaN, ±inf and subnormals.
+            #[test]
+            fn relu_is_the_branching_relu(
+                (len, seed) in (0usize..300, 0u64..1000),
+                (zeros, rare) in (0u32..16, 0u32..64),
+            ) {
+                let x = specials(1, len, seed, zeros, rare);
+                let g = specials(1, len, seed + 1, zeros, rare);
+                let (mut want, mut want_g) = (x.data().to_vec(), g.data().to_vec());
+                let want_mask: Vec<bool> = want
+                    .iter_mut()
+                    .map(|v| if *v > 0.0 { true } else { *v = 0.0; false })
+                    .collect();
+                for (v, &m) in want_g.iter_mut().zip(&want_mask) {
+                    if !m {
+                        *v = 0.0;
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (mut got, mut plain, mut got_g) = (x.clone(), x.clone(), g.clone());
+                let mask = got.relu_inplace();
+                plain.relu();
+                got_g.relu_backward(&mask);
+                prop_assert_eq!(&mask, &want_mask);
+                prop_assert_eq!(bits(got.data()), bits(&want));
+                prop_assert_eq!(bits(plain.data()), bits(&want));
+                prop_assert_eq!(bits(got_g.data()), bits(&want_g));
             }
 
             /// gather followed by scatter_add is the identity on the

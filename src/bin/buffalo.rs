@@ -502,9 +502,10 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         config.parallelism.threads = opts.positive("threads", 1)?;
     }
     println!(
-        "kernels: simd={} precision={}",
+        "kernels: simd={} precision={} lanes={}",
         config.parallelism.simd.as_str(),
-        precision.as_str()
+        precision.as_str(),
+        buffalo::par::wide_lanes()
     );
     // Checkpointing. `--resume <dir>` doubles as the checkpoint dir when
     // `--checkpoint-dir` is absent, so a resumed run keeps snapshotting

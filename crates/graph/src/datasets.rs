@@ -325,10 +325,11 @@ impl Dataset {
     }
 
     /// The feature synthesiser: writes the row of `nodes[i]` into row `i`
-    /// of `out` (`nodes.len() × feat_dim`, row-major). With AVX2, rows go
-    /// eight at a time through [`buffalo_simd::uniform_rows8`] (eight
-    /// xoshiro256++ streams in two vector registers); the rest, or every
-    /// row on a host without AVX2, goes through the portable two-stream
+    /// of `out` (`nodes.len() × feat_dim`, row-major). With AVX2 and FMA,
+    /// rows go eight at a time through [`buffalo_simd::uniform_rows8`]
+    /// (eight xoshiro256++ streams in two vector registers per state
+    /// word, one with AVX-512F); the rest, or every row on a host without
+    /// AVX2 and FMA, goes through the portable two-stream
     /// [`feature_rows_paired`](Self::feature_rows_paired). Each row's
     /// stream and its f32 operations are fixed by its node alone, so the
     /// grouping never moves a bit.

@@ -6,11 +6,11 @@
 //! registers — matmul inner tiles; `axpy_gather`, a run of axpys from
 //! listed source rows — mean aggregation), `dot` (transposed matmul,
 //! attention scores), and `widen_bf16` (bf16 feature rows → f32 at
-//! gather time). This crate provides explicit `std::arch` AVX2(+FMA) and
-//! SSE4.1 bodies of those primitives behind a [`SimdBackend`] value
-//! dispatch, with a scalar chain that is bitwise-identical to the
-//! pre-SIMD kernels, and [`uniform_rows8`], the feature synthesiser's
-//! eight-stream generator.
+//! gather time). This crate provides explicit `std::arch` AVX-512F,
+//! AVX2(+FMA) and SSE4.1 bodies of those primitives behind a
+//! [`SimdBackend`] value dispatch, with a scalar chain that is
+//! bitwise-identical to the pre-SIMD kernels, and [`uniform_rows8`], the
+//! feature synthesiser's eight-stream generator.
 //!
 //! # Determinism contract
 //!
@@ -29,12 +29,20 @@
 //!   the committed golden trails. [`SimdBackend::Avx2`] fuses them
 //!   (`_mm256_fmadd_ps`) in its eight-lane body and keeps the separate
 //!   multiply and add in its scalar tail. On a host with AVX2 and FMA,
-//!   `axpy_rows` and `axpy_gather` run one set of eight-lane bodies for
-//!   both chains, the backend choosing only the lane update; elsewhere
-//!   the portable code runs, and it is the reference the tests hold the
+//!   `axpy_rows` and `axpy_gather` run one set of wide bodies for both
+//!   chains, the backend choosing only the lane update; elsewhere the
+//!   portable code runs, and it is the reference the tests hold the
 //!   wide bodies to. (A NaN's payload is the one thing IEEE-754 leaves
 //!   to operand order, which the compiler may commute in the portable
 //!   code too; the tests compare NaN as NaN.)
+//! * A width is not a chain. `axpy_rows`' tiles and `uniform_rows8`'s
+//!   streams run 16 lanes wide on a host with AVX-512F (and AVX2 and
+//!   FMA), 8 with AVX2 and FMA, and every width gives the same bits: a
+//!   lane sees the same operations in the same order at any width, and
+//!   the `Avx2` chain's fused columns are the ones `axpy`'s eight-lane
+//!   body covers, whatever the register. So no backend, policy, flag or
+//!   variable names a width; it is detected per call ([`wide_lanes`]
+//!   reports it), and the crate's tests run every width the host has.
 //! * `dot` — scalar accumulates left to right; SSE and AVX2 (FMA) keep
 //!   a 4- or 8-lane accumulator, reduce it in ascending lane order, then
 //!   fold the scalar tail. Three reductions, each gated by its own
@@ -51,12 +59,17 @@
 //! only reachable through a safe function that has checked the features
 //! they are compiled with. The wide `axpy_rows` / `axpy_gather` bodies,
 //! `widen_bf16` and [`uniform_rows8`] run `is_x86_feature_detected!`
-//! themselves, once per call. The `Avx2` arm of `axpy` and the vector
-//! arms of `dot` rely on the backend value instead: non-scalar values
-//! originate exclusively from `SimdBackend::detect` /
-//! [`SimdPolicy::resolve`], which check `is_x86_feature_detected!`
-//! before producing them. That invariant, or the check beside the call,
-//! is the SAFETY argument each dispatch site cites.
+//! themselves, once per call (`axpy_rows` and `uniform_rows8` through
+//! the crate-private `Width`, whose wide values exist only after that
+//! check). The `Avx2` arm of `axpy` and the vector arms of `dot` rely on
+//! the backend value instead: non-scalar values originate exclusively
+//! from `SimdBackend::detect` / [`SimdPolicy::resolve`], which check
+//! `is_x86_feature_detected!` before producing them. That invariant, or
+//! the check beside the call, is the SAFETY argument each dispatch site
+//! cites. The `axpy_rows` tiles are generic over a private lane-width
+//! trait whose methods are `#[target_feature]` functions; the generic
+//! bodies have no features of their own and are `#[inline(always)]`
+//! into one entry per width, compiled with that width's features.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -471,7 +484,7 @@ impl Width {
     fn host() -> Width {
         if !avx2_available() {
             Width::Portable
-        } else if avx512_available() {
+        } else if avx512f_available() {
             Width::Zmm
         } else {
             Width::Ymm
@@ -518,10 +531,6 @@ pub fn detected_features() -> [(&'static str, bool); 4] {
 
 fn avx2_available() -> bool {
     avx2_only_available() && fma_available()
-}
-
-fn avx512_available() -> bool {
-    avx2_available() && avx512f_available()
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -228,9 +228,10 @@ impl Tensor {
     /// * `Nn`/`Tn` accumulate rank-1 updates — the inner loop is one
     ///   `axpy_rows` per k-tile and n-tile over the thread's rows, on
     ///   every backend: a k-tile's worth of axpys with the output held in
-    ///   4-row × 16-column register tiles on an AVX2 host (each load of B
-    ///   feeds four rows; the backend picks only the lane update), the
-    ///   portable scalar panel elsewhere. k-tiled so a `DEFAULT_TILE_K ×
+    ///   4-row × 16-column register tiles on an AVX2 host, 4 × 32 with
+    ///   AVX-512F (each load of B feeds four rows; the backend picks only
+    ///   the lane update, and the width moves no bit), the portable
+    ///   scalar panel elsewhere. k-tiled so a `DEFAULT_TILE_K ×
     ///   DEFAULT_TILE_N` panel of B stays cache resident. Per element the
     ///   `p` order is globally ascending (k-tiles ascend, `p` ascends
     ///   within each) and zero `a` terms are skipped.

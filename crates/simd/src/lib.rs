@@ -142,8 +142,8 @@ impl SimdPolicy {
 #[repr(usize)]
 pub enum SimdBackend {
     /// Reference scalar chain — bitwise-identical to the pre-SIMD
-    /// kernels and the committed goldens, on AVX2 registers where the
-    /// host has them.
+    /// kernels and the committed goldens, on AVX2 or AVX-512 registers
+    /// where the host has them.
     Scalar = 0,
     /// Requires SSE4.1. Its `axpy` chain is the scalar chain, run by the
     /// same code; only its `dot` differs (a 4-lane reduction).

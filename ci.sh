@@ -157,7 +157,7 @@ echo "ci: an unknown CLI flag exits non-zero"
 # wording may change), not a panic (exit 101) and not a plan against a
 # misread value: an empty device pool, by both commands that build one; a
 # zero count (seeds, batch size, kernel threads) or fanout; a negative,
-# NaN or infinite budget.
+# NaN or infinite budget; a `--simd` value that names no backend.
 while read -r bad; do
   status=0
   # shellcheck disable=SC2086  # $bad is a fixed word list
@@ -178,8 +178,10 @@ schedule cora --hidden 0
 compare cora --budget -1G
 compare cora --budget nanG
 schedule cora --budget infG
+train cora --simd sse
+train cora --simd avx512
 EOF_BAD
-echo "ci: bad numbers on the command line exit 1 with a message"
+echo "ci: bad numbers and unknown --simd backends exit 1 with a message"
 
 # The CLI's simulation path: `compare` runs one iteration of every
 # strategy on cora (Full runs out of memory, Buffalo plans K = 3, the four
@@ -305,12 +307,12 @@ echo "ci: simd width: ${lanes:?}-lane axpy_rows tiles and uniform_rows8 streams"
 # via the explicit flag) — on a host with AVX2 and FMA its matmul and
 # mean aggregation run the scalar chain on 8- or 16-lane registers
 # (separate mul and add, no FMA), so this gate also pins those wide
-# bodies. Each vector backend gets its own golden gate: IEEE-754 ops
-# (including FMA) are exactly specified, so a backend's trail is portable
-# across any host that supports it. SSE's `axpy` is the scalar chain's
-# code, so SSE differs from scalar only in `dot`, and on this model its
-# trail equals scalar's. AVX2's `axpy` runs the same wide bodies with FMA
-# lane updates and differs; both must be run-to-run deterministic.
+# bodies. The one vector backend, AVX2, gets its own golden gate: its
+# `axpy` runs the same wide bodies with FMA lane updates and its `dot`
+# reduces eight FMA lanes, so its trail differs from scalar's, and
+# IEEE-754 ops (including FMA) are exactly specified, so that trail is
+# portable across any host with AVX2 and FMA. A host without them runs
+# only the scalar chain (`--simd auto` resolves to it) and skips the gate.
 ckdir=$(mktemp -d)
 scalar_bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
   --simd scalar --checkpoint-dir "$ckdir/scalar" --checkpoint-every 2 | grep -E '^\s+[0-9]|^trail')
@@ -320,23 +322,22 @@ if [ "$scalar_bits" != "$(cat tests/golden/cora_epochs2_bits.txt)" ]; then
   exit 1
 fi
 echo "ci: --simd scalar matches the golden bitwise"
-for backend in sse avx2; do
-  if bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
-    --simd "$backend" --checkpoint-dir "$ckdir/$backend" --checkpoint-every 2 2>/dev/null \
-    | grep -E '^\s+[0-9]|^trail'); then
-    if [ "$bits" != "$(cat "tests/golden/cora_epochs2_${backend}_bits.txt")" ]; then
-      echo "ci: FAIL — --simd $backend diverged from tests/golden/cora_epochs2_${backend}_bits.txt" >&2
-      diff "tests/golden/cora_epochs2_${backend}_bits.txt" <(printf '%s\n' "$bits") >&2 || true
-      exit 1
-    fi
-    echo "ci: --simd $backend matches its golden bitwise"
-  else
-    echo "ci: skip — host CPU does not support --simd $backend"
+if bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
+  --simd avx2 --checkpoint-dir "$ckdir/avx2" --checkpoint-every 2 2>/dev/null \
+  | grep -E '^\s+[0-9]|^trail'); then
+  if [ "$bits" != "$(cat tests/golden/cora_epochs2_avx2_bits.txt)" ]; then
+    echo "ci: FAIL — --simd avx2 diverged from tests/golden/cora_epochs2_avx2_bits.txt" >&2
+    diff tests/golden/cora_epochs2_avx2_bits.txt <(printf '%s\n' "$bits") >&2 || true
+    exit 1
   fi
-done
+  echo "ci: --simd avx2 matches its golden bitwise"
+else
+  echo "ci: skip — host CPU does not support --simd avx2"
+fi
 rm -rf "$ckdir"
 
-# `--simd auto` resolves to the best detected backend; whatever it picks
+# `--simd auto` resolves to the best detected backend (avx2 with AVX2 and
+# FMA, scalar on any other host, SSE4.1 or not); whatever it picks
 # must be run-to-run deterministic, byte for byte.
 a1=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --simd auto \
   | grep -E '^kernels|^\s+[0-9]')

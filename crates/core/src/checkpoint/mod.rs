@@ -302,6 +302,22 @@ mod tests {
         assert_eq!(base, config_fingerprint(&other_threads, &ec));
     }
 
+    /// The fingerprint hashes `backend as u64`, so renumbering a backend
+    /// would stop every existing snapshot from resuming. These values
+    /// were computed before `SimdBackend::Sse` (code 1) was removed.
+    #[test]
+    fn fingerprint_is_pinned_per_backend() {
+        use buffalo_par::SimdBackend;
+        let (mut tc, ec) = cfgs();
+        for (backend, want) in [
+            (SimdBackend::Scalar, 0xa735_6552_b5c5_e6b6u64),
+            (SimdBackend::Avx2, 0x693f_d740_9fe7_5274),
+        ] {
+            tc.parallelism.simd = backend;
+            assert_eq!(config_fingerprint(&tc, &ec), want, "{backend:?}");
+        }
+    }
+
     #[test]
     fn errors_display_their_context() {
         let e = CheckpointError::NoValidSnapshot {

@@ -6,11 +6,11 @@
 //! registers — matmul inner tiles; `axpy_gather`, a run of axpys from
 //! listed source rows — mean aggregation), `dot` (transposed matmul,
 //! attention scores), and `widen_bf16` (bf16 feature rows → f32 at
-//! gather time). This crate provides explicit `std::arch` AVX-512F,
-//! AVX2(+FMA) and SSE4.1 bodies of those primitives behind a
-//! [`SimdBackend`] value dispatch, with a scalar chain that is
-//! bitwise-identical to the pre-SIMD kernels, and [`uniform_rows8`], the
-//! feature synthesiser's eight-stream generator.
+//! gather time). This crate provides explicit `std::arch` AVX-512F and
+//! AVX2(+FMA) bodies of those primitives behind a [`SimdBackend`] value
+//! dispatch, with a scalar chain that is bitwise-identical to the
+//! pre-SIMD kernels, and [`uniform_rows8`], the feature synthesiser's
+//! eight-stream generator.
 //!
 //! # Determinism contract
 //!
@@ -19,22 +19,22 @@
 //! ascending-lane reduction order for dots, and a fixed scalar tail mean
 //! the same inputs always produce the same bits on any host that
 //! supports the backend (IEEE-754 ops, including FMA, are exactly
-//! specified). There are two `axpy` chains, three `dot` reductions and
-//! one exact widen, each with one wide body:
+//! specified). There are two backends, so two `axpy` chains, two `dot`
+//! reductions and one exact widen, each with one wide body:
 //!
 //! * `axpy` — per element `d = d + a·s` in ascending term order, zero
 //!   coefficients skipped where the primitive skips them.
-//!   [`SimdBackend::Scalar`] and [`SimdBackend::Sse`] run one chain,
-//!   multiply and add rounded separately — the historical kernels and
-//!   the committed golden trails. [`SimdBackend::Avx2`] fuses them
-//!   (`_mm256_fmadd_ps`) in its eight-lane body and keeps the separate
-//!   multiply and add in its scalar tail. On a host with AVX2 and FMA,
-//!   `axpy_rows` and `axpy_gather` run one set of wide bodies for both
-//!   chains, the backend choosing only the lane update; elsewhere the
-//!   portable code runs, and it is the reference the tests hold the
-//!   wide bodies to. (A NaN's payload is the one thing IEEE-754 leaves
-//!   to operand order, which the compiler may commute in the portable
-//!   code too; the tests compare NaN as NaN.)
+//!   [`SimdBackend::Scalar`] rounds the multiply and the add separately
+//!   — the historical kernels and the committed golden trails.
+//!   [`SimdBackend::Avx2`] fuses them (`_mm256_fmadd_ps`) in its
+//!   eight-lane body and keeps the separate multiply and add in its
+//!   scalar tail. On a host with AVX2 and FMA, `axpy_rows` and
+//!   `axpy_gather` run one set of wide bodies for both chains, the
+//!   backend choosing only the lane update; elsewhere the portable code
+//!   runs, and it is the reference the tests hold the wide bodies to. (A
+//!   NaN's payload is the one thing IEEE-754 leaves to operand order,
+//!   which the compiler may commute in the portable code too; the tests
+//!   compare NaN as NaN.)
 //! * A width is not a chain. `axpy_rows`' tiles and `uniform_rows8`'s
 //!   streams run 16 lanes wide on a host with AVX-512F (and AVX2 and
 //!   FMA), 8 with AVX2 and FMA, and every width gives the same bits: a
@@ -43,15 +43,18 @@
 //!   body covers, whatever the register. So no backend, policy, flag or
 //!   variable names a width; it is detected per call ([`wide_lanes`]
 //!   reports it), and the crate's tests run every width the host has.
-//! * `dot` — scalar accumulates left to right; SSE and AVX2 (FMA) keep
-//!   a 4- or 8-lane accumulator, reduce it in ascending lane order, then
-//!   fold the scalar tail. Three reductions, each gated by its own
-//!   golden in `ci.sh`.
+//! * `dot` — scalar accumulates left to right; AVX2 keeps eight FMA lane
+//!   accumulators, sums them in ascending lane order, then folds the
+//!   scalar tail as a separate multiply and add. Two reductions, each
+//!   gated by its own golden in `ci.sh`; the crate's tests hold the AVX2
+//!   one bit for bit to a portable statement of that order.
 //! * `widen_bf16` is exact (a left shift), so it is one function on
 //!   every backend: the AVX2 body where detected, the portable one
 //!   elsewhere. `uniform_rows8` is exact integer work plus exact
 //!   conversions, so feature precision and SIMD selection compose
 //!   without interacting.
+//! * A host without AVX2 and FMA runs only [`SimdBackend::Scalar`]:
+//!   `--simd auto` resolves to it there, SSE4.1 or not.
 //!
 //! # Safety conventions
 //!
@@ -61,9 +64,9 @@
 //! `widen_bf16` and [`uniform_rows8`] run `is_x86_feature_detected!`
 //! themselves, once per call (`axpy_rows` and `uniform_rows8` through
 //! the crate-private `Width`, whose wide values exist only after that
-//! check). The `Avx2` arm of `axpy` and the vector arms of `dot` rely on
-//! the backend value instead: non-scalar values originate exclusively
-//! from `SimdBackend::detect` / [`SimdPolicy::resolve`], which check
+//! check). The `Avx2` arms of `axpy` and `dot` rely on the backend
+//! value instead: `Avx2` values originate exclusively from
+//! `SimdBackend::detect` / [`SimdPolicy::resolve`], which check
 //! `is_x86_feature_detected!` before producing them. That invariant, or
 //! the check beside the call, is the SAFETY argument each dispatch site
 //! cites. The `axpy_rows` tiles are generic over a private lane-width
@@ -77,16 +80,15 @@
 use std::ops::Range;
 
 /// How the CLI / config layer asks for a backend. `Auto` degrades
-/// gracefully; the explicit variants fail loudly when the host cannot
-/// honor them (a silently substituted backend would change numerics).
+/// gracefully; `Avx2` fails loudly when the host cannot honor it (a
+/// silently substituted backend would change numerics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPolicy {
-    /// Pick the best backend the host supports (AVX2 ≻ SSE ≻ scalar).
+    /// Pick the best backend the host supports: AVX2 with FMA, else
+    /// scalar (a host with SSE4.1 but no AVX2 runs the scalar chain).
     Auto,
     /// Require AVX2 + FMA; error if undetected.
     Avx2,
-    /// Require SSE4.1; error if undetected.
-    Sse,
     /// Force the scalar reference kernels (the default everywhere).
     Scalar,
 }
@@ -97,10 +99,9 @@ impl SimdPolicy {
         match s {
             "auto" => Ok(SimdPolicy::Auto),
             "avx2" => Ok(SimdPolicy::Avx2),
-            "sse" => Ok(SimdPolicy::Sse),
             "scalar" => Ok(SimdPolicy::Scalar),
             other => Err(format!(
-                "unknown --simd value '{other}' (expected auto|avx2|sse|scalar)"
+                "unknown --simd value '{other}' (expected auto|avx2|scalar)"
             )),
         }
     }
@@ -111,13 +112,6 @@ impl SimdPolicy {
         match self {
             SimdPolicy::Auto => Ok(SimdBackend::detect()),
             SimdPolicy::Scalar => Ok(SimdBackend::Scalar),
-            SimdPolicy::Sse => {
-                if sse41_available() {
-                    Ok(SimdBackend::Sse)
-                } else {
-                    Err("--simd sse requested but the host CPU lacks SSE4.1".to_string())
-                }
-            }
             SimdPolicy::Avx2 => {
                 if avx2_available() {
                     Ok(SimdBackend::Avx2)
@@ -132,10 +126,12 @@ impl SimdPolicy {
 /// A resolved kernel backend. The discriminants are stable and public:
 /// they feed the checkpoint config fingerprint (the backend selects the
 /// numerics, so a snapshot must not resume under a different one) and
-/// the ambient-config atomic in `buffalo-par`.
+/// the ambient-config atomic in `buffalo-par`. Code 1 belonged to a
+/// removed SSE4.1 backend and stays unused, so existing snapshots keep
+/// resuming.
 ///
-/// Invariant: the `Sse` / `Avx2` values are only constructed after the
-/// corresponding `is_x86_feature_detected!` checks succeed (in
+/// Invariant: an `Avx2` value is only constructed after the
+/// `is_x86_feature_detected!` checks for avx2 and fma succeed (in
 /// `SimdBackend::detect` and [`SimdPolicy::resolve`]); the `unsafe`
 /// dispatch of `axpy` and `dot` relies on that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,9 +141,6 @@ pub enum SimdBackend {
     /// kernels and the committed goldens, on AVX2 or AVX-512 registers
     /// where the host has them.
     Scalar = 0,
-    /// Requires SSE4.1. Its `axpy` chain is the scalar chain, run by the
-    /// same code; only its `dot` differs (a 4-lane reduction).
-    Sse = 1,
     /// AVX2 + FMA, 8-wide. Fastest; `axpy` fuses its lane updates and
     /// `dot` reduces 8 FMA lanes, so it rounds differently from scalar.
     Avx2 = 2,
@@ -158,8 +151,6 @@ impl SimdBackend {
     pub(crate) fn detect() -> SimdBackend {
         if avx2_available() {
             SimdBackend::Avx2
-        } else if sse41_available() {
-            SimdBackend::Sse
         } else {
             SimdBackend::Scalar
         }
@@ -169,20 +160,17 @@ impl SimdBackend {
     /// harnesses iterate this to cover each supported path.)
     pub fn available() -> Vec<SimdBackend> {
         let mut v = vec![SimdBackend::Scalar];
-        if sse41_available() {
-            v.push(SimdBackend::Sse);
-        }
         if avx2_available() {
             v.push(SimdBackend::Avx2);
         }
         v
     }
 
-    /// Inverse of `backend as usize`; `None` for out-of-range codes.
+    /// Inverse of `backend as usize`; `None` for any other code, the
+    /// retired 1 included.
     pub fn from_index(i: usize) -> Option<SimdBackend> {
         match i {
             0 => Some(SimdBackend::Scalar),
-            1 => Some(SimdBackend::Sse),
             2 => Some(SimdBackend::Avx2),
             _ => None,
         }
@@ -192,16 +180,15 @@ impl SimdBackend {
     pub fn as_str(self) -> &'static str {
         match self {
             SimdBackend::Scalar => "scalar",
-            SimdBackend::Sse => "sse",
             SimdBackend::Avx2 => "avx2",
         }
     }
 
     /// `dst[i] += a * src[i]`. Panics if the slices differ in length.
     ///
-    /// Scalar and SSE run the scalar chain's portable code (a separate
-    /// multiply then add per element); AVX2 uses FMA in the 8-wide body
-    /// and multiply then add in the tail.
+    /// Scalar runs the portable code (a separate multiply then add per
+    /// element); AVX2 uses FMA in the 8-wide body and multiply then add
+    /// in the tail.
     #[inline]
     pub fn axpy(self, dst: &mut [f32], src: &[f32], a: f32) {
         assert_eq!(dst.len(), src.len(), "axpy length mismatch");
@@ -217,24 +204,19 @@ impl SimdBackend {
     /// Dot product with a fixed reduction order per backend. Panics if
     /// the slices differ in length.
     ///
-    /// Scalar accumulates left-to-right; SIMD backends keep a 4/8-lane
-    /// accumulator, reduce it in ascending lane order, then fold the
-    /// scalar tail — deterministic, but associated differently than
+    /// Scalar accumulates left-to-right. AVX2 keeps eight FMA lane
+    /// accumulators, sums them in ascending lane order, then adds the
+    /// tail's products one by one, each multiply and add rounded
+    /// separately — deterministic, but associated differently than
     /// scalar.
     #[inline]
     pub fn dot(self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot length mismatch");
         match self {
-            SimdBackend::Scalar => dot_scalar(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Sse` is only constructed after `detect`/`resolve`
-            // verified `is_x86_feature_detected!("sse4.1")`.
-            SimdBackend::Sse => unsafe { x86::dot_sse(a, b) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2` is only constructed after `detect`/`resolve`
             // verified `is_x86_feature_detected!` for avx2 and fma.
             SimdBackend::Avx2 => unsafe { x86::dot_avx2(a, b) },
-            #[cfg(not(target_arch = "x86_64"))]
             _ => dot_scalar(a, b),
         }
     }
@@ -353,9 +335,8 @@ impl SimdBackend {
                     x86::axpy_rows_ymm::<false>(dst, dst_stride, cols, src, src_stride, coeffs)
                 }
             },
-            // Without AVX2 and FMA the backend is `Scalar` or `Sse` (an
-            // `Avx2` value exists only after detection), and both are the
-            // scalar chain.
+            // Without AVX2 and FMA the backend is `Scalar` (an `Avx2`
+            // value exists only after detection): the scalar chain.
             _ => {
                 for (r, row) in dst.chunks_exact_mut(dst_stride).enumerate() {
                     let c = &coeffs.data[r * coeffs.row_stride..];
@@ -398,8 +379,8 @@ impl SimdBackend {
             };
             return;
         }
-        // Without AVX2 and FMA the backend is `Scalar` or `Sse` (an `Avx2`
-        // value exists only after detection): the scalar chain.
+        // Without AVX2 and FMA the backend is `Scalar` (an `Avx2` value
+        // exists only after detection): the scalar chain.
         for &i in rows {
             axpy_scalar(dst, &src[i as usize * n..][..n], a);
         }
@@ -516,10 +497,11 @@ fn xoshiro_state(seed: u64) -> [u64; 4] {
     })
 }
 
-/// CPU features the kernel layer checks, as `(name, detected)` pairs — a
-/// benchmark records them beside its results (its `cpu_features`), so a
-/// reader can tell which backends it could measure and which width the
-/// wide bodies ran at (see [`wide_lanes`]).
+/// CPU features of the host, as `(name, detected)` pairs — a benchmark
+/// records them beside its results (its `cpu_features`) as its host
+/// identity, so a reader can tell which backends it could measure and
+/// which width the wide bodies ran at (see [`wide_lanes`]). No backend
+/// needs `sse4.1`; it stays listed so that identity reads the same.
 pub fn detected_features() -> [(&'static str, bool); 4] {
     [
         ("sse4.1", sse41_available()),
@@ -758,46 +740,6 @@ mod x86 {
             }
             i += 1;
         }
-    }
-
-    // SAFETY: requires SSE4.1; callers reach this only through
-    // `SimdBackend::Sse` dispatch, constructed only after
-    // `is_x86_feature_detected!("sse4.1")` detection.
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn dot_sse(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n bounds both 4-lane unaligned loads.
-            unsafe {
-                acc = _mm_add_ps(
-                    acc,
-                    _mm_mul_ps(_mm_loadu_ps(ap.add(i)), _mm_loadu_ps(bp.add(i))),
-                );
-            }
-            i += 4;
-        }
-        // Fixed reduction order: ascending lanes, then the scalar tail.
-        let mut lanes = [0.0f32; 4];
-        // SAFETY: `lanes` is 4 f32s; unaligned store is in bounds.
-        unsafe {
-            _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-        }
-        let mut s = 0.0f32;
-        for &l in &lanes {
-            s += l;
-        }
-        while i < n {
-            // SAFETY: i < n bounds the scalar tail loads.
-            unsafe {
-                s += *ap.add(i) * *bp.add(i);
-            }
-            i += 1;
-        }
-        s
     }
 
     /// One register width of the `axpy_rows` tiles: `N` f32 lanes to a
@@ -1491,9 +1433,11 @@ mod tests {
     fn policy_parse_and_resolve() {
         assert_eq!(SimdPolicy::parse("auto"), Ok(SimdPolicy::Auto));
         assert_eq!(SimdPolicy::parse("scalar"), Ok(SimdPolicy::Scalar));
-        assert_eq!(SimdPolicy::parse("sse"), Ok(SimdPolicy::Sse));
         assert_eq!(SimdPolicy::parse("avx2"), Ok(SimdPolicy::Avx2));
-        assert!(SimdPolicy::parse("avx512").is_err());
+        for gone in ["sse", "avx512"] {
+            let err = SimdPolicy::parse(gone).unwrap_err();
+            assert!(err.contains("auto|avx2|scalar"), "{gone}: {err}");
+        }
         assert_eq!(SimdPolicy::Scalar.resolve(), Ok(SimdBackend::Scalar));
         // Auto always resolves, to the best available backend.
         let auto = SimdPolicy::Auto.resolve().unwrap();
@@ -1501,11 +1445,16 @@ mod tests {
         assert!(SimdBackend::available().contains(&auto));
     }
 
+    /// The codes feed the checkpoint fingerprint and `buffalo-par`'s
+    /// ambient atomic: renumbering one would stop old snapshots resuming.
     #[test]
     fn backend_index_roundtrip() {
-        for b in [SimdBackend::Scalar, SimdBackend::Sse, SimdBackend::Avx2] {
+        assert_eq!(SimdBackend::Scalar as usize, 0);
+        assert_eq!(SimdBackend::Avx2 as usize, 2);
+        for b in [SimdBackend::Scalar, SimdBackend::Avx2] {
             assert_eq!(SimdBackend::from_index(b as usize), Some(b));
         }
+        assert_eq!(SimdBackend::from_index(1), None);
         assert_eq!(SimdBackend::from_index(3), None);
     }
 
@@ -1519,8 +1468,8 @@ mod tests {
                 axpy_scalar(&mut reference, &src, 0.37);
                 backend.axpy(&mut dst, &src, 0.37);
                 for (i, (&got, &want)) in dst.iter().zip(&reference).enumerate() {
-                    // axpy has no reduction: scalar and SSE are bitwise
-                    // equal; AVX2 differs only by FMA's single rounding.
+                    // axpy has no reduction: scalar is bitwise equal;
+                    // AVX2 differs only by FMA's single rounding.
                     assert!(
                         close(got, want, 1e-6),
                         "{backend:?} axpy n={n} lane {i}: {got} vs {want}"
@@ -1649,6 +1598,62 @@ mod tests {
                     close(got, want, 1e-5),
                     "{backend:?} dot n={n}: {got} vs {want}"
                 );
+            }
+        }
+    }
+
+    /// The `Avx2` reduction order, stated portably: eight lane
+    /// accumulators, each step one fused multiply-add, the lanes summed in
+    /// ascending order from `+0.0`, then each tail product multiplied and
+    /// added separately.
+    fn dot_eight_lanes(a: &[f32], b: &[f32]) -> f32 {
+        let body = a.len() - a.len() % 8;
+        let mut lanes = [0.0f32; 8];
+        for (x, y) in a[..body].chunks_exact(8).zip(b[..body].chunks_exact(8)) {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                *lane = x[l].mul_add(y[l], *lane);
+            }
+        }
+        let mut s = 0.0f32;
+        for lane in lanes {
+            s += lane;
+        }
+        for (x, y) in a[body..].iter().zip(&b[body..]) {
+            s += x * y;
+        }
+        s
+    }
+
+    /// `Avx2`'s `dot` is `dot_eight_lanes` bit for bit (NaN compared as
+    /// NaN), at every tail length around the eight-lane body and at a few
+    /// long ones, on plain values, on a quarter ±0.0, on products in the
+    /// subnormal range, and with NaN, ±inf and subnormal operands.
+    #[test]
+    fn avx2_dot_is_the_eight_lane_reference_bitwise() {
+        if !SimdBackend::available().contains(&SimdBackend::Avx2) {
+            return;
+        }
+        let tiny = |v: Vec<f32>, e: i32| v.into_iter().map(|x| x * 2f32.powi(e)).collect();
+        for n in (0..=33).chain([64, 257, 1003, 4096]) {
+            let seed = 17 + n as u32;
+            let cases: [(&str, Vec<f32>, Vec<f32>); 4] = [
+                ("plain", data(n, 3), data(n, 5)),
+                (
+                    "zeros",
+                    with_specials(n, seed, 4, 0),
+                    with_specials(n, seed + 1, 4, 0),
+                ),
+                ("subnormal", tiny(data(n, 3), -112), tiny(data(n, 5), -16)),
+                (
+                    "rare",
+                    with_specials(n, seed, 1, 24),
+                    with_specials(n, seed + 1, 1, 24),
+                ),
+            ];
+            for (what, a, b) in &cases {
+                let got = SimdBackend::Avx2.dot(a, b);
+                let want = dot_eight_lanes(a, b);
+                assert!(same(&[got], &[want]), "{what} n={n}: {got:e} vs {want:e}");
             }
         }
     }

@@ -237,8 +237,9 @@ impl Tensor {
     ///   within each) and zero `a` terms are skipped.
     /// * `Nt` computes one full-depth dot product per element (k is
     ///   never split — that would reassociate the chain): `simd.dot`
-    ///   under a vector backend, `nt_row_scalar`'s side-by-side chains
-    ///   under scalar.
+    ///   under `Avx2` (eight FMA lanes summed in ascending order, then
+    ///   the tail, the order a wider `Nt` tile must keep),
+    ///   `nt_row_scalar`'s side-by-side chains under scalar.
     ///
     /// Within a backend, results are bit-identical for every thread
     /// count (rows are disjoint and each row's work is independent of

@@ -71,7 +71,7 @@ const USAGE: &str = "usage:
   buffalo train    <dataset> [--budget 24G] [--epochs N] [--batch-size N]
                    [--hidden H] [--agg ...] [--fanouts 5,10] [--eval N]
                    [--pipeline on|off] [--threads N] [--gpus N]
-                   [--simd auto|avx2|sse|scalar] [--precision f32|bf16]
+                   [--simd auto|avx2|scalar] [--precision f32|bf16]
                    [--faults <spec>] [--max-retries N] [--headroom F]
                    [--checkpoint-dir D] [--checkpoint-every K]
                    [--checkpoint-keep N] [--resume D] [--max-rollbacks N]
@@ -92,7 +92,7 @@ const USAGE: &str = "usage:
                    [--deadline-ms F] [--gpus N] [--faults <spec>]
                    [--max-retries N] [--hidden H] [--agg ...] [--fanouts 5,10]
                    [--pipeline on|off] [--json <file>] [--quiet-requests 1]
-                   [--simd auto|avx2|sse|scalar] [--precision f32|bf16]
+                   [--simd auto|avx2|scalar] [--precision f32|bf16]
                    overload: --queue-depth bounds the admission queue
                    (--shed-policy picks who drops when full); --deadline-ms
                    drops requests that provably cannot dispatch in time.

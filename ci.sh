@@ -119,16 +119,26 @@ fi
 # The pipeline toggle must train end-to-end both ways, to the same
 # numbers: with the pipeline on, blocks are built on the Prepare thread
 # from a scratch that thread keeps between micro-batches, and nothing it
-# holds may reach the numerics. The epoch table (loss, accuracies) has to
-# be byte-identical.
-off=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --pipeline off | grep -E '^\s+[0-9]')
-on=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --pipeline on | grep -E '^\s+[0-9]')
-if [ "$off" != "$on" ]; then
-  echo "ci: FAIL — training diverged between --pipeline off and --pipeline on" >&2
-  printf 'pipeline off:\n%s\npipeline on:\n%s\n' "$off" "$on" >&2
+# holds may reach the numerics. Either way the epoch driver's sampler
+# thread samples the next batch while this one trains. The epoch table
+# (loss, accuracies) and the per-iteration `trail` bit lines (printed
+# when checkpoints are on) have to be byte-identical.
+ckdir=$(mktemp -d)
+off=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --pipeline off \
+  --checkpoint-dir "$ckdir/off" --checkpoint-every 2 | grep -E '^\s+[0-9]|^trail')
+on=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M --pipeline on \
+  --checkpoint-dir "$ckdir/on" --checkpoint-every 2 | grep -E '^\s+[0-9]|^trail')
+rm -rf "$ckdir"
+if ! grep -q '^trail' <<<"$off"; then
+  echo "ci: FAIL — buffalo train --checkpoint-dir printed no trail lines" >&2
   exit 1
 fi
-echo "ci: --pipeline off and --pipeline on epoch tables identical"
+if [ "$off" != "$on" ]; then
+  echo "ci: FAIL — training diverged between --pipeline off and --pipeline on" >&2
+  diff <(printf '%s\n' "$off") <(printf '%s\n' "$on") >&2 || true
+  exit 1
+fi
+echo "ci: --pipeline off and --pipeline on epoch tables and loss trails identical"
 
 # Parallel kernels must not change the numerics: the epoch table (loss,
 # accuracies) has to be byte-identical between 1 and 4 threads.

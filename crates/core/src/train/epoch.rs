@@ -9,10 +9,13 @@ use crate::train::{gather, Engine, RecoveryEvent};
 use crate::TrainError;
 use buffalo_blocks::BlockWalker;
 use buffalo_graph::datasets::Dataset;
-use buffalo_graph::NodeId;
+use buffalo_graph::{CsrGraph, NodeId};
 use buffalo_memsim::{CostModel, Device, DevicePool, StageTimings};
-use buffalo_sampling::{BatchSampler, SeedBatches};
+use buffalo_sampling::{Batch, BatchSampler, SeedBatches};
 use buffalo_tensor::softmax_cross_entropy;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::Scope;
 
 /// Epoch-driver configuration.
 #[derive(Debug, Clone)]
@@ -88,6 +91,85 @@ struct Cursor {
     rollbacks: u64,
 }
 
+/// A batch's place in the run: `(epoch, epoch_iter)`.
+type Position = (u64, u64);
+
+/// The seed batches of `epoch`: the driver and the sampler thread shuffle
+/// with this one seed.
+fn epoch_batches(cfg: &EpochConfig, epoch: u64) -> SeedBatches {
+    SeedBatches::new(
+        cfg.train_nodes,
+        cfg.batch_size,
+        cfg.seed ^ epoch.wrapping_mul(0x9E37_79B9),
+    )
+}
+
+/// The driver's end of the run's sampler thread, which samples the batch
+/// at a position the driver asks for while the driver trains the current
+/// one. At most one position is in flight.
+struct SampleAhead {
+    asks: Sender<Position>,
+    replies: Receiver<(Position, Batch)>,
+    in_flight: bool,
+    epochs: u64,
+    iters_per_epoch: u64,
+}
+
+impl SampleAhead {
+    /// Starts the sampler thread in `scope`; it ends when this is dropped.
+    fn spawn<'scope, 'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        graph: &'env CsrGraph,
+        cfg: &'env EpochConfig,
+        sampler: &'env BatchSampler,
+    ) -> Self {
+        let (asks, positions) = mpsc::channel::<Position>();
+        let (batches, replies) = mpsc::channel();
+        scope.spawn(move || {
+            for (epoch, i) in positions {
+                let seeds = epoch_batches(cfg, epoch);
+                // A panic ends the thread: the driver finds it gone,
+                // samples this position itself and raises the same panic.
+                let Ok(batch) = panic::catch_unwind(AssertUnwindSafe(|| {
+                    sampler.sample(graph, seeds.batch(i as usize), cfg.seed + i)
+                })) else {
+                    break;
+                };
+                if batches.send(((epoch, i), batch)).is_err() {
+                    break;
+                }
+            }
+        });
+        SampleAhead {
+            asks,
+            replies,
+            in_flight: false,
+            epochs: cfg.epochs as u64,
+            iters_per_epoch: cfg.train_nodes.div_ceil(cfg.batch_size) as u64,
+        }
+    }
+
+    /// Asks for the batch at `(epoch, i)`; a position past the run's end
+    /// asks for nothing.
+    fn ask(&mut self, (epoch, i): Position) {
+        self.in_flight =
+            epoch < self.epochs && i < self.iters_per_epoch && self.asks.send((epoch, i)).is_ok();
+    }
+
+    /// Takes the reply in flight: its batch when it was sampled for `at`,
+    /// `None` when it was not (the driver rolled back), when nothing is in
+    /// flight, or when the thread is gone.
+    fn take(&mut self, at: Position) -> Option<Batch> {
+        if !std::mem::take(&mut self.in_flight) {
+            return None;
+        }
+        match self.replies.recv() {
+            Ok((pos, batch)) if pos == at => Some(batch),
+            _ => None,
+        }
+    }
+}
+
 /// Runs `cfg.epochs` epochs with optional checkpointing, resume, and
 /// rollback-on-exhaustion.
 ///
@@ -105,6 +187,18 @@ struct Cursor {
 /// Timings and recovery trails in [`EpochStats`] cover only work done
 /// after the last restore within that epoch; sums, losses, and accuracy
 /// are exact across restores.
+///
+/// Batches are sampled one ahead on a helper thread, one per call: before
+/// iteration *i* trains, the driver asks that thread for the batch of the
+/// next position (the next iteration of this epoch, or iteration 0 of the
+/// next). At the top of iteration *i + 1* it uses the reply only if it
+/// was sampled for the cursor's position. After a rollback it was not:
+/// the reply is discarded and the batch sampled inline, as it is when
+/// nothing is in flight or the thread is gone. Sampling reads only the
+/// graph, the epoch's shuffle and `cfg.seed + epoch_iter`, never the
+/// model, so either thread samples the same batch and no bit of the run
+/// moves. A panic on the helper thread surfaces as the inline sampler's
+/// panic on the caller's thread.
 ///
 /// # Errors
 ///
@@ -185,113 +279,133 @@ pub fn run_epochs_checkpointed(
         };
         loss_trail = snap.loss_trail;
         resumed_at = Some(snap.global_iter);
-    } else if let Some(r) = ring.as_mut() {
-        // Base snapshot: the rollback rung always has somewhere to land,
-        // even if the first iteration exhausts recovery.
-        save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
-        snapshots_written += 1;
     }
 
-    let mut out = Vec::new();
-    while cur.epoch < cfg.epochs as u64 {
-        let batches = SeedBatches::new(
-            cfg.train_nodes,
-            cfg.batch_size,
-            cfg.seed ^ cur.epoch.wrapping_mul(0x9E37_79B9),
-        );
-        let nb = batches.num_batches() as u64;
-        while cur.epoch_iter < nb {
-            let i = cur.epoch_iter;
-            let batch = sampler.sample(&ds.graph, batches.batch(i as usize), cfg.seed + i);
-            match trainer.train_iteration(ds, &batch, device, cost) {
-                Ok(stats) => {
-                    cur.loss_sum += stats.loss as f64;
-                    cur.acc_sum += stats.accuracy as f64;
-                    timings.accumulate(&stats.timings);
-                    recovery.extend(stats.recovery);
-                    loss_trail.push(stats.loss);
-                    cur.epoch_iter += 1;
-                    cur.global_iter += 1;
-                    if let Some(r) = ring.as_mut() {
-                        let every = ckpt.map_or(0, |o| o.every) as u64;
-                        if every > 0 && cur.global_iter.is_multiple_of(every) {
-                            save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
-                            snapshots_written += 1;
-                        }
-                    }
-                }
-                Err(TrainError::RecoveryExhausted { events, last }) => {
-                    // Rollback rung: recovery code must not itself panic,
-                    // so the checkpoint options are matched out rather
-                    // than unwrapped (`ring` exists only when `ckpt` does,
-                    // but the compiler cannot see that).
-                    let allowed = ckpt.map_or(0, |o| o.max_rollbacks) as u64;
-                    let opts = match ckpt {
-                        Some(o) if ring.is_some() && cur.rollbacks < allowed => o,
-                        _ => return Err(TrainError::RecoveryExhausted { events, last }),
-                    };
-                    let (snap, _path) =
-                        CheckpointRing::load_latest(&opts.dir).map_err(TrainError::Checkpoint)?;
-                    trainer
-                        .restore_state(&snap.trainer)
-                        .map_err(TrainError::Checkpoint)?;
-                    // The device is NOT rewound: its shrunken budget and
-                    // consumed fault events are facts of the world the
-                    // retried iterations must live with.
-                    cur = Cursor {
-                        epoch: snap.epoch,
-                        epoch_iter: snap.epoch_iter,
-                        global_iter: snap.global_iter,
-                        loss_sum: snap.epoch_loss_sum,
-                        acc_sum: snap.epoch_acc_sum,
-                        rollbacks: cur.rollbacks + 1,
-                    };
-                    loss_trail = snap.loss_trail;
-                    timings = StageTimings::default();
-                    recovery = Vec::new();
-                    // Compounding headroom: each rollback schedules more
-                    // conservatively than the snapshot did, so the replay
-                    // cannot exhaust the same way forever.
-                    let boost = snap.trainer.headroom_multiplier
-                        * 1.25f64.powi(cur.rollbacks.min(i32::MAX as u64) as i32);
-                    trainer.force_headroom(boost);
-                    break; // re-enter the epoch loop at the restored cursor
-                }
-                Err(e) => return Err(e),
+    // One sampler thread for the whole run, not one per iteration: glibc
+    // gives a thread that allocates beside others an arena of its own, and
+    // a sampler spawned per iteration beside the pipeline's per-iteration
+    // Prepare thread spread the run over more arenas, each keeping its
+    // freed pages (DESIGN.md "Host work across iterations").
+    std::thread::scope(|scope| {
+        let mut ahead = SampleAhead::spawn(scope, &ds.graph, cfg, &sampler);
+        ahead.ask((cur.epoch, cur.epoch_iter));
+        if resumed_at.is_none() {
+            if let Some(r) = ring.as_mut() {
+                // Base snapshot: the rollback rung always has somewhere to
+                // land, even if the first iteration exhausts recovery.
+                save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+                snapshots_written += 1;
             }
         }
-        if cur.epoch_iter < nb {
-            continue; // rolled back: recompute the epoch's seed batches
+
+        let mut out = Vec::new();
+        while cur.epoch < cfg.epochs as u64 {
+            let batches = epoch_batches(cfg, cur.epoch);
+            let nb = batches.num_batches() as u64;
+            while cur.epoch_iter < nb {
+                let i = cur.epoch_iter;
+                let batch = ahead.take((cur.epoch, i)).unwrap_or_else(|| {
+                    sampler.sample(&ds.graph, batches.batch(i as usize), cfg.seed + i)
+                });
+                ahead.ask(if i + 1 < nb {
+                    (cur.epoch, i + 1)
+                } else {
+                    (cur.epoch + 1, 0)
+                });
+                match trainer.train_iteration(ds, &batch, device, cost) {
+                    Ok(stats) => {
+                        cur.loss_sum += stats.loss as f64;
+                        cur.acc_sum += stats.accuracy as f64;
+                        timings.accumulate(&stats.timings);
+                        recovery.extend(stats.recovery);
+                        loss_trail.push(stats.loss);
+                        cur.epoch_iter += 1;
+                        cur.global_iter += 1;
+                        if let Some(r) = ring.as_mut() {
+                            let every = ckpt.map_or(0, |o| o.every) as u64;
+                            if every > 0 && cur.global_iter.is_multiple_of(every) {
+                                save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+                                snapshots_written += 1;
+                            }
+                        }
+                    }
+                    Err(TrainError::RecoveryExhausted { events, last }) => {
+                        // Rollback rung: recovery code must not itself
+                        // panic, so the checkpoint options are matched out
+                        // rather than unwrapped (`ring` exists only when
+                        // `ckpt` does, but the compiler cannot see that).
+                        let allowed = ckpt.map_or(0, |o| o.max_rollbacks) as u64;
+                        let opts = match ckpt {
+                            Some(o) if ring.is_some() && cur.rollbacks < allowed => o,
+                            _ => return Err(TrainError::RecoveryExhausted { events, last }),
+                        };
+                        let (snap, _path) = CheckpointRing::load_latest(&opts.dir)
+                            .map_err(TrainError::Checkpoint)?;
+                        trainer
+                            .restore_state(&snap.trainer)
+                            .map_err(TrainError::Checkpoint)?;
+                        // The device is NOT rewound: its shrunken budget and
+                        // consumed fault events are facts of the world the
+                        // retried iterations must live with.
+                        cur = Cursor {
+                            epoch: snap.epoch,
+                            epoch_iter: snap.epoch_iter,
+                            global_iter: snap.global_iter,
+                            loss_sum: snap.epoch_loss_sum,
+                            acc_sum: snap.epoch_acc_sum,
+                            rollbacks: cur.rollbacks + 1,
+                        };
+                        loss_trail = snap.loss_trail;
+                        timings = StageTimings::default();
+                        recovery = Vec::new();
+                        // Compounding headroom: each rollback schedules
+                        // more conservatively than the snapshot did, so the
+                        // replay cannot exhaust the same way forever.
+                        let boost = snap.trainer.headroom_multiplier
+                            * 1.25f64.powi(cur.rollbacks.min(i32::MAX as u64) as i32);
+                        trainer.force_headroom(boost);
+                        // Re-enter the epoch loop at the restored cursor;
+                        // the batch in flight is for the abandoned one and
+                        // is discarded when it arrives.
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            if cur.epoch_iter < nb {
+                continue; // rolled back: recompute the epoch's seed batches
+            }
+            let val_accuracy = (cfg.eval_nodes > 0).then(|| {
+                let eval: Vec<NodeId> = (cfg.train_nodes as NodeId
+                    ..(cfg.train_nodes + cfg.eval_nodes) as NodeId)
+                    .collect();
+                evaluate(trainer.model(), ds, &eval, &fanouts, cfg.seed ^ 0xE7A1)
+            });
+            out.push(EpochStats {
+                epoch: cur.epoch as usize,
+                mean_loss: (cur.loss_sum / nb.max(1) as f64) as f32,
+                train_accuracy: (cur.acc_sum / nb.max(1) as f64) as f32,
+                val_accuracy,
+                iterations: nb as usize,
+                timings: std::mem::take(&mut timings),
+                recovery: std::mem::take(&mut recovery),
+            });
+            cur.epoch += 1;
+            cur.epoch_iter = 0;
+            cur.loss_sum = 0.0;
+            cur.acc_sum = 0.0;
+            if let Some(r) = ring.as_mut() {
+                save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+                snapshots_written += 1;
+            }
         }
-        let val_accuracy = (cfg.eval_nodes > 0).then(|| {
-            let eval: Vec<NodeId> =
-                (cfg.train_nodes as NodeId..(cfg.train_nodes + cfg.eval_nodes) as NodeId).collect();
-            evaluate(trainer.model(), ds, &eval, &fanouts, cfg.seed ^ 0xE7A1)
-        });
-        out.push(EpochStats {
-            epoch: cur.epoch as usize,
-            mean_loss: (cur.loss_sum / nb.max(1) as f64) as f32,
-            train_accuracy: (cur.acc_sum / nb.max(1) as f64) as f32,
-            val_accuracy,
-            iterations: nb as usize,
-            timings: std::mem::take(&mut timings),
-            recovery: std::mem::take(&mut recovery),
-        });
-        cur.epoch += 1;
-        cur.epoch_iter = 0;
-        cur.loss_sum = 0.0;
-        cur.acc_sum = 0.0;
-        if let Some(r) = ring.as_mut() {
-            save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
-            snapshots_written += 1;
-        }
-    }
-    Ok(TrainRun {
-        epochs: out,
-        loss_trail,
-        resumed_at,
-        rollbacks: cur.rollbacks,
-        snapshots_written,
+        Ok(TrainRun {
+            epochs: out,
+            loss_trail,
+            resumed_at,
+            rollbacks: cur.rollbacks,
+            snapshots_written,
+        })
     })
 }
 
@@ -349,7 +463,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::TrainConfig;
+    use crate::train::{PipelineConfig, TrainConfig};
     use buffalo_graph::datasets::{self, DatasetName};
     use buffalo_memsim::{AggregatorKind, DeviceMemory, GnnShape};
 
@@ -660,13 +774,146 @@ mod tests {
             run_epochs_checkpointed(&mut t, &ds, &device, &cost, &cfg, Some(&opts), false).unwrap();
         assert!(run.rollbacks >= 1, "rollback rung never fired");
         assert_eq!(run.epochs.len(), cfg.epochs);
-        assert_eq!(run.loss_trail.len(), 8);
-        assert!(run.loss_trail.iter().all(|l| l.is_finite()));
+        // Each rollback discards the batch sampled ahead for the position
+        // it abandoned; these are the bits of the run that sampled every
+        // batch inline.
+        assert_eq!(
+            trail_bits(&run),
+            [0x400ab546, 0x35b00000, 0x388d5000, 0x3f2aacd5, 0, 0, 0, 0]
+        );
         assert!(
             t.headroom_multiplier() > 1.0,
             "rollback must boost headroom"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Trains `engine` on batches sampled inline, in the driver's order,
+    /// by bare `train_iteration` calls: the run the sampler thread must
+    /// not move a bit of. Returns the loss bits and each iteration's
+    /// micro-batch count and peak device bytes.
+    fn inline_reference(
+        ds: &Dataset,
+        cfg: &EpochConfig,
+        mut engine: Engine,
+        budget: u64,
+    ) -> (Vec<u32>, Vec<usize>, Vec<u64>) {
+        let device = DeviceMemory::new(budget);
+        let cost = CostModel::rtx6000();
+        let sampler = BatchSampler::new(engine.config().fanouts.clone());
+        let (mut bits, mut ks, mut peaks) = (Vec::new(), Vec::new(), Vec::new());
+        for epoch in 0..cfg.epochs as u64 {
+            let shuffle = cfg.seed ^ epoch.wrapping_mul(0x9E37_79B9);
+            let batches = SeedBatches::new(cfg.train_nodes, cfg.batch_size, shuffle);
+            for i in 0..batches.num_batches() {
+                let batch = sampler.sample(&ds.graph, batches.batch(i), cfg.seed + i as u64);
+                let stats = engine.train_iteration(ds, &batch, &device, &cost).unwrap();
+                bits.push(stats.loss.to_bits());
+                ks.push(stats.num_micro_batches);
+                peaks.push(stats.peak_mem_bytes);
+            }
+        }
+        (bits, ks, peaks)
+    }
+
+    #[test]
+    fn sampling_ahead_keeps_the_inline_trail_bit_for_bit() {
+        // Three iterations an epoch over two epochs, so the sampler thread
+        // samples within an epoch and across its boundary; both staging
+        // modes; a budget with K = 1 and one that splits every batch.
+        let ds = datasets::load(DatasetName::Cora, 9);
+        let cost = CostModel::rtx6000();
+        let cfg = EpochConfig {
+            batch_size: 64,
+            epochs: 2,
+            train_nodes: 192,
+            eval_nodes: 64,
+            seed: 1,
+        };
+        let roomy = DeviceMemory::with_gib(24.0).budget();
+        // At `config`'s learning rate half this trail's losses are exactly
+        // 0, which any batch would match; at this one each loss still
+        // depends on its batch.
+        let slow = TrainConfig {
+            lr: 0.001,
+            ..config(&ds)
+        };
+        let engine = |pipeline| Engine::buffalo(slow.clone(), 0.24).with_pipeline(pipeline);
+        let (_, _, peaks) = inline_reference(&ds, &cfg, engine(PipelineConfig::serial()), roomy);
+        let splitting = peaks.iter().min().unwrap() * 3 / 4;
+        for pipeline in [PipelineConfig::serial(), PipelineConfig::overlapped()] {
+            for budget in [roomy, splitting] {
+                let (want, ks, _) = inline_reference(&ds, &cfg, engine(pipeline), budget);
+                assert_eq!(want.len(), 6);
+                let split = budget == splitting;
+                assert!(
+                    ks.iter().all(|&k| (k > 1) == split),
+                    "K per iteration {ks:?}"
+                );
+                let device = DeviceMemory::new(budget);
+                let run = run_epochs_checkpointed(
+                    &mut engine(pipeline),
+                    &ds,
+                    &device,
+                    &cost,
+                    &cfg,
+                    None,
+                    false,
+                )
+                .unwrap();
+                assert_eq!(trail_bits(&run), want, "{pipeline:?}, budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_thread_replies_only_for_the_asked_position() {
+        let ds = datasets::load(DatasetName::Cora, 9);
+        let cfg = epoch_cfg();
+        let sampler = BatchSampler::new(vec![4, 4]);
+        let inline = |epoch, i: u64| {
+            let seeds = epoch_batches(&cfg, epoch);
+            sampler.sample(&ds.graph, seeds.batch(i as usize), cfg.seed + i)
+        };
+        std::thread::scope(|s| {
+            let mut ahead = SampleAhead::spawn(s, &ds.graph, &cfg, &sampler);
+            ahead.ask((1, 2));
+            let batch = ahead.take((1, 2)).unwrap();
+            assert_eq!(batch.global_ids, inline(1, 2).global_ids);
+            // A reply for another position (a rollback moved the cursor)
+            // is discarded; nothing in flight takes nothing.
+            ahead.ask((0, 1));
+            assert!(ahead.take((0, 0)).is_none());
+            assert!(ahead.take((0, 1)).is_none());
+            // Past the run's end nothing is asked.
+            ahead.ask((cfg.epochs as u64, 0));
+            assert!(ahead.take((cfg.epochs as u64, 0)).is_none());
+        });
+        // A panic on the sampler thread ends the thread, not the scope:
+        // the driver takes nothing and samples inline, where the same
+        // panic is raised on its own thread.
+        let oversized = EpochConfig {
+            train_nodes: ds.graph.num_nodes() + 64,
+            ..epoch_cfg()
+        };
+        let last = (oversized.train_nodes / oversized.batch_size) as u64;
+        std::thread::scope(|s| {
+            let mut ahead = SampleAhead::spawn(s, &ds.graph, &oversized, &sampler);
+            let out_of_range = (0..=last)
+                .find(|&i| {
+                    let seeds = epoch_batches(&oversized, 0);
+                    seeds
+                        .batch(i as usize)
+                        .iter()
+                        .any(|&v| v as usize >= ds.graph.num_nodes())
+                })
+                .unwrap();
+            ahead.ask((0, out_of_range));
+            assert!(ahead.take((0, out_of_range)).is_none());
+            // The thread is gone: asking fails and taking never blocks.
+            ahead.ask((0, 0));
+            assert!(ahead.take((0, 0)).is_none());
+        });
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! of micro-batch *i + 1* runs on a worker thread while micro-batch *i*
 //! executes — same math, same gradient-accumulation order, bit-identical
 //! losses, smaller iteration makespan.
+//!
+//! Across iterations, in either staging mode, the epoch driver samples
+//! batch *i + 1* on one sampler thread per run while batch *i* trains.
+//! Sampling reads the graph, the epoch's shuffle and the iteration's seed,
+//! never the model, so the batch and every loss bit are the ones inline
+//! sampling gives; a batch sampled for a position the driver has left (a
+//! rollback) is discarded and the driver samples inline.
 
 mod engine;
 mod epoch;

@@ -194,11 +194,12 @@ impl SampleAhead {
 /// next). At the top of iteration *i + 1* it uses the reply only if it
 /// was sampled for the cursor's position. After a rollback it was not:
 /// the reply is discarded and the batch sampled inline, as it is when
-/// nothing is in flight or the thread is gone. Sampling reads only the
-/// graph, the epoch's shuffle and `cfg.seed + epoch_iter`, never the
-/// model, so either thread samples the same batch and no bit of the run
-/// moves. A panic on the helper thread surfaces as the inline sampler's
-/// panic on the caller's thread.
+/// nothing is in flight (the call's first iteration) or the thread is
+/// gone; the next position is asked for first, so the thread samples it
+/// meanwhile. Sampling reads only the graph, the epoch's shuffle and
+/// `cfg.seed + epoch_iter`, never the model, so either thread samples the
+/// same batch and no bit of the run moves. A panic on the helper thread
+/// surfaces as the inline sampler's panic on the caller's thread.
 ///
 /// # Errors
 ///
@@ -279,38 +280,39 @@ pub fn run_epochs_checkpointed(
         };
         loss_trail = snap.loss_trail;
         resumed_at = Some(snap.global_iter);
+    } else if let Some(r) = ring.as_mut() {
+        // Base snapshot: the rollback rung always has somewhere to land,
+        // even if the first iteration exhausts recovery.
+        save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
+        snapshots_written += 1;
     }
 
     // One sampler thread for the whole run, not one per iteration: glibc
     // gives a thread that allocates beside others an arena of its own, and
     // a sampler spawned per iteration beside the pipeline's per-iteration
     // Prepare thread spread the run over more arenas, each keeping its
-    // freed pages (DESIGN.md "Host work across iterations").
+    // freed pages. It ends with the scope, after the last Prepare thread,
+    // so that the next run's sampler gets its own arena back (DESIGN.md
+    // "Host work across iterations").
     std::thread::scope(|scope| {
         let mut ahead = SampleAhead::spawn(scope, &ds.graph, cfg, &sampler);
-        ahead.ask((cur.epoch, cur.epoch_iter));
-        if resumed_at.is_none() {
-            if let Some(r) = ring.as_mut() {
-                // Base snapshot: the rollback rung always has somewhere to
-                // land, even if the first iteration exhausts recovery.
-                save_snapshot(r, trainer, device, fingerprint, &cur, &loss_trail)?;
-                snapshots_written += 1;
-            }
-        }
-
         let mut out = Vec::new();
         while cur.epoch < cfg.epochs as u64 {
             let batches = epoch_batches(cfg, cur.epoch);
             let nb = batches.num_batches() as u64;
             while cur.epoch_iter < nb {
                 let i = cur.epoch_iter;
-                let batch = ahead.take((cur.epoch, i)).unwrap_or_else(|| {
-                    sampler.sample(&ds.graph, batches.batch(i as usize), cfg.seed + i)
-                });
+                // Ask for the next batch before sampling this one inline
+                // (when it is not in hand), so that a new thread's slow
+                // first batch also overlaps the driver's work.
+                let ready = ahead.take((cur.epoch, i));
                 ahead.ask(if i + 1 < nb {
                     (cur.epoch, i + 1)
                 } else {
                     (cur.epoch + 1, 0)
+                });
+                let batch = ready.unwrap_or_else(|| {
+                    sampler.sample(&ds.graph, batches.batch(i as usize), cfg.seed + i)
                 });
                 match trainer.train_iteration(ds, &batch, device, cost) {
                     Ok(stats) => {

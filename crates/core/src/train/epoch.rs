@@ -479,7 +479,7 @@ mod tests {
                 AggregatorKind::Mean,
             ),
             fanouts: vec![4, 4],
-            lr: 0.05,
+            lr: 0.001,
             seed: 3,
             parallelism: buffalo_par::Parallelism::auto(),
         }
@@ -781,7 +781,10 @@ mod tests {
         // batch inline.
         assert_eq!(
             trail_bits(&run),
-            [0x400ab546, 0x35b00000, 0x388d5000, 0x3f2aacd5, 0, 0, 0, 0]
+            [
+                0x400ab546, 0x3fa449a7, 0x3f75893b, 0x3f360dba, 0x3f0140ea, 0x3ec070e6, 0x3e8f1f0a,
+                0x3e49b367
+            ]
         );
         assert!(
             t.headroom_multiplier() > 1.0,
@@ -833,14 +836,7 @@ mod tests {
             seed: 1,
         };
         let roomy = DeviceMemory::with_gib(24.0).budget();
-        // At `config`'s learning rate half this trail's losses are exactly
-        // 0, which any batch would match; at this one each loss still
-        // depends on its batch.
-        let slow = TrainConfig {
-            lr: 0.001,
-            ..config(&ds)
-        };
-        let engine = |pipeline| Engine::buffalo(slow.clone(), 0.24).with_pipeline(pipeline);
+        let engine = |pipeline| Engine::buffalo(config(&ds), 0.24).with_pipeline(pipeline);
         let (_, _, peaks) = inline_reference(&ds, &cfg, engine(PipelineConfig::serial()), roomy);
         let splitting = peaks.iter().min().unwrap() * 3 / 4;
         for pipeline in [PipelineConfig::serial(), PipelineConfig::overlapped()] {

@@ -57,6 +57,25 @@ unsafe_counts=$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 
   /unsafe \{/ { ub++ }
   END { printf "%d target_feature fns, %d unsafe fns, %d unsafe blocks", tf, uf, ub }')
 echo "ci: unsafe: $unsafe_counts"
+# Prefetches on the host planning path: a demand load through
+# `std::hint::black_box` stalls on the row it means to fetch early, and
+# measured slower than a real prefetch, so the planning and graph crates
+# may not use it outside their tests (a gate). The prefetch call sites in
+# non-test code follow as a trend line (each file cut as the size script
+# below cuts it, comments and definitions skipped).
+non_test() {
+  find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    { print FILENAME ":" FNR ": " $0 }'
+}
+if demand=$(non_test crates/{sampling,blocks,bucketing,graph}/src | grep 'black_box'); then
+  echo "ci: FAIL — demand-load prefetch (std::hint::black_box) in planning code; use a real prefetch:" >&2
+  printf '%s\n' "$demand" >&2
+  exit 1
+fi
+echo "ci: prefetch: $(non_test crates/*/src src | grep -v ' fn ' | grep -cE '(prefetch|prefetch_row)\(|_mm_prefetch::') sites"
 # The call graph's size, as a trend line beside it: fewer functions and
 # fewer call sites the resolver cannot pin to one callee.
 graph=$(sed -nE 's/.*call graph[^0-9]*([0-9]+) function\(s\), ([0-9]+) edge\(s\), ([0-9]+) ambiguous.*/\1 fns, \2 edges, \3 ambiguous/p' <<<"$lint_out")

@@ -1,7 +1,7 @@
 //! Fast (Buffalo) and checked (Betty-style baseline) block generation.
 
 use crate::block::Block;
-use buffalo_graph::{CsrGraph, NodeId};
+use buffalo_graph::{CsrGraph, NodeId, PREFETCH_AHEAD};
 use std::collections::BTreeMap;
 
 /// Options for [`generate_blocks_fast`]. There are none left to set; the
@@ -59,10 +59,6 @@ pub struct BlockWalker {
     /// The positions a row partition moves behind the chosen seeds.
     spill: Vec<u32>,
 }
-
-/// How many rows ahead of the one being read the walk starts fetching: a
-/// hop's rows are in discovery order, scattered over the batch graph.
-const AHEAD: usize = 4;
 
 impl BlockWalker {
     /// The blocks of the whole batch: local ids `0..num_seeds` are the
@@ -166,10 +162,12 @@ impl BlockWalker {
             let edges: usize = nodes[expanded..num_dst].iter().map(|&v| g.degree(v)).sum();
             offsets.reserve_exact(num_dst - expanded);
             indices.reserve_exact(edges);
-            // Copy: the hop's rows, as batch ids, in position order.
+            // Copy: the hop's rows, as batch ids, in position order. They
+            // are scattered over the batch graph, so the row
+            // `PREFETCH_AHEAD` positions on is prefetched first.
             for at in expanded..num_dst {
-                if at + AHEAD < num_dst {
-                    std::hint::black_box(g.neighbors(nodes[at + AHEAD]).first().copied());
+                if at + PREFETCH_AHEAD < num_dst {
+                    g.prefetch_row(nodes[at + PREFETCH_AHEAD]);
                 }
                 indices.extend_from_slice(g.neighbors(nodes[at]));
                 offsets.push(indices.len());

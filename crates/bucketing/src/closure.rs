@@ -12,7 +12,7 @@
 //! group of walked lists off the OR of their sets, so a seed list is walked
 //! once however many groups it joins.
 
-use buffalo_graph::{CsrGraph, NodeId};
+use buffalo_graph::{CsrGraph, NodeId, PREFETCH_AHEAD};
 use buffalo_memsim::estimate::{ClosureCounts, LayerCount};
 
 /// Reusable walk state: `depth + 1` bitsets back to back, one bit per
@@ -122,6 +122,13 @@ impl ReachSets {
 /// `buffalo_blocks::BlockWalker` output and
 /// [`buffalo_memsim::measure::training_memory`] expectations.
 ///
+/// The rows a hop reads are scattered over the batch graph, so each node
+/// to expand waits in a delay line of [`PREFETCH_AHEAD`] slots: its row is
+/// prefetched when it enters and read when it leaves, that many nodes
+/// later.
+/// Nodes leave in the order they entered, so the expansion order — and
+/// every count and bitset — is that of a walk without the line.
+///
 /// # Panics
 ///
 /// Panics if `depth == 0`.
@@ -153,18 +160,36 @@ pub fn closure_counts(
         // seed's row at hop 0, then the rows of the nodes the previous hop
         // added, read off their bits in ascending id order — memory order,
         // with no frontier array to write or sort.
-        let mut expand = |v: usize| {
-            let row = batch.neighbors(v as NodeId);
+        let mut expand = |v: NodeId| {
+            let row = batch.neighbors(v);
             edges += row.len();
             for &u in row {
                 next[u as usize >> 6] |= 1 << (u & 63);
             }
         };
+        // The delay line: a node's row is prefetched as it enters and
+        // expanded as it leaves; what is left in the line at the end of
+        // the hop drains in order.
+        let (mut line, mut pushed) = ([0; PREFETCH_AHEAD], 0usize);
+        let mut push = |v: NodeId| {
+            batch.prefetch_row(v);
+            let slot = &mut line[pushed % PREFETCH_AHEAD];
+            if pushed >= PREFETCH_AHEAD {
+                expand(*slot);
+            }
+            *slot = v;
+            pushed += 1;
+        };
         if h == 0 {
-            seeds.iter().for_each(|&s| expand(s as usize));
+            seeds.iter().for_each(|&s| push(s));
         } else {
             let was = &done[(h - 1) * words..h * words];
-            for_each_bit(now.iter().zip(was).map(|(n, w)| n & !w), expand);
+            for_each_bit(now.iter().zip(was).map(|(n, w)| n & !w), |v| {
+                push(v as NodeId)
+            });
+        }
+        for k in pushed.saturating_sub(PREFETCH_AHEAD)..pushed {
+            expand(line[k % PREFETCH_AHEAD]);
         }
         layers.push(LayerCount {
             num_dst: seeds.len() + ones(now) - distinct_seeds,
@@ -277,6 +302,59 @@ mod tests {
     }
 
     proptest! {
+        /// The delay line fills and drains at every hop: from no seeds to
+        /// more than twice `PREFETCH_AHEAD` (its slots), through hops that
+        /// each add fewer, exactly as many or more new nodes than it has
+        /// slots, the counts equal the blocks the walker builds. Layer `h + 1`'s nodes each hang off one node of layer
+        /// `h`; extra edges only point back at nodes already reached, so a
+        /// hop adds exactly its layer.
+        #[test]
+        fn counts_match_the_walker_through_the_delay_line(
+            num_seeds in 0..2 * PREFETCH_AHEAD + 2,
+            added in vec(0..2 * PREFETCH_AHEAD + 2, 3..4),
+            extra in vec((0usize..64, 0usize..64), 0..40),
+            depth in 1usize..4,
+        ) {
+            let mut layer_of = vec![0usize; num_seeds];
+            let mut edges = Vec::new();
+            let mut frontier = 0..num_seeds;
+            for (h, &count) in added.iter().enumerate() {
+                let count = if frontier.is_empty() { 0 } else { count };
+                let first = layer_of.len();
+                for j in 0..count {
+                    edges.push((first + j, frontier.start + j % frontier.len()));
+                }
+                layer_of.resize(first + count, h + 1);
+                frontier = first..layer_of.len();
+            }
+            let n = layer_of.len() + 1; // one node no hop reaches
+            let mut b = GraphBuilder::new(n);
+            for &(s, d) in &edges {
+                b.add_edge(s as NodeId, d as NodeId);
+            }
+            for &(s, d) in &extra {
+                let (s, d) = (s % n, d % n);
+                if d < layer_of.len() && s < layer_of.len() && layer_of[s] <= layer_of[d] {
+                    b.add_edge(s as NodeId, d as NodeId);
+                }
+            }
+            let g = b.build_directed();
+            let seeds: Vec<NodeId> = (0..num_seeds as NodeId).collect();
+            let counts = closure_counts(&g, &seeds, depth, &mut ClosureScratch::default());
+            let blocks = BlockWalker::default().whole_batch(&g, num_seeds, depth);
+            prop_assert_eq!(counts.layers.len(), blocks.len());
+            for (h, (c, b)) in counts.layers.iter().rev().zip(blocks.iter().rev()).enumerate() {
+                prop_assert_eq!(
+                    (c.num_dst, c.num_src, c.num_edges),
+                    (b.num_dst(), b.num_src(), b.num_edges()),
+                    "hop {}", h
+                );
+                // Hop `h` adds layer `h + 1` whole.
+                let reached = layer_of.iter().filter(|&&l| l <= h + 1).count();
+                prop_assert_eq!(c.num_src, reached);
+            }
+        }
+
         /// The union rule as the scheduler uses it: a seed list (repeats
         /// and all) cut into leaves whose reach sets are kept in one arena,
         /// the leaves dealt to groups in any order, then one leaf moved to

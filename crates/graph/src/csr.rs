@@ -6,6 +6,13 @@ use std::fmt;
 /// reproduction (the largest, papers-scale, has ~434 K nodes).
 pub type NodeId = u32;
 
+/// How many rows ahead of the one being read the host planning path
+/// prefetches ([`CsrGraph::prefetch_row`]): the sampler's frontier rows,
+/// the block walker's and the closure walks' batch rows, the bf16
+/// gather's table rows. Each is read in an order known in advance but
+/// scattered in memory.
+pub const PREFETCH_AHEAD: usize = 8;
+
 /// An immutable graph in compressed-sparse-row form.
 ///
 /// `offsets` has `num_nodes + 1` entries; the neighbors of node `v` are
@@ -80,6 +87,14 @@ impl CsrGraph {
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Starts loading `v`'s neighbor row into cache for a read soon after
+    /// ([`buffalo_simd::prefetch`]); a hint that changes nothing. Callers
+    /// prefetch [`PREFETCH_AHEAD`] rows before they read one.
+    #[inline]
+    pub fn prefetch_row(&self, v: NodeId) {
+        buffalo_simd::prefetch(self.neighbors(v));
     }
 
     /// Whether edge `(u, v)` exists (i.e. `v` lists `u` as an in-neighbor).

@@ -24,7 +24,7 @@
 //! assert!(ds.label(0) < ds.spec.num_classes as u32);
 //! ```
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{CsrGraph, NodeId, PREFETCH_AHEAD};
 use crate::error::GraphError;
 use crate::generators;
 use rand::rngs::StdRng;
@@ -432,8 +432,18 @@ impl Dataset {
             // shift — exact on every SIMD backend — so the gathered
             // values depend only on the precision, never the backend.
             let simd = par.simd;
+            // Nodes are scattered over the table: the row
+            // `PREFETCH_AHEAD` nodes on is prefetched while this one is
+            // widened.
+            let table_row = |v: NodeId| table.get(v as usize * dim..(v as usize + 1) * dim);
             buffalo_par::parallel_rows(out, dim, &par, |row0, chunk| {
                 for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
+                    if let Some(ahead) = nodes
+                        .get(row0 + r + PREFETCH_AHEAD)
+                        .and_then(|&v| table_row(v))
+                    {
+                        buffalo_simd::prefetch(ahead);
+                    }
                     let node = nodes[row0 + r] as usize;
                     simd.widen_bf16(row, &table[node * dim..(node + 1) * dim]);
                 }

@@ -41,5 +41,5 @@ pub mod io;
 pub mod stats;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, NodeId};
+pub use csr::{CsrGraph, NodeId, PREFETCH_AHEAD};
 pub use error::GraphError;

@@ -29,7 +29,7 @@
 
 #![warn(missing_docs)]
 
-use buffalo_graph::{CsrGraph, NodeId};
+use buffalo_graph::{CsrGraph, NodeId, PREFETCH_AHEAD};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -367,10 +367,11 @@ impl<'g> Discovered<'g> {
         let graph = self.graph;
         let discovered = self.global_ids.len() as NodeId;
         for dst in frontier {
-            // Frontier nodes are scattered over the dataset graph: start
-            // fetching the row two nodes ahead while this one is sampled.
-            if let Some(&ahead) = self.global_ids.get(dst as usize + 2) {
-                std::hint::black_box(graph.neighbors(ahead).first().copied());
+            // Frontier nodes are scattered over the dataset graph: the row
+            // `PREFETCH_AHEAD` nodes on is prefetched while this one is
+            // sampled.
+            if let Some(&ahead) = self.global_ids.get(dst as usize + PREFETCH_AHEAD) {
+                graph.prefetch_row(ahead);
             }
             let pool = graph.neighbors(self.global_ids[dst as usize]);
             let start = rows.neighbors.len();

@@ -73,6 +73,11 @@
 //! trait whose methods are `#[target_feature]` functions; the generic
 //! bodies have no features of their own and are `#[inline(always)]`
 //! into one entry per width, compiled with that width's features.
+//!
+//! [`prefetch`] holds the one `unsafe` block outside a `#[target_feature]`
+//! body, its call of the `x86` module's SSE `prefetch_line`: SSE is part
+//! of the x86-64 baseline, so there is nothing to detect, and a prefetch
+//! is a hint that cannot fault, whatever the address, and moves no bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -484,6 +489,44 @@ pub fn wide_lanes() -> usize {
     }
 }
 
+/// Bytes per cache line on every x86-64 part this crate targets.
+const LINE: usize = 64;
+
+/// Asks the CPU to start loading every cache line of `data` into L1, so
+/// that a read of rows chosen before they are needed does not wait on
+/// memory. A hint: it cannot fault and never moves a bit; off x86-64 it
+/// does nothing.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    for line in cache_lines(data) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `prefetch_line` needs only SSE, which every x86-64 host
+        // has; a prefetch never faults, whatever the address, and changes
+        // no memory.
+        unsafe {
+            x86::prefetch_line(line)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = line;
+    }
+}
+
+/// The first byte of every cache line `data` touches, from the line that
+/// holds its first byte to the one that holds its last; none if `data`
+/// has no bytes.
+fn cache_lines<T>(data: &[T]) -> impl Iterator<Item = *const u8> {
+    let bytes = std::mem::size_of_val(data);
+    let start = data.as_ptr().cast::<u8>();
+    let lead = start.addr() % LINE;
+    let lines = if bytes == 0 {
+        0
+    } else {
+        (lead + bytes).div_ceil(LINE)
+    };
+    let first = start.wrapping_sub(lead);
+    (0..lines).map(move |k| first.wrapping_add(k * LINE))
+}
+
 /// The xoshiro256++ state `StdRng::seed_from_u64(seed)` starts from:
 /// four SplitMix64 outputs.
 fn xoshiro_state(seed: u64) -> [u64; 4] {
@@ -647,8 +690,18 @@ mod x86 {
     //! features via `is_x86_feature_detected!`: either the safe function
     //! in front of the kernel checks them, or the kernel is a backend's
     //! arm and the backend value upholds it (see the enum docs).
+    //! `prefetch_line` needs only SSE, which x86-64 always has.
 
     use core::arch::x86_64::*;
+
+    // SAFETY: requires SSE, part of the x86-64 baseline this module is
+    // compiled for, so no caller needs to detect it; a prefetch is a hint
+    // that cannot fault.
+    #[target_feature(enable = "sse")]
+    #[inline]
+    pub(crate) fn prefetch_line(line: *const u8) {
+        _mm_prefetch::<_MM_HINT_T0>(line.cast());
+    }
 
     // SAFETY: requires AVX2+FMA; callers reach this only through
     // `SimdBackend::Avx2` dispatch, and that value is only constructed
@@ -1443,6 +1496,34 @@ mod tests {
         let auto = SimdPolicy::Auto.resolve().unwrap();
         assert_eq!(auto, SimdBackend::detect());
         assert!(SimdBackend::available().contains(&auto));
+    }
+
+    /// A prefetch covers the lines from a slice's first byte to its last,
+    /// wherever the slice starts, and no line of a slice without bytes;
+    /// it leaves the data as it was.
+    #[test]
+    fn prefetch_covers_exactly_the_lines_a_slice_touches() {
+        let empty: &[u32] = &[];
+        prefetch(empty);
+        assert_eq!(cache_lines(empty).count(), 0);
+        let units = [(); 1000];
+        prefetch(&units);
+        assert_eq!(cache_lines(&units).count(), 0);
+        let buf: Vec<u8> = (0..=255).collect();
+        // The first whole line of `buf`, then every sub-slice around it.
+        let base = buf.as_ptr().addr().next_multiple_of(LINE) - buf.as_ptr().addr();
+        for lead in 0..LINE {
+            for len in [1, LINE - lead, LINE - lead + 1, 2 * LINE + 1] {
+                let part = &buf[base + lead..][..len];
+                prefetch(part);
+                let lines: Vec<usize> = cache_lines(part).map(|p| p.addr()).collect();
+                let (first, last) = (part.as_ptr().addr(), part.as_ptr().addr() + len - 1);
+                assert_eq!(lines[0], first - first % LINE, "lead {lead}, len {len}");
+                assert_eq!(lines[lines.len() - 1], last - last % LINE);
+                assert!(lines.windows(2).all(|w| w[1] - w[0] == LINE));
+            }
+        }
+        assert!(buf.iter().enumerate().all(|(i, &b)| b as usize == i));
     }
 
     /// The codes feed the checkpoint fingerprint and `buffalo-par`'s

@@ -125,9 +125,8 @@ impl ReachSets {
 /// The rows a hop reads are scattered over the batch graph, so each node
 /// to expand waits in a delay line of [`PREFETCH_AHEAD`] slots: its row is
 /// prefetched when it enters and read when it leaves, that many nodes
-/// later.
-/// Nodes leave in the order they entered, so the expansion order — and
-/// every count and bitset — is that of a walk without the line.
+/// later. Nodes leave in the order they entered, so the expansion order —
+/// and every count and bitset — is that of a walk without the line.
 ///
 /// # Panics
 ///
@@ -305,9 +304,10 @@ mod tests {
         /// The delay line fills and drains at every hop: from no seeds to
         /// more than twice `PREFETCH_AHEAD` (its slots), through hops that
         /// each add fewer, exactly as many or more new nodes than it has
-        /// slots, the counts equal the blocks the walker builds. Layer `h + 1`'s nodes each hang off one node of layer
-        /// `h`; extra edges only point back at nodes already reached, so a
-        /// hop adds exactly its layer.
+        /// slots, the counts equal the blocks the walker builds. Layer
+        /// `h + 1`'s nodes each hang off one node of layer `h`; extra
+        /// edges only point back at nodes already reached, so a hop adds
+        /// exactly its layer.
         #[test]
         fn counts_match_the_walker_through_the_delay_line(
             num_seeds in 0..2 * PREFETCH_AHEAD + 2,

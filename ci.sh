@@ -185,8 +185,10 @@ echo "ci: an unknown CLI flag exits non-zero"
 # Bad numbers must be refused with exit code 1 and an error message (its
 # wording may change), not a panic (exit 101) and not a plan against a
 # misread value: an empty device pool, by both commands that build one; a
-# zero count (seeds, batch size, kernel threads) or fanout; a negative,
-# NaN or infinite budget; a `--simd` value that names no backend.
+# zero count (seeds, batch size, train nodes, kernel threads) or fanout; a
+# train split larger than the dataset; a negative, NaN or infinite
+# budget; a NaN headroom or learning rate; a `--simd` value that names no
+# backend.
 while read -r bad; do
   status=0
   # shellcheck disable=SC2086  # $bad is a fixed word list
@@ -209,6 +211,11 @@ compare cora --budget nanG
 schedule cora --budget infG
 train cora --simd sse
 train cora --simd avx512
+train cora --epochs 1 --train-nodes 100000
+train cora --epochs 1 --batch-size 100000
+train cora --epochs 1 --train-nodes 0
+train cora --epochs 1 --headroom nan
+train cora --epochs 1 --lr nan
 EOF_BAD
 echo "ci: bad numbers and unknown --simd backends exit 1 with a message"
 
@@ -241,6 +248,27 @@ if [ "$clean" != "$faulty" ]; then
   exit 1
 fi
 echo "ci: fault-free and transient-fault epoch tables identical"
+
+# Recovery switched on must not move a fault-free run: the headroom
+# multiplier moves only when something fails (a genuine refusal, a
+# rollback), never because an Eq. 2 estimate was below the bytes a
+# micro-batch allocated (the exact plan check already admitted it). On
+# arxiv at 8M the estimate is below some groups' allocations, so a
+# multiplier fed by estimates would shrink later plans and move the trail.
+args=(train ogbn-arxiv --batch-size 1024 --train-nodes 8192 --epochs 2 --budget 8M --gpus 1)
+plain=$(cargo run -q --release --bin buffalo -- "${args[@]}" | grep '^trail')
+guarded=$(cargo run -q --release --bin buffalo -- "${args[@]}" --max-retries 3)
+if [ "$plain" != "$(grep '^trail' <<<"$guarded")" ]; then
+  echo "ci: FAIL — a fault-free arxiv trail moved when recovery was switched on" >&2
+  diff <(printf '%s\n' "$plain") <(grep '^trail' <<<"$guarded") >&2 || true
+  exit 1
+fi
+if ! grep -q 'headroom multiplier 1.000$' <<<"$guarded"; then
+  echo "ci: FAIL — a fault-free arxiv run moved the headroom multiplier" >&2
+  grep '^recovery:' <<<"$guarded" >&2 || true
+  exit 1
+fi
+echo "ci: fault-free arxiv trail identical with recovery on, headroom multiplier 1.000"
 
 # Crash-consistency smoke: a run killed by a torn mid-snapshot crash must
 # resume from the surviving ring and replay a loss trail bitwise identical

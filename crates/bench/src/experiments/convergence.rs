@@ -3,11 +3,12 @@
 
 use crate::context::{gib, load_workload, load_workload_with, RTX6000_GIB};
 use crate::output::Table;
+use buffalo_blocks::BlockWalker;
 use buffalo_core::train::{Engine, TrainConfig};
 use buffalo_graph::datasets::DatasetName;
 use buffalo_graph::NodeId;
-use buffalo_memsim::{AggregatorKind, CostModel, DeviceMemory, GnnShape};
-use buffalo_sampling::BatchSampler;
+use buffalo_memsim::{measure, AggregatorKind, CostModel, DeviceMemory, GnnShape};
+use buffalo_sampling::{Batch, BatchSampler};
 
 /// Reduced real-training fanouts (the full math path runs on the CPU).
 const TRAIN_FANOUTS: [usize; 2] = [5, 10];
@@ -20,6 +21,15 @@ fn train_config(feat_dim: usize, num_classes: usize, aggregator: AggregatorKind)
         seed: 17,
         parallelism: buffalo_par::Parallelism::auto(),
     }
+}
+
+/// A budget that forces Buffalo to split `batch` into several
+/// micro-batches: 3/5 of the bytes its whole-batch iteration allocates,
+/// which are the training memory of its one whole-batch walk.
+fn splitting_budget(batch: &Batch, shape: &GnnShape) -> DeviceMemory {
+    let blocks =
+        BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, shape.num_layers);
+    DeviceMemory::new(measure::training_memory(&blocks, shape).total() * 3 / 5)
 }
 
 /// Figure 17: convergence of whole-batch vs Buffalo micro-batch training
@@ -41,20 +51,9 @@ pub(crate) fn fig17(quick: bool) {
             w.dataset.spec.num_classes,
             AggregatorKind::Mean,
         );
-        // Size a budget that forces Buffalo into several micro-batches,
-        // probing the whole-batch footprint with a throwaway trainer.
-        let mut probe = Engine::full_batch(config.clone());
         let big = DeviceMemory::new(u64::MAX);
-        let whole = probe
-            .train_iteration(&w.dataset, &batch, &big, &cost)
-            .expect("unlimited device");
-        let budget = DeviceMemory::new(whole.peak_mem_bytes * 3 / 5);
-        // Fresh trainers so both start from identical weights.
-        let config = train_config(
-            w.dataset.spec.feat_dim,
-            w.dataset.spec.num_classes,
-            AggregatorKind::Mean,
-        );
+        let budget = splitting_budget(&batch, &config.shape);
+        // Both trainers start from identical weights.
         let mut full = Engine::full_batch(config.clone());
         let mut buffalo = Engine::buffalo(config, w.clustering);
         let mut t = Table::new([
@@ -138,11 +137,7 @@ pub(crate) fn tab4(quick: bool) {
                 train_agg,
             );
             let big = DeviceMemory::new(u64::MAX);
-            let mut probe = Engine::full_batch(config.clone());
-            let whole_small = probe
-                .train_iteration(&w.dataset, &batch, &big, &cost)
-                .expect("unlimited device");
-            let budget = DeviceMemory::new(whole_small.peak_mem_bytes * 3 / 5);
+            let budget = splitting_budget(&batch, &config.shape);
             let mut full = Engine::full_batch(config.clone());
             let mut buffalo = Engine::buffalo(config, w.clustering);
             let (mut dgl_losses, mut buf_losses, mut micro) = (Vec::new(), Vec::new(), 0);

@@ -181,10 +181,10 @@ impl Engine {
 
     /// The one plan step of an iteration or inference pass. Scheduled
     /// mode runs Algorithm 3 against the calibrated constraint —
-    /// `budget / multiplier`, the plain budget until the calibrator has
-    /// seen an under-prediction — of the *schedule* budget, the tightest
-    /// live member of a device pool, so every group fits whichever device
-    /// it is routed to. Whole-batch mode is that algorithm's `K = 1` exit
+    /// `budget / multiplier`, the plain budget unless a configured floor,
+    /// a genuine refusal, a rollback or a restore raised the multiplier —
+    /// of the *schedule* budget, the tightest live member of a device
+    /// pool, so every group fits whichever device it is routed to. Whole-batch mode is that algorithm's `K = 1` exit
     /// taken unconditionally ("treat the original subgraph as the
     /// micro-batch"): one group holding every seed, with no estimate and
     /// no planning time.

@@ -203,14 +203,11 @@ impl SampleAhead {
 ///
 /// # Errors
 ///
+/// * [`TrainError::InvalidConfig`] if `batch_size` or `train_nodes` is
+///   zero, or `train_nodes + eval_nodes` exceeds the dataset size.
 /// * Any unrecovered [`TrainError`] from an iteration.
 /// * [`TrainError::Checkpoint`] for snapshot I/O or integrity failures,
 ///   a configuration mismatch on resume, or an injected crash.
-///
-/// # Panics
-///
-/// Panics if `train_nodes + eval_nodes` exceeds the dataset size or
-/// `batch_size == 0`.
 pub fn run_epochs_checkpointed(
     trainer: &mut Engine,
     ds: &Dataset,
@@ -220,11 +217,15 @@ pub fn run_epochs_checkpointed(
     ckpt: Option<&CheckpointOptions>,
     resume: bool,
 ) -> Result<TrainRun, TrainError> {
-    assert!(cfg.batch_size > 0, "batch_size must be positive");
-    assert!(
-        cfg.train_nodes + cfg.eval_nodes <= ds.graph.num_nodes(),
-        "train + eval split exceeds dataset size"
-    );
+    let nodes = ds.graph.num_nodes();
+    let split = cfg.train_nodes.saturating_add(cfg.eval_nodes);
+    if cfg.batch_size == 0 || cfg.train_nodes == 0 || split > nodes {
+        return Err(TrainError::InvalidConfig(format!(
+            "batch size {} with {} train + {} eval nodes: both counts must be positive \
+             and the split at most the dataset's {nodes} nodes",
+            cfg.batch_size, cfg.train_nodes, cfg.eval_nodes
+        )));
+    }
     let fingerprint = config_fingerprint(trainer.config(), cfg);
     let fanouts = trainer.config().fanouts.clone();
     let sampler = BatchSampler::new(fanouts.clone());
@@ -915,7 +916,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "split exceeds dataset size")]
     fn oversized_split_is_rejected() {
         let ds = datasets::load(DatasetName::Cora, 9);
         let device = DeviceMemory::with_gib(1.0);
@@ -928,6 +928,25 @@ mod tests {
             eval_nodes: 2_500,
             seed: 1,
         };
-        let _ = run_epochs_checkpointed(&mut trainer, &ds, &device, &cost, &cfg, None, false);
+        // A zero batch size, zero train nodes and an oversized split: each
+        // is refused before anything trains.
+        for cfg in [
+            EpochConfig {
+                batch_size: 0,
+                train_nodes: 256,
+                ..cfg.clone()
+            },
+            EpochConfig {
+                train_nodes: 0,
+                eval_nodes: 0,
+                ..cfg.clone()
+            },
+            cfg,
+        ] {
+            let err = run_epochs_checkpointed(&mut trainer, &ds, &device, &cost, &cfg, None, false)
+                .unwrap_err();
+            assert!(matches!(err, TrainError::InvalidConfig(_)), "{err:?}");
+        }
+        assert_eq!(device.peak(), 0, "nothing may train");
     }
 }

@@ -396,6 +396,47 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_recovery_trains_as_recovery_off() {
+        // A fault-free run with recovery on must plan and train exactly as
+        // one with recovery off. At this budget the Eq. 2 estimate of some
+        // groups is below the bytes they allocate; the exact plan check
+        // already admitted them, so that gap is no failure and must not
+        // move the headroom multiplier.
+        let ds = datasets::load(DatasetName::Pubmed, 7);
+        let seeds: Vec<u32> = (0..256).collect();
+        let batch = BatchSampler::new(vec![5, 10]).sample(&ds.graph, &seeds, 3);
+        let config = TrainConfig {
+            shape: GnnShape::new(
+                ds.spec.feat_dim,
+                32,
+                2,
+                ds.spec.num_classes,
+                AggregatorKind::Mean,
+            ),
+            fanouts: vec![5, 10],
+            lr: 0.01,
+            seed: 99,
+            parallelism: Parallelism::auto(),
+        };
+        let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
+        let device =
+            DeviceMemory::new(measure::training_memory(&blocks, &config.shape).total() / 5);
+        let cost = CostModel::rtx6000();
+        let clustering = ds.spec.paper_avg_coef;
+        let mut off = Engine::buffalo(config.clone(), clustering);
+        let mut on = Engine::buffalo(config, clustering).with_recovery(RecoveryPolicy::default());
+        for i in 0..4 {
+            let a = off.train_iteration(&ds, &batch, &device, &cost).unwrap();
+            let b = on.train_iteration(&ds, &batch, &device, &cost).unwrap();
+            assert!(a.num_micro_batches > 1, "budget did not force split");
+            assert_eq!(a.num_micro_batches, b.num_micro_batches, "iter {i}");
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "iter {i}");
+            assert!(b.recovery.is_empty(), "iter {i}: {:?}", b.recovery);
+            assert_eq!(on.headroom_multiplier(), 1.0, "iter {i}");
+        }
+    }
+
+    #[test]
     fn transient_faults_recover_bitwise_identical_to_fault_free() {
         // Acceptance: under injected transient faults handled by the
         // retry-only path, training completes with bit-identical losses to

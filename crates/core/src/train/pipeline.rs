@@ -178,8 +178,6 @@ pub(crate) struct MicroWork<'s, W = Prepared> {
     /// The seed group it was prepared from — what the re-split rung of
     /// the recovery ladder divides.
     seeds: &'s [NodeId],
-    /// Plan-time memory estimate, bytes (0 when the plan carries none).
-    estimate: u64,
     /// Index among the pass's top-level micro-batches — the round-robin
     /// shard key a device pool routes by. Re-split sub-groups inherit
     /// their parent's index so they execute on the device the parent was
@@ -205,16 +203,12 @@ pub(crate) fn whole_batch_plan(num_seeds: usize) -> SchedulePlan {
     unestimated(vec![(0..num_seeds as NodeId).collect()])
 }
 
-/// A plan's micro-batches: every non-empty group with its estimate.
-fn micro_batches(plan: &SchedulePlan) -> impl Iterator<Item = (&[NodeId], u64)> {
+/// A plan's micro-batches: every non-empty group.
+fn micro_batches(plan: &SchedulePlan) -> impl Iterator<Item = &[NodeId]> {
     plan.groups
         .iter()
-        .enumerate()
-        .filter(|(_, group)| !group.is_empty())
-        .map(|(i, group)| {
-            let estimate = plan.group_estimates.get(i).copied().unwrap_or(0);
-            (group.as_slice(), estimate)
-        })
+        .filter(|group| !group.is_empty())
+        .map(Vec::as_slice)
 }
 
 /// The staged driver, the one place an iteration's loop is written:
@@ -241,15 +235,13 @@ where
     P: FnMut(&'a [NodeId]) -> W + Send,
     E: FnMut(MicroWork<'a, W>) -> Result<(), TrainError>,
 {
-    let mut prepared =
-        micro_batches(plan)
-            .enumerate()
-            .map(move |(assign_idx, (seeds, estimate))| MicroWork {
-                prepared: prepare(seeds),
-                seeds,
-                estimate,
-                assign_idx,
-            });
+    let mut prepared = micro_batches(plan)
+        .enumerate()
+        .map(move |(assign_idx, seeds)| MicroWork {
+            prepared: prepare(seeds),
+            seeds,
+            assign_idx,
+        });
     if depth <= 1 {
         return prepared.try_for_each(execute);
     }
@@ -410,7 +402,7 @@ impl Ledger {
 }
 
 /// The scheduler the re-split rung re-plans with, and the headroom
-/// calibration that observed peaks and refusals feed.
+/// calibration that genuine refusals feed.
 pub(crate) type Replan<'a> = (&'a BuffaloScheduler, &'a mut HeadroomCalibrator);
 
 /// The training Execute stage: its recovery limits and its accumulators.
@@ -444,7 +436,6 @@ fn consume_one(
     let MicroWork {
         prepared,
         seeds,
-        estimate,
         assign_idx,
     } = work;
     let bytes = measure::training_memory(&prepared.blocks, req.shape).total();
@@ -474,8 +465,8 @@ fn consume_one(
                     continue;
                 }
                 // A genuine refusal (not an injected transient fault) is
-                // evidence about the estimator: grow the safety margin so
-                // subsequent scheduling leaves headroom. One incident is
+                // evidence that plans need more room: grow the safety
+                // margin so subsequent scheduling leaves headroom. One incident is
                 // one piece of evidence — retries of the same refusal do
                 // not compound it.
                 if !oom.transient && !observed_oom {
@@ -539,9 +530,6 @@ fn consume_one(
     let out = softmax_cross_entropy(&logits, &data.labels, Some(req.batch.num_seeds));
     model.backward(blocks, &cache, &out.dlogits);
     st.residency.release_after_step();
-    if let Some((_, cal)) = st.replan.as_mut() {
-        cal.observe(estimate, bytes);
-    }
     st.ledger.book(&prepared, Some((req.cost, req.shape)));
     st.loss_sum += out.loss as f64 * data.labels.len() as f64;
     st.correct += out.correct;

@@ -1,10 +1,12 @@
 //! The recovery vocabulary — policy, actions, event trail — shared by the
 //! training and serving ladders, plus estimator headroom calibration.
 //!
-//! The scheduler's Algorithm 3 guards against OOM at *plan* time; this
-//! module guards *execution* time, where an estimator under-prediction, an
-//! injected fault, or a mid-epoch budget shrink can still make the device
-//! refuse an allocation. On such a failure the caller climbs a recovery
+//! The scheduler's Algorithm 3 guards against OOM at *plan* time, and
+//! checks every group against its exact memory before a plan is returned,
+//! so an estimator under-prediction cannot reach the device. This module
+//! guards *execution* time, where an injected fault, a mid-epoch budget
+//! shrink or a lost device can still make the device refuse an
+//! allocation. On such a failure the caller climbs a recovery
 //! ladder and records every rung as a [`RecoveryEvent`]; only when the
 //! ladder is exhausted does a structured
 //! [`TrainError::RecoveryExhausted`] carrying the full trail reach the
@@ -12,8 +14,8 @@
 //!
 //! There are two climb loops, on purpose: training
 //! ([`pipeline`](super::pipeline)) degrades residency *before* retrying,
-//! retries genuine refusals too, feeds the [`HeadroomCalibrator`] and
-//! re-splits through the bucket scheduler; serving
+//! retries genuine refusals too, feeds them to the [`HeadroomCalibrator`]
+//! and re-splits through the bucket scheduler; serving
 //! ([`serve::recovery`](crate::serve::recovery)) retries *only* transient
 //! faults, degrades its batch width *after*, and halves by seed. They
 //! differ in rung order and guard, so one loop would branch on its
@@ -229,19 +231,18 @@ pub(crate) fn fail_over(
     Ok(())
 }
 
-/// Online calibration of the memory estimator's safety margin.
+/// The safety margin the scheduler's constraints leave below the budget.
 ///
-/// The scheduler admits a group when its Eq.-2 estimate fits the
-/// constraint; if the device then refuses the allocation, the estimate was
-/// short. The calibrator tracks the worst observed actual/estimated ratio
-/// and scales *subsequent* scheduling constraints down by it
-/// (`constraint = budget / multiplier`), so near-misses teach the
-/// scheduler to leave headroom. Injected transient faults say nothing
-/// about the estimator and must not be fed in.
-///
-/// The multiplier starts at the configured floor (1.0 by default) and only
-/// grows on evidence, so a fault-free run with an accurate estimator
-/// schedules exactly as it would without the calibrator.
+/// Scheduling uses `constraint = budget / multiplier`. The multiplier
+/// starts at the configured floor (1.0 by default) and moves only on
+/// evidence that something failed: a genuine (non-transient) refusal
+/// grows it by ×1.25 once per incident, and the epoch driver's rollback
+/// rung and checkpoint restore set it. Plan-time estimates are not fed in: the scheduler already validates
+/// every group against its exact memory, the same figure the allocation
+/// uses, so an estimate below a micro-batch's allocation is no failure,
+/// and a fault-free run schedules exactly as one with recovery off.
+/// Injected transient faults say nothing about the plan and are not fed
+/// in either.
 #[derive(Debug, Clone)]
 pub struct HeadroomCalibrator {
     multiplier: f64,
@@ -254,9 +255,14 @@ pub struct HeadroomCalibrator {
 const HEADROOM_CAP: f64 = 4.0;
 
 impl HeadroomCalibrator {
-    /// Starts with `multiplier = floor` (clamped to `[1, 4]`).
+    /// Starts with `multiplier = floor` (clamped to `[1, 4]`; a NaN or
+    /// infinite floor counts as 1.0).
     pub(crate) fn new(floor: f64) -> Self {
-        let floor = floor.clamp(1.0, HEADROOM_CAP);
+        let floor = if floor.is_finite() {
+            floor.clamp(1.0, HEADROOM_CAP)
+        } else {
+            1.0
+        };
         HeadroomCalibrator {
             multiplier: floor,
             floor,
@@ -281,19 +287,8 @@ impl HeadroomCalibrator {
         ((budget as f64 / self.multiplier) as u64).max(1)
     }
 
-    /// Feeds one completed micro-batch: `estimated` bytes at plan time vs
-    /// `actual` bytes allocated. Ratchets the multiplier up to the worst
-    /// under-prediction seen.
-    pub(crate) fn observe(&mut self, estimated: u64, actual: u64) {
-        if estimated == 0 || actual <= estimated {
-            return;
-        }
-        let ratio = actual as f64 / estimated as f64;
-        self.multiplier = self.multiplier.max(ratio.min(HEADROOM_CAP));
-    }
-
-    /// Feeds one genuine (non-transient) device refusal for which no
-    /// estimate comparison is available: grow the margin geometrically.
+    /// Feeds one genuine (non-transient) device refusal: grow the margin
+    /// geometrically.
     pub(crate) fn observe_oom(&mut self) {
         self.multiplier = (self.multiplier * 1.25).min(HEADROOM_CAP);
     }
@@ -320,18 +315,14 @@ mod tests {
     }
 
     #[test]
-    fn calibrator_starts_neutral_and_ratchets() {
-        let mut c = HeadroomCalibrator::new(1.0);
-        assert_eq!(c.constrain(1000), 1000);
-        c.observe(100, 90); // over-prediction: no change
-        assert_eq!(c.multiplier(), 1.0);
-        c.observe(100, 150); // 1.5× under-prediction
-        assert!((c.multiplier() - 1.5).abs() < 1e-12);
-        assert_eq!(c.constrain(1500), 1000);
-        c.observe(100, 120); // milder: ratchet holds
-        assert!((c.multiplier() - 1.5).abs() < 1e-12);
-        c.observe(1, 100); // absurd ratio clamps at the cap
-        assert!((c.multiplier() - 4.0).abs() < 1e-12);
+    fn non_finite_floor_counts_as_one() {
+        for floor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let c = HeadroomCalibrator::new(floor);
+            assert_eq!(c.multiplier(), 1.0, "floor {floor}");
+            assert_eq!(c.constrain(1000), 1000, "floor {floor}");
+        }
+        assert_eq!(HeadroomCalibrator::new(0.5).multiplier(), 1.0);
+        assert_eq!(HeadroomCalibrator::new(9.0).multiplier(), HEADROOM_CAP);
     }
 
     #[test]
@@ -379,21 +370,20 @@ mod tests {
                 }
             }
 
-            /// No sequence of observations — refusals, arbitrary
-            /// estimate/actual pairs, imposed multipliers — drives the
+            /// No sequence of refusals and imposed multipliers drives the
             /// multiplier below the configured floor or above the cap.
             #[test]
             fn never_tightens_below_floor_or_beyond_cap(
                 floor in 1.0f64..4.0,
                 ops in collection::vec(
-                    (0u8..3, 0u64..u64::MAX, 0u64..u64::MAX), 1..60),
+                    (0u8..2, 0u64..u64::MAX, 0u64..u64::MAX), 1..60),
             ) {
                 let mut c = HeadroomCalibrator::new(floor);
-                for (op, est, act) in ops {
-                    match op {
-                        0 => c.observe_oom(),
-                        1 => c.observe(est, act),
-                        _ => c.set_multiplier(est as f64 / act.max(1) as f64),
+                for (op, num, den) in ops {
+                    if op == 0 {
+                        c.observe_oom();
+                    } else {
+                        c.set_multiplier(num as f64 / den.max(1) as f64);
                     }
                     prop_assert!(c.multiplier() >= floor - 1e-12,
                         "multiplier {} fell below floor {floor}", c.multiplier());

@@ -416,7 +416,9 @@ fn engine_setup(target: &str, opts: &Options) -> Result<EngineSetup, String> {
     let config = TrainConfig {
         shape: s.shape.clone(),
         fanouts: s.fanouts.clone(),
-        lr: o.get("lr", 0.01)?,
+        lr: Some(o.get::<f32>("lr", 0.01)?)
+            .filter(|lr| lr.is_finite() && *lr > 0.0)
+            .ok_or("--lr must be a positive finite number")?,
         seed: 17,
         parallelism,
     };
@@ -494,7 +496,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     let epochs: usize = opts.get("epochs", 3)?;
     let batch_size = opts.positive("batch-size", 256)?;
     let eval_nodes: usize = opts.get("eval", 512)?;
-    let train_nodes: usize = opts.get(
+    let train_nodes = opts.positive(
         "train-nodes",
         (s.ds.graph.num_nodes() / 4).min(2_048).max(batch_size),
     )?;
@@ -547,7 +549,9 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
     if recovery_on {
         trainer.set_recovery(RecoveryPolicy {
             max_retries: opts.get("max-retries", 3)?,
-            headroom: opts.get("headroom", 1.0)?,
+            headroom: Some(opts.get::<f64>("headroom", 1.0)?)
+                .filter(|h| h.is_finite())
+                .ok_or("--headroom must be a finite number")?,
             ..RecoveryPolicy::default()
         });
     }

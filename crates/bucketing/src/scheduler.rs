@@ -23,7 +23,8 @@ const EXPLOSION_FACTOR: f64 = 2.0;
 pub struct SchedulePlan {
     /// Seed local ids per micro-batch.
     pub groups: Vec<Vec<NodeId>>,
-    /// Redundancy-aware memory estimate per group, bytes.
+    /// Redundancy-aware memory estimate per group, bytes. Report-only:
+    /// execution allocates each group's exact memory and never reads it.
     pub group_estimates: Vec<u64>,
     /// The `K` that satisfied the constraint.
     pub k: usize,

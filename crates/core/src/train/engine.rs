@@ -184,8 +184,9 @@ impl Engine {
     /// `budget / multiplier`, the plain budget unless a configured floor,
     /// a genuine refusal, a rollback or a restore raised the multiplier —
     /// of the *schedule* budget, the tightest live member of a device
-    /// pool, so every group fits whichever device it is routed to. Whole-batch mode is that algorithm's `K = 1` exit
-    /// taken unconditionally ("treat the original subgraph as the
+    /// pool, so every group fits whichever device it is routed to.
+    /// Whole-batch mode is that algorithm's `K = 1` exit taken
+    /// unconditionally ("treat the original subgraph as the
     /// micro-batch"): one group holding every seed, with no estimate and
     /// no planning time.
     fn plan(&self, batch: &Batch, device: &dyn Device) -> Result<SchedulePlan, TrainError> {

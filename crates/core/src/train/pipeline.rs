@@ -466,9 +466,9 @@ fn consume_one(
                 }
                 // A genuine refusal (not an injected transient fault) is
                 // evidence that plans need more room: grow the safety
-                // margin so subsequent scheduling leaves headroom. One incident is
-                // one piece of evidence — retries of the same refusal do
-                // not compound it.
+                // margin so subsequent scheduling leaves headroom. One
+                // incident is one piece of evidence — retries of the same
+                // refusal do not compound it.
                 if !oom.transient && !observed_oom {
                     observed_oom = true;
                     if let Some((_, cal)) = st.replan.as_mut() {

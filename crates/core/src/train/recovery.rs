@@ -1,13 +1,13 @@
 //! The recovery vocabulary — policy, actions, event trail — shared by the
-//! training and serving ladders, plus estimator headroom calibration.
+//! training and serving ladders, plus the headroom scheduling leaves.
 //!
 //! The scheduler's Algorithm 3 guards against OOM at *plan* time, and
 //! checks every group against its exact memory before a plan is returned,
 //! so an estimator under-prediction cannot reach the device. This module
 //! guards *execution* time, where an injected fault, a mid-epoch budget
 //! shrink or a lost device can still make the device refuse an
-//! allocation. On such a failure the caller climbs a recovery
-//! ladder and records every rung as a [`RecoveryEvent`]; only when the
+//! allocation. On such a failure the caller climbs a recovery ladder and
+//! records every rung as a [`RecoveryEvent`]; only when the
 //! ladder is exhausted does a structured
 //! [`TrainError::RecoveryExhausted`] carrying the full trail reach the
 //! caller.
@@ -237,12 +237,12 @@ pub(crate) fn fail_over(
 /// starts at the configured floor (1.0 by default) and moves only on
 /// evidence that something failed: a genuine (non-transient) refusal
 /// grows it by ×1.25 once per incident, and the epoch driver's rollback
-/// rung and checkpoint restore set it. Plan-time estimates are not fed in: the scheduler already validates
-/// every group against its exact memory, the same figure the allocation
-/// uses, so an estimate below a micro-batch's allocation is no failure,
-/// and a fault-free run schedules exactly as one with recovery off.
-/// Injected transient faults say nothing about the plan and are not fed
-/// in either.
+/// rung and checkpoint restore set it. Plan-time estimates are not fed
+/// in: the scheduler already validates every group against its exact
+/// memory, the same figure the allocation uses, so an estimate below a
+/// micro-batch's allocation is no failure, and a fault-free run
+/// schedules exactly as one with recovery off. Injected transient faults
+/// say nothing about the plan and are not fed in either.
 #[derive(Debug, Clone)]
 pub struct HeadroomCalibrator {
     multiplier: f64,
@@ -380,10 +380,9 @@ mod tests {
             ) {
                 let mut c = HeadroomCalibrator::new(floor);
                 for (op, num, den) in ops {
-                    if op == 0 {
-                        c.observe_oom();
-                    } else {
-                        c.set_multiplier(num as f64 / den.max(1) as f64);
+                    match op {
+                        0 => c.observe_oom(),
+                        _ => c.set_multiplier(num as f64 / den.max(1) as f64),
                     }
                     prop_assert!(c.multiplier() >= floor - 1e-12,
                         "multiplier {} fell below floor {floor}", c.multiplier());

@@ -407,11 +407,33 @@ if [ "$a1" != "$a2" ]; then
 fi
 echo "ci: --simd auto run-to-run byte-identical ($(printf '%s' "$a1" | head -1))"
 
-# bf16 feature storage must train end-to-end (numerics shift within the
-# documented 2^-8 relative bound, so no golden here — just the smoke).
-cargo run -q --release --bin buffalo -- train cora --epochs 1 --budget 12M \
-  --precision bf16 --simd auto >/dev/null
-echo "ci: --precision bf16 trains end-to-end"
+# bf16 feature storage is as deterministic as f32: its numerics sit
+# within the documented 2^-8 relative bound of the f32 trail, and its
+# bits are pinned per backend like the f32 goldens above. At 12M the
+# batch splits (K > 1), so every micro-batch's layer 0 reads the bf16
+# table. A host without AVX2 and FMA checks the scalar golden only.
+ckdir=$(mktemp -d)
+for backend in scalar avx2; do
+  golden=tests/golden/cora_bf16_epochs2_bits.txt
+  [ "$backend" = scalar ] || golden=tests/golden/cora_bf16_epochs2_${backend}_bits.txt
+  if ! bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
+    --precision bf16 --simd "$backend" --checkpoint-dir "$ckdir/$backend" \
+    --checkpoint-every 2 2>/dev/null | grep -E '^\s+[0-9]|^trail'); then
+    if [ "$backend" = scalar ]; then
+      echo "ci: FAIL — --precision bf16 --simd scalar did not train" >&2
+      exit 1
+    fi
+    echo "ci: skip — host CPU does not support --simd $backend"
+    continue
+  fi
+  if [ "$bits" != "$(cat "$golden")" ]; then
+    echo "ci: FAIL — --precision bf16 --simd $backend diverged from $golden" >&2
+    diff "$golden" <(printf '%s\n' "$bits") >&2 || true
+    exit 1
+  fi
+  echo "ci: --precision bf16 --simd $backend matches its golden bitwise"
+done
+rm -rf "$ckdir"
 
 # Serving smoke: `buffalo serve` replays a seeded trace through the same
 # engine and bucket scheduler as training; two runs must produce

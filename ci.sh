@@ -185,10 +185,10 @@ echo "ci: an unknown CLI flag exits non-zero"
 # Bad numbers must be refused with exit code 1 and an error message (its
 # wording may change), not a panic (exit 101) and not a plan against a
 # misread value: an empty device pool, by both commands that build one; a
-# zero count (seeds, batch size, train nodes, kernel threads) or fanout; a
-# train split larger than the dataset; a negative, NaN or infinite
-# budget; a NaN headroom or learning rate; a `--simd` value that names no
-# backend.
+# zero count (seeds, batch size, train nodes, epochs, kernel threads) or
+# fanout; a train split larger than the dataset; a negative, NaN or
+# infinite budget; a NaN headroom or learning rate; a `--simd` value that
+# names no backend.
 while read -r bad; do
   status=0
   # shellcheck disable=SC2086  # $bad is a fixed word list
@@ -216,6 +216,7 @@ train cora --epochs 1 --batch-size 100000
 train cora --epochs 1 --train-nodes 0
 train cora --epochs 1 --headroom nan
 train cora --epochs 1 --lr nan
+train cora --epochs 0
 EOF_BAD
 echo "ci: bad numbers and unknown --simd backends exit 1 with a message"
 

@@ -12,13 +12,28 @@
 //!
 //! # Who owns an activation
 //!
-//! The forward pass copies no activation. The input features are borrowed
-//! for as long as the caches live; each later layer's input is the
-//! previous layer's output, moved in. A layer's cache keeps only what its
-//! own backward reads (the whole input only for the aggregators whose
-//! weight gradient is taken against it), so an input nothing reads again
-//! is dropped as soon as its layer has run. `GnnModel::logits` is the
-//! same arithmetic with no cache built at all — what inference calls.
+//! The forward pass copies no activation. Layer 0's input is a
+//! [`Features`] value: dense rows, borrowed (`GnnModel::forward`) or
+//! moved in (the trainer's gather), or a bf16 feature table read in
+//! place. Each later layer's input is the previous layer's output, moved
+//! in. A layer's cache keeps only what its own backward reads (the whole
+//! input only for the aggregators whose weight gradient is taken against
+//! it), so an input nothing reads again is dropped as soon as its layer
+//! has run. `GnnModel::logits` is the same arithmetic with no cache built
+//! at all — what inference calls.
+//!
+//! # Layer 0 over a bf16 table
+//!
+//! Mean GraphSAGE's layer 0 reads its sources in two ways only: the
+//! destinations' rows for the self term (the destinations are the
+//! sources' prefix) and one `axpy_gather` per destination for the mean.
+//! It has no input gradient to compute. So over a bf16 table it needs no
+//! dense copy of its sources: the gather widens only the destinations'
+//! rows, and the mean reads each source row from the table by dataset
+//! id, widening it in registers (`SimdBackend::axpy_gather_bf16`).
+//! Widening is exact, so the logits and every gradient are the bits the
+//! dense rows give. Every other layer and model takes dense rows; given a
+//! table, it widens every source row first.
 
 mod gat;
 mod sage;
@@ -27,9 +42,52 @@ pub use gat::GatLayer;
 pub use sage::{SageCache, SageLayer};
 
 use buffalo_blocks::Block;
+use buffalo_graph::NodeId;
 use buffalo_memsim::{AggregatorKind, GnnShape};
 use buffalo_tensor::{Param, Tensor};
 use std::borrow::Cow;
+
+/// Layer 0's input: the feature rows of the input block's sources.
+#[derive(Debug)]
+pub enum Features<'a> {
+    /// One f32 row per `blocks[0].src_nodes()` entry, in that order.
+    Dense(Cow<'a, Tensor>),
+    /// A bf16 feature table read in place. Mean GraphSAGE reads it with
+    /// no dense copy; any other model widens every source row first.
+    Bf16 {
+        /// `nodes × dim` bf16 values, row-major
+        /// ([`Dataset::bf16_table`](buffalo_graph::datasets::Dataset::bf16_table)).
+        table: &'a [u16],
+        /// Source `i`'s table row, per `blocks[0].src_nodes()` entry.
+        sources: Vec<NodeId>,
+        /// The first `blocks[0].num_dst()` sources' rows, widened: the
+        /// destinations' own rows, which the self term reads.
+        head: Tensor,
+    },
+}
+
+impl<'a> Features<'a> {
+    /// The dense rows: as given, or every source row widened from the
+    /// table.
+    fn into_dense(self) -> Cow<'a, Tensor> {
+        match self {
+            Features::Dense(rows) => rows,
+            Features::Bf16 {
+                table,
+                sources,
+                head,
+            } => {
+                let dim = head.cols();
+                let simd = buffalo_par::ambient().simd;
+                let mut rows = Tensor::zeros(sources.len(), dim);
+                for (i, &v) in sources.iter().enumerate() {
+                    simd.widen_bf16(rows.row_mut(i), &table[v as usize * dim..][..dim]);
+                }
+                Cow::Owned(rows)
+            }
+        }
+    }
+}
 
 /// One layer over one block, as [`GnnModel`] drives it. The two
 /// switches say what the caller will read, so a layer does only that
@@ -47,6 +105,18 @@ trait BlockLayer {
         h_src: Cow<'a, Tensor>,
         keep: bool,
     ) -> (Tensor, Option<Self::Cache<'a>>);
+
+    /// [`run`](Self::run) as layer 0, over `features`. A layer that can
+    /// read a bf16 table in place overrides this; any other widens every
+    /// source row first.
+    fn run_features<'a>(
+        &self,
+        block: &Block,
+        features: Features<'a>,
+        keep: bool,
+    ) -> (Tensor, Option<Self::Cache<'a>>) {
+        self.run(block, features.into_dense(), keep)
+    }
 
     /// Backward over `block`: accumulates the parameter gradients and, if
     /// `input_grad`, returns the gradient w.r.t. `h_src` (rows follow
@@ -69,8 +139,8 @@ fn activate(y: &mut Tensor, relu: bool, keep: bool) -> Option<Vec<bool>> {
     (relu && keep).then(|| y.relu_inplace())
 }
 
-/// Forward through `layers`, input layer first: the features are
-/// borrowed, every later activation is moved into the layer it feeds.
+/// Forward through `layers`, input layer first: layer 0 reads
+/// `features`, every later activation is moved into the layer it feeds.
 ///
 /// # Panics
 ///
@@ -78,18 +148,22 @@ fn activate(y: &mut Tensor, relu: bool, keep: bool) -> Option<Vec<bool>> {
 fn run_layers<'a, L: BlockLayer>(
     layers: &[L],
     blocks: &[Block],
-    features: &'a Tensor,
+    features: Features<'a>,
     keep: bool,
 ) -> (Tensor, Vec<L::Cache<'a>>) {
     assert_eq!(blocks.len(), layers.len(), "block/layer count mismatch");
-    let mut h = Cow::Borrowed(features);
-    let mut caches = Vec::new();
-    for (layer, block) in layers.iter().zip(blocks) {
-        let (h_next, cache) = layer.run(block, h, keep);
+    let mut stack = layers.iter().zip(blocks);
+    let Some((layer, block)) = stack.next() else {
+        return (features.into_dense().into_owned(), Vec::new());
+    };
+    let (mut h, cache) = layer.run_features(block, features, keep);
+    let mut caches = Vec::from_iter(cache);
+    for (layer, block) in stack {
+        let (h_next, cache) = layer.run(block, Cow::Owned(h), keep);
         caches.extend(cache);
-        h = Cow::Owned(h_next);
+        h = h_next;
     }
-    (h.into_owned(), caches)
+    (h, caches)
 }
 
 /// Backward through `layers`, output layer first. The features are not
@@ -154,6 +228,21 @@ impl GnnModel {
     ///
     /// Panics if `blocks.len()` differs from the model depth.
     pub fn forward<'a>(&self, blocks: &[Block], features: &'a Tensor) -> (Tensor, ModelCache<'a>) {
+        self.forward_features(blocks, Features::Dense(Cow::Borrowed(features)))
+    }
+
+    /// [`forward`](Self::forward) over layer 0's input in either form —
+    /// what training calls. The logits and the cache's gradients are the
+    /// bits the dense rows give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks.len()` differs from the model depth.
+    pub fn forward_features<'a>(
+        &self,
+        blocks: &[Block],
+        features: Features<'a>,
+    ) -> (Tensor, ModelCache<'a>) {
         match self {
             GnnModel::Sage(layers) => {
                 let (logits, c) = run_layers(layers, blocks, features, true);
@@ -166,13 +255,14 @@ impl GnnModel {
         }
     }
 
-    /// The logits of [`forward`](Self::forward), bit for bit, with no
-    /// cache built — for callers that run no backward pass.
+    /// The logits of [`forward_features`](Self::forward_features), bit
+    /// for bit, with no cache built — for callers that run no backward
+    /// pass.
     ///
     /// # Panics
     ///
     /// Panics if `blocks.len()` differs from the model depth.
-    pub(crate) fn logits(&self, blocks: &[Block], features: &Tensor) -> Tensor {
+    pub fn logits(&self, blocks: &[Block], features: Features<'_>) -> Tensor {
         match self {
             GnnModel::Sage(layers) => run_layers(layers, blocks, features, false).0,
             GnnModel::Gat(layers) => run_layers(layers, blocks, features, false).0,
@@ -192,6 +282,17 @@ impl GnnModel {
             (GnnModel::Gat(layers), ModelCache::Gat(c)) => back_layers(layers, blocks, c, dlogits),
             // lint:allow(panic-reachability): kind invariant — backward only ever receives the cache returned by this same model's forward (suppresses chain: consume_one → GnnModel::backward → panic!)
             _ => panic!("model/cache kind mismatch"),
+        }
+    }
+
+    /// The aggregator the model was built for (`shape.aggregator` in
+    /// [`for_shape`](Self::for_shape)).
+    pub(crate) fn aggregator(&self) -> AggregatorKind {
+        match self {
+            GnnModel::Sage(layers) => layers
+                .first()
+                .map_or(AggregatorKind::Mean, SageLayer::aggregator),
+            GnnModel::Gat(_) => AggregatorKind::Attention,
         }
     }
 
@@ -306,8 +407,9 @@ mod tests {
             let x = Tensor::xavier(blocks[0].num_src(), 10, 99);
             let labels: Vec<u32> = (0..12).map(|i| (i * 3 % 5) as u32).collect();
 
-            let (logits, caches) = run_layers(&layers, &blocks, &x, true);
-            let (bare, no_caches) = run_layers(&layers, &blocks, &x, false);
+            let dense = || Features::Dense(Cow::Borrowed(&x));
+            let (logits, caches) = run_layers(&layers, &blocks, dense(), true);
+            let (bare, no_caches) = run_layers(&layers, &blocks, dense(), false);
             assert!(no_caches.is_empty(), "a logits-only pass built a cache");
             assert_eq!(bits(&bare), bits(&logits), "logits-only forward differs");
             assert_eq!(fnv([&logits]), pinned.0, "logits moved");

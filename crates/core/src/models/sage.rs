@@ -6,8 +6,9 @@
 //! runs the recurrent aggregator over equal-length neighbor sequences with
 //! no padding.
 
-use super::{activate, BlockLayer};
+use super::{activate, BlockLayer, Features};
 use buffalo_blocks::{Block, ReverseIndex};
+use buffalo_graph::NodeId;
 use buffalo_memsim::AggregatorKind;
 use buffalo_tensor::{Linear, LstmCell, LstmState, Param, Tensor};
 use std::borrow::Cow;
@@ -125,25 +126,9 @@ impl SageLayer {
         let dim = self.in_dim;
         match &self.agg {
             AggregatorImpl::Mean => {
-                // Parallel over disjoint destination rows; each row still
-                // accumulates its sources in block order, so the result is
-                // bit-identical for any thread count. The per-source
-                // accumulation is one axpy per source row, dispatched to
-                // the configured SIMD backend as a single `axpy_gather`
-                // (under scalar on an AVX host the row stays in registers
-                // across its sources).
-                let par = buffalo_par::ambient();
-                let simd = par.simd;
-                let mut agg = Tensor::zeros(n_dst, dim);
-                buffalo_par::parallel_rows(agg.data_mut(), dim, &par, |row0, chunk| {
-                    for (r, dst_row) in chunk.chunks_exact_mut(dim).enumerate() {
-                        let pos = block.src_positions(row0 + r);
-                        if pos.is_empty() {
-                            continue;
-                        }
-                        let inv = 1.0 / pos.len() as f32;
-                        simd.axpy_gather(dst_row, h_src.data(), pos, inv);
-                    }
+                let simd = buffalo_par::ambient().simd;
+                let agg = mean_rows(block, dim, |_, dst_row, pos, inv| {
+                    simd.axpy_gather(dst_row, h_src.data(), pos, inv)
                 });
                 (agg, keep.then_some(AggCache::Mean))
             }
@@ -246,6 +231,15 @@ impl SageLayer {
         }
     }
 
+    /// The aggregator kind this layer runs.
+    pub(crate) fn aggregator(&self) -> AggregatorKind {
+        match self.agg {
+            AggregatorImpl::Mean => AggregatorKind::Mean,
+            AggregatorImpl::MaxPool { .. } => AggregatorKind::MaxPool,
+            AggregatorImpl::Lstm { .. } => AggregatorKind::Lstm,
+        }
+    }
+
     /// Trainable parameters.
     pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.w_self.params_mut();
@@ -257,6 +251,53 @@ impl SageLayer {
         }
         ps
     }
+
+    /// The layer's output from the destinations' own rows and their
+    /// aggregated neighbors, and, if `agg_cache` is kept, the cache.
+    fn combine<'a>(
+        &self,
+        h_dst: Tensor,
+        agg: Tensor,
+        agg_cache: Option<AggCache<'a>>,
+        keep: bool,
+    ) -> (Tensor, Option<SageCache<'a>>) {
+        let mut y = self.w_self.forward(&h_dst);
+        y.add_assign(&self.w_neigh.forward(&agg));
+        let relu_mask = activate(&mut y, self.relu, keep);
+        let cache = agg_cache.map(|agg_cache| SageCache {
+            h_dst,
+            agg,
+            relu_mask,
+            agg_cache,
+        });
+        (y, cache)
+    }
+}
+
+/// The mean aggregation: row `i` of the result is the mean of
+/// destination `i`'s sources, each added by `add(ids, dst_row, positions,
+/// 1 / degree)` as one `axpy_gather`-style run over the listed source
+/// positions; `ids` is scratch the caller may use. Parallel over disjoint
+/// destination rows; each row still accumulates its sources in block
+/// order, so the result is bit-identical for any thread count (under
+/// scalar on an AVX host the row stays in registers across its sources).
+fn mean_rows(
+    block: &Block,
+    dim: usize,
+    add: impl Fn(&mut Vec<NodeId>, &mut [f32], &[u32], f32) + Sync,
+) -> Tensor {
+    let par = buffalo_par::ambient();
+    let mut agg = Tensor::zeros(block.num_dst(), dim);
+    buffalo_par::parallel_rows(agg.data_mut(), dim, &par, |row0, chunk| {
+        let mut ids = Vec::new();
+        for (r, dst_row) in chunk.chunks_exact_mut(dim).enumerate() {
+            let pos = block.src_positions(row0 + r);
+            if !pos.is_empty() {
+                add(&mut ids, dst_row, pos, 1.0 / pos.len() as f32);
+            }
+        }
+    });
+    agg
 }
 
 impl BlockLayer for SageLayer {
@@ -275,16 +316,44 @@ impl BlockLayer for SageLayer {
         assert_eq!(h_src.cols(), self.in_dim, "h_src width mismatch");
         let h_dst = h_src.head_rows(block.num_dst());
         let (agg, agg_cache) = self.aggregate(block, h_src, keep);
-        let mut y = self.w_self.forward(&h_dst);
-        y.add_assign(&self.w_neigh.forward(&agg));
-        let relu_mask = activate(&mut y, self.relu, keep);
-        let cache = agg_cache.map(|agg_cache| SageCache {
-            h_dst,
-            agg,
-            relu_mask,
-            agg_cache,
-        });
-        (y, cache)
+        self.combine(h_dst, agg, agg_cache, keep)
+    }
+
+    /// The mean aggregator reads a bf16 table in place: each destination's
+    /// sources are table rows by dataset id, widened in registers by
+    /// `axpy_gather_bf16` in the order and with the lane updates
+    /// `axpy_gather` gives the widened rows, and the self term is the
+    /// widened `head`. Any other aggregator, or dense rows, runs
+    /// [`run`](BlockLayer::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` mismatches the block or layer.
+    fn run_features<'a>(
+        &self,
+        block: &Block,
+        features: Features<'a>,
+        keep: bool,
+    ) -> (Tensor, Option<SageCache<'a>>) {
+        match features {
+            Features::Bf16 {
+                table,
+                sources,
+                head,
+            } if matches!(self.agg, AggregatorImpl::Mean) => {
+                assert_eq!(sources.len(), block.num_src(), "source count mismatch");
+                assert_eq!(head.rows(), block.num_dst(), "head row count mismatch");
+                assert_eq!(head.cols(), self.in_dim, "head width mismatch");
+                let simd = buffalo_par::ambient().simd;
+                let agg = mean_rows(block, self.in_dim, |ids, dst_row, pos, inv| {
+                    ids.clear();
+                    ids.extend(pos.iter().map(|&p| sources[p as usize]));
+                    simd.axpy_gather_bf16(dst_row, table, ids, inv)
+                });
+                self.combine(head, agg, keep.then_some(AggCache::Mean), keep)
+            }
+            features => self.run(block, features.into_dense(), keep),
+        }
     }
 
     /// With `input_grad` off, every aggregator skips exactly what only

@@ -457,8 +457,8 @@ pub fn evaluate(
     assert!(!nodes.is_empty(), "evaluation set must be non-empty");
     let batch = BatchSampler::new(fanouts.to_vec()).sample(&ds.graph, nodes, seed);
     let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, fanouts.len());
-    let data = gather(ds, &batch, &blocks);
-    let logits = model.logits(&blocks, &data.features);
+    let data = gather(ds, &batch, &blocks, model.aggregator());
+    let logits = model.logits(&blocks, data.features);
     let out = softmax_cross_entropy(&logits, &data.labels, None);
     out.correct as f32 / data.labels.len() as f32
 }

@@ -33,13 +33,15 @@ pub use epoch::{evaluate, run_epochs_checkpointed, EpochConfig, EpochStats, Trai
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 
+use crate::models::Features;
 use buffalo_blocks::Block;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
-use buffalo_memsim::{GnnShape, StageTimings};
+use buffalo_memsim::{AggregatorKind, GnnShape, StageTimings};
 use buffalo_par::Parallelism;
 use buffalo_sampling::Batch;
 use buffalo_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Configuration of an [`Engine`], whole-batch or scheduled.
 #[derive(Debug, Clone)]
@@ -94,10 +96,12 @@ pub struct InferenceStats {
     pub service_seconds: f64,
 }
 
-/// What the blocks of one (micro-)batch read from the dataset.
-pub(crate) struct Gathered {
-    /// Feature rows of the input layer's sources.
-    pub features: Tensor,
+/// What the blocks of one (micro-)batch read from the dataset; `'a` is
+/// the borrow of the dataset's bf16 table, when layer 0 reads it in
+/// place.
+pub(crate) struct Gathered<'a> {
+    /// Layer 0's input: the feature rows of its sources.
+    pub features: Features<'a>,
     /// One label per output node.
     pub labels: Vec<u32>,
     /// Dataset id per output node, in the same order: training ignores
@@ -125,25 +129,49 @@ fn size_class(len: usize) -> usize {
 }
 
 /// The one feature/label gather: `blocks` are a (micro-)batch's layers,
-/// input layer first, with node ids local to `batch`.
-pub(crate) fn gather(ds: &Dataset, batch: &Batch, blocks: &[Block]) -> Gathered {
+/// input layer first, with node ids local to `batch`, for a model of
+/// `aggregator`.
+///
+/// Mean GraphSAGE over a bf16 table reads the table in place (see
+/// [`models`](crate::models)), so for it only the input layer's
+/// destinations are widened here and its sources stay dataset ids. Any
+/// other model, or f32 storage, gets every source row as a dense copy.
+pub(crate) fn gather<'a>(
+    ds: &'a Dataset,
+    batch: &Batch,
+    blocks: &[Block],
+    aggregator: AggregatorKind,
+) -> Gathered<'a> {
     let global = |&l: &NodeId| batch.global_ids[l as usize];
     // A block walk returns exactly `depth >= 1` layers.
     let sources: Vec<NodeId> = blocks[0].src_nodes().iter().map(global).collect();
+    let features = match ds.bf16_table() {
+        Some(table) if aggregator == AggregatorKind::Mean => Features::Bf16 {
+            table,
+            head: feature_rows(ds, &sources[..blocks[0].num_dst()]),
+            sources,
+        },
+        _ => Features::Dense(Cow::Owned(feature_rows(ds, &sources))),
+    };
+    let outputs = blocks[blocks.len() - 1].dst_nodes();
+    let output_globals: Vec<NodeId> = outputs.iter().map(global).collect();
+    Gathered {
+        features,
+        labels: output_globals.iter().map(|&g| ds.label(g)).collect(),
+        output_globals,
+    }
+}
+
+/// The f32 feature rows of `nodes`, in order.
+fn feature_rows(ds: &Dataset, nodes: &[NodeId]) -> Tensor {
     let dim = ds.spec.feat_dim;
-    let len = sources.len() * dim;
+    let len = nodes.len() * dim;
     // Zeroed at the class size, not grown to it: freshly mapped memory
     // comes zeroed for free, a `resize` would write it all.
     let mut rows = vec![0.0f32; size_class(len)];
     rows.truncate(len);
-    ds.gather_features(&sources, &mut rows);
-    let outputs = blocks[blocks.len() - 1].dst_nodes();
-    let output_globals: Vec<NodeId> = outputs.iter().map(global).collect();
-    Gathered {
-        features: Tensor::from_vec(sources.len(), dim, rows),
-        labels: output_globals.iter().map(|&g| ds.label(g)).collect(),
-        output_globals,
-    }
+    ds.gather_features(nodes, &mut rows);
+    Tensor::from_vec(nodes.len(), dim, rows)
 }
 
 #[cfg(test)]
@@ -152,7 +180,7 @@ mod tests {
     use crate::models::GnnModel;
     use crate::TrainError;
     use buffalo_blocks::BlockWalker;
-    use buffalo_graph::datasets::{self, DatasetName};
+    use buffalo_graph::datasets::{self, DatasetName, FeaturePrecision};
     use buffalo_memsim::{
         measure, AggregatorKind, CostModel, Device, DeviceMemory, DevicePool, FaultPlan,
     };
@@ -195,6 +223,56 @@ mod tests {
             let class = size_class(len);
             assert!(class >= len && class - len <= len / 8, "{len} -> {class}");
             assert_eq!(size_class(class), class, "classes are fixed points");
+        }
+    }
+
+    /// The gather reads a bf16 table in place for mean aggregation only:
+    /// the sources stay dataset ids and only the input layer's
+    /// destinations are widened, to the rows `gather_features` gives.
+    /// Every other aggregator over the same table, and mean over f32
+    /// storage, gets every source row.
+    #[test]
+    fn gather_reads_a_bf16_table_in_place_for_mean_only() {
+        let (mut ds, batch, _) = small_setup();
+        let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
+        let sources: Vec<NodeId> = blocks[0]
+            .src_nodes()
+            .iter()
+            .map(|&l| batch.global_ids[l as usize])
+            .collect();
+        let rows = |ds: &Dataset, nodes: &[NodeId]| {
+            let mut rows = vec![0.0; nodes.len() * ds.spec.feat_dim];
+            ds.gather_features(nodes, &mut rows);
+            rows
+        };
+        let assert_dense =
+            |ds: &Dataset, agg: AggregatorKind| match gather(ds, &batch, &blocks, agg).features {
+                Features::Dense(x) => assert!(x.data() == rows(ds, &sources), "{agg:?}"),
+                other => panic!("{agg:?} gathered {other:?}"),
+            };
+        assert_dense(&ds, AggregatorKind::Mean);
+        ds.set_precision(FeaturePrecision::Bf16);
+        for agg in [
+            AggregatorKind::MaxPool,
+            AggregatorKind::Lstm,
+            AggregatorKind::Attention,
+        ] {
+            assert_dense(&ds, agg);
+        }
+        match gather(&ds, &batch, &blocks, AggregatorKind::Mean).features {
+            Features::Bf16 {
+                table,
+                sources: ids,
+                head,
+            } => {
+                let own = ds.bf16_table().is_some_and(|t| std::ptr::eq(t, table));
+                assert!(own, "the dataset's own table, not a copy");
+                assert_eq!(ids, sources);
+                let dst = &sources[..blocks[0].num_dst()];
+                assert!(dst.len() < sources.len(), "a strict prefix");
+                assert!(head.data() == rows(&ds, dst));
+            }
+            other => panic!("mean over bf16 gathered {other:?}"),
         }
     }
 

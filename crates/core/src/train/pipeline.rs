@@ -120,7 +120,7 @@ pub(crate) struct Staged<'a> {
 /// across the channel, never copied. `D` is what Prepare read from the
 /// dataset: the gather for training and inference, nothing for the
 /// simulation, whose Execute is costed.
-pub(crate) struct Prepared<D = Gathered> {
+pub(crate) struct Prepared<D> {
     /// The per-layer blocks, input layer first; node ids are the batch's.
     pub blocks: Vec<Block>,
     /// What the blocks read from the dataset.
@@ -155,14 +155,16 @@ pub(crate) fn walk_blocks(
 
 /// The Prepare stage of training and inference, as a closure: the walk,
 /// then the gather.
-fn walk_and_gather<'a>(req: &Staged<'a>) -> impl FnMut(&[NodeId]) -> Prepared + Send + 'a {
-    let (ds, batch) = (req.ds, req.batch);
+fn walk_and_gather<'a>(
+    req: &Staged<'a>,
+) -> impl FnMut(&[NodeId]) -> Prepared<Gathered<'a>> + Send + 'a {
+    let (ds, batch, aggregator) = (req.ds, req.batch, req.shape.aggregator);
     let mut walk = walk_blocks(batch, req.shape.num_layers);
     move |group| {
         let walked = walk(group);
         // lint:allow(wallclock-taint): StageTimings telemetry; gathered features and labels are clock-independent (suppresses chain: walk_and_gather → Instant::now)
         let t1 = Instant::now();
-        let data = gather(ds, batch, &walked.blocks);
+        let data = gather(ds, batch, &walked.blocks, aggregator);
         Prepared {
             data,
             gather_s: t1.elapsed().as_secs_f64(),
@@ -173,7 +175,7 @@ fn walk_and_gather<'a>(req: &Staged<'a>) -> impl FnMut(&[NodeId]) -> Prepared + 
 }
 
 /// One prepared micro-batch queued for execution.
-pub(crate) struct MicroWork<'s, W = Prepared> {
+pub(crate) struct MicroWork<'s, W = Prepared<Gathered<'s>>> {
     pub prepared: W,
     /// The seed group it was prepared from — what the re-split rung of
     /// the recovery ladder divides.
@@ -525,12 +527,12 @@ fn consume_one(
         });
     }
     // Allocation landed: forward, loss, backward.
-    let (blocks, data) = (&prepared.blocks, &prepared.data);
-    let (logits, cache) = model.forward(blocks, &data.features);
-    let out = softmax_cross_entropy(&logits, &data.labels, Some(req.batch.num_seeds));
-    model.backward(blocks, &cache, &out.dlogits);
-    st.residency.release_after_step();
     st.ledger.book(&prepared, Some((req.cost, req.shape)));
+    let Prepared { blocks, data, .. } = prepared;
+    let (logits, cache) = model.forward_features(&blocks, data.features);
+    let out = softmax_cross_entropy(&logits, &data.labels, Some(req.batch.num_seeds));
+    model.backward(&blocks, &cache, &out.dlogits);
+    st.residency.release_after_step();
     st.loss_sum += out.loss as f64 * data.labels.len() as f64;
     st.correct += out.correct;
     st.micro_batches += 1;
@@ -599,14 +601,14 @@ fn infer_one(
     req: &Staged<'_>,
     residency: &mut Residency<'_>,
     out: &mut InferenceStats,
-    prepared: Prepared,
+    prepared: Prepared<Gathered<'_>>,
 ) -> Result<(), TrainError> {
     let Prepared { blocks, data, .. } = prepared;
     // Admission uses the same footprint the bucket scheduler's estimator
     // plans against, keeping serving consistent with training admission.
     let bytes = measure::training_memory(&blocks, req.shape).total();
     residency.acquire(bytes)?;
-    let logits = model.logits(&blocks, &data.features);
+    let logits = model.logits(&blocks, data.features);
     let classes = logits.cols();
     let rows = logits.data();
     for (i, node) in data.output_globals.into_iter().enumerate() {

@@ -265,9 +265,12 @@ pub enum FeaturePrecision {
     /// Generate f32 rows on demand — the default; nothing materialized,
     /// numerics identical to the historical behavior.
     F32,
-    /// Materialize the whole feature table as bf16 and widen rows back
-    /// to f32 at gather time. Halves feature bytes (and so doubles
-    /// effective gather bandwidth per cache line) at a bounded cost:
+    /// Materialize the whole feature table as bf16; readers widen rows
+    /// back to f32 as they read them: [`Dataset::gather_features`]
+    /// widens the rows it copies, and a reader of
+    /// [`Dataset::bf16_table`] widens in registers with no copy (mean
+    /// GraphSAGE's input layer reads it so). Halves feature bytes (and so
+    /// doubles effective read bandwidth per cache line) at a bounded cost:
     /// each stored value is the round-to-nearest-even bf16 of the f32
     /// feature, so the relative error is at most `2⁻⁸` per element
     /// (see [`buffalo_simd::f32_to_bf16`]). Widening is exact, so
@@ -393,6 +396,15 @@ impl Dataset {
                 *x = 0.7 * p + 0.3 * (*x * 2.0 - 1.0);
             }
         }
+    }
+
+    /// The bf16 feature table (`nodes × feat_dim`, row-major: row `v`
+    /// is node `v`'s features, rounded) while [`FeaturePrecision::Bf16`]
+    /// is active; `None` under f32 storage. Widening a row with
+    /// [`buffalo_simd::SimdBackend::widen_bf16`] gives the bits
+    /// [`gather_features`](Self::gather_features) gives.
+    pub fn bf16_table(&self) -> Option<&[u16]> {
+        self.bf16_features.as_deref()
     }
 
     /// Deterministic label for `node` in `0..num_classes`.
@@ -737,7 +749,7 @@ mod tests {
         ds.set_precision(FeaturePrecision::Bf16);
         buffalo_par::Parallelism::auto().install();
         let dim = ds.spec.feat_dim;
-        let table = ds.bf16_features.as_deref().expect("bf16 table built");
+        let table = ds.bf16_table().expect("bf16 table built");
         for (v, row) in table.chunks_exact(dim).enumerate() {
             let want: Vec<u16> = ds
                 .feature_row(v as NodeId)
@@ -792,15 +804,23 @@ mod tests {
             ds.gather_features(&[9], &mut out);
             out
         };
+        assert!(ds.bf16_table().is_none(), "f32 storage has no table");
         ds.set_precision(FeaturePrecision::Bf16);
         let rounded = gather(&ds);
         assert_ne!(rounded, exact, "bf16 storage must round the gathered row");
+        // The table's row, widened, is the gathered row.
+        let dim = ds.spec.feat_dim;
+        let table = ds.bf16_table().expect("bf16 table built");
+        let mut widened = vec![0.0; dim];
+        buffalo_simd::SimdBackend::Scalar.widen_bf16(&mut widened, &table[9 * dim..][..dim]);
+        assert_eq!(widened, rounded);
         // Idempotent: re-applying bf16 keeps the table, returning to f32
         // restores exact gathers.
         ds.set_precision(FeaturePrecision::Bf16);
         assert_eq!(gather(&ds), rounded);
         ds.set_precision(FeaturePrecision::F32);
         assert_eq!(gather(&ds), exact);
+        assert!(ds.bf16_table().is_none(), "back to f32 drops the table");
     }
 
     #[test]

@@ -50,7 +50,9 @@
 //!   one bit for bit to a portable statement of that order.
 //! * `widen_bf16` is exact (a left shift), so it is one function on
 //!   every backend: the AVX2 body where detected, the portable one
-//!   elsewhere. `uniform_rows8` is exact integer work plus exact
+//!   elsewhere. For the same reason `axpy_gather_bf16` is `axpy_gather`
+//!   over the widened rows, bit for bit: the two share one body, whose
+//!   source load alone differs. `uniform_rows8` is exact integer work plus exact
 //!   conversions, so feature precision and SIMD selection compose
 //!   without interacting.
 //! * A host without AVX2 and FMA runs only [`SimdBackend::Scalar`]:
@@ -62,10 +64,12 @@
 //! only reachable through a safe function that has checked the features
 //! they are compiled with. The wide `axpy_rows` / `axpy_gather` bodies,
 //! `widen_bf16` and [`uniform_rows8`] run `is_x86_feature_detected!`
-//! themselves, once per call (`axpy_rows` and `uniform_rows8` through
-//! the crate-private `Width`, whose wide values exist only after that
-//! check). The `Avx2` arms of `axpy` and `dot` rely on the backend
-//! value instead: `Avx2` values originate exclusively from
+//! themselves, once per call (all but `widen_bf16` through the
+//! crate-private `Width`, whose wide values exist only after that
+//! check). The gather's two source loads, `Element::load8` for f32 and
+//! for bf16, sit beside their trait outside the module and are reached
+//! only from its gather body. The `Avx2` arms of `axpy` and `dot` rely
+//! on the backend value instead: `Avx2` values originate exclusively from
 //! `SimdBackend::detect` / [`SimdPolicy::resolve`], which check
 //! `is_x86_feature_detected!` before producing them. That invariant, or
 //! the check beside the call, is the SAFETY argument each dispatch site
@@ -364,6 +368,36 @@ impl SimdBackend {
     ///
     /// Panics if a listed row ends past `src`.
     pub fn axpy_gather(self, dst: &mut [f32], src: &[f32], rows: &[u32], a: f32) {
+        self.axpy_gather_at(Width::host(), dst, src, rows, a)
+    }
+
+    /// [`axpy_gather`](Self::axpy_gather) over a bf16 table read in
+    /// place: `dst[j] += a * bf16_to_f32(table[i * dst.len() + j])` for
+    /// each `i` in `rows`, in list order. Each row is widened in registers
+    /// as it is loaded, and widening is exact, so the result is bit for
+    /// bit `axpy_gather` over the widened rows on every backend, with no
+    /// widened copy made and half the source bytes read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed row ends past `table`.
+    pub fn axpy_gather_bf16(self, dst: &mut [f32], table: &[u16], rows: &[u32], a: f32) {
+        self.axpy_gather_at(Width::host(), dst, table, rows, a)
+    }
+
+    /// The one body of [`axpy_gather`](Self::axpy_gather) and
+    /// [`axpy_gather_bf16`](Self::axpy_gather_bf16), at a given width
+    /// (tests run every width the host has): the register blocks at
+    /// `Ymm` and `Zmm` (both eight lanes wide), the scalar chain at
+    /// `Portable`. The source element's load is all the two tell apart.
+    pub(crate) fn axpy_gather_at<E: Element>(
+        self,
+        width: Width,
+        dst: &mut [f32],
+        src: &[E],
+        rows: &[u32],
+        a: f32,
+    ) {
         let n = dst.len();
         if let Some(&last) = rows.iter().max() {
             assert!(
@@ -371,24 +405,81 @@ impl SimdBackend {
                 "axpy_gather row out of range"
             );
         }
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: `is_x86_feature_detected!` for avx2 and fma was just
-            // checked; the assert above bounds every listed source row.
-            unsafe {
+        match width {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a `Width::Ymm` or `Width::Zmm` exists only after
+            // `is_x86_feature_detected!` for avx2 and fma; the assert
+            // above bounds every listed source row.
+            Width::Ymm | Width::Zmm => unsafe {
                 if self == SimdBackend::Avx2 {
-                    x86::axpy_gather_avx::<true>(dst, src, rows, a)
+                    x86::axpy_gather_avx::<E, true>(dst, src, rows, a)
                 } else {
-                    x86::axpy_gather_avx::<false>(dst, src, rows, a)
+                    x86::axpy_gather_avx::<E, false>(dst, src, rows, a)
                 }
-            };
-            return;
+            },
+            // Without AVX2 and FMA the backend is `Scalar` (an `Avx2`
+            // value exists only after detection): the scalar chain.
+            _ => {
+                for &i in rows {
+                    for (d, &s) in dst.iter_mut().zip(&src[i as usize * n..][..n]) {
+                        *d += a * s.to_f32();
+                    }
+                }
+            }
         }
-        // Without AVX2 and FMA the backend is `Scalar` (an `Avx2` value
-        // exists only after detection): the scalar chain.
-        for &i in rows {
-            axpy_scalar(dst, &src[i as usize * n..][..n], a);
-        }
+    }
+}
+
+/// An element of a table whose rows [`SimdBackend::axpy_gather`] and
+/// [`SimdBackend::axpy_gather_bf16`] read: an f32 as it is, or a bf16's
+/// bits, widened (exactly) as they are read.
+pub(crate) trait Element: Copy {
+    /// The element as an f32.
+    fn to_f32(self) -> f32;
+
+    /// Eight elements from `p` as eight f32 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Needs AVX2, which the caller detected, and eight valid elements
+    /// at `p`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8(p: *const Self) -> core::arch::x86_64::__m256;
+}
+
+impl Element for f32 {
+    fn to_f32(self) -> f32 {
+        self
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: requires AVX2; reached only from `x86::gather_block_avx`,
+    // behind a `Width` built after `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load8(p: *const f32) -> core::arch::x86_64::__m256 {
+        // SAFETY: the caller bounds eight lanes at `p`.
+        unsafe { core::arch::x86_64::_mm256_loadu_ps(p) }
+    }
+}
+
+impl Element for u16 {
+    fn to_f32(self) -> f32 {
+        bf16_to_f32(self)
+    }
+
+    /// Eight bf16 values, each zero-extended to 32 bits and shifted into
+    /// an f32's top half: the exact widen of `widen_bf16`.
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: requires AVX2; reached only from `x86::gather_block_avx`,
+    // behind a `Width` built after `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load8(p: *const u16) -> core::arch::x86_64::__m256 {
+        use core::arch::x86_64::*;
+        // SAFETY: the caller bounds eight u16 (16 bytes) at `p`.
+        let h = unsafe { _mm_loadu_si128(p.cast()) };
+        _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(h)))
     }
 }
 
@@ -1203,16 +1294,20 @@ mod x86 {
         }
     }
 
-    /// `SimdBackend::axpy_gather`, eight lanes wide: `dst` in 64-, 32-,
-    /// 16- and 8-lane register blocks, each carried across every listed
-    /// source row (one FMA per lane with `FMA`, a separate multiply and
-    /// add without), then a scalar tail of separate multiplies and adds.
-    // SAFETY: requires AVX2+FMA; reached only from `SimdBackend::axpy_gather`
-    // after its `is_x86_feature_detected!` check and row assert.
+    /// `SimdBackend::axpy_gather_at`, eight lanes wide: `dst` in 64-,
+    /// 32-, 16- and 8-lane register blocks, each carried across every
+    /// listed source row (one FMA per lane with `FMA`, a separate
+    /// multiply and add without), then a scalar tail of separate
+    /// multiplies and adds. `E` is the source element: f32, or bf16
+    /// widened as it is loaded.
+    // SAFETY: requires AVX2+FMA; reached only from
+    // `SimdBackend::axpy_gather_at` with a `Width::Ymm` or `Width::Zmm`
+    // (constructed after `is_x86_feature_detected!`) and after its row
+    // assert.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn axpy_gather_avx<const FMA: bool>(
+    pub(crate) unsafe fn axpy_gather_avx<E: crate::Element, const FMA: bool>(
         dst: &mut [f32],
-        src: &[f32],
+        src: &[E],
         rows: &[u32],
         a: f32,
     ) {
@@ -1227,17 +1322,17 @@ mod x86 {
             // (dispatch asserts the rows).
             j += unsafe {
                 match (n - j) / 8 {
-                    8.. => gather_block_avx::<8, FMA>(d, s, n, rows, a),
-                    4.. => gather_block_avx::<4, FMA>(d, s, n, rows, a),
-                    2.. => gather_block_avx::<2, FMA>(d, s, n, rows, a),
-                    _ => gather_block_avx::<1, FMA>(d, s, n, rows, a),
+                    8.. => gather_block_avx::<E, 8, FMA>(d, s, n, rows, a),
+                    4.. => gather_block_avx::<E, 4, FMA>(d, s, n, rows, a),
+                    2.. => gather_block_avx::<E, 2, FMA>(d, s, n, rows, a),
+                    _ => gather_block_avx::<E, 1, FMA>(d, s, n, rows, a),
                 }
             };
         }
         for (jj, d) in dst.iter_mut().enumerate().skip(j) {
             let mut acc = *d;
             for &i in rows {
-                acc += a * src[i as usize * n + jj];
+                acc += a * src[i as usize * n + jj].to_f32();
             }
             *d = acc;
         }
@@ -1250,13 +1345,15 @@ mod x86 {
     // itself behind the `is_x86_feature_detected!`-gated dispatch.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    unsafe fn gather_block_avx<const V: usize, const FMA: bool>(
+    unsafe fn gather_block_avx<E: crate::Element, const V: usize, const FMA: bool>(
         dp: *mut f32,
-        sp: *const f32,
+        sp: *const E,
         stride: usize,
         rows: &[u32],
         a: f32,
     ) -> usize {
+        // One prefetch per cache line of a source row's block.
+        let blocks_per_line = (crate::LINE / (8 * size_of::<E>())).max(1);
         let va = _mm256_set1_ps(a);
         let mut acc = [_mm256_setzero_ps(); V];
         for (v, lane) in acc.iter_mut().enumerate() {
@@ -1266,15 +1363,16 @@ mod x86 {
         for (k, &i) in rows.iter().enumerate() {
             if let Some(&ahead) = rows.get(k + 2) {
                 let pa = sp.wrapping_add(ahead as usize * stride);
-                for v in (0..V).step_by(2) {
+                for v in (0..V).step_by(blocks_per_line) {
                     // A prefetch is a hint: it never faults.
                     _mm_prefetch::<_MM_HINT_T0>(pa.wrapping_add(8 * v) as *const i8);
                 }
             }
             let row = sp.wrapping_add(i as usize * stride);
             for (v, lane) in acc.iter_mut().enumerate() {
-                // SAFETY: the caller bounds `8 * V` lanes of source row `i`.
-                let s = unsafe { _mm256_loadu_ps(row.add(8 * v)) };
+                // SAFETY: the caller bounds `8 * V` elements of source row
+                // `i`; AVX2 is enabled here.
+                let s = unsafe { E::load8(row.add(8 * v)) };
                 *lane = if FMA {
                     _mm256_fmadd_ps(va, s, *lane)
                 } else {
@@ -1851,14 +1949,15 @@ mod tests {
         }
 
         /// Every backend's `axpy_gather` (a register-held row on a host
-        /// with AVX2) is that backend's `axpy` per listed row, in list
-        /// order, at every width around the 64/32/16/8-lane blocks.
+        /// with AVX2), at every width the host has, is that backend's
+        /// `axpy` per listed row, in list order, at every row length
+        /// around the 64/32/16/8-lane blocks.
         #[test]
         fn axpy_gather_is_the_backends_axpys(
             (n, listed, seed) in (0usize..150, 0usize..24, 0u32..1000),
-            backend in 0..SimdBackend::available().len(),
+            combo in 0..backends_and_widths().len(),
         ) {
-            let backend = SimdBackend::available()[backend];
+            let (backend, width) = backends_and_widths()[combo];
             let src_rows = 9;
             let src = with_specials(src_rows * n, seed, 1, 4);
             let rows: Vec<u32> = data(listed, seed + 1)
@@ -1868,12 +1967,49 @@ mod tests {
             let a = 1.0 / (listed.max(1) as f32);
             let mut want = with_specials(n, seed + 2, 2, 4);
             let mut got = want.clone();
-            backend.axpy_gather(&mut got, &src, &rows, a);
+            backend.axpy_gather_at(width, &mut got, &src, &rows, a);
             for &i in &rows {
                 backend.axpy(&mut want, &src[i as usize * n..][..n], a);
             }
-            proptest::prop_assert!(same(&got, &want), "{backend:?}: n {n}, {listed} rows");
+            proptest::prop_assert!(same(&got, &want), "{backend:?} at {width:?}: n {n}, {listed} rows");
         }
+    }
+
+    /// `axpy_gather_bf16` is `axpy_gather` over the widened rows, bit for
+    /// bit (NaN as NaN), on every backend at every width the host has: at
+    /// every row length around the 64/32/16/8-lane blocks and the scalar
+    /// tail, a long one and a cora-wide one, over rows with NaN, ±inf,
+    /// ±0.0 and subnormal halves, for no rows, one row and a list that
+    /// repeats rows.
+    #[test]
+    fn axpy_gather_bf16_is_axpy_gather_over_the_widened_rows() {
+        let lists: [&[u32]; 3] = [&[], &[4], &[0, 6, 2, 2, 5, 0, 2, 6, 1]];
+        for (backend, width) in backends_and_widths() {
+            for n in (0..=70).chain([100, 1433]) {
+                let table: Vec<u16> = with_specials(7 * n, 3 + n as u32, 2, 24)
+                    .into_iter()
+                    .map(f32_to_bf16)
+                    .collect();
+                let mut widened = vec![0.0f32; table.len()];
+                widen_bf16_scalar(&mut widened, &table);
+                for rows in lists {
+                    let a = 1.0 / rows.len().max(1) as f32;
+                    let mut want = with_specials(n, 11 + n as u32, 2, 4);
+                    let mut got = want.clone();
+                    backend.axpy_gather_at(width, &mut want, &widened, rows, a);
+                    backend.axpy_gather_at(width, &mut got, &table, rows, a);
+                    let what = format!("{backend:?} at {width:?}: n {n}, rows {rows:?}");
+                    assert!(same(&got, &want), "{what}");
+                }
+            }
+        }
+    }
+
+    /// A listed row past the table is refused before any lane is read.
+    #[test]
+    #[should_panic(expected = "axpy_gather row out of range")]
+    fn axpy_gather_bf16_refuses_a_row_past_the_table() {
+        SimdBackend::Scalar.axpy_gather_bf16(&mut [0.0; 8], &[0; 16], &[1, 2], 0.5);
     }
 
     /// `uniform_rows8` is eight `StdRng` streams' `gen::<f32>()` draws,

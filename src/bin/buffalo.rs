@@ -493,7 +493,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         faults: mut fault_plan,
         gpus,
     } = engine_setup(target, opts)?;
-    let epochs: usize = opts.get("epochs", 3)?;
+    let epochs = opts.positive("epochs", 3)?;
     let batch_size = opts.positive("batch-size", 256)?;
     let eval_nodes: usize = opts.get("eval", 512)?;
     let train_nodes = opts.positive(

@@ -4,8 +4,12 @@
 //!
 //! * **Prepare** (CPU): block generation straight from the sampled batch
 //!   (one walk per micro-batch) → feature/label gather, one `Prepared`
-//!   per micro-batch. When the pipeline is enabled this stage runs on a
-//!   worker thread feeding a bounded channel.
+//!   per micro-batch. The gather copies every input-layer source row as
+//!   f32, except for mean GraphSAGE over a bf16 table: there it widens
+//!   only the input layer's destination rows and hands Execute the
+//!   sources' dataset ids, and Execute's forward reads the table in place
+//!   (see [`crate::models`]). When the pipeline is enabled this stage
+//!   runs on a worker thread feeding a bounded channel.
 //! * **Execute** (simulated device): allocate → forward/backward → free,
 //!   consuming prepared micro-batches strictly in submission order on the
 //!   caller's thread.

@@ -52,9 +52,9 @@
 //!   every backend: the AVX2 body where detected, the portable one
 //!   elsewhere. For the same reason `axpy_gather_bf16` is `axpy_gather`
 //!   over the widened rows, bit for bit: the two share one body, whose
-//!   source load alone differs. `uniform_rows8` is exact integer work plus exact
-//!   conversions, so feature precision and SIMD selection compose
-//!   without interacting.
+//!   source load alone differs. `uniform_rows8` is exact integer work
+//!   plus exact conversions, so feature precision and SIMD selection
+//!   compose without interacting.
 //! * A host without AVX2 and FMA runs only [`SimdBackend::Scalar`]:
 //!   `--simd auto` resolves to it there, SSE4.1 or not.
 //!

@@ -412,27 +412,33 @@ echo "ci: --simd auto run-to-run byte-identical ($(printf '%s' "$a1" | head -1))
 # within the documented 2^-8 relative bound of the f32 trail, and its
 # bits are pinned per backend like the f32 goldens above. At 12M the
 # batch splits (K > 1), so every micro-batch's layer 0 reads the bf16
-# table. A host without AVX2 and FMA checks the scalar golden only.
+# table. Each backend runs under both stagings against the one golden:
+# with `--pipeline on` the gather (layer 0's mean included) runs on the
+# Prepare thread. A host without AVX2 and FMA checks the scalar golden
+# only.
 ckdir=$(mktemp -d)
 for backend in scalar avx2; do
   golden=tests/golden/cora_bf16_epochs2_bits.txt
   [ "$backend" = scalar ] || golden=tests/golden/cora_bf16_epochs2_${backend}_bits.txt
-  if ! bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
-    --precision bf16 --simd "$backend" --checkpoint-dir "$ckdir/$backend" \
-    --checkpoint-every 2 2>/dev/null | grep -E '^\s+[0-9]|^trail'); then
-    if [ "$backend" = scalar ]; then
-      echo "ci: FAIL — --precision bf16 --simd scalar did not train" >&2
+  for pipeline in off on; do
+    if ! bits=$(cargo run -q --release --bin buffalo -- train cora --epochs 2 --budget 12M \
+      --precision bf16 --simd "$backend" --pipeline "$pipeline" \
+      --checkpoint-dir "$ckdir/$backend-$pipeline" --checkpoint-every 2 2>/dev/null \
+      | grep -E '^\s+[0-9]|^trail'); then
+      if [ "$backend" = scalar ]; then
+        echo "ci: FAIL — --precision bf16 --simd scalar --pipeline $pipeline did not train" >&2
+        exit 1
+      fi
+      echo "ci: skip — host CPU does not support --simd $backend"
+      continue 2
+    fi
+    if [ "$bits" != "$(cat "$golden")" ]; then
+      echo "ci: FAIL — --precision bf16 --simd $backend --pipeline $pipeline diverged from $golden" >&2
+      diff "$golden" <(printf '%s\n' "$bits") >&2 || true
       exit 1
     fi
-    echo "ci: skip — host CPU does not support --simd $backend"
-    continue
-  fi
-  if [ "$bits" != "$(cat "$golden")" ]; then
-    echo "ci: FAIL — --precision bf16 --simd $backend diverged from $golden" >&2
-    diff "$golden" <(printf '%s\n' "$bits") >&2 || true
-    exit 1
-  fi
-  echo "ci: --precision bf16 --simd $backend matches its golden bitwise"
+    echo "ci: --precision bf16 --simd $backend --pipeline $pipeline matches its golden bitwise"
+  done
 done
 rm -rf "$ckdir"
 

@@ -171,6 +171,22 @@ impl Block {
         &self.arrays.indices[offsets[i]..offsets[i + 1]]
     }
 
+    /// [`src_positions`](Self::src_positions) of the `in_degree(i)` edges
+    /// that start `ahead` edges past the `i`-th destination's first, cut
+    /// at the block's last edge. Over the destinations in order these run
+    /// through the block's edge list from edge `ahead` on, each edge once
+    /// — what a reader of each destination's sources prefetches, `ahead`
+    /// edges early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_dst()`.
+    pub fn src_positions_ahead(&self, i: usize, ahead: usize) -> &[u32] {
+        let (offsets, indices) = (self.offsets(), self.indices());
+        let at = |edge: usize| edge.saturating_add(ahead).min(indices.len());
+        &indices[at(offsets[i])..at(offsets[i + 1])]
+    }
+
     /// Batch-local ids of the sources feeding the `i`-th destination.
     pub fn srcs_of(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
         self.src_positions(i)

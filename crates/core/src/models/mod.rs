@@ -14,77 +14,73 @@
 //!
 //! The forward pass copies no activation. Layer 0's input is a
 //! [`Features`] value: dense rows, borrowed (`GnnModel::forward`) or
-//! moved in (the trainer's gather), or a bf16 feature table read in
-//! place. Each later layer's input is the previous layer's output, moved
-//! in. A layer's cache keeps only what its own backward reads (the whole
-//! input only for the aggregators whose weight gradient is taken against
-//! it), so an input nothing reads again is dropped as soon as its layer
-//! has run. `GnnModel::logits` is the same arithmetic with no cache built
-//! at all — what inference calls.
+//! moved in (the trainer's gather), or mean GraphSAGE's self-term rows
+//! and neighbour mean, already computed and moved in. Each later layer's
+//! input is the previous layer's output, moved in. A layer's cache keeps
+//! only what its own backward reads (the whole input only for the
+//! aggregators whose weight gradient is taken against it), so an input
+//! nothing reads again is dropped as soon as its layer has run.
+//! `GnnModel::logits` is the same arithmetic with no cache built at all
+//! — what inference calls.
 //!
-//! # Layer 0 over a bf16 table
+//! # Layer 0's mean is computed in Prepare
 //!
 //! Mean GraphSAGE's layer 0 reads its sources in two ways only: the
 //! destinations' rows for the self term (the destinations are the
-//! sources' prefix) and one `axpy_gather` per destination for the mean.
-//! It has no input gradient to compute. So over a bf16 table it needs no
-//! dense copy of its sources: the gather widens only the destinations'
-//! rows, and the mean reads each source row from the table by dataset
-//! id, widening it in registers (`SimdBackend::axpy_gather_bf16`).
-//! Widening is exact, so the logits and every gradient are the bits the
-//! dense rows give. Every other layer and model takes dense rows; given a
-//! table, it widens every source row first.
+//! sources' prefix) and the mean of each destination's sources. It has
+//! no parameters before its weights and no input gradient to compute, so
+//! both are data preparation: the gather ([`crate::train`]) computes them
+//! and hands the layer [`Features::Mean`], and the layer runs its two
+//! GEMMs. With the pipeline on, that gather runs on the Prepare thread,
+//! beside the previous micro-batch's Execute. Over a bf16 table the mean
+//! reads each source row in place by dataset id, widening it in registers
+//! (`SimdBackend::axpy_gather_bf16`), and only the destinations' rows are
+//! widened; over f32 storage it reads the gathered rows, which are dropped
+//! as soon as it has run. Both run the one `mean_rows` loop the dense
+//! layer runs, and widening is exact, so the logits and every gradient
+//! are the bits [`GnnModel::forward`] gives over dense rows. Every other
+//! layer and model takes dense rows.
 
 mod gat;
 mod sage;
 
 pub use gat::GatLayer;
+pub(crate) use sage::{mean_of_rows, mean_of_table};
 pub use sage::{SageCache, SageLayer};
 
 use buffalo_blocks::Block;
-use buffalo_graph::NodeId;
 use buffalo_memsim::{AggregatorKind, GnnShape};
 use buffalo_tensor::{Param, Tensor};
 use std::borrow::Cow;
 
-/// Layer 0's input: the feature rows of the input block's sources.
+/// Layer 0's input.
 #[derive(Debug)]
 pub enum Features<'a> {
     /// One f32 row per `blocks[0].src_nodes()` entry, in that order.
     Dense(Cow<'a, Tensor>),
-    /// A bf16 feature table read in place. Mean GraphSAGE reads it with
-    /// no dense copy; any other model widens every source row first.
-    Bf16 {
-        /// `nodes × dim` bf16 values, row-major
-        /// ([`Dataset::bf16_table`](buffalo_graph::datasets::Dataset::bf16_table)).
-        table: &'a [u16],
-        /// Source `i`'s table row, per `blocks[0].src_nodes()` entry.
-        sources: Vec<NodeId>,
-        /// The first `blocks[0].num_dst()` sources' rows, widened: the
-        /// destinations' own rows, which the self term reads.
+    /// What mean GraphSAGE's layer 0 reads of its sources, already
+    /// computed: one row per `blocks[0].dst_nodes()` entry in each.
+    Mean {
+        /// The destinations' own rows, which the self term reads.
         head: Tensor,
+        /// The mean of each destination's source rows (zeros for a
+        /// destination with none).
+        agg: Tensor,
     },
 }
 
 impl<'a> Features<'a> {
-    /// The dense rows: as given, or every source row widened from the
-    /// table.
+    /// The dense rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Features::Mean`], which only a mean GraphSAGE layer 0
+    /// reads.
     fn into_dense(self) -> Cow<'a, Tensor> {
         match self {
             Features::Dense(rows) => rows,
-            Features::Bf16 {
-                table,
-                sources,
-                head,
-            } => {
-                let dim = head.cols();
-                let simd = buffalo_par::ambient().simd;
-                let mut rows = Tensor::zeros(sources.len(), dim);
-                for (i, &v) in sources.iter().enumerate() {
-                    simd.widen_bf16(rows.row_mut(i), &table[v as usize * dim..][..dim]);
-                }
-                Cow::Owned(rows)
-            }
+            // lint:allow(panic-reachability): kind invariant — the gather builds `Mean` only for a mean GraphSAGE model, whose layer 0 reads it before any other layer could (suppresses chain: consume_one → GnnModel::forward_features → panic!)
+            Features::Mean { .. } => panic!("a precomputed mean reached a layer that is not mean"),
         }
     }
 }
@@ -106,9 +102,9 @@ trait BlockLayer {
         keep: bool,
     ) -> (Tensor, Option<Self::Cache<'a>>);
 
-    /// [`run`](Self::run) as layer 0, over `features`. A layer that can
-    /// read a bf16 table in place overrides this; any other widens every
-    /// source row first.
+    /// [`run`](Self::run) as layer 0, over `features`. Mean GraphSAGE
+    /// overrides this to read [`Features::Mean`]; any other layer takes
+    /// dense rows only.
     fn run_features<'a>(
         &self,
         block: &Block,
@@ -237,7 +233,8 @@ impl GnnModel {
     ///
     /// # Panics
     ///
-    /// Panics if `blocks.len()` differs from the model depth.
+    /// Panics if `blocks.len()` differs from the model depth, or on
+    /// [`Features::Mean`] for a model other than mean GraphSAGE.
     pub fn forward_features<'a>(
         &self,
         blocks: &[Block],
@@ -261,7 +258,7 @@ impl GnnModel {
     ///
     /// # Panics
     ///
-    /// Panics if `blocks.len()` differs from the model depth.
+    /// As [`forward_features`](Self::forward_features).
     pub fn logits(&self, blocks: &[Block], features: Features<'_>) -> Tensor {
         match self {
             GnnModel::Sage(layers) => run_layers(layers, blocks, features, false).0,

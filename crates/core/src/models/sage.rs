@@ -8,7 +8,7 @@
 
 use super::{activate, BlockLayer, Features};
 use buffalo_blocks::{Block, ReverseIndex};
-use buffalo_graph::NodeId;
+use buffalo_graph::{NodeId, PREFETCH_EDGES};
 use buffalo_memsim::AggregatorKind;
 use buffalo_tensor::{Linear, LstmCell, LstmState, Param, Tensor};
 use std::borrow::Cow;
@@ -125,13 +125,7 @@ impl SageLayer {
         let n_dst = block.num_dst();
         let dim = self.in_dim;
         match &self.agg {
-            AggregatorImpl::Mean => {
-                let simd = buffalo_par::ambient().simd;
-                let agg = mean_rows(block, dim, |_, dst_row, pos, inv| {
-                    simd.axpy_gather(dst_row, h_src.data(), pos, inv)
-                });
-                (agg, keep.then_some(AggCache::Mean))
-            }
+            AggregatorImpl::Mean => (mean_of_rows(block, &h_src), keep.then_some(AggCache::Mean)),
             AggregatorImpl::MaxPool { proj } => {
                 let par = buffalo_par::ambient();
                 let mut p = proj.forward(&h_src);
@@ -275,16 +269,16 @@ impl SageLayer {
 }
 
 /// The mean aggregation: row `i` of the result is the mean of
-/// destination `i`'s sources, each added by `add(ids, dst_row, positions,
-/// 1 / degree)` as one `axpy_gather`-style run over the listed source
-/// positions; `ids` is scratch the caller may use. Parallel over disjoint
-/// destination rows; each row still accumulates its sources in block
-/// order, so the result is bit-identical for any thread count (under
+/// destination `i`'s sources, each added by `add(ids, dst_row, i,
+/// positions, 1 / degree)` as one `axpy_gather`-style run over the listed
+/// source positions; `ids` is scratch the caller may use. Parallel over
+/// disjoint destination rows; each row still accumulates its sources in
+/// block order, so the result is bit-identical for any thread count (under
 /// scalar on an AVX host the row stays in registers across its sources).
 fn mean_rows(
     block: &Block,
     dim: usize,
-    add: impl Fn(&mut Vec<NodeId>, &mut [f32], &[u32], f32) + Sync,
+    add: impl Fn(&mut Vec<NodeId>, &mut [f32], usize, &[u32], f32) + Sync,
 ) -> Tensor {
     let par = buffalo_par::ambient();
     let mut agg = Tensor::zeros(block.num_dst(), dim);
@@ -293,11 +287,59 @@ fn mean_rows(
         for (r, dst_row) in chunk.chunks_exact_mut(dim).enumerate() {
             let pos = block.src_positions(row0 + r);
             if !pos.is_empty() {
-                add(&mut ids, dst_row, pos, 1.0 / pos.len() as f32);
+                add(&mut ids, dst_row, row0 + r, pos, 1.0 / pos.len() as f32);
             }
         }
     });
     agg
+}
+
+/// The mean aggregation over dense rows `h_src` (one per
+/// `block.src_nodes()` entry): one `axpy_gather` per destination.
+pub(crate) fn mean_of_rows(block: &Block, h_src: &Tensor) -> Tensor {
+    let simd = buffalo_par::ambient().simd;
+    mean_rows(block, h_src.cols(), |_, dst_row, _, pos, inv| {
+        simd.axpy_gather(dst_row, h_src.data(), pos, inv)
+    })
+}
+
+/// [`mean_of_rows`] over the widened rows of the dataset nodes `sources`
+/// (one per `block.src_nodes()` entry), bit for bit, read in place from
+/// the bf16 `table` (`nodes × dim`): each destination's sources are table
+/// rows by dataset id, widened in registers by `axpy_gather_bf16` in the
+/// order and with the lane updates `axpy_gather` gives the widened rows.
+/// Before each destination is read, `prefetch` is called on the
+/// [`prefetch_stream`], so the rows of the next destinations' sources
+/// are on their way while this one's are read.
+pub(crate) fn mean_of_table(
+    block: &Block,
+    table: &[u16],
+    dim: usize,
+    sources: &[NodeId],
+    prefetch: impl Fn(NodeId) + Sync,
+) -> Tensor {
+    assert_eq!(sources.len(), block.num_src(), "source count mismatch");
+    let simd = buffalo_par::ambient().simd;
+    mean_rows(block, dim, |ids, dst_row, i, pos, inv| {
+        prefetch_stream(block, sources, i).for_each(&prefetch);
+        ids.clear();
+        ids.extend(pos.iter().map(|&p| sources[p as usize]));
+        simd.axpy_gather_bf16(dst_row, table, ids, inv)
+    })
+}
+
+/// The table rows [`mean_of_table`] prefetches before it reads
+/// destination `i`'s sources: the sources of the edges [`PREFETCH_EDGES`]
+/// past `i`'s own. Over the destinations in order that is the block's
+/// edge sources from edge `PREFETCH_EDGES` on, each once, so the stream
+/// runs on across destination rows and `parallel_rows` chunks.
+fn prefetch_stream<'s>(
+    block: &'s Block,
+    sources: &'s [NodeId],
+    i: usize,
+) -> impl Iterator<Item = NodeId> + 's {
+    let ahead = block.src_positions_ahead(i, PREFETCH_EDGES);
+    ahead.iter().map(|&p| sources[p as usize])
 }
 
 impl BlockLayer for SageLayer {
@@ -319,11 +361,8 @@ impl BlockLayer for SageLayer {
         self.combine(h_dst, agg, agg_cache, keep)
     }
 
-    /// The mean aggregator reads a bf16 table in place: each destination's
-    /// sources are table rows by dataset id, widened in registers by
-    /// `axpy_gather_bf16` in the order and with the lane updates
-    /// `axpy_gather` gives the widened rows, and the self term is the
-    /// widened `head`. Any other aggregator, or dense rows, runs
+    /// The mean aggregator reads [`Features::Mean`]: the self term is its
+    /// `head`, the neighbour term its `agg`. Dense rows run
     /// [`run`](BlockLayer::run).
     ///
     /// # Panics
@@ -336,20 +375,11 @@ impl BlockLayer for SageLayer {
         keep: bool,
     ) -> (Tensor, Option<SageCache<'a>>) {
         match features {
-            Features::Bf16 {
-                table,
-                sources,
-                head,
-            } if matches!(self.agg, AggregatorImpl::Mean) => {
-                assert_eq!(sources.len(), block.num_src(), "source count mismatch");
-                assert_eq!(head.rows(), block.num_dst(), "head row count mismatch");
-                assert_eq!(head.cols(), self.in_dim, "head width mismatch");
-                let simd = buffalo_par::ambient().simd;
-                let agg = mean_rows(block, self.in_dim, |ids, dst_row, pos, inv| {
-                    ids.clear();
-                    ids.extend(pos.iter().map(|&p| sources[p as usize]));
-                    simd.axpy_gather_bf16(dst_row, table, ids, inv)
-                });
+            Features::Mean { head, agg } if matches!(self.agg, AggregatorImpl::Mean) => {
+                for rows in [&head, &agg] {
+                    assert_eq!(rows.rows(), block.num_dst(), "mean row count mismatch");
+                    assert_eq!(rows.cols(), self.in_dim, "mean width mismatch");
+                }
                 self.combine(head, agg, keep.then_some(AggCache::Mean), keep)
             }
             features => self.run(block, features.into_dense(), keep),
@@ -512,6 +542,8 @@ mod tests {
     use crate::models::GnnModel;
     use buffalo_memsim::GnnShape;
     use buffalo_tensor::softmax_cross_entropy;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Block: 2 dsts; dst0 <- {1, 2}, dst1 <- {2, 3, 0}; srcs {0,1,2,3}.
     fn test_block() -> Block {
@@ -644,6 +676,56 @@ mod tests {
         let x = Tensor::xavier(5, 3, 8);
         let (logits, _) = model.forward(&blocks, &x);
         assert_eq!((logits.rows(), logits.cols()), (2, 2));
+    }
+
+    proptest! {
+        /// The in-place mean's prefetch stream names exactly the block's
+        /// edge sources, in edge order, starting `PREFETCH_EDGES` edges
+        /// ahead, however `parallel_rows` cuts the destinations into
+        /// chunks: over 0, 1 and many rows, zero-degree rows, and rows
+        /// shorter and longer than the distance.
+        #[test]
+        fn prefetch_stream_runs_the_edge_list_from_the_distance_on(
+            degrees in vec(0..3 * PREFETCH_EDGES, 0..40),
+            extra_src in 1usize..20,
+            seed in 0u32..u32::MAX,
+        ) {
+            let n_dst = degrees.len();
+            let n_src = n_dst + extra_src;
+            let mut offsets = vec![0];
+            let mut indices = Vec::new();
+            for &d in &degrees {
+                let e0 = indices.len() as u32;
+                indices.extend((e0..e0 + d as u32).map(|k| {
+                    seed.wrapping_add(k.wrapping_mul(2_654_435_761)) % n_src as u32
+                }));
+                offsets.push(indices.len());
+            }
+            let block = Block::from_parts(
+                (0..n_dst as u32).collect(),
+                (0..n_src as u32).collect(),
+                offsets,
+                indices.clone(),
+            );
+            // Distinct dataset ids, unrelated to the positions.
+            let sources: Vec<NodeId> = (0..n_src as u32).map(|p| 1_000 + 7 * p).collect();
+            let want: Vec<NodeId> = indices
+                .iter()
+                .skip(PREFETCH_EDGES)
+                .map(|&p| sources[p as usize])
+                .collect();
+            for threads in 1..=8 {
+                // `parallel_rows`'s chunks: `div_ceil(rows, threads)` rows each.
+                let chunk_rows = n_dst.div_ceil(threads).max(1);
+                let mut got = Vec::new();
+                for row0 in (0..n_dst).step_by(chunk_rows) {
+                    for i in row0..(row0 + chunk_rows).min(n_dst) {
+                        got.extend(prefetch_stream(&block, &sources, i));
+                    }
+                }
+                prop_assert_eq!(&got, &want, "{} threads", threads);
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use epoch::{evaluate, run_epochs_checkpointed, EpochConfig, EpochStats, Trai
 pub use pipeline::PipelineConfig;
 pub use recovery::{HeadroomCalibrator, RecoveryAction, RecoveryEvent, RecoveryPolicy};
 
-use crate::models::Features;
+use crate::models::{mean_of_rows, mean_of_table, Features};
 use buffalo_blocks::Block;
 use buffalo_graph::datasets::Dataset;
 use buffalo_graph::NodeId;
@@ -96,12 +96,10 @@ pub struct InferenceStats {
     pub service_seconds: f64,
 }
 
-/// What the blocks of one (micro-)batch read from the dataset; `'a` is
-/// the borrow of the dataset's bf16 table, when layer 0 reads it in
-/// place.
-pub(crate) struct Gathered<'a> {
-    /// Layer 0's input: the feature rows of its sources.
-    pub features: Features<'a>,
+/// What the blocks of one (micro-)batch read from the dataset.
+pub(crate) struct Gathered {
+    /// Layer 0's input ([`input_features`]).
+    pub features: Features<'static>,
     /// One label per output node.
     pub labels: Vec<u32>,
     /// Dataset id per output node, in the same order: training ignores
@@ -131,34 +129,66 @@ fn size_class(len: usize) -> usize {
 /// The one feature/label gather: `blocks` are a (micro-)batch's layers,
 /// input layer first, with node ids local to `batch`, for a model of
 /// `aggregator`.
-///
-/// Mean GraphSAGE over a bf16 table reads the table in place (see
-/// [`models`](crate::models)), so for it only the input layer's
-/// destinations are widened here and its sources stay dataset ids. Any
-/// other model, or f32 storage, gets every source row as a dense copy.
-pub(crate) fn gather<'a>(
-    ds: &'a Dataset,
+pub(crate) fn gather(
+    ds: &Dataset,
     batch: &Batch,
     blocks: &[Block],
     aggregator: AggregatorKind,
-) -> Gathered<'a> {
+) -> Gathered {
     let global = |&l: &NodeId| batch.global_ids[l as usize];
     // A block walk returns exactly `depth >= 1` layers.
     let sources: Vec<NodeId> = blocks[0].src_nodes().iter().map(global).collect();
-    let features = match ds.bf16_table() {
-        Some(table) if aggregator == AggregatorKind::Mean => Features::Bf16 {
-            table,
-            head: feature_rows(ds, &sources[..blocks[0].num_dst()]),
-            sources,
-        },
-        _ => Features::Dense(Cow::Owned(feature_rows(ds, &sources))),
-    };
     let outputs = blocks[blocks.len() - 1].dst_nodes();
     let output_globals: Vec<NodeId> = outputs.iter().map(global).collect();
     Gathered {
-        features,
+        features: input_features(ds, &blocks[0], &sources, aggregator),
         labels: output_globals.iter().map(|&g| ds.label(g)).collect(),
         output_globals,
+    }
+}
+
+/// Layer 0's input for a model of `aggregator` over `block`, the input
+/// layer of a (micro-)batch whose sources are the dataset nodes
+/// `sources`, in `block.src_nodes()` order: what training, inference and
+/// evaluation hand the model.
+///
+/// Mean GraphSAGE gets [`Features::Mean`]: its layer 0's self-term rows
+/// and neighbour mean, computed here (see [`models`](crate::models)), so
+/// with the pipeline on they are computed on the Prepare thread. Over a
+/// bf16 table the mean reads the table in place and only the
+/// destinations' rows are widened; over f32 storage every source row is
+/// gathered, averaged and dropped here. Any other model gets every source
+/// row as a dense copy.
+///
+/// # Panics
+///
+/// Panics if `sources` does not have one entry per `block.src_nodes()`
+/// entry.
+pub fn input_features(
+    ds: &Dataset,
+    block: &Block,
+    sources: &[NodeId],
+    aggregator: AggregatorKind,
+) -> Features<'static> {
+    assert_eq!(sources.len(), block.num_src(), "source count mismatch");
+    if aggregator != AggregatorKind::Mean {
+        return Features::Dense(Cow::Owned(feature_rows(ds, sources)));
+    }
+    let dst = &sources[..block.num_dst()];
+    match ds.bf16_table() {
+        Some(table) => Features::Mean {
+            head: feature_rows(ds, dst),
+            agg: mean_of_table(block, table, ds.spec.feat_dim, sources, |v| {
+                ds.prefetch_bf16_row(v)
+            }),
+        },
+        None => {
+            let rows = feature_rows(ds, sources);
+            Features::Mean {
+                head: rows.head_rows(dst.len()),
+                agg: mean_of_rows(block, &rows),
+            }
+        }
     }
 }
 
@@ -226,13 +256,13 @@ mod tests {
         }
     }
 
-    /// The gather reads a bf16 table in place for mean aggregation only:
-    /// the sources stay dataset ids and only the input layer's
-    /// destinations are widened, to the rows `gather_features` gives.
-    /// Every other aggregator over the same table, and mean over f32
-    /// storage, gets every source row.
+    /// Over either storage, mean GraphSAGE's gather is layer 0's
+    /// self-term rows and neighbour mean: `head` is the first `num_dst`
+    /// dense rows `gather_features` gives and `agg` is [`mean_of_rows`]
+    /// over all of them, bit for bit. Every other aggregator gets every
+    /// source row.
     #[test]
-    fn gather_reads_a_bf16_table_in_place_for_mean_only() {
+    fn gather_computes_the_layer0_mean_for_mean_only() {
         let (mut ds, batch, _) = small_setup();
         let blocks = BlockWalker::default().whole_batch(&batch.graph, batch.num_seeds, 2);
         let sources: Vec<NodeId> = blocks[0]
@@ -240,39 +270,38 @@ mod tests {
             .iter()
             .map(|&l| batch.global_ids[l as usize])
             .collect();
-        let rows = |ds: &Dataset, nodes: &[NodeId]| {
-            let mut rows = vec![0.0; nodes.len() * ds.spec.feat_dim];
-            ds.gather_features(nodes, &mut rows);
-            rows
-        };
-        let assert_dense =
-            |ds: &Dataset, agg: AggregatorKind| match gather(ds, &batch, &blocks, agg).features {
-                Features::Dense(x) => assert!(x.data() == rows(ds, &sources), "{agg:?}"),
-                other => panic!("{agg:?} gathered {other:?}"),
-            };
-        assert_dense(&ds, AggregatorKind::Mean);
-        ds.set_precision(FeaturePrecision::Bf16);
-        for agg in [
-            AggregatorKind::MaxPool,
-            AggregatorKind::Lstm,
-            AggregatorKind::Attention,
-        ] {
-            assert_dense(&ds, agg);
-        }
-        match gather(&ds, &batch, &blocks, AggregatorKind::Mean).features {
-            Features::Bf16 {
-                table,
-                sources: ids,
-                head,
-            } => {
-                let own = ds.bf16_table().is_some_and(|t| std::ptr::eq(t, table));
-                assert!(own, "the dataset's own table, not a copy");
-                assert_eq!(ids, sources);
-                let dst = &sources[..blocks[0].num_dst()];
-                assert!(dst.len() < sources.len(), "a strict prefix");
-                assert!(head.data() == rows(&ds, dst));
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|x| x.to_bits()).collect() };
+        let num_dst = blocks[0].num_dst();
+        assert!(num_dst < sources.len(), "a strict prefix");
+        for precision in [FeaturePrecision::F32, FeaturePrecision::Bf16] {
+            ds.set_precision(precision);
+            let dim = ds.spec.feat_dim;
+            let mut rows = vec![0.0; sources.len() * dim];
+            ds.gather_features(&sources, &mut rows);
+            let dense = Tensor::from_vec(sources.len(), dim, rows);
+            for agg in [
+                AggregatorKind::MaxPool,
+                AggregatorKind::Lstm,
+                AggregatorKind::Attention,
+            ] {
+                match gather(&ds, &batch, &blocks, agg).features {
+                    Features::Dense(x) => assert_eq!(bits(&x), bits(&dense), "{agg:?}"),
+                    other => panic!("{precision:?} {agg:?} gathered {other:?}"),
+                }
             }
-            other => panic!("mean over bf16 gathered {other:?}"),
+            match gather(&ds, &batch, &blocks, AggregatorKind::Mean).features {
+                Features::Mean { head, agg } => {
+                    assert_eq!(
+                        bits(&head),
+                        bits(&dense.head_rows(num_dst)),
+                        "{precision:?}"
+                    );
+                    let want = mean_of_rows(&blocks[0], &dense);
+                    assert!(want.data().iter().any(|&x| x != 0.0), "an all-zero mean");
+                    assert_eq!(bits(&agg), bits(&want), "{precision:?}");
+                }
+                other => panic!("{precision:?} mean gathered {other:?}"),
+            }
         }
     }
 

@@ -5,11 +5,11 @@
 //! * **Prepare** (CPU): block generation straight from the sampled batch
 //!   (one walk per micro-batch) → feature/label gather, one `Prepared`
 //!   per micro-batch. The gather copies every input-layer source row as
-//!   f32, except for mean GraphSAGE over a bf16 table: there it widens
-//!   only the input layer's destination rows and hands Execute the
-//!   sources' dataset ids, and Execute's forward reads the table in place
-//!   (see [`crate::models`]). When the pipeline is enabled this stage
-//!   runs on a worker thread feeding a bounded channel.
+//!   f32, except for mean GraphSAGE: there it computes layer 0's
+//!   self-term rows and neighbour mean itself, reading a bf16 table in
+//!   place, and Execute's forward starts at that layer's GEMMs (see
+//!   [`crate::models`]). When the pipeline is enabled this stage runs on
+//!   a worker thread feeding a bounded channel.
 //! * **Execute** (simulated device): allocate → forward/backward → free,
 //!   consuming prepared micro-batches strictly in submission order on the
 //!   caller's thread.
@@ -161,7 +161,7 @@ pub(crate) fn walk_blocks(
 /// then the gather.
 fn walk_and_gather<'a>(
     req: &Staged<'a>,
-) -> impl FnMut(&[NodeId]) -> Prepared<Gathered<'a>> + Send + 'a {
+) -> impl FnMut(&[NodeId]) -> Prepared<Gathered> + Send + 'a {
     let (ds, batch, aggregator) = (req.ds, req.batch, req.shape.aggregator);
     let mut walk = walk_blocks(batch, req.shape.num_layers);
     move |group| {
@@ -179,7 +179,7 @@ fn walk_and_gather<'a>(
 }
 
 /// One prepared micro-batch queued for execution.
-pub(crate) struct MicroWork<'s, W = Prepared<Gathered<'s>>> {
+pub(crate) struct MicroWork<'s, W = Prepared<Gathered>> {
     pub prepared: W,
     /// The seed group it was prepared from — what the re-split rung of
     /// the recovery ladder divides.
@@ -605,7 +605,7 @@ fn infer_one(
     req: &Staged<'_>,
     residency: &mut Residency<'_>,
     out: &mut InferenceStats,
-    prepared: Prepared<Gathered<'_>>,
+    prepared: Prepared<Gathered>,
 ) -> Result<(), TrainError> {
     let Prepared { blocks, data, .. } = prepared;
     // Admission uses the same footprint the bucket scheduler's estimator

@@ -13,6 +13,13 @@ pub type NodeId = u32;
 /// scattered in memory.
 pub const PREFETCH_AHEAD: usize = 8;
 
+/// How many edges ahead of the one being read mean GraphSAGE's layer-0
+/// mean over a bf16 table prefetches a source's table row
+/// ([`Dataset::prefetch_bf16_row`](crate::datasets::Dataset::prefetch_bf16_row)):
+/// the stream runs on along the block's edge list, across destination
+/// rows, so a destination's first sources are in cache when it starts.
+pub const PREFETCH_EDGES: usize = 16;
+
 /// An immutable graph in compressed-sparse-row form.
 ///
 /// `offsets` has `num_nodes + 1` entries; the neighbors of node `v` are

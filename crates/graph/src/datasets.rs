@@ -407,6 +407,18 @@ impl Dataset {
         self.bf16_features.as_deref()
     }
 
+    /// Starts loading `node`'s bf16 table row into cache for a read soon
+    /// after ([`buffalo_simd::prefetch`]); a hint that changes nothing.
+    /// Does nothing under f32 storage or for a node past the table.
+    #[inline]
+    pub fn prefetch_bf16_row(&self, node: NodeId) {
+        let dim = self.spec.feat_dim;
+        let start = node as usize * dim;
+        if let Some(row) = self.bf16_table().and_then(|t| t.get(start..start + dim)) {
+            buffalo_simd::prefetch(row);
+        }
+    }
+
     /// Deterministic label for `node` in `0..num_classes`.
     pub fn label(&self, node: NodeId) -> u32 {
         // Labels follow community-ish structure: hash of node / 64 block,

@@ -30,7 +30,8 @@ pub struct StageTimings {
     /// (part of Prepare).
     pub block_gen_seconds: f64,
     /// Feature/label gather wall clock across all micro-batches, seconds
-    /// (part of Prepare).
+    /// (part of Prepare). For mean GraphSAGE it includes layer 0's
+    /// neighbour mean, which the gather computes.
     pub gather_seconds: f64,
     /// Simulated device compute across all micro-batches, seconds.
     pub sim_compute_seconds: f64,

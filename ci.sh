@@ -411,8 +411,8 @@ echo "ci: --simd auto run-to-run byte-identical ($(printf '%s' "$a1" | head -1))
 # bf16 feature storage is as deterministic as f32: its numerics sit
 # within the documented 2^-8 relative bound of the f32 trail, and its
 # bits are pinned per backend like the f32 goldens above. At 12M the
-# batch splits (K > 1), so every micro-batch's layer 0 reads the bf16
-# table. Each backend runs under both stagings against the one golden:
+# batch splits (K > 1), so every micro-batch's layer-0 mean reads the
+# bf16 table. Each backend runs under both stagings against the one golden:
 # with `--pipeline on` the gather (layer 0's mean included) runs on the
 # Prepare thread. A host without AVX2 and FMA checks the scalar golden
 # only.

@@ -318,7 +318,6 @@ pub(crate) fn mean_of_table(
     sources: &[NodeId],
     prefetch: impl Fn(NodeId) + Sync,
 ) -> Tensor {
-    assert_eq!(sources.len(), block.num_src(), "source count mismatch");
     let simd = buffalo_par::ambient().simd;
     mean_rows(block, dim, |ids, dst_row, i, pos, inv| {
         prefetch_stream(block, sources, i).for_each(&prefetch);

@@ -269,7 +269,7 @@ pub enum FeaturePrecision {
     /// back to f32 as they read them: [`Dataset::gather_features`]
     /// widens the rows it copies, and a reader of
     /// [`Dataset::bf16_table`] widens in registers with no copy (mean
-    /// GraphSAGE's input layer reads it so). Halves feature bytes (and so
+    /// GraphSAGE's layer-0 mean reads it so). Halves feature bytes (and so
     /// doubles effective read bandwidth per cache line) at a bounded cost:
     /// each stored value is the round-to-nearest-even bf16 of the f32
     /// feature, so the relative error is at most `2⁻⁸` per element

@@ -27,9 +27,9 @@
 //!
 //! Mean GraphSAGE's layer 0 reads its sources in two ways only: the
 //! destinations' rows for the self term (the destinations are the
-//! sources' prefix) and the mean of each destination's sources. It has
-//! no parameters before its weights and no input gradient to compute, so
-//! both are data preparation: the gather ([`crate::train`]) computes them
+//! sources' prefix) and the mean of each destination's sources. The mean
+//! has no parameters and the layer computes no input gradient, so both
+//! reads are data preparation: the gather ([`crate::train`]) computes them
 //! and hands the layer [`Features::Mean`], and the layer runs its two
 //! GEMMs. With the pipeline on, that gather runs on the Prepare thread,
 //! beside the previous micro-batch's Execute. Over a bf16 table the mean

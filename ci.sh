@@ -122,12 +122,8 @@ if [ "$lint_json" != "[]" ]; then
   exit 1
 fi
 
-# The loom-model interleaving tests for the thread-pool handoff run under
-# `--cfg loom` (see shims/loom — a bounded randomized-schedule stand-in
-# for the real loom crate, same API).
-RUSTFLAGS="--cfg loom" cargo test -q -p buffalo-par --test loom_model
-
-# Miri over the pool's unsafe lifetime erasure, when the toolchain has it
+# Miri over the parallel-kernel crate's tests (scoped threads, borrowed
+# parts, panics re-raised across threads), when the toolchain has it
 # (graceful skip otherwise — the container may lack the miri component).
 if cargo +nightly miri --version >/dev/null 2>&1; then
   cargo +nightly miri test -p buffalo-par
@@ -185,8 +181,8 @@ echo "ci: an unknown CLI flag exits non-zero"
 # Bad numbers must be refused with exit code 1 and an error message (its
 # wording may change), not a panic (exit 101) and not a plan against a
 # misread value: an empty device pool, by both commands that build one; a
-# zero count (seeds, batch size, train nodes, epochs, kernel threads) or
-# fanout; a train split larger than the dataset; a negative, NaN or
+# zero count (seeds, batch size, train nodes, epochs, kernel threads,
+# snapshots kept) or fanout; a train split larger than the dataset; a negative, NaN or
 # infinite budget; a NaN headroom or learning rate; a `--simd` value that
 # names no backend.
 while read -r bad; do
@@ -217,6 +213,7 @@ train cora --epochs 1 --train-nodes 0
 train cora --epochs 1 --headroom nan
 train cora --epochs 1 --lr nan
 train cora --epochs 0
+train cora --epochs 1 --checkpoint-dir /tmp/buffalo-ci-keep0 --checkpoint-keep 0
 EOF_BAD
 echo "ci: bad numbers and unknown --simd backends exit 1 with a message"
 

@@ -8,6 +8,7 @@
 //! uses.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod context;
 pub mod experiments;

@@ -18,6 +18,7 @@
 //! do — the comparison behind Figure 12.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod block;
 mod generate;

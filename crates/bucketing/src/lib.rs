@@ -21,6 +21,7 @@
 //! (seed) local ids that one micro-batch will train.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bucket;
 mod closure;

@@ -30,6 +30,7 @@
 //! the LSTM path exercises degree bucketing exactly as §II-C describes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod json;

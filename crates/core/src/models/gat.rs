@@ -132,27 +132,8 @@ impl BlockLayer for GatLayer {
                 }
             }
         };
-        let threads = par.effective_threads(n_dst);
-        if threads <= 1 || out_dim == 0 {
-            fill(0, y.data_mut(), &mut alphas, &mut positive);
-        } else {
-            let chunk_rows = n_dst.div_ceil(threads);
-            let fill = &fill;
-            let tasks: Vec<buffalo_par::Task<'_>> = y
-                .data_mut()
-                .chunks_mut(chunk_rows * out_dim)
-                .zip(
-                    alphas
-                        .chunks_mut(chunk_rows)
-                        .zip(positive.chunks_mut(chunk_rows)),
-                )
-                .enumerate()
-                .map(|(ci, (yc, (ac, pc)))| -> buffalo_par::Task<'_> {
-                    Box::new(move || fill(ci * chunk_rows, yc, ac, pc))
-                })
-                .collect();
-            buffalo_par::run_tasks(tasks, threads);
-        }
+        let rows = (y.data_mut(), (&mut alphas[..], &mut positive[..]));
+        buffalo_par::split_rows(n_dst, &par, rows, |i0, (yc, (ac, pc))| fill(i0, yc, ac, pc));
         let relu_mask = activate(&mut y, self.relu, keep);
         let cache = keep.then_some(GatCache {
             h_src,
@@ -216,22 +197,8 @@ impl BlockLayer for GatLayer {
                     *cands_out = cands;
                 }
             };
-            let threads = par.effective_threads(n_dst);
-            if threads <= 1 {
-                fill(0, &mut cands_all, &mut ds_all);
-            } else {
-                let chunk_rows = n_dst.div_ceil(threads);
-                let fill = &fill;
-                let tasks: Vec<buffalo_par::Task<'_>> = cands_all
-                    .chunks_mut(chunk_rows)
-                    .zip(ds_all.chunks_mut(chunk_rows))
-                    .enumerate()
-                    .map(|(ci, (cc, dd))| -> buffalo_par::Task<'_> {
-                        Box::new(move || fill(ci * chunk_rows, cc, dd))
-                    })
-                    .collect();
-                buffalo_par::run_tasks(tasks, threads);
-            }
+            let rows = (&mut cands_all[..], &mut ds_all[..]);
+            buffalo_par::split_rows(n_dst, &par, rows, |i0, (cc, dd)| fill(i0, cc, dd));
         }
         // Phase 2: dz. The sequential loop writes three kinds of updates —
         // per edge (i, c) with j = cands[c], in this order:
@@ -319,23 +286,8 @@ impl BlockLayer for GatLayer {
                     }
                 }
             };
-            let threads = par.effective_threads(out_dim);
-            if threads <= 1 {
-                acc(0, da_l.data_mut(), da_r.data_mut());
-            } else {
-                let chunk_cols = out_dim.div_ceil(threads);
-                let acc = &acc;
-                let tasks: Vec<buffalo_par::Task<'_>> = da_l
-                    .data_mut()
-                    .chunks_mut(chunk_cols)
-                    .zip(da_r.data_mut().chunks_mut(chunk_cols))
-                    .enumerate()
-                    .map(|(ci, (dal, dar))| -> buffalo_par::Task<'_> {
-                        Box::new(move || acc(ci * chunk_cols, dal, dar))
-                    })
-                    .collect();
-                buffalo_par::run_tasks(tasks, threads);
-            }
+            let cols = (da_l.data_mut(), da_r.data_mut());
+            buffalo_par::split_rows(out_dim, &par, cols, |d0, (dal, dar)| acc(d0, dal, dar));
         }
         self.a_l.accumulate(&da_l);
         self.a_r.accumulate(&da_r);

@@ -163,23 +163,8 @@ impl SageLayer {
                         }
                     }
                 };
-                let threads = par.effective_threads(n_dst);
-                if threads <= 1 || dim == 0 {
-                    fill(0, agg.data_mut(), &mut argmax);
-                } else {
-                    let chunk_rows = n_dst.div_ceil(threads);
-                    let fill = &fill;
-                    let tasks: Vec<buffalo_par::Task<'_>> = agg
-                        .data_mut()
-                        .chunks_mut(chunk_rows * dim)
-                        .zip(argmax.chunks_mut(chunk_rows))
-                        .enumerate()
-                        .map(|(ci, (ac, xc))| -> buffalo_par::Task<'_> {
-                            Box::new(move || fill(ci * chunk_rows, ac, xc))
-                        })
-                        .collect();
-                    buffalo_par::run_tasks(tasks, threads);
-                }
+                let rows = (agg.data_mut(), &mut argmax[..]);
+                buffalo_par::split_rows(n_dst, &par, rows, |i0, (ac, xc)| fill(i0, ac, xc));
                 let cache = proj_mask.map(|proj_mask| AggCache::MaxPool {
                     h_src,
                     proj_mask,

@@ -257,29 +257,10 @@ pub fn run_epochs_checkpointed(
         let opts = ckpt.ok_or_else(|| {
             TrainError::InvalidConfig("resume requested without checkpoint options".into())
         })?;
-        let (snap, _path) =
-            CheckpointRing::load_latest(&opts.dir).map_err(TrainError::Checkpoint)?;
-        if snap.config_hash != fingerprint {
-            return Err(TrainError::Checkpoint(CheckpointError::ConfigMismatch {
-                expected: fingerprint,
-                found: snap.config_hash,
-            }));
-        }
-        trainer
-            .restore_state(&snap.trainer)
-            .map_err(TrainError::Checkpoint)?;
+        let snap = restore_latest(opts, fingerprint, trainer, &mut cur, &mut loss_trail, None)?;
         if let Some(pool) = device.pool() {
             pool.restore_position(&snap.device_allocs, &snap.dead_devices);
         }
-        cur = Cursor {
-            epoch: snap.epoch,
-            epoch_iter: snap.epoch_iter,
-            global_iter: snap.global_iter,
-            loss_sum: snap.epoch_loss_sum,
-            acc_sum: snap.epoch_acc_sum,
-            rollbacks: snap.rollbacks,
-        };
-        loss_trail = snap.loss_trail;
         resumed_at = Some(snap.global_iter);
     } else if let Some(r) = ring.as_mut() {
         // Base snapshot: the rollback rung always has somewhere to land,
@@ -342,23 +323,18 @@ pub fn run_epochs_checkpointed(
                             Some(o) if ring.is_some() && cur.rollbacks < allowed => o,
                             _ => return Err(TrainError::RecoveryExhausted { events, last }),
                         };
-                        let (snap, _path) = CheckpointRing::load_latest(&opts.dir)
-                            .map_err(TrainError::Checkpoint)?;
-                        trainer
-                            .restore_state(&snap.trainer)
-                            .map_err(TrainError::Checkpoint)?;
                         // The device is NOT rewound: its shrunken budget and
                         // consumed fault events are facts of the world the
                         // retried iterations must live with.
-                        cur = Cursor {
-                            epoch: snap.epoch,
-                            epoch_iter: snap.epoch_iter,
-                            global_iter: snap.global_iter,
-                            loss_sum: snap.epoch_loss_sum,
-                            acc_sum: snap.epoch_acc_sum,
-                            rollbacks: cur.rollbacks + 1,
-                        };
-                        loss_trail = snap.loss_trail;
+                        let rollbacks = Some(cur.rollbacks + 1);
+                        let snap = restore_latest(
+                            opts,
+                            fingerprint,
+                            trainer,
+                            &mut cur,
+                            &mut loss_trail,
+                            rollbacks,
+                        )?;
                         timings = StageTimings::default();
                         recovery = Vec::new();
                         // Compounding headroom: each rollback schedules
@@ -410,6 +386,41 @@ pub fn run_epochs_checkpointed(
             snapshots_written,
         })
     })
+}
+
+/// Restores `trainer`, `cur` and `loss_trail` from the newest snapshot in
+/// the ring, which a run with `fingerprint` must have written. The cursor
+/// counts `rollbacks` if given, else the snapshot's own count. Returns the
+/// snapshot, its loss trail moved out, for what only one caller reads.
+fn restore_latest(
+    opts: &CheckpointOptions,
+    fingerprint: u64,
+    trainer: &mut Engine,
+    cur: &mut Cursor,
+    loss_trail: &mut Vec<f32>,
+    rollbacks: Option<u64>,
+) -> Result<TrainSnapshot, TrainError> {
+    let (mut snap, _path) =
+        CheckpointRing::load_latest(&opts.dir).map_err(TrainError::Checkpoint)?;
+    if snap.config_hash != fingerprint {
+        return Err(TrainError::Checkpoint(CheckpointError::ConfigMismatch {
+            expected: fingerprint,
+            found: snap.config_hash,
+        }));
+    }
+    trainer
+        .restore_state(&snap.trainer)
+        .map_err(TrainError::Checkpoint)?;
+    *cur = Cursor {
+        epoch: snap.epoch,
+        epoch_iter: snap.epoch_iter,
+        global_iter: snap.global_iter,
+        loss_sum: snap.epoch_loss_sum,
+        acc_sum: snap.epoch_acc_sum,
+        rollbacks: rollbacks.unwrap_or(snap.rollbacks),
+    };
+    *loss_trail = std::mem::take(&mut snap.loss_trail);
+    Ok(snap)
 }
 
 fn save_snapshot(

@@ -482,7 +482,7 @@ impl Dataset {
     /// Switches feature storage. `Bf16` materializes the full
     /// `nodes × feat_dim` table (2 bytes per value — ~111 MB for the
     /// largest scaled stand-in) by rounding each generated f32 row to
-    /// nearest-even bf16, parallelized over disjoint node rows: each task
+    /// nearest-even bf16, parallelized over disjoint node rows: each part
     /// synthesises eight rows per step (the feature synthesiser's wide
     /// group) into an eight-row f32 scratch. `F32` drops the table and
     /// returns to on-demand generation. Idempotent.
@@ -497,32 +497,21 @@ impl Dataset {
                 let n = self.graph.num_nodes();
                 let mut table = vec![0u16; n * dim];
                 if dim > 0 {
-                    let par = buffalo_par::ambient();
-                    let threads = par.effective_threads(n).max(1);
-                    let chunk_nodes = n.div_ceil(threads);
                     let this = &*self;
-                    let tasks: Vec<buffalo_par::Task<'_>> = table
-                        .chunks_mut(chunk_nodes * dim)
-                        .enumerate()
-                        .map(|(ci, chunk)| -> buffalo_par::Task<'_> {
-                            Box::new(move || {
-                                // Eight f32 rows of scratch per task, not per group.
-                                let mut wide = vec![0.0f32; 8 * dim];
-                                let first = (ci * chunk_nodes) as NodeId;
-                                for (g, rows) in chunk.chunks_mut(8 * dim).enumerate() {
-                                    let node = first + 8 * g as NodeId;
-                                    let group: [NodeId; 8] =
-                                        std::array::from_fn(|i| node + i as NodeId);
-                                    let wide = &mut wide[..rows.len()];
-                                    this.feature_rows_into(&group[..rows.len() / dim], wide);
-                                    for (h, &v) in rows.iter_mut().zip(&*wide) {
-                                        *h = buffalo_simd::f32_to_bf16(v);
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    buffalo_par::run_tasks(tasks, threads);
+                    let par = buffalo_par::ambient();
+                    buffalo_par::split_rows(n, &par, &mut table[..], |first, chunk| {
+                        // Eight f32 rows of scratch per part, not per group.
+                        let mut wide = vec![0.0f32; 8 * dim];
+                        for (g, rows) in chunk.chunks_mut(8 * dim).enumerate() {
+                            let node = (first + 8 * g) as NodeId;
+                            let group: [NodeId; 8] = std::array::from_fn(|i| node + i as NodeId);
+                            let wide = &mut wide[..rows.len()];
+                            this.feature_rows_into(&group[..rows.len() / dim], wide);
+                            for (h, &v) in rows.iter_mut().zip(&*wide) {
+                                *h = buffalo_simd::f32_to_bf16(v);
+                            }
+                        }
+                    });
                 }
                 self.bf16_features = Some(table);
             }

@@ -31,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod builder;
 mod csr;

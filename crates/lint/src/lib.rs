@@ -57,6 +57,8 @@
 //! (`invalid-waiver` / `unused-waiver`) — deny-by-default applies to the
 //! escape hatch too.
 
+#![forbid(unsafe_code)]
+
 mod analyses;
 pub mod callgraph;
 pub mod lexer;

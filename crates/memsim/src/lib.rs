@@ -22,6 +22,7 @@
 //! `Σ M_est[i] · R_group[i]`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 mod device;

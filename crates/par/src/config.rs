@@ -3,9 +3,13 @@
 use buffalo_simd::SimdBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Minimum output-row count before a kernel goes parallel; below it the
-/// per-task dispatch overhead outweighs the work.
+/// Minimum output-row count before a kernel goes parallel; below it
+/// starting a thread costs more than the work.
 pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 64;
+
+/// Most threads one kernel call uses, the caller included: a guard
+/// against absurd `--threads` values, since every call starts its own.
+const MAX_THREADS: usize = 64;
 
 /// Depth (k) tile of the blocked matmul kernels.
 pub const DEFAULT_TILE_K: usize = 64;
@@ -15,8 +19,12 @@ pub const DEFAULT_TILE_K: usize = 64;
 /// cache-resident while a thread sweeps its output rows.
 pub const DEFAULT_TILE_N: usize = 128;
 
-/// How the CPU compute kernels split their work: worker-thread count and
-/// the SIMD inner kernel backend.
+/// How the CPU compute kernels split their work: thread count and the
+/// SIMD inner kernel backend.
+///
+/// A kernel call with enough rows starts `effective_threads(rows) - 1`
+/// scoped threads for its own duration (see
+/// [`split_rows`](crate::split_rows)); no thread outlives the call.
 ///
 /// `threads` never affects results — kernels partition by disjoint output
 /// rows and keep per-element accumulation order fixed, so any two
@@ -29,7 +37,7 @@ pub const DEFAULT_TILE_N: usize = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Total threads applied to a kernel, including the calling thread
-    /// (`1` = serial).
+    /// (`1` = serial); one call uses at most 64.
     pub threads: usize,
     /// SIMD backend for the per-element inner kernels (axpy/dot/widen).
     /// Unlike `threads` this selects the numerics; scalar is the default
@@ -55,12 +63,13 @@ impl Parallelism {
     }
 
     /// Threads a kernel with `rows` output rows should actually use:
-    /// `1` below [`DEFAULT_MIN_PARALLEL_ROWS`], never more than `rows`.
+    /// `1` below [`DEFAULT_MIN_PARALLEL_ROWS`], never more than `rows`
+    /// nor 64, whatever `threads` says.
     pub fn effective_threads(&self, rows: usize) -> usize {
         if self.threads <= 1 || rows < DEFAULT_MIN_PARALLEL_ROWS {
             1
         } else {
-            self.threads.min(rows)
+            self.threads.min(rows).min(MAX_THREADS)
         }
     }
 
@@ -125,8 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_never_exceed_rows() {
-        assert_eq!(threads(100).effective_threads(70), 70);
+    fn effective_threads_never_exceed_rows_or_the_cap() {
+        assert_eq!(threads(50).effective_threads(70), 50);
+        assert_eq!(threads(100).effective_threads(70), 64);
+        // Only the number is checked: no kernel runs with these values.
+        for t in [65, 1 << 20, usize::MAX] {
+            assert!(threads(t).effective_threads(usize::MAX) <= 64);
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! through one micro-batch path.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod betty;
 pub mod metis;

@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use buffalo_graph::{CsrGraph, NodeId, PREFETCH_AHEAD};
 use rand::rngs::StdRng;

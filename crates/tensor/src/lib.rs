@@ -17,6 +17,7 @@
 //! Everything is deterministic: random init takes explicit seeds.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod layers;
 mod loss;

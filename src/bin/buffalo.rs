@@ -529,7 +529,7 @@ fn cmd_train(target: &str, opts: &Options) -> Result<(), String> {
         Some(dir) => {
             let mut c = CheckpointOptions::new(dir);
             c.every = opts.get("checkpoint-every", c.every)?;
-            c.keep = opts.get("checkpoint-keep", c.keep)?;
+            c.keep = opts.positive("checkpoint-keep", c.keep)?;
             c.max_rollbacks = opts.get("max-rollbacks", c.max_rollbacks)?;
             c.crash = crash;
             Some(c)

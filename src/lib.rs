@@ -19,6 +19,7 @@
 //! the paper-vs-measured record of every figure and table.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use buffalo_blocks as blocks;
 pub use buffalo_bucketing as bucketing;

@@ -439,6 +439,41 @@ for backend in scalar avx2; do
 done
 rm -rf "$ckdir"
 
+# The products shape, pinned by its final snapshot's bytes: 47 classes
+# leave a ragged column tail in the output layer's GEMMs, and a change to
+# that tail's rounding shows in the parameters long before it shows in
+# the printed losses (the trail reads alike for scalar and avx2). The
+# snapshot holds the config fingerprint, so each staging has its own
+# line. A host without AVX2 and FMA checks the scalar lines only.
+ckdir=$(mktemp -d)
+snaps=""
+for backend in scalar avx2; do
+  for pipeline in off on; do
+    if ! cargo run -q --release --bin buffalo -- train ogbn-products --batch-size 2048 \
+      --train-nodes 4096 --epochs 2 --budget 40M --precision bf16 --eval 0 --fanouts 10,25 \
+      --simd "$backend" --pipeline "$pipeline" --checkpoint-dir "$ckdir/$backend-$pipeline" \
+      --checkpoint-every 2 >/dev/null 2>&1; then
+      if [ "$backend" = scalar ]; then
+        echo "ci: FAIL — products --simd scalar --pipeline $pipeline did not train" >&2
+        exit 1
+      fi
+      echo "ci: skip — host CPU does not support --simd $backend"
+      continue 2
+    fi
+    sum=$(md5sum < "$ckdir/$backend-$pipeline/snap-0000000004.ckpt" | cut -d' ' -f1)
+    snaps="$snaps$backend $pipeline $sum"$'\n'
+  done
+done
+rm -rf "$ckdir"
+want=$(grep -E "^($(printf '%s' "$snaps" | cut -d' ' -f1 | sort -u | paste -sd'|')) " \
+  tests/golden/products_bf16_snapshots.txt)
+if [ "${snaps%$'\n'}" != "$want" ]; then
+  echo "ci: FAIL — products bf16 snapshots diverged from tests/golden/products_bf16_snapshots.txt" >&2
+  diff <(printf '%s\n' "$want") <(printf '%s' "$snaps") >&2 || true
+  exit 1
+fi
+echo "ci: products bf16 snapshots match their golden bytes ($(printf '%s' "$snaps" | wc -l) runs)"
+
 # Serving smoke: `buffalo serve` replays a seeded trace through the same
 # engine and bucket scheduler as training; two runs must produce
 # byte-identical output (per-request answers, latency bits, digest).

@@ -133,7 +133,9 @@ impl BlockLayer for GatLayer {
             }
         };
         let rows = (y.data_mut(), (&mut alphas[..], &mut positive[..]));
-        buffalo_par::split_rows(n_dst, &par, rows, |i0, (yc, (ac, pc))| fill(i0, yc, ac, pc));
+        buffalo_par::split_rows(n_dst, out_dim, &par, rows, |i0, (yc, (ac, pc))| {
+            fill(i0, yc, ac, pc)
+        });
         let relu_mask = activate(&mut y, self.relu, keep);
         let cache = keep.then_some(GatCache {
             h_src,
@@ -198,7 +200,7 @@ impl BlockLayer for GatLayer {
                 }
             };
             let rows = (&mut cands_all[..], &mut ds_all[..]);
-            buffalo_par::split_rows(n_dst, &par, rows, |i0, (cc, dd)| fill(i0, cc, dd));
+            buffalo_par::split_rows(n_dst, out_dim, &par, rows, |i0, (cc, dd)| fill(i0, cc, dd));
         }
         // Phase 2: dz. The sequential loop writes three kinds of updates —
         // per edge (i, c) with j = cands[c], in this order:
@@ -286,8 +288,12 @@ impl BlockLayer for GatLayer {
                     }
                 }
             };
+            // Each column walks every edge: that is its row's work.
+            let edges = ds_all.iter().map(Vec::len).sum();
             let cols = (da_l.data_mut(), da_r.data_mut());
-            buffalo_par::split_rows(out_dim, &par, cols, |d0, (dal, dar)| acc(d0, dal, dar));
+            buffalo_par::split_rows(out_dim, edges, &par, cols, |d0, (dal, dar)| {
+                acc(d0, dal, dar)
+            });
         }
         self.a_l.accumulate(&da_l);
         self.a_r.accumulate(&da_r);

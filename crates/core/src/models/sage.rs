@@ -164,7 +164,7 @@ impl SageLayer {
                     }
                 };
                 let rows = (agg.data_mut(), &mut argmax[..]);
-                buffalo_par::split_rows(n_dst, &par, rows, |i0, (ac, xc)| fill(i0, ac, xc));
+                buffalo_par::split_rows(n_dst, dim, &par, rows, |i0, (ac, xc)| fill(i0, ac, xc));
                 let cache = proj_mask.map(|proj_mask| AggCache::MaxPool {
                     h_src,
                     proj_mask,

@@ -499,7 +499,7 @@ impl Dataset {
                 if dim > 0 {
                     let this = &*self;
                     let par = buffalo_par::ambient();
-                    buffalo_par::split_rows(n, &par, &mut table[..], |first, chunk| {
+                    buffalo_par::split_rows(n, dim, &par, &mut table[..], |first, chunk| {
                         // Eight f32 rows of scratch per part, not per group.
                         let mut wide = vec![0.0f32; 8 * dim];
                         for (g, rows) in chunk.chunks_mut(8 * dim).enumerate() {

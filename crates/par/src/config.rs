@@ -3,9 +3,9 @@
 use buffalo_simd::SimdBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Minimum output-row count before a kernel goes parallel; below it
-/// starting a thread costs more than the work.
-pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 64;
+/// Minimum output elements (rows × columns) before a kernel goes
+/// parallel; below it starting a thread costs more than the work.
+pub const DEFAULT_MIN_PARALLEL_CELLS: usize = 1 << 15;
 
 /// Most threads one kernel call uses, the caller included: a guard
 /// against absurd `--threads` values, since every call starts its own.
@@ -62,11 +62,12 @@ impl Parallelism {
         }
     }
 
-    /// Threads a kernel with `rows` output rows should actually use:
-    /// `1` below [`DEFAULT_MIN_PARALLEL_ROWS`], never more than `rows`
-    /// nor 64, whatever `threads` says.
-    pub fn effective_threads(&self, rows: usize) -> usize {
-        if self.threads <= 1 || rows < DEFAULT_MIN_PARALLEL_ROWS {
+    /// Threads a kernel with `rows` output rows of `cols` elements each
+    /// should actually use: `1` below [`DEFAULT_MIN_PARALLEL_CELLS`]
+    /// elements in all, never more than `rows` nor 64, whatever `threads`
+    /// says.
+    pub fn effective_threads(&self, rows: usize, cols: usize) -> usize {
+        if self.threads <= 1 || rows.saturating_mul(cols) < DEFAULT_MIN_PARALLEL_CELLS {
             1
         } else {
             self.threads.min(rows).min(MAX_THREADS)
@@ -125,21 +126,29 @@ mod tests {
         }
     }
 
+    /// The threshold counts elements, not rows: many narrow rows and a
+    /// few wide ones split alike, and one element short of it runs
+    /// serial however the elements are shaped.
     #[test]
     fn serial_fallback_threshold_applies() {
-        assert_eq!(threads(8).effective_threads(63), 1);
-        assert_eq!(threads(8).effective_threads(64), 8);
-        assert_eq!(threads(8).effective_threads(3), 1);
-        assert_eq!(Parallelism::serial().effective_threads(1 << 20), 1);
+        assert_eq!(DEFAULT_MIN_PARALLEL_CELLS, 32_768);
+        assert_eq!(threads(8).effective_threads(63, 512), 1);
+        assert_eq!(threads(8).effective_threads(64, 512), 8);
+        assert_eq!(threads(8).effective_threads(32_767, 1), 1);
+        assert_eq!(threads(8).effective_threads(32_768, 1), 8);
+        assert_eq!(threads(8).effective_threads(4_096, 7), 1);
+        assert_eq!(threads(8).effective_threads(3, 1 << 20), 3);
+        assert_eq!(threads(8).effective_threads(0, usize::MAX), 1);
+        assert_eq!(Parallelism::serial().effective_threads(1 << 20, 64), 1);
     }
 
     #[test]
     fn effective_threads_never_exceed_rows_or_the_cap() {
-        assert_eq!(threads(50).effective_threads(70), 50);
-        assert_eq!(threads(100).effective_threads(70), 64);
+        assert_eq!(threads(50).effective_threads(70, 1024), 50);
+        assert_eq!(threads(100).effective_threads(70, 1024), 64);
         // Only the number is checked: no kernel runs with these values.
         for t in [65, 1 << 20, usize::MAX] {
-            assert!(threads(t).effective_threads(usize::MAX) <= 64);
+            assert!(threads(t).effective_threads(usize::MAX, usize::MAX) <= 64);
         }
     }
 

@@ -30,5 +30,7 @@ mod config;
 mod split;
 
 pub use buffalo_simd::{wide_lanes, Coeffs, SimdBackend, SimdPolicy};
-pub use config::{ambient, Parallelism, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_TILE_K, DEFAULT_TILE_N};
+pub use config::{
+    ambient, Parallelism, DEFAULT_MIN_PARALLEL_CELLS, DEFAULT_TILE_K, DEFAULT_TILE_N,
+};
 pub use split::{parallel_rows, split_rows, Rows};

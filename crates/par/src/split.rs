@@ -26,8 +26,8 @@ impl<A: Rows, B: Rows> Rows for (A, B) {
     }
 }
 
-/// Cuts `out`, a kernel's `rows` output rows, into
-/// [`Parallelism::effective_threads`] contiguous parts of
+/// Cuts `out`, a kernel's `rows` output rows of `cols` elements each,
+/// into [`Parallelism::effective_threads`] contiguous parts of
 /// `rows.div_ceil(threads)` rows each and runs `f(first_row, part)` on
 /// every part inside [`std::thread::scope`]: one scoped thread per part
 /// but the last, which the calling thread runs. It returns only after
@@ -42,12 +42,12 @@ impl<A: Rows, B: Rows> Rows for (A, B) {
 /// Re-raises a part's panic once every other part has finished: std's
 /// `a scoped thread panicked`, or the part's own payload if the calling
 /// thread ran it.
-pub fn split_rows<R, F>(rows: usize, par: &Parallelism, out: R, f: F)
+pub fn split_rows<R, F>(rows: usize, cols: usize, par: &Parallelism, out: R, f: F)
 where
     R: Rows,
     F: Fn(usize, R) + Sync,
 {
-    let threads = par.effective_threads(rows);
+    let threads = par.effective_threads(rows, cols);
     if threads <= 1 {
         return f(0, out);
     }
@@ -86,7 +86,7 @@ where
     if data.is_empty() || cols == 0 {
         return;
     }
-    split_rows(data.len() / cols, par, data, f);
+    split_rows(data.len() / cols, cols, par, data, f);
 }
 
 #[cfg(test)]
@@ -106,8 +106,8 @@ mod tests {
     #[test]
     fn parallel_rows_covers_every_row_once() {
         for threads in [1, 2, 4, 8] {
-            let mut hits = vec![0.0f32; 1000];
-            parallel_rows(&mut hits, 1, &par(threads), |_, chunk| {
+            let mut hits = vec![0.0f32; 1000 * 64];
+            parallel_rows(&mut hits, 64, &par(threads), |_, chunk| {
                 chunk.iter_mut().for_each(|h| *h += 1.0);
             });
             assert!(hits.iter().all(|&h| h == 1.0));
@@ -116,7 +116,8 @@ mod tests {
 
     #[test]
     fn parallel_rows_chunks_are_disjoint_and_aligned() {
-        let (rows, cols) = (103, 7);
+        // 34 093 elements: past the threshold, so four parts.
+        let (rows, cols) = (103, 331);
         let mut data = vec![0.0f32; rows * cols];
         parallel_rows(&mut data, cols, &par(4), |row0, chunk| {
             assert_eq!(chunk.len() % cols, 0);
@@ -133,35 +134,48 @@ mod tests {
 
     #[test]
     fn serial_threshold_short_circuits_dispatch() {
-        // One row below the threshold no thread starts: the whole range
-        // arrives as one call on the calling thread.
+        // One row of 512 below the threshold no thread starts: the whole
+        // range arrives as one call on the calling thread.
         let calls = AtomicUsize::new(0);
         let caller = thread::current().id();
-        parallel_rows(&mut [0.0; 63], 1, &par(8), |row0, chunk| {
+        parallel_rows(&mut vec![0.0; 63 * 512], 512, &par(8), |row0, chunk| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!((row0, chunk.len()), (0, 63));
+            assert_eq!((row0, chunk.len()), (0, 63 * 512));
             assert_eq!(thread::current().id(), caller);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         // At the threshold the rows are split, one chunk per thread.
         calls.store(0, Ordering::Relaxed);
-        parallel_rows(&mut [0.0; 64], 1, &par(8), |_, chunk| {
+        parallel_rows(&mut vec![0.0; 64 * 512], 512, &par(8), |_, chunk| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(chunk.len(), 8);
+            assert_eq!(chunk.len(), 8 * 512);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 8);
+        // As many rows, too narrow to pay for a thread: one call.
+        calls.store(0, Ordering::Relaxed);
+        parallel_rows(&mut [0.0; 64], 1, &par(8), |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn parts_borrow_the_callers_data_in_pairs() {
         let (mut out, mut tag) = (vec![0u64; 64 * 3], vec![0usize; 64]);
         let offset = 7;
-        split_rows(64, &par(4), (&mut out[..], &mut tag[..]), |row0, (o, t)| {
-            for (r, (row, t)) in o.chunks_exact_mut(3).zip(t.iter_mut()).enumerate() {
-                row.fill((row0 + r + offset) as u64);
-                *t = row0;
-            }
-        });
+        // Rows of 512 elements' work each: past the threshold.
+        split_rows(
+            64,
+            512,
+            &par(4),
+            (&mut out[..], &mut tag[..]),
+            |row0, (o, t)| {
+                for (r, (row, t)) in o.chunks_exact_mut(3).zip(t.iter_mut()).enumerate() {
+                    row.fill((row0 + r + offset) as u64);
+                    *t = row0;
+                }
+            },
+        );
         assert!(out
             .chunks_exact(3)
             .enumerate()
@@ -175,8 +189,8 @@ mod tests {
         thread::scope(|s| {
             for slot in &done {
                 s.spawn(move || {
-                    parallel_rows(&mut [0.0; 256], 1, &par(4), |_, chunk| {
-                        slot.fetch_add(chunk.len(), Ordering::Relaxed);
+                    parallel_rows(&mut vec![0.0; 256 * 128], 128, &par(4), |_, chunk| {
+                        slot.fetch_add(chunk.len() / 128, Ordering::Relaxed);
                     });
                 });
             }
@@ -184,10 +198,10 @@ mod tests {
         assert!(done.iter().all(|d| d.load(Ordering::Relaxed) == 256));
     }
 
-    /// Four parts of 64 rows: the first panics at once, the other three
-    /// finish later.
+    /// Four parts of 64 rows of 128: the first panics at once, the other
+    /// three finish later.
     fn first_part_panics(finished: &AtomicUsize) {
-        parallel_rows(&mut [0.0; 256], 1, &par(4), |row0, _| {
+        parallel_rows(&mut vec![0.0; 256 * 128], 128, &par(4), |row0, _| {
             if row0 == 0 {
                 panic!("boom");
             }
@@ -202,8 +216,8 @@ mod tests {
         assert!(catch_unwind(AssertUnwindSafe(|| first_part_panics(&finished))).is_err());
         assert_eq!(finished.load(Ordering::SeqCst), 3);
         let count = AtomicUsize::new(0);
-        parallel_rows(&mut [0.0; 256], 1, &par(4), |_, chunk| {
-            count.fetch_add(chunk.len(), Ordering::SeqCst);
+        parallel_rows(&mut vec![0.0; 256 * 128], 128, &par(4), |_, chunk| {
+            count.fetch_add(chunk.len() / 128, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 256);
     }

@@ -230,6 +230,37 @@ impl SimdBackend {
         }
     }
 
+    /// One [`dot`](Self::dot) of `a` per row of `b`, `k = a.len()` wide:
+    /// `out[j] = self.dot(a, &b[j * k..][..k])` — a row of `A · Bᵀ`. Bit
+    /// for bit those `dot` calls on every backend. Under `Avx2` eight
+    /// outputs advance together, so each load of `a` feeds eight FMA
+    /// chains: every output keeps its own eight lane accumulators, the
+    /// lanes are summed vertically after an 8 × 8 transpose (ascending,
+    /// from +0.0, as `dot` sums them) and the tail's products are added
+    /// one by one, each multiply and add rounded separately. A last block
+    /// of fewer than eight outputs repeats its last row and stores only
+    /// its own outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` holds fewer than `out.len()` rows of `k`.
+    pub fn dot_rows(self, a: &[f32], b: &[f32], out: &mut [f32]) {
+        let k = a.len();
+        assert!(b.len() >= out.len() * k, "dot_rows source too short");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` is only constructed after `detect`/`resolve`
+            // verified `is_x86_feature_detected!` for avx2 and fma; the
+            // assert above bounds every row read.
+            SimdBackend::Avx2 => unsafe { x86::dot_rows_avx2(a, b, out) },
+            _ => {
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = dot_scalar(a, &b[j * k..][..k]);
+                }
+            }
+        }
+    }
+
     /// Widens a bf16 row to f32 (`dst[i] = bf16_to_f32(src[i])`). Exact
     /// — widening is a left shift — so every backend runs the same code:
     /// the AVX2 body on a host with AVX2 and FMA, the portable loop
@@ -859,6 +890,65 @@ mod x86 {
         s
     }
 
+    /// `SimdBackend::dot_rows` under `Avx2`: `out[j]` is `dot_avx2(a,
+    /// b[j * k..][..k])`, eight outputs to a block. The block's eight lane
+    /// accumulators are transposed, so that summing the eight transposed
+    /// registers in ascending order adds each output's lanes in
+    /// `dot_avx2`'s order, from +0.0; its tail columns are transposed the
+    /// same way and folded in one column at a time, multiply and add
+    /// rounded separately.
+    // SAFETY: requires AVX2+FMA; callers reach this only through
+    // `SimdBackend::Avx2` dispatch, and that value is only constructed
+    // after `is_x86_feature_detected!("avx2")`/`("fma")` detection. The
+    // caller guarantees `out.len()` rows of `a.len()` in `b`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn dot_rows_avx2(a: &[f32], b: &[f32], out: &mut [f32]) {
+        let (k, n) = (a.len(), out.len());
+        let body = k - k % 8;
+        let tail = lane_mask(k - body);
+        let (ap, op) = (a.as_ptr(), out.as_mut_ptr());
+        let mut j = 0usize;
+        while j < n {
+            let w = (n - j).min(8);
+            // A short last block repeats its last row in the missing ones.
+            let rows: [*const f32; 8] =
+                core::array::from_fn(|i| b.as_ptr().wrapping_add((j + i.min(w - 1)) * k));
+            let mut acc = [_mm256_setzero_ps(); 8];
+            let mut p = 0usize;
+            while p < body {
+                // SAFETY: `p + 8 <= body <= k` bounds eight lanes of `a`
+                // and of each row, and every row is one of `b`'s first
+                // `n`, which the caller bounds.
+                unsafe {
+                    let x = _mm256_loadu_ps(ap.add(p));
+                    for (s, row) in acc.iter_mut().zip(rows) {
+                        *s = _mm256_fmadd_ps(x, _mm256_loadu_ps(row.add(p)), *s);
+                    }
+                }
+                p += 8;
+            }
+            let mut s = _mm256_setzero_ps();
+            for lane in transpose8_avx(acc) {
+                s = _mm256_add_ps(s, lane);
+            }
+            if body < k {
+                // SAFETY: the mask keeps each load to the `k - body` tail
+                // columns of a row the caller bounds.
+                let cols = transpose8_avx(
+                    rows.map(|row| unsafe { _mm256_maskload_ps(row.add(body), tail) }),
+                );
+                for (q, col) in cols.iter().take(k - body).enumerate() {
+                    // SAFETY: `body + q < k` bounds the element of `a`.
+                    let x = _mm256_set1_ps(unsafe { *ap.add(body + q) });
+                    s = _mm256_add_ps(s, _mm256_mul_ps(x, *col));
+                }
+            }
+            // SAFETY: `j + w <= n` bounds the `w` outputs stored.
+            unsafe { _mm256_maskstore_ps(op.add(j), lane_mask(w), s) };
+            j += w;
+        }
+    }
+
     // SAFETY: requires AVX2 (the 256-bit u16→i32 widen); reached only
     // from `SimdBackend::widen_bf16` after its `is_x86_feature_detected!`
     // check for avx2 and fma.
@@ -1193,23 +1283,68 @@ mod x86 {
             // spans eight of the `width - j` columns left.
             j += unsafe { tile::<Ymm, R, 1, FMA>(dp.wrapping_add(j), sp.wrapping_add(j), cp, g) };
         }
-        for r in 0..R {
-            for jj in j..width {
-                // SAFETY: `jj < width` and `r < R` bound the element, and
-                // the caller bounds every term's coefficient and source row.
-                unsafe {
-                    let d = dp.add(r * g.dst + jj);
-                    let mut acc = *d;
-                    for t in 0..g.terms {
-                        let a = *cp.add(r * g.row + t * g.term);
-                        if a != 0.0 {
-                            acc += a * *sp.add(t * g.src + jj);
-                        }
-                    }
-                    *d = acc;
+        if j < width {
+            // SAFETY: AVX2 and FMA are enabled in the caller; the tail
+            // spans the `width - j` (< 8) columns left.
+            unsafe { column_tail::<R>(dp.wrapping_add(j), sp.wrapping_add(j), cp, width - j, g) };
+        }
+    }
+
+    /// The last `n` (< 8) columns of `R` rows of `axpy_rows_wide`, each
+    /// row's in one ymm loaded and stored under a lane mask, so no column
+    /// past `n` is read or written. Every lane is `d = d + a * s` per
+    /// non-zero term, ascending, the multiply and add rounded separately
+    /// on both chains, as `axpy_avx2`'s scalar tail rounds them. A term
+    /// whose coefficient is ±0.0 leaves the row's lanes as they are
+    /// (`Ymm::update`'s select, the portable `a == 0.0` skip).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are enabled in the caller, which guarantees `R` rows
+    /// of `n` columns at `dp`, those columns of every source row at `sp`
+    /// and `R` rows of coefficients at `cp`.
+    // SAFETY: requires AVX2+FMA; reached only from `row_block`, inside an
+    // entry point whose caller detected avx2 and fma (`Width::host`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn column_tail<const R: usize>(
+        dp: *mut f32,
+        sp: *const f32,
+        cp: *const f32,
+        n: usize,
+        g: Grid,
+    ) {
+        let mask = lane_mask(n);
+        // SAFETY: AVX2 and FMA are enabled here; the mask keeps every
+        // access to the first `n` lanes, which the caller bounds.
+        unsafe {
+            let mut acc = [_mm256_setzero_ps(); R];
+            for (r, row) in acc.iter_mut().enumerate() {
+                *row = _mm256_maskload_ps(dp.add(r * g.dst), mask);
+            }
+            for t in 0..g.terms {
+                let s = _mm256_maskload_ps(sp.add(t * g.src), mask);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let a = Ymm::splat(*cp.add(r * g.row + t * g.term));
+                    *row = Ymm::update::<false, true>(*row, a, s);
                 }
             }
+            for (r, row) in acc.iter().enumerate() {
+                _mm256_maskstore_ps(dp.add(r * g.dst), mask, *row);
+            }
         }
+    }
+
+    /// A ymm lane mask selecting the first `n` (≤ 8) f32 lanes.
+    // SAFETY: requires AVX2; reached only from `column_tail` and
+    // `dot_rows_avx2`, whose callers detected avx2 and fma.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lane_mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
     }
 
     /// One `R × V·N` register tile over all of `g.terms`; returns the
@@ -1737,6 +1872,114 @@ mod tests {
                     backend.axpy_rows_at(width, &mut got, stride, 0..n, &src, src_stride, c);
                     let what = format!("{backend:?} at {width:?}, n={n} terms={terms}");
                     assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+            }
+        }
+    }
+
+    /// The chain `axpy_rows` must follow, stated portably: per row and
+    /// per non-zero term in ascending order, each of the `cols` columns
+    /// gets `d = d + a · s`, fused (one rounding) where `fma` holds and
+    /// the column lies in `axpy`'s eight-lane body, the multiply and add
+    /// rounded separately everywhere else.
+    fn axpy_rows_chain(
+        fma: bool,
+        dst: &mut [f32],
+        dst_stride: usize,
+        cols: Range<usize>,
+        src: &[f32],
+        src_stride: usize,
+        c: Coeffs<'_>,
+    ) {
+        let body = cols.len() - cols.len() % 8;
+        for (r, row) in dst.chunks_exact_mut(dst_stride).enumerate() {
+            for t in 0..c.terms {
+                let a = c.data[r * c.row_stride + t * c.term_stride];
+                if a == 0.0 {
+                    continue;
+                }
+                let s = &src[t * src_stride + cols.start..][..cols.len()];
+                for (j, (d, &s)) in row[cols.clone()].iter_mut().zip(s).enumerate() {
+                    *d = if fma && j < body {
+                        a.mul_add(s, *d)
+                    } else {
+                        *d + a * s
+                    };
+                }
+            }
+        }
+    }
+
+    /// Every backend's `axpy_rows`, at every width the host has, is the
+    /// portable chain bit for bit (NaN as NaN) at every column count
+    /// from 1 to 70 — each tile and every masked column tail — over 1 to
+    /// 9 rows (whole four-row blocks and the single rows after them),
+    /// with ±0.0, NaN and ±inf in the coefficients and the sources.
+    #[test]
+    fn axpy_rows_is_the_portable_chain_at_every_column_count() {
+        for (backend, width) in backends_and_widths() {
+            let fma = backend == SimdBackend::Avx2;
+            for n in 1..=70 {
+                for rows in 1..=9 {
+                    let (terms, seed) = (11, (100 * n + rows) as u32);
+                    let (stride, src_stride) = (n + 3, n + 5);
+                    let coeffs = with_specials(rows * terms, seed, 4, 48);
+                    let src = with_specials(terms * src_stride, seed + 1, 2, 48);
+                    let c = Coeffs {
+                        data: &coeffs,
+                        row_stride: terms,
+                        term_stride: 1,
+                        terms,
+                    };
+                    let mut want = with_specials(rows * stride, seed + 2, 1, 8);
+                    let mut got = want.clone();
+                    axpy_rows_chain(fma, &mut want, stride, 1..n + 1, &src, src_stride, c);
+                    backend.axpy_rows_at(width, &mut got, stride, 1..n + 1, &src, src_stride, c);
+                    let what = format!("{backend:?} at {width:?}: {rows} rows, {n} columns");
+                    assert!(same(&got, &want), "{what}");
+                }
+            }
+        }
+    }
+
+    /// `dot_rows` is one `dot` per row of `b`, bit for bit (NaN as NaN):
+    /// under `Avx2` each output is `dot_eight_lanes`, under scalar the
+    /// left-to-right chain, at every depth around the eight-lane body and
+    /// two longer ones, for 1 to 20 outputs (whole eight-output blocks
+    /// and short last ones), on plain values, on ±0.0, NaN, ±inf and
+    /// subnormal operands, and on products that underflow to ±0.0 (so a
+    /// lane sum that did not start from +0.0 would show).
+    #[test]
+    fn dot_rows_is_one_dot_per_row_bitwise() {
+        let tiny = |v: Vec<f32>| v.into_iter().map(|x| x * 2f32.powi(-80)).collect();
+        for backend in SimdBackend::available() {
+            let reference = match backend {
+                SimdBackend::Avx2 => dot_eight_lanes,
+                SimdBackend::Scalar => dot_scalar,
+            };
+            for k in (0..=33).chain([64, 257]) {
+                for n in 1..=20 {
+                    let (seed, len) = ((40 * k + n) as u32, n * k + 3);
+                    let cases: [(&str, Vec<f32>, Vec<f32>); 3] = [
+                        ("plain", data(k, seed), data(len, seed + 1)),
+                        (
+                            "specials",
+                            with_specials(k, seed, 4, 24),
+                            with_specials(len, seed + 1, 4, 24),
+                        ),
+                        ("underflow", tiny(data(k, seed)), tiny(data(len, seed + 1))),
+                    ];
+                    for (what, a, b) in &cases {
+                        let mut got = vec![f32::NAN; n + 1];
+                        got[n] = 7.0;
+                        backend.dot_rows(a, b, &mut got[..n]);
+                        let want: Vec<f32> = (0..n)
+                            .map(|j| reference(a, &b[j * k..][..k]))
+                            .chain([7.0])
+                            .collect();
+                        let what = format!("{backend:?}, {what}: k {k}, {n} outputs");
+                        assert!(same(&got, &want), "{what}: {got:?} vs {want:?}");
+                    }
                 }
             }
         }

@@ -234,11 +234,13 @@ impl Tensor {
     ///   scalar panel elsewhere. k-tiled so a `DEFAULT_TILE_K ×
     ///   DEFAULT_TILE_N` panel of B stays cache resident. Per element the
     ///   `p` order is globally ascending (k-tiles ascend, `p` ascends
-    ///   within each) and zero `a` terms are skipped.
+    ///   within each) and zero `a` terms are skipped. A tile's last
+    ///   columns (fewer than eight) ride one masked register per row.
     /// * `Nt` computes one full-depth dot product per element (k is
-    ///   never split — that would reassociate the chain): `simd.dot`
-    ///   under `Avx2` (eight FMA lanes summed in ascending order, then
-    ///   the tail, the order a wider `Nt` tile must keep),
+    ///   never split — that would reassociate the chain): under `Avx2`
+    ///   one `dot_rows` per row and n-tile, eight outputs at a time
+    ///   sharing each load of the A row, every output in `dot`'s order
+    ///   (eight FMA lanes summed in ascending order, then the tail);
     ///   `nt_row_scalar`'s side-by-side chains under scalar.
     ///
     /// Within a backend, results are bit-identical for every thread
@@ -309,9 +311,7 @@ impl Tensor {
                     let j1 = (j0 + DEFAULT_TILE_N).min(n);
                     for (r, o_row) in chunk.chunks_exact_mut(n).enumerate() {
                         let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-                        for (j, o) in o_row[j0..j1].iter_mut().enumerate() {
-                            *o = simd.dot(a_row, &b[(j0 + j) * k..(j0 + j + 1) * k]);
-                        }
+                        simd.dot_rows(a_row, &b[j0 * k..j1 * k], &mut o_row[j0..j1]);
                     }
                 }
             }
@@ -645,13 +645,14 @@ mod tests {
 
         /// Depths and widths one below, at, one above and past twice the
         /// tile sizes, with row counts one below, at and one above the
-        /// serial-fallback threshold: on every backend each layout equals
-        /// its term-by-term reference bit for bit, on one thread (always
-        /// serial) and on four (parallel from 64 rows).
+        /// serial-fallback threshold at 128 columns: on every backend each
+        /// layout equals its term-by-term reference bit for bit, on one
+        /// thread (always serial) and on four (parallel from 32 768
+        /// output elements).
         #[test]
         fn gemm_is_the_axpy_reference_bitwise_at_tile_and_threshold_edges() {
             for simd in SimdBackend::available() {
-                for m in [63, 64, 65] {
+                for m in [255, 256, 257] {
                     for k in [63, 64, 65, 130] {
                         for n in [127, 128, 129, 260] {
                             let a = sparse(m, k, 11);
@@ -755,12 +756,12 @@ mod tests {
 
         /// The determinism contract the golden gates rely on: within one
         /// backend, results stay bitwise-identical across thread counts
-        /// and repeated runs (70 rows: past the serial-fallback threshold,
-        /// so every count above one really dispatches).
+        /// and repeated runs (1 500 rows of 23: past the serial-fallback
+        /// threshold, so every count above one really dispatches).
         #[test]
         fn each_backend_bitwise_across_threads() {
             for backend in SimdBackend::available() {
-                let a = Tensor::xavier(70, 19, 31);
+                let a = Tensor::xavier(1500, 19, 31);
                 let b = Tensor::xavier(19, 23, 32);
                 let bt = Tensor::xavier(23, 19, 33);
                 let want = a.matmul_with(&b, &cfg(backend, 1));

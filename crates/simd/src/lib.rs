@@ -4,12 +4,12 @@
 //! `axpy` (`dst[i] += a * src[i]` — neighbor aggregation, gradient
 //! scatter; `axpy_rows`, a run of axpys into each row of a block held in
 //! registers — matmul inner tiles; `axpy_gather`, a run of axpys from
-//! listed source rows — mean aggregation), `dot` (transposed matmul,
-//! attention scores), and `widen_bf16` (bf16 feature rows → f32 at
-//! gather time). This crate provides explicit `std::arch` AVX-512F and
-//! AVX2(+FMA) bodies of those primitives behind a [`SimdBackend`] value
-//! dispatch, with a scalar chain that is bitwise-identical to the
-//! pre-SIMD kernels, and [`uniform_rows8`], the feature synthesiser's
+//! listed source rows — mean aggregation), `dot` (attention scores;
+//! `dot_rows`, one `dot` per row of a block — transposed matmul), and
+//! `widen_bf16` (bf16 feature rows → f32 at gather time). This crate
+//! provides explicit `std::arch` AVX-512F and AVX2(+FMA) bodies of
+//! those primitives behind a [`SimdBackend`] value dispatch, with a
+//! scalar chain that is bitwise-identical to the pre-SIMD kernels, and [`uniform_rows8`], the feature synthesiser's
 //! eight-stream generator.
 //!
 //! # Determinism contract
@@ -45,9 +45,11 @@
 //!   reports it), and the crate's tests run every width the host has.
 //! * `dot` — scalar accumulates left to right; AVX2 keeps eight FMA lane
 //!   accumulators, sums them in ascending lane order, then folds the
-//!   scalar tail as a separate multiply and add. Two reductions, each
-//!   gated by its own golden in `ci.sh`; the crate's tests hold the AVX2
-//!   one bit for bit to a portable statement of that order.
+//!   scalar tail as a separate multiply and add. `dot_rows` is that
+//!   `dot` per output, eight outputs to a block under AVX2. Two
+//!   reductions, each gated by its own golden in `ci.sh`; the crate's
+//!   tests hold the AVX2 one bit for bit to a portable statement of that
+//!   order.
 //! * `widen_bf16` is exact (a left shift), so it is one function on
 //!   every backend: the AVX2 body where detected, the portable one
 //!   elsewhere. For the same reason `axpy_gather_bf16` is `axpy_gather`
@@ -68,8 +70,8 @@
 //! crate-private `Width`, whose wide values exist only after that
 //! check). The gather's two source loads, `Element::load8` for f32 and
 //! for bf16, sit beside their trait outside the module and are reached
-//! only from its gather body. The `Avx2` arms of `axpy` and `dot` rely
-//! on the backend value instead: `Avx2` values originate exclusively from
+//! only from its gather body. The `Avx2` arms of `axpy`, `dot` and
+//! `dot_rows` rely on the backend value instead: `Avx2` values originate exclusively from
 //! `SimdBackend::detect` / [`SimdPolicy::resolve`], which check
 //! `is_x86_feature_detected!` before producing them. That invariant, or
 //! the check beside the call, is the SAFETY argument each dispatch site
@@ -1294,9 +1296,11 @@ mod x86 {
     /// row's in one ymm loaded and stored under a lane mask, so no column
     /// past `n` is read or written. Every lane is `d = d + a * s` per
     /// non-zero term, ascending, the multiply and add rounded separately
-    /// on both chains, as `axpy_avx2`'s scalar tail rounds them. A term
-    /// whose coefficient is ±0.0 leaves the row's lanes as they are
-    /// (`Ymm::update`'s select, the portable `a == 0.0` skip).
+    /// on both chains, as `axpy_avx2`'s scalar tail rounds them. The zero
+    /// skip is `tile`'s: a branch-free pass first, and a rerun that keeps
+    /// a row's lanes where its coefficient is ±0.0 (`Ymm::update`'s
+    /// select, the portable `a == 0.0` skip) only if one of the `n`
+    /// lanes ends zero or NaN.
     ///
     /// # Safety
     ///
@@ -1318,6 +1322,40 @@ mod x86 {
         // SAFETY: AVX2 and FMA are enabled here; the mask keeps every
         // access to the first `n` lanes, which the caller bounds.
         unsafe {
+            let mut acc = tail_terms::<R, false>(dp, sp, cp, mask, g);
+            // Lanes past `n` hold no column: check them as 1.0.
+            let ones = _mm256_set1_ps(1.0);
+            let live = acc.map(|row| [_mm256_blendv_ps(ones, row, _mm256_castsi256_ps(mask))]);
+            if Ymm::any_zero_or_nan(&live) {
+                acc = tail_terms::<R, true>(dp, sp, cp, mask, g);
+            }
+            for (r, row) in acc.iter().enumerate() {
+                _mm256_maskstore_ps(dp.add(r * g.dst), mask, *row);
+            }
+        }
+    }
+
+    /// `column_tail`'s accumulators: `R` rows loaded under `mask` from
+    /// `dp`, every term folded in by `Ymm::update::<false, SKIP>`.
+    ///
+    /// # Safety
+    ///
+    /// As `column_tail`, whose mask bounds every access.
+    // SAFETY: requires AVX2+FMA; reached only from `column_tail`, inside an
+    // entry point whose caller detected avx2 and fma (`Width::host`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn tail_terms<const R: usize, const SKIP: bool>(
+        dp: *const f32,
+        sp: *const f32,
+        cp: *const f32,
+        mask: __m256i,
+        g: Grid,
+    ) -> [__m256; R] {
+        // SAFETY: AVX2 and FMA are enabled here; the mask keeps every
+        // row access to the lanes the caller bounds, and the caller
+        // bounds every coefficient.
+        unsafe {
             let mut acc = [_mm256_setzero_ps(); R];
             for (r, row) in acc.iter_mut().enumerate() {
                 *row = _mm256_maskload_ps(dp.add(r * g.dst), mask);
@@ -1326,12 +1364,10 @@ mod x86 {
                 let s = _mm256_maskload_ps(sp.add(t * g.src), mask);
                 for (r, row) in acc.iter_mut().enumerate() {
                     let a = Ymm::splat(*cp.add(r * g.row + t * g.term));
-                    *row = Ymm::update::<false, true>(*row, a, s);
+                    *row = Ymm::update::<false, SKIP>(*row, a, s);
                 }
             }
-            for (r, row) in acc.iter().enumerate() {
-                _mm256_maskstore_ps(dp.add(r * g.dst), mask, *row);
-            }
+            acc
         }
     }
 

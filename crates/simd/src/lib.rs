@@ -241,7 +241,9 @@ impl SimdBackend {
     /// from +0.0, as `dot` sums them) and the tail's products are added
     /// one by one, each multiply and add rounded separately. A last block
     /// of fewer than eight outputs repeats its last row and stores only
-    /// its own outputs.
+    /// its own outputs. Other backends run one `dot` per row; `Tensor`'s
+    /// `Nt` GEMM does not call them (its scalar chain has a row kernel
+    /// of its own), so that arm serves other callers and the tests.
     ///
     /// # Panics
     ///
@@ -979,7 +981,8 @@ mod x86 {
     }
 
     /// One register width of the `axpy_rows` tiles: `N` f32 lanes to a
-    /// register. [`Ymm`] is AVX2 + FMA, [`Zmm`] AVX-512F. The tiles are
+    /// register. [`Ymm`] is AVX2 + FMA, [`Zmm`] AVX-512F, [`Tail`] the
+    /// first few lanes of a ymm. The tiles are
     /// written once over it; each width's methods are compiled with its
     /// features and inline into that width's entry point
     /// (`axpy_rows_ymm`, `axpy_rows_zmm`), whose features they share.
@@ -1073,16 +1076,87 @@ mod x86 {
         #[target_feature(enable = "avx2", enable = "fma")]
         #[inline]
         unsafe fn any_zero_or_nan<const R: usize, const V: usize>(acc: &[[__m256; V]; R]) -> bool {
-            let zero = _mm256_setzero_ps();
-            let mut zero_or_nan = zero;
-            for row in acc {
-                for &lane in row {
-                    zero_or_nan =
-                        _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(lane, zero));
-                }
-            }
-            _mm256_movemask_ps(zero_or_nan) != 0
+            zero_or_nan_lanes(acc) != 0
         }
+    }
+
+    /// The first `W` (< 8) lanes of a ymm, for the columns left after the
+    /// full registers: loaded and stored under a lane mask, so no column
+    /// past `W` is read or written (masked-off lanes load as 0.0), and
+    /// only those `W` lanes are checked for zero or NaN. Updates are
+    /// `Ymm`'s.
+    pub(crate) struct Tail<const W: usize>;
+
+    impl<const W: usize> Lanes for Tail<W> {
+        const N: usize = W;
+        type F = __m256;
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // entry point that reaches a `Tail` runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn splat(a: f32) -> __m256 {
+            _mm256_set1_ps(a)
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // entry point that reaches a `Tail` runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn load(p: *const f32) -> __m256 {
+            // SAFETY: the caller bounds `W` lanes at `p`, and the mask
+            // reads no other.
+            unsafe { _mm256_maskload_ps(p, lane_mask(W)) }
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // entry point that reaches a `Tail` runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            // SAFETY: the caller bounds `W` lanes at `p`, and the mask
+            // writes no other.
+            unsafe { _mm256_maskstore_ps(p, lane_mask(W), v) }
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // entry point that reaches a `Tail` runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn update<const FMA: bool, const SKIP: bool>(
+            d: __m256,
+            a: __m256,
+            s: __m256,
+        ) -> __m256 {
+            // SAFETY: AVX2 and FMA are enabled here.
+            unsafe { Ymm::update::<FMA, SKIP>(d, a, s) }
+        }
+
+        // SAFETY: requires AVX2+FMA, detected by `Width::host` before any
+        // entry point that reaches a `Tail` runs.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[inline]
+        unsafe fn any_zero_or_nan<const R: usize, const V: usize>(acc: &[[__m256; V]; R]) -> bool {
+            zero_or_nan_lanes(acc) & ((1 << W) - 1) != 0
+        }
+    }
+
+    /// One bit per ymm lane, set where a lane of some register of the
+    /// tile is ±0.0 or NaN; checked row by row so the tile stays in
+    /// registers.
+    // SAFETY: requires AVX2; reached only from `Ymm` and `Tail` methods,
+    // whose callers detected avx2 and fma.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn zero_or_nan_lanes<const R: usize, const V: usize>(acc: &[[__m256; V]; R]) -> i32 {
+        let zero = _mm256_setzero_ps();
+        let mut zero_or_nan = zero;
+        for row in acc {
+            for &lane in row {
+                zero_or_nan = _mm256_or_ps(zero_or_nan, _mm256_cmp_ps::<_CMP_EQ_UQ>(lane, zero));
+            }
+        }
+        _mm256_movemask_ps(zero_or_nan)
     }
 
     impl Lanes for Zmm {
@@ -1201,12 +1275,13 @@ mod x86 {
 
     /// `SimdBackend::axpy_rows`, `L::N` lanes wide: rows go four at a
     /// time (then one at a time), each row block in `2N`- then `N`-column
-    /// register tiles, an eight-column tile where `N` is 16, and a scalar
-    /// column tail. Every lane is `d = d + a * s` per non-zero term,
-    /// ascending — one FMA with `FMA`, multiply and add rounded
-    /// separately (the scalar chain) without. The tail always rounds them
-    /// separately, as `axpy_avx2`'s does, and it starts where that
-    /// function's eight-lane body ends, so the widths agree bit for bit.
+    /// register tiles, an eight-column tile where `N` is 16, and a
+    /// [`Tail`] tile over the last (< 8) columns. Every lane is
+    /// `d = d + a * s` per non-zero term, ascending — one FMA with `FMA`,
+    /// multiply and add rounded separately (the scalar chain) without.
+    /// The tail always rounds them separately, as `axpy_avx2`'s scalar
+    /// tail does, and it starts where that function's eight-lane body
+    /// ends, so the widths agree bit for bit.
     ///
     /// # Safety
     ///
@@ -1252,7 +1327,8 @@ mod x86 {
     }
 
     /// `R` rows of `axpy_rows_wide`: `2N`- then `N`-column register tiles,
-    /// an eight-column tile where `N` is 16, then a scalar column tail.
+    /// an eight-column tile where `N` is 16, then one masked [`Tail`]
+    /// tile of the columns left, its update unfused on both chains.
     ///
     /// # Safety
     ///
@@ -1285,94 +1361,25 @@ mod x86 {
             // spans eight of the `width - j` columns left.
             j += unsafe { tile::<Ymm, R, 1, FMA>(dp.wrapping_add(j), sp.wrapping_add(j), cp, g) };
         }
-        if j < width {
-            // SAFETY: AVX2 and FMA are enabled in the caller; the tail
-            // spans the `width - j` (< 8) columns left.
-            unsafe { column_tail::<R>(dp.wrapping_add(j), sp.wrapping_add(j), cp, width - j, g) };
-        }
-    }
-
-    /// The last `n` (< 8) columns of `R` rows of `axpy_rows_wide`, each
-    /// row's in one ymm loaded and stored under a lane mask, so no column
-    /// past `n` is read or written. Every lane is `d = d + a * s` per
-    /// non-zero term, ascending, the multiply and add rounded separately
-    /// on both chains, as `axpy_avx2`'s scalar tail rounds them. The zero
-    /// skip is `tile`'s: a branch-free pass first, and a rerun that keeps
-    /// a row's lanes where its coefficient is ±0.0 (`Ymm::update`'s
-    /// select, the portable `a == 0.0` skip) only if one of the `n`
-    /// lanes ends zero or NaN.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are enabled in the caller, which guarantees `R` rows
-    /// of `n` columns at `dp`, those columns of every source row at `sp`
-    /// and `R` rows of coefficients at `cp`.
-    // SAFETY: requires AVX2+FMA; reached only from `row_block`, inside an
-    // entry point whose caller detected avx2 and fma (`Width::host`).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn column_tail<const R: usize>(
-        dp: *mut f32,
-        sp: *const f32,
-        cp: *const f32,
-        n: usize,
-        g: Grid,
-    ) {
-        let mask = lane_mask(n);
-        // SAFETY: AVX2 and FMA are enabled here; the mask keeps every
-        // access to the first `n` lanes, which the caller bounds.
+        let (d, s) = (dp.wrapping_add(j), sp.wrapping_add(j));
+        // SAFETY: AVX2 and FMA are enabled in the caller; the tail tile
+        // spans the `width - j` (< 8) columns left.
         unsafe {
-            let mut acc = tail_terms::<R, false>(dp, sp, cp, mask, g);
-            // Lanes past `n` hold no column: check them as 1.0.
-            let ones = _mm256_set1_ps(1.0);
-            let live = acc.map(|row| [_mm256_blendv_ps(ones, row, _mm256_castsi256_ps(mask))]);
-            if Ymm::any_zero_or_nan(&live) {
-                acc = tail_terms::<R, true>(dp, sp, cp, mask, g);
-            }
-            for (r, row) in acc.iter().enumerate() {
-                _mm256_maskstore_ps(dp.add(r * g.dst), mask, *row);
-            }
-        }
-    }
-
-    /// `column_tail`'s accumulators: `R` rows loaded under `mask` from
-    /// `dp`, every term folded in by `Ymm::update::<false, SKIP>`.
-    ///
-    /// # Safety
-    ///
-    /// As `column_tail`, whose mask bounds every access.
-    // SAFETY: requires AVX2+FMA; reached only from `column_tail`, inside an
-    // entry point whose caller detected avx2 and fma (`Width::host`).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn tail_terms<const R: usize, const SKIP: bool>(
-        dp: *const f32,
-        sp: *const f32,
-        cp: *const f32,
-        mask: __m256i,
-        g: Grid,
-    ) -> [__m256; R] {
-        // SAFETY: AVX2 and FMA are enabled here; the mask keeps every
-        // row access to the lanes the caller bounds, and the caller
-        // bounds every coefficient.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); R];
-            for (r, row) in acc.iter_mut().enumerate() {
-                *row = _mm256_maskload_ps(dp.add(r * g.dst), mask);
-            }
-            for t in 0..g.terms {
-                let s = _mm256_maskload_ps(sp.add(t * g.src), mask);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let a = Ymm::splat(*cp.add(r * g.row + t * g.term));
-                    *row = Ymm::update::<false, SKIP>(*row, a, s);
-                }
-            }
-            acc
+            match width - j {
+                0 => 0,
+                1 => tile::<Tail<1>, R, 1, false>(d, s, cp, g),
+                2 => tile::<Tail<2>, R, 1, false>(d, s, cp, g),
+                3 => tile::<Tail<3>, R, 1, false>(d, s, cp, g),
+                4 => tile::<Tail<4>, R, 1, false>(d, s, cp, g),
+                5 => tile::<Tail<5>, R, 1, false>(d, s, cp, g),
+                6 => tile::<Tail<6>, R, 1, false>(d, s, cp, g),
+                _ => tile::<Tail<7>, R, 1, false>(d, s, cp, g),
+            };
         }
     }
 
     /// A ymm lane mask selecting the first `n` (≤ 8) f32 lanes.
-    // SAFETY: requires AVX2; reached only from `column_tail` and
+    // SAFETY: requires AVX2; reached only from `Tail`'s methods and
     // `dot_rows_avx2`, whose callers detected avx2 and fma.
     #[target_feature(enable = "avx2")]
     #[inline]

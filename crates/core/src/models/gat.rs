@@ -133,7 +133,9 @@ impl BlockLayer for GatLayer {
             }
         };
         let rows = (y.data_mut(), (&mut alphas[..], &mut positive[..]));
-        buffalo_par::split_rows(n_dst, out_dim, &par, rows, |i0, (yc, (ac, pc))| {
+        // A score dot and an axpy per edge, over scattered rows of `z`.
+        let work = 2 * block.num_edges() * out_dim * buffalo_par::ROW_ELEMENT_WORK;
+        buffalo_par::split_rows(n_dst, work, &par, rows, |i0, (yc, (ac, pc))| {
             fill(i0, yc, ac, pc)
         });
         let relu_mask = activate(&mut y, self.relu, keep);
@@ -200,7 +202,8 @@ impl BlockLayer for GatLayer {
                 }
             };
             let rows = (&mut cands_all[..], &mut ds_all[..]);
-            buffalo_par::split_rows(n_dst, out_dim, &par, rows, |i0, (cc, dd)| fill(i0, cc, dd));
+            let work = block.num_edges() * out_dim * buffalo_par::ROW_ELEMENT_WORK;
+            buffalo_par::split_rows(n_dst, work, &par, rows, |i0, (cc, dd)| fill(i0, cc, dd));
         }
         // Phase 2: dz. The sequential loop writes three kinds of updates —
         // per edge (i, c) with j = cands[c], in this order:
@@ -250,7 +253,8 @@ impl BlockLayer for GatLayer {
             let dy_ref = dy;
             let (events_ref, offsets_ref) = (&events, &offsets);
             let (alphas_ref, ds_ref) = (&cache.alphas, &ds_all);
-            buffalo_par::parallel_rows(dz.data_mut(), out_dim, &par, |row0, chunk| {
+            let work = total * out_dim * buffalo_par::ROW_ELEMENT_WORK;
+            buffalo_par::parallel_rows(dz.data_mut(), out_dim, work, &par, |row0, chunk| {
                 for (r, row) in chunk.chunks_exact_mut(out_dim).enumerate() {
                     let q = row0 + r;
                     for &(i, c, kind) in &events_ref[offsets_ref[q]..offsets_ref[q + 1]] {
@@ -288,10 +292,11 @@ impl BlockLayer for GatLayer {
                     }
                 }
             };
-            // Each column walks every edge: that is its row's work.
-            let edges = ds_all.iter().map(Vec::len).sum();
+            // Two axpys per edge, over every column between them.
+            let edges: usize = ds_all.iter().map(Vec::len).sum();
+            let work = 2 * edges * out_dim * buffalo_par::ROW_ELEMENT_WORK;
             let cols = (da_l.data_mut(), da_r.data_mut());
-            buffalo_par::split_rows(out_dim, edges, &par, cols, |d0, (dal, dar)| {
+            buffalo_par::split_rows(out_dim, work, &par, cols, |d0, (dal, dar)| {
                 acc(d0, dal, dar)
             });
         }

@@ -164,7 +164,8 @@ impl SageLayer {
                     }
                 };
                 let rows = (agg.data_mut(), &mut argmax[..]);
-                buffalo_par::split_rows(n_dst, dim, &par, rows, |i0, (ac, xc)| fill(i0, ac, xc));
+                let work = block.num_edges() * dim * buffalo_par::ROW_ELEMENT_WORK;
+                buffalo_par::split_rows(n_dst, work, &par, rows, |i0, (ac, xc)| fill(i0, ac, xc));
                 let cache = proj_mask.map(|proj_mask| AggCache::MaxPool {
                     h_src,
                     proj_mask,
@@ -267,7 +268,8 @@ fn mean_rows(
 ) -> Tensor {
     let par = buffalo_par::ambient();
     let mut agg = Tensor::zeros(block.num_dst(), dim);
-    buffalo_par::parallel_rows(agg.data_mut(), dim, &par, |row0, chunk| {
+    let work = block.num_edges() * dim * buffalo_par::ROW_ELEMENT_WORK;
+    buffalo_par::parallel_rows(agg.data_mut(), dim, work, &par, |row0, chunk| {
         let mut ids = Vec::new();
         for (r, dst_row) in chunk.chunks_exact_mut(dim).enumerate() {
             let pos = block.src_positions(row0 + r);
@@ -425,7 +427,8 @@ impl BlockLayer for SageLayer {
                     .collect();
                 let dim = self.in_dim;
                 let d_agg_ref = &d_agg;
-                buffalo_par::parallel_rows(dh_src.data_mut(), dim, &par, |row0, chunk| {
+                let work = block.num_edges() * dim * buffalo_par::ROW_ELEMENT_WORK;
+                buffalo_par::parallel_rows(dh_src.data_mut(), dim, work, &par, |row0, chunk| {
                     for (r, src_row) in chunk.chunks_exact_mut(dim).enumerate() {
                         for &i in rev.dsts_of(row0 + r) {
                             simd.axpy(src_row, d_agg_ref.row(i as usize), inv[i as usize]);
@@ -478,7 +481,9 @@ impl BlockLayer for SageLayer {
                 let mut dproj = Tensor::zeros(rows_p, dim);
                 let d_agg_ref = &d_agg;
                 let (events_ref, offsets_ref) = (&events, &offsets);
-                buffalo_par::parallel_rows(dproj.data_mut(), dim, &par, |row0, chunk| {
+                // One add per credit event, read from a scattered row.
+                let work = total * buffalo_par::ROW_ELEMENT_WORK;
+                buffalo_par::parallel_rows(dproj.data_mut(), dim, work, &par, |row0, chunk| {
                     for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
                         let q = row0 + r;
                         for &(i, d) in &events_ref[offsets_ref[q]..offsets_ref[q + 1]] {

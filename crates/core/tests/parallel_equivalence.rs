@@ -6,8 +6,9 @@
 //! *bitwise* identical for any thread count. These tests run full
 //! forward + backward passes for every model (SAGE with each aggregator,
 //! GAT) on one thread and on 2, 4 and 8, over shapes that straddle the
-//! kernels' fixed tile grid (64 deep, 128 wide) and their 64-row
-//! serial-fallback threshold, and compare every output bit for bit.
+//! kernels' fixed tile grid (64 deep, 128 wide) and hold enough work to
+//! pass the serial-fallback threshold (`DEFAULT_MIN_PARALLEL_WORK`), and
+//! compare every output bit for bit.
 //!
 //! The ambient [`Parallelism`] is process-global, so the comparisons run
 //! inside a single `#[test]` per model to avoid install races between
@@ -16,7 +17,7 @@
 use buffalo_blocks::Block;
 use buffalo_core::models::GnnModel;
 use buffalo_memsim::{AggregatorKind, GnnShape};
-use buffalo_par::Parallelism;
+use buffalo_par::{Parallelism, DEFAULT_MIN_PARALLEL_WORK, ROW_ELEMENT_WORK};
 use buffalo_tensor::{softmax_cross_entropy, Tensor};
 
 /// Deterministic LCG, good enough to synthesize irregular blocks.
@@ -56,15 +57,38 @@ fn lcg_block(seed: u64, n_dst: usize, n_src: usize, max_deg: usize) -> Block {
     Block::from_parts(dst_nodes, src_nodes, offsets, indices)
 }
 
-/// Outputs of the 2-layer block stack: one row past the serial-fallback
-/// threshold, so the last layer's kernels dispatch too.
-const OUTPUTS: usize = 65;
+/// Input features: one past the depth tile at layer 0.
+const FEATURES: usize = 65;
+/// Hidden width: two depth tiles and a tail, and one width tile and a
+/// tail, at the hidden layer.
+const HIDDEN: usize = 130;
+/// Output width: five eight-lane registers and a seven-column tail.
+const CLASSES: usize = 47;
+/// Sources of layer 0.
+const SOURCES: usize = 5500;
+/// Destinations of layer 0, sources of layer 1.
+const MID: usize = 5000;
+/// Destinations of layer 1.
+const OUTPUTS: usize = 720;
 
-/// 220 sources -> 140 mid -> [`OUTPUTS`] outputs.
+/// Whether a kernel call doing `work` splits at two threads.
+fn splits(work: usize) -> bool {
+    threads(2).effective_threads(usize::MAX, work) > 1
+}
+
+/// [`SOURCES`] -> [`MID`] -> [`OUTPUTS`], sized so each layer's kernels
+/// pass the serial-fallback threshold: layer 0's aggregations over its
+/// edges, and every GEMM, the smallest the output layer's
+/// `OUTPUTS × HIDDEN × CLASSES`. (Max-pool's gradient scatter, one add
+/// per winning element, passes it at layer 0: about 12 in 13
+/// destinations have an edge.)
 fn block_stack(seed: u64) -> (Vec<Block>, usize) {
-    let b0 = lcg_block(seed, 140, 220, 6);
-    let b1 = lcg_block(seed ^ 0x9e3779b97f4a7c15, OUTPUTS, 140, 5);
-    (vec![b0, b1], 220)
+    let b0 = lcg_block(seed, MID, SOURCES, 12);
+    let b1 = lcg_block(seed ^ 0x9e3779b97f4a7c15, OUTPUTS, MID, 10);
+    assert!(splits(b0.num_edges() * FEATURES * ROW_ELEMENT_WORK));
+    assert!(splits(OUTPUTS * HIDDEN * CLASSES));
+    assert!(splits(b1.num_edges() * HIDDEN * ROW_ELEMENT_WORK));
+    (vec![b0, b1], SOURCES)
 }
 
 /// Runs forward + loss + backward under `par` and returns every output
@@ -72,14 +96,10 @@ fn block_stack(seed: u64) -> (Vec<Block>, usize) {
 fn run_under(par: Parallelism, model_seed: u64, agg: AggregatorKind) -> Vec<Vec<f32>> {
     par.install();
     let (blocks, n_src) = block_stack(31);
-    // One past the depth tile at layer 0; two depth tiles and a tail,
-    // and one width tile and a tail, at the hidden layer.
-    let feat_dim = 65;
-    let classes = 7;
-    let shape = GnnShape::new(feat_dim, 130, 2, classes, agg);
+    let shape = GnnShape::new(FEATURES, HIDDEN, 2, CLASSES, agg);
     let mut model = GnnModel::for_shape(&shape, model_seed);
-    let x = Tensor::xavier(n_src, feat_dim, 77);
-    let labels: Vec<u32> = (0..OUTPUTS).map(|i| (i * 5 % classes) as u32).collect();
+    let x = Tensor::xavier(n_src, FEATURES, 77);
+    let labels: Vec<u32> = (0..OUTPUTS).map(|i| (i * 5 % CLASSES) as u32).collect();
     let (logits, cache) = model.forward(&blocks, &x);
     let out = softmax_cross_entropy(&logits, &labels, None);
     model.zero_grad();
@@ -120,15 +140,18 @@ fn assert_bitwise_equal(agg: AggregatorKind) {
 
 /// The three dense layouts on their own, one thread against many, at
 /// depths and widths one below, at, one above and past twice the tile
-/// sizes and row counts around the serial-fallback threshold, on every
-/// backend the host has.
+/// sizes, with row counts that the thread counts cut evenly and
+/// unevenly, on every backend the host has. Every shape holds at least
+/// `DEFAULT_MIN_PARALLEL_WORK` multiply-adds, so each count above one
+/// really splits it.
 #[test]
 fn matmuls_are_bitwise_thread_invariant_at_tile_and_threshold_edges() {
     for simd in buffalo_par::SimdBackend::available() {
         let par = |threads| Parallelism { threads, simd };
-        for m in [63, 64, 65] {
+        for m in [527, 528, 529] {
             for k in [63, 64, 65, 130] {
                 for n in [127, 128, 129, 260] {
+                    assert!(m * k * n >= DEFAULT_MIN_PARALLEL_WORK);
                     let a = Tensor::xavier(m, k, 1);
                     let at = Tensor::xavier(k, m, 2);
                     let b = Tensor::xavier(k, n, 3);

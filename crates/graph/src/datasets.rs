@@ -451,6 +451,7 @@ impl Dataset {
             return;
         }
         let par = buffalo_par::ambient();
+        let work = out.len() * buffalo_par::ROW_ELEMENT_WORK;
         if let Some(table) = &self.bf16_features {
             // bf16 mode: widen stored rows to f32. Widening is a left
             // shift — exact on every SIMD backend — so the gathered
@@ -460,7 +461,7 @@ impl Dataset {
             // `PREFETCH_AHEAD` nodes on is prefetched while this one is
             // widened.
             let table_row = |v: NodeId| table.get(v as usize * dim..(v as usize + 1) * dim);
-            buffalo_par::parallel_rows(out, dim, &par, |row0, chunk| {
+            buffalo_par::parallel_rows(out, dim, work, &par, |row0, chunk| {
                 for (r, row) in chunk.chunks_exact_mut(dim).enumerate() {
                     if let Some(ahead) = nodes
                         .get(row0 + r + PREFETCH_AHEAD)
@@ -474,7 +475,7 @@ impl Dataset {
             });
             return;
         }
-        buffalo_par::parallel_rows(out, dim, &par, |row0, chunk| {
+        buffalo_par::parallel_rows(out, dim, work, &par, |row0, chunk| {
             self.feature_rows_into(&nodes[row0..row0 + chunk.len() / dim], chunk);
         });
     }
@@ -499,7 +500,8 @@ impl Dataset {
                 if dim > 0 {
                     let this = &*self;
                     let par = buffalo_par::ambient();
-                    buffalo_par::split_rows(n, dim, &par, &mut table[..], |first, chunk| {
+                    let work = table.len() * buffalo_par::ROW_ELEMENT_WORK;
+                    buffalo_par::split_rows(n, work, &par, &mut table[..], |first, chunk| {
                         // Eight f32 rows of scratch per part, not per group.
                         let mut wide = vec![0.0f32; 8 * dim];
                         for (g, rows) in chunk.chunks_mut(8 * dim).enumerate() {
@@ -653,19 +655,19 @@ mod tests {
         }
     }
 
-    /// 127 node ids over `0..n`, unsorted, the last 27 repeating the
-    /// first 27.
-    fn scrambled(n: usize) -> Vec<NodeId> {
-        (0..127u64)
+    /// `len` node ids over `0..n`, unsorted, cycling through 100.
+    fn scrambled(n: usize, len: u64) -> Vec<NodeId> {
+        (0..len)
             .map(|i| ((i % 100) * 0x9E37_79B9 % n as u64) as NodeId)
             .collect()
     }
 
     /// `gather_features` is `feature_row` row by row, bitwise, at every
-    /// length around the row pairing and at 1 and 3 threads (127 rows
-    /// over 3 threads puts chunk boundaries mid-pair). The FNV-1a digests
-    /// of the gathered bits were pinned before the synthesiser went two
-    /// rows at a time.
+    /// length around the row pairing and at 1 and 3 threads. 3 001 rows
+    /// pass the serial-fallback threshold on both datasets, and 3 threads
+    /// put a chunk boundary mid-pair. The FNV-1a digests of the gathered
+    /// bits (all lengths but the last) were pinned before the synthesiser
+    /// went two rows at a time.
     #[test]
     fn gather_features_matches_rows() {
         let pinned = [
@@ -675,9 +677,11 @@ mod tests {
         for (name, digest) in pinned {
             let ds = load(name, 5);
             let dim = ds.spec.feat_dim;
-            let nodes = scrambled(ds.graph.num_nodes());
+            let nodes = scrambled(ds.graph.num_nodes(), 3001);
+            let work = 3001 * dim * buffalo_par::ROW_ELEMENT_WORK;
+            assert_eq!(threads(3).effective_threads(3001, work), 3);
             let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for len in [0, 1, 2, 3, 127] {
+            for len in [0, 1, 2, 3, 127, 3001] {
                 let nodes = &nodes[..len];
                 let mut out = vec![0.0; len * dim];
                 for t in [1, 3] {
@@ -688,6 +692,9 @@ mod tests {
                         let want = bits(&ds.feature_row(v));
                         assert_eq!(bits(row), want, "{name} node {v}, {len} rows, {t} threads");
                     }
+                }
+                if len == 3001 {
+                    continue;
                 }
                 for b in out.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
                     h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
@@ -717,7 +724,7 @@ mod tests {
     fn synthesis_is_the_two_stream_path_and_std_rng_draws() {
         for dim in [0, 1, 7, 128, 1433] {
             let ds = with_dim(dim);
-            let all = scrambled(ds.graph.num_nodes());
+            let all = scrambled(ds.graph.num_nodes(), 17);
             for len in 0..=17 {
                 let nodes = &all[..len];
                 let mut got = vec![f32::NAN; len * dim];

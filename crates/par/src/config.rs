@@ -3,9 +3,23 @@
 use buffalo_simd::SimdBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Minimum output elements (rows × columns) before a kernel goes
-/// parallel; below it starting a thread costs more than the work.
-pub const DEFAULT_MIN_PARALLEL_CELLS: usize = 1 << 15;
+/// Minimum work before a kernel call goes parallel, in multiply-adds of
+/// a dense GEMM (a kernel that reads scattered rows counts each element
+/// as [`ROW_ELEMENT_WORK`]). A scoped spawn and join takes ~33 µs
+/// (median; 2-vCPU AVX-512F guest) and the fastest kernel, the AVX2
+/// register tile, does a multiply-add in ~0.02 ns (`nn` 2169×100×64 at
+/// ~100 GFLOP/s), so a two-way split starts paying near 3.3 M; this is
+/// the next power of two.
+pub const DEFAULT_MIN_PARALLEL_WORK: usize = 1 << 22;
+
+/// Work each element counts for in a kernel that reads rows scattered
+/// over a table: a feature gather, an aggregation over a block's edges,
+/// a row copy. Measured on the same guest, such an element takes ~0.25
+/// ns (bf16 rows widened) to ~0.8 ns (f32 rows synthesised), and an
+/// `axpy_gather` over a 200 000 × 100 table ~0.55 ns under AVX2: 12 to
+/// 40 tile multiply-adds. Sixteen keeps the cheapest serial until a
+/// split pays.
+pub const ROW_ELEMENT_WORK: usize = 16;
 
 /// Most threads one kernel call uses, the caller included: a guard
 /// against absurd `--threads` values, since every call starts its own.
@@ -22,8 +36,8 @@ pub const DEFAULT_TILE_N: usize = 128;
 /// How the CPU compute kernels split their work: thread count and the
 /// SIMD inner kernel backend.
 ///
-/// A kernel call with enough rows starts `effective_threads(rows) - 1`
-/// scoped threads for its own duration (see
+/// A kernel call with enough work starts `effective_threads(rows, work)
+/// - 1` scoped threads for its own duration (see
 /// [`split_rows`](crate::split_rows)); no thread outlives the call.
 ///
 /// `threads` never affects results — kernels partition by disjoint output
@@ -62,15 +76,15 @@ impl Parallelism {
         }
     }
 
-    /// Threads a kernel with `rows` output rows of `cols` elements each
-    /// should actually use: `1` below [`DEFAULT_MIN_PARALLEL_CELLS`]
-    /// elements in all, never more than `rows` nor 64, whatever `threads`
-    /// says.
-    pub fn effective_threads(&self, rows: usize, cols: usize) -> usize {
-        if self.threads <= 1 || rows.saturating_mul(cols) < DEFAULT_MIN_PARALLEL_CELLS {
+    /// Threads a kernel call with `rows` output rows and `work` units of
+    /// work in all (see [`DEFAULT_MIN_PARALLEL_WORK`]) should actually
+    /// use: `1` below that threshold, never more than `rows` (but at
+    /// least one) nor 64, whatever `threads` says.
+    pub fn effective_threads(&self, rows: usize, work: usize) -> usize {
+        if self.threads <= 1 || work < DEFAULT_MIN_PARALLEL_WORK {
             1
         } else {
-            self.threads.min(rows).min(MAX_THREADS)
+            self.threads.min(rows).clamp(1, MAX_THREADS)
         }
     }
 
@@ -126,26 +140,26 @@ mod tests {
         }
     }
 
-    /// The threshold counts elements, not rows: many narrow rows and a
-    /// few wide ones split alike, and one element short of it runs
-    /// serial however the elements are shaped.
+    /// The threshold counts work, not rows: one unit short of it runs
+    /// serial however many rows share the work, and at it even three
+    /// rows split.
     #[test]
     fn serial_fallback_threshold_applies() {
-        assert_eq!(DEFAULT_MIN_PARALLEL_CELLS, 32_768);
-        assert_eq!(threads(8).effective_threads(63, 512), 1);
-        assert_eq!(threads(8).effective_threads(64, 512), 8);
-        assert_eq!(threads(8).effective_threads(32_767, 1), 1);
-        assert_eq!(threads(8).effective_threads(32_768, 1), 8);
-        assert_eq!(threads(8).effective_threads(4_096, 7), 1);
-        assert_eq!(threads(8).effective_threads(3, 1 << 20), 3);
+        assert_eq!(DEFAULT_MIN_PARALLEL_WORK, 4_194_304);
+        assert_eq!(threads(8).effective_threads(1 << 20, (1 << 22) - 1), 1);
+        assert_eq!(threads(8).effective_threads(1 << 20, 1 << 22), 8);
+        assert_eq!(threads(8).effective_threads(3, 1 << 22), 3);
         assert_eq!(threads(8).effective_threads(0, usize::MAX), 1);
-        assert_eq!(Parallelism::serial().effective_threads(1 << 20, 64), 1);
+        assert_eq!(
+            Parallelism::serial().effective_threads(1 << 20, usize::MAX),
+            1
+        );
     }
 
     #[test]
     fn effective_threads_never_exceed_rows_or_the_cap() {
-        assert_eq!(threads(50).effective_threads(70, 1024), 50);
-        assert_eq!(threads(100).effective_threads(70, 1024), 64);
+        assert_eq!(threads(50).effective_threads(70, 1 << 30), 50);
+        assert_eq!(threads(100).effective_threads(70, 1 << 30), 64);
         // Only the number is checked: no kernel runs with these values.
         for t in [65, 1 << 20, usize::MAX] {
             assert!(threads(t).effective_threads(usize::MAX, usize::MAX) <= 64);

@@ -31,6 +31,7 @@ mod split;
 
 pub use buffalo_simd::{wide_lanes, Coeffs, SimdBackend, SimdPolicy};
 pub use config::{
-    ambient, Parallelism, DEFAULT_MIN_PARALLEL_CELLS, DEFAULT_TILE_K, DEFAULT_TILE_N,
+    ambient, Parallelism, DEFAULT_MIN_PARALLEL_WORK, DEFAULT_TILE_K, DEFAULT_TILE_N,
+    ROW_ELEMENT_WORK,
 };
 pub use split::{parallel_rows, split_rows, Rows};

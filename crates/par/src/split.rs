@@ -26,12 +26,16 @@ impl<A: Rows, B: Rows> Rows for (A, B) {
     }
 }
 
-/// Cuts `out`, a kernel's `rows` output rows of `cols` elements each,
-/// into [`Parallelism::effective_threads`] contiguous parts of
+/// Cuts `out`, a kernel's `rows` output rows, into
+/// [`Parallelism::effective_threads`]`(rows, work)` contiguous parts of
 /// `rows.div_ceil(threads)` rows each and runs `f(first_row, part)` on
 /// every part inside [`std::thread::scope`]: one scoped thread per part
 /// but the last, which the calling thread runs. It returns only after
-/// every part has finished, so parts may borrow from the caller.
+/// every part has finished, so parts may borrow from the caller. `work`
+/// is the whole call's, in the units of
+/// [`DEFAULT_MIN_PARALLEL_WORK`](crate::DEFAULT_MIN_PARALLEL_WORK): a
+/// GEMM passes its multiply-adds, an aggregation its edges times the
+/// width times [`ROW_ELEMENT_WORK`](crate::ROW_ELEMENT_WORK).
 ///
 /// A thread that fails to spawn leaves its part to the threads that did
 /// start, the caller among them: spawn failure degrades concurrency,
@@ -42,12 +46,12 @@ impl<A: Rows, B: Rows> Rows for (A, B) {
 /// Re-raises a part's panic once every other part has finished: std's
 /// `a scoped thread panicked`, or the part's own payload if the calling
 /// thread ran it.
-pub fn split_rows<R, F>(rows: usize, cols: usize, par: &Parallelism, out: R, f: F)
+pub fn split_rows<R, F>(rows: usize, work: usize, par: &Parallelism, out: R, f: F)
 where
     R: Rows,
     F: Fn(usize, R) + Sync,
 {
-    let threads = par.effective_threads(rows, cols);
+    let threads = par.effective_threads(rows, work);
     if threads <= 1 {
         return f(0, out);
     }
@@ -76,22 +80,23 @@ where
     });
 }
 
-/// [`split_rows`] over a row-major `rows × cols` buffer: runs
-/// `f(first_row, chunk)` on contiguous row chunks, and nothing on an
-/// empty buffer.
-pub fn parallel_rows<F>(data: &mut [f32], cols: usize, par: &Parallelism, f: F)
+/// [`split_rows`] over a row-major `rows × cols` buffer whose call does
+/// `work` in all: runs `f(first_row, chunk)` on contiguous row chunks,
+/// and nothing on an empty buffer.
+pub fn parallel_rows<F>(data: &mut [f32], cols: usize, work: usize, par: &Parallelism, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     if data.is_empty() || cols == 0 {
         return;
     }
-    split_rows(data.len() / cols, cols, par, data, f);
+    split_rows(data.len() / cols, work, par, data, f);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_MIN_PARALLEL_WORK as GATE;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -107,7 +112,7 @@ mod tests {
     fn parallel_rows_covers_every_row_once() {
         for threads in [1, 2, 4, 8] {
             let mut hits = vec![0.0f32; 1000 * 64];
-            parallel_rows(&mut hits, 64, &par(threads), |_, chunk| {
+            parallel_rows(&mut hits, 64, GATE, &par(threads), |_, chunk| {
                 chunk.iter_mut().for_each(|h| *h += 1.0);
             });
             assert!(hits.iter().all(|&h| h == 1.0));
@@ -116,10 +121,10 @@ mod tests {
 
     #[test]
     fn parallel_rows_chunks_are_disjoint_and_aligned() {
-        // 34 093 elements: past the threshold, so four parts.
+        // Work at the threshold: four parts of 26, 26, 26 and 25 rows.
         let (rows, cols) = (103, 331);
         let mut data = vec![0.0f32; rows * cols];
-        parallel_rows(&mut data, cols, &par(4), |row0, chunk| {
+        parallel_rows(&mut data, cols, GATE, &par(4), |row0, chunk| {
             assert_eq!(chunk.len() % cols, 0);
             for (r, row) in chunk.chunks_exact_mut(cols).enumerate() {
                 for v in row.iter_mut() {
@@ -134,39 +139,38 @@ mod tests {
 
     #[test]
     fn serial_threshold_short_circuits_dispatch() {
-        // One row of 512 below the threshold no thread starts: the whole
-        // range arrives as one call on the calling thread.
+        // One unit of work below the threshold no thread starts: the
+        // whole range arrives as one call on the calling thread.
         let calls = AtomicUsize::new(0);
         let caller = thread::current().id();
-        parallel_rows(&mut vec![0.0; 63 * 512], 512, &par(8), |row0, chunk| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!((row0, chunk.len()), (0, 63 * 512));
-            assert_eq!(thread::current().id(), caller);
-        });
+        parallel_rows(
+            &mut vec![0.0; 64 * 512],
+            512,
+            GATE - 1,
+            &par(8),
+            |row0, chunk| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!((row0, chunk.len()), (0, 64 * 512));
+                assert_eq!(thread::current().id(), caller);
+            },
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // At the threshold the rows are split, one chunk per thread.
+        // At the threshold the same rows are split, one chunk per thread.
         calls.store(0, Ordering::Relaxed);
-        parallel_rows(&mut vec![0.0; 64 * 512], 512, &par(8), |_, chunk| {
+        parallel_rows(&mut vec![0.0; 64 * 512], 512, GATE, &par(8), |_, chunk| {
             calls.fetch_add(1, Ordering::Relaxed);
             assert_eq!(chunk.len(), 8 * 512);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 8);
-        // As many rows, too narrow to pay for a thread: one call.
-        calls.store(0, Ordering::Relaxed);
-        parallel_rows(&mut [0.0; 64], 1, &par(8), |_, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn parts_borrow_the_callers_data_in_pairs() {
         let (mut out, mut tag) = (vec![0u64; 64 * 3], vec![0usize; 64]);
         let offset = 7;
-        // Rows of 512 elements' work each: past the threshold.
         split_rows(
             64,
-            512,
+            GATE,
             &par(4),
             (&mut out[..], &mut tag[..]),
             |row0, (o, t)| {
@@ -189,7 +193,7 @@ mod tests {
         thread::scope(|s| {
             for slot in &done {
                 s.spawn(move || {
-                    parallel_rows(&mut vec![0.0; 256 * 128], 128, &par(4), |_, chunk| {
+                    parallel_rows(&mut vec![0.0; 256 * 128], 128, GATE, &par(4), |_, chunk| {
                         slot.fetch_add(chunk.len() / 128, Ordering::Relaxed);
                     });
                 });
@@ -201,7 +205,7 @@ mod tests {
     /// Four parts of 64 rows of 128: the first panics at once, the other
     /// three finish later.
     fn first_part_panics(finished: &AtomicUsize) {
-        parallel_rows(&mut vec![0.0; 256 * 128], 128, &par(4), |row0, _| {
+        parallel_rows(&mut vec![0.0; 256 * 128], 128, GATE, &par(4), |row0, _| {
             if row0 == 0 {
                 panic!("boom");
             }
@@ -216,7 +220,7 @@ mod tests {
         assert!(catch_unwind(AssertUnwindSafe(|| first_part_panics(&finished))).is_err());
         assert_eq!(finished.load(Ordering::SeqCst), 3);
         let count = AtomicUsize::new(0);
-        parallel_rows(&mut vec![0.0; 256 * 128], 128, &par(4), |_, chunk| {
+        parallel_rows(&mut vec![0.0; 256 * 128], 128, GATE, &par(4), |_, chunk| {
             count.fetch_add(chunk.len() / 128, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 256);

@@ -275,7 +275,9 @@ impl Tensor {
         let b = &rhs.data;
         let bt_scalar =
             (layout == Gemm::Nt && simd == SimdBackend::Scalar).then(|| nt_pack_scalar(b, n, k));
-        parallel_rows(&mut out.data, n, par, |row0, chunk| match layout {
+        // Every output element is a depth-`k` chain of multiply-adds.
+        let work = m * n * k;
+        parallel_rows(&mut out.data, n, work, par, |row0, chunk| match layout {
             Gemm::Nn | Gemm::Tn => {
                 for p0 in (0..k).step_by(DEFAULT_TILE_K) {
                     let terms = (p0 + DEFAULT_TILE_K).min(k) - p0;
@@ -434,6 +436,7 @@ impl Tensor {
         parallel_rows(
             &mut out.data,
             cols,
+            indices.len() * cols * buffalo_par::ROW_ELEMENT_WORK,
             &buffalo_par::ambient(),
             |row0, chunk| {
                 for (r, row) in chunk.chunks_exact_mut(cols).enumerate() {
@@ -644,17 +647,18 @@ mod tests {
         }
 
         /// Depths and widths one below, at, one above and past twice the
-        /// tile sizes, with row counts one below, at and one above the
-        /// serial-fallback threshold at 128 columns: on every backend each
-        /// layout equals its term-by-term reference bit for bit, on one
-        /// thread (always serial) and on four (parallel from 32 768
-        /// output elements).
+        /// tile sizes, with row counts that four threads cut evenly and
+        /// unevenly: on every backend each layout equals its term-by-term
+        /// reference bit for bit, on one thread and on four. Every shape
+        /// holds at least `DEFAULT_MIN_PARALLEL_WORK` multiply-adds, so
+        /// four threads really split it.
         #[test]
         fn gemm_is_the_axpy_reference_bitwise_at_tile_and_threshold_edges() {
             for simd in SimdBackend::available() {
-                for m in [255, 256, 257] {
+                for m in [527, 528, 529] {
                     for k in [63, 64, 65, 130] {
                         for n in [127, 128, 129, 260] {
+                            assert_eq!(cfg(simd, 4).effective_threads(m, m * k * n), 4);
                             let a = sparse(m, k, 11);
                             let at = sparse(k, m, 13);
                             let b = Tensor::xavier(k, n, 12);
@@ -756,14 +760,18 @@ mod tests {
 
         /// The determinism contract the golden gates rely on: within one
         /// backend, results stay bitwise-identical across thread counts
-        /// and repeated runs (1 500 rows of 23: past the serial-fallback
+        /// and repeated runs (1 500 × 61 × 47: past the serial-fallback
         /// threshold, so every count above one really dispatches).
         #[test]
         fn each_backend_bitwise_across_threads() {
+            assert_eq!(
+                cfg(SimdBackend::Scalar, 8).effective_threads(1500, 1500 * 61 * 47),
+                8
+            );
             for backend in SimdBackend::available() {
-                let a = Tensor::xavier(1500, 19, 31);
-                let b = Tensor::xavier(19, 23, 32);
-                let bt = Tensor::xavier(23, 19, 33);
+                let a = Tensor::xavier(1500, 61, 31);
+                let b = Tensor::xavier(61, 47, 32);
+                let bt = Tensor::xavier(47, 61, 33);
                 let want = a.matmul_with(&b, &cfg(backend, 1));
                 let want_nt = a.matmul_nt_with(&bt, &cfg(backend, 1));
                 for threads in [1, 2, 4, 8] {
@@ -854,14 +862,16 @@ mod tests {
             /// widths `16q`, `16q + 8` and other, depths crossing
             /// `DEFAULT_TILE_K`, coefficients holding ±0.0, NaN, ±inf and
             /// subnormals (and ±inf in B, where a skipped zero would have
-            /// made NaN), on one thread and on three.
+            /// made NaN), on one thread and on three. Half the cases take
+            /// up to 79 rows, half 500 to 999, enough for about one case in
+            /// ten to pass `DEFAULT_MIN_PARALLEL_WORK` and split three ways.
             #[test]
             fn gemm_is_the_backends_axpy_chain(
-                (mq, mr, nq, n_kind, n_other) in (0usize..20, 0usize..4, 0usize..6, 0usize..3, 1usize..15),
+                (mq, mr, nq, n_kind, n_other) in (0usize..250, 0usize..4, 0usize..6, 0usize..3, 1usize..15),
                 (k, seed, simd) in (1usize..150, 0u64..1000, 0..SimdBackend::available().len()),
             ) {
                 let simd = SimdBackend::available()[simd];
-                let m = 4 * mq + mr;
+                let m = 4 * if mq < 125 { mq % 20 } else { mq } + mr;
                 let n = 16 * nq + [0, 8, n_other + usize::from(n_other >= 8)][n_kind];
                 let a = specials(m, k, seed, 4, 3);
                 let at = specials(k, m, seed + 1, 4, 3);

@@ -36,8 +36,8 @@ pub const DEFAULT_TILE_N: usize = 128;
 /// How the CPU compute kernels split their work: thread count and the
 /// SIMD inner kernel backend.
 ///
-/// A kernel call with enough work starts `effective_threads(rows, work)
-/// - 1` scoped threads for its own duration (see
+/// A kernel call with enough work starts one scoped thread fewer than
+/// `effective_threads(rows, work)` for its own duration (see
 /// [`split_rows`](crate::split_rows)); no thread outlives the call.
 ///
 /// `threads` never affects results — kernels partition by disjoint output
